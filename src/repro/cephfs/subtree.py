@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..ndb.partitioning import stable_hash
+from ..hashing import stable_hash
 
 __all__ = ["SubtreePartitioner"]
 

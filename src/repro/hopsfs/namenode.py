@@ -10,6 +10,7 @@ re-replication (Section IV-C2).
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Optional
 
 from ..errors import (
@@ -461,34 +462,13 @@ class Namenode:
             call_ctx = dataclasses.replace(self.ctx, dir_cache=recorder)
             fill_token = cache.begin_fill()
 
-        def body(txn):
-            if retry_id is not None:
-                # Phantom-safe exclusive read: a concurrent retry of the
-                # same id serializes here, so exactly one execution wins.
-                prior = yield from txn.read(
-                    RETRY_TABLE,
-                    tuple(retry_id),
-                    partition_key=retry_id[0],
-                    lock=LockMode.EXCLUSIVE,
-                )
-                if prior is not None:
-                    return _Replay(prior.result)
-            result = yield from fn(call_ctx, txn, **kwargs)
-            if retry_id is not None:
-                # Same transaction as the mutation: an NN crash after commit
-                # cannot lose the replay record.
-                yield from txn.write(
-                    RETRY_TABLE,
-                    tuple(retry_id),
-                    RetryRow(client_id=retry_id[0], op_seq=retry_id[1], result=result),
-                    partition_key=retry_id[0],
-                )
-            return result
-
         try:
             hint_key = self._hint_for(kwargs)
+            # A partial, not a closure: captured names would be cells that
+            # live from the moment the op queues on the handler pool.
             result = yield from run_transaction(
-                self.api, body, hint_table=INODES_TABLE, hint_key=hint_key,
+                self.api, partial(self._txn_body, retry_id, fn, call_ctx, kwargs),
+                hint_table=INODES_TABLE, hint_key=hint_key,
                 parent_span=span, deadline=deadline_ms,
             )
         except FsError as exc:
@@ -516,6 +496,31 @@ class Namenode:
             self._cache_fill(op, kwargs, result, fill_token, recorder.rows)
         self._post_commit(op, result, kwargs)
         self.network.reply(msg, result, size=self.config.client_response_bytes)
+
+    def _txn_body(self, retry_id, fn, call_ctx, kwargs, txn):
+        """One (re)try of the op's transaction; see ``run_transaction``."""
+        if retry_id is not None:
+            # Phantom-safe exclusive read: a concurrent retry of the
+            # same id serializes here, so exactly one execution wins.
+            prior = yield from txn.read(
+                RETRY_TABLE,
+                tuple(retry_id),
+                partition_key=retry_id[0],
+                lock=LockMode.EXCLUSIVE,
+            )
+            if prior is not None:
+                return _Replay(prior.result)
+        result = yield from fn(call_ctx, txn, **kwargs)
+        if retry_id is not None:
+            # Same transaction as the mutation: an NN crash after commit
+            # cannot lose the replay record.
+            yield from txn.write(
+                RETRY_TABLE,
+                tuple(retry_id),
+                RetryRow(client_id=retry_id[0], op_seq=retry_id[1], result=result),
+                partition_key=retry_id[0],
+            )
+        return result
 
     def _cache_lookup(self, op: OpType, kwargs):
         """Try to answer ``op`` from the listing cache.

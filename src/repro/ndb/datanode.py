@@ -15,6 +15,7 @@ One :class:`NdbDatanode` hosts:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Hashable, Optional
 
 from ..errors import (
@@ -143,6 +144,8 @@ class NdbDatanode:
         self._commit_decided: dict[int, None] = {}
         self.last_heartbeat_from: dict[NodeAddress, float] = {}
         self._rng = cluster.rng.stream(f"ndbd:{addr}")
+        self._send_now_cb = self._send_now
+        self._reply_now_cb = self._reply_now
 
     # ------------------------------------------------------------------ setup
     def start(self) -> None:
@@ -208,24 +211,31 @@ class NdbDatanode:
         else:
             yield from handler(self, msg)
 
+    # _send/_reply run once per outgoing message: the SEND-thread completion
+    # carries its arguments in one ``partial`` over a method bound once per
+    # node, not in a closure (a function, a cell tuple and a cell per
+    # captured name, all of which the collector would have to walk).
     def _send(self, dst: NodeAddress, kind: str, payload: Any, size: int):
         """Charge the SEND thread, then put the message on the wire."""
         done = self.send_pool.submit(self.costs.send_msg)
         done.add_callback(
-            lambda _e: self.network.send(
-                Message(src=self.addr, dst=dst, kind=kind, payload=payload, size=size)
+            partial(
+                self._send_now_cb,
+                Message(src=self.addr, dst=dst, kind=kind, payload=payload, size=size),
             )
-            if self.running
-            else None
         )
+
+    def _send_now(self, message: Message, _done: Event) -> None:
+        if self.running:
+            self.network.send(message)
 
     def _reply(self, request: Message, payload: Any = None, ok: bool = True, size: int = 128):
         done = self.send_pool.submit(self.costs.send_msg)
-        done.add_callback(
-            lambda _e: self.network.reply(request, payload=payload, ok=ok, size=size)
-            if self.running
-            else None
-        )
+        done.add_callback(partial(self._reply_now_cb, request, payload, ok, size))
+
+    def _reply_now(self, request: Message, payload: Any, ok: bool, size: int, _done: Event) -> None:
+        if self.running:
+            self.network.reply(request, payload=payload, ok=ok, size=size)
 
     # ------------------------------------------------------------- TC helpers
     def _txn(self, txid: int, client_az: AzId) -> _TcTxn:

@@ -11,19 +11,14 @@ spans the primary replicas of all node groups (Section IV-A3).
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Hashable, Optional, Sequence
 
 from ..errors import ConfigError, NoDatanodesError
+from ..hashing import stable_hash  # re-exported: long-standing import path
 from ..types import NodeAddress
 
 __all__ = ["stable_hash", "ReplicaSet", "PartitionMap"]
-
-
-def stable_hash(key: Hashable) -> int:
-    """Deterministic cross-run hash for partition keys."""
-    return zlib.crc32(repr(key).encode("utf-8", "surrogatepass"))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ __all__ = ["Message", "Network", "DEFAULT_MESSAGE_BYTES"]
 DEFAULT_MESSAGE_BYTES = 256
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One network message.  ``rpc_id`` links requests to replies."""
 
@@ -38,6 +38,41 @@ class Message:
     ok: bool = True
     send_time: float = 0.0
     extra: dict = field(default_factory=dict)
+
+
+class _Route:
+    """Everything ``send``/``_deliver`` need to know about one (src, dst).
+
+    Resolved once per pair from the two hosts' placement, which is fixed
+    when a host is added (``Topology.add_host`` only ever adds hosts), so a
+    record never goes stale.  The ``NodeTraffic`` counters are bound at the
+    first *delivery*, not at resolution, so ``TrafficMatrix.node`` gains
+    its entries exactly when ``TrafficMatrix.record`` would create them.
+    """
+
+    __slots__ = ("latency", "cross_az", "az_pair", "src_traffic", "dst_traffic")
+
+    def __init__(self, latency: float, src_az: AzId, dst_az: AzId):
+        self.latency = latency  # Table I base delay: no degradation, no jitter
+        self.cross_az = src_az != dst_az
+        self.az_pair = (src_az, dst_az)
+        self.src_traffic = None
+        self.dst_traffic = None
+
+
+class _Rpc(Event):
+    """Completion event of one RPC, carrying its own endpoints.
+
+    One object per call in the pending table instead of an event plus a
+    ``(done, src, dst)`` tuple.
+    """
+
+    __slots__ = ("src", "dst")
+
+    def __init__(self, env: Environment, src: NodeAddress, dst: NodeAddress):
+        super().__init__(env)
+        self.src = src
+        self.dst = dst
 
 
 class Network:
@@ -68,8 +103,7 @@ class Network:
         # Each partition entry is a pair of AZ-id frozensets that cannot talk.
         self._partitions: list[tuple[frozenset[AzId], frozenset[AzId]]] = []
         self._rpc_ids = itertools.count(1)
-        # rpc_id -> (completion event, caller address, peer address)
-        self._pending: dict[int, tuple[Event, NodeAddress, NodeAddress]] = {}
+        self._pending: dict[int, _Rpc] = {}
         self.dropped_messages = 0
         # Replies that arrived after their RPC already timed out / failed.
         self.late_replies = 0
@@ -77,6 +111,7 @@ class Network:
         # ``None`` (the default) keeps the hot path to a single attribute
         # load + identity check in ``_latency``.
         self._degraded: Optional[dict[tuple[AzId, AzId], float]] = None
+        self._routes: dict[tuple[NodeAddress, NodeAddress], _Route] = {}
         # Same-instant delivery coalescing (see send()): the deferred heap
         # entry of the most recent delivery, the (time, seq) at which it
         # was scheduled, and whether it already carries a message list.
@@ -84,6 +119,8 @@ class Network:
         self._batch_seq = -1
         self._batch_entry = None
         self._batch_is_list = False
+        # One bound method for the network's lifetime, not one per message.
+        self._deliver_cb = self._deliver
 
     # -- membership ---------------------------------------------------------
     def register(self, address: NodeAddress) -> Store:
@@ -164,27 +201,29 @@ class Network:
         return True
 
     # -- messaging ------------------------------------------------------------
-    def _latency(self, src: NodeAddress, dst: NodeAddress) -> float:
-        base = self.topology.latency(src, dst)
+    def _latency(self, route: _Route) -> float:
+        """The route's base delay under link degradation and jitter."""
+        base = route.latency
         if self._degraded is not None:
-            extra = self._degraded.get(
-                (self.topology.az_of(src), self.topology.az_of(dst))
-            )
+            extra = self._degraded.get(route.az_pair)
             if extra:
                 base += extra
         if self.jitter_frac and self.rng is not None:
             base *= 1.0 + self.rng.uniform(-self.jitter_frac, self.jitter_frac)
         return base
 
-    def _link_delay(self, message: Message) -> float:
-        """Queueing delay on the finite-bandwidth inter-AZ fabric, if any."""
-        if self.az_link_bandwidth is None:
-            return 0.0
-        src_az = self.topology.az_of(message.src)
-        dst_az = self.topology.az_of(message.dst)
-        if src_az == dst_az:
-            return 0.0
-        duration = message.size / self.az_link_bandwidth
+    def _route(self, src: NodeAddress, dst: NodeAddress) -> _Route:
+        try:
+            return self._routes[(src, dst)]
+        except KeyError:
+            topology = self.topology
+            route = _Route(topology.latency(src, dst), topology.az_of(src), topology.az_of(dst))
+            self._routes[(src, dst)] = route
+            return route
+
+    def _link_delay(self, size: int) -> float:
+        """Queueing delay of a cross-AZ message on the finite-bandwidth fabric."""
+        duration = size / self.az_link_bandwidth
         start = max(self.env.now, self._fabric_drain_at)
         self._fabric_drain_at = start + duration
         return self._fabric_drain_at - self.env.now
@@ -202,13 +241,24 @@ class Network:
         sequence number is still consumed per message so traces line up
         with the unbatched schedule; with ``env.trace`` active, batching is
         disabled outright so every delivery is individually recorded.
+
+        The fault-free path reads the pair's :class:`_Route` and nothing
+        else; ``_latency`` runs only while a link is degraded or jitter is
+        on, and yields the same float either way.
         """
         env = self.env
         message.send_time = now = env._now
-        if message.src in self._down:
+        src = message.src
+        if self._down and src in self._down:
             self.dropped_messages += 1
             return
-        delay = self._latency(message.src, message.dst) + self._link_delay(message)
+        route = self._route(src, message.dst)
+        if self._degraded is None and not self.jitter_frac:
+            delay = route.latency
+        else:
+            delay = self._latency(route)
+        if route.cross_az and self.az_link_bandwidth is not None:
+            delay += self._link_delay(message.size)
         when = now + delay
         if when == self._batch_time and env._seq == self._batch_seq and env.trace is None:
             entry = self._batch_entry
@@ -221,7 +271,7 @@ class Network:
             env._seq += 1  # parity with one-entry-per-message scheduling
             self._batch_seq = env._seq
         else:
-            self._batch_entry = env.schedule_at(when, self._deliver, message)
+            self._batch_entry = env.schedule_at(when, self._deliver_cb, message)
             self._batch_time = when
             self._batch_seq = env._seq
             self._batch_is_list = False
@@ -232,22 +282,29 @@ class Network:
             deliver(message)
 
     def _deliver(self, message: Message) -> None:
-        if not self.reachable(message.src, message.dst):
+        src = message.src
+        dst = message.dst
+        if (self._down or self._partitions) and not self.reachable(src, dst):
             self.dropped_messages += 1
             if message.rpc_id is not None and not message.is_reply:
                 self._fail_rpc(message.rpc_id)
             return
-        self.traffic.record(
-            message.src,
-            self.topology.az_of(message.src),
-            message.dst,
-            self.topology.az_of(message.dst),
-            message.size,
-        )
+        # Inline TrafficMatrix.record() on the pair's resolved counters.
+        route = self._route(src, dst)
+        traffic = self.traffic
+        size = message.size
+        traffic.az_pair_bytes[route.az_pair] += size
+        src_traffic = route.src_traffic
+        if src_traffic is None:
+            src_traffic = route.src_traffic = traffic.node[src]
+            route.dst_traffic = traffic.node[dst]
+        src_traffic.sent += size
+        route.dst_traffic.received += size
+        traffic.messages += 1
         if message.is_reply:
             self._complete_rpc(message)
             return
-        mailbox = self._mailboxes.get(message.dst)
+        mailbox = self._mailboxes.get(dst)
         if mailbox is None:
             self.dropped_messages += 1
             if message.rpc_id is not None:
@@ -287,8 +344,7 @@ class Network:
         handler can parent its own spans under this call.
         """
         rpc_id = next(self._rpc_ids)
-        done = self.env.event()
-        self._pending[rpc_id] = (done, src, dst)
+        done = self._pending[rpc_id] = _Rpc(self.env, src, dst)
         message = Message(src=src, dst=dst, kind=kind, payload=payload, size=size, rpc_id=rpc_id)
         if extra:
             message.extra.update(extra)
@@ -301,12 +357,11 @@ class Network:
         return done
 
     def _rpc_timeout(self, rpc_id: int) -> None:
-        entry = self._pending.pop(rpc_id, None)
-        if entry is None:
+        done = self._pending.pop(rpc_id, None)
+        if done is None:
             return  # reply already arrived (timer fires as a no-op)
-        done, _src, peer = entry
         if not done.triggered:
-            done.fail(RpcTimeoutError(f"rpc to {peer} timed out"))
+            done.fail(RpcTimeoutError(f"rpc to {done.dst} timed out"))
 
     def _trace_call(self, obs, message: Message, done: Event, parent_span) -> None:
         """Open an ``rpc.<kind>`` span closed when the reply event fires.
@@ -368,12 +423,11 @@ class Network:
         )
 
     def _complete_rpc(self, reply: Message) -> None:
-        entry = self._pending.pop(reply.rpc_id, None)
-        if entry is None:
+        done = self._pending.pop(reply.rpc_id, None)
+        if done is None:
             # Caller gave up (timeout) / already failed: deterministic discard.
             self.late_replies += 1
             return
-        done, _src, _peer = entry
         if done.triggered:
             return
         if reply.ok:
@@ -385,18 +439,17 @@ class Network:
             done.fail(exc)
 
     def _fail_rpc(self, rpc_id: int) -> None:
-        entry = self._pending.pop(rpc_id, None)
-        if entry is None:
+        done = self._pending.pop(rpc_id, None)
+        if done is None:
             return
-        done, _src, peer = entry
         if not done.triggered:
-            done.fail(HostUnreachableError(f"{peer} unreachable"))
+            done.fail(HostUnreachableError(f"{done.dst} unreachable"))
 
     def _fail_pending(self, severed) -> None:
         doomed = [
             rpc_id
-            for rpc_id, (_event, src, dst) in self._pending.items()
-            if severed(src, dst)
+            for rpc_id, rpc in self._pending.items()
+            if severed(rpc.src, rpc.dst)
         ]
         for rpc_id in doomed:
             self._fail_rpc(rpc_id)

@@ -30,6 +30,12 @@ Hot-path design (see DESIGN.md §4 "Kernel performance"):
   RPC round costs O(1) kernel events instead of O(messages).
 * ``Environment.run`` inlines the dispatch loop with ``heappop`` and all
   per-step attribute lookups hoisted into locals.
+* No reference cycle outlives a finished process: the cached
+  ``_resume_cb`` bound method (Process -> method -> Process) and the
+  generator are dropped at every termination point, and a failure's
+  traceback loses the kernel frames that hold ``self``.  Finished
+  processes are freed by reference counting; the cyclic collector finds
+  nothing (``tests/sim/test_no_cyclic_garbage.py``).
 
 All fast paths consume exactly one sequence number per scheduling decision
 — the same points at which the pre-refactor kernel consumed them — so the
@@ -40,7 +46,7 @@ this against a committed golden trace hash).
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -361,6 +367,25 @@ class AnyOf(_ConditionBase):
             self.succeed({})
 
 
+def _without_kernel_frames(exc: BaseException) -> BaseException:
+    """Strip this module's frames from the head of ``exc``'s traceback.
+
+    An exception escaping a generator is caught in a ``Process`` method
+    whose frame (holding ``self``) heads the traceback; storing it as the
+    process's value would close Process -> exception -> traceback -> frame
+    -> Process.  The dropped entries only ever show the kernel's own
+    ``send``/``throw`` call sites.
+    """
+    tb = exc.__traceback__
+    while tb is not None and tb.tb_frame.f_code.co_filename == _THIS_FILE:
+        tb = tb.tb_next
+    exc.__traceback__ = tb
+    return exc
+
+
+_THIS_FILE = _without_kernel_frames.__code__.co_filename
+
+
 # Sentinel for a spawned-but-not-yet-started process's wait slot: lets
 # ``interrupt`` distinguish "hasn't run yet" (interruptible) from "currently
 # executing" (not interruptible).
@@ -390,7 +415,10 @@ class Process(Event):
         self._waiting_on: Any = _BOOTSTRAPPING
         self._wake_gen = 0
         # One bound method for the lifetime of the process: registering a
-        # wait costs a slot store, not a bound-method allocation.
+        # wait costs a slot store, not a bound-method allocation.  It makes
+        # Process -> bound method -> Process a reference cycle, which every
+        # termination point breaks (see _retire) so that a finished process
+        # is freed by reference counting, never by the cyclic collector.
         self._resume_cb = self._resume
         # Bootstrap: resume the process at the current time (one sequence
         # number, exactly like the naive bootstrap-Event implementation).
@@ -423,12 +451,24 @@ class Process(Event):
         try:
             target = self._generator.throw(interrupt)
         except StopIteration as stop:
+            self._retire()
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.fail(exc)
+            self._retire()
+            self.fail(_without_kernel_frames(exc))
             return
         self._wait_on(target)
+
+    def _retire(self) -> None:
+        """Break Process -> bound method -> Process once the generator is done.
+
+        Called at every termination point.  Nothing reads these slots
+        afterwards: ``interrupt``/``_deliver_interrupt`` check ``_value``
+        first, and a finished process has no waiter registration or live
+        ``_Wakeup`` left that could resume it.
+        """
+        self._resume_cb = self._send = self._generator = None
 
     def _resume(self, trigger: Optional[Event]) -> None:
         """Resume the generator with ``trigger``'s outcome (None = bootstrap).
@@ -451,10 +491,12 @@ class Process(Event):
                     trigger._defused = True
                     target = self._generator.throw(trigger._value)
         except StopIteration as stop:
+            self._retire()
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.fail(exc)
+            self._retire()
+            self.fail(_without_kernel_frames(exc))
             return
         try:
             cb1 = target._cb1
@@ -491,16 +533,18 @@ class Process(Event):
         # (The naive version threw *and* re-raised, leaving the generator
         # mid-unwind with a corrupted frame.)
         error = SimulationError(f"process {self.name!r} yielded non-event {target!r}")
+        generator = self._generator
+        self._retire()
         try:
-            self._generator.throw(error)
+            generator.throw(error)
         except StopIteration as stop:
             self.succeed(stop.value)
         except BaseException as exc:
-            self.fail(exc)
+            self.fail(_without_kernel_frames(exc))
         else:
             # The generator swallowed the error and yielded again: close it
             # and fail the process with the original error.
-            self._generator.close()
+            generator.close()
             self.fail(error)
 
     def _wait_on(self, target: Any) -> None:
@@ -732,12 +776,16 @@ class Environment:
                 raise  # a callback's own IndexError, not ours
         finally:
             if sentinel is not None and queue:
-                # Drained (or raised) before the horizon: drop the sentinel
-                # so it cannot cut a later run short.
+                # A callback raised before the horizon: drop the sentinel so
+                # it cannot cut a later run short.  list.remove() shifts the
+                # tail, so the heap order has to be rebuilt or a resumed run
+                # could dispatch out of time order.
                 try:
                     queue.remove((until, 2, float("inf"), sentinel))
                 except ValueError:
                     pass
+                else:
+                    heapify(queue)
         if until is not None:
             self._now = until
         return self._now

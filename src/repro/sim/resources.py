@@ -22,6 +22,15 @@ def _fire_if_pending(event: Event) -> None:
         event.succeed()
 
 
+class _Job(Event):
+    """A CorePool job: its done-event, carrying its own CPU cost.
+
+    One object per job instead of an event plus a ``(cost, done)`` tuple.
+    """
+
+    __slots__ = ("cost",)
+
+
 class CorePool:
     """A pool of identical CPU cores with a shared FIFO run queue.
 
@@ -39,20 +48,20 @@ class CorePool:
         self.busy_time = 0.0
         self.jobs_done = 0
         self._free = cores
-        self._pending: Deque[tuple[float, Event]] = deque()
+        self._pending: Deque[_Job] = deque()
         # One bound method for the pool's lifetime; completions are the
         # busiest deferred callback in a figure run.
         self._complete_cb = self._complete
 
-    # submit()/_start()/_complete() hand-inline Event construction, the
-    # completion deferred, and done.succeed(): every RPC handler charges a
-    # CPU pool per message.  Keep in sync with kernel internals.
+    # submit()/_complete() hand-inline Event construction, the completion
+    # deferred, and done.succeed(): every RPC handler charges a CPU pool
+    # per message.  Keep in sync with kernel internals.
     def submit(
         self,
         cost: float,
         # Fast-local bindings of module globals (see kernel.timeout).
-        _new=Event.__new__,
-        _event=Event,
+        _new=_Job.__new__,
+        _event=_Job,
         _dnew=_Deferred.__new__,
         _deferred=_Deferred,
         _pending=_PENDING,
@@ -69,16 +78,17 @@ class CorePool:
         done._cbs = None
         done._value = _pending
         done._ok = True
+        done.cost = cost
         if self._free > 0:
-            # Inline _start(): most submits find a free core immediately.
+            # Most submits find a free core immediately.
             self._free -= 1
             entry = _dnew(_deferred)
             entry.fn = self._complete_cb
-            entry.arg = (cost, done)
+            entry.arg = done
             env._seq += 1
             _push(env._queue, (env._now + cost, _normal, env._seq, entry))
         else:
-            self._pending.append((cost, done))
+            self._pending.append(done)
         return done
 
     @property
@@ -89,25 +99,15 @@ class CorePool:
     def in_service(self) -> int:
         return self.cores - self._free
 
-    def _start(self, cost: float, done: Event) -> None:
-        self._free -= 1
-        env = self.env
-        entry = _Deferred.__new__(_Deferred)
-        entry.fn = self._complete_cb
-        entry.arg = (cost, done)
-        env._seq += 1
-        heappush(env._queue, (env._now + cost, PRIORITY_NORMAL, env._seq, entry))
-
     def _complete(
         self,
-        job: tuple[float, Event],
+        done: _Job,
         _dnew=_Deferred.__new__,
         _deferred=_Deferred,
         _push=heappush,
         _normal=PRIORITY_NORMAL,
     ) -> None:
-        cost, done = job
-        self.busy_time += cost
+        self.busy_time += done.cost
         self.jobs_done += 1
         done._value = None  # inline done.succeed(): done is submit-private
         env = self.env
@@ -115,13 +115,13 @@ class CorePool:
         _push(env._queue, (env._now, _normal, env._seq, done))
         if self._pending:
             # The freed core immediately picks up the next queued job
-            # (inline _start; the +1/-1 on _free cancels out).
-            next_cost, next_done = self._pending.popleft()
+            # (the +1/-1 on _free cancels out).
+            next_done = self._pending.popleft()
             entry = _dnew(_deferred)
             entry.fn = self._complete_cb
-            entry.arg = (next_cost, next_done)
+            entry.arg = next_done
             env._seq += 1
-            _push(env._queue, (env._now + next_cost, _normal, env._seq, entry))
+            _push(env._queue, (env._now + next_done.cost, _normal, env._seq, entry))
         else:
             self._free += 1
 

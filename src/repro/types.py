@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = [
     "AzId",
@@ -34,30 +34,30 @@ class NodeKind(str, enum.Enum):
     OSD = "osd"
     MON = "mon"
 
+    # Enum.__hash__ is a Python-level method; members are plain strs, so
+    # the C slot is equivalent and keeps NodeAddress hashing out of Python.
+    __hash__ = str.__hash__
 
-@dataclass(frozen=True, order=True)
-class NodeAddress:
+
+class NodeAddress(NamedTuple):
     """Stable identity of a simulated host.
 
     ``kind``/``index`` make traces readable (``nn3``, ``ndbd1``); equality
     and hashing use the whole tuple so two layers can never collide.
+
+    A named tuple, not a dataclass: addresses key every mailbox, topology,
+    traffic and partition-map lookup (~120 hashes per simulated op), and a
+    tuple of a str-hashed enum and an int hashes and compares in C.
     """
 
     kind: NodeKind
     index: int
 
-    def __post_init__(self) -> None:
-        # Addresses are hashed on every mailbox/topology/traffic dict hit
-        # (hundreds of thousands of times per run); cache the hash once.
-        # Same value the generated dataclass __hash__ would produce, so
-        # dict iteration order — and with it determinism — is unchanged.
-        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __str__(self) -> str:
-        return f"{self.kind.value}{self.index}"
+        # ``_value_``, not ``.value``: the public property is two
+        # Python-level descriptor calls, and every spawned handler process
+        # is named after its host.
+        return f"{self.kind._value_}{self.index}"
 
 
 class OpType(str, enum.Enum):

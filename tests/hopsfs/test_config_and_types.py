@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.hashing import stable_hash
 from repro.hopsfs import HopsFsConfig, build_hopsfs
 from repro.types import MUTATING_OPS, NodeAddress, NodeKind, OpResult, OpType
 
@@ -40,6 +41,35 @@ def test_node_address_str_and_ordering():
     assert str(a) == "nn1"
     assert a < b
     assert a != NodeAddress(NodeKind.DATANODE, 1)
+
+
+def test_node_address_identity_is_value_based():
+    """Equal-but-not-identical addresses are one dict key; the contract the
+    dataclass gave, now met by a named tuple hashing in C."""
+    a = NodeAddress(NodeKind.NDB_DATANODE, 3)
+    b = NodeAddress(kind=NodeKind("ndbd"), index=3)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert {a: "x"}[b] == "x" and b in {a}
+    assert (a.kind, a.index) == (NodeKind.NDB_DATANODE, 3)
+    assert repr(a) == "NodeAddress(kind=<NodeKind.NDB_DATANODE: 'ndbd'>, index=3)"
+    assert hash(NodeKind.NDB_DATANODE) == hash("ndbd")
+    with pytest.raises(AttributeError):
+        a.index = 4
+    # Order: by kind's string value, then index (as the dataclass ordered).
+    mixed = [NodeAddress(NodeKind.NAMENODE, 2), NodeAddress(NodeKind.CLIENT, 9),
+             NodeAddress(NodeKind.NAMENODE, 1)]
+    assert [str(x) for x in sorted(mixed)] == ["client9", "nn1", "nn2"]
+    assert [str(NodeAddress(kind, 1)) for kind in NodeKind] == [
+        "ndbd1", "ndb_mgmd1", "nn1", "dn1", "client1", "mds1", "osd1", "mon1"]
+
+
+def test_node_address_as_stable_hash_input():
+    # Partition placement hashes repr(key); these values are what the
+    # dataclass-era NodeAddress produced.
+    assert stable_hash(NodeAddress(NodeKind.NAMENODE, 3)) == 2055620177
+    assert stable_hash((NodeAddress(NodeKind.CLIENT, 1), "x")) == 2215264764
+    assert stable_hash(NodeAddress(NodeKind.NAMENODE, 3)) == stable_hash(
+        NodeAddress(NodeKind("nn"), 3))
 
 
 def test_build_hopsfs_rejects_empty_azs():

@@ -224,3 +224,37 @@ def test_rename_dir_under_itself_rejected(fs, client):
         return listing
 
     assert run(fs, scenario()) == ["b"]
+
+
+def test_split_path_errors_match_the_per_component_check():
+    """split_path pre-scans the whole string before validating components;
+    the outcome must be that of checking every component in order."""
+    from repro.hopsfs.pathlock import split_path
+
+    def reference(path):
+        components = [c for c in path.split("/") if c]
+        for component in components:
+            if component in (".", ".."):
+                raise InvalidPathError(f"'.'/'..' not supported: {path!r}")
+            if "\x00" in component:
+                raise InvalidPathError(f"NUL byte in path component: {path!r}")
+        return components
+
+    cases = [
+        "/", "//", "/a", "/a/b/", "/a//b", "/.hidden", "/a/.hidden/b", "/a/..b", "/a/b.",
+        "/a/b..", "/...", "/.", "/..", "/a/.", "/a/..", "/./a", "/../a", "/a/./b", "/a/../b",
+        "/a\x00", "/a/\x00/b", "/a\x00/..", "/../a\x00", "/.\x00", "/a/.\x00./b",
+    ]
+    for path in cases:
+        try:
+            want = reference(path)
+        except InvalidPathError as exc:
+            with pytest.raises(InvalidPathError) as caught:
+                split_path(path)
+            assert str(caught.value) == str(exc)
+        else:
+            got = split_path(path)
+            assert got == want and type(got) is list
+    for bad in ("", "a/b", "./a", None, 7, ["/a"]):
+        with pytest.raises(InvalidPathError, match="absolute"):
+            split_path(bad)

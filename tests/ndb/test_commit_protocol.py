@@ -26,7 +26,9 @@ class _Tap:
             )
             original(message)
 
-        network._deliver = tapped
+        # Single deliveries go through the bound method cached at
+        # construction; batches look `_deliver` up per message.
+        network._deliver = network._deliver_cb = tapped
 
     def kinds(self) -> list[str]:
         return [k for _t, k, _s, _d in self.log]

@@ -48,6 +48,21 @@ def test_partition_of_is_stable():
     assert stable_hash("abc") == stable_hash("abc")
 
 
+def test_stable_hash_lives_in_a_neutral_module():
+    """CephFS subtree placement must not import the NDB package for it;
+    the long-standing ``repro.ndb`` import path stays, values unchanged."""
+    import repro.cephfs.subtree as subtree
+    import repro.hashing
+    import repro.ndb.partitioning
+
+    assert stable_hash is repro.hashing.stable_hash
+    assert repro.ndb.partitioning.stable_hash is repro.hashing.stable_hash
+    assert subtree.stable_hash is repro.hashing.stable_hash
+    assert stable_hash.__module__ == "repro.hashing"
+    assert stable_hash("abc") == 2530215470
+    assert stable_hash(("/a/b", 7)) == 3026473102
+
+
 def test_failure_promotes_backup_to_primary():
     pm = PartitionMap(_nodes(4), replication=2, num_partitions=8)
     partition = 0

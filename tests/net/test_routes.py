@@ -1,0 +1,214 @@
+"""Per-pair route records against the unresolved path.
+
+``Network`` resolves latency, AZ pair and traffic counters once per
+``(src, dst)``.  ``_Reference`` is the path it replaced: every message asks
+the topology and the fault state again.  A scripted sequence of sends and
+faults must give byte-for-byte the same deliveries and ``TrafficMatrix``.
+"""
+
+import random
+
+import pytest
+
+from repro.net import Message, Network, TrafficMatrix, build_us_west1
+from repro.sim import Environment
+from repro.types import NodeAddress, NodeKind
+
+
+def _addr(index):
+    return NodeAddress(NodeKind.CLIENT, index)
+
+
+class _Reference:
+    """The network's delivery rules, re-derived per message from public API."""
+
+    def __init__(self, topology, jitter_frac, rng, bandwidth):
+        self.topology = topology
+        self.jitter_frac = jitter_frac
+        self.rng = rng
+        self.bandwidth = bandwidth
+        self.down = set()
+        self.partitions = []
+        self.degraded = {}
+        self.drain_at = 0.0
+        self.traffic = TrafficMatrix()
+        self.dropped = 0
+
+    def send(self, now, src, dst, size):
+        """Delivery time, or None when the sender is down."""
+        if src in self.down:
+            self.dropped += 1
+            return None
+        topo = self.topology
+        delay = topo.latency(src, dst)
+        extra = self.degraded.get((topo.az_of(src), topo.az_of(dst)))
+        if extra:
+            delay += extra
+        if self.jitter_frac:
+            delay *= 1.0 + self.rng.uniform(-self.jitter_frac, self.jitter_frac)
+        link = 0.0
+        if self.bandwidth is not None and topo.az_of(src) != topo.az_of(dst):
+            start = max(now, self.drain_at)
+            self.drain_at = start + size / self.bandwidth
+            link = self.drain_at - now
+        return now + (delay + link)
+
+    def deliver(self, src, dst, size):
+        topo = self.topology
+        src_az, dst_az = topo.az_of(src), topo.az_of(dst)
+        cut = any(
+            (src_az in a and dst_az in b) or (src_az in b and dst_az in a)
+            for a, b in self.partitions
+        )
+        if src in self.down or dst in self.down or cut:
+            self.dropped += 1
+            return False
+        self.traffic.record(src, src_az, dst, dst_az, size)
+        return True
+
+
+def _script():
+    """(time, action, args...) steps; faults sit on whole milliseconds and
+    sends off them, so no delivery can tie with a fault."""
+    rng = random.Random(3)
+    hosts = [_addr(i) for i in range(1, 7)]
+    steps = []
+    for k in range(240):
+        src, dst = rng.sample(hosts if k >= 120 else hosts[:5], 2)
+        steps.append((0.25 + k * 0.25 + rng.random() * 0.2, "send", src, dst,
+                      rng.choice((64, 256, 4096))))
+    steps += [
+        (5.0, "down", hosts[1]),
+        (9.0, "up", hosts[1]),
+        (12.0, "partition", (1,), (2, 3)),
+        (18.0, "heal",),
+        (22.0, "degrade", 1, 2, 5.0),
+        (29.0, "add_host", hosts[5], 3, None),  # elastic scale-out at runtime
+        (30.0, "add_host", _addr(7), 1, hosts[0]),  # colocated on hosts[0]'s VM
+        (31.0, "send", _addr(7), hosts[0], 256),
+        (31.5, "send", hosts[0], _addr(7), 256),
+        (40.0, "restore",),
+        (45.0, "down", hosts[2]),
+        (47.0, "degrade", 2, 3, 0.5),
+        (52.0, "up", hosts[2]),
+        (55.0, "restore",),
+    ]
+    return sorted(steps, key=lambda step: step[0]), hosts
+
+
+def _build(jitter, bandwidth):
+    env = Environment()
+    topo = build_us_west1()
+    net = Network(env, topo, jitter_frac=jitter, rng=random.Random(5) if jitter else None,
+                  az_link_bandwidth_bytes_per_ms=bandwidth)
+    return env, topo, net
+
+
+def _run_network(jitter, bandwidth):
+    env, topo, net = _build(jitter, bandwidth)
+    steps, hosts = _script()
+    arrivals = []
+
+    def receiver(addr):
+        mailbox = net.register(addr)
+        while True:
+            message = yield mailbox.get()
+            arrivals.append((env.now, message.payload))
+
+    def join(addr, az, colocated_with=None):
+        topo.add_host(addr, az=az, colocated_with=colocated_with)
+        env.process(receiver(addr))
+
+    for index, addr in enumerate(hosts[:5]):
+        join(addr, az=1 + index % 3)
+
+    def driver():
+        for ident, (when, action, *args) in enumerate(steps):
+            yield env.timeout(when - env.now)
+            if action == "send":
+                src, dst, size = args
+                net.send(Message(src=src, dst=dst, kind="x", payload=ident, size=size))
+            elif action == "down":
+                net.set_down(*args)
+            elif action == "up":
+                net.set_up(*args)
+            elif action == "partition":
+                net.partition_azs(*args)
+            elif action == "heal":
+                net.heal_partitions()
+            elif action == "degrade":
+                net.degrade_link(*args)
+            elif action == "restore":
+                net.restore_links()
+            elif action == "add_host":
+                join(*args)
+
+    env.process(driver())
+    env.run(until=200.0)
+    return arrivals, net.traffic, net.dropped_messages
+
+
+def _run_reference(jitter, bandwidth):
+    _env, topo, _net = _build(jitter, bandwidth)
+    steps, hosts = _script()
+    for index, addr in enumerate(hosts[:5]):
+        topo.add_host(addr, az=1 + index % 3)
+    ref = _Reference(topo, jitter, random.Random(5), bandwidth)
+    # (time, order, ...) — script steps and the deliveries they cause, merged.
+    agenda = [(when, ident, action, args) for ident, (when, action, *args) in enumerate(steps)]
+    arrivals = []
+    while agenda:
+        agenda.sort()
+        when, ident, action, args = agenda.pop(0)
+        if action == "send":
+            src, dst, size = args
+            due = ref.send(when, src, dst, size)
+            if due is not None:
+                agenda.append((due, ident, "deliver", (src, dst, size)))
+        elif action == "deliver":
+            if ref.deliver(*args):
+                arrivals.append((when, ident))
+        elif action == "down":
+            ref.down.add(*args)
+        elif action == "up":
+            ref.down.discard(*args)
+        elif action == "partition":
+            ref.partitions.append((frozenset(args[0]), frozenset(args[1])))
+        elif action == "heal":
+            ref.partitions.clear()
+        elif action == "degrade":
+            az_a, az_b, extra = args
+            ref.degraded[(az_a, az_b)] = ref.degraded[(az_b, az_a)] = extra
+        elif action == "restore":
+            ref.degraded.clear()
+        elif action == "add_host":
+            addr, az, colocated_with = args
+            topo.add_host(addr, az=az, colocated_with=colocated_with)
+    return arrivals, ref.traffic, ref.dropped
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.2])
+@pytest.mark.parametrize("bandwidth", [None, 2000.0])
+def test_routes_match_the_unresolved_path(jitter, bandwidth):
+    arrivals, traffic, dropped = _run_network(jitter, bandwidth)
+    want_arrivals, want_traffic, want_dropped = _run_reference(jitter, bandwidth)
+    assert len(arrivals) > 150 and want_dropped > 10
+    assert arrivals == want_arrivals  # same messages, same float instants
+    assert dropped == want_dropped
+    assert traffic == want_traffic
+    # ... and the counters came into being in the same order.
+    assert list(traffic.node) == list(want_traffic.node)
+    assert list(traffic.az_pair_bytes) == list(want_traffic.az_pair_bytes)
+
+
+def test_sender_down_leaves_no_traffic_entry():
+    env, topo, net = _build(0.0, None)
+    a, b = _addr(1), _addr(2)
+    for addr in (a, b):
+        topo.add_host(addr, az=1)
+        net.register(addr)
+    net.set_down(b)
+    net.send(Message(src=a, dst=b, kind="x"))  # resolved, then dropped on delivery
+    env.run()
+    assert net.dropped_messages == 1
+    assert net.traffic == TrafficMatrix()

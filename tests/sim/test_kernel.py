@@ -327,3 +327,31 @@ def test_run_process_detects_deadlock():
 
     with pytest.raises(SimulationError, match="deadlock"):
         env.run_process(stuck())
+
+
+def test_aborted_run_leaves_a_valid_heap():
+    """A callback raising mid-``run(until=...)`` must not corrupt the queue.
+
+    ``run`` drops its unused horizon sentinel on the way out; doing that
+    with ``list.remove`` alone breaks the heap invariant, so the resumed run
+    dispatched out of time order.
+    """
+    import random
+
+    rng = random.Random(7)
+    for _trial in range(50):
+        env = Environment()
+        fired = []
+        delays = [rng.uniform(0.0, 100.0) for _ in range(60)]
+        for delay in delays:
+            env.schedule_after(delay, fired.append, delay)
+
+        def boom(_arg):
+            raise RuntimeError("boom")
+
+        env.schedule_after(rng.uniform(1.0, 20.0), boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run(until=rng.uniform(30.0, 90.0))
+        assert env.peek() >= env.now
+        env.run()  # resume: everything still queued fires, in time order
+        assert fired == sorted(delays)

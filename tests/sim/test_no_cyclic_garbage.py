@@ -1,0 +1,147 @@
+"""Finished processes must be freed by reference counting alone.
+
+DESIGN.md §4: "no reference cycle may outlive a finished process".  Each
+test runs with the automatic collector off, then collects under
+``DEBUG_SAVEALL`` so everything only the cyclic collector could free lands
+in ``gc.garbage``, and checks that no kernel object is among it.
+"""
+
+import gc
+import types
+from collections import Counter
+from contextlib import contextmanager
+
+import pytest
+
+from repro.experiments.setups import SETUPS
+from repro.metrics.collectors import MetricsCollector
+from repro.sim import Environment, Interrupt, Process, SimulationError
+from repro.workloads.driver import ClosedLoopDriver
+from repro.workloads.namespace import generate_namespace
+from repro.workloads.spotify import SpotifyWorkload
+
+_KERNEL_GARBAGE = (Process, types.GeneratorType, types.MethodType,
+                   types.BuiltinMethodType)
+
+
+@contextmanager
+def _cyclic_garbage():
+    """Yields a Counter filled, on exit, with the type names of the kernel
+    objects that only the cyclic collector could reclaim."""
+    found = Counter()
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield found
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        found.update(type(o).__name__ for o in gc.garbage
+                     if isinstance(o, _KERNEL_GARBAGE))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+
+
+def test_process_storm_leaves_no_cyclic_garbage():
+    with _cyclic_garbage() as found:
+        env = Environment()
+        done = []
+
+        def leaf(i):
+            yield env.timeout(i % 7)
+            return i
+
+        def failing():
+            yield env.timeout(1)
+            raise ValueError("handled by the parent")
+
+        def parent(i):
+            value = yield env.process(leaf(i))
+            try:
+                yield env.process(failing())
+            except ValueError:
+                pass
+            done.append(value)
+
+        def sleeper():
+            try:
+                yield env.timeout(1000)
+            except Interrupt:
+                return "woken"
+
+        def non_event():
+            yield 42
+
+        victims = [env.process(sleeper()) for _ in range(50)]
+        for i in range(500):
+            env.process(parent(i))
+        bad = env.process(non_event())
+        bad.defuse()
+        env.schedule_after(3.0, lambda _arg: [v.interrupt() for v in victims])
+        env.run()
+        assert sorted(done) == list(range(500))
+        assert all(v.value == "woken" for v in victims)
+        assert not bad.ok
+        del env, victims, bad
+    assert not found
+
+
+def test_hopsfs_point_leaves_no_cyclic_garbage():
+    # run_point's own sequence, unrolled so the deployment is still alive
+    # (and so not itself garbage) when the collector looks.
+    with _cyclic_garbage() as found:
+        adapter = SETUPS["HopsFS-CL (3,3)"].build(2, seed=0)
+        env = adapter.env
+        namespace = generate_namespace(seed=0, num_top_dirs=2, dirs_per_top=4, files_per_dir=4)
+        adapter.install(namespace)
+        env.run_process(adapter.ready(), until=env.now + 60_000)
+        generator = SpotifyWorkload(namespace, seed=0)
+        clients = adapter.make_clients(16)
+        adapter.warm_client_caches(clients, generator)
+        collector = MetricsCollector()
+        ClosedLoopDriver(env, clients, generator, collector).start()
+        collector.open_window(env.now)
+        env.run(until=env.now + 15.0)
+        collector.close_window(env.now)
+        assert collector.completed > 50
+    assert adapter is not None
+    assert not found
+
+
+def test_finished_process_still_behaves():
+    env = Environment()
+
+    def quick():
+        yield env.timeout(1)
+        return "done"
+
+    proc = env.process(quick())
+    late = []
+    env.schedule_after(2.0, lambda _arg: late.append(proc.value))
+    env.run()
+    assert late == ["done"] and not proc.is_alive
+    with pytest.raises(SimulationError, match="finished"):
+        proc.interrupt()
+
+    # An interrupt queued in the same step the process finishes is dropped.
+    env = Environment()
+    proc = env.process(quick())
+
+    def racer():
+        yield env.timeout(1)
+        if proc.is_alive:
+            proc.interrupt("too late")
+
+    env.process(racer())
+    env.run()
+    assert proc.value == "done"
+
+    # A finished process is still a waitable, already-processed event.
+    def waiter():
+        return (yield proc)
+
+    assert env.run_process(waiter()) == "done"
+    assert env.run_process(quick()) == "done"
