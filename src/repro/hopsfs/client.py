@@ -150,30 +150,48 @@ class HopsFsClient:
         view, so a decommissioned NN can never be picked as a hedge target
         or leak breaker entries.
         """
-        robust = self.robust
         candidates = [] if self.current_nn is None else [self.current_nn]
         candidates += [nn for nn in self.namenode_addrs if nn not in candidates]
+        # Breakers are consulted lazily, as each candidate comes up.
+        active = yield from self._probe_membership(
+            nn for nn in candidates if not self._breaker_open(nn)
+        )
+        if active:  # empty ⇒ election not converged: keep the old view
+            self._apply_membership(active)
+        # None ⇒ every candidate unreachable this round: retry next period.
+
+    def _probe_membership(self, candidates, deadline: Optional[Deadline] = None):
+        """Generator: the active-NN view from the first candidate to answer.
+
+        Returns None when none did.  With a robust config every probe is
+        bounded by the RPC timeout (a degraded link must not hang server
+        discovery) and by what is left of the op's ``deadline``.
+        """
+        robust = self.robust
         for nn in candidates:
-            if robust is not None and self._breaker_open(nn):
-                continue
+            timeout_ms = None
+            if robust is not None:
+                timeout_ms = robust.op_timeout_ms
+                if deadline is not None:
+                    remaining = deadline.remaining(self.env.now)
+                    if remaining <= 0:
+                        raise DeadlineExceededError(
+                            "deadline expired during server discovery"
+                        )
+                    timeout_ms = min(timeout_ms, remaining)
             try:
                 active = yield self.network.call(
                     self.addr, nn, "get_active_nns", size=self.request_bytes,
-                    timeout_ms=(
-                        robust.op_timeout_ms if robust is not None else None
-                    ),
+                    timeout_ms=timeout_ms,
                 )
+                return active
             except HostUnreachableError:
                 continue
             except RpcTimeoutError:
                 self.timeouts += 1
                 self._count("client.timeouts")
                 self._record_nn_failure(nn)
-                continue
-            if active:  # empty ⇒ election not converged: keep the old view
-                self._apply_membership(active)
-            return
-        # Every candidate unreachable this round: retry next period.
+        return None
 
     def _discard_namenode(self, nn: Optional[NodeAddress]) -> None:
         """Drop one server from the local view (it told us it is leaving).
@@ -210,8 +228,6 @@ class HopsFsClient:
     def _pick_namenode(self, deadline: Optional[Deadline] = None):
         """Fetch the active-NN list from any live NN, then apply the policy.
 
-        With a robust config, bootstrap calls are themselves bounded by the
-        RPC timeout (a degraded link must not hang server discovery) and
         NNs behind an open circuit breaker are skipped — unless every
         breaker is open, in which case the client fails open and tries
         them all rather than giving up without a single packet.
@@ -224,31 +240,7 @@ class HopsFsClient:
             closed = [nn for nn in bootstrap if not self._breaker_open(nn)]
             if closed:
                 bootstrap = closed
-        active = None
-        for nn in bootstrap:
-            timeout_ms = None
-            if robust is not None:
-                timeout_ms = robust.op_timeout_ms
-                if deadline is not None:
-                    remaining = deadline.remaining(self.env.now)
-                    if remaining <= 0:
-                        raise DeadlineExceededError(
-                            "deadline expired during server discovery"
-                        )
-                    timeout_ms = min(timeout_ms, remaining)
-            try:
-                active = yield self.network.call(
-                    self.addr, nn, "get_active_nns", size=self.request_bytes,
-                    timeout_ms=timeout_ms,
-                )
-                break
-            except HostUnreachableError:
-                continue
-            except RpcTimeoutError:
-                self.timeouts += 1
-                self._count("client.timeouts")
-                self._record_nn_failure(nn)
-                continue
+        active = yield from self._probe_membership(bootstrap, deadline)
         if active is None:
             # Bootstrap exhausted every candidate: that is a failover event
             # too — count it so trace/metric breakdowns see these ops.

@@ -32,7 +32,6 @@ class HopsFsConfig:
     election_missed_rounds: int = 2
     client_request_bytes: int = 256
     client_response_bytes: int = 512
-    hint_cache_max: int = 100_000
     # Block storage layer.
     dn_heartbeat_interval_ms: float = 1000.0
     dn_missed_heartbeats: int = 3

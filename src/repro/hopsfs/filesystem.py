@@ -174,7 +174,26 @@ class HopsFsDeployment:
             for nn in self.serving_namenodes():
                 counts[nn.az] = counts.get(nn.az, 0) + 1
             az = min(counts, key=lambda a: (counts[a], a))
-        index = next(self._nn_ids)
+        nn = self._new_namenode(next(self._nn_ids), az)
+        for dn in self.block_datanodes:
+            dn.namenode_addrs.append(nn.addr)
+        nn.start(election=self._election_enabled)
+        event = ReconfigEvent(
+            "add", nn.nn_id, str(nn.addr), az, decided_ms=self.env.now, detail=reason
+        )
+        self.reconfig_log.append(event)
+        event.completed_ms = self.env.now
+        self._count("elastic.add")
+        self._watch_visibility(nn, event, joining=True)
+        return nn
+
+    def _new_namenode(self, index: int, az: AzId) -> Namenode:
+        """The one place a namenode is built and wired into the deployment.
+
+        Boot-time and runtime NNs get the same host registration, shared
+        ledgers (and thereby committer and listing cache, which the
+        constructor derives from the config) and provisioning record.
+        """
         addr = NodeAddress(NodeKind.NAMENODE, index)
         self.topology.add_host(addr, az=az, cores=self.config.nn_cores)
         nn = Namenode(
@@ -189,27 +208,14 @@ class HopsFsDeployment:
             placement_policy=(
                 PlacementPolicy.AZ_AWARE if self.az_aware else PlacementPolicy.DEFAULT
             ),
+            mutation_ledger=self.mutation_ledger,
+            group_ledger=self.group_ledger,
         )
-        nn.mutation_ledger = self.mutation_ledger
-        if self.group_ledger is not None:
-            nn.attach_group_commit(self.group_ledger)
-        if self.config.listing_cache is not None:
-            nn.attach_listing_cache(self.ndb.changelog)
-            self.ndb.changelog.subscribe(nn.addr)
         self.namenodes.append(nn)
+        # NN·second cost accounting starts at provisioning.
         self.provision_log.append(
             ProvisionRecord(index, str(addr), az, start_ms=self.env.now)
         )
-        for dn in self.block_datanodes:
-            dn.namenode_addrs.append(addr)
-        nn.start(election=self._election_enabled)
-        event = ReconfigEvent(
-            "add", index, str(addr), az, decided_ms=self.env.now, detail=reason
-        )
-        self.reconfig_log.append(event)
-        event.completed_ms = self.env.now
-        self._count("elastic.add")
-        self._watch_visibility(nn, event, joining=True)
         return nn
 
     def decommission_namenode(self, nn, reason: str = "manual"):
@@ -416,29 +422,30 @@ def build_hopsfs(
         rng=rng,
     )
 
-    ids = IdGenerator()
-    namenodes = []
+    # All NNs share one applied-mutation ledger (the deployment's) and,
+    # with async group commit, one batch ledger: horizons are
+    # deployment-global.
+    deployment = HopsFsDeployment(
+        env=env,
+        network=network,
+        ndb=ndb,
+        namenodes=[],
+        block_datanodes=[],
+        config=config,
+        azs=azs,
+        az_aware=az_aware,
+        ids=IdGenerator(),
+        rng=rng,
+        group_ledger=(
+            GroupCommitLedger(env) if config.async_commit is not None else None
+        ),
+        _election_enabled=election,
+    )
     for i in range(num_namenodes):
-        az = azs[i % len(azs)]
-        addr = NodeAddress(NodeKind.NAMENODE, i + 1)
-        topology.add_host(addr, az=az, cores=config.nn_cores)
-        namenodes.append(
-            Namenode(
-                env,
-                network,
-                ndb,
-                config,
-                addr,
-                az,
-                nn_id=i + 1,
-                ids=ids,
-                placement_policy=(
-                    PlacementPolicy.AZ_AWARE if az_aware else PlacementPolicy.DEFAULT
-                ),
-            )
-        )
+        deployment._new_namenode(i + 1, azs[i % len(azs)])
+    namenodes = deployment.namenodes
 
-    block_datanodes = []
+    block_datanodes = deployment.block_datanodes
     for i in range(num_block_datanodes):
         az = azs[i % len(azs)]
         addr = NodeAddress(NodeKind.DATANODE, i + 1)
@@ -455,29 +462,6 @@ def build_hopsfs(
             )
         )
 
-    # All NNs append applied retried mutations to one shared ledger so the
-    # exactly-once invariant sees duplicates across failovers.
-    mutation_ledger: list = []
-    for nn in namenodes:
-        nn.mutation_ledger = mutation_ledger
-
-    # Async group commit: one batch ledger shared by every NN (horizons
-    # are deployment-global) plus a per-NN committer.
-    group_ledger: Optional[GroupCommitLedger] = None
-    if config.async_commit is not None:
-        group_ledger = GroupCommitLedger(env)
-        for nn in namenodes:
-            nn.attach_group_commit(group_ledger)
-
-    # Pre-materialized listing cache (opt-in): attach a per-NN cache and
-    # subscribe each NN to the NDB changelog bus.  With config.listing_cache
-    # None the bus has zero subscribers and publishes nothing — the legacy
-    # path stays bit-identical to the pinned golden schedules.
-    if config.listing_cache is not None:
-        for nn in namenodes:
-            nn.attach_listing_cache(ndb.changelog)
-            ndb.changelog.subscribe(nn.addr)
-
     # Install the root directory before anything runs.
     ndb.preload("inodes", [((0, ""), 0, root_row())])
 
@@ -487,26 +471,6 @@ def build_hopsfs(
     for dn in block_datanodes:
         dn.start()
 
-    deployment = HopsFsDeployment(
-        env=env,
-        network=network,
-        ndb=ndb,
-        namenodes=namenodes,
-        block_datanodes=block_datanodes,
-        config=config,
-        azs=azs,
-        az_aware=az_aware,
-        ids=ids,
-        rng=rng,
-        mutation_ledger=mutation_ledger,
-        group_ledger=group_ledger,
-        _election_enabled=election,
-    )
-    # Seed the NN·second cost accounting with the initial pool.
-    for nn in namenodes:
-        deployment.provision_log.append(
-            ProvisionRecord(nn.nn_id, str(nn.addr), nn.az, start_ms=env.now)
-        )
     # Elastic serving tier (opt-in): the load-driven autoscaler process.
     # With config.elastic None nothing here runs — the legacy fixed pool
     # stays bit-identical to the pinned golden schedules.

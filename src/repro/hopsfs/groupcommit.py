@@ -38,17 +38,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import (
-    ConfigError,
-    DeadlineExceededError,
-    FsError,
-    NdbError,
-    TransactionAbortedError,
-)
+from ..errors import ConfigError, FsError, NdbError, TransactionAbortedError
 from ..ndb.schema import TOMBSTONE, LockMode
 from ..types import OpType
-from .metadata import INODES_TABLE, RETRY_TABLE, SMALL_FILE_MAX_BYTES, RetryRow
+from .metadata import INODES_TABLE, SMALL_FILE_MAX_BYTES
 from .pathlock import normalize_path, split_path
+from .robust import Replay
 
 __all__ = [
     "GROUP_COMMIT_OPS",
@@ -243,15 +238,6 @@ class GroupCommitLedger:
         return state
 
 
-class _Replayed:
-    """Sentinel: a retried mutation found its durable retry-cache row."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-
 class _RecordingTxn:
     """NdbTransaction proxy that mirrors writes into the batch record.
 
@@ -296,7 +282,6 @@ class _GroupOp:
         "op",
         "fn",
         "kwargs",
-        "span",
         "retry_id",
         "deadline_ms",
         "paths",
@@ -306,12 +291,11 @@ class _GroupOp:
         "ack_ms",
     )
 
-    def __init__(self, msg, op, fn, kwargs, span, retry_id, deadline_ms):
+    def __init__(self, msg, op, fn, kwargs, retry_id, deadline_ms):
         self.msg = msg
         self.op = op
         self.fn = fn
         self.kwargs = kwargs
-        self.span = span
         self.retry_id = retry_id
         self.deadline_ms = deadline_ms
         self.paths = op_paths(op, kwargs)
@@ -378,41 +362,53 @@ class GroupCommitter:
         self.ops_grouped = 0
 
     # ------------------------------------------------------------- intake
-    def submit(self, msg, op, fn, kwargs, span, retry_id, deadline_ms) -> None:
+    def submit(self, msg, op, fn, kwargs, retry_id, deadline_ms) -> None:
         """Enqueue one request; replies are the committer's job from here."""
-        self.queue.append(_GroupOp(msg, op, fn, kwargs, span, retry_id, deadline_ms))
+        self.queue.append(_GroupOp(msg, op, fn, kwargs, retry_id, deadline_ms))
         self.ops_grouped += 1
         if self._proc is None or not self._proc.is_alive:
             self._proc = self.env.process(
                 self._drain(), name=f"{self.nn.addr}:group-commit"
             )
-        elif self._wake is not None and not self._wake.triggered:
+        else:
+            self._poke()
+
+    def _poke(self, flush_now: bool = False) -> None:
+        """Wake the gathering drain loop, optionally cutting its linger short."""
+        if flush_now:
+            self._flush_now = True
+        if self._wake is not None and not self._wake.triggered:
             self._wake.succeed()
 
+    def _settled(self):
+        """An event that fires at the next settle, shed or crash."""
+        ev = self.env.event()
+        self._settle_waiters.append(ev)
+        return ev
+
+    def _notify_settled(self) -> None:
+        waiters, self._settle_waiters = self._settle_waiters, []
+        for ev in waiters:
+            ev.succeed()
+
     # ------------------------------------------------- sync-path barrier
-    def _pending_conflict(self, paths) -> bool:
-        """Paths prefix-related to any un-settled (gathering/flushing) op?"""
-        gather = self._gather
-        if gather is not None:
-            for gop in gather.members:
-                if paths_conflict(paths, gop.paths):
-                    return True
-        for ctx in self._inflight:
-            for gop in ctx.members:
-                if paths_conflict(paths, gop.paths):
-                    return True
-        return False
+    @staticmethod
+    def _conflict(paths, ctxs) -> bool:
+        """Paths prefix-related to any member of the given batches?"""
+        return any(
+            paths_conflict(paths, gop.paths) for ctx in ctxs for gop in ctx.members
+        )
 
     def has_conflict(self, paths) -> bool:
         """Any pending (queued, gathering, or flushing) op conflicts?"""
         if not paths:
             return False
-        if self._pending_conflict(paths):
-            return True
-        for gop in self.queue:
-            if paths_conflict(paths, gop.paths):
-                return True
-        return False
+        batches = self._inflight
+        if self._gather is not None:
+            batches = [self._gather, *batches]
+        return self._conflict(paths, batches) or any(
+            paths_conflict(paths, gop.paths) for gop in self.queue
+        )
 
     def await_clear(self, paths):
         """Generator: wait until nothing pending conflicts with ``paths``.
@@ -424,17 +420,8 @@ class GroupCommitter:
         while self.has_conflict(paths):
             # A reader is blocked on the open batch: cut the linger short so
             # the barrier pays only the commit round, not the full linger.
-            self._flush_now = True
-            if self._wake is not None and not self._wake.triggered:
-                self._wake.succeed()
-            ev = self.env.event()
-            self._settle_waiters.append(ev)
-            yield ev
-
-    def _notify_settled(self) -> None:
-        waiters, self._settle_waiters = self._settle_waiters, []
-        for ev in waiters:
-            ev.succeed()
+            self._poke(flush_now=True)
+            yield self._settled()
 
     # ----------------------------------------------------- graceful drain
     def drain_gracefully(self):
@@ -448,14 +435,10 @@ class GroupCommitter:
         stopped admission, so no new work arrives while we wait.
         """
         while self.queue or self._gather is not None or self._inflight:
-            # Cut the linger short: a draining NN has no reason to wait for
-            # more batch members that can no longer arrive.
-            self._flush_now = True
-            if self._wake is not None and not self._wake.triggered:
-                self._wake.succeed()
-            ev = self.env.event()
-            self._settle_waiters.append(ev)
-            yield ev
+            # A draining NN has no reason to wait for more batch members
+            # that can no longer arrive.
+            self._poke(flush_now=True)
+            yield self._settled()
 
     @property
     def pending_batches(self) -> int:
@@ -506,9 +489,7 @@ class GroupCommitter:
         obs = env.obs
         # Backpressure: bound the flush pipeline.
         while len(self._inflight) >= cfg.max_inflight_batches:
-            ev = env.event()
-            self._settle_waiters.append(ev)
-            yield ev
+            yield self._settled()
             if self._gen != gen:
                 return
         batch = self.ledger.open_batch(nn.addr)
@@ -522,47 +503,27 @@ class GroupCommitter:
         while True:
             if self.queue:
                 cand = self.queue[0]
-                blocked = (
-                    not cand.paths
-                    or any(
-                        paths_conflict(cand.paths, g.paths) for g in ctx.members
-                    )
-                    or self._inflight_conflict(cand.paths)
-                )
+                held = self._conflict(cand.paths, self._inflight)
                 if ctx.txn is not None and (
-                    len(ctx.members) >= cfg.max_batch_ops or blocked
+                    len(ctx.members) >= cfg.max_batch_ops
+                    or not cand.paths
+                    or held
+                    or self._conflict(cand.paths, (ctx,))
                 ):
                     break  # flush; a later batch picks the head up
-                if ctx.txn is None and cand.paths and self._inflight_conflict(cand.paths):
-                    # Head must serialize after a flushing batch: wait for
-                    # a settle, then re-check admission.
-                    ev = env.event()
-                    self._settle_waiters.append(ev)
-                    yield ev
+                # Opening a batch: the head must serialize after any
+                # flushing batch it is prefix-related to, and unparseable
+                # paths conflict with everything — that op runs solo once
+                # the pipeline is empty (and fails validation in its body).
+                if ctx.txn is None and (held or (not cand.paths and self._inflight)):
+                    yield self._settled()
                     if self._gen != gen:
                         return
                     continue
-                if ctx.txn is None and not cand.paths:
-                    # Unparseable paths conflict with everything: run the
-                    # op solo once the pipeline is empty (it will fail
-                    # validation in its body anyway).
-                    if self._inflight:
-                        ev = env.event()
-                        self._settle_waiters.append(ev)
-                        yield ev
-                        if self._gen != gen:
-                            return
-                        continue
                 self.queue.popleft()
-                if cand.deadline_ms is not None and env.now >= cand.deadline_ms:
-                    nn.ops_failed += 1
-                    nn.network.reply(
-                        cand.msg,
-                        DeadlineExceededError(
-                            f"{cand.op.value} deadline expired in group queue"
-                        ),
-                        ok=False,
-                    )
+                if cand.deadline_ms is not None and nn._deadline_expired(
+                    cand.msg, cand.op, cand.deadline_ms
+                ):
                     self._notify_settled()
                     continue
                 if ctx.txn is None:
@@ -597,11 +558,7 @@ class GroupCommitter:
                 self._notify_settled()
                 return
             remaining = flush_deadline - env.now
-            if (
-                remaining <= 0
-                or len(ctx.members) >= cfg.max_batch_ops
-                or (self._flush_now and ctx.txn is not None)
-            ):
+            if remaining <= 0 or len(ctx.members) >= cfg.max_batch_ops or self._flush_now:
                 # Linger expired, the batch filled (the size trigger must
                 # fire even with an empty queue), or a reader barriers.
                 break
@@ -615,37 +572,28 @@ class GroupCommitter:
 
         # Hand the batch to the flush pipeline and keep gathering.
         self._gather = None
-        if ctx.txn is None:
-            self.ledger.settle(batch, "aborted")
-            self._notify_settled()
-            return
         self._inflight.append(ctx)
         env.process(
             self._flush(ctx, env.now - batch.opened_ms, gen),
             name=f"{nn.addr}:group-flush:{batch.batch_id}",
         )
 
-    def _inflight_conflict(self, paths) -> bool:
-        for ctx in self._inflight:
-            for gop in ctx.members:
-                if paths_conflict(paths, gop.paths):
-                    return True
-        return False
-
     # ------------------------------------------------------------- member
     def _member(self, ctx, gop, gen):
-        """One member body: execute on the shared txn, ack early."""
+        """One member body: the namenode's exactly-once ``_txn_body`` on the
+        shared txn, acked early."""
         nn = self.nn
         try:
-            result = yield from self._execute(ctx.rtxn, gop)
+            result = yield from nn._txn_body(
+                gop.retry_id, gop.fn, nn.ctx, gop.kwargs, ctx.rtxn
+            )
         except FsError as exc:
             if self._gen != gen:
                 return  # crashed mid-body: on_crash settled the batch
             # Validation failure before any write (groupable ops
             # validate-then-write): fail this member, the batch proceeds.
             ctx.members.remove(gop)
-            nn.ops_failed += 1
-            nn.network.reply(gop.msg, exc, ok=False)
+            nn._fail(gop.msg, exc)
             self._notify_settled()
             return
         except NdbError as exc:
@@ -657,15 +605,12 @@ class GroupCommitter:
             return
         if self._gen != gen:
             return
-        if isinstance(result, _Replayed):
+        if type(result) is Replay:
             # Durable retry row found: previously committed, so the reply
             # needs no horizon.
             ctx.members.remove(gop)
-            nn.ops_served += 1
-            if nn.retry_cache is not None:
-                nn.retry_cache.put(tuple(gop.retry_id), result.value)
-            nn.network.reply(
-                gop.msg, result.value, size=nn.config.client_response_bytes
+            nn._complete(
+                gop.msg, gop.op, gop.kwargs, result.value, gop.retry_id, replayed=True
             )
             self._notify_settled()
             return
@@ -685,22 +630,21 @@ class GroupCommitter:
         if self._gen != gen:
             return
         txn = ctx.txn
-        rtxn = ctx.rtxn
         admitted = ctx.members
         retry_exc = ctx.retry_exc
-        if not admitted:
-            # Every member failed validation or replayed: nothing to commit.
-            yield from txn.abort()
-            if self._gen != gen:
-                return
-            self.ledger.settle(batch, "aborted")
-            if ctx.span is not None:
-                env.obs.tracer.finish(ctx.span, outcome="empty")
-                ctx.span = None
-            self._retire(ctx)
-            return
         attempt = 0
         while True:
+            if not admitted:
+                # Every member failed validation or replayed: nothing to commit.
+                yield from txn.abort()
+                if self._gen != gen:
+                    return
+                self.ledger.settle(batch, "aborted")
+                if ctx.span is not None:
+                    env.obs.tracer.finish(ctx.span, outcome="empty")
+                    ctx.span = None
+                self._retire(ctx)
+                return
             if retry_exc is None:
                 try:
                     yield from txn.commit()
@@ -748,18 +692,16 @@ class GroupCommitter:
             while pending:
                 gop = pending.pop(0)
                 try:
-                    result = yield from self._execute(rtxn, gop)
+                    result = yield from nn._txn_body(
+                        gop.retry_id, gop.fn, nn.ctx, gop.kwargs, rtxn
+                    )
                 except FsError as exc:
                     if self._gen != gen:
                         return
                     # The namespace moved under an already-acked member (a
                     # concurrent writer won); its ack is now a lie the
                     # invariant will count.  Unacked members just fail.
-                    if gop.acked:
-                        self.ledger.lost_acks += 1
-                    else:
-                        nn.ops_failed += 1
-                        nn.network.reply(gop.msg, exc, ok=False)
+                    self._lose(gop, exc)
                     continue
                 except NdbError as exc:
                     if self._gen != gen:
@@ -770,7 +712,7 @@ class GroupCommitter:
                     break
                 if self._gen != gen:
                     return
-                if isinstance(result, _Replayed):
+                if type(result) is Replay:
                     # An earlier, ambiguously-lost commit actually landed.
                     gop.result = result.value
                     gop.replayed = True
@@ -780,16 +722,6 @@ class GroupCommitter:
                 batch.ops.append((gop.op.value, gop.retry_id))
                 kept.append(gop)
             admitted[:] = kept
-            if not admitted:
-                yield from txn.abort()
-                if self._gen != gen:
-                    return
-                self.ledger.settle(batch, "aborted")
-                if ctx.span is not None:
-                    env.obs.tracer.finish(ctx.span, outcome="empty")
-                    ctx.span = None
-                self._retire(ctx)
-                return
 
     # ---------------------------------------------------------- settling
     def _retire(self, ctx) -> None:
@@ -803,12 +735,14 @@ class GroupCommitter:
         gop.ack_ms = self.env.now
         gop.result = result
         batch.acked_ops += 1
-        self.nn.ops_served += 1
-        self.nn.network.reply(
-            gop.msg,
-            GroupAck(result, batch.batch_id),
-            size=self.nn.config.client_response_bytes,
-        )
+        self.nn._reply(gop.msg, GroupAck(result, batch.batch_id))
+
+    def _lose(self, gop, exc) -> None:
+        """A member left its batch uncommitted: a lost ack, or its error."""
+        if gop.acked:
+            self.ledger.lost_acks += 1
+        else:
+            self.nn._fail(gop.msg, exc)
 
     def _finish_commit(self, ctx, linger_actual, write_count) -> None:
         nn = self.nn
@@ -819,10 +753,7 @@ class GroupCommitter:
             if not gop.acked:
                 self._ack(gop, ctx.batch, gop.result)  # late ack: commit won
             if gop.retry_id is not None:
-                if nn.retry_cache is not None:
-                    nn.retry_cache.put(tuple(gop.retry_id), gop.result)
-                if not gop.replayed:
-                    nn.mutation_ledger.append((tuple(gop.retry_id), gop.op.value))
+                nn._record_applied(gop.op, gop.retry_id, gop.result, gop.replayed)
         obs = env.obs
         if obs is not None:
             if ctx.span is not None:
@@ -845,15 +776,10 @@ class GroupCommitter:
         self._retire(ctx)
 
     def _abort_batch(self, ctx, exc) -> None:
-        nn = self.nn
         self.ledger.settle(ctx.batch, "aborted")
         self.batches_aborted += 1
         for gop in ctx.members:
-            if gop.acked:
-                self.ledger.lost_acks += 1
-            else:
-                nn.ops_failed += 1
-                nn.network.reply(gop.msg, exc, ok=False)
+            self._lose(gop, exc)
         obs = self.env.obs
         if obs is not None:
             if ctx.span is not None:
@@ -863,27 +789,3 @@ class GroupCommitter:
             if obs.timeseries is not None:
                 obs.timeseries.inc("nn.group_commit.aborted", self.env.now)
         self._retire(ctx)
-
-    # ------------------------------------------------------------ bodies
-    def _execute(self, rtxn, gop):
-        """One member body, with the exactly-once retry-row bracketing."""
-        nn = self.nn
-        retry_id = gop.retry_id
-        if retry_id is not None:
-            prior = yield from rtxn.read(
-                RETRY_TABLE,
-                tuple(retry_id),
-                partition_key=retry_id[0],
-                lock=LockMode.EXCLUSIVE,
-            )
-            if prior is not None:
-                return _Replayed(prior.result)
-        result = yield from gop.fn(nn.ctx, rtxn, **gop.kwargs)
-        if retry_id is not None:
-            yield from rtxn.write(
-                RETRY_TABLE,
-                tuple(retry_id),
-                RetryRow(client_id=retry_id[0], op_seq=retry_id[1], result=result),
-                partition_key=retry_id[0],
-            )
-        return result

@@ -46,18 +46,9 @@ from .metadata import (
     RetryRow,
 )
 from .pathlock import normalize_path, split_path
-from .robust import RetryCache
+from .robust import Replay, RetryCache
 
 __all__ = ["Namenode"]
-
-
-class _Replay:
-    """Transaction-body sentinel: a retried mutation's recorded result."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
 
 
 class _FillRecorder:
@@ -128,6 +119,8 @@ class Namenode:
         nn_id: int,
         ids: IdGenerator,
         placement_policy: PlacementPolicy = PlacementPolicy.AZ_AWARE,
+        mutation_ledger: Optional[list] = None,
+        group_ledger=None,
     ):
         self.env = env
         self.network = network
@@ -171,18 +164,27 @@ class Namenode:
             if config.robust is not None
             else None
         )
-        # Replaced with one list shared across all NNs by the deployment
-        # builder; the chaos exactly-once invariant audits it.
-        self.mutation_ledger: list = []
-        # Async group commit (opt-in): the deployment builder attaches the
-        # shared ledger and a per-NN committer when config.async_commit is
-        # set; both stay None on the legacy synchronous path.
-        self.group_ledger = None
-        self.committer: Optional[GroupCommitter] = None
-        # Pre-materialized listing/attr cache (opt-in): the deployment
-        # builder attaches one per NN and subscribes it to the NDB
-        # changelog when config.listing_cache is set; None = legacy path.
+        # One applied-mutation list shared by every NN of a deployment (the
+        # chaos exactly-once invariant audits it); private when standalone.
+        self.mutation_ledger: list = [] if mutation_ledger is None else mutation_ledger
+        # The opt-in paths below are wired here and nowhere else; each stays
+        # None (no objects, no events) unless its config is set.
+        # Async group commit: a per-NN committer over the deployment-wide
+        # batch ledger.
+        self.committer: Optional[GroupCommitter] = (
+            GroupCommitter(self, config.async_commit, group_ledger)
+            if config.async_commit is not None
+            else None
+        )
+        # Pre-materialized listing/attr cache, invalidated by the NDB
+        # changelog this NN subscribes to.
         self.listing_cache: Optional[ListingCache] = None
+        if config.listing_cache is not None:
+            changelog = ndb_cluster.changelog
+            self.listing_cache = ListingCache(
+                config.listing_cache, now=lambda: env.now, bus=changelog, env=env
+            )
+            changelog.subscribe(addr)
         self._safemode_forced = False
         self._election_enabled = False
         self._dispatch_proc = None
@@ -207,23 +209,6 @@ class Namenode:
                 self._monitor_proc = self.env.process(
                     self._dn_monitor(), name=f"{self.addr}:dn-monitor"
                 )
-
-    def attach_group_commit(self, ledger) -> None:
-        """Opt this NN into async group commit (deployment-builder hook)."""
-        self.group_ledger = ledger
-        self.committer = GroupCommitter(self, self.config.async_commit, ledger)
-
-    def attach_listing_cache(self, bus) -> None:
-        """Opt this NN into the pre-materialized listing cache.
-
-        ``bus`` is the NDB cluster's changelog bus; the deployment builder
-        subscribes this NN's address separately so the fan-out order stays
-        deterministic.
-        """
-        env = self.env
-        self.listing_cache = ListingCache(
-            self.config.listing_cache, now=lambda: env.now, bus=bus, env=env
-        )
 
     def shutdown(self) -> None:
         self.running = False
@@ -299,38 +284,31 @@ class Namenode:
             if not self.running:
                 continue
             if msg.kind == "fs_op":
+                # Admission, before anything touches the handler pool.
                 robust = self.config.robust
                 if self.draining:
                     # Graceful drain: bounce new work fast so robust clients
-                    # fail over; in-flight ops below keep running to
-                    # completion.  Membership queries stay served — peers
-                    # still list us until the leader row is dropped.
+                    # fail over; ops already in flight run to completion.
+                    # Membership queries stay served — peers still list us
+                    # until the leader row is dropped.
                     self.ops_drain_rejected += 1
-                    if self.env.obs is not None:
-                        self.env.obs.registry.counter("nn.drain_rejected").inc()
-                    self.network.reply(
+                    self._bounce(
                         msg,
+                        "nn.drain_rejected",
                         ServerDrainingError(f"{self.addr} draining; pick another NN"),
-                        ok=False,
                     )
-                elif robust is None:
-                    self._inflight += 1
-                    self.env.process(self._fs_op_guarded(msg), name=f"{self.addr}:fs_op")
-                elif self._inflight >= robust.nn_max_inflight:
-                    # Admission control: shed before touching the handler
-                    # pool so an overloaded NN answers fast instead of
-                    # queueing work it cannot finish in time.
+                elif robust is not None and self._inflight >= robust.nn_max_inflight:
+                    # Overloaded: answer fast instead of queueing work that
+                    # cannot finish in time.
                     self.ops_shed += 1
-                    if self.env.obs is not None:
-                        self.env.obs.registry.counter("nn.shed").inc()
-                    self.network.reply(
+                    self._bounce(
                         msg,
+                        "nn.shed",
                         ServerBusyError(f"{self.addr} overloaded; retry with backoff"),
-                        ok=False,
                     )
                 else:
                     self._inflight += 1
-                    self.env.process(self._fs_op_guarded(msg), name=f"{self.addr}:fs_op")
+                    self.env.process(self._fs_op(msg), name=f"{self.addr}:fs_op")
             elif msg.kind == "get_active_nns":
                 self.network.reply(msg, list(self.election.active), size=256)
             elif msg.kind == "dn_heartbeat":
@@ -347,115 +325,124 @@ class Namenode:
             else:
                 raise FsError(f"{self.addr}: unknown NN message {msg.kind!r}")
 
+    def _bounce(self, msg: Message, counter: str, exc) -> None:
+        """Refuse admission: the op never counted as in flight or failed."""
+        if self.env.obs is not None:
+            self.env.obs.registry.counter(counter).inc()
+        self.network.reply(msg, exc, ok=False)
+
     # --------------------------------------------------------------- fs ops
-    def _fs_op_guarded(self, msg: Message):
+    def _fs_op(self, msg: Message):
+        """Process body of one admitted request."""
+        obs = self.env.obs
+        span = None
         try:
-            yield from self._fs_op(msg)
+            op, kwargs = msg.payload
+            if obs is not None:
+                # Server span: covers handler-pool queueing through reply;
+                # parented under the client's rpc span via the span id the
+                # request carried.
+                span = obs.tracer.start(
+                    "nn.handle", parent=msg.extra.get("span_id"),
+                    host=str(self.addr), az=self.az, op=op.value,
+                )
+            yield from self._serve(msg, op, kwargs, span)
         finally:
+            if span is not None:
+                obs.tracer.finish(span)
+                ts = obs.timeseries
+                if ts is not None:
+                    now = self.env.now
+                    ts.component_sample(
+                        "nn.handle", str(self.addr), self.az,
+                        now - span.start_ms, span.tags.get("ok", True) is not False, now,
+                    )
             self._inflight -= 1
 
-    def _fs_op(self, msg: Message):
-        op, kwargs = msg.payload
-        obs = self.env.obs
-        if obs is None:
-            yield from self._fs_op_body(msg, op, kwargs, None)
-            return
-        # Server span: covers handler-pool queueing through reply; parented
-        # under the client's rpc span via the span id the request carried.
-        span = obs.tracer.start(
-            "nn.handle", parent=msg.extra.get("span_id"),
-            host=str(self.addr), az=self.az, op=op.value,
-        )
-        try:
-            yield from self._fs_op_body(msg, op, kwargs, span)
-        finally:
-            obs.tracer.finish(span)
-            ts = obs.timeseries
-            if ts is not None:
-                now = self.env.now
-                ts.component_sample(
-                    "nn.handle", str(self.addr), self.az,
-                    now - span.start_ms, span.tags.get("ok", True) is not False, now,
-                )
+    def _serve(self, msg: Message, op: OpType, kwargs, span):
+        """The request lifecycle, once and in order.
 
-    def _fs_op_body(self, msg: Message, op: OpType, kwargs, span, pool_paid: bool = False):
+        pay pool -> deadline -> (cache hit | fsync | retry-cache replay |
+        group submit | transaction) -> complete.  Every opt-in path enters
+        at its own step and leaves through ``_fail`` / ``_complete``.
+        """
+        obs = self.env.obs
         cache = self.listing_cache
         cacheable = cache is not None and op in self._CACHE_OPS
-        if not pool_paid and cacheable:
-            if self._cache_lookup(op, kwargs) is not None:
-                if (yield from self._serve_cached(msg, op, kwargs, span, cache)):
+        cost = self.config.op_cost(op)
+        hit = serve_span = None
+        if cacheable:
+            hit = self._cache_lookup(op, kwargs)
+            if hit is None:
+                cache.record_miss()
+            else:
+                # Served from NN memory: a hash lookup's worth of handler
+                # CPU instead of transaction setup and coordinator rounds.
+                cost *= cache.config.hit_cost_frac
+                if obs is not None:
+                    serve_span = obs.tracer.start(
+                        "nn.cache.serve", parent=span,
+                        host=str(self.addr), az=self.az, op=op.value,
+                    )
+        try:
+            yield self.handler_pool.submit(cost)
+            if not self.running:
+                return  # dropped, like any op caught mid-shutdown
+            deadline_ms = msg.extra.get("deadline_ms")
+            if deadline_ms is not None and self._deadline_expired(msg, op, deadline_ms):
+                return
+            if hit is not None:
+                # Re-resolve: an invalidation may have landed while this op
+                # queued on the pool.  If so, continue on the transactional
+                # path without re-paying the pool.
+                hit = self._cache_lookup(op, kwargs)
+                if hit is not None:
+                    cache.record_hit()
+                    self._reply(msg, hit[0])
                     return
-                # The entry was invalidated while this op queued on the
-                # handler pool; continue on the transactional path without
-                # re-paying the (already submitted) pool cost.
-                yield from self._fs_op_body(msg, op, kwargs, span, pool_paid=True)
-                return
-            cache.record_miss()
-        if not pool_paid:
-            yield self.handler_pool.submit(self.config.op_cost(op))
-        if not self.running:
-            return
-        deadline_ms = msg.extra.get("deadline_ms")
-        if deadline_ms is not None:
-            remaining = deadline_ms - self.env.now
-            obs = self.env.obs
-            if obs is not None:
-                obs.registry.histogram("nn.deadline_remaining_ms").observe(remaining)
-            if remaining <= 0:
-                # The client has stopped waiting; finishing the op would be
-                # doomed work that only adds load while overloaded.
-                self.ops_failed += 1
-                self.network.reply(
-                    msg,
-                    DeadlineExceededError(f"{op.value} deadline expired at {self.addr}"),
-                    ok=False,
-                )
-                return
+                cache.record_miss()
+        finally:
+            if serve_span is not None:
+                obs.tracer.finish(serve_span)
         if op is OpType.FSYNC:
             yield from self._fsync(msg, kwargs)
             return
         fn = self._OPS.get(op)
         if fn is None:
-            self.network.reply(msg, FsError(f"unsupported operation {op}"), ok=False)
+            self._fail(msg, FsError(f"unsupported operation {op}"))
             return
         if op.mutates and self.in_safemode:
-            self.ops_failed += 1
-            self.network.reply(
-                msg, SafeModeError(f"{self.addr} is in safemode; {op.value} rejected"), ok=False
+            self._fail(
+                msg, SafeModeError(f"{self.addr} is in safemode; {op.value} rejected")
             )
             return
         retry_id = msg.extra.get("retry_id") if self.retry_cache is not None else None
         if retry_id is not None:
-            hit, cached = self.retry_cache.lookup(tuple(retry_id))
-            if hit:
+            found, cached = self.retry_cache.lookup(tuple(retry_id))
+            if found:
                 # This NN already applied the mutation; replay the recorded
                 # result without touching NDB.
-                if self.env.obs is not None:
-                    self.env.obs.registry.counter("nn.retry_cache.hit").inc()
-                self.ops_served += 1
-                self._post_commit(op, cached, kwargs)
-                self.network.reply(msg, cached, size=self.config.client_response_bytes)
+                self._complete(msg, op, kwargs, cached, retry_id, replayed=True)
                 return
 
         committer = self.committer
         if committer is not None:
             if groupable(op, kwargs):
-                # Async path: the committer batches, early-acks and flushes;
-                # replies (including errors) are its job from here.
-                committer.submit(msg, op, fn, kwargs, span, retry_id, deadline_ms)
+                # Async path: the committer batches, early-acks and flushes,
+                # calling back into _txn_body and the outcome methods below.
+                committer.submit(msg, op, fn, kwargs, retry_id, deadline_ms)
                 return
             # Read-your-writes on this NN: a sync-path op prefix-related to
             # a pending grouped mutation must wait until that batch settles
             # (its transaction reads at read-committed).
             paths = op_paths(op, kwargs)
-            if paths and committer.has_conflict(paths):
+            if committer.has_conflict(paths):
                 yield from committer.await_clear(paths)
 
         # Listing-cache miss path: resolve with fresh transactional reads
         # (recorded for the fill) and capture a fill token so an
         # invalidation racing this read discards the fill, not vice versa.
-        recorder = None
-        fill_token = None
+        recorder = fill_token = None
         call_ctx = self.ctx
         if cacheable:
             recorder = _FillRecorder(self.dir_cache)
@@ -463,42 +450,29 @@ class Namenode:
             fill_token = cache.begin_fill()
 
         try:
-            hint_key = self._hint_for(kwargs)
             # A partial, not a closure: captured names would be cells that
             # live from the moment the op queues on the handler pool.
             result = yield from run_transaction(
                 self.api, partial(self._txn_body, retry_id, fn, call_ctx, kwargs),
-                hint_table=INODES_TABLE, hint_key=hint_key,
+                hint_table=INODES_TABLE, hint_key=self._hint_for(kwargs),
                 parent_span=span, deadline=deadline_ms,
             )
-        except FsError as exc:
-            self.ops_failed += 1
-            self.network.reply(msg, exc, ok=False)
+        except (FsError, NdbError) as exc:
+            self._fail(msg, exc)
             return
-        except NdbError as exc:
-            self.ops_failed += 1
-            self.network.reply(msg, exc, ok=False)
-            return
-        replayed = isinstance(result, _Replay)
+        replayed = type(result) is Replay
         if replayed:
             result = result.value
-        if retry_id is not None:
-            if self.env.obs is not None:
-                name = "nn.retry_cache.hit" if replayed else "nn.retry_cache.miss"
-                self.env.obs.registry.counter(name).inc()
-            self.retry_cache.put(tuple(retry_id), result)
-            if not replayed:
-                # One ledger entry per applied (not replayed) mutation; the
-                # chaos exactly-once invariant checks ids never repeat.
-                self.mutation_ledger.append((tuple(retry_id), op.value))
-        self.ops_served += 1
         if recorder is not None:
             self._cache_fill(op, kwargs, result, fill_token, recorder.rows)
-        self._post_commit(op, result, kwargs)
-        self.network.reply(msg, result, size=self.config.client_response_bytes)
+        self._complete(msg, op, kwargs, result, retry_id, replayed)
 
     def _txn_body(self, retry_id, fn, call_ctx, kwargs, txn):
-        """One (re)try of the op's transaction; see ``run_transaction``."""
+        """One (re)try of an op on ``txn``, bracketed for exactly-once.
+
+        The sync path runs it under ``run_transaction``; the group
+        committer runs it per member on a batch's shared transaction.
+        """
         if retry_id is not None:
             # Phantom-safe exclusive read: a concurrent retry of the
             # same id serializes here, so exactly one execution wins.
@@ -509,7 +483,7 @@ class Namenode:
                 lock=LockMode.EXCLUSIVE,
             )
             if prior is not None:
-                return _Replay(prior.result)
+                return Replay(prior.result)
         result = yield from fn(call_ctx, txn, **kwargs)
         if retry_id is not None:
             # Same transaction as the mutation: an NN crash after commit
@@ -521,6 +495,59 @@ class Namenode:
                 partition_key=retry_id[0],
             )
         return result
+
+    # ------------------------------------------------------------- outcomes
+    def _deadline_expired(self, msg: Message, op: OpType, deadline_ms) -> bool:
+        """Fail ``msg`` if its client has stopped waiting; True when it has.
+
+        Finishing the op would be doomed work that only adds load while
+        overloaded.  Checked where an op leaves a queue: the handler pool
+        and the group committer's intake.
+        """
+        remaining = deadline_ms - self.env.now
+        if self.env.obs is not None:
+            self.env.obs.registry.histogram("nn.deadline_remaining_ms").observe(remaining)
+        if remaining > 0:
+            return False
+        self._fail(
+            msg, DeadlineExceededError(f"{op.value} deadline expired at {self.addr}")
+        )
+        return True
+
+    def _fail(self, msg: Message, exc) -> None:
+        self.ops_failed += 1
+        self.network.reply(msg, exc, ok=False)
+
+    def _reply(self, msg: Message, result) -> None:
+        self.ops_served += 1
+        self.network.reply(msg, result, size=self.config.client_response_bytes)
+
+    def _record_applied(self, op: OpType, retry_id, result, replayed: bool) -> None:
+        """Exactly-once bookkeeping, once a retried mutation's result is durable."""
+        if self.env.obs is not None:
+            name = "nn.retry_cache.hit" if replayed else "nn.retry_cache.miss"
+            self.env.obs.registry.counter(name).inc()
+        self.retry_cache.put(tuple(retry_id), result)
+        if not replayed:
+            # One ledger entry per applied (not replayed) mutation; the
+            # chaos exactly-once invariant checks ids never repeat.
+            self.mutation_ledger.append((tuple(retry_id), op.value))
+
+    def _complete(self, msg, op: OpType, kwargs, result, retry_id=None, replayed=False):
+        """The one completion: exactly-once record, bookkeeping, reply.
+
+        A grouped op takes the two halves at its two moments instead —
+        ``_reply`` at the early ack, ``_record_applied`` at the commit —
+        and skips ``_post_commit``: ADD_BLOCK never groups, and it needs
+        no eager listing-cache invalidation, because reads prefix-related
+        to an unsettled batch are held by ``has_conflict`` and the
+        changelog batch, published at the TC commit point, travels the
+        same TC->NN route ahead of the commit ack that settles the batch.
+        """
+        if retry_id is not None:
+            self._record_applied(op, retry_id, result, replayed)
+        self._post_commit(op, result, kwargs)
+        self._reply(msg, result)
 
     def _cache_lookup(self, op: OpType, kwargs):
         """Try to answer ``op`` from the listing cache.
@@ -539,8 +566,7 @@ class Namenode:
             # may not have committed (and so not invalidated) yet.  Serving
             # from cache here would break read-your-writes; fall through to
             # the sync path, which awaits the conflicting batch.
-            paths = op_paths(op, kwargs)
-            if paths and committer.has_conflict(paths):
+            if committer.has_conflict(op_paths(op, kwargs)):
                 return None
         definitive, row = cache.resolve(
             path,
@@ -567,52 +593,6 @@ class Namenode:
                 return None
             return (names,)
         return None
-
-    def _serve_cached(self, msg: Message, op: OpType, kwargs, span, cache):
-        """Serve a cache hit from NN memory, skipping NDB entirely.
-
-        Pays a reduced handler-pool cost (a hash lookup instead of
-        transaction setup and coordinator round trips), then re-resolves:
-        an invalidation may have landed while this op queued.  Returns
-        True when a reply was sent, False to fall back to the txn path.
-        """
-        obs = self.env.obs
-        serve_span = None
-        if obs is not None:
-            serve_span = obs.tracer.start(
-                "nn.cache.serve", parent=span,
-                host=str(self.addr), az=self.az, op=op.value,
-            )
-        try:
-            yield self.handler_pool.submit(
-                self.config.op_cost(op) * cache.config.hit_cost_frac
-            )
-            if not self.running:
-                return True  # dropped, like any op caught mid-shutdown
-            deadline_ms = msg.extra.get("deadline_ms")
-            if deadline_ms is not None:
-                remaining = deadline_ms - self.env.now
-                if obs is not None:
-                    obs.registry.histogram("nn.deadline_remaining_ms").observe(remaining)
-                if remaining <= 0:
-                    self.ops_failed += 1
-                    self.network.reply(
-                        msg,
-                        DeadlineExceededError(f"{op.value} deadline expired at {self.addr}"),
-                        ok=False,
-                    )
-                    return True
-            hit = self._cache_lookup(op, kwargs)
-            if hit is None:
-                cache.record_miss()
-                return False
-            cache.record_hit()
-            self.ops_served += 1
-            self.network.reply(msg, hit[0], size=self.config.client_response_bytes)
-            return True
-        finally:
-            if serve_span is not None:
-                obs.tracer.finish(serve_span)
 
     def _cache_fill(self, op: OpType, kwargs, result, token, rows) -> None:
         """Populate the listing cache from a transactional read's rows.
@@ -649,31 +629,21 @@ class Namenode:
         aborted or lost horizon fails the barrier, telling the caller its
         early-acked data did not survive.
         """
-        ledger = self.group_ledger
-        horizons = kwargs.get("horizons") or ()
-        if ledger is None or not horizons:
-            self.ops_served += 1
-            self.network.reply(msg, True, size=self.config.client_response_bytes)
-            return
         failed = []
-        for horizon in horizons:
-            state = yield from ledger.wait(horizon)
-            if state == "committed":
-                ledger.confirmed.add(horizon)
-            else:
-                failed.append((horizon, state))
+        if self.committer is not None:
+            ledger = self.committer.ledger
+            for horizon in kwargs.get("horizons") or ():
+                state = yield from ledger.wait(horizon)
+                if state == "committed":
+                    ledger.confirmed.add(horizon)
+                else:
+                    failed.append((horizon, state))
         if failed:
-            self.ops_failed += 1
-            self.network.reply(
-                msg,
-                FsError(f"durability horizon not committed: {failed}"),
-                ok=False,
-            )
-            return
-        self.ops_served += 1
-        self.network.reply(msg, True, size=self.config.client_response_bytes)
+            self._fail(msg, FsError(f"durability horizon not committed: {failed}"))
+        else:
+            self._reply(msg, True)
 
-    def _post_commit(self, op: OpType, result, kwargs=None) -> None:
+    def _post_commit(self, op: OpType, result, kwargs) -> None:
         """In-memory bookkeeping a (possibly replayed) result implies.
 
         A replayed ADD_BLOCK may be served by an NN that never saw the
@@ -683,7 +653,7 @@ class Namenode:
         if op is OpType.ADD_BLOCK and result is not None:
             self.block_manager.record_new_block(result.block_id, result.locations)
             self.block_manager.block_inode[result.block_id] = result.inode_id
-        if op.mutates and self.listing_cache is not None and kwargs is not None:
+        if op.mutates and self.listing_cache is not None:
             # Read-your-writes belt-and-braces: the changelog invalidation
             # is already in flight (published at the TC commit point, before
             # this reply), but drop our own entries eagerly too.

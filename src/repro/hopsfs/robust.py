@@ -15,7 +15,8 @@ slow instead of dead.  This module holds the client/server knobs that turn
 - :class:`RetryCache` — the namenode's in-memory LRU over replayed
   mutation results (the durable copy lives in the ``retry_cache`` NDB
   table, written in the same transaction as the mutation itself, so
-  retried mutations are exactly-once even across NN crashes).
+  retried mutations are exactly-once even across NN crashes);
+  :class:`Replay` marks a result read back from that durable row.
 - :class:`RobustConfig` — the opt-in bundle.  ``None`` (the default)
   keeps the legacy fail-stop request path bit-identical, which is what
   the golden-schedule determinism tests pin.
@@ -141,6 +142,19 @@ class RetryCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
+
+
+class Replay:
+    """Transaction-body sentinel: a retried mutation's recorded result.
+
+    Returned instead of a fresh result when the durable ``retry_cache``
+    row already exists, so the caller replays rather than re-applies.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,31 @@ def test_added_namenode_receives_block_heartbeats():
     assert joiner.block_manager.live_dns()
 
 
+def test_added_namenode_is_wired_like_a_boot_time_one():
+    """Runtime and boot-time NNs come out of one constructor path."""
+    from repro.hopsfs import AsyncCommitConfig, ListingCacheConfig, RobustConfig
+
+    fs = elastic_fs(
+        robust=RobustConfig(),
+        async_commit=AsyncCommitConfig(),
+        listing_cache=ListingCacheConfig(),
+    )
+    boot = fs.namenodes[0]
+    joiner = fs.add_namenode(az=2, reason="test")
+    for nn in (boot, joiner):
+        assert nn.mutation_ledger is fs.mutation_ledger
+        assert nn.committer is not None and nn.committer.nn is nn
+        assert nn.committer.ledger is fs.group_ledger
+        assert nn.committer.config is fs.config.async_commit
+        assert nn.listing_cache is not None
+        assert nn.listing_cache.config is fs.config.listing_cache
+        assert nn.addr in fs.ndb.changelog.subscribers
+        assert nn.retry_cache is not None
+    assert joiner.committer is not boot.committer
+    assert joiner.listing_cache is not boot.listing_cache
+    assert [rec.nn_id for rec in fs.provision_log] == [nn.nn_id for nn in fs.namenodes]
+
+
 # ------------------------------------------------------------ decommission
 def test_decommission_drains_deregisters_and_converges():
     fs = elastic_fs()

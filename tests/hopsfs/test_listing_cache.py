@@ -15,6 +15,7 @@ import random
 
 from repro.chaos.invariants import listing_consistency, namespace_integrity
 from repro.errors import FsError
+from repro.hopsfs.groupcommit import AsyncCommitConfig
 from repro.hopsfs.listcache import ListingCache, ListingCacheConfig
 from repro.hopsfs.metadata import INODES_TABLE, InodeRow
 from repro.hopsfs.snapshot import namespace_snapshot
@@ -250,6 +251,74 @@ def test_read_your_writes_on_the_same_nn():
     run(fs, flow())
     assert out["list"] == ["f", "g"]
     assert out["stat"].name == "g"
+
+
+def test_grouped_mutations_are_read_your_writes_through_the_cache():
+    """``async_commit`` + ``listing_cache`` on one NN.
+
+    A read prefix-related to an unsettled group batch must not be served
+    from the (not yet invalidated) cache, and a read issued right after
+    ``fsync()`` returns must already see the committed batch.
+    """
+    fs = make_fs(
+        num_namenodes=1,
+        listing_cache=ListingCacheConfig(),
+        # A linger far longer than a client round trip keeps the batch
+        # open (unsettled) when the follow-up read arrives.
+        async_commit=AsyncCommitConfig(linger_ms=5.0, max_batch_ops=8),
+    )
+    client = fs.client()
+    nn = fs.namenodes[0]
+    out = {}
+
+    def warm(keep):
+        hits = nn.listing_cache.hits
+        for _ in range(2):  # first round fills, second hits
+            yield from client.listdir("/d")
+            yield from client.stat("/d/f")
+            yield from client.exists(keep)
+        assert nn.listing_cache.hits >= hits + 2  # the stat and the exists
+
+    def flow():
+        yield from fs.await_election()
+        yield from client.mkdir("/d")
+        yield from client.create("/d/f", data=b"hello")
+        yield from client.create("/d/old", data=b"x")
+        yield from client.fsync()
+        yield from warm("/d/old")
+        # (a) each read arrives while its mutation's batch is unsettled.
+        yield from client.mkdir("/d/sub")
+        out["pending"] = nn.committer.pending_batches
+        out["a_list"] = yield from client.listdir("/d")
+        yield from client.delete("/d/f")
+        out["a_exists"] = yield from client.exists("/d/f")
+        yield from client.rename("/d/old", "/d/new")
+        out["a_stat"] = (yield from client.stat("/d/new")).name
+        out["a_old"] = yield from client.exists("/d/old")
+        # (b) re-warm, mutate, fsync, and read with no settle time.
+        yield from client.create("/d/f", data=b"again")
+        yield from client.fsync()
+        yield from warm("/d/new")
+        yield from client.mkdir("/d/sub2")
+        yield from client.delete("/d/f")
+        yield from client.rename("/d/new", "/d/newer")
+        assert (yield from client.fsync()) is True
+        out["settled"] = nn.committer.pending_batches
+        out["b_list"] = yield from client.listdir("/d")
+        out["b_exists"] = yield from client.exists("/d/f")
+        out["b_old"] = yield from client.exists("/d/new")
+        out["b_stat"] = (yield from client.stat("/d/newer")).name
+
+    run(fs, flow())
+    assert out["pending"] >= 1
+    assert out["a_list"] == ["f", "old", "sub"]
+    assert out["a_exists"] is False
+    assert (out["a_stat"], out["a_old"]) == ("new", False)
+    assert out["settled"] == 0
+    assert out["b_list"] == ["newer", "sub", "sub2"]
+    assert out["b_exists"] is False
+    assert (out["b_stat"], out["b_old"]) == ("newer", False)
+    assert listing_consistency(fs).ok
 
 
 def test_cache_counters_reach_obs_registry():

@@ -13,7 +13,9 @@ from repro.errors import (
 )
 from repro.hopsfs import (
     SMALL_FILE_MAX_BYTES,
+    AsyncCommitConfig,
     CircuitBreaker,
+    GroupAck,
     RetryCache,
     RetryPolicy,
     RobustConfig,
@@ -265,7 +267,16 @@ def _drop_first_create_reply_and_crash(fs, nn):
             and message.payload[0] is OpType.CREATE_FILE
         ):
             state["armed"] = False
-            nn.shutdown()  # fails the client's pending RPC; reply is lost
+            if isinstance(payload, GroupAck):
+                # Grouped path: the early ack precedes the commit.  Swallow
+                # it, let the batch commit, then pull the plug.
+                def die_after_commit():
+                    state["batch"] = yield from fs.group_ledger.wait(payload.horizon)
+                    nn.shutdown()
+
+                fs.env.process(die_after_commit(), name="die-after-commit")
+            else:
+                nn.shutdown()  # fails the client's pending RPC; reply is lost
             return
         if size is None:
             original_reply(message, payload, ok=ok)
@@ -276,26 +287,39 @@ def _drop_first_create_reply_and_crash(fs, nn):
     return state
 
 
-def test_retried_create_replays_after_post_commit_crash():
+@pytest.mark.parametrize(
+    "async_commit", [None, AsyncCommitConfig(linger_ms=0.5)], ids=["sync", "grouped"]
+)
+def test_retried_create_replays_after_post_commit_crash(async_commit):
     """The headline regression: CREATE committed, NN died before replying.
 
     The retried CREATE lands on the other NN, which finds the durable
     retry_cache row (written in the same transaction as the inode) and
     replays the recorded result instead of failing with
-    FileAlreadyExistsError.
+    FileAlreadyExistsError.  Grouped, the first attempt rode a batch that
+    committed before the NN died and the retry rides a batch on the
+    survivor: both run the same exactly-once body.
     """
-    fs = make_fs(num_namenodes=2, robust=RobustConfig(hedge_delay_ms=None))
+    fs = make_fs(
+        num_namenodes=2,
+        robust=RobustConfig(hedge_delay_ms=None),
+        async_commit=async_commit,
+    )
     client = fs.client()
 
     def scenario():
         yield from fs.await_election()
         client.current_nn = fs.namenodes[0].addr
-        _drop_first_create_reply_and_crash(fs, fs.namenodes[0])
+        state = _drop_first_create_reply_and_crash(fs, fs.namenodes[0])
         inode_id = yield from client.create("/precious", data=b"payload")
         content = yield from client.read("/precious")
-        return inode_id, content
+        return state, inode_id, content
 
-    inode_id, content = run(fs, scenario())
+    state, inode_id, content = run(fs, scenario())
+    assert not state["armed"] and not fs.namenodes[0].running
+    if async_commit is not None:
+        assert state["batch"] == "committed"
+        assert fs.namenodes[1].committer.ops_grouped == 1
     assert inode_id is not None
     assert content.small_data == b"payload"
     # Applied exactly once: the shared ledger holds one entry for the id.

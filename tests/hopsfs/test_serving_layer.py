@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import NoNamenodeError
+from repro.errors import FsError, NoNamenodeError
+from repro.hopsfs import Namenode
 from repro.types import OpType
 
 from .conftest import make_fs, run
@@ -145,13 +146,22 @@ def test_cluster_tolerates_n_minus_1_nn_failures():
     assert run(fs, scenario()) is True
 
 
-def test_unsupported_op_rejected(fs, client):
+def test_unsupported_op_rejected(fs, client, monkeypatch):
     def scenario():
         with pytest.raises(Exception):
             yield from client.op(OpType.ADD_BLOCK, path="/nope", client="x")
-        return True
+        # An op the NN has no handler for is answered with FsError and
+        # counted like every other failure exit.
+        failed_before = sum(nn.ops_failed for nn in fs.namenodes)
+        monkeypatch.setattr(
+            Namenode, "_OPS",
+            {op: fn for op, fn in Namenode._OPS.items() if op is not OpType.STAT},
+        )
+        with pytest.raises(FsError, match="unsupported operation"):
+            yield from client.stat("/")
+        return sum(nn.ops_failed for nn in fs.namenodes) - failed_before
 
-    assert run(fs, scenario())
+    assert run(fs, scenario()) == 1
 
 
 def test_nn_counts_served_ops(fs, client):
