@@ -91,6 +91,7 @@ class Mds:
         self._ids = iter(range(10_000_000 * (rank + 1), 10_000_000 * (rank + 2)))
         self._dispatch_proc = None
         self._journal_proc = None
+        self._op_name = f"{addr}:op"  # names the process spawned per op
 
     # ------------------------------------------------------------------ life
     def start(self) -> None:
@@ -144,7 +145,7 @@ class Mds:
             if not self.running:
                 continue
             if msg.kind == "mds_op":
-                self.env.process(self._mds_op(msg), name=f"{self.addr}:op")
+                self.env.process(self._mds_op(msg), name=self._op_name)
             else:
                 raise FsError(f"{self.addr}: unknown MDS message {msg.kind!r}")
 

@@ -12,7 +12,7 @@ from ..errors import FsError
 from ..net.network import Message, Network
 from ..sim import Environment
 from ..sim.resources import CorePool, Disk
-from ..types import AzId, NodeAddress
+from ..types import AzId, NodeAddress, ProcessNames
 
 __all__ = ["Osd"]
 
@@ -40,6 +40,7 @@ class Osd:
         self.objects: dict[str, int] = {}
         self.running = False
         self._dispatch_proc = None
+        self._handler_names = ProcessNames(addr)
 
     def start(self) -> None:
         if self.running:
@@ -66,7 +67,7 @@ class Osd:
             msg = yield self.mailbox.get()
             if not self.running:
                 continue
-            self.env.process(self._handle(msg), name=f"{self.addr}:{msg.kind}")
+            self.env.process(self._handle(msg), name=self._handler_names[msg.kind])
 
     def _handle(self, msg: Message):
         obs = self.env.obs

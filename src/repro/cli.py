@@ -172,7 +172,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_perf(args) -> int:
     # Imported lazily: the perf harness pulls in the whole experiment stack.
-    from .experiments.perf import run_perf
+    from .experiments.perf import format_microbench, run_perf
 
     baseline = None
     if args.baseline:
@@ -189,12 +189,11 @@ def _cmd_perf(args) -> int:
     micro = report["microbench"]
     fig5 = report["fig5_point"]
     point = report["scale_point"]
-    print(f"microbench:  {micro['events_per_sec']:,} events/s "
-          f"({micro['events']:,} events in {micro['wall_s']:.2f}s, best of "
-          f"{len(micro['events_per_sec_runs'])})")
+    print(format_microbench(micro))
     print(f"fig5 point:  {fig5['events_per_sec']:,} events/s "
           f"({fig5['setup']} @ {fig5['servers']} servers, "
-          f"{fig5['throughput_ops_s']:,.0f} simulated ops/s)")
+          f"{fig5['throughput_ops_s']:,.0f} simulated ops/s, "
+          f"{fig5['events_per_op']:.3f} events/op)")
     print(f"scale point: {point['aggregate_events_per_sec']:,} events/s aggregate "
           f"({point['population']:,} clients over {point['shards']} shards, "
           f"{point['offered_ops_per_s']:,.0f} offered ops/s, "

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import resource
+import statistics
 import time
 from typing import Optional
 
@@ -34,6 +35,7 @@ from .runner import RunConfig, bench_scale, run_point
 
 __all__ = [
     "kernel_microbench",
+    "format_microbench",
     "fig5_reference_point",
     "scale_point",
     "async_point",
@@ -58,9 +60,10 @@ _PINGPONG_PAIRS = 150
 _POOL_CLIENTS = 150
 _WAITER_CHAINS = 50
 _HORIZON_MS = 2_000.0
-# Best-of-N wall-clock protocol: simulated behaviour is identical across
-# repeats (same event count, same trace); only the wall clock is noisy, and
-# the minimum is the least-interfered-with measurement.
+# Median-of-N wall-clock protocol: simulated behaviour is identical across
+# repeats (same event count, same trace); only the wall clock is noisy.  The
+# median with its IQR says what a run typically measures and how far runs
+# spread; the best run says neither.
 _MICROBENCH_REPEATS = 5
 
 
@@ -136,31 +139,43 @@ def kernel_microbench(
     """Run the kernel-only microbenchmark; returns events/sec stats.
 
     Runs ``repeats`` independent, behaviourally-identical passes and
-    reports the fastest (best-of-N), which is the standard way to reject
-    scheduler/cache interference when benchmarking a deterministic
-    workload.  All per-pass rates are included for transparency.
+    reports the median rate (``events_per_sec``, with ``wall_s`` the median
+    pass's wall time) and the interquartile range of the passes; all
+    per-pass rates are included.
     """
     horizon = horizon_ms if horizon_ms is not None else _HORIZON_MS * bench_scale()
-    best_wall = None
     events = 0
-    rates = []
+    walls = []
     for _ in range(max(1, repeats)):
         env = Environment()
         _build_microbench(env)
         start = time.perf_counter()
         env.run(until=horizon)
-        wall = time.perf_counter() - start
+        walls.append(time.perf_counter() - start)
         events = env._seq
-        rates.append(round(events / wall) if wall > 0 else 0)
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
+    rates = [round(events / wall) if wall > 0 else 0 for wall in walls]
+    if len(rates) > 1:
+        q1, _median, q3 = statistics.quantiles(rates, n=4, method="inclusive")
+    else:
+        q1 = q3 = rates[0]
     return {
         "horizon_ms": horizon,
         "events": events,
-        "wall_s": round(best_wall, 4),
-        "events_per_sec": max(rates),
+        "wall_s": round(statistics.median(walls), 4),
+        "events_per_sec": round(statistics.median(rates)),
+        "events_per_sec_iqr": round(q3 - q1),
         "events_per_sec_runs": rates,
     }
+
+
+def format_microbench(micro: dict) -> str:
+    """One log line: the microbench median, its IQR and the per-pass rates."""
+    runs = ", ".join(f"{rate:,}" for rate in micro["events_per_sec_runs"])
+    return (
+        f"kernel microbench: median {micro['events_per_sec']:,} events/s, "
+        f"IQR {micro['events_per_sec_iqr']:,} over {len(micro['events_per_sec_runs'])} "
+        f"passes [{runs}] ({micro['events']:,} events)"
+    )
 
 
 def fig5_reference_point() -> dict:
@@ -180,6 +195,9 @@ def fig5_reference_point() -> dict:
         "throughput_ops_s": round(point.throughput_ops_s, 3),
         "avg_latency_ms": round(point.avg_latency_ms, 6),
         "completed": point.completed,
+        # Design metric, exact per seed: whole-run kernel events (set-up and
+        # warm-up included) per op completed in the window.
+        "events_per_op": round(events / point.completed, 3) if point.completed else 0.0,
     }
 
 

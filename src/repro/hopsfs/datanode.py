@@ -12,7 +12,7 @@ from ..errors import FsError, HostUnreachableError
 from ..net.network import Message, Network
 from ..sim import Environment
 from ..sim.resources import Disk
-from ..types import AzId, NodeAddress
+from ..types import AzId, NodeAddress, ProcessNames
 
 __all__ = ["BlockStoreDatanode", "WriteBlockReq", "ReadBlockReq", "CopyBlockReq"]
 
@@ -63,6 +63,7 @@ class BlockStoreDatanode:
         self.running = False
         self._dispatch_proc = None
         self._hb_proc = None
+        self._handler_names = ProcessNames(addr)
 
     def start(self) -> None:
         if self.running:
@@ -94,7 +95,7 @@ class BlockStoreDatanode:
             msg = yield self.mailbox.get()
             if not self.running:
                 continue
-            self.env.process(self._handle(msg), name=f"{self.addr}:{msg.kind}")
+            self.env.process(self._handle(msg), name=self._handler_names[msg.kind])
 
     def _handle(self, msg: Message):
         if msg.kind == "write_block":

@@ -151,6 +151,7 @@ class Namenode:
         self.ops_failed = 0
         self.ops_shed = 0
         self._inflight = 0
+        self._fs_op_name = f"{addr}:fs_op"  # names the process spawned per op
         # Graceful decommission: a draining NN stops admitting new fs ops
         # (they bounce with ServerDrainingError) but finishes what it holds.
         # Rejections are counted separately from ops_shed so the autoscaler's
@@ -308,7 +309,7 @@ class Namenode:
                     )
                 else:
                     self._inflight += 1
-                    self.env.process(self._fs_op(msg), name=f"{self.addr}:fs_op")
+                    self.env.process(self._fs_op(msg), name=self._fs_op_name)
             elif msg.kind == "get_active_nns":
                 self.network.reply(msg, list(self.election.active), size=256)
             elif msg.kind == "dn_heartbeat":

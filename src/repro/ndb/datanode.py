@@ -27,7 +27,7 @@ from ..errors import (
 )
 from ..net.network import Message, Network
 from ..sim import Environment, Event
-from ..types import AzId, NodeAddress
+from ..types import AzId, NodeAddress, ProcessNames
 from .locks import LockTable
 from .messages import (
     ChainCommit,
@@ -146,6 +146,7 @@ class NdbDatanode:
         self._rng = cluster.rng.stream(f"ndbd:{addr}")
         self._send_now_cb = self._send_now
         self._reply_now_cb = self._reply_now
+        self._handler_names = ProcessNames(addr)
 
     # ------------------------------------------------------------------ setup
     def start(self) -> None:
@@ -178,7 +179,7 @@ class NdbDatanode:
             msg = yield self.mailbox.get()
             if not self.running:
                 continue
-            self.env.process(self._handle(msg), name=f"{self.addr}:{msg.kind}")
+            self.env.process(self._handle(msg), name=self._handler_names[msg.kind])
 
     # RPC-shaped message kinds that get a server-side span when tracing.
     # Chain/ack traffic is fire-and-forget and already visible through the

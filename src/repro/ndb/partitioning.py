@@ -74,26 +74,36 @@ class PartitionMap:
         ]
         self._down: set[NodeAddress] = set()
         # Memo caches: partition_of is a pure function of the key;
-        # replica sets only change when the down-set changes.
+        # replica sets and the live list only change when the down-set
+        # changes.
         self._partition_cache: dict = {}
         self._replica_cache: dict = {}
+        self._live_cache: Optional[list[NodeAddress]] = None
 
     # -- liveness -----------------------------------------------------------
     def mark_down(self, node: NodeAddress) -> None:
         if node not in self.datanodes:
             raise ConfigError(f"{node} is not an NDB datanode")
         self._down.add(node)
-        self._replica_cache.clear()
+        self._liveness_changed()
 
     def mark_up(self, node: NodeAddress) -> None:
         self._down.discard(node)
+        self._liveness_changed()
+
+    def _liveness_changed(self) -> None:
         self._replica_cache.clear()
+        self._live_cache = None
 
     def is_up(self, node: NodeAddress) -> bool:
         return node not in self._down
 
     def live_datanodes(self) -> list[NodeAddress]:
-        return [n for n in self.datanodes if n not in self._down]
+        """Datanodes not marked down, in cluster order.  Shared: do not mutate."""
+        live = self._live_cache
+        if live is None:
+            live = self._live_cache = [n for n in self.datanodes if n not in self._down]
+        return live
 
     def group_is_viable(self, group_index: int) -> bool:
         """A node group with all members dead loses data: cluster down."""

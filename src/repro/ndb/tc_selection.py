@@ -36,8 +36,7 @@ def _best_by_proximity(
     """
     if not candidates:
         raise ValueError("no candidates")
-    best_rank = min(topology.proximity_rank(caller, node) for node in candidates)
-    best = [n for n in candidates if topology.proximity_rank(caller, n) == best_rank]
+    best = topology.nearest(caller, candidates)
     return best[0] if len(best) == 1 else rng.choice(best)
 
 
@@ -110,7 +109,7 @@ def select_read_replica(
     replicas = partition_map.replicas(partition, table.fully_replicated)
     if not (table.read_backup or table.fully_replicated):
         return replicas.primary, 0
-    candidates = list(replicas.all)
+    candidates = replicas.all
     if az_aware:
         chosen = _best_by_proximity(topology, reader, candidates, rng)
     else:

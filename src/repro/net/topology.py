@@ -10,7 +10,7 @@ preserves exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ..errors import ConfigError
 from ..types import ANY_AZ, AzId, NodeAddress
@@ -65,13 +65,14 @@ class Topology:
     )
     hosts: dict[NodeAddress, Host] = field(default_factory=dict)
     # Memo caches for the per-message lookups (latency/az_of/same_vm/
-    # proximity_rank).  Placement is immutable after setup except through
+    # proximity_rank/nearest).  Placement is immutable after setup except through
     # add_host(), which invalidates them.  Pure caches: never iterated,
     # so they cannot affect determinism.
     _az_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _latency_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _same_vm_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _rank_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _nearest_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.az_names:
@@ -107,6 +108,7 @@ class Topology:
         self._latency_cache.clear()
         self._same_vm_cache.clear()
         self._rank_cache.clear()
+        self._nearest_cache.clear()
         return host
 
     def host(self, address: NodeAddress) -> Host:
@@ -185,6 +187,26 @@ class Topology:
             rank = 2
         self._rank_cache[key] = rank
         return rank
+
+    def nearest(
+        self, caller: NodeAddress, candidates: Sequence[NodeAddress]
+    ) -> tuple[NodeAddress, ...]:
+        """The candidates sharing the best proximity rank to ``caller``.
+
+        In ``candidates`` order, so a caller breaking the tie with its own
+        RNG draws exactly as it would over the unmemoized list.
+        """
+        nodes = tuple(candidates)
+        key = (caller, nodes)
+        try:
+            return self._nearest_cache[key]
+        except KeyError:
+            pass
+        ranks = [self.proximity_rank(caller, node) for node in nodes]
+        best_rank = min(ranks)
+        best = tuple(node for node, rank in zip(nodes, ranks) if rank == best_rank)
+        self._nearest_cache[key] = best
+        return best
 
 
 def build_us_west1(extra_azs: Iterable[str] = ()) -> Topology:

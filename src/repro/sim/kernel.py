@@ -20,7 +20,7 @@ Hot-path design (see DESIGN.md §4 "Kernel performance"):
   the common case allocates no list at all.  Extra waiters overflow into
   ``_cbs`` (allocated lazily).
 * A process that yields an *already processed* event is re-armed with a
-  lightweight :class:`_Wakeup` heap entry instead of a freshly allocated
+  lightweight :class:`_Wakeup` entry instead of a freshly allocated
   ``Event``; staleness (interrupt delivered in between) is detected with a
   per-process wake generation counter.
 * :meth:`Environment.schedule_at` / :meth:`Environment.schedule_after`
@@ -28,8 +28,17 @@ Hot-path design (see DESIGN.md §4 "Kernel performance"):
   entry — no Event, no value, no processed state.  The network and the
   CPU/disk resources use it for message delivery and job completion, so an
   RPC round costs O(1) kernel events instead of O(messages).
-* ``Environment.run`` inlines the dispatch loop with ``heappop`` and all
-  per-step attribute lookups hoisted into locals.
+* Two queues, one order.  Entries scheduled *for the current instant at
+  normal priority* (``succeed``/``fail``, process bootstraps and re-wakes,
+  CorePool done-events, Store hand-offs — most of a figure run's entries)
+  go to a FIFO ``deque``, everything else to the timer heap, and dispatch
+  takes the smaller head of the two.  The deque holds the same ``(time,
+  priority, seq, item)`` tuples and is a sorted run by construction (one
+  ``now``, one priority, increasing ``seq``), so the two-way merge *is*
+  ``(time, priority, seq)`` order — with an O(1) append and popleft where
+  the heap paid a sift to the root and a full sift back down.
+* ``Environment.run`` inlines the dispatch loop with all per-step attribute
+  lookups hoisted into locals.
 * No reference cycle outlives a finished process: the cached
   ``_resume_cb`` bound method (Process -> method -> Process) and the
   generator are dropped at every termination point, and a failure's
@@ -46,8 +55,9 @@ this against a committed golden trace hash).
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Environment",
@@ -71,7 +81,7 @@ _PENDING = object()
 # run: distinguishes "processed" from "pending with no waiters yet" (None).
 _PROCESSED = object()
 # Dispatch markers: _Deferred and _Wakeup expose them as a class-level
-# ``_cb1`` so the run loop classifies any heap entry with the single slot
+# ``_cb1`` so the run loop classifies any queued entry with the single slot
 # load it needs anyway, instead of an extra ``__class__`` check.
 _DEFERRED_MARK = object()
 _WAKEUP_MARK = object()
@@ -127,7 +137,7 @@ class _Deferred:
 
 
 class _Wakeup:
-    """Heap entry that re-delivers an already-processed event to a process.
+    """Ready-queue entry re-delivering an already-processed event to a process.
 
     Replaces the fresh ``Event`` the naive implementation allocates when a
     process waits on something that already happened.  ``gen`` snapshots
@@ -229,7 +239,10 @@ class Event:
         self._value = value
         env = self.env
         env._seq += 1
-        heappush(env._queue, (env._now, priority, env._seq, self))
+        if priority == PRIORITY_NORMAL:
+            env._ready.append((env._now, priority, env._seq, self))
+        else:
+            heappush(env._queue, (env._now, priority, env._seq, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = PRIORITY_NORMAL) -> "Event":
@@ -249,7 +262,10 @@ class Event:
             self._defused = False
         env = self.env
         env._seq += 1
-        heappush(env._queue, (env._now, priority, env._seq, self))
+        if priority == PRIORITY_NORMAL:
+            env._ready.append((env._now, priority, env._seq, self))
+        else:
+            heappush(env._queue, (env._now, priority, env._seq, self))
         return self
 
     def defuse(self) -> None:
@@ -423,7 +439,7 @@ class Process(Event):
         # Bootstrap: resume the process at the current time (one sequence
         # number, exactly like the naive bootstrap-Event implementation).
         env._seq += 1
-        heappush(env._queue, (env._now, PRIORITY_NORMAL, env._seq, _Wakeup(self, None, 0)))
+        env._ready.append((env._now, PRIORITY_NORMAL, env._seq, _Wakeup(self, None, 0)))
 
     @property
     def is_alive(self) -> bool:
@@ -480,16 +496,13 @@ class Process(Event):
         """
         self._waiting_on = None
         try:
-            try:
-                ok = trigger._ok
-            except AttributeError:  # trigger is None: bootstrap resume
+            if trigger is None:  # bootstrap resume
                 target = self._send(None)
+            elif trigger._ok:
+                target = self._send(trigger._value)
             else:
-                if ok:
-                    target = self._send(trigger._value)
-                else:
-                    trigger._defused = True
-                    target = self._generator.throw(trigger._value)
+                trigger._defused = True
+                target = self._generator.throw(trigger._value)
         except StopIteration as stop:
             self._retire()
             self.succeed(stop.value)
@@ -516,7 +529,7 @@ class Process(Event):
             wakeup.source = target
             wakeup.gen = self._wake_gen
             env._seq += 1
-            heappush(env._queue, (env._now, PRIORITY_NORMAL, env._seq, wakeup))
+            env._ready.append((env._now, PRIORITY_NORMAL, env._seq, wakeup))
         elif cb1 is _DEFERRED_MARK or cb1 is _WAKEUP_MARK:
             # A schedule_at/schedule_after handle is not a waitable event.
             self._waiting_on = None
@@ -558,9 +571,8 @@ class Process(Event):
         elif cb1 is _PROCESSED:
             env = self.env
             env._seq += 1
-            heappush(
-                env._queue,
-                (env._now, PRIORITY_NORMAL, env._seq, _Wakeup(self, target, self._wake_gen)),
+            env._ready.append(
+                (env._now, PRIORITY_NORMAL, env._seq, _Wakeup(self, target, self._wake_gen))
             )
         else:
             cbs = target._cbs
@@ -571,20 +583,29 @@ class Process(Event):
 
 
 class Environment:
-    """The simulation clock and event queue.
+    """The simulation clock and its two event queues.
+
+    ``_queue`` is the timer heap; ``_ready`` is a FIFO of the entries
+    scheduled for the current instant at normal priority.  Both hold
+    ``(time, priority, seq, item)`` tuples and the ready queue is a sorted
+    run by construction, so taking the smaller head of the two dispatches
+    in exactly ``(time, priority, seq)`` order (DESIGN.md §4 "Kernel
+    performance" has the argument).  Every ready entry's time equals
+    ``now``: nothing later can be dispatched while one is queued.
 
     ``trace``: set to a list to record ``(time, priority, seq)`` for every
-    dispatched heap entry (events, deferred callbacks and process wakeups
+    dispatched entry (events, deferred callbacks and process wakeups
     alike).  Tracing routes ``run`` through the un-inlined ``step`` path
     and disables the network's same-instant delivery coalescing, so traces
     are directly comparable across kernel generations.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "trace", "obs")
+    __slots__ = ("_now", "_queue", "_ready", "_seq", "trace", "obs")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = initial_time
         self._queue: List[tuple] = []
+        self._ready: Deque[tuple] = deque()
         self._seq = 0
         self.trace: Optional[list] = None
         # Observability context (repro.obs.ObsContext) or None.  Components
@@ -646,10 +667,6 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling -------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL) -> None:
-        self._seq += 1
-        heappush(self._queue, (self._now + delay, priority, self._seq, event))
-
     def schedule_at(self, time: float, fn: Callable[[Any], None], arg: Any = None) -> _Deferred:
         """Schedule bare ``fn(arg)`` at absolute ``time`` — no Event allocated.
 
@@ -678,14 +695,21 @@ class Environment:
         return entry
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the queue is empty."""
+        """Time of the next scheduled event, or ``inf`` if nothing is scheduled."""
+        if self._ready:
+            return self._ready[0][0]  # == now: no heap entry can be earlier
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process the single next heap entry."""
-        if not self._queue:
+        """Process the single next entry in ``(time, priority, seq)`` order."""
+        queue = self._queue
+        ready = self._ready
+        if ready:
+            entry = heappop(queue) if queue and queue[0] < ready[0] else ready.popleft()
+        elif queue:
+            entry = heappop(queue)
+        else:
             raise SimulationError("step() on an empty schedule")
-        entry = heappop(self._queue)
         self._now = entry[0]
         if self.trace is not None:
             self.trace.append((entry[0], entry[1], entry[2]))
@@ -711,24 +735,25 @@ class Environment:
             raise item._value
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the queue drains or simulated time reaches ``until``.
+        """Run until nothing is scheduled or simulated time reaches ``until``.
 
         Returns the simulation time at which the run stopped.
         """
         if until is not None and until < self._now:
             raise SimulationError(f"run(until={until}) is in the past (now={self._now})")
+        queue = self._queue
+        ready = self._ready
         if self.trace is not None:
             # Tracing path: dispatch through step() so every entry is
             # recorded; inlined loop below is the production path.
-            while self._queue:
-                if until is not None and self._queue[0][0] > until:
-                    break
+            horizon = float("inf") if until is None else until
+            while (ready or queue) and self.peek() <= horizon:
                 self.step()
             if until is not None:
                 self._now = until
             return self._now
-        queue = self._queue
         pop = heappop
+        popleft = ready.popleft
         deferred_mark = _DEFERRED_MARK
         wakeup_mark = _WAKEUP_MARK
         horizon_mark = _HORIZON_MARK
@@ -742,8 +767,20 @@ class Environment:
             heappush(queue, (until, 2, float("inf"), sentinel))
         try:
             while True:
-                when, _priority, _seq, item = pop(queue)
-                self._now = when
+                # Two-way merge of the sorted ready run with the heap.  A
+                # heap head that beats a ready entry is due at ``now`` too
+                # (urgent, or an earlier zero-delay timer), so only the
+                # heap-alone branch can advance the clock.
+                if ready:
+                    if queue and queue[0] < ready[0]:
+                        item = pop(queue)[3]
+                    else:
+                        item = popleft()[3]
+                elif queue:
+                    when, _priority, _seq, item = pop(queue)
+                    self._now = when
+                else:
+                    break  # nothing scheduled: a run with no horizon ends here
                 cb1 = item._cb1
                 if cb1 is deferred_mark:
                     item.fn(item.arg)
@@ -770,10 +807,6 @@ class Environment:
                             callback(item)
                 elif not item._ok and not item._defused:
                     raise item._value
-        except IndexError:
-            # Queue drained (pop on empty): a run with no horizon ends here.
-            if queue:
-                raise  # a callback's own IndexError, not ours
         finally:
             if sentinel is not None and queue:
                 # A callback raised before the horizon: drop the sentinel so
@@ -798,10 +831,11 @@ class Environment:
         """
         proc = self.process(generator)
         queue = self._queue
+        ready = self._ready
         while proc._value is _PENDING:
-            if not queue:
+            if not queue and not ready:
                 raise SimulationError("process deadlocked: event queue drained")
-            if until is not None and queue[0][0] > until:
+            if until is not None and self.peek() > until:
                 raise SimulationError(f"process did not finish by t={until}")
             self.step()
         if not proc._ok:

@@ -55,7 +55,9 @@ class CorePool:
 
     # submit()/_complete() hand-inline Event construction, the completion
     # deferred, and done.succeed(): every RPC handler charges a CPU pool
-    # per message.  Keep in sync with kernel internals.
+    # per message.  Keep in sync with kernel internals: timed entries go
+    # on the heap (env._queue), the same-instant done-event on the ready
+    # queue (env._ready), as Event.succeed() would put it.
     def submit(
         self,
         cost: float,
@@ -112,7 +114,7 @@ class CorePool:
         done._value = None  # inline done.succeed(): done is submit-private
         env = self.env
         env._seq += 1
-        _push(env._queue, (env._now, _normal, env._seq, done))
+        env._ready.append((env._now, _normal, env._seq, done))
         if self._pending:
             # The freed core immediately picks up the next queued job
             # (the +1/-1 on _free cancels out).
@@ -143,12 +145,12 @@ class Store:
 
     # put()/get() hand-inline Event construction and succeed(): stores back
     # every mailbox, so one message costs two of these calls.  Keep in sync
-    # with kernel.Event / Environment.event.
+    # with kernel.Event / Environment.event; a hand-off is due now, so it
+    # goes on the ready queue (env._ready) like any succeed().
     def put(
         self,
         item: Any,
         _pending=_PENDING,
-        _push=heappush,
         _normal=PRIORITY_NORMAL,
     ) -> None:
         """Deposit ``item``; wakes the oldest waiting getter, if any."""
@@ -159,7 +161,7 @@ class Store:
                 getter._value = item
                 env = getter.env
                 env._seq += 1
-                _push(env._queue, (env._now, _normal, env._seq, getter))
+                env._ready.append((env._now, _normal, env._seq, getter))
                 return
         self._items.append(item)
 
@@ -168,7 +170,6 @@ class Store:
         _new=Event.__new__,
         _event=Event,
         _pending=_PENDING,
-        _push=heappush,
         _normal=PRIORITY_NORMAL,
     ) -> Event:
         """Return an event that triggers with the next item."""
@@ -182,7 +183,7 @@ class Store:
         if items:
             event._value = items.popleft()
             env._seq += 1
-            _push(env._queue, (env._now, _normal, env._seq, event))
+            env._ready.append((env._now, _normal, env._seq, event))
         else:
             event._value = _pending
             self._getters.append(event)

@@ -11,6 +11,7 @@ __all__ = [
     "ANY_AZ",
     "NodeKind",
     "NodeAddress",
+    "ProcessNames",
     "OpType",
     "MUTATING_OPS",
     "OpResult",
@@ -58,6 +59,22 @@ class NodeAddress(NamedTuple):
         # Python-level descriptor calls, and every spawned handler process
         # is named after its host.
         return f"{self.kind._value_}{self.index}"
+
+
+class ProcessNames(dict):
+    """``{kind: f"{addr}:{kind}"}``, filled on the first message of each kind.
+
+    A node that spawns one process per message names it from here instead
+    of paying an f-string and a ``NodeAddress.__str__`` per message.
+    """
+
+    def __init__(self, addr: NodeAddress):
+        super().__init__()
+        self._prefix = f"{addr}:"
+
+    def __missing__(self, kind: str) -> str:
+        name = self[kind] = self._prefix + kind
+        return name
 
 
 class OpType(str, enum.Enum):

@@ -93,6 +93,21 @@ def test_recovery_restores_membership():
     assert pm.cluster_viable()
 
 
+def test_live_datanodes_tracks_liveness_changes():
+    """The cached live list is rebuilt on every mark_down/mark_up."""
+    nodes = _nodes(6)
+    pm = PartitionMap(nodes, replication=3, num_partitions=6)
+    assert pm.live_datanodes() == nodes
+    assert pm.live_datanodes() is pm.live_datanodes()  # served from the cache
+    pm.mark_down(nodes[1])
+    pm.mark_down(nodes[4])
+    assert pm.live_datanodes() == [nodes[0], nodes[2], nodes[3], nodes[5]]
+    pm.mark_up(nodes[4])
+    assert pm.live_datanodes() == [nodes[0], nodes[2], nodes[3], nodes[4], nodes[5]]
+    pm.mark_up(nodes[1])
+    assert pm.live_datanodes() == nodes
+
+
 def test_fully_replicated_chain_covers_all_live_nodes():
     pm = PartitionMap(_nodes(6), replication=3, num_partitions=6)
     rs = pm.replicas(0, fully_replicated=True)

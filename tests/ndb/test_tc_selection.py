@@ -121,3 +121,55 @@ def test_read_replica_rb_random_without_awareness(world):
         node, _role = select_read_replica(topo, pm, table, 4, caller, False, rng)
         azs.add(topo.az_of(node))
     assert len(azs) == 3  # spread over all replicas
+
+
+def _uncached_best(topo, caller, candidates, rng):
+    """The proximity choice recomputed from placement, bypassing every memo."""
+
+    def rank(node):
+        if topo._same_vm_uncached(caller, node):
+            return 0
+        return 1 if topo.host(caller).az == topo.host(node).az else 2
+
+    best_rank = min(rank(node) for node in candidates)
+    best = [node for node in candidates if rank(node) == best_rank]
+    return best[0] if len(best) == 1 else rng.choice(best)
+
+
+def test_proximity_memo_matches_uncached_choice(world):
+    """The memoized equal-best set gives the uncached choice and draws from
+    the RNG exactly when the uncached code would, across liveness changes
+    and a host added at runtime."""
+    from repro.ndb.tc_selection import _best_by_proximity
+
+    topo, pm, caller = world
+    colocated = NodeAddress(NodeKind.NAMENODE, 2)
+    topo.add_host(colocated, az=1, colocated_with=pm.datanodes[0])
+    callers = [caller, colocated]
+    memo_rng, plain_rng = random.Random(11), random.Random(11)
+
+    def check():
+        for _pass in range(2):  # second pass is served from the memo
+            for who in callers:
+                candidate_sets = [pm.live_datanodes()]
+                for partition in range(pm.num_partitions):
+                    candidate_sets.append(pm.replicas(partition).all)
+                    candidate_sets.append(list(pm.replicas(partition, True).all))
+                for candidates in candidate_sets:
+                    assert _best_by_proximity(topo, who, candidates, memo_rng) == (
+                        _uncached_best(topo, who, candidates, plain_rng)
+                    )
+        assert memo_rng.getstate() == plain_rng.getstate()
+
+    check()
+    pm.mark_down(pm.datanodes[2])  # the AZ-2 caller's local replicas shrink
+    check()
+    pm.mark_down(pm.datanodes[0])  # the colocated caller loses its rank-0 node
+    check()
+    pm.mark_up(pm.datanodes[2])
+    pm.mark_up(pm.datanodes[0])
+    check()
+    joiner = NodeAddress(NodeKind.NAMENODE, 3)  # an NN joining mid-run
+    topo.add_host(joiner, az=3)
+    callers.append(joiner)
+    check()

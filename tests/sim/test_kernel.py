@@ -355,3 +355,17 @@ def test_aborted_run_leaves_a_valid_heap():
         assert env.peek() >= env.now
         env.run()  # resume: everything still queued fires, in time order
         assert fired == sorted(delays)
+
+
+def test_run_propagates_a_process_index_error():
+    """``run()`` must not mistake a process's own ``IndexError`` for the end
+    of the schedule: raised by the last scheduled thing, it used to vanish."""
+    env = Environment()
+
+    def proc():
+        yield env.timeout(1)
+        [][0]
+
+    env.process(proc())
+    with pytest.raises(IndexError):
+        env.run()
