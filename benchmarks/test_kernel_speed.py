@@ -13,9 +13,10 @@ Three kinds of assertion:
   is why the regression gate is 20% and the microbench compares medians
   (live median of 5 against the committed median; the live median, IQR and
   per-pass rates are printed so a drift shows in the log before it trips).
-* The *design metric* ``events_per_op`` of the fig5 point is exact per
-  seed and must equal the committed value: a change that spends more
-  kernel events per op has to re-record it deliberately.
+* The *design metric* ``events_per_op`` of the fig5 point and of the
+  CephFS point is exact per seed and must equal the committed value: a
+  change that spends more kernel events per op has to re-record it
+  deliberately.
 
 There is deliberately no live-vs-``pre_pr_baseline`` assertion: that
 baseline was recorded on another machine-speed phase, so a live rate is
@@ -34,6 +35,7 @@ import pytest
 
 from repro.experiments.perf import (
     async_point,
+    cephfs_point,
     fig5_reference_point,
     format_microbench,
     kernel_microbench,
@@ -82,26 +84,34 @@ def test_microbench_has_not_regressed():
     )
 
 
-def test_fig5_point_has_not_regressed():
+def _check_spotify_point(name: str, measure) -> None:
+    """Fastest of three live runs of one recorded full-stack point against
+    the committed record: simulated results equal, rate within tolerance."""
     report = _committed()
     _require_scale_one()
-    committed = report["fig5_point"]["events_per_sec"]
-    live = min(
-        (fig5_reference_point() for _ in range(3)),
-        key=lambda r: r["wall_s"],
-    )
-    assert live["events"] == report["fig5_point"]["events"], (
-        "fig5 reference point event count changed; re-record BENCH_kernel.json"
+    assert name in report, f"BENCH_kernel.json has no {name}; re-record it"
+    committed = report[name]
+    live = min((measure() for _ in range(3)), key=lambda r: r["wall_s"])
+    assert live["events"] == committed["events"], (
+        f"{name} event count changed; re-record BENCH_kernel.json"
     )
     # Simulated results are deterministic even though wall time is not.
-    assert live["throughput_ops_s"] == report["fig5_point"]["throughput_ops_s"]
-    assert live["events_per_op"] == report["fig5_point"]["events_per_op"], (
-        "fig5 reference point events/op changed; re-record BENCH_kernel.json"
+    assert live["throughput_ops_s"] == committed["throughput_ops_s"]
+    assert live["events_per_op"] == committed["events_per_op"], (
+        f"{name} events/op changed; re-record BENCH_kernel.json"
     )
-    assert live["events_per_sec"] >= REGRESSION_TOLERANCE * committed, (
-        f"fig5 reference point regressed: {live['events_per_sec']:,} events/s live "
-        f"vs {committed:,} committed"
+    assert live["events_per_sec"] >= REGRESSION_TOLERANCE * committed["events_per_sec"], (
+        f"{name} regressed: {live['events_per_sec']:,} events/s live "
+        f"vs {committed['events_per_sec']:,} committed"
     )
+
+
+def test_fig5_point_has_not_regressed():
+    _check_spotify_point("fig5_point", fig5_reference_point)
+
+
+def test_cephfs_point_has_not_regressed():
+    _check_spotify_point("cephfs_point", cephfs_point)
 
 
 def test_async_point_recorded_win():

@@ -22,7 +22,6 @@ from .subtree import SubtreePartitioner
 __all__ = ["CephClient"]
 
 _READ_OPS = frozenset({OpType.READ_FILE, OpType.STAT})
-_LS_PREFIX = "LS:"
 
 
 class CephClient:
@@ -63,7 +62,6 @@ class CephClient:
             msg = yield self.mailbox.get()
             if msg.kind == "cap_revoke":
                 self.cache.pop(msg.payload, None)
-                self.cache.pop(_LS_PREFIX + msg.payload, None)
 
     def _mds_for(self, path: str, op: Optional[OpType] = None) -> NodeAddress:
         if op is OpType.LIST_DIR:
@@ -74,10 +72,17 @@ class CephClient:
 
     # -------------------------------------------------------------- operations
     def op(self, op: OpType, **kwargs):
+        """The generator that runs one op (``yield from`` it).
+
+        A plain function: untraced, it hands back the body generator itself,
+        so a resume of the caller's ``yield from`` crosses no wrapper frame.
+        """
         obs = self.env.obs
         if obs is None:
-            result = yield from self._op_body(op, None, kwargs)
-            return result
+            return self._op_body(op, None, kwargs)
+        return self._traced_op(obs, op, kwargs)
+
+    def _traced_op(self, obs, op: OpType, kwargs):
         span = obs.tracer.start(
             "kclient.op", op=op.value, host=str(self.addr), az=self.az,
         )
@@ -150,8 +155,6 @@ class CephClient:
                 self.cache[cache_key] = result
         elif path is not None:
             self.cache.pop(path, None)
-            parent = path.rsplit("/", 1)[0] or "/"
-            self.cache.pop(_LS_PREFIX + parent, None)
             dst = kwargs.get("dst")
             if dst is not None:
                 self.cache.pop(dst, None)

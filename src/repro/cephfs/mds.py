@@ -150,11 +150,15 @@ class Mds:
                 raise FsError(f"{self.addr}: unknown MDS message {msg.kind!r}")
 
     def _mds_op(self, msg: Message):
+        """The generator serving one request (plain function: the untraced
+        process runs the body directly, with no wrapper frame to resume)."""
         op, kwargs, client = msg.payload
         obs = self.env.obs
         if obs is None:
-            yield from self._mds_op_body(msg, op, kwargs, client)
-            return
+            return self._mds_op_body(msg, op, kwargs, client)
+        return self._traced_mds_op(obs, msg, op, kwargs, client)
+
+    def _traced_mds_op(self, obs, msg: Message, op: OpType, kwargs, client):
         span = obs.tracer.start(
             "mds.handle", parent=msg.extra.get("span_id"),
             host=str(self.addr), az=self.az, op=op.value, rank=self.rank,

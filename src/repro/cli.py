@@ -194,6 +194,12 @@ def _cmd_perf(args) -> int:
           f"({fig5['setup']} @ {fig5['servers']} servers, "
           f"{fig5['throughput_ops_s']:,.0f} simulated ops/s, "
           f"{fig5['events_per_op']:.3f} events/op)")
+    cephfs = report["cephfs_point"]
+    print(f"cephfs pt:   {cephfs['events_per_sec']:,} events/s "
+          f"({cephfs['setup']} @ {cephfs['servers']} servers, "
+          f"{cephfs['throughput_ops_s']:,.0f} simulated ops/s, "
+          f"{cephfs['events_per_op']:.3f} events/op, "
+          f"generator {cephfs['gen_us_per_op']:.2f} us/op)")
     print(f"scale point: {point['aggregate_events_per_sec']:,} events/s aggregate "
           f"({point['population']:,} clients over {point['shards']} shards, "
           f"{point['offered_ops_per_s']:,.0f} offered ops/s, "
@@ -216,7 +222,7 @@ def _cmd_perf(args) -> int:
         if key in report:
             print(f"{key}: {report[key]:.2f}x")
     if args.out:
-        print(f"wrote {args.out}")
+        print(f"wrote {args.out} (and one line to the BENCH_history.jsonl beside it)")
     return 0
 
 

@@ -11,10 +11,16 @@ wall-clock numbers vary between machines):
 * :func:`fig5_reference_point` — one fixed Figure 5 point
   (``HopsFS-CL (3,3)`` at 6 namenodes), timing the full stack and
   reporting the kernel's events/sec alongside the simulated throughput.
+* :func:`cephfs_point` — the CephFS baseline of the same figure (default
+  setup, 6 MDSs, Spotify mix) at ~4 events per op, where the per-op
+  envelope (generator, driver loop, client stub, collector) weighs most;
+  also times a bare ``next_op`` loop.
 
-``python -m repro perf`` runs both and writes ``BENCH_kernel.json`` so the
-perf trajectory is tracked PR-over-PR; CI fails when the microbench
-regresses more than 20% against the committed file.
+``python -m repro perf`` runs them and writes ``BENCH_kernel.json``; CI
+fails when the microbench regresses more than 20% against the committed
+file.  Each ``--out`` run also appends one line to ``BENCH_history.jsonl``
+beside it (:func:`append_history`), so the trajectory survives the
+overwrite.
 
 The harness honours ``REPRO_BENCH_SCALE`` the same way the benchmark suite
 does: the fig5 point's warmup/measurement windows scale with it (see
@@ -24,19 +30,27 @@ scales with it too, so a quick smoke run is ``REPRO_BENCH_SCALE=0.1``.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import resource
 import statistics
+import subprocess
 import time
 from typing import Optional
 
 from ..sim import CorePool, Environment, Store
+from ..workloads.namespace import generate_namespace
+from ..workloads.spotify import SpotifyWorkload
 from .runner import RunConfig, bench_scale, run_point
 
 __all__ = [
     "kernel_microbench",
     "format_microbench",
     "fig5_reference_point",
+    "cephfs_point",
+    "append_history",
+    "HISTORY_FILE",
     "scale_point",
     "async_point",
     "listing_point",
@@ -49,6 +63,17 @@ __all__ = [
 
 REFERENCE_SETUP = "HopsFS-CL (3,3)"
 REFERENCE_SERVERS = 6
+_FIG5_CONFIG = dict(warmup_ms=15.0, window_ms=15.0)
+
+# The CephFS point runs ~53 ops per simulated ms at ~4 events per op, so its
+# window is long enough to make the event count comparable to the fig5
+# point's (~220k).
+CEPHFS_SETUP = "CephFS"
+_CEPHFS_CONFIG = dict(warmup_ms=100.0, window_ms=1000.0)
+_GEN_DRAWS = 50_000
+_GEN_REPEATS = 5
+
+HISTORY_FILE = "BENCH_history.jsonl"
 
 # Microbench population: sized so one run takes O(seconds) at scale 1.
 # Weighted like a figure run: message handoffs (every simulated RPC is a
@@ -178,15 +203,14 @@ def format_microbench(micro: dict) -> str:
     )
 
 
-def fig5_reference_point() -> dict:
-    """Time the fixed Figure 5 reference point end to end."""
-    config = RunConfig(warmup_ms=15.0, window_ms=15.0)
+def _spotify_point(setup: str, config: dict) -> dict:
+    """Time one Spotify-mix point on ``setup`` end to end."""
     start = time.perf_counter()
-    point = run_point(REFERENCE_SETUP, REFERENCE_SERVERS, config=config)
+    point = run_point(setup, REFERENCE_SERVERS, config=RunConfig(**config))
     wall = time.perf_counter() - start
     events = point.events
     return {
-        "setup": REFERENCE_SETUP,
+        "setup": setup,
         "servers": REFERENCE_SERVERS,
         "bench_scale": bench_scale(),
         "events": events,
@@ -199,6 +223,37 @@ def fig5_reference_point() -> dict:
         # warm-up included) per op completed in the window.
         "events_per_op": round(events / point.completed, 3) if point.completed else 0.0,
     }
+
+
+def fig5_reference_point() -> dict:
+    """Time the fixed Figure 5 reference point end to end."""
+    return _spotify_point(REFERENCE_SETUP, _FIG5_CONFIG)
+
+
+def _generator_us_per_op() -> float:
+    """Median host cost of one ``SpotifyWorkload.next_op`` in a bare loop."""
+    namespace = generate_namespace(seed=0)
+    # 8 clients per MDS: CephAdapter.preferred_clients_per_server.
+    clients = 8 * REFERENCE_SERVERS
+    costs = []
+    for _ in range(_GEN_REPEATS):
+        next_op = SpotifyWorkload(namespace, seed=0, tag=CEPHFS_SETUP).next_op
+        start = time.perf_counter()
+        for i in range(_GEN_DRAWS):
+            next_op(client_id=i % clients)
+        costs.append((time.perf_counter() - start) / _GEN_DRAWS * 1e6)
+    return statistics.median(costs)
+
+
+def cephfs_point() -> dict:
+    """Time the CephFS baseline point; add the generator's own cost.
+
+    Almost every op here is a kernel-cache hit (one timeout, no message),
+    so what the host pays per op is mostly the envelope around it.
+    """
+    record = _spotify_point(CEPHFS_SETUP, _CEPHFS_CONFIG)
+    record["gen_us_per_op"] = round(_generator_us_per_op(), 3)
+    return record
 
 
 # The recorded scale point: the paper's headline regime.  12 shards (4 per
@@ -364,13 +419,15 @@ def listing_point() -> dict:
 
 
 def run_perf(out_path: Optional[str] = None, baseline: Optional[dict] = None) -> dict:
-    """Run both measurements; optionally write ``out_path`` as JSON.
+    """Run every measurement; optionally write ``out_path`` as JSON and
+    append its headline numbers to the ``BENCH_history.jsonl`` beside it.
 
     ``baseline`` (the committed pre-PR numbers) is carried through verbatim
     so the speedup history stays in the file.
     """
     micro = kernel_microbench()
     fig5 = fig5_reference_point()
+    cephfs = cephfs_point()
     point = scale_point()
     commit = async_point()
     listing = listing_point()
@@ -380,6 +437,7 @@ def run_perf(out_path: Optional[str] = None, baseline: Optional[dict] = None) ->
     report = {
         "microbench": micro,
         "fig5_point": fig5,
+        "cephfs_point": cephfs,
         "scale_point": point,
         "async_point": commit,
         "listing_point": listing,
@@ -401,4 +459,58 @@ def run_perf(out_path: Optional[str] = None, baseline: Optional[dict] = None) ->
         with open(out_path, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        append_history(report, os.path.join(os.path.dirname(out_path), HISTORY_FILE))
     return report
+
+
+def _git_revision() -> str:
+    """``git describe --always --dirty`` of the source tree, or ``unknown``."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, check=True, timeout=10,
+        ).stdout.strip() or "unknown"
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+
+
+def _config_fingerprint() -> str:
+    """Hash of everything that sizes the measurements: two history lines
+    are comparable only when their fingerprints are equal."""
+    config = {
+        "bench_scale": bench_scale(),
+        "microbench": [_TICKERS, _PINGPONG_PAIRS, _POOL_CLIENTS, _WAITER_CHAINS,
+                       _HORIZON_MS, _MICROBENCH_REPEATS],
+        "fig5": [REFERENCE_SETUP, REFERENCE_SERVERS, _FIG5_CONFIG],
+        "cephfs": [CEPHFS_SETUP, REFERENCE_SERVERS, _CEPHFS_CONFIG, _GEN_DRAWS, _GEN_REPEATS],
+        "scale": [SCALE_POINT_SHARDS, SCALE_POINT_POPULATION],
+    }
+    blob = json.dumps(config, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def append_history(report: dict, path: str) -> dict:
+    """Append the headline numbers of ``report`` to the trajectory at ``path``."""
+    micro, fig5, cephfs, scale = (
+        report["microbench"], report["fig5_point"], report["cephfs_point"],
+        report["scale_point"],
+    )
+    line = {
+        "git": _git_revision(),
+        "config": _config_fingerprint(),
+        "recorded_unix_s": round(time.time()),
+        "microbench_events_per_sec": micro["events_per_sec"],
+        "microbench_events_per_sec_iqr": micro["events_per_sec_iqr"],
+        "fig5_events_per_sec": fig5["events_per_sec"],
+        "fig5_events_per_op": fig5["events_per_op"],
+        "cephfs_events_per_sec": cephfs["events_per_sec"],
+        "cephfs_events_per_op": cephfs["events_per_op"],
+        "cephfs_gen_us_per_op": cephfs["gen_us_per_op"],
+        "scale_aggregate_events_per_sec": scale["aggregate_events_per_sec"],
+        "scale_wall_events_per_sec": scale["wall_events_per_sec"],
+        "peak_rss_mb": report["peak_rss_mb"],
+    }
+    with open(path, "a") as fh:
+        fh.write(json.dumps(line, sort_keys=True) + "\n")
+    return line

@@ -79,6 +79,9 @@ class HopsFsClient:
         self.hedge_wins = 0
         self.busy_rejections = 0
         self.bootstrap_exhaustions = 0
+        # Fail-overs of the op that finished last on this stub; drivers read
+        # it into OpResult.retries the moment their ``yield from`` returns.
+        self.last_op_failures = 0
         # (op, deadline_expires_ms, finished_ms) for ops that outlived their
         # deadline by more than the one-hop slack — the chaos deadline
         # invariant reads this.
@@ -269,39 +272,42 @@ class HopsFsClient:
 
     # ------------------------------------------------------------ operations
     def op(self, op: OpType, **kwargs):
-        """Run one metadata operation, failing over across NN deaths.
+        """The generator that runs one metadata operation, failing over
+        across NN deaths (``yield from`` it).
 
-        ``obs_parent`` (popped before the request goes on the wire) nests
-        this op's span under an enclosing data-path span when tracing.
+        A plain function: untraced, it hands back the request loop's own
+        generator, so a resume crosses no wrapper frame.  ``obs_parent``
+        (popped before the request goes on the wire) nests this op's span
+        under an enclosing data-path span when tracing.
         """
         parent = kwargs.pop("obs_parent", None)
         obs = self.env.obs
-        span = None
-        ts = None
-        start_ms = 0.0
-        if obs is not None:
-            span = obs.tracer.start(
-                "client.op", parent=parent, op=op.value,
-                host=str(self.addr), az=self.location_domain_id,
-            )
-            ts = obs.timeseries
-            if ts is not None:
-                start_ms = self.env.now
-        state = {"failures": 0}
+        if obs is None:
+            return self._request_loop(op, kwargs, None)
+        return self._traced_op(obs, op, kwargs, parent)
+
+    def _request_loop(self, op: OpType, kwargs, span):
+        """The request loop this client was configured with.
+
+        Either loop stores its own failure count in ``last_op_failures``
+        as it exits; whoever resumes next (driver, traced wrapper) reads it
+        before anything else can run, so ops overlapping on one stub each
+        see their own count.
+        """
+        if self.robust is not None:
+            return self._robust_op(op, kwargs, span)
+        return self._op_body(op, kwargs, span)
+
+    def _traced_op(self, obs, op: OpType, kwargs, parent):
+        span = obs.tracer.start(
+            "client.op", parent=parent, op=op.value,
+            host=str(self.addr), az=self.location_domain_id,
+        )
+        ts = obs.timeseries
+        start_ms = self.env.now if ts is not None else 0.0
         try:
-            if self.robust is not None:
-                result = yield from self._robust_op(op, kwargs, span, state)
-            else:
-                result = yield from self._op_body(op, kwargs, span, state)
-            if type(result) is GroupAck:
-                # Early ack from the async commit path: record the horizon
-                # this mutation rides and hand back the plain result.
-                self._pending_horizons.add(result.horizon)
-                if result.horizon > self.durability_horizon:
-                    self.durability_horizon = result.horizon
-                result = result.result
-            if span is not None:
-                span.tags["ok"] = True
+            result = yield from self._request_loop(op, kwargs, span)
+            span.tags["ok"] = True
             if ts is not None:
                 now = self.env.now
                 ts.record_op(self.location_domain_id, now - start_ms, True, now)
@@ -310,47 +316,59 @@ class HopsFsClient:
             # Terminal failures must be tagged too (NoNamenodeError and
             # FsError exits previously finished with neither ok nor error,
             # undercounting failures in trace breakdowns).
-            if span is not None:
-                span.tags["ok"] = False
-                span.tags["error"] = type(exc).__name__
+            span.tags["ok"] = False
+            span.tags["error"] = type(exc).__name__
             if ts is not None:
                 now = self.env.now
                 ts.record_op(self.location_domain_id, now - start_ms, False, now)
             raise
         finally:
-            # Drivers read this into OpResult.retries for per-op breakdowns.
-            self.last_op_failures = state["failures"]
-            if span is not None:
-                obs.tracer.finish(span, retries=state["failures"])
+            # The loop stored its count as it exited, just now.
+            obs.tracer.finish(span, retries=self.last_op_failures)
 
-    def _op_body(self, op: OpType, kwargs, span, state):
+    def _early_ack(self, ack: GroupAck):
+        """Record the horizon an async-commit early ack rides; returns the
+        plain result."""
+        self._pending_horizons.add(ack.horizon)
+        if ack.horizon > self.durability_horizon:
+            self.durability_horizon = ack.horizon
+        return ack.result
+
+    def _op_body(self, op: OpType, kwargs, span):
         """Legacy fail-stop request path (bit-identical to prior releases)."""
         obs = self.env.obs
-        while True:
-            if self.current_nn is None:
-                yield from self._pick_namenode()
-            try:
-                result = yield self.network.call(
-                    self.addr,
-                    self.current_nn,
-                    "fs_op",
-                    (op, kwargs),
-                    size=self.request_bytes,
-                    parent_span=span,
-                )
-                return result
-            except HostUnreachableError:
-                # Select a random surviving metadata server and retry.
-                self.current_nn = None
-                self.failovers += 1
-                state["failures"] += 1
-                if obs is not None:
-                    obs.registry.counter("client.failovers").inc()
-                if state["failures"] > self.max_failovers:
-                    raise NoNamenodeError(f"{op}: no metadata server after retries")
+        failures = 0
+        try:
+            while True:
+                if self.current_nn is None:
+                    yield from self._pick_namenode()
+                try:
+                    result = yield self.network.call(
+                        self.addr,
+                        self.current_nn,
+                        "fs_op",
+                        (op, kwargs),
+                        size=self.request_bytes,
+                        parent_span=span,
+                    )
+                    if type(result) is GroupAck:
+                        result = self._early_ack(result)
+                    return result
+                except HostUnreachableError:
+                    # Select a random surviving metadata server and retry.
+                    self.current_nn = None
+                    self.failovers += 1
+                    failures += 1
+                    if obs is not None:
+                        obs.registry.counter("client.failovers").inc()
+                    if failures > self.max_failovers:
+                        raise NoNamenodeError(f"{op}: no metadata server after retries")
+        finally:
+            # Drivers read this into OpResult.retries for per-op breakdowns.
+            self.last_op_failures = failures
 
     # ------------------------------------------------- robust request path
-    def _robust_op(self, op: OpType, kwargs, span, state):
+    def _robust_op(self, op: OpType, kwargs, span):
         """Deadline-bounded request loop: timeouts fail over, busy backs off."""
         robust = self.robust
         env = self.env
@@ -361,6 +379,7 @@ class HopsFsClient:
             # replays off this id (same id across every retry of this op).
             extra["retry_id"] = (self.client_id, next(self._op_seq))
         attempt = 0
+        failures = 0
         last_error = None
         try:
             while True:
@@ -376,6 +395,8 @@ class HopsFsClient:
                     breaker = self._breakers.get(self.current_nn)
                     if breaker is not None:
                         breaker.record_success()
+                    if type(result) is GroupAck:
+                        result = self._early_ack(result)
                     return result
                 except RpcTimeoutError as exc:
                     # Gray failure: the NN may be alive but slow.  Treat the
@@ -384,11 +405,13 @@ class HopsFsClient:
                     self.timeouts += 1
                     self._count("client.timeouts")
                     self._record_nn_failure(self.current_nn)
-                    self._fail_over(state)
+                    self._fail_over()
+                    failures += 1
                 except HostUnreachableError as exc:
                     last_error = exc
                     self._record_nn_failure(self.current_nn)
-                    self._fail_over(state)
+                    self._fail_over()
+                    failures += 1
                 except ServerDrainingError as exc:
                     # Operator-ordered drain, not overload: the server will
                     # never take this op, so drop it from the local view at
@@ -419,16 +442,16 @@ class HopsFsClient:
                     ) from last_error
                 yield from self._backoff(attempt, deadline, last_error)
         finally:
+            self.last_op_failures = failures
             overrun = env.now - deadline.expires_ms
             if overrun > robust.op_timeout_ms:
                 # The deadline invariant's slack is one hop (one RPC
                 # timeout); anything beyond it is a contract violation.
                 self.deadline_overruns.append((op.value, deadline.expires_ms, env.now))
 
-    def _fail_over(self, state) -> None:
+    def _fail_over(self) -> None:
         self.current_nn = None
         self.failovers += 1
-        state["failures"] += 1
         self._count("client.failovers")
 
     def _backoff(self, attempt: int, deadline: Deadline, last_error):

@@ -66,18 +66,25 @@ class MetricsCollector:
         return True
 
     def record(self, result: OpResult) -> None:
-        if not self._in_window(result.end_ms):
+        # ``_in_window``, inlined: this runs once per simulated op.
+        start = self.window_start
+        end_ms = result.end_ms
+        if start is None or end_ms < start:
             return
+        end = self.window_end
+        if end is not None and end_ms > end:
+            return
+        latency = end_ms - result.start_ms
+        self.retried += result.retries
         if not result.ok:
             self.failed += 1
-            self.retried += result.retries
-            self.failed_latencies_ms.append(result.latency_ms)
+            self.failed_latencies_ms.append(latency)
             return
         self.completed += 1
-        self.retried += result.retries
-        self.by_op[result.op] += 1
-        self.latencies_ms.append(result.latency_ms)
-        self.latencies_by_op[result.op].append(result.latency_ms)
+        op = result.op
+        self.by_op[op] += 1
+        self.latencies_ms.append(latency)
+        self.latencies_by_op[op].append(latency)
 
     def merge(self, other: "MetricsCollector") -> "MetricsCollector":
         """Return a new collector combining two measurement shards.
@@ -147,7 +154,9 @@ class MetricsCollector:
         return sum(self.latencies_ms) / len(self.latencies_ms)
 
     def latency_percentiles(self, ps=(50, 90, 99), op: Optional[OpType] = None):
-        values = self.latencies_by_op[op] if op is not None else self.latencies_ms
+        # ``.get``: indexing the defaultdict would insert an empty list for an
+        # op that never completed, which merge() would then carry around.
+        values = self.latencies_by_op.get(op, ()) if op is not None else self.latencies_ms
         values = sorted(values)
         return {p: percentile(values, p) for p in ps}
 

@@ -204,7 +204,7 @@ class NdbDatanode:
             )
             # Stashed so the handler can parent replica round-trips and
             # lock waits under this server span.
-            msg.extra["server_span"] = span
+            msg.extra = {**msg.extra, "server_span": span}
             try:
                 yield from handler(self, msg)
             finally:

@@ -10,8 +10,8 @@ modelling the TCP connection reset a real client would observe.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, Optional
 
 from ..errors import HostUnreachableError, NetworkError, RpcTimeoutError
 from ..sim import Environment, Event, Store
@@ -24,20 +24,56 @@ __all__ = ["Message", "Network", "DEFAULT_MESSAGE_BYTES"]
 DEFAULT_MESSAGE_BYTES = 256
 
 
-@dataclass(slots=True)
-class Message:
-    """One network message.  ``rpc_id`` links requests to replies."""
+# What ``Message.extra`` is until somebody has something to put there: one
+# shared, read-only empty mapping, so a message costs no dict of its own.
+_NO_EXTRA: Mapping = MappingProxyType({})
 
-    src: NodeAddress
-    dst: NodeAddress
-    kind: str
-    payload: Any = None
-    size: int = DEFAULT_MESSAGE_BYTES
-    rpc_id: Optional[int] = None
-    is_reply: bool = False
-    ok: bool = True
-    send_time: float = 0.0
-    extra: dict = field(default_factory=dict)
+
+class Message:
+    """One network message.  ``rpc_id`` links requests to replies.
+
+    ``extra`` carries out-of-band request metadata (deadline, retry id,
+    span ids).  Readers use ``msg.extra.get(...)``; a writer must first
+    install a dict of its own (``msg.extra = {...}``), because the default
+    is shared by every message and rejects writes.  ``route`` is filled by
+    :meth:`Network.send` for :meth:`Network._deliver`.
+    """
+
+    __slots__ = (
+        "src", "dst", "kind", "payload", "size", "rpc_id", "is_reply", "ok",
+        "send_time", "extra", "route",
+    )
+
+    def __init__(
+        self,
+        src: NodeAddress,
+        dst: NodeAddress,
+        kind: str,
+        payload: Any = None,
+        size: int = DEFAULT_MESSAGE_BYTES,
+        rpc_id: Optional[int] = None,
+        is_reply: bool = False,
+        ok: bool = True,
+        send_time: float = 0.0,
+        extra: Mapping = _NO_EXTRA,
+    ):
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.payload = payload
+        self.size = size
+        self.rpc_id = rpc_id
+        self.is_reply = is_reply
+        self.ok = ok
+        self.send_time = send_time
+        self.extra = extra
+        self.route = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name != "route"
+        )
+        return f"Message({fields})"
 
 
 class _Route:
@@ -252,7 +288,7 @@ class Network:
         if self._down and src in self._down:
             self.dropped_messages += 1
             return
-        route = self._route(src, message.dst)
+        route = message.route = self._route(src, message.dst)
         if self._degraded is None and not self.jitter_frac:
             delay = route.latency
         else:
@@ -290,7 +326,9 @@ class Network:
                 self._fail_rpc(message.rpc_id)
             return
         # Inline TrafficMatrix.record() on the pair's resolved counters.
-        route = self._route(src, dst)
+        route = message.route  # None if the message never went through send()
+        if route is None:
+            route = self._route(src, dst)
         traffic = self.traffic
         size = message.size
         traffic.az_pair_bytes[route.az_pair] += size
@@ -345,9 +383,9 @@ class Network:
         """
         rpc_id = next(self._rpc_ids)
         done = self._pending[rpc_id] = _Rpc(self.env, src, dst)
-        message = Message(src=src, dst=dst, kind=kind, payload=payload, size=size, rpc_id=rpc_id)
+        message = Message(src, dst, kind, payload, size, rpc_id)
         if extra:
-            message.extra.update(extra)
+            message.extra = dict(extra)
         obs = self.env.obs
         if obs is not None:
             self._trace_call(obs, message, done, parent_span)
@@ -383,7 +421,7 @@ class Network:
             cross_az=src_az != dst_az,
             size=message.size,
         )
-        message.extra["span_id"] = span.span_id
+        message.extra = {**message.extra, "span_id": span.span_id}
         link = "cross_az" if src_az != dst_az else "intra_az"
         obs.registry.counter(f"net.rpc.{link}").inc()
         obs.registry.counter(f"net.rpc.{link}_bytes").inc(message.size)
@@ -410,16 +448,8 @@ class Network:
         if request.rpc_id is None:
             raise NetworkError(f"message {request.kind!r} is not an RPC request")
         self.send(
-            Message(
-                src=request.dst,
-                dst=request.src,
-                kind=request.kind,
-                payload=payload,
-                size=size,
-                rpc_id=request.rpc_id,
-                is_reply=True,
-                ok=ok,
-            )
+            Message(request.dst, request.src, request.kind, payload, size,
+                    request.rpc_id, True, ok)
         )
 
     def _complete_rpc(self, reply: Message) -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 __all__ = [
@@ -123,9 +123,12 @@ MUTATING_OPS = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class OpResult:
-    """Outcome of one client operation, recorded by the workload driver."""
+    """Outcome of one client operation, recorded by the workload driver.
+
+    One is built per simulated op; the drivers pass the fields positionally.
+    """
 
     op: OpType
     start_ms: float
@@ -133,8 +136,6 @@ class OpResult:
     ok: bool = True
     retries: int = 0
     error: Optional[str] = None
-    served_by: Optional[NodeAddress] = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def latency_ms(self) -> float:

@@ -41,7 +41,7 @@ from typing import Optional
 from ..errors import ReproError
 from ..metrics.collectors import MetricsCollector
 from ..types import OpResult
-from .driver import EXPECTED_ERRORS
+from .driver import EXPECTED_ERRORS, failure_source
 
 __all__ = ["ZipfPopulation", "AggregatedArrivalEngine"]
 
@@ -198,6 +198,8 @@ class AggregatedArrivalEngine:
         rate = self.rate_per_ms
         detail_every = self.detail_every
         distinct = self.distinct_clients.add
+        next_op = self.workload.next_op
+        stubs = [(stub.op, failure_source(stub)) for stub in self.stubs]
         # Hot loop: one kernel event per arrival; everything else is a few
         # C-implemented draws and integer bookkeeping.
         while not self.stopped:
@@ -211,29 +213,23 @@ class AggregatedArrivalEngine:
                 if self.inflight >= self.max_inflight:
                     self.shed += 1
                     continue
-                op, kwargs = self.workload.next_op(client_id=client_id)
-                stub = self.stubs[self._next_stub]
-                self._next_stub = (self._next_stub + 1) % len(self.stubs)
+                op, kwargs = next_op(client_id=client_id)
+                stub_op, failures = stubs[self._next_stub]
+                self._next_stub = (self._next_stub + 1) % len(stubs)
                 self.inflight += 1
-                env.process(self._one_op(stub, op, kwargs), name="scale-op")
+                env.process(self._one_op(stub_op, failures, op, kwargs), name="scale-op")
 
-    def _one_op(self, stub, op, kwargs):
-        start = self.env.now
+    def _one_op(self, stub_op, failures, op, kwargs):
+        env = self.env
+        start = env.now
         ok, error = True, None
         try:
-            yield from stub.op(op, **kwargs)
+            yield from stub_op(op, **kwargs)
         except EXPECTED_ERRORS as exc:
             ok, error = False, type(exc).__name__
         finally:
             self.inflight -= 1
         self.detailed += 1
         self.collector.record(
-            OpResult(
-                op=op,
-                start_ms=start,
-                end_ms=self.env.now,
-                ok=ok,
-                error=error,
-                retries=getattr(stub, "last_op_failures", 0),
-            )
+            OpResult(op, start, env.now, ok, failures.last_op_failures, error)
         )

@@ -20,6 +20,18 @@ EXPECTED_ERRORS = (FsError, TransactionAbortedError, NoNamenodeError)
 _EXPECTED_ERRORS = EXPECTED_ERRORS  # backwards-compatible alias
 
 
+class _NoFailureCount:
+    last_op_failures = 0
+
+
+def failure_source(client):
+    """Where a driver reads an op's failure count from: the stub itself
+    when it keeps ``last_op_failures`` (HopsFS), a constant 0 otherwise
+    (CephFS).  Decided once per client, so the per-op read is one
+    attribute load."""
+    return client if hasattr(client, "last_op_failures") else _NoFailureCount
+
+
 class ClosedLoopDriver:
     """Runs ``num_clients`` closed-loop clients against a deployment."""
 
@@ -49,25 +61,20 @@ class ClosedLoopDriver:
         self.stopped = True
 
     def _client_loop(self, client, index):
+        env = self.env
+        next_op = self.workload.next_op
+        record = self.collector.record
+        client_op = client.op
+        failures = failure_source(client)
         while not self.stopped:
-            op, kwargs = self.workload.next_op(client_id=index)
-            start = self.env.now
+            op, kwargs = next_op(client_id=index)
+            start = env.now
             ok, error = True, None
             try:
-                yield from client.op(op, **kwargs)
+                yield from client_op(op, **kwargs)
             except _EXPECTED_ERRORS as exc:
                 ok, error = False, type(exc).__name__
-            self.collector.record(
-                OpResult(
-                    op=op,
-                    start_ms=start,
-                    end_ms=self.env.now,
-                    ok=ok,
-                    error=error,
-                    retries=getattr(client, "last_op_failures", 0),
-                    served_by=getattr(client, "current_nn", None),
-                )
-            )
+            record(OpResult(op, start, env.now, ok, failures.last_op_failures, error))
 
 
 class OpenLoopDriver:
@@ -103,25 +110,26 @@ class OpenLoopDriver:
         self.stopped = True
 
     def _arrival_loop(self):
+        env = self.env
         gap = 1.0 / self.rate_per_ms
+        next_op = self.workload.next_op
+        stubs = [(client.op, failure_source(client)) for client in self.clients]
         while not self.stopped:
-            index = self._next_client % len(self.clients)
-            client = self.clients[index]
+            index = self._next_client % len(stubs)
+            client_op, failures = stubs[index]
             self._next_client += 1
-            op, kwargs = self.workload.next_op(client_id=index)
-            self.env.process(self._one_op(client, op, kwargs), name="open-loop-op")
-            yield self.env.timeout(gap)
+            op, kwargs = next_op(client_id=index)
+            env.process(self._one_op(client_op, failures, op, kwargs), name="open-loop-op")
+            yield env.timeout(gap)
 
-    def _one_op(self, client, op, kwargs):
-        start = self.env.now
+    def _one_op(self, client_op, failures, op, kwargs):
+        env = self.env
+        start = env.now
         ok, error = True, None
         try:
-            yield from client.op(op, **kwargs)
+            yield from client_op(op, **kwargs)
         except _EXPECTED_ERRORS as exc:
             ok, error = False, type(exc).__name__
         self.collector.record(
-            OpResult(
-                op=op, start_ms=start, end_ms=self.env.now, ok=ok, error=error,
-                retries=getattr(client, "last_op_failures", 0),
-            )
+            OpResult(op, start, env.now, ok, failures.last_op_failures, error)
         )

@@ -10,8 +10,10 @@ available; the published mix is what the paper's benchmark replays.
 from __future__ import annotations
 
 import random
-from itertools import accumulate
 import zlib
+from bisect import bisect
+from itertools import accumulate
+
 from ..types import OpType
 from .namespace import Namespace
 
@@ -30,6 +32,49 @@ SPOTIFY_MIX: dict[OpType, float] = {
     OpType.CHMOD: 0.010,
     OpType.MKDIR: 0.0015,
 }
+
+
+_POPULAR_FILE_OPS = (OpType.READ_FILE, OpType.STAT, OpType.EXISTS)
+
+
+def _cum_table(population, weights) -> tuple:
+    """``(population, cum_weights, total, hi)`` for one-uniform weighted draws.
+
+    ``population[bisect(cum, rng.random() * total, 0, hi)]`` is, expression
+    for expression, what ``rng.choices(population, weights=weights, k=1)[0]``
+    evaluates after it has accumulated and validated the weights — so a draw
+    from the table consumes the same single uniform and picks the same item;
+    only the per-draw accumulate, validation and result list are gone.
+    """
+    cum = list(accumulate(weights))
+    if len(cum) != len(population):
+        raise ValueError("The number of weights does not match the population")
+    total = cum[-1] + 0.0
+    if not 0.0 < total < float("inf"):
+        raise ValueError("Total of weights must be finite and greater than zero")
+    return population, cum, total, len(population) - 1
+
+
+class _PopularFiles:
+    """The namespace's Zipf file table, rebuilt when files are added."""
+
+    __slots__ = ("namespace", "_table", "_len")
+
+    def __init__(self, namespace: Namespace):
+        self.namespace = namespace
+        self._table = None
+        self._len = -1
+
+    def table(self) -> tuple:
+        files = self.namespace.files
+        if self._len != len(files):
+            self._table = _cum_table(files, self.namespace.file_weights)
+            self._len = len(files)
+        return self._table
+
+    def draw(self, rng) -> str:
+        files, cum, total, hi = self.table()
+        return files[bisect(cum, rng.random() * total, 0, hi)]
 
 
 class SpotifyWorkload:
@@ -51,8 +96,7 @@ class SpotifyWorkload:
     ):
         self.namespace = namespace
         self.rng = random.Random(zlib.crc32(f"{seed}:{tag}".encode()))
-        self._ops = list(SPOTIFY_MIX)
-        self._weights = [SPOTIFY_MIX[o] for o in self._ops]
+        self._op_table = _cum_table(list(SPOTIFY_MIX), SPOTIFY_MIX.values())
         self._created: list[str] = []
         self._counter = 0
         self._mkdir_counter = 0
@@ -62,28 +106,14 @@ class SpotifyWorkload:
         self.working_set_size = working_set_size
         self.working_set_locality = working_set_locality
         self._working_sets: dict = {}
-        # random.choices() recomputes the cumulative weights on every call;
-        # precompute them once per namespace generation.  choices() draws
-        # the same uniforms either way, so the RNG stream is unchanged.
-        self._cum_weights: list = []
-        self._cum_weights_len = -1
-
-    def _file_cum_weights(self) -> list:
-        files = self.namespace.files
-        if self._cum_weights_len != len(files):
-            self._cum_weights = list(accumulate(self.namespace.file_weights))
-            self._cum_weights_len = len(files)
-        return self._cum_weights
+        self._popular = _PopularFiles(namespace)
 
     def working_set(self, client_id) -> list[str]:
         """The file working set of one client (created on first use)."""
         ws = self._working_sets.get(client_id)
         if ws is None:
-            ws = self.rng.choices(
-                self.namespace.files,
-                cum_weights=self._file_cum_weights(),
-                k=self.working_set_size,
-            )
+            files, cum, _total, _hi = self._popular.table()
+            ws = self.rng.choices(files, cum_weights=cum, k=self.working_set_size)
             self._working_sets[client_id] = ws
         return ws
 
@@ -92,17 +122,17 @@ class SpotifyWorkload:
         return f"bench-{self._counter}"
 
     def _popular_file(self, client_id=None) -> str:
+        rng = self.rng
         if client_id is not None and self.working_set_size > 0:
             ws = self.working_set(client_id)
-            if self.rng.random() < self.working_set_locality:
-                return self.rng.choice(ws)
-        return self.rng.choices(
-            self.namespace.files, cum_weights=self._file_cum_weights(), k=1
-        )[0]
+            if rng.random() < self.working_set_locality:
+                return rng.choice(ws)
+        return self._popular.draw(rng)
 
     def next_op(self, client_id=None) -> tuple[OpType, dict]:
-        op = self.rng.choices(self._ops, weights=self._weights, k=1)[0]
-        if op in (OpType.READ_FILE, OpType.STAT, OpType.EXISTS):
+        ops, cum, total, hi = self._op_table
+        op = ops[bisect(cum, self.rng.random() * total, 0, hi)]
+        if op in _POPULAR_FILE_OPS:
             return op, {"path": self._popular_file(client_id)}
         if op is OpType.LIST_DIR:
             return op, {"path": self.rng.choice(self.namespace.dirs)}
@@ -143,6 +173,7 @@ class SingleOpWorkload:
         self.rng = random.Random(seed)
         self._counter = 0
         self._pre_created: list[str] = []
+        self._popular = _PopularFiles(namespace)
 
     def precreate_paths(self, count: int) -> list[str]:
         """Paths that must exist before a deleteFile microbenchmark."""
@@ -156,11 +187,7 @@ class SingleOpWorkload:
 
     def next_op(self, client_id=None) -> tuple[OpType, dict]:
         if self.op is OpType.READ_FILE:
-            return self.op, {
-                "path": self.rng.choices(
-                    self.namespace.files, weights=self.namespace.file_weights, k=1
-                )[0]
-            }
+            return self.op, {"path": self._popular.draw(self.rng)}
         if self.op is OpType.CREATE_FILE:
             self._counter += 1
             directory = self.rng.choice(self.namespace.dirs)
