@@ -42,7 +42,7 @@ from ..errors import ConfigError, FsError, NdbError, TransactionAbortedError
 from ..ndb.schema import TOMBSTONE, LockMode
 from ..types import OpType
 from .metadata import INODES_TABLE, SMALL_FILE_MAX_BYTES
-from .pathlock import normalize_path, split_path
+from .pathlock import split_path
 from .robust import Replay
 
 __all__ = [
@@ -91,13 +91,13 @@ def op_paths(op: OpType, kwargs):
     try:
         if op is OpType.RENAME:
             return (
-                tuple(split_path(normalize_path(kwargs["src"]))),
-                tuple(split_path(normalize_path(kwargs["dst"]))),
+                tuple(split_path(kwargs["src"])),
+                tuple(split_path(kwargs["dst"])),
             )
         path = kwargs.get("path")
         if not path:
             return ()
-        return (tuple(split_path(normalize_path(path))),)
+        return (tuple(split_path(path)),)
     except (FsError, KeyError, TypeError):
         # Malformed paths fail validation in the op body; nothing for the
         # conflict rule to protect.
@@ -272,6 +272,10 @@ class _RecordingTxn:
             (table, pk, pk if partition_key is None else partition_key, TOMBSTONE)
         )
         return self.txn.delete(table, pk, partition_key)
+
+    def on_abort(self, fn, *args):
+        # On the shared transaction: rolling the batch back undoes every member.
+        self.txn.on_abort(fn, *args)
 
 
 class _GroupOp:

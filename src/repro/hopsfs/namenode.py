@@ -45,7 +45,7 @@ from .metadata import (
     IdGenerator,
     RetryRow,
 )
-from .pathlock import normalize_path, split_path
+from .pathlock import split_path
 from .robust import Replay, RetryCache
 
 __all__ = ["Namenode"]
@@ -469,32 +469,37 @@ class Namenode:
         self._complete(msg, op, kwargs, result, retry_id, replayed)
 
     def _txn_body(self, retry_id, fn, call_ctx, kwargs, txn):
-        """One (re)try of an op on ``txn``, bracketed for exactly-once.
+        """The generator for one (re)try of an op on ``txn``.
 
         The sync path runs it under ``run_transaction``; the group
         committer runs it per member on a batch's shared transaction.
+        Without a retry id it is the op's own generator, no frame added.
         """
-        if retry_id is not None:
-            # Phantom-safe exclusive read: a concurrent retry of the
-            # same id serializes here, so exactly one execution wins.
-            prior = yield from txn.read(
-                RETRY_TABLE,
-                tuple(retry_id),
-                partition_key=retry_id[0],
-                lock=LockMode.EXCLUSIVE,
-            )
-            if prior is not None:
-                return Replay(prior.result)
+        if retry_id is None:
+            return fn(call_ctx, txn, **kwargs)
+        return self._exactly_once(retry_id, fn, call_ctx, kwargs, txn)
+
+    def _exactly_once(self, retry_id, fn, call_ctx, kwargs, txn):
+        """The op bracketed by its durable replay record."""
+        # Phantom-safe exclusive read: a concurrent retry of the
+        # same id serializes here, so exactly one execution wins.
+        prior = yield from txn.read(
+            RETRY_TABLE,
+            tuple(retry_id),
+            partition_key=retry_id[0],
+            lock=LockMode.EXCLUSIVE,
+        )
+        if prior is not None:
+            return Replay(prior.result)
         result = yield from fn(call_ctx, txn, **kwargs)
-        if retry_id is not None:
-            # Same transaction as the mutation: an NN crash after commit
-            # cannot lose the replay record.
-            yield from txn.write(
-                RETRY_TABLE,
-                tuple(retry_id),
-                RetryRow(client_id=retry_id[0], op_seq=retry_id[1], result=result),
-                partition_key=retry_id[0],
-            )
+        # Same transaction as the mutation: an NN crash after commit
+        # cannot lose the replay record.
+        yield from txn.write(
+            RETRY_TABLE,
+            tuple(retry_id),
+            RetryRow(client_id=retry_id[0], op_seq=retry_id[1], result=result),
+            partition_key=retry_id[0],
+        )
         return result
 
     # ------------------------------------------------------------- outcomes
@@ -671,9 +676,8 @@ class Namenode:
         path = kwargs.get("path") or kwargs.get("src")
         if not path:
             return None
-        components = split_path(normalize_path(path))[:-1]
         parent_id = 1
-        for name in components:
+        for name in split_path(path)[:-1]:
             row = self.dir_cache.get(parent_id, name)
             if row is None:
                 return None

@@ -75,10 +75,18 @@ class FileContent:
 # --------------------------------------------------------------------- helpers
 def _lock_slot(txn: NdbTransaction, parent_id: int, name: str, mode=LockMode.EXCLUSIVE):
     """Lock the (parent, name) slot — phantom-safe: the row may not exist."""
-    row = yield from txn.read(
-        INODES_TABLE, (parent_id, name), partition_key=parent_id, lock=mode
-    )
-    return row
+    return txn.read(INODES_TABLE, (parent_id, name), parent_id, mode)
+
+
+def _cache_uncommitted(ctx: FsContext, txn: NdbTransaction, row: InodeRow) -> None:
+    """Cache a directory row this transaction wrote but has not committed.
+
+    ``stat``/``exists`` resolve directories from the cache without a read,
+    so an attempt that is abandoned must take the entry back out.
+    """
+    if ctx.dir_cache is not None and row.is_dir:
+        ctx.dir_cache.put(row)
+        txn.on_abort(ctx.dir_cache.invalidate, row.parent_id, row.name)
 
 
 def _require_dir(row: InodeRow, path: str) -> None:
@@ -109,8 +117,7 @@ def mkdir(ctx: FsContext, txn: NdbTransaction, path: str):
         mtime_ms=ctx.now(),
     )
     yield from txn.write(INODES_TABLE, row.pk, row, partition_key=parent.id)
-    if ctx.dir_cache is not None:
-        ctx.dir_cache.put(row)
+    _cache_uncommitted(ctx, txn, row)
     return row.id
 
 
@@ -206,8 +213,7 @@ def read_file(ctx: FsContext, txn: NdbTransaction, path: str):
 
 
 def stat(ctx: FsContext, txn: NdbTransaction, path: str):
-    row = yield from resolve_inode(txn, path, ctx.dir_cache)
-    return row
+    return resolve_inode(txn, path, ctx.dir_cache)
 
 
 def exists(ctx: FsContext, txn: NdbTransaction, path: str):
@@ -314,8 +320,7 @@ def rename(ctx: FsContext, txn: NdbTransaction, src: str, dst: str):
     yield from txn.write(INODES_TABLE, dst_pk, new_row, partition_key=dst_parent.id)
     if ctx.dir_cache is not None:
         ctx.dir_cache.invalidate(src_parent.id, src_name)
-        if new_row.is_dir:
-            ctx.dir_cache.put(new_row)
+        _cache_uncommitted(ctx, txn, new_row)
     return new_row.id
 
 

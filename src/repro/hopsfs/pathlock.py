@@ -84,16 +84,44 @@ def resolve_components(txn: NdbTransaction, components: list[str], cache=None):
     return rows
 
 
+def _walk(txn: NdbTransaction, components: list[str], count: int, cache, as_parent: bool):
+    """Resolve the first ``count`` components; the walk behind both resolvers.
+
+    The cache calls and reads of :func:`resolve_components`, in the same
+    order, stopping at the first missing component (past which that walk
+    touches nothing either).  Returns the last row, or ``(row, basename)``
+    with the row checked to be a directory when ``as_parent``.
+    """
+    row = _ROOT_ROW
+    for depth in range(count):
+        if not row.is_dir:
+            raise NotDirectoryError(
+                "/" + "/".join(components[:depth]) + " is not a directory"
+            )
+        parent_id = row.id
+        name = components[depth]
+        row = cache.get(parent_id, name) if cache is not None else None
+        if row is None:
+            row = yield from txn.read(INODES_TABLE, (parent_id, name), parent_id)
+            if row is None:
+                raise FileNotFoundFsError(
+                    "/" + "/".join(components[: depth + 1]) + " does not exist"
+                )
+            if row.is_dir and cache is not None:
+                cache.put(row)
+    if not as_parent:
+        return row
+    if not row.is_dir:
+        raise NotDirectoryError("/" + "/".join(components[:count]) + " is not a directory")
+    return row, components[count]
+
+
+# Plain functions returning the walk generator: an op parked on a
+# resolution read has one frame for it, not two (DESIGN.md §4).
 def resolve_inode(txn: NdbTransaction, path: str, cache=None):
     """Resolve ``path`` to its inode row; raises if any component missing."""
     components = split_path(path)
-    if not components:
-        return _ROOT_ROW
-    rows = yield from resolve_components(txn, components, cache)
-    if rows[-1] is None:
-        missing = components[: rows.index(None) + 1]
-        raise FileNotFoundFsError("/" + "/".join(missing) + " does not exist")
-    return rows[-1]
+    return _walk(txn, components, len(components), cache, False)
 
 
 def resolve_parent(txn: NdbTransaction, path: str, cache=None):
@@ -105,14 +133,4 @@ def resolve_parent(txn: NdbTransaction, path: str, cache=None):
     components = split_path(path)
     if not components:
         raise InvalidPathError("operation not allowed on the root directory")
-    name = components[-1]
-    if len(components) == 1:
-        return _ROOT_ROW, name
-    rows = yield from resolve_components(txn, components[:-1], cache)
-    parent = rows[-1]
-    if parent is None:
-        missing = components[: rows.index(None) + 1]
-        raise FileNotFoundFsError("/" + "/".join(missing) + " does not exist")
-    if not parent.is_dir:
-        raise NotDirectoryError("/" + "/".join(components[:-1]) + " is not a directory")
-    return parent, name
+    return _walk(txn, components, len(components) - 1, cache, True)

@@ -56,7 +56,19 @@ class NdbApi:
 
 
 class NdbTransaction:
-    """One open transaction, pinned to a transaction coordinator."""
+    """One open transaction, pinned to a transaction coordinator.
+
+    The operations are plain functions that *return* the :meth:`_call`
+    generator (``yield from txn.read(...)``), so a caller parked on the TC
+    round-trip has one frame below it, not two.  Their argument checks and
+    bookkeeping (``mutated``, ``write_count``) therefore run when the
+    operation is called, which every caller does in the same statement that
+    starts iterating it.
+    """
+
+    __slots__ = (
+        "api", "tc", "txid", "finished", "mutated", "write_count", "obs_span", "_undo",
+    )
 
     def __init__(self, api: NdbApi, tc: NodeAddress):
         self.api = api
@@ -70,16 +82,18 @@ class NdbTransaction:
         # Set by run_transaction when tracing: the attempt span every RPC of
         # this transaction parents under.
         self.obs_span = None
+        # (fn, args) to run if the transaction is abandoned; see on_abort.
+        self._undo: Optional[list] = None
 
     # -- plumbing ---------------------------------------------------------
-    def _call(self, kind: str, payload: Any, size: int = 192):
+    def _call(self, kind: str, payload: Any, size: int, finish: bool = False):
+        """One TC round-trip; ``finish`` (commit) settles the transaction on success."""
         if self.finished:
             raise NdbError(f"transaction {self.txid} already finished")
-        network = self.api.cluster.network
+        api = self.api
         try:
-            result = yield network.call(
-                self.api.addr, self.tc, kind, payload, size=size,
-                parent_span=self.obs_span,
+            result = yield api.cluster.network.call(
+                api.addr, self.tc, kind, payload, size, self.obs_span
             )
         except HostUnreachableError as exc:
             # The TC died (or we got partitioned from it).  NDB's take-over
@@ -87,7 +101,20 @@ class NdbTransaction:
             # the client's perspective the transaction aborted, retryable.
             self.finished = True
             raise TransactionAbortedError(f"TC {self.tc} unreachable: {exc}") from exc
+        if finish:
+            self.finished = True
+            self._undo = None  # committed: the side effects stand
         return result
+
+    def on_abort(self, fn: Callable, *args) -> None:
+        """Register ``fn(*args)`` to undo an in-memory side effect.
+
+        Runs if the transaction is abandoned instead of committed (see
+        :meth:`abort`), never after a successful :meth:`commit`.
+        """
+        if self._undo is None:
+            self._undo = []
+        self._undo.append((fn, args))
 
     # -- operations -----------------------------------------------------------
     def read(
@@ -98,27 +125,20 @@ class NdbTransaction:
         lock: LockMode = LockMode.NONE,
     ):
         """Primary-key read.  ``lock`` NONE = read committed."""
-        req = TcReadReq(
-            txid=self.txid,
-            table=table,
-            pk=pk,
-            partition_key=pk if partition_key is None else partition_key,
-            lock=lock,
-            client_az=self.api.az,
+        return self._call(
+            "tc_read",
+            TcReadReq(
+                self.txid, table, pk, pk if partition_key is None else partition_key,
+                lock, self.api.az,
+            ),
+            192,
         )
-        value = yield from self._call("tc_read", req)
-        return value
 
     def scan(self, table: str, partition_key: Hashable):
         """Partition-pruned index scan: all rows with ``partition_key``."""
-        req = TcScanReq(
-            txid=self.txid,
-            table=table,
-            partition_key=partition_key,
-            client_az=self.api.az,
+        return self._call(
+            "tc_scan", TcScanReq(self.txid, table, partition_key, self.api.az), 192
         )
-        rows = yield from self._call("tc_scan", req)
-        return rows
 
     def write(
         self,
@@ -133,40 +153,38 @@ class NdbTransaction:
         ``size_hint`` sizes the wire message — used for small files whose
         payload travels inside the metadata row (Section II-A3).
         """
-        req = TcWriteReq(
-            txid=self.txid,
-            table=table,
-            pk=pk,
-            partition_key=pk if partition_key is None else partition_key,
-            value=value,
-            client_az=self.api.az,
-        )
         self.mutated = True
         self.write_count += 1
-        yield from self._call("tc_write", req, size=max(128, size_hint or 256))
+        return self._call(
+            "tc_write",
+            TcWriteReq(
+                self.txid, table, pk, pk if partition_key is None else partition_key,
+                value, self.api.az,
+            ),
+            max(128, size_hint or 256),
+        )
 
     def delete(self, table: str, pk: Hashable, partition_key: Optional[Hashable] = None):
-        req = TcWriteReq(
-            txid=self.txid,
-            table=table,
-            pk=pk,
-            partition_key=pk if partition_key is None else partition_key,
-            value=TOMBSTONE,
-            client_az=self.api.az,
-        )
-        self.mutated = True
-        self.write_count += 1
-        yield from self._call("tc_write", req, size=128)
+        return self.write(table, pk, TOMBSTONE, partition_key, 128)
 
     def commit(self):
-        yield from self._call("tc_commit", TcCommitReq(txid=self.txid), size=96)
-        self.finished = True
+        return self._call("tc_commit", TcCommitReq(self.txid), 96, True)
 
     def abort(self):
+        """Abandon the transaction (idempotent): run the undos, tell the TC.
+
+        The undos run even when there is nobody to tell — an unreachable TC
+        already marked the transaction finished — and exactly once.
+        """
+        undo = self._undo
+        if undo is not None:
+            self._undo = None
+            for fn, args in undo:
+                fn(*args)
         if self.finished:
             return
         try:
-            yield from self._call("tc_abort", TcAbortReq(txid=self.txid), size=96)
+            yield from self._call("tc_abort", TcAbortReq(self.txid), 96)
         except TransactionAbortedError:
             pass  # TC already gone; the take-over/failure path cleans up
         self.finished = True
@@ -200,13 +218,12 @@ def run_transaction(
     directly off the trace.
     """
     env = api.cluster.env
-    rng = api.cluster.rng.stream(f"txnretry:{api.addr}")
     obs = env.obs
     attempt = 0
     while True:
         if deadline is not None and env.now >= deadline:
             raise DeadlineExceededError("op deadline expired before NDB attempt")
-        txn = api.transaction(hint_table=hint_table, hint_key=hint_key)
+        txn = api.transaction(hint_table, hint_key)
         span = None
         if obs is not None:
             span = obs.tracer.start(
@@ -235,6 +252,9 @@ def run_transaction(
                 raise
             attempt += 1
             backoff = min(max_backoff_ms, base_backoff_ms * (2 ** (attempt - 1)))
+            # Streams are derived by name: fetching it only when a back-off
+            # draws leaves every stream's draw order as it was.
+            rng = api.cluster.rng.stream(f"txnretry:{api.addr}")
             delay = backoff * (0.5 + rng.random())
             if deadline is not None and env.now + delay >= deadline:
                 raise DeadlineExceededError(

@@ -57,7 +57,7 @@ __all__ = ["NdbDatanode"]
 _CHAIN_OVERHEAD_BYTES = 96
 
 
-@dataclass
+@dataclass(slots=True)
 class _RowOp:
     """TC-side state of one row write inside a transaction."""
 
@@ -75,7 +75,7 @@ class _RowOp:
     all_completed: Optional[Event] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _TcTxn:
     """TC-side state of one open transaction."""
 
@@ -147,6 +147,11 @@ class NdbDatanode:
         self._send_now_cb = self._send_now
         self._reply_now_cb = self._reply_now
         self._handler_names = ProcessNames(addr)
+        # Partitions are pinned to LDM threads.  A node-group member holds
+        # the partitions congruent to its group index, and is *primary* for
+        # every R-th of those; dividing by groups*R decorrelates the thread
+        # index from both patterns so all LDM threads serve primary load.
+        self._ldm_stride = config.num_node_groups * config.replication
 
     # ------------------------------------------------------------------ setup
     def start(self) -> None:
@@ -165,13 +170,8 @@ class NdbDatanode:
         self.network.set_down(self.addr)
 
     def _ldm_pool_for(self, partition: int) -> CorePool:
-        # Partitions are pinned to LDM threads.  A node-group member holds
-        # the partitions congruent to its group index, and is *primary* for
-        # every R-th of those; dividing by groups*R decorrelates the thread
-        # index from both patterns so all LDM threads serve primary load.
-        config = self.cluster.config
-        local_index = partition // (config.num_node_groups * config.replication)
-        return self.ldm_pools[local_index % len(self.ldm_pools)]
+        pools = self.ldm_pools
+        return pools[partition // self._ldm_stride % len(pools)]
 
     # --------------------------------------------------------------- dispatch
     def _dispatch_loop(self):
@@ -220,10 +220,7 @@ class NdbDatanode:
         """Charge the SEND thread, then put the message on the wire."""
         done = self.send_pool.submit(self.costs.send_msg)
         done.add_callback(
-            partial(
-                self._send_now_cb,
-                Message(src=self.addr, dst=dst, kind=kind, payload=payload, size=size),
-            )
+            partial(self._send_now_cb, Message(self.addr, dst, kind, payload, size))
         )
 
     def _send_now(self, message: Message, _done: Event) -> None:
@@ -242,7 +239,7 @@ class NdbDatanode:
     def _txn(self, txid: int, client_az: AzId) -> _TcTxn:
         txn = self.txns.get(txid)
         if txn is None:
-            txn = _TcTxn(txid=txid, client_az=client_az)
+            txn = _TcTxn(txid, client_az)
             self.txns[txid] = txn
             self.cluster.register_txn(txid, self.addr)
         txn.last_active_ms = self.env.now
@@ -320,14 +317,8 @@ class NdbDatanode:
             self._reply(msg, TransactionAbortedError(str(exc)), ok=False)
             return
         ldm_req = LdmReadReq(
-            txid=req.txid,
-            table=req.table,
-            pk=req.pk,
-            partition_key=req.partition_key,
-            partition=partition,
-            lock=req.lock,
-            role=role,
-            client_az=req.client_az,
+            req.txid, req.table, req.pk, req.partition_key, partition, req.lock,
+            role, req.client_az,
         )
         if req.lock is not LockMode.NONE:
             txn = self._txn(req.txid, req.client_az)  # refreshes last_active
@@ -373,12 +364,7 @@ class NdbDatanode:
             self._reply(msg, TransactionAbortedError(str(exc)), ok=False)
             return
         ldm_req = LdmScanReq(
-            txid=req.txid,
-            table=req.table,
-            partition_key=req.partition_key,
-            partition=partition,
-            role=role,
-            client_az=req.client_az,
+            req.txid, req.table, req.partition_key, partition, role, req.client_az
         )
         server_span = msg.extra.get("server_span") if self.env.obs is not None else None
         if node == self.addr:
@@ -409,32 +395,19 @@ class NdbDatanode:
         except NoDatanodesError as exc:
             self._reply(msg, TransactionAbortedError(str(exc)), ok=False)
             return
-        op = _RowOp(
-            seq=txn.next_seq,
-            table=req.table,
-            pk=req.pk,
-            partition_key=req.partition_key,
-            partition=partition,
-            value=req.value,
-            chain=replicas.chain,
-            want_completed=table.read_backup or table.fully_replicated,
+        seq = txn.next_seq
+        txn.next_seq = seq + 1
+        chain = replicas.chain
+        op = txn.ops[seq] = _RowOp(
+            seq, req.table, req.pk, req.partition_key, partition, req.value, chain,
+            table.read_backup or table.fully_replicated, self.env.event(),
         )
-        txn.next_seq += 1
-        txn.ops[op.seq] = op
-        op.prepared = self.env.event()
-        prepare = ChainPrepare(
-            txid=req.txid,
-            seq=op.seq,
-            table=op.table,
-            pk=op.pk,
-            partition_key=op.partition_key,
-            partition=op.partition,
-            value=op.value,
-            chain=op.chain,
-            hop=0,
-            tc=self.addr,
+        self._dispatch_chain_prepare(
+            ChainPrepare(
+                req.txid, seq, req.table, req.pk, req.partition_key, partition,
+                req.value, chain, 0, self.addr,
+            )
         )
-        self._dispatch_chain_prepare(prepare)
         try:
             yield op.prepared
         except NdbError as exc:
@@ -451,8 +424,10 @@ class NdbDatanode:
             self._send(target, "chain_prepare", prepare, size)
 
     # ---------------------------------------------------------- LDM: chains
+    # The three chain-hop handlers are plain functions returning the body
+    # generator: _handle's ``yield from`` drives the body directly.
     def _chain_prepare(self, msg: Message):
-        yield from self._chain_prepare_body(msg.payload)
+        return self._chain_prepare_body(msg.payload)
 
     def _chain_prepare_body(self, cp: ChainPrepare):
         if not self.running:
@@ -470,7 +445,7 @@ class NdbDatanode:
             self._send(
                 cp.tc,
                 "prepare_failed",
-                PrepareFailedMsg(txid=cp.txid, seq=cp.seq, error=str(exc)),
+                PrepareFailedMsg(cp.txid, cp.seq, str(exc)),
                 size=128,
             )
             return
@@ -484,13 +459,17 @@ class NdbDatanode:
         self.store.prepare(cp.txid, cp.table, cp.pk, cp.partition_key, cp.value)
         size = _CHAIN_OVERHEAD_BYTES + self.cluster.schema.table(cp.table).row_bytes
         if cp.hop == len(cp.chain) - 1:
-            self._send(cp.tc, "prepared", PreparedMsg(txid=cp.txid, seq=cp.seq), size=128)
+            self._send(cp.tc, "prepared", PreparedMsg(cp.txid, cp.seq), size=128)
         else:
-            nxt = ChainPrepare(**{**cp.__dict__, "hop": cp.hop + 1})
-            self._send(cp.chain[nxt.hop], "chain_prepare", nxt, size)
+            hop = cp.hop + 1
+            nxt = ChainPrepare(
+                cp.txid, cp.seq, cp.table, cp.pk, cp.partition_key, cp.partition,
+                cp.value, cp.chain, hop, cp.tc,
+            )
+            self._send(cp.chain[hop], "chain_prepare", nxt, size)
 
     def _chain_commit(self, msg: Message):
-        yield from self._chain_commit_body(msg.payload)
+        return self._chain_commit_body(msg.payload)
 
     def _chain_commit_body(self, cc: ChainCommit):
         if not self.running or cc.txid in self._reaped:
@@ -507,22 +486,25 @@ class NdbDatanode:
             self.store.commit_prepared(cc.txid, cc.table, cc.pk)
             self.locks.release(cc.txid, (cc.table, cc.pk))
             self._write_redo()
-            self._send(cc.tc, "committed", CommittedMsg(txid=cc.txid, seq=cc.seq), size=128)
+            self._send(cc.tc, "committed", CommittedMsg(cc.txid, cc.seq), size=128)
         else:
             # Backup hop: the pass-through is commit-point evidence the
             # take-over protocol consults if the TC dies before Complete.
             self._commit_decided[cc.txid] = None
             while len(self._commit_decided) > 65536:
                 del self._commit_decided[next(iter(self._commit_decided))]
-            nxt = ChainCommit(**{**cc.__dict__, "hop": cc.hop - 1})
-            target = cc.chain[nxt.hop]
+            hop = cc.hop - 1
+            nxt = ChainCommit(
+                cc.txid, cc.seq, cc.table, cc.pk, cc.partition, cc.chain, hop, cc.tc
+            )
+            target = cc.chain[hop]
             if target == self.addr:
                 self.env.process(self._chain_commit_body(nxt))
             else:
                 self._send(target, "chain_commit", nxt, size=128)
 
     def _complete(self, msg: Message):
-        yield from self._complete_body(msg.payload)
+        return self._complete_body(msg.payload)
 
     def _complete_body(self, cm: CompleteMsg):
         if not self.running:
@@ -537,12 +519,12 @@ class NdbDatanode:
         except NdbError:
             pass  # already applied (e.g. retried Complete)
         self.locks.release(cm.txid, (cm.table, cm.pk))
-        if not self.locks.held_keys(cm.txid):
+        if not self.locks.holds_any(cm.txid):
             self._lock_tc.pop(cm.txid, None)
             self._commit_decided.pop(cm.txid, None)
         self._write_redo()
         if cm.want_completed:
-            self._send(cm.tc, "completed", CompletedMsg(txid=cm.txid, seq=cm.seq), size=128)
+            self._send(cm.tc, "completed", CompletedMsg(cm.txid, cm.seq), size=128)
 
     def _write_redo(self) -> None:
         """Asynchronously append to the redo log (REP/IO threads + disk)."""
@@ -582,17 +564,11 @@ class NdbDatanode:
             return
         for op in ops:
             op.committed = self.env.event()
+            hop = len(op.chain) - 1
             commit = ChainCommit(
-                txid=req.txid,
-                seq=op.seq,
-                table=op.table,
-                pk=op.pk,
-                partition=op.partition,
-                chain=op.chain,
-                hop=len(op.chain) - 1,
-                tc=self.addr,
+                req.txid, op.seq, op.table, op.pk, op.partition, op.chain, hop, self.addr
             )
-            target = op.chain[commit.hop]
+            target = op.chain[hop]
             if target == self.addr:
                 self.env.process(self._chain_commit_body(commit))
             else:
@@ -625,13 +601,8 @@ class NdbDatanode:
                 waiters.append(op.all_completed)
             for backup in backups:
                 complete = CompleteMsg(
-                    txid=req.txid,
-                    seq=op.seq,
-                    table=op.table,
-                    pk=op.pk,
-                    partition=op.partition,
-                    tc=self.addr,
-                    want_completed=op.want_completed,
+                    req.txid, op.seq, op.table, op.pk, op.partition, self.addr,
+                    op.want_completed,
                 )
                 if backup == self.addr:
                     self.env.process(self._complete_body(complete))
@@ -668,8 +639,7 @@ class NdbDatanode:
                 for key in keys:
                     self.locks.release(txn.txid, key)
             else:
-                release = ReleaseLocksMsg(txid=txn.txid, keys=tuple(keys))
-                self._send(node, "release_locks", release, size=64)
+                self._send(node, "release_locks", ReleaseLocksMsg(txn.txid, tuple(keys)), size=64)
         txn.read_locks.clear()
 
     def _abort_cleanup(self, txn: _TcTxn) -> None:
@@ -682,7 +652,7 @@ class NdbDatanode:
                 self.store.abort_all(txn.txid)
                 self.locks.release_all(txn.txid)
             else:
-                self._send(node, "release_locks", ReleaseLocksMsg(txid=txn.txid), size=64)
+                self._send(node, "release_locks", ReleaseLocksMsg(txn.txid), size=64)
         txn.read_locks.clear()
 
     # ------------------------------------------------------- TC: chain acks

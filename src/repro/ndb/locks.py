@@ -19,8 +19,10 @@ from .schema import LockMode
 __all__ = ["LockTable"]
 
 
-@dataclass
+@dataclass(slots=True)
 class _LockRequest:
+    """A request that had to queue; immediate grants never build one."""
+
     txid: int
     mode: LockMode
     event: Event
@@ -32,7 +34,7 @@ class _LockRequest:
     obs_parent: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _RowLock:
     holders: dict[int, LockMode] = field(default_factory=dict)
     queue: Deque[_LockRequest] = field(default_factory=deque)
@@ -69,18 +71,29 @@ class LockTable:
         """
         if mode is LockMode.NONE:
             raise ValueError("LockMode.NONE is not a lock")
-        row = self._rows.setdefault(key, _RowLock())
-        event = self.env.event()
-        held = row.holders.get(txid)
-        if held is not None and self._covers(held, mode):
+        env = self.env
+        event = env.event()
+        row = self._rows.get(key)
+        if row is None:
+            # A row nobody holds or waits on: nothing to conflict with.
+            self._rows[key] = _RowLock({txid: mode}, deque())
+            self._index(txid, key)
             event.succeed()
             return event
-        request = _LockRequest(txid=txid, mode=mode, event=event)
-        if self._grantable(row, request):
-            self._grant(row, request, key)
+        holders = row.holders
+        held = holders.get(txid)
+        if held is not None and (held is LockMode.EXCLUSIVE or mode is LockMode.SHARED):
+            event.succeed()  # what it holds already covers the request
             return event
-        if self.env.obs is not None:
-            request.queued_at = self.env.now
+        # FIFO fairness: cannot jump a non-empty queue unless upgrading.
+        if (held is not None or not row.queue) and self._compatible(holders, txid, mode):
+            holders[txid] = mode
+            self._index(txid, key)
+            event.succeed()
+            return event
+        request = _LockRequest(txid, mode, event)
+        if env.obs is not None:
+            request.queued_at = env.now
             request.obs_parent = parent
         if held is not None:
             # Lock upgrade (S -> X): goes to the front of the queue so the
@@ -88,8 +101,8 @@ class LockTable:
             row.queue.appendleft(request)
         else:
             row.queue.append(request)
-        self._by_txn.setdefault(txid, {})[key] = None
-        self.env.schedule_after(self.deadlock_timeout_ms, self._expire_cb, (request, key))
+        self._index(txid, key)
+        env.schedule_after(self.deadlock_timeout_ms, self._expire_cb, (request, key))
         return event
 
     def release(self, txid: int, key: Hashable) -> None:
@@ -97,13 +110,17 @@ class LockTable:
         row = self._rows.get(key)
         if row is None:
             return
-        if row.holders.pop(txid, None) is not None:
+        holders = row.holders
+        if holders.pop(txid, None) is not None:
             keys = self._by_txn.get(txid)
             if keys is not None:
                 keys.pop(key, None)
                 if not keys:
                     del self._by_txn[txid]
-        self._pump(row, key)
+        if row.queue:
+            self._pump(row, key)
+        elif not holders:
+            del self._rows[key]  # idle: nobody to hand the row to
 
     def release_all(self, txid: int) -> None:
         """Release every lock held (or awaited) by ``txid``."""
@@ -129,10 +146,14 @@ class LockTable:
         if row is None:
             return False
         held = row.holders.get(txid)
-        return held is not None and self._covers(held, mode)
+        return held is not None and (held is LockMode.EXCLUSIVE or mode is LockMode.SHARED)
 
     def held_keys(self, txid: int) -> set[Hashable]:
         return set(self._by_txn.get(txid, ()))
+
+    def holds_any(self, txid: int) -> bool:
+        """Does ``txid`` hold or await any row here?  ``held_keys`` without the set."""
+        return bool(self._by_txn.get(txid))
 
     @property
     def active_rows(self) -> int:
@@ -149,32 +170,28 @@ class LockTable:
 
     # -- internals --------------------------------------------------------------
     @staticmethod
-    def _covers(held: LockMode, wanted: LockMode) -> bool:
-        if held is LockMode.EXCLUSIVE:
-            return True
-        return wanted is LockMode.SHARED
+    def _compatible(holders: dict[int, LockMode], txid: int, mode: LockMode) -> bool:
+        """May ``txid`` take ``mode`` beside the *other* holders of the row?"""
+        for other, other_mode in holders.items():
+            if other != txid and (
+                mode is LockMode.EXCLUSIVE or other_mode is not LockMode.SHARED
+            ):
+                return False
+        return True
 
-    @staticmethod
-    def _compatible(holders: dict[int, LockMode], request: _LockRequest) -> bool:
-        others = {t: m for t, m in holders.items() if t != request.txid}
-        if not others:
-            return True
-        if request.mode is LockMode.EXCLUSIVE:
-            return False
-        return all(m is LockMode.SHARED for m in others.values())
-
-    def _grantable(self, row: _RowLock, request: _LockRequest) -> bool:
-        # FIFO fairness: cannot jump a non-empty queue unless upgrading.
-        if row.queue and request.txid not in row.holders:
-            return False
-        return self._compatible(row.holders, request)
+    def _index(self, txid: int, key: Hashable) -> None:
+        keys = self._by_txn.get(txid)
+        if keys is None:
+            self._by_txn[txid] = {key: None}
+        else:
+            keys[key] = None
 
     def _grant(self, row: _RowLock, request: _LockRequest, key: Hashable) -> None:
+        """Hand a queued request its lock (``_pump`` only; see ``acquire``)."""
         request.granted = True
         row.holders[request.txid] = request.mode
-        self._by_txn.setdefault(request.txid, {})[key] = None
-        if not request.event.triggered:
-            request.event.succeed()
+        self._index(request.txid, key)
+        request.event.succeed()
         if request.queued_at >= 0.0:
             self._record_wait(request, key, timed_out=False)
 
@@ -199,7 +216,7 @@ class LockTable:
             if head.abandoned or head.event.triggered:
                 row.queue.popleft()
                 continue
-            if not self._compatible(row.holders, head):
+            if not self._compatible(row.holders, head.txid, head.mode):
                 break
             row.queue.popleft()
             self._grant(row, head, key)

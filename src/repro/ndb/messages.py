@@ -3,6 +3,10 @@
 The message kinds mirror Figure 2 of the paper: Prepare/Prepared,
 Commit/Committed, Complete/Completed, plus the client-facing TCKEYREQ-style
 requests and the heartbeat/arbitration control plane.
+
+Every payload is slotted (no per-instance ``__dict__``) and the senders on
+the transaction path build them positionally: field order is part of the
+interface.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ __all__ = [
 
 
 # -- client -> TC -------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class TcReadReq:
     txid: int
     table: str
@@ -45,7 +49,7 @@ class TcReadReq:
     client_az: AzId = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class TcScanReq:
     txid: int
     table: str
@@ -53,7 +57,7 @@ class TcScanReq:
     client_az: AzId = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class TcWriteReq:
     txid: int
     table: str
@@ -63,18 +67,18 @@ class TcWriteReq:
     client_az: AzId = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class TcCommitReq:
     txid: int
 
 
-@dataclass
+@dataclass(slots=True)
 class TcAbortReq:
     txid: int
 
 
 # -- TC -> LDM (reads) ---------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class LdmReadReq:
     txid: int
     table: str
@@ -86,7 +90,7 @@ class LdmReadReq:
     client_az: AzId
 
 
-@dataclass
+@dataclass(slots=True)
 class LdmScanReq:
     txid: int
     table: str
@@ -97,7 +101,7 @@ class LdmScanReq:
 
 
 # -- linear 2PC chain (one-way messages) ----------------------------------------
-@dataclass
+@dataclass(slots=True)
 class ChainPrepare:
     """Travels TC -> primary -> backups; the last hop reports Prepared."""
 
@@ -113,7 +117,7 @@ class ChainPrepare:
     tc: NodeAddress
 
 
-@dataclass
+@dataclass(slots=True)
 class ChainCommit:
     """Travels TC -> last backup -> ... -> primary (reverse order)."""
 
@@ -127,7 +131,7 @@ class ChainCommit:
     tc: NodeAddress
 
 
-@dataclass
+@dataclass(slots=True)
 class CompleteMsg:
     txid: int
     seq: int
@@ -138,7 +142,7 @@ class CompleteMsg:
     want_completed: bool  # TC waits for Completed (Read Backup / FR tables)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReleaseLocksMsg:
     """Release read locks held at a node for a finished transaction.
 
@@ -154,25 +158,25 @@ class ReleaseLocksMsg:
 
 
 # -- chain acknowledgements (one-way, back to the TC) -----------------------------
-@dataclass
+@dataclass(slots=True)
 class PreparedMsg:
     txid: int
     seq: int
 
 
-@dataclass
+@dataclass(slots=True)
 class CommittedMsg:
     txid: int
     seq: int
 
 
-@dataclass
+@dataclass(slots=True)
 class CompletedMsg:
     txid: int
     seq: int
 
 
-@dataclass
+@dataclass(slots=True)
 class PrepareFailedMsg:
     txid: int
     seq: int
@@ -180,13 +184,13 @@ class PrepareFailedMsg:
 
 
 # -- control plane -----------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class HeartbeatMsg:
     sender: NodeAddress
     epoch: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ArbitrationReq:
     """A partitioned component asks the arbitrator for the right to live."""
 

@@ -20,13 +20,13 @@ from .schema import TOMBSTONE
 __all__ = ["FragmentStore", "ReadStats"]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Row:
     value: Any
     partition_key: Hashable
 
 
-@dataclass
+@dataclass(slots=True)
 class _Prepared:
     txid: int
     value: Any  # TOMBSTONE for deletes
@@ -41,6 +41,10 @@ class FragmentStore:
         # (table, partition_key) -> set of pks, for partition-pruned scans.
         self._index: dict[tuple[str, Hashable], set[Hashable]] = defaultdict(set)
         self._prepared: dict[tuple[str, Hashable], _Prepared] = {}
+        # txid -> its prepared keys, in the order a scan of ``_prepared``
+        # filtered by txid would give them (abort_all / commit_all iterate
+        # it instead of every prepared row on the node).
+        self._prepared_by_txn: dict[int, dict[tuple[str, Hashable], None]] = {}
 
     # -- reads ------------------------------------------------------------
     def read(self, table: str, pk: Hashable) -> Optional[Any]:
@@ -87,30 +91,43 @@ class FragmentStore:
             raise NdbError(
                 f"row {key} already prepared by txn {existing.txid} (lock protocol violated)"
             )
-        self._prepared[key] = _Prepared(txid=txid, value=value, partition_key=partition_key)
+        # A re-prepared key keeps its position in both dicts.
+        self._prepared[key] = _Prepared(txid, value, partition_key)
+        keys = self._prepared_by_txn.get(txid)
+        if keys is None:
+            self._prepared_by_txn[txid] = {key: None}
+        else:
+            keys[key] = None
+
+    def _drop_prepared(self, txid: int, key: tuple[str, Hashable]) -> None:
+        del self._prepared[key]
+        keys = self._prepared_by_txn[txid]
+        del keys[key]
+        if not keys:
+            del self._prepared_by_txn[txid]
 
     def commit_prepared(self, txid: int, table: str, pk: Hashable) -> None:
         key = (table, pk)
-        prepared = self._prepared.pop(key, None)
+        prepared = self._prepared.get(key)
         if prepared is None or prepared.txid != txid:
+            # Another transaction's version stays where it is.
             raise NdbError(f"no prepared version of {key} for txn {txid}")
+        self._drop_prepared(txid, key)
         self._apply(table, pk, prepared.partition_key, prepared.value)
 
     def abort_prepared(self, txid: int, table: str, pk: Hashable) -> None:
         key = (table, pk)
         prepared = self._prepared.get(key)
         if prepared is not None and prepared.txid == txid:
-            del self._prepared[key]
+            self._drop_prepared(txid, key)
 
     def abort_all(self, txid: int) -> None:
-        doomed = [k for k, p in self._prepared.items() if p.txid == txid]
-        for key in doomed:
+        for key in self._prepared_by_txn.pop(txid, ()):
             del self._prepared[key]
 
     def commit_all(self, txid: int) -> None:
         """Apply every prepared version of ``txid`` (take-over roll-forward)."""
-        decided = [k for k, p in self._prepared.items() if p.txid == txid]
-        for table, pk in decided:
+        for table, pk in tuple(self._prepared_by_txn.get(txid, ())):
             self.commit_prepared(txid, table, pk)
 
     # -- bulk load (preloading namespaces without the protocol) -----------------
@@ -127,7 +144,7 @@ class FragmentStore:
             return
         if old is not None and old.partition_key != partition_key:
             self._index[(table, old.partition_key)].discard(pk)
-        self._rows[key] = _Row(value=value, partition_key=partition_key)
+        self._rows[key] = _Row(value, partition_key)
         self._index[(table, partition_key)].add(pk)
 
     # -- introspection -------------------------------------------------------

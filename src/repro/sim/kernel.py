@@ -415,8 +415,15 @@ class Process(Event):
     __slots__ = ("_generator", "_send", "name", "_waiting_on", "_wake_gen", "_resume_cb")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
-        if not hasattr(generator, "send"):
-            raise SimulationError(f"process requires a generator, got {generator!r}")
+        # send() is called once per resume; bind it once per process.  The
+        # lookup doubles as the "is it a generator" check, before anything
+        # is scheduled.
+        try:
+            self._send = generator.send
+        except AttributeError:
+            raise SimulationError(
+                f"process requires a generator, got {generator!r}"
+            ) from None
         # Inline Event.__init__: figure runs spawn a process per message.
         self.env = env
         self._cb1 = None
@@ -425,8 +432,6 @@ class Process(Event):
         self._ok = True
         self._defused = False
         self._generator = generator
-        # send() is called once per resume; bind it once per process.
-        self._send = generator.send
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Any = _BOOTSTRAPPING
         self._wake_gen = 0
@@ -438,8 +443,12 @@ class Process(Event):
         self._resume_cb = self._resume
         # Bootstrap: resume the process at the current time (one sequence
         # number, exactly like the naive bootstrap-Event implementation).
+        wakeup = _Wakeup.__new__(_Wakeup)
+        wakeup.process = self
+        wakeup.source = None
+        wakeup.gen = 0
         env._seq += 1
-        env._ready.append((env._now, PRIORITY_NORMAL, env._seq, _Wakeup(self, None, 0)))
+        env._ready.append((env._now, PRIORITY_NORMAL, env._seq, wakeup))
 
     @property
     def is_alive(self) -> bool:

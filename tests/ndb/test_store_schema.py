@@ -1,6 +1,8 @@
 """Unit tests for the fragment store, schema and table options."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, NdbError
 from repro.ndb import FragmentStore, ReadStats, Schema, TableDef
@@ -99,6 +101,75 @@ def test_store_abort_all():
     store.prepare(2, "t", "c", "p", 3)
     store.abort_all(1)
     assert store.prepared_count() == 1
+
+
+def test_store_commit_of_a_row_another_txn_prepared_leaves_it_prepared():
+    # A late Complete/Commit for txn 1 must not destroy txn 2's version.
+    store = FragmentStore()
+    store.prepare(2, "t", "k", "k", "theirs")
+    with pytest.raises(NdbError):
+        store.commit_prepared(1, "t", "k")
+    assert list(store.iter_prepared()) == [(("t", "k"), 2)]
+    store.commit_prepared(2, "t", "k")
+    assert store.read("t", "k") == "theirs"
+
+
+class _ScanStore(FragmentStore):
+    """Reference: settle a transaction by scanning every prepared row."""
+
+    def abort_all(self, txid):
+        for key in [k for k, p in self._prepared.items() if p.txid == txid]:
+            self.abort_prepared(txid, *key)
+
+    def commit_all(self, txid):
+        for key in [k for k, p in self._prepared.items() if p.txid == txid]:
+            self.commit_prepared(txid, *key)
+
+
+_store_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["prepare", "prepare", "commit", "abort", "commit_all", "abort_all"]),
+        st.integers(1, 4),           # txid
+        st.sampled_from("abcdef"),   # pk
+        st.sampled_from([1, 2, TOMBSTONE]),
+    ),
+    max_size=60,
+)
+
+
+@given(steps=_store_steps)
+@settings(max_examples=200, deadline=None)
+def test_store_txid_index_settles_like_a_scan_of_every_prepared_row(steps):
+    stores = FragmentStore(), _ScanStore()
+    applied = [], []
+    for store, log in zip(stores, applied):
+        apply = store._apply
+        store._apply = lambda t, pk, pkey, v, _a=apply, _l=log: (_l.append((pk, v)), _a(t, pk, pkey, v))
+    for verb, txid, pk, value in steps:
+        outcomes = []
+        for store in stores:
+            try:
+                if verb == "prepare":
+                    store.prepare(txid, "t", pk, pk, value)
+                elif verb == "commit":
+                    store.commit_prepared(txid, "t", pk)
+                elif verb == "abort":
+                    store.abort_prepared(txid, "t", pk)
+                else:
+                    getattr(store, verb)(txid)
+                outcomes.append("ok")
+            except NdbError:
+                outcomes.append("refused")
+        assert outcomes[0] == outcomes[1]
+        new, ref = stores
+        # Same order of application, same prepared rows in the same order ...
+        assert applied[0] == applied[1]
+        assert list(new.iter_prepared()) == list(ref.iter_prepared())
+        assert sorted(new.iter_rows("t")) == sorted(ref.iter_rows("t"))
+        # ... and the index is exactly the scan, per transaction, in order.
+        for t in range(1, 5):
+            scan = [k for k, owner in new.iter_prepared() if owner == t]
+            assert list(new._prepared_by_txn.get(t, ())) == scan
 
 
 def test_store_read_for_sees_own_writes():

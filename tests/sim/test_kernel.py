@@ -92,6 +92,17 @@ def test_event_cannot_trigger_twice():
         gate.succeed()
 
 
+@pytest.mark.parametrize("not_a_generator", [None, 42, "text", [1, 2], lambda: None])
+def test_process_rejects_a_non_generator_before_scheduling(not_a_generator):
+    env = Environment()
+    env.timeout(1)
+    seq, ready, queued = env._seq, len(env._ready), len(env._queue)
+    with pytest.raises(SimulationError, match="requires a generator"):
+        env.process(not_a_generator)
+    # Rejected before the bootstrap wakeup: no sequence number, no entry.
+    assert (env._seq, len(env._ready), len(env._queue)) == (seq, ready, queued)
+
+
 def test_process_waits_on_process():
     env = Environment()
 
