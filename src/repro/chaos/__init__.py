@@ -2,8 +2,8 @@
 
 Declarative :class:`FaultSchedule`\\ s of timed :class:`FaultEvent`\\ s —
 node crashes/recoveries, AZ outages, network partitions, degraded links —
-are executed inside the DES by a :class:`FaultInjector` against a
-:class:`ChaosTarget` wrapping either HopsFS/NDB or CephFS.  Runs are
+are executed inside the DES by a :class:`FaultInjector` against the
+:class:`~repro.experiments.setups.Harness` of either stack.  Runs are
 schedule-deterministic (same seed + schedule ⇒ bit-identical kernel
 dispatch sequence) and verified against the invariant catalogue in
 :mod:`repro.chaos.invariants`.  ``python -m repro chaos`` drives the
@@ -25,14 +25,6 @@ from .scenarios import (
     run_elastic_comparison,
     run_scenario,
 )
-from .targets import (
-    CephTarget,
-    ChaosTarget,
-    HopsFsTarget,
-    build_chaos_target,
-    resolve_setup,
-    setup_slug,
-)
 from .timeline import TimelineCollector
 
 __all__ = [
@@ -45,12 +37,6 @@ __all__ = [
     "verify_hopsfs",
     "verify_cephfs",
     "verify_target",
-    "ChaosTarget",
-    "HopsFsTarget",
-    "CephTarget",
-    "build_chaos_target",
-    "setup_slug",
-    "resolve_setup",
     "TimelineCollector",
     "SCENARIOS",
     "Scenario",

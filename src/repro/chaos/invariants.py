@@ -3,7 +3,7 @@
 Extracted from the original chaos soak test so experiments, the chaos
 matrix, and the ``repro chaos`` CLI all verify the same things.  Each
 check returns an :class:`InvariantVerdict`; :func:`verify_target` runs
-the full catalogue appropriate to a chaos target's stack.
+the full catalogue appropriate to a deployment harness's stack.
 
 All checks inspect simulator ground truth (fragment stores, lock tables,
 block maps) rather than client-visible state, so they catch corruption
@@ -479,17 +479,17 @@ def listing_consistency(fs) -> InvariantVerdict:
     return InvariantVerdict("listing-consistency", not problems, detail)
 
 
-def deadline_compliance(target) -> InvariantVerdict:
+def deadline_compliance(harness) -> InvariantVerdict:
     """No op outlived its deadline by more than one hop (robust mode).
 
     Robust clients record every op that finished later than
     ``deadline + op_timeout_ms`` (one RPC timeout is the allowed slack:
     the last armed timer fires at most one timeout after the deadline).
-    Vacuously green for targets whose clients never opted in.
+    Vacuously green for deployments whose clients never opted in.
     """
     overruns = []
     audited = 0
-    for client in getattr(target, "clients", []):
+    for client in harness.clients:
         recorded = getattr(client, "deadline_overruns", None)
         if recorded is None:
             continue
@@ -560,10 +560,10 @@ def verify_cephfs(cluster) -> list[InvariantVerdict]:
     ]
 
 
-def verify_target(target) -> list[InvariantVerdict]:
-    """Run the invariant catalogue matching a chaos target's stack."""
-    if target.kind == "hopsfs":
-        return verify_hopsfs(target.fs) + [deadline_compliance(target)]
-    if target.kind == "cephfs":
-        return verify_cephfs(target.cluster) + [deadline_compliance(target)]
-    raise ValueError(f"unknown chaos target kind {target.kind!r}")
+def verify_target(harness) -> list[InvariantVerdict]:
+    """Run the invariant catalogue matching a harness's stack."""
+    if harness.spec.kind == "hopsfs":
+        verdicts = verify_hopsfs(harness.deployment)
+    else:
+        verdicts = verify_cephfs(harness.cluster)
+    return verdicts + [deadline_compliance(harness)]

@@ -10,22 +10,22 @@ hash, traced or untraced — the determinism contract).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..errors import ReproError
+from ..experiments.setups import CHAOS, PATHS, SETUPS, Harness, resolve_setup
 from ..hopsfs.elastic import ElasticConfig, elastic_summary
 from ..hopsfs.groupcommit import AsyncCommitConfig
 from ..hopsfs.listcache import ListingCacheConfig
 from ..hopsfs.robust import RobustConfig
+from ..sim import dispatch_hash
 from ..workloads.driver import ClosedLoopDriver
 from ..workloads.namespace import generate_namespace
 from ..workloads.spotify import SpotifyWorkload
 from .injector import FaultInjector
 from .invariants import InvariantVerdict, verify_target
 from .schedule import FaultSchedule
-from .targets import ChaosTarget, build_chaos_target
 from .timeline import TimelineCollector
 
 __all__ = [
@@ -43,9 +43,9 @@ class Scenario:
 
     name: str
     description: str
-    # Builds the schedule against a live target (so it can name that
-    # target's AZs and metadata servers).
-    schedule_fn: Callable[[ChaosTarget], FaultSchedule]
+    # Builds the schedule against the live deployment (so it can name its
+    # AZs and metadata servers).
+    schedule_fn: Callable[[Harness], FaultSchedule]
     load_ms: float = 420.0  # workload runs this long (sim ms)
     drain_ms: float = 400.0  # quiesce window after the workload stops
     clients: int = 12
@@ -53,7 +53,7 @@ class Scenario:
     seed_large_files: int = 3  # HopsFS: pre-fault block-layer payloads
     # Gray-failure scenarios opt the HopsFS request path into timeouts,
     # deadlines, hedging, the retry cache, and admission control; ``None``
-    # keeps the legacy fail-stop path (CephFS targets always ignore it).
+    # keeps the legacy fail-stop path (CephFS setups always ignore it).
     robust: Optional[RobustConfig] = None
     # Async group-commit scenarios opt HopsFS metadata mutations into the
     # early-ack batch path; crashes then race acks against batch commits
@@ -68,29 +68,33 @@ class Scenario:
     # every live cache entry against committed NDB state.
     listing_cache: Optional[ListingCacheConfig] = None
 
+    def paths(self) -> dict:
+        """The opt-in serving paths this scenario's deployment is built with."""
+        return {name: getattr(self, name, None) for name in PATHS}
 
-def _az_outage_schedule(target: ChaosTarget) -> FaultSchedule:
-    az = target.azs[-1]
+
+def _az_outage_schedule(harness: Harness) -> FaultSchedule:
+    az = harness.azs[-1]
     return FaultSchedule().az_outage(60.0, az).az_heal(220.0, az)
 
 
-def _rolling_restarts_schedule(target: ChaosTarget) -> FaultSchedule:
+def _rolling_restarts_schedule(harness: Harness) -> FaultSchedule:
     schedule = FaultSchedule()
     t = 60.0
-    for node in target.server_node_ids():
+    for node in harness.server_node_ids():
         schedule.crash_node(t, node)
         schedule.recover_node(t + 40.0, node)
         t += 80.0
     return schedule
 
 
-def _partition_schedule(target: ChaosTarget) -> FaultSchedule:
-    if len(target.azs) < 2:
-        raise ReproError(f"{target.name} spans one AZ; nothing to partition")
+def _partition_schedule(harness: Harness) -> FaultSchedule:
+    if len(harness.azs) < 2:
+        raise ReproError(f"{harness.spec.name} spans one AZ; nothing to partition")
     # Isolate the last AZ; the arbitrator (lowest-loaded AZ, ties to the
     # lowest id) stays on the majority side, which therefore wins.
-    minority = (target.azs[-1],)
-    majority = tuple(az for az in target.azs if az != target.azs[-1])
+    minority = (harness.azs[-1],)
+    majority = tuple(az for az in harness.azs if az != harness.azs[-1])
     return (
         FaultSchedule()
         .partition(60.0, minority, majority)
@@ -99,47 +103,47 @@ def _partition_schedule(target: ChaosTarget) -> FaultSchedule:
     )
 
 
-def _degraded_link_schedule(target: ChaosTarget) -> FaultSchedule:
-    if len(target.azs) < 2:
-        raise ReproError(f"{target.name} spans one AZ; no inter-AZ link to degrade")
+def _degraded_link_schedule(harness: Harness) -> FaultSchedule:
+    if len(harness.azs) < 2:
+        raise ReproError(f"{harness.spec.name} spans one AZ; no inter-AZ link to degrade")
     return (
         FaultSchedule()
-        .degrade_link(60.0, target.azs[0], target.azs[-1], extra_ms=5.0)
+        .degrade_link(60.0, harness.azs[0], harness.azs[-1], extra_ms=5.0)
         .restore_links(260.0)
     )
 
 
-def _gray_degraded_link_schedule(target: ChaosTarget) -> FaultSchedule:
+def _gray_degraded_link_schedule(harness: Harness) -> FaultSchedule:
     """A link so slow it looks dead to a bounded RPC, yet never drops."""
-    if len(target.azs) < 2:
-        raise ReproError(f"{target.name} spans one AZ; no inter-AZ link to degrade")
+    if len(harness.azs) < 2:
+        raise ReproError(f"{harness.spec.name} spans one AZ; no inter-AZ link to degrade")
     return (
         FaultSchedule()
-        .degrade_link(60.0, target.azs[0], target.azs[-1], extra_ms=50.0)
+        .degrade_link(60.0, harness.azs[0], harness.azs[-1], extra_ms=50.0)
         .restore_links(260.0)
     )
 
 
-def _slow_az_schedule(target: ChaosTarget) -> FaultSchedule:
+def _slow_az_schedule(harness: Harness) -> FaultSchedule:
     """Every link touching one AZ degrades: the AZ is up but sluggish."""
-    if len(target.azs) < 2:
-        raise ReproError(f"{target.name} spans one AZ; no inter-AZ links to slow")
-    slow = target.azs[-1]
+    if len(harness.azs) < 2:
+        raise ReproError(f"{harness.spec.name} spans one AZ; no inter-AZ links to slow")
+    slow = harness.azs[-1]
     schedule = FaultSchedule()
-    for az in target.azs:
+    for az in harness.azs:
         if az != slow:
             schedule.degrade_link(60.0, az, slow, extra_ms=25.0)
     schedule.restore_links(260.0)
     return schedule
 
 
-def _overload_burst_schedule(target: ChaosTarget) -> FaultSchedule:
+def _overload_burst_schedule(harness: Harness) -> FaultSchedule:
     """Crash one metadata server while a client burst saturates the rest."""
-    victim = target.server_node_ids()[0]
+    victim = harness.server_node_ids()[0]
     return FaultSchedule().crash_node(60.0, victim).recover_node(200.0, victim)
 
 
-def _async_commit_crash_schedule(target: ChaosTarget) -> FaultSchedule:
+def _async_commit_crash_schedule(harness: Harness) -> FaultSchedule:
     """Crash metadata servers while group-commit batches are lingering.
 
     Two staggered NN crashes maximise the odds of catching a batch between
@@ -147,7 +151,7 @@ def _async_commit_crash_schedule(target: ChaosTarget) -> FaultSchedule:
     invariant then audits that every lost batch applied atomically and no
     fsync vouched for an uncommitted horizon.
     """
-    servers = target.server_node_ids()
+    servers = harness.server_node_ids()
     schedule = FaultSchedule()
     schedule.crash_node(60.0, servers[0]).recover_node(160.0, servers[0])
     if len(servers) > 1:
@@ -155,11 +159,15 @@ def _async_commit_crash_schedule(target: ChaosTarget) -> FaultSchedule:
     return schedule
 
 
-def _nn_churn_schedule(target: ChaosTarget) -> FaultSchedule:
+def _hopsfs_only(harness: Harness) -> None:
+    if harness.spec.kind != "hopsfs":
+        raise ReproError(f"{harness.spec.name}: elastic NN membership is HopsFS-only")
+
+
+def _nn_churn_schedule(harness: Harness) -> FaultSchedule:
     """Continuous join/leave: grow, then rotate every original NN out."""
-    if target.kind != "hopsfs":
-        raise ReproError(f"{target.name}: elastic NN membership is HopsFS-only")
-    servers = target.server_node_ids()
+    _hopsfs_only(harness)
+    servers = harness.server_node_ids()
     schedule = FaultSchedule().add_namenode(40.0)
     schedule.decommission_namenode(90.0, servers[0])
     schedule.add_namenode(140.0)
@@ -171,13 +179,12 @@ def _nn_churn_schedule(target: ChaosTarget) -> FaultSchedule:
     return schedule
 
 
-def _spot_preemption_storm_schedule(target: ChaosTarget) -> FaultSchedule:
+def _spot_preemption_storm_schedule(harness: Harness) -> FaultSchedule:
     """Spot kills take out every original NN, staggered, with 5ms warnings."""
-    if target.kind != "hopsfs":
-        raise ReproError(f"{target.name}: elastic NN membership is HopsFS-only")
+    _hopsfs_only(harness)
     schedule = FaultSchedule()
     t = 60.0
-    for node in target.server_node_ids():
+    for node in harness.server_node_ids():
         schedule.preempt_namenode(t, node, warning_ms=5.0)
         t += 90.0
     return schedule
@@ -384,16 +391,10 @@ def run_scenario(
     n_clients = clients if clients is not None else scenario.clients
     run_ms = load_ms if load_ms is not None else scenario.load_ms
 
-    target = build_chaos_target(
-        setup,
-        num_servers=num_servers,
-        seed=seed,
-        robust=scenario.robust,
-        async_commit=scenario.async_commit,
-        elastic=scenario.elastic,
-        listing_cache=scenario.listing_cache,
+    harness = SETUPS[resolve_setup(setup)].build(
+        num_servers, seed=seed, tuning=CHAOS, **scenario.paths()
     )
-    env = target.env
+    env = harness.env
     env.trace = []  # record every dispatched (when, priority, seq)
     if obs is not None:
         obs.attach(env)
@@ -401,28 +402,28 @@ def run_scenario(
         # time-series hub (when present) samples them at window seals.
         from ..obs import register_deployment_metrics
 
-        register_deployment_metrics(obs, target)
+        register_deployment_metrics(obs, harness)
 
     namespace = generate_namespace(
         num_top_dirs=2, dirs_per_top=6, files_per_dir=6, seed=seed
     )
-    target.install(namespace)
-    schedule = scenario.schedule_fn(target)
+    harness.install(namespace)
+    schedule = scenario.schedule_fn(harness)
     if schedule.end_ms() > run_ms:
         raise ReproError(
             f"{scenario.name}: schedule runs to {schedule.end_ms()}ms "
             f"but the load window is only {run_ms}ms"
         )
-    injector = FaultInjector(target, schedule)
+    injector = FaultInjector(harness, schedule)
     collector = TimelineCollector(bucket_ms=scenario.bucket_ms)
     collector.open_window(0)
-    client_list = [target.make_client() for _ in range(n_clients)]
+    client_list = harness.make_clients(n_clients)
     workload = SpotifyWorkload(namespace, seed=seed)
     driver = ClosedLoopDriver(env, client_list, workload, collector)
 
     def scenario_proc():
-        yield from target.ready()
-        yield from target.seed_blocks(scenario.seed_large_files)
+        yield from harness.ready()
+        yield from harness.seed_blocks(scenario.seed_large_files)
         start = env.now
         driver.start()
         fault_proc = injector.start()
@@ -438,26 +439,22 @@ def run_scenario(
     if obs is not None and obs.timeseries is not None:
         obs.timeseries.finalize(env.now)
 
-    h = hashlib.sha256()
-    for when, prio, seq in env.trace:
-        h.update(f"{when!r}:{prio}:{seq}\n".encode())
-
     result = ChaosRunResult(
         scenario=scenario.name,
-        setup=target.name,
+        setup=harness.spec.name,
         seed=seed,
         schedule=schedule.to_dicts(),
         fault_trace=list(injector.trace),
         timeline=collector.timeline(),
-        verdicts=verify_target(target),
+        verdicts=verify_target(harness),
         completed=collector.completed,
         failed=collector.failed,
         events=env._seq,
-        dispatch_hash=h.hexdigest(),
+        dispatch_hash=dispatch_hash(env.trace),
     )
-    if scenario.elastic is not None and target.kind == "hopsfs":
-        result.elastic = elastic_summary(target.fs, collector.completed, env.now)
-    result.extra["target"] = target
+    if scenario.elastic is not None and harness.spec.kind == "hopsfs":
+        result.elastic = elastic_summary(harness.deployment, collector.completed, env.now)
+    result.extra["harness"] = harness
     result.extra["collector"] = collector
     return result
 
@@ -479,11 +476,8 @@ def run_elastic_comparison(
     dispatch hash — both are deterministic, rerun-identical artifacts.
     """
 
-    def _no_faults(target: ChaosTarget) -> FaultSchedule:
-        if target.kind != "hopsfs":
-            raise ReproError(
-                f"{target.name}: elastic NN membership is HopsFS-only"
-            )
+    def _no_faults(harness: Harness) -> FaultSchedule:
+        _hopsfs_only(harness)
         return FaultSchedule()
 
     legs = {

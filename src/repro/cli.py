@@ -4,7 +4,7 @@ Usage:
     python -m repro fig5                 # print Figure 5's series
     python -m repro table1 table2        # multiple at once
     python -m repro all                  # everything (slow)
-    python -m repro point "HopsFS-CL (3,3)" --servers 24
+    python -m repro point hopsfs-cl-3-3 --servers 24
     python -m repro point "HopsFS-CL (3,3)" --trace out.json   # Perfetto trace
     python -m repro report               # per-phase latency breakdown
     python -m repro chaos list           # fault-injection scenarios
@@ -14,6 +14,8 @@ Usage:
     python -m repro scale --population 1000000 --shards 12   # million-client run
     python -m repro scale --smoke        # canonical golden-gated smoke config
     python -m repro list                 # available targets and setups
+
+Every setup argument takes the paper's name or its slug (``repro list``).
 
 Scale knobs are the same as the benchmark suite's: REPRO_BENCH_FULL=1 for
 the paper's full server grid, REPRO_BENCH_SCALE for window scaling.
@@ -28,8 +30,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import SETUPS, RunConfig, run_point
-from .experiments import figures
+from .errors import ReproError
+from .experiments import SETUPS, RunConfig, figures, resolve_setup, run_point, setup_slug
 
 _TARGETS = [
     "table1",
@@ -55,10 +57,27 @@ def _run_target(name: str) -> None:
     print(table.render())
 
 
+def _resolve_setups(args) -> bool:
+    """Canonicalize ``args.setup`` / ``args.setups`` (paper name or slug) in
+    place; on an unknown one print the error and return False."""
+    try:
+        if getattr(args, "setup", None) is not None:
+            args.setup = resolve_setup(args.setup)
+        if getattr(args, "setups", None):
+            args.setups = [resolve_setup(name) for name in args.setups]
+    except ReproError as exc:
+        print(f"{exc}; see `python -m repro list`", file=sys.stderr)
+        return False
+    return True
+
+
+def _print_setups() -> None:
+    print("setups (slug, paper name):")
+    for name in SETUPS:
+        print(f"  {setup_slug(name):20s} {name}")
+
+
 def _cmd_point(args) -> int:
-    if args.setup not in SETUPS:
-        print(f"unknown setup {args.setup!r}; see `python -m repro list`", file=sys.stderr)
-        return 2
     obs = None
     if args.trace or args.trace_jsonl:
         from .obs import ObsContext
@@ -138,14 +157,8 @@ _REPORT_SETUPS = [
 def _cmd_report(args) -> int:
     from .obs import ObsContext, breakdown_table, phase_breakdown_json
 
-    setups = args.setups or _REPORT_SETUPS
-    for setup in setups:
-        if setup not in SETUPS:
-            print(f"unknown setup {setup!r}; see `python -m repro list`",
-                  file=sys.stderr)
-            return 2
     doc = {}
-    for setup in setups:
+    for setup in args.setups or _REPORT_SETUPS:
         obs = ObsContext()
         config = RunConfig(warmup_ms=args.warmup, window_ms=args.window)
         point = run_point(setup, args.servers, config=config, obs=obs)
@@ -228,22 +241,15 @@ def _cmd_perf(args) -> int:
 
 def _cmd_scale(args) -> int:
     # Imported lazily: the scale runner pulls in the experiment stack.
-    from .chaos import resolve_setup
-    from .errors import ReproError
     from .experiments.scale import SMOKE_CONFIG, ScaleConfig, run_scale
 
-    try:
-        setup = resolve_setup(args.setup)
-    except ReproError as exc:
-        print(f"{exc}; see `python -m repro list`", file=sys.stderr)
-        return 2
     if args.smoke:
         from dataclasses import replace
 
-        config = replace(SMOKE_CONFIG, setup=setup, workers=args.workers or 0)
+        config = replace(SMOKE_CONFIG, setup=args.setup, workers=args.workers or 0)
     else:
         config = ScaleConfig(
-            setup=setup,
+            setup=args.setup,
             servers=args.servers,
             population=args.population,
             rate_ops_per_ms=args.rate,
@@ -310,8 +316,7 @@ def _cmd_scale(args) -> int:
 
 def _cmd_chaos(args) -> int:
     # Imported lazily: the chaos layer pulls in both full stacks.
-    from .chaos import SCENARIOS, resolve_setup, run_scenario, setup_slug
-    from .errors import ReproError
+    from .chaos import SCENARIOS, run_scenario
 
     # Positional and --scenario flag forms are both accepted.
     if args.scenario is None:
@@ -325,9 +330,7 @@ def _cmd_chaos(args) -> int:
             print(f"  {scenario.name:28s} {scenario.description}")
         print("  elastic-compare              fixed-pool vs autoscaled "
               "cost-normalized throughput (HopsFS setups)")
-        print("setups (pretty name or slug):")
-        for name in SETUPS:
-            print(f"  {setup_slug(name):20s} {name}")
+        _print_setups()
         return 0
     if args.scenario == "elastic-compare":
         return _chaos_elastic_compare(args)
@@ -336,11 +339,6 @@ def _cmd_chaos(args) -> int:
             f"unknown scenario {args.scenario!r}; see `python -m repro chaos list`",
             file=sys.stderr,
         )
-        return 2
-    try:
-        setup = resolve_setup(args.setup)
-    except ReproError as exc:
-        print(f"{exc}; see `python -m repro chaos list`", file=sys.stderr)
         return 2
     scenario = SCENARIOS[args.scenario]
     try:
@@ -362,7 +360,7 @@ def _cmd_chaos(args) -> int:
 
         obs = ObsContext()
     result = run_scenario(
-        scenario, setup=setup, num_servers=args.servers, seed=args.seed, obs=obs
+        scenario, setup=args.setup, num_servers=args.servers, seed=args.seed, obs=obs
     )
     print(result.render())
     if args.json:
@@ -380,8 +378,6 @@ def _cmd_chaos(args) -> int:
 def _apply_elastic_overrides(scenario, args):
     """Rebuild a scenario with the CLI's autoscaler overrides applied."""
     import dataclasses
-
-    from .errors import ReproError
 
     overrides = {}
     if getattr(args, "autoscale_min", None) is not None:
@@ -406,20 +402,14 @@ def _apply_elastic_overrides(scenario, args):
 
 def _chaos_elastic_compare(args) -> int:
     """Fixed-pool vs autoscaled comparison artifact (``chaos elastic-compare``)."""
-    from .chaos import resolve_setup, run_elastic_comparison
-    from .errors import ReproError
+    from .chaos import run_elastic_comparison
 
-    try:
-        setup = resolve_setup(args.setup)
-    except ReproError as exc:
-        print(f"{exc}; see `python -m repro chaos list`", file=sys.stderr)
-        return 2
     # 6 NNs (2/AZ on 3-AZ setups) leaves the autoscaler real headroom to
     # shed; the stock --servers default of 3 is already at the floor.
     servers = args.servers if args.servers != 3 else 6
     try:
         out = run_elastic_comparison(
-            setup=setup, num_servers=servers, seed=args.seed
+            setup=args.setup, num_servers=servers, seed=args.seed
         )
     except ReproError as exc:
         print(str(exc), file=sys.stderr)
@@ -447,8 +437,6 @@ def _chaos_elastic_compare(args) -> int:
 
 def _cmd_monitor(args) -> int:
     # Imported lazily: the detector harness pulls in both full stacks.
-    from .chaos import resolve_setup
-    from .errors import ReproError
     from .obs.detect import SCENARIOS, run_monitor, monitor_table
 
     if args.scenario == "list":
@@ -456,13 +444,11 @@ def _cmd_monitor(args) -> int:
         for scenario in SCENARIOS.values():
             print(f"  {scenario.name:28s} {scenario.description}")
         return 0
-    try:
-        setup = resolve_setup(args.setup)
-    except ReproError as exc:
-        print(f"{exc}; see `python -m repro list`", file=sys.stderr)
-        return 2
     if args.scenario == "all":
-        names = ["baseline"] + sorted(SCENARIOS)
+        # Every scenario the setup supports: elastic NN membership is HopsFS-only.
+        hopsfs = SETUPS[args.setup].kind == "hopsfs"
+        names = ["baseline"] + sorted(
+            name for name, s in SCENARIOS.items() if hopsfs or s.elastic is None)
     elif args.scenario == "baseline" or args.scenario in SCENARIOS:
         names = [args.scenario]
     else:
@@ -473,18 +459,18 @@ def _cmd_monitor(args) -> int:
     results = []
     for name in names:
         results.append(run_monitor(
-            name, setup=setup, num_servers=args.servers, seed=args.seed,
+            name, setup=args.setup, num_servers=args.servers, seed=args.seed,
             interval_ms=args.interval, grace_ms=args.grace,
         ))
     if len(results) == 1:
         print(results[0].render())
     else:
         print()
-        monitor_table(results, title=f"Detection scores - {setup}").print()
+        monitor_table(results, title=f"Detection scores - {args.setup}").print()
     if args.json:
         import json
 
-        doc = {"setup": setup, "seed": args.seed,
+        doc = {"setup": args.setup, "seed": args.seed,
                "runs": [r.to_json() for r in results]}
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
@@ -506,7 +492,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command")
 
     point = sub.add_parser("point", help="run one (setup, servers) measurement")
-    point.add_argument("setup")
+    point.add_argument("setup", help="setup slug or paper name")
     point.add_argument("--servers", type=int, default=6)
     point.add_argument("--warmup", type=float, default=15.0)
     point.add_argument("--window", type=float, default=15.0)
@@ -535,7 +521,8 @@ def main(argv=None) -> int:
         "report", help="per-phase latency breakdown across setups (Table 1 style)"
     )
     report.add_argument("--setups", nargs="*", default=None,
-                        help=f"setups to run (default: {', '.join(_REPORT_SETUPS)})")
+                        help="setup slugs or paper names "
+                             f"(default: {', '.join(_REPORT_SETUPS)})")
     report.add_argument("--servers", type=int, default=3)
     report.add_argument("--warmup", type=float, default=10.0)
     report.add_argument("--window", type=float, default=10.0)
@@ -650,10 +637,10 @@ def main(argv=None) -> int:
         return 1
     if command == "list":
         print("targets:", ", ".join(_TARGETS), "(or 'all')")
-        print("setups:")
-        for name in SETUPS:
-            print(f"  {name}")
+        _print_setups()
         return 0
+    if not _resolve_setups(args):
+        return 2
     if command in ("point", "perf", "report", "chaos", "scale", "monitor"):
         return args.func(args)
     targets = _TARGETS if command == "all" else [command] + [

@@ -2,7 +2,7 @@
 
 from .runner import PointResult, RunConfig, run_point, server_grid
 from .scale import ScaleConfig, run_scale
-from .setups import SETUPS, SetupSpec, build_setup
+from .setups import BENCH, CHAOS, SETUPS, SetupSpec, resolve_setup, setup_slug
 
 __all__ = [
     "PointResult",
@@ -13,5 +13,8 @@ __all__ = [
     "run_scale",
     "SETUPS",
     "SetupSpec",
-    "build_setup",
+    "BENCH",
+    "CHAOS",
+    "resolve_setup",
+    "setup_slug",
 ]

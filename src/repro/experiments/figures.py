@@ -12,6 +12,7 @@ Scale knobs: ``REPRO_BENCH_FULL=1`` runs the paper's full server grid;
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from typing import Iterable, Optional
 
 from ..metrics.report import Table, az_skew_note
@@ -19,7 +20,7 @@ from ..net import US_WEST1_AZS, build_us_west1
 from ..ndb.config import TABLE2_THREADS
 from ..types import OpType
 from .runner import PointResult, RunConfig, run_point, server_grid
-from .setups import SETUPS
+from .setups import BENCH, SETUPS
 
 __all__ = [
     "table1",
@@ -332,40 +333,31 @@ def fig14(num_partitions_shown: int = 24) -> Table:
     the Read Backup table option enabled and disabled — and reports, per
     partition, the fraction of reads served by the primary and each backup.
     """
-    from ..hopsfs import HopsFsConfig, build_hopsfs
-    from ..ndb import NdbConfig
-    from ..workloads.driver import ClosedLoopDriver
-    from ..workloads.namespace import generate_namespace, install_hopsfs
-    from ..workloads.spotify import SpotifyWorkload
     from ..metrics.collectors import MetricsCollector
-    from ..hopsfs.metadata import define_fs_schema
+    from ..workloads.driver import ClosedLoopDriver
+    from ..workloads.namespace import generate_namespace
+    from ..workloads.spotify import SpotifyWorkload
 
     table = Table(
         title="Figure 14 - reads per replica role, Read Backup on/off",
         headers=["mode", "partition", "primary %", "backup1 %", "backup2 %"],
     )
+    # Fig. 14 predates the AZ-fabric cap Fig. 5 runs under (ROADMAP item 3).
+    uncapped = replace(BENCH, az_link_bandwidth_bytes_per_ms=None)
 
     for mode, read_backup in (("ReadBackup Enabled", True), ("ReadBackup Disabled", False)):
-        from ..hopsfs.filesystem import build_hopsfs as _build
-
-        deployment = _build(
-            num_namenodes=6,
-            azs=(1, 2, 3),
-            az_aware=True,
-            ndb_config=NdbConfig(num_datanodes=12, replication=3, az_aware=True),
-            hopsfs_config=HopsFsConfig(election_period_ms=100.0),
-            seed=3,
-        )
+        harness = SETUPS["HopsFS-CL (3,3)"].build(6, seed=3, tuning=uncapped)
+        deployment = harness.deployment
         # Override the schema default: HopsFS-CL normally forces RB on.
         if not read_backup:
             for tdef in deployment.ndb.schema.tables():
                 object.__setattr__(tdef, "read_backup", False)
-        env = deployment.env
+        env = harness.env
         namespace = generate_namespace(seed=3)
-        install_hopsfs(deployment, namespace)
-        env.run_process(deployment.await_election(), until=60_000)
+        harness.install(namespace)
+        env.run_process(harness.ready(), until=60_000)
         workload = SpotifyWorkload(namespace, seed=3)
-        clients = [deployment.client() for _ in range(240)]
+        clients = harness.make_clients(240)
         collector = MetricsCollector()
         driver = ClosedLoopDriver(env, clients, workload, collector)
         driver.start()

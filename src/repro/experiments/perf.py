@@ -233,7 +233,7 @@ def fig5_reference_point() -> dict:
 def _generator_us_per_op() -> float:
     """Median host cost of one ``SpotifyWorkload.next_op`` in a bare loop."""
     namespace = generate_namespace(seed=0)
-    # 8 clients per MDS: CephAdapter.preferred_clients_per_server.
+    # 8 clients per MDS: CephHarness.preferred_clients_per_server.
     clients = 8 * REFERENCE_SERVERS
     costs = []
     for _ in range(_GEN_REPEATS):

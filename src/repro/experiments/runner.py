@@ -18,7 +18,7 @@ from ..types import OpType
 from ..workloads.driver import ClosedLoopDriver, OpenLoopDriver
 from ..workloads.namespace import generate_namespace
 from ..workloads.spotify import SingleOpWorkload, SpotifyWorkload
-from .setups import SETUPS, SetupSpec
+from .setups import SETUPS, SetupSpec, resolve_setup
 
 __all__ = ["PointResult", "RunConfig", "run_point", "bench_scale", "server_grid"]
 
@@ -119,17 +119,17 @@ def run_point(
     schedule (see DESIGN.md "Observability").
     """
     if isinstance(spec, str):
-        spec = SETUPS[spec]
+        spec = SETUPS[resolve_setup(spec)]
     config = (config or RunConfig()).scaled()
-    adapter = spec.build(num_servers, seed=config.seed,
+    harness = spec.build(num_servers, seed=config.seed,
                          async_commit=config.async_commit,
                          listing_cache=config.listing_cache)
-    env = adapter.env
+    env = harness.env
     if obs is not None:
         from ..obs import register_deployment_metrics
 
         obs.attach(env)
-        register_deployment_metrics(obs, adapter)
+        register_deployment_metrics(obs, harness)
 
     namespace = generate_namespace(
         num_top_dirs=config.namespace_top_dirs,
@@ -137,23 +137,24 @@ def run_point(
         files_per_dir=config.namespace_files_per_dir,
         seed=config.seed,
     )
-    adapter.install(namespace)
-    env.run_process(adapter.ready(), until=env.now + 60_000)
+    harness.install(namespace)
+    env.run_process(harness.ready(), until=env.now + 60_000)
 
     if workload == "single":
         if op is None:
             raise ValueError("single-op workload needs op=")
         gen = SingleOpWorkload(op, namespace, seed=config.seed)
         if op is OpType.DELETE_FILE:
-            _precreate(adapter, gen, config)
+            # Victims for the whole run at a generous rate estimate.
+            budget = int(3000 * (config.warmup_ms + config.window_ms))
+            harness.precreate(gen.precreate_paths(min(budget, 120_000)))
     else:
         gen = SpotifyWorkload(namespace, seed=config.seed, tag=spec.name)
 
-    per_server = getattr(adapter, "preferred_clients_per_server", config.clients_per_server)
+    per_server = harness.preferred_clients_per_server or config.clients_per_server
     num_clients = min(config.max_clients, per_server * num_servers)
-    clients = adapter.make_clients(num_clients)
-    if hasattr(adapter, "warm_client_caches"):
-        adapter.warm_client_caches(clients, gen)
+    clients = harness.make_clients(num_clients)
+    harness.warm_client_caches(clients, gen)
     collector = MetricsCollector()
     if config.open_loop_rate_per_ms is not None:
         driver = OpenLoopDriver(
@@ -164,11 +165,11 @@ def run_point(
     driver.start()
 
     env.run(until=env.now + config.warmup_ms)
-    snap = adapter.utilization_snapshot()
+    snap = harness.utilization_snapshot()
     collector.open_window(env.now)
     env.run(until=env.now + config.window_ms)
     collector.close_window(env.now)
-    resource = adapter.utilization_report(snap)
+    resource = harness.utilization_report(snap)
     driver.stop()
 
     pcts = collector.latency_percentiles()
@@ -186,76 +187,12 @@ def run_point(
         per_server_ops_s=collector.throughput_ops_per_sec() / max(1, num_servers),
         events=env._seq,
     )
-    if hasattr(adapter, "mds_requests_since"):
-        window_s = collector.window_ms / 1000.0
-        if window_s > 0:
-            result.mds_requests_s = adapter.mds_requests_since(snap) / window_s
+    mds_requests = harness.mds_requests_since(snap)
+    if mds_requests is not None and collector.window_ms > 0:
+        result.mds_requests_s = mds_requests / (collector.window_ms / 1000.0)
     if keep_collector:
         result.extra["collector"] = collector
-        result.extra["adapter"] = adapter
+        result.extra["harness"] = harness
     if obs is not None:
         result.extra["obs"] = obs
     return result
-
-
-def _precreate(adapter, gen: SingleOpWorkload, config: RunConfig) -> None:
-    """Install the victims a deleteFile microbenchmark will remove."""
-    # Enough for the whole run at a generous rate estimate.
-    budget = int(3000 * (config.warmup_ms + config.window_ms))
-    budget = min(budget, 120_000)
-    paths = gen.precreate_paths(budget)
-    if hasattr(adapter, "deployment"):
-        from ..hopsfs.metadata import INODES_TABLE, InodeRow
-
-        dep = adapter.deployment
-        # Resolve parent ids from the installed namespace via a direct scan
-        # of any datanode's fragment store (preload-time shortcut).
-        store = next(iter(dep.ndb.datanodes.values())).store
-        path_ids = {}
-        rows = []
-        for path in paths:
-            parent_path, _s, name = path.rpartition("/")
-            parent_id = _lookup_dir_id(dep, parent_path)
-            if parent_id is None:
-                continue
-            inode_id = dep.ids.next_inode_id()
-            rows.append(
-                (
-                    (parent_id, name),
-                    parent_id,
-                    InodeRow(
-                        id=inode_id,
-                        parent_id=parent_id,
-                        name=name,
-                        is_dir=False,
-                        small_data=b"",
-                    ),
-                )
-            )
-        dep.ndb.preload(INODES_TABLE, rows)
-    else:
-        cluster = adapter.cluster
-        cluster.preload([(p, False) for p in paths])
-
-
-_DIR_ID_CACHE_ATTR = "_bench_dir_id_cache"
-
-
-def _lookup_dir_id(dep, path: str):
-    """Resolve a directory path to its inode id via the fragment stores."""
-    cache = getattr(dep, _DIR_ID_CACHE_ATTR, None)
-    if cache is None:
-        cache = {"/": 1, "": 1}
-        setattr(dep, _DIR_ID_CACHE_ATTR, cache)
-    if path in cache:
-        return cache[path]
-    parent_path, _s, name = path.rpartition("/")
-    parent_id = _lookup_dir_id(dep, parent_path)
-    if parent_id is None:
-        return None
-    for dn in dep.ndb.datanodes.values():
-        row = dn.store.read("inodes", (parent_id, name))
-        if row is not None:
-            cache[path] = row.id
-            return row.id
-    return None

@@ -49,11 +49,11 @@ from typing import Optional
 from ..errors import ReproError
 from ..metrics.collectors import MetricsCollector
 from ..obs.metrics import Histogram
-from ..sim import RngRegistry
+from ..sim import RngRegistry, dispatch_hash
 from ..workloads.arrivals import AggregatedArrivalEngine, ZipfPopulation
 from ..workloads.namespace import generate_namespace
 from ..workloads.spotify import SpotifyWorkload
-from .setups import SETUPS
+from .setups import CHAOS, SETUPS
 
 __all__ = ["ScaleConfig", "ShardResult", "run_scale", "run_shard", "SMOKE_CONFIG"]
 
@@ -177,18 +177,6 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _make_stubs(harness, az, count: int):
-    """AZ-pinned client stubs where the stack supports it."""
-    dep = getattr(harness, "deployment", None) or getattr(harness, "cluster", None)
-    stubs = []
-    for _ in range(count):
-        if dep is not None and hasattr(dep, "client"):
-            stubs.append(dep.client(az=az))
-        else:
-            stubs.append(harness.make_client())
-    return stubs
-
-
 def run_shard(payload: dict) -> ShardResult:
     """Run one shard's DES end to end (top-level: pool workers pickle it).
 
@@ -206,7 +194,7 @@ def run_shard(payload: dict) -> ShardResult:
     injector = None
     if config.scenario is not None:
         # Lazy import: chaos pulls in both full stacks.
-        from ..chaos import SCENARIOS, FaultInjector, build_chaos_target
+        from ..chaos import SCENARIOS, FaultInjector
 
         if config.scenario not in SCENARIOS:
             raise ReproError(
@@ -214,14 +202,11 @@ def run_shard(payload: dict) -> ShardResult:
                 f"(have: {', '.join(sorted(SCENARIOS))})"
             )
         scenario = SCENARIOS[config.scenario]
-        harness = build_chaos_target(
-            config.setup, num_servers=config.servers, seed=config.seed,
-            robust=scenario.robust,
-        )
-        env = harness.env
+        harness = spec.build(config.servers, seed=config.seed, tuning=CHAOS,
+                             **scenario.paths())
     else:
         harness = spec.build(config.servers, seed=config.seed)
-        env = harness.env
+    env = harness.env
     env.trace = []  # per-shard dispatch trace -> dispatch hash
 
     namespace = generate_namespace(
@@ -248,7 +233,7 @@ def run_shard(payload: dict) -> ShardResult:
         collector = MetricsCollector()
     engine = AggregatedArrivalEngine(
         env,
-        _make_stubs(harness, az, config.stubs_per_shard),
+        harness.make_clients(config.stubs_per_shard, az=az),
         workload,
         collector,
         population,
@@ -296,10 +281,6 @@ def run_shard(payload: dict) -> ShardResult:
     for value in collector.latencies_ms:
         histogram.observe(value)
 
-    h = hashlib.sha256()
-    for when, prio, seq in env.trace:
-        h.update(f"{when!r}:{prio}:{seq}\n".encode())
-
     return ShardResult(
         shard_id=shard_id,
         az=az,
@@ -311,7 +292,7 @@ def run_shard(payload: dict) -> ShardResult:
         max_client_id=engine.max_client_id,
         events=events,
         window_ms=collector.window_ms,
-        dispatch_hash=h.hexdigest(),
+        dispatch_hash=dispatch_hash(env.trace),
         collector=collector,
         histogram=histogram,
         verdicts=verdicts,

@@ -1,23 +1,48 @@
-"""The nine deployments of Section V-A, behind one adapter interface.
+"""The nine deployments of Section V-A: one table, one builder, one harness.
 
 Setup naming follows the paper: ``HopsFS (R, Z)`` is vanilla HopsFS with
 NDB replication factor R deployed over Z AZs; ``HopsFS-CL (R, Z)`` is the
 AZ-aware redesign; the three CephFS variants differ in balancing and
 client caching.
+
+A deployment is data: a :class:`SetupSpec` row plus a :class:`Tuning`
+(``BENCH`` for measurements, ``CHAOS`` for fault runs).
+:meth:`SetupSpec.build` turns the two into a :class:`Harness` — one class
+per stack — carrying both surfaces the rest of the repo drives: the runner
+surface (install, ready, clients, cache warming, utilization) and the
+fault surface (crash, recover, AZ queries, elastic membership).
+Everything that touches several nodes iterates in sorted address order, so
+fault execution is deterministic regardless of dict/set history.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
 from ..cephfs import CephConfig, build_cephfs
-from ..hopsfs import HopsFsConfig, build_hopsfs
+from ..errors import ConfigError, ReproError
+from ..hopsfs import SMALL_FILE_MAX_BYTES, HopsFsConfig, InodeRow, build_hopsfs
+from ..hopsfs.metadata import INODES_TABLE
 from ..metrics.utilization import ResourceReport, per_az_utilization
 from ..ndb import NdbConfig
-from ..types import AzId
+from ..types import AzId, NodeAddress, NodeKind
 from ..workloads.namespace import Namespace, install_cephfs, install_hopsfs
 
-__all__ = ["SetupSpec", "SETUPS", "HopsFsAdapter", "CephAdapter", "build_setup"]
+__all__ = [
+    "SetupSpec",
+    "SETUPS",
+    "Tuning",
+    "BENCH",
+    "CHAOS",
+    "PATHS",
+    "Harness",
+    "HopsFsHarness",
+    "CephHarness",
+    "setup_slug",
+    "resolve_setup",
+]
 
 _MB = 1000.0  # bytes/ms -> MB/s divisor
 
@@ -27,6 +52,55 @@ _MB = 1000.0  # bytes/ms -> MB/s divisor
 # scale (Fig. 5) while the AZ-aware setups, whose reads stay AZ-local, are
 # unaffected ("network I/O becomes a bottleneck", Section V-B1).
 AZ_LINK_BANDWIDTH_BYTES_PER_MS = 1_800_000.0
+
+
+@dataclass(frozen=True)
+class Tuning:
+    """Everything a measurement run and a fault run of one setup differ in.
+
+    ``ndb`` / ``hopsfs`` / ``ceph`` are keyword overrides of the three
+    config dataclasses; whatever they do not name keeps its default.
+    """
+
+    ndb: dict
+    hopsfs: dict
+    ceph: dict = field(default_factory=dict)
+    block_datanodes_per_az: int = 0  # HopsFS block layer; 0 = metadata only
+    heartbeats: bool = False  # NDB heartbeat ring (node-failure detection)
+    az_link_bandwidth_bytes_per_ms: Optional[float] = None  # None = uncapped
+
+
+# The paper's evaluation deployment (Section V-A).
+BENCH = Tuning(
+    ndb=dict(num_datanodes=12),
+    hopsfs=dict(election_period_ms=100.0),
+    az_link_bandwidth_bytes_per_ms=AZ_LINK_BANDWIDTH_BYTES_PER_MS,
+)
+
+# Same layouts with failure detection cranked down (millisecond heartbeats,
+# fast elections and MDS failover) so fault scenarios resolve within short
+# simulated horizons, and a block layer so AZ-aware re-replication runs.
+CHAOS = Tuning(
+    ndb=dict(
+        num_datanodes=6,
+        heartbeat_interval_ms=10.0,
+        deadlock_timeout_ms=100.0,
+        inactive_timeout_ms=120.0,
+    ),
+    hopsfs=dict(
+        election_period_ms=50.0,
+        op_cost_read_ms=0.02,
+        op_cost_mutation_ms=0.04,
+        dn_heartbeat_interval_ms=10.0,
+    ),
+    ceph=dict(mds_failover_detect_ms=20.0),
+    block_datanodes_per_az=2,
+    heartbeats=True,
+)
+
+# The opt-in serving paths are the ``HopsFsConfig`` fields that default to
+# ``None``: a new path is a new field there and nothing here.
+PATHS = tuple(f.name for f in fields(HopsFsConfig) if f.default is None)
 
 
 @dataclass(frozen=True)
@@ -41,18 +115,23 @@ class SetupSpec:
     dir_pinning: bool = False
     kclient_cache: bool = True
 
-    def build(self, num_servers: int, seed: int = 0, async_commit=None,
-              listing_cache=None):
-        """``async_commit`` opts HopsFS setups into the group-commit path
-        (an :class:`~repro.hopsfs.AsyncCommitConfig`) and ``listing_cache``
-        into the pre-materialized listing cache (a
-        :class:`~repro.hopsfs.ListingCacheConfig`); CephFS has no
-        equivalent knobs and ignores both."""
+    def build(self, num_servers: int, seed: int = 0, tuning: Tuning = BENCH,
+              **paths) -> "Harness":
+        """Build this setup with ``num_servers`` metadata servers.
+
+        ``paths`` opts a HopsFS setup into serving paths, keyed by
+        ``HopsFsConfig`` field (:data:`PATHS`); CephFS has no equivalent
+        and ignores them.
+        """
+        unknown = sorted(set(paths) - set(PATHS))
+        if unknown:
+            raise ConfigError(
+                f"unknown serving path {', '.join(unknown)} "
+                f"(valid: {', '.join(PATHS)})"
+            )
         if self.kind == "hopsfs":
-            return HopsFsAdapter(self, num_servers, seed,
-                                 async_commit=async_commit,
-                                 listing_cache=listing_cache)
-        return CephAdapter(self, num_servers, seed)
+            return HopsFsHarness(self, num_servers, seed, tuning, paths)
+        return CephHarness(self, num_servers, seed, tuning)
 
 
 # The nine setups of the evaluation (Section V-A / Fig. 5).
@@ -73,43 +152,171 @@ SETUPS: dict[str, SetupSpec] = {
 }
 
 
-def build_setup(name: str, num_servers: int, seed: int = 0):
-    return SETUPS[name].build(num_servers, seed)
+def setup_slug(name: str) -> str:
+    """CLI-friendly slug for a setup name: ``HopsFS-CL (3,3)`` -> ``hopsfs-cl-3-3``."""
+    return re.sub(r"[^a-z0-9]+", "-", name.lower()).strip("-")
 
 
-class HopsFsAdapter:
-    """Adapter exposing a HopsFS deployment to the experiment runner."""
+_SLUGS = {setup_slug(name): name for name in SETUPS}
+
+
+def resolve_setup(name: str) -> str:
+    """Canonical pretty name for a setup given either that name or its slug."""
+    if name in SETUPS:
+        return name
+    slug = setup_slug(name)
+    if slug in _SLUGS:
+        return _SLUGS[slug]
+    raise ReproError(f"unknown setup {name!r} (try one of: {', '.join(sorted(_SLUGS))})")
+
+
+class Harness:
+    """One built deployment; subclasses wire in one stack.
+
+    A subclass builds the stack (``deployment`` or ``cluster``) and supplies
+    ``install``, ``warm_client_caches``, ``precreate``, ``server_node_ids``
+    and the ``_client`` / ``_nodes`` / ``_busy_snapshot`` / ``_disk_stats`` /
+    ``_cpu_report`` hooks the shared methods below are written over.
+    """
+
+    # Closed-loop clients per metadata server a saturation run should use;
+    # None leaves it to the run's configuration.
+    preferred_clients_per_server: Optional[int] = None
+
+    def __init__(self, spec: SetupSpec, stack):
+        self.spec = spec
+        self.env = stack.env
+        self.network = stack.network
+        self.azs = stack.azs
+        # Every client handed out by make_clients(); the deadline-compliance
+        # invariant audits their recorded overruns after the run.
+        self.clients: list = []
+
+    # -- runner surface ------------------------------------------------------
+    def ready(self):
+        """Generator: wait until the deployment serves requests."""
+        yield self.env.timeout(0)
+
+    def make_clients(self, count: int, az: Optional[AzId] = None) -> list:
+        """``count`` new clients, in ``az`` or rotating over the setup's AZs."""
+        made = [self._client(az) for _ in range(count)]
+        self.clients.extend(made)
+        return made
+
+    def mds_requests_since(self, snap: dict) -> Optional[int]:
+        """Requests that reached a metadata server since ``snap``, where
+        that differs from the ops clients completed (CephFS cache hits)."""
+        return None
+
+    def utilization_snapshot(self) -> dict:
+        return {
+            "t": self.env.now,
+            "traffic": self.network.traffic.snapshot(),
+            "disk": self._disk_stats(),
+            **self._busy_snapshot(),
+        }
+
+    def utilization_report(self, snap: dict) -> ResourceReport:
+        window = self.env.now - snap["t"]
+        report = ResourceReport(window_ms=window)
+        if window <= 0:
+            return report
+        storage, servers = self._cpu_report(report, snap, window)
+        delta = self.network.traffic.delta_since(snap["traffic"])
+        report.storage_net_read_mb_s = _avg_mb_s(delta, storage, window, "received")
+        report.storage_net_write_mb_s = _avg_mb_s(delta, storage, window, "sent")
+        report.server_net_read_mb_s = _avg_mb_s(delta, servers, window, "received")
+        report.server_net_write_mb_s = _avg_mb_s(delta, servers, window, "sent")
+        disk_now = self._disk_stats()
+        writes = sum(
+            now_w - snap["disk"].get(addr, (0, 0))[1]
+            for addr, (_r, now_w) in disk_now.items()
+        )
+        reads = sum(
+            now_r - snap["disk"].get(addr, (0, 0))[0]
+            for addr, (now_r, _w) in disk_now.items()
+        )
+        n = max(1, len(storage))
+        report.storage_disk_write_mb_s = writes / n / window / _MB
+        report.storage_disk_read_mb_s = reads / n / window / _MB
+        report.cross_az_mb = delta.cross_az_bytes / 1e6
+        report.intra_az_mb = delta.intra_az_bytes / 1e6
+        report.per_az = per_az_utilization(
+            delta, storage, servers, self.network.topology.az_of, window
+        )
+        return report
+
+    # -- fault surface -------------------------------------------------------
+    def managed_addrs(self) -> list[NodeAddress]:
+        return sorted(self._nodes())
+
+    def addrs_in_az(self, az: int) -> list[NodeAddress]:
+        topo = self.network.topology
+        return [a for a in self.managed_addrs() if topo.az_of(a) == az]
+
+    def _node(self, addr: NodeAddress):
+        node = self._nodes().get(addr)
+        if node is None:
+            raise ReproError(f"{self.spec.name}: no such node {addr}")
+        return node
+
+    def is_running(self, addr: NodeAddress) -> bool:
+        return self._node(addr).running
+
+    def crash(self, addr: NodeAddress) -> None:
+        self._node(addr).shutdown()
+
+    def recover(self, addr: NodeAddress):
+        """Generator: bring one crashed daemon back."""
+        self._node(addr).restart()
+        yield self.env.timeout(0)
+
+    def on_heal(self) -> None:
+        """Stack-specific epilogue to a partition heal."""
+
+    def seed_blocks(self, count: int = 0):
+        """Generator: create block-layer state pre-fault (no-op by default)."""
+        yield self.env.timeout(0)
+        return 0
+
+    # Elastic membership is HopsFS-only: CephFS has no stateless metadata
+    # worker that can join or leave at runtime here.
+    def _no_elastic(self, *_operands) -> str:
+        raise ReproError(f"{self.spec.name}: elastic NN membership not supported")
+
+    add_namenode = decommission_namenode = preempt_namenode = _no_elastic
+
+
+class HopsFsHarness(Harness):
+    """A HopsFS / HopsFS-CL deployment (NDB, namenodes, block datanodes)."""
 
     def __init__(self, spec: SetupSpec, num_servers: int, seed: int,
-                 async_commit=None, listing_cache=None):
-        self.spec = spec
-        self.num_servers = num_servers
-        config = HopsFsConfig(election_period_ms=100.0, async_commit=async_commit,
-                              listing_cache=listing_cache)
+                 tuning: Tuning, paths: dict):
         self.deployment = build_hopsfs(
             num_namenodes=num_servers,
             azs=spec.azs,
             az_aware=spec.az_aware,
+            num_block_datanodes=tuning.block_datanodes_per_az * len(spec.azs),
             ndb_config=NdbConfig(
-                num_datanodes=12,
-                replication=spec.replication,
-                az_aware=spec.az_aware,
+                replication=spec.replication, az_aware=spec.az_aware, **tuning.ndb
             ),
-            hopsfs_config=config,
+            hopsfs_config=HopsFsConfig(**tuning.hopsfs, **paths),
+            heartbeats=tuning.heartbeats,
             seed=seed,
-            az_link_bandwidth_bytes_per_ms=AZ_LINK_BANDWIDTH_BYTES_PER_MS,
+            az_link_bandwidth_bytes_per_ms=tuning.az_link_bandwidth_bytes_per_ms,
         )
-        self.env = self.deployment.env
+        super().__init__(spec, self.deployment)
+        self._dir_ids = {"/": 1, "": 1}  # precreate()'s path -> inode id memo
 
-    # -- runner interface --------------------------------------------------
+    # -- runner surface ------------------------------------------------------
     def ready(self):
         yield from self.deployment.await_election()
 
     def install(self, namespace: Namespace) -> int:
         return install_hopsfs(self.deployment, namespace)
 
-    def make_clients(self, count: int):
-        return [self.deployment.client() for _ in range(count)]
+    def _client(self, az):
+        return self.deployment.client(az)
 
     def warm_client_caches(self, clients, workload) -> None:
         """Steady-state listing caches: snapshot-bootstrapped, stream-fresh.
@@ -121,111 +328,175 @@ class HopsFsAdapter:
         """
         self.deployment.prewarm_listing_caches()
 
-    @property
-    def read_stats(self):
-        return self.deployment.ndb.read_stats
+    def precreate(self, paths) -> None:
+        """Preload empty files (the deleteFile microbenchmark's victims)."""
+        dep = self.deployment
+        rows = []
+        for path in paths:
+            parent_path, _s, name = path.rpartition("/")
+            parent_id = self._dir_id(parent_path)
+            if parent_id is None:
+                continue
+            row = InodeRow(id=dep.ids.next_inode_id(), parent_id=parent_id,
+                           name=name, is_dir=False, small_data=b"")
+            rows.append(((parent_id, name), parent_id, row))
+        dep.ndb.preload(INODES_TABLE, rows)
 
-    @property
-    def network(self):
-        return self.deployment.network
+    def _dir_id(self, path: str):
+        """Resolve a directory path to its inode id via the fragment stores."""
+        if path in self._dir_ids:
+            return self._dir_ids[path]
+        parent_path, _s, name = path.rpartition("/")
+        parent_id = self._dir_id(parent_path)
+        if parent_id is None:
+            return None
+        for dn in self.deployment.ndb.datanodes.values():
+            row = dn.store.read(INODES_TABLE, (parent_id, name))
+            if row is not None:
+                self._dir_ids[path] = row.id
+                return row.id
+        return None
 
-    def utilization_snapshot(self) -> dict:
+    def _busy_snapshot(self) -> dict:
         dep = self.deployment
         return {
-            "t": self.env.now,
             "threads": dep.ndb.thread_busy(),
             "nn_busy": {nn.addr: nn.handler_pool.busy_time for nn in dep.namenodes},
-            "disk": dep.ndb.disk_stats(),
-            "traffic": dep.network.traffic.snapshot(),
         }
 
-    def utilization_report(self, snap: dict) -> ResourceReport:
+    def _disk_stats(self) -> dict:
+        return self.deployment.ndb.disk_stats()
+
+    def _cpu_report(self, report: ResourceReport, snap: dict, window: float):
         dep = self.deployment
-        window = self.env.now - snap["t"]
-        report = ResourceReport(window_ms=window)
-        if window <= 0:
-            return report
-        threads_now = dep.ndb.thread_busy()
         total_busy, total_cores = 0.0, 0
-        for name, (busy, cores) in threads_now.items():
+        for name, (busy, cores) in dep.ndb.thread_busy().items():
             base = snap["threads"].get(name, (0.0, cores))[0]
-            pct = 100.0 * (busy - base) / (cores * window)
-            report.ndb_thread_cpu_pct[name] = pct
+            report.ndb_thread_cpu_pct[name] = 100.0 * (busy - base) / (cores * window)
             total_busy += busy - base
             total_cores += cores
         report.storage_cpu_pct = 100.0 * total_busy / (total_cores * window)
-        nn_cores = dep.config.nn_cores
         nn_busy = sum(
             nn.handler_pool.busy_time - snap["nn_busy"].get(nn.addr, 0.0)
             for nn in dep.namenodes
         )
-        report.server_cpu_pct = 100.0 * nn_busy / (len(dep.namenodes) * nn_cores * window)
-        delta = dep.network.traffic.delta_since(snap["traffic"])
-        ndb_addrs = list(dep.ndb.datanodes)
-        nn_addrs = [nn.addr for nn in dep.namenodes]
-        report.storage_net_read_mb_s = _avg_mb_s(delta, ndb_addrs, window, "received")
-        report.storage_net_write_mb_s = _avg_mb_s(delta, ndb_addrs, window, "sent")
-        report.server_net_read_mb_s = _avg_mb_s(delta, nn_addrs, window, "received")
-        report.server_net_write_mb_s = _avg_mb_s(delta, nn_addrs, window, "sent")
-        disk_now = dep.ndb.disk_stats()
-        writes = sum(
-            now_w - snap["disk"].get(addr, (0, 0))[1]
-            for addr, (_r, now_w) in disk_now.items()
+        report.server_cpu_pct = (
+            100.0 * nn_busy / (len(dep.namenodes) * dep.config.nn_cores * window)
         )
-        reads = sum(
-            now_r - snap["disk"].get(addr, (0, 0))[0]
-            for addr, (now_r, _w) in disk_now.items()
+        return list(dep.ndb.datanodes), [nn.addr for nn in dep.namenodes]
+
+    # -- fault surface -------------------------------------------------------
+    def _nodes(self) -> dict:
+        # Rebuilt per call: the elastic lifecycle appends NNs at runtime.
+        dep = self.deployment
+        nodes = dict(dep.ndb.datanodes)
+        for group in (dep.ndb.mgmt_nodes, dep.namenodes, dep.block_datanodes):
+            nodes.update((node.addr, node) for node in group)
+        return nodes
+
+    def crash(self, addr: NodeAddress) -> None:
+        node = self._node(addr)
+        if addr.kind is NodeKind.NDB_DATANODE:
+            # Detection comes from the heartbeat ring, as in production.
+            self.deployment.ndb.crash_datanode(addr)
+        else:
+            node.shutdown()
+
+    def recover(self, addr: NodeAddress):
+        dep = self.deployment
+        node = self._node(addr)
+        if addr in dep.decommissioned:
+            # A gracefully retired NN stays retired: recover_all after an
+            # elastic scale-down must not resurrect it.
+            yield self.env.timeout(0)
+        elif addr.kind is NodeKind.NDB_DATANODE:
+            yield from dep.ndb.restart_datanode(addr)
+        else:
+            node.restart()
+            # Spot capacity that came back heartbeats again, so it is no
+            # longer exempt from anything.
+            dep.preempted.discard(addr)
+            yield self.env.timeout(0)
+
+    def on_heal(self) -> None:
+        # Reset arbitration epochs so the next partition is judged afresh.
+        self.deployment.ndb.heal()
+
+    def seed_blocks(self, count: int = 4):
+        """Create large files pre-fault so re-replication has work to do.
+
+        Small files live inline in NDB (Section II-A3); without these the
+        block-layer AZ-coverage invariant would be vacuously green.
+        """
+        if count <= 0 or not self.deployment.block_datanodes:
+            yield self.env.timeout(0)
+            return 0
+        (client,) = self.make_clients(1)
+        payload = b"x" * (SMALL_FILE_MAX_BYTES + 1024)
+        yield from client.mkdirs("/chaos")
+        for i in range(count):
+            yield from client.create(f"/chaos/big{i}", data=payload)
+        return count
+
+    def server_node_ids(self) -> list[str]:
+        """Metadata-server node ids, for rolling-restart schedules."""
+        return [str(nn.addr) for nn in self.deployment.namenodes]
+
+    # Drains and preemption warnings run as background processes, so a
+    # churn storm never skews the firing times of later schedule events.
+    def add_namenode(self, az) -> str:
+        nn = self.deployment.add_namenode(az=az, reason="chaos")
+        return f"added {nn.addr} in az{nn.az}"
+
+    def decommission_namenode(self, addr: NodeAddress) -> str:
+        self.env.process(
+            self.deployment.decommission_namenode(addr, reason="chaos"),
+            name=f"{addr}:decommission",
         )
-        n = max(1, len(ndb_addrs))
-        report.storage_disk_write_mb_s = writes / n / window / _MB
-        report.storage_disk_read_mb_s = reads / n / window / _MB
-        report.cross_az_mb = delta.cross_az_bytes / 1e6
-        report.intra_az_mb = delta.intra_az_bytes / 1e6
-        report.per_az = per_az_utilization(
-            delta, ndb_addrs, nn_addrs, dep.network.topology.az_of, window
+        return f"decommissioning {addr} (draining)"
+
+    def preempt_namenode(self, addr: NodeAddress, warning_ms: float) -> str:
+        self.env.process(
+            self.deployment.preempt_namenode(addr, warning_ms=warning_ms),
+            name=f"{addr}:preempt",
         )
-        return report
+        return f"preempting {addr} (warning {warning_ms}ms)"
 
 
-class CephAdapter:
-    """Adapter exposing a CephFS deployment to the experiment runner."""
-
-    def __init__(self, spec: SetupSpec, num_servers: int, seed: int):
-        self.spec = spec
-        self.num_servers = num_servers
-        config = CephConfig(
-            osd_replication=spec.replication,
-            dir_pinning=spec.dir_pinning,
-            kclient_cache=spec.kclient_cache,
-        )
-        self.cluster = build_cephfs(
-            num_mds=num_servers,
-            azs=spec.azs,
-            config=config,
-            seed=seed,
-            az_link_bandwidth_bytes_per_ms=AZ_LINK_BANDWIDTH_BYTES_PER_MS,
-        )
-        self.env = self.cluster.env
+class CephHarness(Harness):
+    """A CephFS cluster (MDS ranks + OSDs)."""
 
     # CephFS saturation throughput is insensitive to client count once the
     # MDSs are the bottleneck; fewer closed-loop clients keep queueing
     # transients (and simulation cost) bounded.
     preferred_clients_per_server = 8
 
-    def ready(self):
-        yield self.env.timeout(0)
+    def __init__(self, spec: SetupSpec, num_servers: int, seed: int, tuning: Tuning):
+        self.cluster = build_cephfs(
+            num_mds=num_servers,
+            azs=spec.azs,
+            config=CephConfig(
+                osd_replication=spec.replication,
+                dir_pinning=spec.dir_pinning,
+                kclient_cache=spec.kclient_cache,
+                **tuning.ceph,
+            ),
+            seed=seed,
+            az_link_bandwidth_bytes_per_ms=tuning.az_link_bandwidth_bytes_per_ms,
+        )
+        super().__init__(spec, self.cluster)
 
+    # -- runner surface ------------------------------------------------------
     def install(self, namespace: Namespace) -> int:
         if self.spec.dir_pinning:
             # The operator pins the second-level directories round-robin
             # before any data lands (Section V-A-b).
-            self.cluster.partitioner.pin(
-                self.cluster.partitioner.subtree_key_of_dir(d) for d in namespace.dirs
-            )
+            partitioner = self.cluster.partitioner
+            partitioner.pin(partitioner.subtree_key_of_dir(d) for d in namespace.dirs)
         return install_cephfs(self.cluster, namespace)
 
-    def make_clients(self, count: int):
-        return [self.cluster.client() for _ in range(count)]
+    def _client(self, az):
+        return self.cluster.client(az)
 
     def warm_client_caches(self, clients, workload) -> None:
         """Install steady-state kernel caches and capability registrations.
@@ -234,43 +505,42 @@ class CephAdapter:
         working sets are cached under valid capabilities (the mechanism the
         SkipKCache setup disables to expose true MDS throughput).
         """
-        if not self.cluster.config.kclient_cache:
-            return
-        if not hasattr(workload, "working_set"):
+        cluster = self.cluster
+        if not cluster.config.kclient_cache or not hasattr(workload, "working_set"):
             return
         for index, client in enumerate(clients):
             # dict.fromkeys = order-preserving dedupe; set() would make the
             # warm order (and thus cap-set contents) hash-seed dependent.
             for path in dict.fromkeys(workload.working_set(index)):
-                rank = self.cluster.partitioner.rank_of(path) % len(self.cluster.mds_list)
-                mds = self.cluster.mds_list[rank]
+                rank = cluster.partitioner.rank_of(path) % len(cluster.mds_list)
+                mds = cluster.mds_list[rank]
                 inode = mds.shard.inodes.get(path)
                 if inode is None:
                     continue
                 client.cache[path] = inode
                 mds.capabilities.setdefault(path, set()).add(client.addr)
 
-    @property
-    def network(self):
-        return self.cluster.network
+    def precreate(self, paths) -> None:
+        self.cluster.preload([(p, False) for p in paths])
 
-    def utilization_snapshot(self) -> dict:
+    def mds_requests_since(self, snap: dict) -> int:
+        return sum(
+            m.ops_served - snap["mds_served"].get(m.addr, 0) for m in self.cluster.mds_list
+        )
+
+    def _busy_snapshot(self) -> dict:
         cluster = self.cluster
         return {
-            "t": self.env.now,
             "mds_busy": {m.addr: m.cpu.busy_time for m in cluster.mds_list},
             "osd_busy": {o.addr: o.cpu.busy_time for o in cluster.osds},
-            "osd_disk": {o.addr: (o.disk.bytes_read, o.disk.bytes_written) for o in cluster.osds},
-            "traffic": cluster.network.traffic.snapshot(),
             "mds_served": {m.addr: m.ops_served for m in cluster.mds_list},
         }
 
-    def utilization_report(self, snap: dict) -> ResourceReport:
+    def _disk_stats(self) -> dict:
+        return {o.addr: (o.disk.bytes_read, o.disk.bytes_written) for o in self.cluster.osds}
+
+    def _cpu_report(self, report: ResourceReport, snap: dict, window: float):
         cluster = self.cluster
-        window = self.env.now - snap["t"]
-        report = ResourceReport(window_ms=window)
-        if window <= 0:
-            return report
         mds_busy = sum(
             m.cpu.busy_time - snap["mds_busy"].get(m.addr, 0.0) for m in cluster.mds_list
         )
@@ -280,35 +550,14 @@ class CephAdapter:
             o.cpu.busy_time - snap["osd_busy"].get(o.addr, 0.0) for o in cluster.osds
         )
         report.storage_cpu_pct = 100.0 * osd_busy / (len(cluster.osds) * 8 * window)
-        delta = cluster.network.traffic.delta_since(snap["traffic"])
-        osd_addrs = [o.addr for o in cluster.osds]
-        mds_addrs = [m.addr for m in cluster.mds_list]
-        report.storage_net_read_mb_s = _avg_mb_s(delta, osd_addrs, window, "received")
-        report.storage_net_write_mb_s = _avg_mb_s(delta, osd_addrs, window, "sent")
-        report.server_net_read_mb_s = _avg_mb_s(delta, mds_addrs, window, "received")
-        report.server_net_write_mb_s = _avg_mb_s(delta, mds_addrs, window, "sent")
-        writes = sum(
-            o.disk.bytes_written - snap["osd_disk"].get(o.addr, (0, 0))[1]
-            for o in cluster.osds
-        )
-        reads = sum(
-            o.disk.bytes_read - snap["osd_disk"].get(o.addr, (0, 0))[0]
-            for o in cluster.osds
-        )
-        n = max(1, len(osd_addrs))
-        report.storage_disk_write_mb_s = writes / n / window / _MB
-        report.storage_disk_read_mb_s = reads / n / window / _MB
-        report.cross_az_mb = delta.cross_az_bytes / 1e6
-        report.intra_az_mb = delta.intra_az_bytes / 1e6
-        report.per_az = per_az_utilization(
-            delta, osd_addrs, mds_addrs, cluster.network.topology.az_of, window
-        )
-        return report
+        return [o.addr for o in cluster.osds], [m.addr for m in cluster.mds_list]
 
-    def mds_requests_since(self, snap: dict) -> int:
-        return sum(
-            m.ops_served - snap["mds_served"].get(m.addr, 0) for m in self.cluster.mds_list
-        )
+    # -- fault surface -------------------------------------------------------
+    def _nodes(self) -> dict:
+        return {node.addr: node for node in self.cluster.mds_list + self.cluster.osds}
+
+    def server_node_ids(self) -> list[str]:
+        return [str(mds.addr) for mds in self.cluster.mds_list]
 
 
 def _avg_mb_s(delta, addrs, window_ms: float, direction: str) -> float:

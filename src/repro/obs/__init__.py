@@ -103,21 +103,19 @@ class ObsContext:
             self.env = None
 
 
-def register_deployment_metrics(obs: ObsContext, adapter) -> None:
+def register_deployment_metrics(obs: ObsContext, harness) -> None:
     """Register callable-backed gauges over a deployment's live counters.
 
     The components keep their plain-int attributes (tests compare them
     directly); the registry exposes them uniformly so ``snapshot()``
     enumerates leader-election churn, re-replication work, lock timeouts,
     drops, etc., without each report knowing component internals.
+    ``harness`` is a :class:`repro.experiments.setups.Harness`.
     """
     reg = obs.registry
-    network = getattr(adapter, "network", None)
-    if network is not None:
-        reg.gauge("net.dropped_messages", lambda n=network: n.dropped_messages)
-    # Experiment adapters call it ``deployment``; chaos targets call it ``fs``.
-    deployment = getattr(adapter, "deployment", None) or getattr(adapter, "fs", None)
-    if deployment is not None:  # HopsFS
+    reg.gauge("net.dropped_messages", lambda n=harness.network: n.dropped_messages)
+    if harness.spec.kind == "hopsfs":
+        deployment = harness.deployment
         reg.gauge("nn.ops_served",
                   lambda d=deployment: sum(nn.ops_served for nn in d.namenodes))
         reg.gauge("nn.ops_failed",
@@ -137,8 +135,8 @@ def register_deployment_metrics(obs: ObsContext, adapter) -> None:
                       if nn.retry_cache is not None))
         reg.gauge("net.late_replies",
                   lambda d=deployment: d.network.late_replies)
-    cluster = getattr(adapter, "cluster", None)
-    if cluster is not None and hasattr(cluster, "mds_list"):  # CephFS
+    else:
+        cluster = harness.cluster
         reg.gauge("mds.ops_served",
                   lambda c=cluster: sum(m.ops_served for m in c.mds_list))
         reg.gauge("mds.journal_flushes",

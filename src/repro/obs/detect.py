@@ -57,7 +57,7 @@ DEFAULT_GRACE_MS = 60.0
 BASELINE_SCENARIO = Scenario(
     "baseline",
     "fault-free control run: the monitor must stay silent",
-    lambda target: FaultSchedule(),
+    lambda harness: FaultSchedule(),
     drain_ms=300.0,
     # No block seeding: there are no faults for the block layer to ride
     # out, and single-AZ setups lack the datanodes for 3-way placement.
@@ -438,8 +438,8 @@ def monitor_slos(setup: str, num_servers: int = 3) -> List[SloSpec]:
     :meth:`SloEngine._apply_retirements`), while a preempted server's
     floor keeps burning — that silence is the detection signal.
     """
-    from ..experiments.setups import SETUPS
-    spec = SETUPS[setup]
+    from ..experiments.setups import SETUPS, resolve_setup
+    spec = SETUPS[resolve_setup(setup)]
     prefix = "mds.handle.mds" if spec.kind == "cephfs" else "nn.handle.nn"
     components = [f"{prefix}{i}" for i in range(1, num_servers + 1)]
     return (default_slos() + per_az_slos(spec.azs)
@@ -486,7 +486,7 @@ def run_monitor(
         scenario, setup, num_servers=num_servers, seed=seed, obs=obs,
         clients=clients, load_ms=load_ms,
     )
-    env = result.extra["target"].env
+    env = result.extra["harness"].env
     engine.finalize(env.now)
 
     windows = fault_windows(result.schedule, result.fault_trace, env.now,

@@ -9,6 +9,7 @@ from .kernel import (
     Process,
     SimulationError,
     Timeout,
+    dispatch_hash,
 )
 from .resources import CorePool, Disk, Store
 from .rng import RngRegistry
@@ -26,4 +27,5 @@ __all__ = [
     "Disk",
     "Store",
     "RngRegistry",
+    "dispatch_hash",
 ]

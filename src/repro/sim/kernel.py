@@ -55,6 +55,7 @@ this against a committed golden trace hash).
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
@@ -70,6 +71,7 @@ __all__ = [
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",
     "SimulationError",
+    "dispatch_hash",
 ]
 
 PRIORITY_URGENT = 0
@@ -851,3 +853,15 @@ class Environment:
             proc._defused = True
             raise proc._value
         return proc._value
+
+
+def dispatch_hash(trace: Iterable[Tuple[float, int, int]]) -> str:
+    """SHA-256 of a recorded ``Environment.trace``: the identity of a schedule.
+
+    The line format is what every committed golden and artifact hash was
+    computed with; changing it re-pins all of them.
+    """
+    h = hashlib.sha256()
+    for when, prio, seq in trace:
+        h.update(f"{when!r}:{prio}:{seq}\n".encode())
+    return h.hexdigest()

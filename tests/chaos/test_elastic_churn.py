@@ -41,8 +41,8 @@ def test_random_churn_sequences_converge(steps):
         schedule = FaultSchedule()
         # Predict the pool as the injector will evolve it: adds allocate
         # ids above the initial pool's maximum, in schedule order.
-        alive = [str(nn.addr) for nn in target.fs.namenodes]
-        next_id = max(nn.nn_id for nn in target.fs.namenodes) + 1
+        alive = [str(nn.addr) for nn in target.deployment.namenodes]
+        next_id = max(nn.nn_id for nn in target.deployment.namenodes) + 1
         t = 40.0
         for kind, arg in steps:
             if kind == "add":

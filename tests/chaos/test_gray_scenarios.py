@@ -29,10 +29,10 @@ def test_gray_scenarios_registered_with_robust_configs():
 def test_gray_degraded_link_green_with_timeouts_firing():
     result = run_scenario("gray-degraded-link", **_KW)
     assert result.all_green, [str(v) for v in result.verdicts]
-    target = result.extra["target"]
+    target = result.extra["harness"]
     assert sum(c.timeouts for c in target.clients) > 0
     # Late replies from the slow link were discarded, never delivered.
-    assert target.fs.network.late_replies > 0
+    assert target.deployment.network.late_replies > 0
     names = [v.name for v in result.verdicts]
     assert "exactly-once" in names and "deadline-compliance" in names
 
@@ -45,7 +45,7 @@ def test_slow_az_green_and_hedging_fires_on_vanilla_hopsfs():
         load_ms=300.0,
     )
     assert result.all_green, [str(v) for v in result.verdicts]
-    target = result.extra["target"]
+    target = result.extra["harness"]
     assert sum(c.hedges for c in target.clients) > 0
 
 
@@ -55,8 +55,8 @@ def test_overload_burst_sheds_and_replays_exactly_once():
         clients=48, load_ms=250.0,
     )
     assert result.all_green, [str(v) for v in result.verdicts]
-    target = result.extra["target"]
-    fs = target.fs
+    target = result.extra["harness"]
+    fs = target.deployment
     assert sum(nn.ops_shed for nn in fs.namenodes) > 0
     assert sum(c.busy_rejections for c in target.clients) > 0
     # Mutations were retried under the burst, none applied twice.
@@ -87,18 +87,18 @@ def test_gray_scenarios_run_on_cephfs_with_vacuous_robust_invariants():
 
 def test_latency_recovers_after_degrade_partition_and_restart():
     """Satellite: degrade + partition + NN restart, then back to baseline."""
-    from repro.chaos.targets import build_chaos_target
+    from repro.experiments.setups import CHAOS, SETUPS
     from repro.workloads.namespace import generate_namespace
 
-    target = build_chaos_target(
-        "hopsfs-cl-3-3", num_servers=3, seed=7, robust=RobustConfig()
+    target = SETUPS["HopsFS-CL (3,3)"].build(
+        3, seed=7, tuning=CHAOS, robust=RobustConfig()
     )
     env = target.env
     namespace = generate_namespace(
         num_top_dirs=1, dirs_per_top=4, files_per_dir=4, seed=7
     )
     target.install(namespace)
-    client = target.make_client()
+    (client,) = target.make_clients(1)
     paths = list(namespace.files[:8])
 
     def measure():
@@ -121,7 +121,7 @@ def test_latency_recovers_after_degrade_partition_and_restart():
         yield env.timeout(60)
         target.network.heal_partitions()
         target.on_heal()
-        victim = target.fs.namenodes[0]
+        victim = target.deployment.namenodes[0]
         victim.shutdown()
         yield env.timeout(30)
         victim.restart()

@@ -1,11 +1,12 @@
 """FaultInjector: schedule execution, relative timing, obs emission."""
 
-from repro.chaos import FaultInjector, FaultSchedule, build_chaos_target, parse_node
+from repro.chaos import FaultInjector, FaultSchedule, parse_node
+from repro.experiments.setups import CHAOS, SETUPS
 from repro.obs import ObsContext
 
 
 def _run_injector(schedule, obs=None, lead_ms=25.0):
-    target = build_chaos_target("hopsfs-cl-3-3", num_servers=2, seed=7)
+    target = SETUPS["HopsFS-CL (3,3)"].build(2, seed=7, tuning=CHAOS)
     env = target.env
     if obs is not None:
         obs.attach(env)
@@ -64,3 +65,10 @@ def test_injector_emits_nothing_untraced():
     target, injector = _run_injector(schedule)
     assert target.env.obs is None
     assert len(injector.trace) == 2
+
+
+def test_every_schedulable_action_is_executable():
+    from repro.chaos import ACTIONS
+    from repro.chaos.injector import _IMMEDIATE
+
+    assert set(_IMMEDIATE) | {"recover_node", "az_heal", "recover_all"} == ACTIONS

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.chaos import build_chaos_target, verify_target
+from repro.chaos import verify_target
 from repro.chaos.invariants import (
     block_az_coverage,
     namespace_integrity,
     no_stuck_state,
     replica_consistency,
 )
+from repro.experiments.setups import CHAOS, SETUPS
 from repro.hopsfs.metadata import InodeRow
 from repro.ndb.datanode import _TcTxn
 from repro.workloads import generate_namespace
@@ -20,7 +21,7 @@ def ready_target():
 
     Each test plants its own corruption and must undo it before returning.
     """
-    target = build_chaos_target("hopsfs-cl-3-3", num_servers=2, seed=11)
+    target = SETUPS["HopsFS-CL (3,3)"].build(2, seed=11, tuning=CHAOS)
     namespace = generate_namespace(num_top_dirs=1, dirs_per_top=3, files_per_dir=3, seed=11)
     target.install(namespace)
 
@@ -51,7 +52,7 @@ def test_catalogue_green_on_healthy_cluster(ready_target):
 
 
 def test_orphan_inode_fails_namespace_integrity(ready_target):
-    fs = ready_target.fs
+    fs = ready_target.deployment
     dn = next(d for d in fs.ndb.datanodes.values() if d.running)
     ghost = InodeRow(id=987654, parent_id=999999, name="ghost", is_dir=False)
     dn.store.load("inodes", ghost.pk, ghost.parent_id, ghost)
@@ -67,7 +68,7 @@ def test_orphan_inode_fails_namespace_integrity(ready_target):
 
 
 def test_diverging_replica_fails_replica_consistency(ready_target):
-    fs = ready_target.fs
+    fs = ready_target.deployment
     group = fs.ndb.partition_map.node_groups[0]
     lone = fs.ndb.datanodes[group[0]]
     row = InodeRow(id=13131, parent_id=1, name="split-brain", is_dir=False)
@@ -84,7 +85,7 @@ def test_diverging_replica_fails_replica_consistency(ready_target):
 
 
 def test_stale_prepared_row_fails_no_stuck_state(ready_target):
-    fs = ready_target.fs
+    fs = ready_target.deployment
     dn = next(d for d in fs.ndb.datanodes.values() if d.running)
     dn.store.prepare(424242, "inodes", (1, "zombie"), 1, "v")
     try:
@@ -98,7 +99,7 @@ def test_stale_prepared_row_fails_no_stuck_state(ready_target):
 
 def test_live_transaction_state_is_not_stuck(ready_target):
     """In-flight 2PC state (e.g. election commits) must not trip the check."""
-    fs = ready_target.fs
+    fs = ready_target.deployment
     dn = next(d for d in fs.ndb.datanodes.values() if d.running)
     txid = 535353
     dn.store.prepare(txid, "inodes", (1, "in-flight"), 1, "v")
@@ -112,7 +113,7 @@ def test_live_transaction_state_is_not_stuck(ready_target):
 
 
 def test_single_az_block_fails_az_coverage(ready_target):
-    fs = ready_target.fs
+    fs = ready_target.deployment
     bdn = fs.block_datanodes[0]
     bdn.blocks[71717171] = 1024  # a block nobody else replicates
     try:

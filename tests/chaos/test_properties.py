@@ -34,7 +34,7 @@ _crash = st.one_of(
 def test_random_sub_quorum_schedules_converge(group_crashes, bdn_crash, nn_crash):
     def build_schedule(target) -> FaultSchedule:
         schedule = FaultSchedule()
-        groups = target.fs.ndb.partition_map.node_groups
+        groups = target.deployment.ndb.partition_map.node_groups
         for group, crash in zip(groups, group_crashes):
             if crash is None:
                 continue
@@ -44,12 +44,12 @@ def test_random_sub_quorum_schedules_converge(group_crashes, bdn_crash, nn_crash
             schedule.recover_node(t + hold, str(victim))
         if bdn_crash is not None:
             t, hold, rank = bdn_crash
-            victim = target.fs.block_datanodes[rank % len(target.fs.block_datanodes)]
+            victim = target.deployment.block_datanodes[rank % len(target.deployment.block_datanodes)]
             schedule.crash_node(t, str(victim.addr))
             schedule.recover_node(t + hold, str(victim.addr))
         if nn_crash is not None:
             t, hold, rank = nn_crash
-            victim = target.fs.namenodes[rank % len(target.fs.namenodes)]
+            victim = target.deployment.namenodes[rank % len(target.deployment.namenodes)]
             schedule.crash_node(t, str(victim.addr))
             schedule.recover_node(t + hold, str(victim.addr))
         # Belt and braces: whatever is still down comes back before the end.

@@ -104,3 +104,53 @@ def test_unknown_scenario_rejected():
     bad = replace(TEST_CONFIG, scenario="no-such-scenario")
     with pytest.raises(ReproError):
         run_shard({"config": asdict(bad), "shard_id": 0})
+
+
+# -- scenario shards build the deployment the scenario describes --------------
+_TINY = replace(TEST_CONFIG, setup="HopsFS-CL (3,3)", shards=1, population=2_000,
+                rate_ops_per_ms=4.0, duration_ms=340.0, warmup_ms=5.0, drain_ms=10.0,
+                namespace_top_dirs=1, namespace_dirs_per_top=4, namespace_files_per_dir=4)
+
+
+def _scenario_shard(monkeypatch, scenario):
+    """Run shard 0 of ``scenario`` in-process; return (result, harness, build kwargs)."""
+    from dataclasses import asdict
+
+    from repro.experiments.setups import SetupSpec
+
+    built = []
+    real_build = SetupSpec.build
+
+    def recording_build(self, *args, **kwargs):
+        built.append((real_build(self, *args, **kwargs), kwargs))
+        return built[-1][0]
+
+    monkeypatch.setattr(SetupSpec, "build", recording_build)
+    result = run_shard({"config": asdict(replace(_TINY, scenario=scenario)), "shard_id": 0})
+    ((harness, kwargs),) = built
+    return result, harness, kwargs
+
+
+def test_scenario_shard_pins_its_stubs_to_the_shard_az(monkeypatch):
+    result, harness, _kwargs = _scenario_shard(monkeypatch, "az-outage-under-load")
+    assert len(harness.clients) == _TINY.stubs_per_shard  # the audited list
+    assert {c.location_domain_id for c in harness.clients} == {result.az}
+
+
+def test_scenario_shard_forwards_every_path_of_the_scenario(monkeypatch):
+    from repro.chaos import SCENARIOS
+    from repro.experiments.setups import CHAOS, PATHS
+
+    result, harness, kwargs = _scenario_shard(monkeypatch, "async-commit-crash")
+    assert kwargs["tuning"] is CHAOS
+    assert {name: kwargs[name] for name in PATHS} == SCENARIOS["async-commit-crash"].paths()
+    assert harness.deployment.group_ledger is not None
+    horizon = next(v for v in result.verdicts if v[0] == "durability-horizon")
+    assert "n/a" not in horizon[2], horizon
+
+
+def test_scenario_shard_runs_elastic_clients_under_churn(monkeypatch):
+    _result, harness, _kwargs = _scenario_shard(monkeypatch, "nn-churn")
+    assert harness.deployment.config.elastic is not None
+    assert all(c.membership_refresh_ms is not None for c in harness.clients)
+    assert sum(c.membership_refreshes for c in harness.clients) > 0

@@ -33,19 +33,17 @@ def test_spotify_mix_reaches_all_op_types():
 
 def test_cl_reads_are_az_local():
     point = run_point("HopsFS-CL (3,3)", 3, config=_CFG, keep_collector=True)
-    stats = point.extra["adapter"].read_stats
+    stats = point.extra["harness"].deployment.ndb.read_stats
     assert stats.az_local_fraction() > 0.9
 
 
 def test_vanilla_reads_cross_azs():
     point = run_point("HopsFS (3,3)", 3, config=_CFG, keep_collector=True)
-    stats = point.extra["adapter"].read_stats
+    stats = point.extra["harness"].deployment.ndb.read_stats
     assert stats.az_local_fraction() < 0.7
 
 
 def test_ceph_cache_hit_rate_is_high():
     point = run_point("CephFS", 3, config=_CFG, keep_collector=True)
-    adapter = point.extra["adapter"]
-    hits = sum(getattr(c, "cache_hits", 0) for c in [])
     # infer from MDS load: most client ops never reach an MDS
     assert point.mds_requests_s < 0.6 * point.throughput_ops_s

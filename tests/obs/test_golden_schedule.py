@@ -9,12 +9,11 @@ hashed schedules to be bit-identical — any instrumentation that consumes
 an RNG draw, schedules an event, or burns a sequence number fails here.
 """
 
-import hashlib
-
 from repro.hopsfs import HopsFsConfig, build_hopsfs
 from repro.metrics.collectors import MetricsCollector
 from repro.ndb import NdbConfig
 from repro.obs import ObsContext
+from repro.sim import dispatch_hash
 from repro.workloads import ClosedLoopDriver, SpotifyWorkload, generate_namespace
 from repro.workloads.namespace import install_hopsfs
 
@@ -52,12 +51,9 @@ def _traced_run(with_obs: bool, seed: int = 5):
 
     env.run_process(scenario(), until=120_000)
     collector.close_window(env.now)
-    h = hashlib.sha256()
-    for when, prio, seq in env.trace:
-        h.update(f"{when!r}:{prio}:{seq}\n".encode())
     fingerprint = (
         len(env.trace),
-        h.hexdigest(),
+        dispatch_hash(env.trace),
         collector.completed,
         collector.failed,
         repr(sum(collector.latencies_ms)),

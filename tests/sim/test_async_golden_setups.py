@@ -15,7 +15,6 @@ To re-capture after an *intentional* schedule change, run
 and say why in the commit message.
 """
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -24,6 +23,7 @@ import pytest
 
 from repro.experiments.setups import SETUPS
 from repro.metrics.collectors import MetricsCollector
+from repro.sim import dispatch_hash
 from repro.workloads import ClosedLoopDriver, SpotifyWorkload, generate_namespace
 
 _GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_setups.json"
@@ -62,12 +62,9 @@ def _mini_setup_trace(name):
     # cutoff-, determined.
     env.run(until=env.now + 100.0)
     collector.close_window(env.now)
-    h = hashlib.sha256()
-    for when, prio, seq in env.trace:
-        h.update(f"{when!r}:{prio}:{seq}\n".encode())
     return {
         "trace_len": len(env.trace),
-        "trace_sha256": h.hexdigest(),
+        "trace_sha256": dispatch_hash(env.trace),
         "completed": collector.completed,
         "failed": collector.failed,
     }

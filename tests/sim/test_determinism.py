@@ -16,7 +16,6 @@ re-capture the goldens after an *intentional* schedule change, run
 and say why in the commit message.
 """
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -27,6 +26,7 @@ from repro.experiments import RunConfig, run_point
 from repro.hopsfs import HopsFsConfig, build_hopsfs
 from repro.metrics.collectors import MetricsCollector
 from repro.ndb import NdbConfig
+from repro.sim import dispatch_hash
 from repro.workloads import ClosedLoopDriver, SpotifyWorkload, generate_namespace
 from repro.workloads.namespace import install_hopsfs
 
@@ -125,9 +125,6 @@ def _traced_mini_run(seed=5):
 
     env.run_process(scenario(), until=120_000)
     collector.close_window(env.now)
-    h = hashlib.sha256()
-    for when, prio, seq in env.trace:
-        h.update(f"{when!r}:{prio}:{seq}\n".encode())
     fingerprint = {
         "completed": collector.completed,
         "failed": collector.failed,
@@ -139,7 +136,7 @@ def _traced_mini_run(seed=5):
     }
     return {
         "trace_len": len(env.trace),
-        "trace_sha256": h.hexdigest(),
+        "trace_sha256": dispatch_hash(env.trace),
         "fingerprint": fingerprint,
     }
 

@@ -9,6 +9,7 @@ def test_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "HopsFS-CL (3,3)" in out
+    assert "hopsfs-cl-3-3" in out
     assert "fig14" in out
 
 
@@ -28,6 +29,30 @@ def test_table_targets(capsys):
 
 def test_point_unknown_setup(capsys):
     assert main(["point", "NopeFS"]) == 2
+
+
+def test_point_takes_a_slug(capsys):
+    code = main(
+        ["point", "hopsfs-cl-3-3", "--servers", "1", "--warmup", "2", "--window", "2"]
+    )
+    assert code == 0
+    assert "HopsFS-CL (3,3)" in capsys.readouterr().out
+
+
+def test_unknown_setup_is_one_message_from_every_subcommand(capsys):
+    messages = set()
+    for argv in (
+        ["point", "NopeFS"],
+        ["report", "--setups", "cephfs", "NopeFS"],
+        ["scale", "--setup", "NopeFS"],
+        ["chaos", "az-outage-under-load", "--setup", "NopeFS"],
+        ["chaos", "elastic-compare", "--setup", "NopeFS"],
+        ["monitor", "baseline", "--setup", "NopeFS"],
+    ):
+        assert main(argv) == 2, argv
+        messages.add(capsys.readouterr().err)
+    (message,) = messages
+    assert "unknown setup 'NopeFS'" in message and "hopsfs-cl-3-3" in message
 
 
 def test_point_runs(capsys):
