@@ -20,7 +20,8 @@ of ``repro.chaos.SCENARIOS`` on ``hopsfs-cl-3-3``, ``hopsfs-3-3`` and
 ``python -m repro chaos SCENARIO --setup SLUG --json F`` in both trees
 (~1 s each) must give the same exit code, ``dispatch_hash``, ``completed``
 and ``failed``.  A scenario a setup does not support (elastic membership
-on CephFS) has to fail the same way on both sides.
+on CephFS) is a row too: exit 2 (``unsupported: <reason>`` on stderr), no
+artifact, on both sides — exit 1 is kept for a red invariant.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import FsError, HostUnreachableError, NoNamenodeError, RpcTimeoutError
-from ..net.network import Network
+from ..net.network import Message, Network
+from ..net.server import Server
 from ..sim import Environment
 from ..types import AzId, NodeAddress, OpType
 from .config import CephConfig
@@ -24,8 +25,11 @@ __all__ = ["CephClient"]
 _READ_OPS = frozenset({OpType.READ_FILE, OpType.STAT})
 
 
-class CephClient:
-    """A mounted CephFS client on one simulated host."""
+class CephClient(Server):
+    """A mounted CephFS client on one simulated host.
+
+    Its mailbox carries the MDSs' capability revocations.
+    """
 
     def __init__(
         self,
@@ -37,31 +41,17 @@ class CephClient:
         partitioner: SubtreePartitioner,
         config: CephConfig,
     ):
-        self.env = env
-        self.network = network
-        self.addr = addr
-        self.az = az
+        super().__init__(env, network, addr, az)
         self.mds_addrs = list(mds_addrs)
         self.partitioner = partitioner
         self.config = config
         self.cache: dict[str, MdsInode] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        self.mailbox = network.register(addr)
-        self._listener_started = False
 
-    def start(self) -> None:
-        """Listen for capability revocations from the MDSs."""
-        if self._listener_started:
-            return
-        self._listener_started = True
-        self.env.process(self._listen(), name=f"{self.addr}:kclient")
-
-    def _listen(self):
-        while True:
-            msg = yield self.mailbox.get()
-            if msg.kind == "cap_revoke":
-                self.cache.pop(msg.payload, None)
+    def _on_message(self, msg: Message) -> None:
+        if msg.kind == "cap_revoke":
+            self.cache.pop(msg.payload, None)
 
     def _mds_for(self, path: str, op: Optional[OpType] = None) -> NodeAddress:
         if op is OpType.LIST_DIR:

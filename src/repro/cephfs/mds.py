@@ -27,6 +27,7 @@ from ..errors import (
     NotDirectoryError,
 )
 from ..net.network import Message, Network
+from ..net.server import Server
 from ..sim import Environment
 from ..sim.resources import CorePool
 from ..types import AzId, NodeAddress, OpType
@@ -58,7 +59,7 @@ class _Shard:
     children: dict[str, set] = field(default_factory=dict)
 
 
-class Mds:
+class Mds(Server):
     """One MDS rank."""
 
     def __init__(
@@ -70,14 +71,10 @@ class Mds:
         az: AzId,
         rank: int,
     ):
-        self.env = env
-        self.network = network
+        super().__init__(env, network, addr, az)
         self.cluster = cluster
         self.config: CephConfig = cluster.config
-        self.addr = addr
-        self.az = az
         self.rank = rank
-        self.mailbox = network.register(addr)
         # The MDS global lock: one core for everything.
         self.cpu = CorePool(env, 1, name=f"{addr}:mds")
         self.shard = _Shard()
@@ -87,31 +84,14 @@ class Mds:
         self.journal_flushes = 0
         self.ops_served = 0
         self.cache_grants = 0
-        self.running = False
         self._ids = iter(range(10_000_000 * (rank + 1), 10_000_000 * (rank + 2)))
-        self._dispatch_proc = None
-        self._journal_proc = None
         self._op_name = f"{addr}:op"  # names the process spawned per op
 
     # ------------------------------------------------------------------ life
-    def start(self) -> None:
-        if self.running:
-            return
-        self.running = True
-        if self._dispatch_proc is None or not self._dispatch_proc.is_alive:
-            self._dispatch_proc = self.env.process(
-                self._dispatch(), name=f"{self.addr}:mds"
-            )
-        if self._journal_proc is None or not self._journal_proc.is_alive:
-            self._journal_proc = self.env.process(
-                self._journal_loop(), name=f"{self.addr}:journal"
-            )
+    def _on_start(self) -> None:
+        self.spawn_once("journal", self._journal_loop)
 
-    def shutdown(self) -> None:
-        self.running = False
-        self.network.set_down(self.addr)
-
-    def restart(self) -> None:
+    def _on_restart(self) -> None:
         """Rejoin as an empty standby after a crash.
 
         The in-memory shard died with the process; any subtrees this rank was
@@ -119,13 +99,9 @@ class Mds:
         the cluster's failover monitor, so the restarted daemon comes back
         with a clean cache rather than resurrecting stale inodes.
         """
-        if self.running:
-            return
         self.shard = _Shard()
         self.capabilities = {}
         self.journal_pending_bytes = 0
-        self.network.set_up(self.addr)
-        self.start()
 
     # -------------------------------------------------------------- namespace
     def load(self, path: str, is_dir: bool, size: int = 0) -> None:
@@ -139,15 +115,11 @@ class Mds:
             self.shard.children.setdefault(parent, set()).add(path.rsplit("/", 1)[1])
 
     # ---------------------------------------------------------------- serving
-    def _dispatch(self):
-        while True:
-            msg = yield self.mailbox.get()
-            if not self.running:
-                continue
-            if msg.kind == "mds_op":
-                self.env.process(self._mds_op(msg), name=self._op_name)
-            else:
-                raise FsError(f"{self.addr}: unknown MDS message {msg.kind!r}")
+    def _on_message(self, msg: Message) -> None:
+        if msg.kind == "mds_op":
+            self.env.process(self._mds_op(msg), name=self._op_name)
+        else:
+            raise FsError(f"{self.addr}: unknown MDS message {msg.kind!r}")
 
     def _mds_op(self, msg: Message):
         """The generator serving one request (plain function: the untraced

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from ..errors import FsError
 from ..net.network import Message, Network
+from ..net.server import Server
 from ..sim import Environment
 from ..sim.resources import CorePool, Disk
 from ..types import AzId, NodeAddress, ProcessNames
@@ -17,8 +18,11 @@ from ..types import AzId, NodeAddress, ProcessNames
 __all__ = ["Osd"]
 
 
-class Osd:
-    """One OSD process: a disk plus a small CPU for request handling."""
+class Osd(Server):
+    """One OSD process: a disk plus a small CPU for request handling.
+
+    Stored objects are on disk: they survive a crash and restart.
+    """
 
     def __init__(
         self,
@@ -29,45 +33,15 @@ class Osd:
         disk_bandwidth_bytes_per_ms: float,
         cpu_cost_ms: float,
     ):
-        self.env = env
-        self.network = network
-        self.addr = addr
-        self.az = az
+        super().__init__(env, network, addr, az)
         self.cpu_cost_ms = cpu_cost_ms
-        self.mailbox = network.register(addr)
         self.cpu = CorePool(env, 4, name=f"{addr}:cpu")
         self.disk = Disk(env, disk_bandwidth_bytes_per_ms, name=f"{addr}:disk")
         self.objects: dict[str, int] = {}
-        self.running = False
-        self._dispatch_proc = None
         self._handler_names = ProcessNames(addr)
 
-    def start(self) -> None:
-        if self.running:
-            return
-        self.running = True
-        if self._dispatch_proc is None or not self._dispatch_proc.is_alive:
-            self._dispatch_proc = self.env.process(
-                self._dispatch(), name=f"{self.addr}:osd"
-            )
-
-    def shutdown(self) -> None:
-        self.running = False
-        self.network.set_down(self.addr)
-
-    def restart(self) -> None:
-        """Rejoin after a crash; stored objects survive on disk."""
-        if self.running:
-            return
-        self.network.set_up(self.addr)
-        self.start()
-
-    def _dispatch(self):
-        while True:
-            msg = yield self.mailbox.get()
-            if not self.running:
-                continue
-            self.env.process(self._handle(msg), name=self._handler_names[msg.kind])
+    def _on_message(self, msg: Message) -> None:
+        self.env.process(self._handle(msg), name=self._handler_names[msg.kind])
 
     def _handle(self, msg: Message):
         obs = self.env.obs

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..errors import ReproError
+from ..errors import ReproError, UnsupportedError
 from ..experiments.setups import CHAOS, PATHS, SETUPS, Harness, resolve_setup
 from ..hopsfs.elastic import ElasticConfig, elastic_summary
 from ..hopsfs.groupcommit import AsyncCommitConfig
@@ -90,7 +90,7 @@ def _rolling_restarts_schedule(harness: Harness) -> FaultSchedule:
 
 def _partition_schedule(harness: Harness) -> FaultSchedule:
     if len(harness.azs) < 2:
-        raise ReproError(f"{harness.spec.name} spans one AZ; nothing to partition")
+        raise UnsupportedError(f"{harness.spec.name} spans one AZ; nothing to partition")
     # Isolate the last AZ; the arbitrator (lowest-loaded AZ, ties to the
     # lowest id) stays on the majority side, which therefore wins.
     minority = (harness.azs[-1],)
@@ -105,7 +105,7 @@ def _partition_schedule(harness: Harness) -> FaultSchedule:
 
 def _degraded_link_schedule(harness: Harness) -> FaultSchedule:
     if len(harness.azs) < 2:
-        raise ReproError(f"{harness.spec.name} spans one AZ; no inter-AZ link to degrade")
+        raise UnsupportedError(f"{harness.spec.name} spans one AZ; no inter-AZ link to degrade")
     return (
         FaultSchedule()
         .degrade_link(60.0, harness.azs[0], harness.azs[-1], extra_ms=5.0)
@@ -116,7 +116,7 @@ def _degraded_link_schedule(harness: Harness) -> FaultSchedule:
 def _gray_degraded_link_schedule(harness: Harness) -> FaultSchedule:
     """A link so slow it looks dead to a bounded RPC, yet never drops."""
     if len(harness.azs) < 2:
-        raise ReproError(f"{harness.spec.name} spans one AZ; no inter-AZ link to degrade")
+        raise UnsupportedError(f"{harness.spec.name} spans one AZ; no inter-AZ link to degrade")
     return (
         FaultSchedule()
         .degrade_link(60.0, harness.azs[0], harness.azs[-1], extra_ms=50.0)
@@ -127,7 +127,7 @@ def _gray_degraded_link_schedule(harness: Harness) -> FaultSchedule:
 def _slow_az_schedule(harness: Harness) -> FaultSchedule:
     """Every link touching one AZ degrades: the AZ is up but sluggish."""
     if len(harness.azs) < 2:
-        raise ReproError(f"{harness.spec.name} spans one AZ; no inter-AZ links to slow")
+        raise UnsupportedError(f"{harness.spec.name} spans one AZ; no inter-AZ links to slow")
     slow = harness.azs[-1]
     schedule = FaultSchedule()
     for az in harness.azs:
@@ -161,7 +161,7 @@ def _async_commit_crash_schedule(harness: Harness) -> FaultSchedule:
 
 def _hopsfs_only(harness: Harness) -> None:
     if harness.spec.kind != "hopsfs":
-        raise ReproError(f"{harness.spec.name}: elastic NN membership is HopsFS-only")
+        raise UnsupportedError(f"{harness.spec.name}: elastic NN membership is HopsFS-only")
 
 
 def _nn_churn_schedule(harness: Harness) -> FaultSchedule:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ReproError
+from .errors import ReproError, UnsupportedError
 from .experiments import SETUPS, RunConfig, figures, resolve_setup, run_point, setup_slug
 
 _TARGETS = [
@@ -359,9 +359,13 @@ def _cmd_chaos(args) -> int:
         from .obs import ObsContext
 
         obs = ObsContext()
-    result = run_scenario(
-        scenario, setup=args.setup, num_servers=args.servers, seed=args.seed, obs=obs
-    )
+    try:
+        result = run_scenario(
+            scenario, setup=args.setup, num_servers=args.servers, seed=args.seed, obs=obs
+        )
+    except UnsupportedError as exc:
+        print(f"unsupported: {exc}", file=sys.stderr)
+        return 2
     print(result.render())
     if args.json:
         import json

@@ -5,6 +5,7 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "ConfigError",
+    "UnsupportedError",
     "NetworkError",
     "HostUnreachableError",
     "RpcTimeoutError",
@@ -36,6 +37,10 @@ class ReproError(Exception):
 
 class ConfigError(ReproError):
     """Invalid deployment or component configuration."""
+
+
+class UnsupportedError(ReproError):
+    """The setup cannot run what was asked of it — an answer, not a failure."""
 
 
 # --- network ---------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from ..errors import FsError, HostUnreachableError
 from ..net.network import Message, Network
+from ..net.server import Server
 from ..sim import Environment
 from ..sim.resources import Disk
 from ..types import AzId, NodeAddress, ProcessNames
@@ -38,7 +39,7 @@ class CopyBlockReq:
     target: NodeAddress
 
 
-class BlockStoreDatanode:
+class BlockStoreDatanode(Server):
     """One DN process of the block storage layer."""
 
     def __init__(
@@ -51,51 +52,20 @@ class BlockStoreDatanode:
         heartbeat_interval_ms: float = 1000.0,
         disk_bandwidth_bytes_per_ms: float = 400_000.0,
     ):
-        self.env = env
-        self.network = network
-        self.addr = addr
-        self.az = az
+        super().__init__(env, network, addr, az)
         self.namenode_addrs = list(namenode_addrs)
         self.heartbeat_interval_ms = heartbeat_interval_ms
-        self.mailbox = network.register(addr)
         self.disk = Disk(env, disk_bandwidth_bytes_per_ms, name=f"{addr}:disk")
-        self.blocks: dict[int, int] = {}  # block_id -> size
-        self.running = False
-        self._dispatch_proc = None
-        self._hb_proc = None
+        # block_id -> size; on disk, so a restart finds them again.
+        self.blocks: dict[int, int] = {}
         self._handler_names = ProcessNames(addr)
 
-    def start(self) -> None:
-        if self.running:
-            return
-        self.running = True
-        if self._dispatch_proc is None or not self._dispatch_proc.is_alive:
-            self._dispatch_proc = self.env.process(
-                self._dispatch(), name=f"{self.addr}:dn"
-            )
-        if self._hb_proc is None or not self._hb_proc.is_alive:
-            self._hb_proc = self.env.process(
-                self._heartbeat_loop(), name=f"{self.addr}:dn-hb"
-            )
-
-    def shutdown(self) -> None:
-        self.running = False
-        self.network.set_down(self.addr)
-
-    def restart(self) -> None:
-        """Rejoin after a crash; locally stored blocks survive the outage."""
-        if self.running:
-            return
-        self.network.set_up(self.addr)
-        self.start()
+    def _on_start(self) -> None:
+        self.spawn_once("dn-hb", self._heartbeat_loop)
 
     # -- processes -----------------------------------------------------------
-    def _dispatch(self):
-        while True:
-            msg = yield self.mailbox.get()
-            if not self.running:
-                continue
-            self.env.process(self._handle(msg), name=self._handler_names[msg.kind])
+    def _on_message(self, msg: Message) -> None:
+        self.env.process(self._handle(msg), name=self._handler_names[msg.kind])
 
     def _handle(self, msg: Message):
         if msg.kind == "write_block":

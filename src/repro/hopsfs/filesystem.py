@@ -177,7 +177,7 @@ class HopsFsDeployment:
         nn = self._new_namenode(next(self._nn_ids), az)
         for dn in self.block_datanodes:
             dn.namenode_addrs.append(nn.addr)
-        nn.start(election=self._election_enabled)
+        nn.start()
         event = ReconfigEvent(
             "add", nn.nn_id, str(nn.addr), az, decided_ms=self.env.now, detail=reason
         )
@@ -210,6 +210,7 @@ class HopsFsDeployment:
             ),
             mutation_ledger=self.mutation_ledger,
             group_ledger=self.group_ledger,
+            election=self._election_enabled,
         )
         self.namenodes.append(nn)
         # NN·second cost accounting starts at provisioning.
@@ -467,7 +468,7 @@ def build_hopsfs(
 
     ndb.start(heartbeats=heartbeats)
     for nn in namenodes:
-        nn.start(election=election)
+        nn.start()
     for dn in block_datanodes:
         dn.start()
 

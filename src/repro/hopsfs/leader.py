@@ -46,14 +46,8 @@ class LeaderElectionService:
         return self.leader_id == self.nn.nn_id
 
     def start(self) -> None:
-        # The loop exits lazily when the NN stops running; a restart must not
-        # race a second election loop against one that has not yet noticed.
         self.retired = False
-        if self._loop_proc is not None and self._loop_proc.is_alive:
-            return
-        self._loop_proc = self.nn.env.process(
-            self._loop(), name=f"{self.nn.addr}:election"
-        )
+        self._loop_proc = self.nn.spawn_once("election", self._loop)
 
     def deregister(self):
         """Leave the election: stop the loop, then delete our leader row.

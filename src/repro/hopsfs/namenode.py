@@ -26,6 +26,7 @@ from ..errors import (
 from ..ndb.client import run_transaction
 from ..ndb.schema import LockMode
 from ..net.network import Message, Network
+from ..net.server import Server
 from ..sim import Environment
 from ..sim.resources import CorePool
 from ..types import AzId, NodeAddress, OpType
@@ -80,7 +81,7 @@ class _FillRecorder:
         self._dir_cache.invalidate(parent_id, name)
 
 
-class Namenode:
+class Namenode(Server):
     """One metadata server process."""
 
     # OpType -> (ops function, path argument used for the partition hint)
@@ -121,16 +122,12 @@ class Namenode:
         placement_policy: PlacementPolicy = PlacementPolicy.AZ_AWARE,
         mutation_ledger: Optional[list] = None,
         group_ledger=None,
+        election: bool = True,
     ):
-        self.env = env
-        self.network = network
+        super().__init__(env, network, addr, az)
         self.ndb = ndb_cluster
         self.config = config
-        self.addr = addr
-        self.az = az
         self.nn_id = nn_id
-        self.running = False
-        self.mailbox = network.register(addr)
         self.handler_pool = CorePool(env, config.nn_cores, name=f"{addr}:handlers")
         self.api = ndb_cluster.api(addr)
         self.rng = ndb_cluster.rng.stream(f"nn:{addr}")
@@ -187,49 +184,29 @@ class Namenode:
             )
             changelog.subscribe(addr)
         self._safemode_forced = False
-        self._election_enabled = False
-        self._dispatch_proc = None
-        self._monitor_proc = None
+        # False keeps a standalone NN out of the leader protocol.
+        self._election_enabled = election
 
     # ------------------------------------------------------------------ life
-    def start(self, election: bool = True) -> None:
-        if self.running:
-            return
-        self.running = True
+    def _on_start(self) -> None:
         self.draining = False
-        # The dispatch loop runs forever (it drops mail while down), so a
-        # restart after a crash must not spawn a second mailbox consumer.
-        if self._dispatch_proc is None or not self._dispatch_proc.is_alive:
-            self._dispatch_proc = self.env.process(
-                self._dispatch(), name=f"{self.addr}:nn"
-            )
-        if election:
-            self._election_enabled = True
+        if self._election_enabled:
             self.election.start()
-            if self._monitor_proc is None or not self._monitor_proc.is_alive:
-                self._monitor_proc = self.env.process(
-                    self._dn_monitor(), name=f"{self.addr}:dn-monitor"
-                )
+            self.spawn_once("dn-monitor", self._dn_monitor)
 
-    def shutdown(self) -> None:
-        self.running = False
-        self.network.set_down(self.addr)
+    def _on_shutdown(self) -> None:
         if self.committer is not None:
             # The open batch's flush may or may not have reached the TC;
             # mark it lost and stop the drain process (its in-flight RPC
             # reply can never be delivered to a down address).
             self.committer.on_crash()
 
-    def restart(self) -> None:
-        """Bring a crashed namenode back (stateless: nothing to recover)."""
-        if self.running:
-            return
-        self.network.set_up(self.addr)
+    def _on_restart(self) -> None:
+        """Stateless: nothing to recover but the cache's place in the stream."""
         if self.listing_cache is not None:
             # Changelog batches sent while this NN was down were dropped;
             # flush and re-align with the bus before serving anything.
             self.listing_cache.resync()
-        self.start(election=self._election_enabled)
 
     def drain(self, grace_ms: float = 50.0, poll_ms: float = 1.0):
         """Generator: stop admitting, finish in-flight work, flush batches.
@@ -279,52 +256,48 @@ class Namenode:
         self._safemode_forced = False
 
     # -------------------------------------------------------------- dispatch
-    def _dispatch(self):
-        while True:
-            msg = yield self.mailbox.get()
-            if not self.running:
-                continue
-            if msg.kind == "fs_op":
-                # Admission, before anything touches the handler pool.
-                robust = self.config.robust
-                if self.draining:
-                    # Graceful drain: bounce new work fast so robust clients
-                    # fail over; ops already in flight run to completion.
-                    # Membership queries stay served — peers still list us
-                    # until the leader row is dropped.
-                    self.ops_drain_rejected += 1
-                    self._bounce(
-                        msg,
-                        "nn.drain_rejected",
-                        ServerDrainingError(f"{self.addr} draining; pick another NN"),
-                    )
-                elif robust is not None and self._inflight >= robust.nn_max_inflight:
-                    # Overloaded: answer fast instead of queueing work that
-                    # cannot finish in time.
-                    self.ops_shed += 1
-                    self._bounce(
-                        msg,
-                        "nn.shed",
-                        ServerBusyError(f"{self.addr} overloaded; retry with backoff"),
-                    )
-                else:
-                    self._inflight += 1
-                    self.env.process(self._fs_op(msg), name=self._fs_op_name)
-            elif msg.kind == "get_active_nns":
-                self.network.reply(msg, list(self.election.active), size=256)
-            elif msg.kind == "dn_heartbeat":
-                dn_addr, dn_az, block_ids = msg.payload
-                self.block_manager.on_heartbeat(dn_addr, dn_az, block_ids)
-            elif msg.kind == "block_received":
-                block_id, dn_addr = msg.payload
-                self.block_manager.on_block_received(block_id, dn_addr)
-            elif msg.kind == "ndb_changelog":
-                # One-way committed-mutation batch from an NDB TC; applied
-                # inline (pure state mutation, no events scheduled).
-                if self.listing_cache is not None:
-                    self.listing_cache.apply(msg.payload)
+    def _on_message(self, msg: Message) -> None:
+        if msg.kind == "fs_op":
+            # Admission, before anything touches the handler pool.
+            robust = self.config.robust
+            if self.draining:
+                # Graceful drain: bounce new work fast so robust clients
+                # fail over; ops already in flight run to completion.
+                # Membership queries stay served — peers still list us
+                # until the leader row is dropped.
+                self.ops_drain_rejected += 1
+                self._bounce(
+                    msg,
+                    "nn.drain_rejected",
+                    ServerDrainingError(f"{self.addr} draining; pick another NN"),
+                )
+            elif robust is not None and self._inflight >= robust.nn_max_inflight:
+                # Overloaded: answer fast instead of queueing work that
+                # cannot finish in time.
+                self.ops_shed += 1
+                self._bounce(
+                    msg,
+                    "nn.shed",
+                    ServerBusyError(f"{self.addr} overloaded; retry with backoff"),
+                )
             else:
-                raise FsError(f"{self.addr}: unknown NN message {msg.kind!r}")
+                self._inflight += 1
+                self.env.process(self._fs_op(msg), name=self._fs_op_name)
+        elif msg.kind == "get_active_nns":
+            self.network.reply(msg, list(self.election.active), size=256)
+        elif msg.kind == "dn_heartbeat":
+            dn_addr, dn_az, block_ids = msg.payload
+            self.block_manager.on_heartbeat(dn_addr, dn_az, block_ids)
+        elif msg.kind == "block_received":
+            block_id, dn_addr = msg.payload
+            self.block_manager.on_block_received(block_id, dn_addr)
+        elif msg.kind == "ndb_changelog":
+            # One-way committed-mutation batch from an NDB TC; applied
+            # inline (pure state mutation, no events scheduled).
+            if self.listing_cache is not None:
+                self.listing_cache.apply(msg.payload)
+        else:
+            raise FsError(f"{self.addr}: unknown NN message {msg.kind!r}")
 
     def _bounce(self, msg: Message, counter: str, exc) -> None:
         """Refuse admission: the op never counted as in flight or failed."""

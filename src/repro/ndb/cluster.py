@@ -103,11 +103,11 @@ class NdbCluster:
         self.started = True
         for dn in self.datanodes.values():
             dn.start()
-            self.env.process(self._checkpoint_loop(dn), name=f"{dn.addr}:gcp")
+            dn.spawn_once("gcp", self._checkpoint_loop, dn)
         for mgmt in self.mgmt_nodes:
             mgmt.start()
         if heartbeats:
-            self.heartbeats.start()
+            self.heartbeats.watch(*self.datanodes.values())
             self._heartbeats_started = True
 
     def _checkpoint_loop(self, dn: NdbDatanode):
@@ -237,22 +237,10 @@ class NdbCluster:
         dn = self.datanodes[addr]
         if dn.running:
             return
-        self.network.set_up(addr)
-        dn.running = True
-        dn.shutdown_reason = None
-        # All volatile state died with the process.
-        dn.store = type(dn.store)()  # fresh fragment store
-        dn.locks = type(dn.locks)(self.env, self.config.deadlock_timeout_ms)
-        for txid in list(dn.txns):
-            self.unregister_txn(txid)
-        dn.txns.clear()
-        dn.last_heartbeat_from.clear()
-        self.env.process(dn._dispatch_loop(), name=f"{addr}:dispatch")
-        self.env.process(dn._inactivity_reaper(), name=f"{addr}:txn-reaper")
-        self.env.process(self._checkpoint_loop(dn), name=f"{addr}:gcp")
+        dn.restart()
+        dn.spawn_once("gcp", self._checkpoint_loop, dn)
         if self._heartbeats_started:
-            self.env.process(self.heartbeats._sender(dn), name=f"{addr}:hb-send")
-            self.env.process(self.heartbeats._checker(dn), name=f"{addr}:hb-check")
+            self.heartbeats.watch(dn)
 
         # Copy fragments from a live peer in each owned node group.
         copied_rows = 0

@@ -26,6 +26,7 @@ from ..errors import (
     TransactionAbortedError,
 )
 from ..net.network import Message, Network
+from ..net.server import Server
 from ..sim import Environment, Event
 from ..types import AzId, NodeAddress, ProcessNames
 from .locks import LockTable
@@ -92,23 +93,18 @@ class _TcTxn:
     last_active_ms: float = 0.0
 
 
-class NdbDatanode:
+class NdbDatanode(Server):
     """One NDB datanode process."""
 
     def __init__(self, env: Environment, network: Network, cluster, addr: NodeAddress, az: AzId):
-        self.env = env
-        self.network = network
+        super().__init__(env, network, addr, az)
         self.cluster = cluster
-        self.addr = addr
-        self.az = az
         config = cluster.config
         costs = config.costs
         threads = config.threads
         self.costs = costs
-        self.running = False
         self.shutdown_reason: Optional[str] = None
 
-        self.mailbox = network.register(addr)
         self.store = FragmentStore()
         self.locks = LockTable(env, deadlock_timeout_ms=config.deadlock_timeout_ms)
 
@@ -154,32 +150,34 @@ class NdbDatanode:
         self._ldm_stride = config.num_node_groups * config.replication
 
     # ------------------------------------------------------------------ setup
-    def start(self) -> None:
-        if self.running:
-            return
-        self.running = True
-        self.env.process(self._dispatch_loop(), name=f"{self.addr}:dispatch")
-        self.env.process(self._inactivity_reaper(), name=f"{self.addr}:txn-reaper")
+    def _on_start(self) -> None:
+        self.spawn_once("txn-reaper", self._inactivity_reaper)
 
     def shutdown(self, reason: str) -> None:
         """Stop serving; used for both crashes and arbitration losses."""
-        if not self.running:
-            return
-        self.running = False
-        self.shutdown_reason = reason
-        self.network.set_down(self.addr)
+        if self.running:
+            self.shutdown_reason = reason
+        super().shutdown()
+
+    def _on_restart(self) -> None:
+        # All volatile state died with the process.
+        self.shutdown_reason = None
+        self.store = FragmentStore()
+        self.locks = LockTable(
+            self.env, deadlock_timeout_ms=self.cluster.config.deadlock_timeout_ms
+        )
+        for txid in self.txns:
+            self.cluster.unregister_txn(txid)
+        self.txns.clear()
+        self.last_heartbeat_from.clear()
 
     def _ldm_pool_for(self, partition: int) -> CorePool:
         pools = self.ldm_pools
         return pools[partition // self._ldm_stride % len(pools)]
 
     # --------------------------------------------------------------- dispatch
-    def _dispatch_loop(self):
-        while True:
-            msg = yield self.mailbox.get()
-            if not self.running:
-                continue
-            self.env.process(self._handle(msg), name=self._handler_names[msg.kind])
+    def _on_message(self, msg: Message) -> None:
+        self.env.process(self._handle(msg), name=self._handler_names[msg.kind])
 
     # RPC-shaped message kinds that get a server-side span when tracing.
     # Chain/ack traffic is fire-and-forget and already visible through the

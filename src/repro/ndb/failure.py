@@ -33,10 +33,11 @@ class HeartbeatProtocol:
         # Suspicions already being handled (avoid duplicate protocols).
         self._handling: set[NodeAddress] = set()
 
-    def start(self) -> None:
-        for datanode in self.cluster.datanodes.values():
-            self.env.process(self._sender(datanode), name=f"{datanode.addr}:hb-send")
-            self.env.process(self._checker(datanode), name=f"{datanode.addr}:hb-check")
+    def watch(self, *datanodes) -> None:
+        """Put ``datanodes`` in the ring: each heartbeats and checks its predecessor."""
+        for datanode in datanodes:
+            datanode.spawn_once("hb-send", self._sender, datanode)
+            datanode.spawn_once("hb-check", self._checker, datanode)
 
     # -- ring topology ---------------------------------------------------------
     def _ring(self) -> list[NodeAddress]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..net.network import Message, Network
+from ..net.server import Server
 from ..sim import Environment
 from ..types import AzId, NodeAddress
 from .messages import ArbitrationReq
@@ -18,55 +19,29 @@ from .messages import ArbitrationReq
 __all__ = ["ManagementNode"]
 
 
-class ManagementNode:
+class ManagementNode(Server):
     """One ndb_mgmd process; at most one is the active arbitrator."""
 
     def __init__(self, env: Environment, network: Network, addr: NodeAddress, az: AzId):
-        self.env = env
-        self.network = network
-        self.addr = addr
-        self.az = az
-        self.mailbox = network.register(addr)
-        self.running = False
+        super().__init__(env, network, addr, az)
         # Arbitration state: the component granted the right to continue in
         # the current partition epoch.
         self.granted_component: Optional[frozenset[NodeAddress]] = None
         self.arbitration_epoch = 0
         self.grants = 0
         self.denials = 0
-        self._loop_proc = None
-
-    def start(self) -> None:
-        if self.running:
-            return
-        self.running = True
-        if self._loop_proc is None or not self._loop_proc.is_alive:
-            self._loop_proc = self.env.process(self._loop(), name=f"{self.addr}:mgmd")
-
-    def shutdown(self) -> None:
-        self.running = False
-        self.network.set_down(self.addr)
-
-    def restart(self) -> None:
-        """Bring the mgmd back; arbitration state restarts at a fresh epoch."""
-        if self.running:
-            return
-        self.reset_arbitration()
-        self.network.set_up(self.addr)
-        self.start()
 
     def reset_arbitration(self) -> None:
         """Called when partitions heal; the next partition is a new epoch."""
         self.granted_component = None
         self.arbitration_epoch += 1
 
-    def _loop(self):
-        while True:
-            msg = yield self.mailbox.get()
-            if not self.running:
-                continue
-            if msg.kind == "arbitration_req":
-                self._arbitrate(msg)
+    # A restarted mgmd arbitrates from a fresh epoch.
+    _on_restart = reset_arbitration
+
+    def _on_message(self, msg: Message) -> None:
+        if msg.kind == "arbitration_req":
+            self._arbitrate(msg)
 
     def _arbitrate(self, msg: Message) -> None:
         req: ArbitrationReq = msg.payload

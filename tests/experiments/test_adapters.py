@@ -93,6 +93,14 @@ def test_tunings_hold_the_values_the_two_builders_hard_coded():
     assert len(hops.ndb.datanodes) == 6 and len(hops.block_datanodes) == 6
     assert hops.config.election_period_ms == 50.0
     assert hops.network.az_link_bandwidth is None
+    # Two block datanodes per AZ, but never fewer than the three block replicas.
+    assert {
+        name: len(spec.build(1, tuning=CHAOS).deployment.block_datanodes)
+        for name, spec in SETUPS.items() if spec.kind == "hopsfs"
+    } == {
+        "HopsFS (2,1)": 3, "HopsFS (3,1)": 3, "HopsFS (2,3)": 4,
+        "HopsFS (3,3)": 6, "HopsFS-CL (2,3)": 4, "HopsFS-CL (3,3)": 6,
+    }
     ceph = SETUPS["CephFS"].build(1, tuning=CHAOS).cluster
     assert ceph.config.mds_failover_detect_ms == 20.0
     assert SETUPS["CephFS"].build(1).cluster.config.mds_failover_detect_ms == 1000.0

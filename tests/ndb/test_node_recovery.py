@@ -99,3 +99,64 @@ def test_recovery_restores_cluster_viability():
         return all(cluster.partition_map.is_up(n) for n in group)
 
     assert harness.run(scenario())
+
+
+# --- restart must not double the node's processes ---------------------------
+# A crashed datanode's loops exit lazily, at their next wake-up; a restart
+# that beats the wake-up used to start a second copy of each beside them.
+
+
+def _crash_then_restart(harness, victim, gap_ms, cycles=1):
+    def scenario():
+        for _ in range(cycles):
+            yield harness.env.timeout(100.0)
+            harness.cluster.crash_datanode(victim)
+            yield harness.env.timeout(gap_ms)
+            yield from harness.cluster.restart_datanode(victim)
+
+    harness.run(scenario())
+
+
+def test_restart_cycles_leave_one_mailbox_consumer():
+    harness = build_harness()
+    victim = next(iter(harness.cluster.datanodes))
+    _crash_then_restart(harness, victim, gap_ms=50.0, cycles=3)
+    harness.env.run(until=harness.env.now + 1_000)
+    assert len(harness.cluster.datanodes[victim].mailbox._getters) == 1
+
+
+def test_restart_inside_a_heartbeat_interval_keeps_one_heartbeat_per_interval():
+    harness = build_harness(heartbeats=True)
+    cluster = harness.cluster
+    interval = cluster.config.heartbeat_interval_ms
+    victim, peer = list(cluster.datanodes)[:2]
+    _crash_then_restart(harness, victim, gap_ms=1.0)
+
+    sent = {victim: 0, peer: 0}
+    send = harness.network.send
+
+    def counting_send(message):
+        if message.kind == "heartbeat" and message.src in sent:
+            sent[message.src] += 1
+        send(message)
+
+    harness.network.send = counting_send
+    start = harness.env.now + interval / 2
+    harness.env.run(until=start)
+    sent[victim] = sent[peer] = 0
+    harness.env.run(until=start + 100 * interval)
+    assert sent == {victim: 100, peer: 100}
+
+
+def test_restart_inside_a_checkpoint_interval_keeps_one_checkpoint_per_interval():
+    harness = build_harness()
+    config = harness.cluster.config
+    victim = next(iter(harness.cluster.datanodes))
+    disk = harness.cluster.datanodes[victim].disk
+    # 160 ms is the chaos scenarios' outage; the checkpoint loop sleeps 2 s.
+    assert 160.0 < config.global_checkpoint_interval_ms
+    _crash_then_restart(harness, victim, gap_ms=160.0)
+    harness.env.run(until=harness.env.now + config.global_checkpoint_interval_ms / 2)
+    before = disk.bytes_written
+    harness.env.run(until=harness.env.now + 10 * config.global_checkpoint_interval_ms)
+    assert disk.bytes_written - before == 10 * config.checkpoint_bytes

@@ -22,6 +22,11 @@ MATRIX = [
     ("network-partition", "hopsfs-3-3"),
     ("network-partition", "hopsfs-cl-3-3"),
     ("network-partition", "cephfs"),
+    # One-AZ deployments: three block replicas still need three datanodes.
+    ("rolling-namenode-restarts", "hopsfs-2-1"),
+    ("rolling-namenode-restarts", "hopsfs-3-1"),
+    ("overload-burst", "hopsfs-2-1"),
+    ("overload-burst", "hopsfs-3-1"),
 ]
 
 

@@ -120,6 +120,16 @@ def test_chaos_unknown_setup(capsys):
     assert main(["chaos", "az-outage-under-load", "--setup", "nope"]) == 2
 
 
+@pytest.mark.parametrize("scenario,setup,reason", [
+    ("nn-churn", "cephfs", "HopsFS-only"),
+    ("network-partition", "hopsfs-2-1", "spans one AZ"),
+])
+def test_chaos_unsupported_cell_is_an_answer_not_a_traceback(scenario, setup, reason, capsys):
+    assert main(["chaos", scenario, "--setup", setup]) == 2  # 1 is a red invariant
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported: ") and reason in err
+
+
 def test_chaos_runs_and_writes_json(tmp_path, capsys):
     import json
 
