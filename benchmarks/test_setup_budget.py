@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Set-up call budget: what a deployment costs before its window opens.
+
+    python -m pytest benchmarks/test_setup_budget.py        # check
+    python3 -m benchmarks.test_setup_budget --record        # rewrite the record
+
+Every figure point, chaos cell, benchmark repetition and scale shard
+builds a deployment, installs the namespace, waits for it to be ready,
+makes its clients and warms their caches before it measures anything.
+This counts the function calls (Python and C) those phases make for the
+four ``BENCHMARK.json`` configurations at seed 0 — the sequence
+``bench_e2e/harness.py`` times as ``setup_s`` — per installed namespace
+row.  For one interpreter version the counts repeat to the last digit, so
+unlike ``setup_s`` they can be gated tightly, by ``test_call_budget``'s
+rule: a phase's calls per row may not rise more than 0.5 % above
+``benchmarks/results/setup_budget.json`` (it may fall: re-record to bank
+the saving).
+
+The counts include C calls, which CPython versions make differently: the
+record is for the 3.11 the CI jobs pin.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from .test_call_budget import ROOT, _workloads, over_budget
+
+RECORD = ROOT / "benchmarks" / "results" / "setup_budget.json"
+SEED = 0
+
+
+def _counted(fn, *args, **kwargs):
+    profiler = cProfile.Profile()
+    result = profiler.runcall(fn, *args, **kwargs)
+    return result, sum(entry.callcount for entry in profiler.getstats())
+
+
+def count(name: str) -> dict:
+    """Calls per installed row of each set-up phase of workload ``name``.
+    Runs in the child process (``--count``)."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from bench_e2e.harness import NAMESPACE, make_generator
+    from bench_e2e.workloads import SERVERS, WORKLOADS
+    from repro.experiments.setups import SETUPS
+    from repro.workloads.namespace import generate_namespace
+
+    workload = WORKLOADS[name]
+    calls = {}
+    harness, calls["build"] = _counted(
+        SETUPS[workload.setup].build, SERVERS, seed=SEED,
+        listing_cache=workload.cache_config())
+    env = harness.env
+
+    def install():
+        namespace = generate_namespace(seed=SEED, **NAMESPACE)
+        harness.install(namespace)
+        return namespace
+
+    def clients():
+        generator = make_generator(workload, namespace, SEED)
+        made = harness.make_clients(workload.clients_per_server * SERVERS)
+        harness.warm_client_caches(made, generator)
+
+    namespace, calls["install"] = _counted(install)
+    _, calls["ready"] = _counted(env.run_process, harness.ready(), until=env.now + 60_000)
+    _, calls["clients"] = _counted(clients)
+    calls["setup"] = sum(calls.values())
+    rows = namespace.size()
+    return {f"{phase}.calls_per_row": n / rows for phase, n in calls.items()}
+
+
+def measure(workload: str) -> dict:
+    out = subprocess.run(
+        [sys.executable, "-m", "benchmarks.test_setup_budget", "--count", workload],
+        cwd=ROOT, capture_output=True, text=True,
+        env={**os.environ, "PYTHONHASHSEED": "0"},
+    )
+    if out.returncode != 0:
+        raise RuntimeError(f"{workload} exited {out.returncode}\n{out.stdout}{out.stderr}")
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("workload", _workloads())
+def test_setup_budget(workload):
+    with open(RECORD) as fh:
+        recorded = json.load(fh)["workloads"][workload]
+    problems = over_budget(measure(workload), recorded)
+    assert not problems, (
+        f"{workload} is over its set-up budget "
+        f"(deliberate? python3 -m benchmarks.test_setup_budget --record):\n  "
+        + "\n  ".join(problems)
+    )
+
+
+def main(argv: list) -> int:
+    if len(argv) == 2 and argv[0] == "--count":
+        print(json.dumps(count(argv[1])))
+        return 0
+    if argv != ["--record"]:
+        sys.exit(__doc__)
+    record = {
+        "command": "PYTHONHASHSEED=0 python3 -m benchmarks.test_setup_budget --count W  (seed 0)",
+        "python": ".".join(map(str, sys.version_info[:2])),
+        "workloads": {workload: measure(workload) for workload in _workloads()},
+    }
+    RECORD.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"recorded {RECORD.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

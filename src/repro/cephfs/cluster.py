@@ -101,13 +101,25 @@ class CephCluster:
 
     def preload(self, paths: Sequence[tuple[str, bool]]) -> int:
         """Install a namespace: (path, is_dir) pairs, parents first."""
+        mds_list = self.mds_list
+        dir_rank = self.partitioner.dir_rank
+        # directory -> the MDS serving what is inside it (``mds_for_dir``),
+        # resolved once per directory instead of once per entry.
+        owners: dict[str, Mds] = {}
+
+        def owner_of(dir_path: str) -> Mds:
+            mds = owners.get(dir_path)
+            if mds is None:
+                mds = owners[dir_path] = mds_list[dir_rank(dir_path) % len(mds_list)]
+            return mds
+
         count = 0
         for path, is_dir in paths:
-            rank = self.partitioner.rank_of(path) % len(self.mds_list)
-            self.mds_list[rank].load(path, is_dir)
+            mds = owner_of(path.rsplit("/", 1)[0] or "/")
+            mds.load(path, is_dir)
             if is_dir:
-                owner = self.mds_for_dir(path)
-                if owner is not self.mds_list[rank]:
+                owner = owner_of(path)
+                if owner is not mds:
                     owner.load(path, is_dir)
             count += 1
         return count

@@ -485,21 +485,17 @@ def deadline_compliance(harness) -> InvariantVerdict:
     Robust clients record every op that finished later than
     ``deadline + op_timeout_ms`` (one RPC timeout is the allowed slack:
     the last armed timer fires at most one timeout after the deadline).
-    Vacuously green for deployments whose clients never opted in.
+    ``n/a`` for deployments whose clients never opted in.
     """
-    overruns = []
-    audited = 0
-    for client in harness.clients:
-        recorded = getattr(client, "deadline_overruns", None)
-        if recorded is None:
-            continue
-        audited += 1
-        for op, expires_ms, finished_ms in recorded:
-            overruns.append(
-                f"{client.addr}: {op} finished {finished_ms - expires_ms:.1f}ms "
-                f"past its deadline"
-            )
-    detail = "; ".join(overruns[:5]) if overruns else f"{audited} clients audited"
+    robust = [c for c in harness.clients if getattr(c, "robust", None) is not None]
+    if not robust:
+        return InvariantVerdict("deadline-compliance", True, "n/a (no robust clients)")
+    overruns = [
+        f"{client.addr}: {op} finished {finished_ms - expires_ms:.1f}ms past its deadline"
+        for client in robust
+        for op, expires_ms, finished_ms in client.deadline_overruns
+    ]
+    detail = "; ".join(overruns[:5]) if overruns else f"{len(robust)} clients audited"
     return InvariantVerdict("deadline-compliance", not overruns, detail)
 
 

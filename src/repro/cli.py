@@ -213,7 +213,7 @@ def _cmd_perf(args) -> int:
           f"{cephfs['throughput_ops_s']:,.0f} simulated ops/s, "
           f"{cephfs['events_per_op']:.3f} events/op, "
           f"generator {cephfs['gen_us_per_op']:.2f} us/op)")
-    print(f"scale point: {point['aggregate_events_per_sec']:,} events/s aggregate "
+    print(f"scale point: {point['aggregate_events_per_sec']:,} events/s projected "
           f"({point['population']:,} clients over {point['shards']} shards, "
           f"{point['offered_ops_per_s']:,.0f} offered ops/s, "
           f"{point['aggregate_speedup_vs_microbench']:.2f}x microbench)")
@@ -284,8 +284,11 @@ def _cmd_scale(args) -> int:
           f"p50/p90/p99 {col['p50_ms']:.2f}/{col['p90_ms']:.2f}/{col['p99_ms']:.2f} ms "
           f"({col['failed']} failed)")
     print(f"events:           {merged['events']:,} "
-          f"({timing['aggregate_events_per_sec']:,} events/s aggregate over shards, "
-          f"{timing['wall_events_per_sec']:,} events/s wall)")
+          f"({timing['wall_events_per_sec']:,} events/s wall, measured; "
+          f"{timing['aggregate_events_per_sec']:,} events/s projected from "
+          f"per-shard CPU rates)")
+    print(f"wall time:        {timing['run_wall_s']:.2f} s, "
+          f"{timing['build_share']:.0%} of shard time spent building")
     print(f"peak shard RSS:   {timing['peak_shard_rss_mb']:.1f} MB")
     print(f"merged dispatch:  {merged['dispatch_hash'][:16]}…")
     print(f"artifact hash:    {artifact['artifact_hash'][:16]}…")

@@ -132,8 +132,10 @@ class ShardResult:
     histogram: Histogram
     verdicts: Optional[list] = None  # (name, ok, detail) when a scenario ran
     # -- timing (machine-dependent, never hashed) ---------------------------
-    cpu_s: float = 0.0
-    wall_s: float = 0.0
+    cpu_s: float = 0.0  # the measured window
+    wall_s: float = 0.0  # the measured window
+    build_wall_s: float = 0.0  # deployment, namespace, election, clients
+    run_wall_s: float = 0.0  # warm-up, window, drain and verdicts
     rss_mb: float = 0.0
 
     def deterministic_dict(self) -> dict:
@@ -184,6 +186,7 @@ def run_shard(payload: dict) -> ShardResult:
     Everything here is a pure function of those values — worker processes
     inherit no run state besides the imported code.
     """
+    build_wall0 = time.perf_counter()
     config = ScaleConfig(**payload["config"])
     shard_id = payload["shard_id"]
     num_shards = config.resolved_shards()
@@ -253,6 +256,7 @@ def run_shard(payload: dict) -> ShardResult:
             )
         injector = FaultInjector(harness, schedule)
 
+    run_wall0 = time.perf_counter()
     engine.start()
     env.run(until=env.now + config.warmup_ms)
     collector.open_window(env.now)
@@ -276,6 +280,7 @@ def run_shard(payload: dict) -> ShardResult:
         from ..chaos import verify_target
 
         verdicts = [(v.name, v.ok, v.detail) for v in verify_target(harness)]
+    run_wall_s = time.perf_counter() - run_wall0
 
     histogram = Histogram("scale.latency_ms")
     for value in collector.latencies_ms:
@@ -298,6 +303,8 @@ def run_shard(payload: dict) -> ShardResult:
         verdicts=verdicts,
         cpu_s=cpu_s,
         wall_s=wall_s,
+        build_wall_s=run_wall0 - build_wall0,
+        run_wall_s=run_wall_s,
         rss_mb=_peak_rss_mb(),
     )
 
@@ -395,6 +402,8 @@ def run_scale(config: Optional[ScaleConfig] = None) -> dict:
     ).hexdigest()
 
     total_cpu = sum(r.cpu_s for r in results)
+    build_wall = sum(r.build_wall_s for r in results)
+    shard_wall = build_wall + sum(r.run_wall_s for r in results)
     aggregate_eps = sum(
         (r.events / r.cpu_s) for r in results if r.cpu_s > 0
     )
@@ -403,7 +412,11 @@ def run_scale(config: Optional[ScaleConfig] = None) -> dict:
         "usable_cpus": _usable_cpus(),
         "run_wall_s": round(run_wall, 4),
         "total_cpu_s": round(total_cpu, 4),
+        # Share of the shards' own wall time spent before their engines start.
+        "build_share": round(build_wall / shard_wall, 4) if shard_wall > 0 else 0.0,
+        # A projection: the sum of per-shard window events per CPU-second.
         "aggregate_events_per_sec": round(aggregate_eps),
+        # Measured: window events over the wall time of the whole run.
         "wall_events_per_sec": round(merged["events"] / run_wall) if run_wall > 0 else 0,
         "peak_shard_rss_mb": round(max((r.rss_mb for r in results), default=0.0), 1),
         "per_shard": [
@@ -411,6 +424,8 @@ def run_scale(config: Optional[ScaleConfig] = None) -> dict:
                 "shard_id": r.shard_id,
                 "cpu_s": round(r.cpu_s, 4),
                 "wall_s": round(r.wall_s, 4),
+                "build_wall_s": round(r.build_wall_s, 4),
+                "run_wall_s": round(r.run_wall_s, 4),
                 "rss_mb": round(r.rss_mb, 1),
                 "events_per_cpu_sec": round(r.events / r.cpu_s) if r.cpu_s > 0 else 0,
             }

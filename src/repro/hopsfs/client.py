@@ -250,6 +250,11 @@ class HopsFsClient:
             self.failovers += 1
             self.bootstrap_exhaustions += 1
             self._count("client.failovers")
+            if deadline is not None:
+                # An empty view is exhausted without one probe: a failing
+                # op must cost simulated time, or a closed loop spins at
+                # one instant.
+                yield from self._backoff(1, deadline, None)
             raise NoNamenodeError("no metadata server reachable")
         if not active:
             # Election has not yet converged; fall back to the static list.

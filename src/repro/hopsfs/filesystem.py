@@ -24,6 +24,7 @@ from .config import HopsFsConfig
 from .datanode import BlockStoreDatanode
 from .elastic import Autoscaler, ElasticConfig, ProvisionRecord, ReconfigEvent
 from .groupcommit import GroupCommitLedger
+from .listcache import materialize_snapshot
 from .metadata import IdGenerator, define_fs_schema
 from .namenode import Namenode
 from .pathlock import root_row
@@ -124,10 +125,12 @@ class HopsFsDeployment:
                 continue
             for pk, row in dn.store.iter_rows("inodes"):
                 rows.setdefault(pk, row)
-        snapshot = [rows[pk] for pk in sorted(rows)]
+        attrs, listings = materialize_snapshot(
+            [rows[pk] for pk in sorted(rows)], self.env.now
+        )
         for nn in self.namenodes:
             if nn.running and nn.listing_cache is not None:
-                nn.listing_cache.prewarm(snapshot)
+                nn.listing_cache.prewarm(attrs, listings)
 
     def leader_namenode(self) -> Optional[Namenode]:
         for nn in self.namenodes:

@@ -46,7 +46,7 @@ from ..ndb.schema import TOMBSTONE
 from .metadata import INODES_TABLE, ROOT_INODE_ID, InodeRow
 from .pathlock import root_row, split_path
 
-__all__ = ["ListingCacheConfig", "ListingCache"]
+__all__ = ["ListingCacheConfig", "ListingCache", "materialize_snapshot"]
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,28 @@ class ListingCacheConfig:
     # delivery hole before the hole is declared a *lost* batch (this NN
     # missed an invalidation) and the cache flushes.
     max_pending_batches: int = 64
+
+
+def materialize_snapshot(rows, now: float) -> tuple[dict, dict]:
+    """The ``_attrs`` and ``_listings`` entries of a committed snapshot.
+
+    ``rows`` is the deduplicated committed ``inodes`` content, read at
+    simulated time ``now``.  Built once per deployment; every NN's
+    :meth:`ListingCache.prewarm` takes the same entries by reference.
+    """
+    rows = [row for row in rows if row.id != ROOT_INODE_ID]
+    dir_ids = {row.id for row in rows if row.is_dir} | {ROOT_INODE_ID}
+    attrs = {}
+    children: dict[int, list[str]] = {dir_id: [] for dir_id in dir_ids}
+    for row in rows:
+        attrs[(row.parent_id, row.name)] = (now, row)
+        if row.parent_id in children:
+            children[row.parent_id].append(row.name)
+    listings = {}
+    for dir_id, names in children.items():
+        ordered = tuple(sorted(names))
+        listings[dir_id] = (now, ordered, frozenset(ordered))
+    return attrs, listings
 
 
 class ListingCache:
@@ -228,35 +250,27 @@ class ListingCache:
         self._listings[dir_id] = (self._now(), ordered, frozenset(ordered))
         self.fills += 1
 
-    def prewarm(self, rows) -> None:
-        """Bulk-materialize the cache from a committed namespace snapshot.
-
-        ``rows`` is the deduplicated committed ``inodes`` content (what the
-        paper's NN reads when it subscribes to the changelog: a snapshot,
-        which the stream then keeps fresh).  The snapshot is read
-        synchronously at the current simulated instant, so every entry is
-        committed-consistent *now*; any later commit's changelog batch pops
-        whatever it touches, exactly as for lazily filled entries.  Caps are
-        honoured by refusing the bulk load when it would not fit — a partial
-        listing materialization could wrongly prove absence.
+    def prewarm(self, attrs: dict, listings: dict) -> None:
+        """Take the entries :func:`materialize_snapshot` built from a
+        committed namespace snapshot (what the paper's NN reads when it
+        subscribes to the changelog: a snapshot, which the stream then
+        keeps fresh).  The entries are immutable and may be shared with
+        other caches; the dicts they land in are this NN's own.  The
+        snapshot was read synchronously at the current simulated instant,
+        so every entry is committed-consistent *now*; any later commit's
+        changelog batch pops whatever it touches, exactly as for lazily
+        filled entries.  Caps are honoured by refusing the bulk load when
+        it would not fit — a partial listing materialization could wrongly
+        prove absence.
         """
-        rows = [row for row in rows if row.id != ROOT_INODE_ID]
-        dir_ids = {row.id for row in rows if row.is_dir} | {ROOT_INODE_ID}
         if (
-            len(rows) > self.config.max_attr_entries
-            or len(dir_ids) > self.config.max_listing_entries
+            len(attrs) > self.config.max_attr_entries
+            or len(listings) > self.config.max_listing_entries
         ):
             return
-        now = self._now()
-        children: dict[int, list[str]] = {dir_id: [] for dir_id in dir_ids}
-        for row in rows:
-            self._attrs[(row.parent_id, row.name)] = (now, row)
-            if row.parent_id in children:
-                children[row.parent_id].append(row.name)
-        for dir_id, names in children.items():
-            ordered = tuple(sorted(names))
-            self._listings[dir_id] = (now, ordered, frozenset(ordered))
-        self.fills += len(rows) + len(children)
+        self._attrs.update(attrs)
+        self._listings.update(listings)
+        self.fills += len(attrs) + len(listings)
 
     # ------------------------------------------------------------ invalidation
     def _stamp_dir(self, dir_id: int) -> None:

@@ -23,7 +23,7 @@ from .failure import HeartbeatProtocol
 from .management import ManagementNode
 from .partitioning import PartitionMap
 from .schema import Schema
-from .store import ReadStats
+from .store import ReadStats, _Row
 
 __all__ = ["NdbCluster", "az_assignment_for"]
 
@@ -152,14 +152,26 @@ class NdbCluster:
         ``rows`` yields ``(pk, partition_key, value)``.  Used to install the
         benchmark namespace before measurements start.
         """
-        table = self.schema.table(table_name)
+        fully_replicated = self.schema.table(table_name).fully_replicated
+        partition_map = self.partition_map
+        batches: dict[NodeAddress, list] = {}
+        # partition key -> the batches of its replicas
+        targets: dict[Hashable, list[list]] = {}
         count = 0
         for pk, partition_key, value in rows:
-            partition = self.partition_map.partition_of(partition_key)
-            replicas = self.partition_map.replicas(partition, table.fully_replicated)
-            for node in replicas.all:
-                self.datanodes[node].store.load(table_name, pk, partition_key, value)
+            replica_batches = targets.get(partition_key)
+            if replica_batches is None:
+                replicas = partition_map.replicas_for_key(partition_key, fully_replicated)
+                replica_batches = targets[partition_key] = [
+                    batches.setdefault(node, []) for node in replicas.all
+                ]
+            # One key and one row for all replicas: rows are only ever replaced.
+            entry = ((table_name, pk), _Row(value, partition_key))
+            for batch in replica_batches:
+                batch.append(entry)
             count += 1
+        for node, batch in batches.items():
+            self.datanodes[node].store.load_many(batch)
         return count
 
     # ---------------------------------------------------------------- failures

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator, Optional
+from typing import Any, Hashable, Iterable, Iterator, Optional
 
 from ..errors import NdbError
 from ..types import NodeAddress
@@ -20,9 +20,15 @@ from .schema import TOMBSTONE
 __all__ = ["FragmentStore", "ReadStats"]
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True)
 class _Row:
-    value: Any
+    """A committed version.  Writes replace it, nothing mutates it, so the
+    replicas a bulk load fills share one instance."""
+
+    # By hand: ``slots=True`` rebuilds the class, after which the frozen
+    # ``__setattr__`` of 3.11 answers an unknown name with a TypeError.
+    __slots__ = ("value", "partition_key")
+    value: Any  # TOMBSTONE only inside a ``load_many`` batch (a delete)
     partition_key: Hashable
 
 
@@ -132,7 +138,26 @@ class FragmentStore:
 
     # -- bulk load (preloading namespaces without the protocol) -----------------
     def load(self, table: str, pk: Hashable, partition_key: Hashable, value: Any) -> None:
-        self._apply(table, pk, partition_key, value)
+        self.load_many((((table, pk), _Row(value, partition_key)),))
+
+    def load_many(self, entries: Iterable[tuple[tuple[str, Hashable], _Row]]) -> None:
+        """Apply ``((table, pk), row)`` pairs in order, as ``_apply`` would
+        one by one; the keys and rows are stored as given, not copied."""
+        rows = self._rows
+        index = self._index
+        for key, row in entries:
+            table, pk = key
+            old = rows.get(key)
+            partition_key = row.partition_key
+            if row.value is TOMBSTONE:
+                if old is not None:
+                    del rows[key]
+                    index[(table, old.partition_key)].discard(pk)
+                continue
+            if old is not None and old.partition_key != partition_key:
+                index[(table, old.partition_key)].discard(pk)
+            rows[key] = row
+            index[(table, partition_key)].add(pk)
 
     def _apply(self, table: str, pk: Hashable, partition_key: Hashable, value: Any) -> None:
         key = (table, pk)

@@ -72,40 +72,32 @@ def install_hopsfs(deployment, namespace: Namespace, warm_caches: bool = True) -
     path-component cache: benchmarks measure steady state, where the
     read-mostly top of the hierarchy is long since cached (FAST'17).
     """
-    ids = deployment.ids
-    path_to_id: dict[str, int] = {"/": 1}
+    next_inode_id = deployment.ids.next_inode_id
+    dir_ids: dict[str, int] = {"/": 1}
     rows = []
-    dir_rows = []
-    for path in namespace.top_dirs + namespace.dirs + namespace.files:
-        parent_path, _slash, name = path.rpartition("/")
-        parent_id = path_to_id[parent_path or "/"]
-        is_dir = path not in _file_set(namespace)
-        inode_id = ids.next_inode_id()
-        path_to_id[path] = inode_id
-        row = InodeRow(
-            id=inode_id,
-            parent_id=parent_id,
-            name=name,
-            is_dir=is_dir,
-            small_data=None if is_dir else b"",
-        )
-        rows.append(((parent_id, name), parent_id, row))
-        if is_dir:
-            dir_rows.append(row)
+
+    def add(paths, is_dir: bool) -> None:
+        small_data = None if is_dir else b""
+        for path in paths:
+            parent_path, _slash, name = path.rpartition("/")
+            parent_id = dir_ids[parent_path or "/"]
+            inode_id = next_inode_id()
+            if is_dir:
+                dir_ids[path] = inode_id
+            row = InodeRow(inode_id, parent_id, name, is_dir, small_data=small_data)
+            rows.append(((parent_id, name), parent_id, row))
+
+    add(namespace.top_dirs, True)
+    add(namespace.dirs, True)
+    num_dirs = len(rows)
+    add(namespace.files, False)
     count = deployment.ndb.preload(INODES_TABLE, rows)
     if warm_caches:
+        dir_rows = [row for _pk, _parent_id, row in rows[:num_dirs]]
         for nn in deployment.namenodes:
             for row in dir_rows:
                 nn.dir_cache.put(row)
     return count
-
-
-def _file_set(namespace: Namespace) -> set:
-    cached = getattr(namespace, "_file_set", None)
-    if cached is None:
-        cached = set(namespace.files)
-        namespace._file_set = cached
-    return cached
 
 
 def install_cephfs(cluster, namespace: Namespace) -> int:

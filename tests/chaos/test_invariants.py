@@ -5,12 +5,14 @@ import pytest
 from repro.chaos import verify_target
 from repro.chaos.invariants import (
     block_az_coverage,
+    deadline_compliance,
     namespace_integrity,
     no_stuck_state,
     replica_consistency,
 )
 from repro.experiments.setups import CHAOS, SETUPS
 from repro.hopsfs.metadata import InodeRow
+from repro.hopsfs.robust import RobustConfig
 from repro.ndb.datanode import _TcTxn
 from repro.workloads import generate_namespace
 
@@ -123,3 +125,20 @@ def test_single_az_block_fails_az_coverage(ready_target):
     finally:
         del bdn.blocks[71717171]
     assert block_az_coverage(fs).ok
+
+
+@pytest.mark.parametrize("setup", ["HopsFS-CL (3,3)", "CephFS"])
+def test_deadline_compliance_is_not_applicable_without_robust_clients(setup):
+    target = SETUPS[setup].build(2, seed=11, tuning=CHAOS)
+    target.make_clients(3)
+    verdict = deadline_compliance(target)
+    assert verdict.ok and verdict.detail == "n/a (no robust clients)"
+
+
+def test_deadline_compliance_audits_robust_clients_only():
+    target = SETUPS["HopsFS-CL (3,3)"].build(2, seed=11, tuning=CHAOS, robust=RobustConfig())
+    clients = target.make_clients(3)
+    assert str(deadline_compliance(target)) == "[PASS] deadline-compliance: 3 clients audited"
+    clients[0].deadline_overruns.append(("mkdir", 100.0, 180.0))
+    verdict = deadline_compliance(target)
+    assert not verdict.ok and "80.0ms past its deadline" in verdict.detail

@@ -49,6 +49,19 @@ def test_artifact_structure(artifact):
     assert "timing" in artifact and "aggregate_events_per_sec" in artifact["timing"]
 
 
+def test_build_and_run_wall_time_live_in_the_unhashed_timing_section(artifact):
+    timing = artifact["timing"]
+    for shard in timing["per_shard"]:
+        assert shard["build_wall_s"] > 0 and shard["run_wall_s"] >= shard["wall_s"] > 0
+    built = sum(s["build_wall_s"] for s in timing["per_shard"])
+    ran = sum(s["run_wall_s"] for s in timing["per_shard"])
+    assert timing["build_share"] == pytest.approx(built / (built + ran), abs=1e-3)
+    # One worker: the pool's wall time covers every shard's build and run.
+    assert timing["run_wall_s"] >= (built + ran) * 0.99
+    hashed = json.dumps({k: artifact[k] for k in ("config", "shards", "merged")})
+    assert "build_wall_s" not in hashed and "build_share" not in hashed
+
+
 def test_bit_identical_across_runs(artifact):
     again = run_scale(TEST_CONFIG)
     assert again["artifact_hash"] == artifact["artifact_hash"]

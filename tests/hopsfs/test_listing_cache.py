@@ -13,10 +13,12 @@ Three layers of coverage:
 
 import random
 
+import pytest
+
 from repro.chaos.invariants import listing_consistency, namespace_integrity
 from repro.errors import FsError
 from repro.hopsfs.groupcommit import AsyncCommitConfig
-from repro.hopsfs.listcache import ListingCache, ListingCacheConfig
+from repro.hopsfs.listcache import ListingCache, ListingCacheConfig, materialize_snapshot
 from repro.hopsfs.metadata import INODES_TABLE, InodeRow
 from repro.hopsfs.snapshot import namespace_snapshot
 from repro.ndb.changelog import ChangelogBatch
@@ -387,9 +389,100 @@ def test_prewarm_materializes_snapshot_and_stays_stream_fresh():
 def test_prewarm_refuses_oversized_snapshot():
     small, _clock = _cache(max_attr_entries=1)
     rows = [_row(2, 1, "d", is_dir=True), _row(3, 2, "f")]
-    small.prewarm(rows)
+    small.prewarm(*materialize_snapshot(rows, now=0.0))
     # A partial materialization could wrongly prove absence; refuse instead.
     assert len(small) == 0
+
+
+def _prewarm_per_nn(cache, rows):
+    """``ListingCache.prewarm`` as it was: every NN rebuilt the entries."""
+    from repro.hopsfs.metadata import ROOT_INODE_ID
+
+    rows = [row for row in rows if row.id != ROOT_INODE_ID]
+    dir_ids = {row.id for row in rows if row.is_dir} | {ROOT_INODE_ID}
+    if (
+        len(rows) > cache.config.max_attr_entries
+        or len(dir_ids) > cache.config.max_listing_entries
+    ):
+        return
+    now = cache._now()
+    children = {dir_id: [] for dir_id in dir_ids}
+    for row in rows:
+        cache._attrs[(row.parent_id, row.name)] = (now, row)
+        if row.parent_id in children:
+            children[row.parent_id].append(row.name)
+    for dir_id, names in children.items():
+        ordered = tuple(sorted(names))
+        cache._listings[dir_id] = (now, ordered, frozenset(ordered))
+    cache.fills += len(rows) + len(children)
+
+
+def _snapshot_rows():
+    from repro.hopsfs.pathlock import root_row
+
+    rows = [root_row()]
+    next_id = 2
+    for d in range(5):
+        dir_id = next_id
+        rows.append(_row(dir_id, 1, f"d{d}", is_dir=True))
+        next_id += 1
+        for f in range(4 - d):  # d4 is an empty directory
+            rows.append(_row(next_id, dir_id, f"f{f}"))
+            next_id += 1
+    return sorted(rows, key=lambda row: row.pk)
+
+
+def _cache_state(cache):
+    return list(cache._attrs.items()), list(cache._listings.items()), cache.fills
+
+
+@pytest.mark.parametrize(
+    "caps, fits",
+    [
+        ({}, True),
+        ({"max_attr_entries": 15, "max_listing_entries": 6}, True),
+        ({"max_attr_entries": 14}, False),
+        ({"max_listing_entries": 5}, False),
+    ],
+)
+def test_shared_snapshot_fills_each_cache_as_its_own_prewarm_did(caps, fits):
+    rows = _snapshot_rows()  # 15 attr entries, 5 directories + the root
+    # An entry that is there already keeps its place in the LRU order.
+    stale = (0.0, _row(99, 1, "d3", is_dir=True))
+    reference, clock = _cache(**caps)
+    clock[0] = 7.5
+    reference._attrs[(1, "d3")] = stale
+    _prewarm_per_nn(reference, rows)
+    assert len(reference) == (21 if fits else 1)
+
+    attrs, listings = materialize_snapshot(rows, now=7.5)
+    for _nn in range(6):
+        cache, _clock = _cache(**caps)
+        cache._attrs[(1, "d3")] = stale
+        cache.prewarm(attrs, listings)
+        assert _cache_state(cache) == _cache_state(reference)
+
+
+def test_invalidation_on_one_cache_leaves_the_shared_snapshot_alone():
+    rows = _snapshot_rows()
+    attrs, listings = materialize_snapshot(rows, now=0.0)
+    caches = [_cache()[0] for _ in range(6)]
+    for cache in caches:
+        cache.prewarm(attrs, listings)
+    untouched = _cache_state(caches[1])
+    first = caches[0]
+    first.apply(_batch(1, [(INODES_TABLE, (2, "f0"), 2, TOMBSTONE)]))
+    first.invalidate_path("/d1/f1")
+    first.fill_attr(first.begin_fill(), _row(50, 2, "new"))
+    assert first.resolve("/d0/f0") == (False, None)
+    assert (2, "f0") in attrs and 2 in listings  # the snapshot itself is intact
+    for cache in caches[1:]:
+        assert _cache_state(cache) == untouched
+        assert cache.resolve("/d0/f0")[1].id == 3
+        assert cache.listing(2) == ["f0", "f1", "f2", "f3"]
+    first.flush()
+    assert len(first) == 0 and len(attrs) == 15 and len(listings) == 6
+    assert all(_cache_state(cache) == untouched for cache in caches[1:])
 
 
 def test_cache_off_publishes_nothing():

@@ -515,3 +515,36 @@ def test_create_retries_pipeline_after_dn_failure():
     big = next(row for row in inode_rows.values() if row.name == "big")
     assert len(big.block_ids) == 1
     assert block_rows == set(big.block_ids)
+
+
+def test_exhausted_view_costs_simulated_time_in_a_closed_loop():
+    """A robust client whose view is empty (every NN of its only AZ
+    preempted) used to raise bootstrap exhaustion without yielding, so a
+    closed-loop driver issued ops for ever at one simulated instant."""
+    import time
+
+    fs = make_fs(num_namenodes=1, robust=RobustConfig())
+    client = fs.client()
+    client.namenode_addrs = []
+    give_up = time.perf_counter() + 10.0
+
+    class CappedWorkload:
+        issued = 0
+
+        def next_op(self, client_id=0):
+            self.issued += 1
+            assert self.issued <= 1000 and time.perf_counter() < give_up, (
+                f"closed loop spinning at t={fs.env.now}"
+            )
+            return OpType.STAT, {"path": "/"}
+
+    workload = CappedWorkload()
+    collector = MetricsCollector()
+    collector.open_window(0)
+    ClosedLoopDriver(fs.env, [client], workload, collector).start()
+    fs.env.run(until=100.0)
+    # One back-off (base 2 ms, jitter 0.5x-1.5x) per failed op.
+    assert 100.0 / 3.0 <= workload.issued <= 100.0 / 1.0 + 1
+    assert client.bootstrap_exhaustions == workload.issued  # the last one is backing off
+    assert collector.failed == workload.issued - 1
+    assert collector.completed == 0

@@ -70,3 +70,13 @@ def build_harness(
 @pytest.fixture
 def harness():
     return build_harness()
+
+
+def store_state(store):
+    """A fragment store's rows and index with their iteration orders (dict
+    and set order): what a bulk load must leave exactly as one-by-one
+    loads do."""
+    return (
+        list(store._rows.items()),
+        [(key, list(pks)) for key, pks in store._index.items()],
+    )

@@ -8,6 +8,8 @@ from repro.ndb.cluster import az_assignment_for
 from repro.net import Network, build_us_west1
 from repro.sim import Environment, RngRegistry
 
+from .conftest import store_state
+
 
 def _cluster(num_datanodes=4, replication=2, azs=(1, 2), **kwargs):
     env = Environment()
@@ -63,6 +65,33 @@ def test_preload_places_rows_on_all_replicas():
     assert count == 20
     total_rows = sum(dn.store.row_count("t") for dn in cluster.datanodes.values())
     assert total_rows == 20 * 2  # replication factor 2
+
+
+def _preload_row_by_row(cluster, table_name, rows):
+    """``NdbCluster.preload`` as it was before the bulk pass: one replica
+    lookup per row, one ``store.load`` per row per replica."""
+    table = cluster.schema.table(table_name)
+    for pk, partition_key, value in rows:
+        partition = cluster.partition_map.partition_of(partition_key)
+        replicas = cluster.partition_map.replicas(partition, table.fully_replicated)
+        for node in replicas.all:
+            cluster.datanodes[node].store.load(table_name, pk, partition_key, value)
+
+
+def test_bulk_preload_fills_every_store_as_row_by_row_loads_did():
+    # Children of 40 directories, a pk that changes directory, a rewrite.
+    rows = [((i % 40, f"n{i}"), i % 40, i) for i in range(400)]
+    rows += [((3, "n3"), 7, "moved"), ((5, "n5"), 5, "rewritten")]
+    bulk, reference = _cluster(num_datanodes=6, replication=3), _cluster(num_datanodes=6, replication=3)
+    assert bulk.preload("t", rows) == len(rows)
+    _preload_row_by_row(reference, "t", rows)
+    for addr, dn in bulk.datanodes.items():
+        assert store_state(dn.store) == store_state(reference.datanodes[addr].store)
+    assert bulk.partition_map._partition_cache == reference.partition_map._partition_cache
+    # One key and one row object per loaded row, whatever the replication.
+    stores = [dn.store for dn in bulk.datanodes.values()]
+    holders = [s._rows[("t", (1, "n1"))] for s in stores if ("t", (1, "n1")) in s._rows]
+    assert len(holders) == 3 and all(row is holders[0] for row in holders)
 
 
 def test_preload_fully_replicated_table_everywhere():

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError, NdbError
 from repro.ndb import FragmentStore, ReadStats, Schema, TableDef
 from repro.ndb.schema import TOMBSTONE
+from repro.ndb.store import _Row
 from repro.types import NodeAddress, NodeKind
+
+from .conftest import store_state
 
 
 def test_schema_define_and_lookup():
@@ -170,6 +173,36 @@ def test_store_txid_index_settles_like_a_scan_of_every_prepared_row(steps):
         for t in range(1, 5):
             scan = [k for k, owner in new.iter_prepared() if owner == t]
             assert list(new._prepared_by_txn.get(t, ())) == scan
+
+
+_load_rows = st.lists(
+    st.tuples(
+        st.sampled_from("abcdef"),          # pk: duplicates are the point
+        st.sampled_from(["dirA", "dirB"]),  # partition key: a pk may move
+        st.sampled_from([1, 2, TOMBSTONE]),
+    ),
+    max_size=30,
+)
+
+
+@given(existing=_load_rows, batches=st.lists(_load_rows, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_load_many_leaves_the_store_as_row_by_row_loads_and_commits_do(existing, batches):
+    bulk, one_by_one, committed = stores = FragmentStore(), FragmentStore(), FragmentStore()
+    for store in stores:
+        for pk, partition_key, value in existing:
+            store.load("t", pk, partition_key, value)
+    for batch in batches:
+        # The entries are shared between stores, as between replicas.
+        entries = [(("t", pk), _Row(value, partition_key)) for pk, partition_key, value in batch]
+        bulk.load_many(entries)
+        for pk, partition_key, value in batch:
+            one_by_one.load("t", pk, partition_key, value)
+            committed.prepare(1, "t", pk, partition_key, value)
+            committed.commit_prepared(1, "t", pk)
+        assert store_state(bulk) == store_state(one_by_one) == store_state(committed)
+        for partition_key in ("dirA", "dirB"):
+            assert bulk.scan("t", partition_key) == committed.scan("t", partition_key)
 
 
 def test_store_read_for_sees_own_writes():
