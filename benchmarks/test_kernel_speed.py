@@ -1,27 +1,20 @@
-"""Kernel speed gate: events/sec now vs the numbers in BENCH_kernel.json.
+"""Kernel speed gate: ``BENCH_kernel.json`` against the live tree.
 
 Three kinds of assertion:
 
-* The *recorded* speedups in the committed ``BENCH_kernel.json`` must show
-  the fast-path kernel at >= 2x the pre-PR kernel (microbench and the
-  fig5 reference point).  Those numbers were measured back-to-back on one
-  machine, so they are not subject to the noise of whatever machine runs
-  this test.
-* The *live* kernel must not have regressed: re-measure here and fail if
-  events/sec fall more than 20% below the committed numbers (the same
-  threshold CI uses).  Wall-clock noise on a loaded machine is real, which
-  is why the regression gate is 20% and the microbench compares medians
-  (live median of 5 against the committed median; the live median, IQR and
-  per-pass rates are printed so a drift shows in the log before it trips).
-* The *design metric* ``events_per_op`` of the fig5 point and of the
-  CephFS point is exact per seed and must equal the committed value: a
-  change that spends more kernel events per op has to re-record it
-  deliberately.
-
-There is deliberately no live-vs-``pre_pr_baseline`` assertion: that
-baseline was recorded on another machine-speed phase, so a live rate is
-not comparable with it.  The >= 2x claim is checked on the record, and
-the live kernel is checked against the committed numbers.
+* The *live* kernel must not have regressed: re-measure the kernel
+  microbench here and fail if its median events/sec falls more than 20%
+  below the committed median (the same threshold CI uses; the live median,
+  IQR and per-pass rates are printed so a drift shows in the log before it
+  trips).  It is the only wall-clock rate gated here — how fast the host
+  runs a full stack is ``bench_e2e``'s to measure, calibrated and in pairs.
+* The *design metrics* of the fig5 point and of the CephFS point — event
+  count, ``events_per_op``, simulated throughput — are exact per seed and
+  must equal the committed values: a change that spends more kernel events
+  per op has to re-record them deliberately.
+* The two *recorded wins* (async group commit, listing cache) must still be
+  in the record, and the live simulated throughput of each must be within
+  20% of it.
 
 Run explicitly (``PYTHONPATH=src python -m pytest benchmarks/test_kernel_speed.py``);
 the tier-1 suite (testpaths=tests) does not include it.
@@ -62,13 +55,6 @@ def _require_scale_one():
         pytest.skip("BENCH_kernel.json numbers are recorded at REPRO_BENCH_SCALE=1")
 
 
-def test_recorded_speedup_vs_pre_pr_kernel():
-    """The committed record must show the >= 2x events/sec win."""
-    report = _committed()
-    assert report["microbench_speedup_vs_pre_pr"] >= 2.0
-    assert report["fig5_speedup_vs_pre_pr"] >= 2.0
-
-
 def test_microbench_has_not_regressed():
     report = _committed()
     _require_scale_one()
@@ -85,32 +71,28 @@ def test_microbench_has_not_regressed():
 
 
 def _check_spotify_point(name: str, measure) -> None:
-    """Fastest of three live runs of one recorded full-stack point against
-    the committed record: simulated results equal, rate within tolerance."""
+    """One live run of a recorded full-stack point: every simulated number
+    equals the committed record."""
     report = _committed()
     _require_scale_one()
     assert name in report, f"BENCH_kernel.json has no {name}; re-record it"
     committed = report[name]
-    live = min((measure() for _ in range(3)), key=lambda r: r["wall_s"])
+    live = measure()
     assert live["events"] == committed["events"], (
         f"{name} event count changed; re-record BENCH_kernel.json"
     )
-    # Simulated results are deterministic even though wall time is not.
-    assert live["throughput_ops_s"] == committed["throughput_ops_s"]
     assert live["events_per_op"] == committed["events_per_op"], (
         f"{name} events/op changed; re-record BENCH_kernel.json"
     )
-    assert live["events_per_sec"] >= REGRESSION_TOLERANCE * committed["events_per_sec"], (
-        f"{name} regressed: {live['events_per_sec']:,} events/s live "
-        f"vs {committed['events_per_sec']:,} committed"
-    )
+    # Whatever else is recorded is simulated too, hence deterministic.
+    assert live == {key: committed[key] for key in live}
 
 
-def test_fig5_point_has_not_regressed():
+def test_fig5_point_is_the_recorded_one():
     _check_spotify_point("fig5_point", fig5_reference_point)
 
 
-def test_cephfs_point_has_not_regressed():
+def test_cephfs_point_is_the_recorded_one():
     _check_spotify_point("cephfs_point", cephfs_point)
 
 

@@ -124,9 +124,6 @@ class CephCluster:
             count += 1
         return count
 
-    def mds_utilization_snapshot(self) -> dict[NodeAddress, float]:
-        return {mds.addr: mds.cpu.busy_time for mds in self.mds_list}
-
     # ----------------------------------------------------------- MDS failover
     def _failover_monitor(self):
         """Detect dead MDS ranks and fail their subtrees over.

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..errors import FsError, HostUnreachableError, NoNamenodeError, RpcTimeoutError
+from ..errors import HostUnreachableError, NoNamenodeError
+from ..fsclient import FsClient
 from ..net.network import Message, Network
 from ..net.server import Server
 from ..sim import Environment
@@ -25,11 +26,13 @@ __all__ = ["CephClient"]
 _READ_OPS = frozenset({OpType.READ_FILE, OpType.STAT})
 
 
-class CephClient(Server):
+class CephClient(FsClient, Server):
     """A mounted CephFS client on one simulated host.
 
     Its mailbox carries the MDSs' capability revocations.
     """
+
+    _span_name = "kclient.op"
 
     def __init__(
         self,
@@ -61,41 +64,7 @@ class CephClient(Server):
         return self.mds_addrs[rank % len(self.mds_addrs)]
 
     # -------------------------------------------------------------- operations
-    def op(self, op: OpType, **kwargs):
-        """The generator that runs one op (``yield from`` it).
-
-        A plain function: untraced, it hands back the body generator itself,
-        so a resume of the caller's ``yield from`` crosses no wrapper frame.
-        """
-        obs = self.env.obs
-        if obs is None:
-            return self._op_body(op, None, kwargs)
-        return self._traced_op(obs, op, kwargs)
-
-    def _traced_op(self, obs, op: OpType, kwargs):
-        span = obs.tracer.start(
-            "kclient.op", op=op.value, host=str(self.addr), az=self.az,
-        )
-        ts = obs.timeseries
-        start_ms = self.env.now if ts is not None else 0.0
-        try:
-            result = yield from self._op_body(op, span, kwargs)
-            span.tags["ok"] = True
-            if ts is not None:
-                now = self.env.now
-                ts.record_op(self.az, now - start_ms, True, now)
-            return result
-        except (FsError, RpcTimeoutError, HostUnreachableError) as exc:
-            span.tags["ok"] = False
-            span.tags["error"] = type(exc).__name__
-            if ts is not None:
-                now = self.env.now
-                ts.record_op(self.az, now - start_ms, False, now)
-            raise
-        finally:
-            obs.tracer.finish(span)
-
-    def _op_body(self, op: OpType, span, kwargs):
+    def _op_body(self, op: OpType, kwargs, span):
         path = kwargs.get("path") or kwargs.get("src")
         cache_key = path if op in _READ_OPS else None
         if self.config.kclient_cache and cache_key is not None and cache_key in self.cache:
@@ -150,39 +119,7 @@ class CephClient(Server):
                 self.cache.pop(dst, None)
         return result
 
-    # Convenience wrappers matching the HopsFS client surface -------------------
-    def mkdir(self, path: str):
-        result = yield from self.op(OpType.MKDIR, path=path)
-        return result
+    _request_loop = _op_body
 
     def create(self, path: str, data: bytes = b""):
-        result = yield from self.op(OpType.CREATE_FILE, path=path, data=data)
-        return result
-
-    def read(self, path: str):
-        result = yield from self.op(OpType.READ_FILE, path=path)
-        return result
-
-    def stat(self, path: str):
-        result = yield from self.op(OpType.STAT, path=path)
-        return result
-
-    def exists(self, path: str):
-        result = yield from self.op(OpType.EXISTS, path=path)
-        return result
-
-    def listdir(self, path: str):
-        result = yield from self.op(OpType.LIST_DIR, path=path)
-        return result
-
-    def delete(self, path: str, recursive: bool = False):
-        result = yield from self.op(OpType.DELETE_FILE, path=path, recursive=recursive)
-        return result
-
-    def rename(self, src: str, dst: str):
-        result = yield from self.op(OpType.RENAME, src=src, dst=dst)
-        return result
-
-    def chmod(self, path: str, permission: int = 0o644):
-        result = yield from self.op(OpType.CHMOD, path=path, permission=permission)
-        return result
+        return self.op(OpType.CREATE_FILE, path=path, data=data)

@@ -67,10 +67,29 @@ class Scenario:
     # listing/attr cache; the listing-consistency invariant then audits
     # every live cache entry against committed NDB state.
     listing_cache: Optional[ListingCacheConfig] = None
+    # What the scenario needs of a setup, checked before anything is built:
+    # AZs to cut or slow between, or (``stack="hopsfs"``) stateless
+    # metadata servers that can join and leave at runtime.
+    min_azs: int = 1
+    stack: Optional[str] = None
 
     def paths(self) -> dict:
         """The opt-in serving paths this scenario's deployment is built with."""
         return {name: getattr(self, name, None) for name in PATHS}
+
+    def unsupported_on(self, spec) -> Optional[str]:
+        """Why ``spec`` cannot run this scenario; None when it can."""
+        if self.stack is not None and spec.kind != self.stack:
+            return f"{spec.name}: elastic NN membership is HopsFS-only"
+        if len(spec.azs) < self.min_azs:
+            spans = "one AZ" if len(spec.azs) == 1 else f"{len(spec.azs)} AZs"
+            return f"{spec.name} spans {spans}; {self.name} needs {self.min_azs}"
+        return None
+
+    def require(self, spec) -> None:
+        reason = self.unsupported_on(spec)
+        if reason is not None:
+            raise UnsupportedError(reason)
 
 
 def _az_outage_schedule(harness: Harness) -> FaultSchedule:
@@ -89,8 +108,6 @@ def _rolling_restarts_schedule(harness: Harness) -> FaultSchedule:
 
 
 def _partition_schedule(harness: Harness) -> FaultSchedule:
-    if len(harness.azs) < 2:
-        raise UnsupportedError(f"{harness.spec.name} spans one AZ; nothing to partition")
     # Isolate the last AZ; the arbitrator (lowest-loaded AZ, ties to the
     # lowest id) stays on the majority side, which therefore wins.
     minority = (harness.azs[-1],)
@@ -104,8 +121,6 @@ def _partition_schedule(harness: Harness) -> FaultSchedule:
 
 
 def _degraded_link_schedule(harness: Harness) -> FaultSchedule:
-    if len(harness.azs) < 2:
-        raise UnsupportedError(f"{harness.spec.name} spans one AZ; no inter-AZ link to degrade")
     return (
         FaultSchedule()
         .degrade_link(60.0, harness.azs[0], harness.azs[-1], extra_ms=5.0)
@@ -115,8 +130,6 @@ def _degraded_link_schedule(harness: Harness) -> FaultSchedule:
 
 def _gray_degraded_link_schedule(harness: Harness) -> FaultSchedule:
     """A link so slow it looks dead to a bounded RPC, yet never drops."""
-    if len(harness.azs) < 2:
-        raise UnsupportedError(f"{harness.spec.name} spans one AZ; no inter-AZ link to degrade")
     return (
         FaultSchedule()
         .degrade_link(60.0, harness.azs[0], harness.azs[-1], extra_ms=50.0)
@@ -126,8 +139,6 @@ def _gray_degraded_link_schedule(harness: Harness) -> FaultSchedule:
 
 def _slow_az_schedule(harness: Harness) -> FaultSchedule:
     """Every link touching one AZ degrades: the AZ is up but sluggish."""
-    if len(harness.azs) < 2:
-        raise UnsupportedError(f"{harness.spec.name} spans one AZ; no inter-AZ links to slow")
     slow = harness.azs[-1]
     schedule = FaultSchedule()
     for az in harness.azs:
@@ -159,14 +170,8 @@ def _async_commit_crash_schedule(harness: Harness) -> FaultSchedule:
     return schedule
 
 
-def _hopsfs_only(harness: Harness) -> None:
-    if harness.spec.kind != "hopsfs":
-        raise UnsupportedError(f"{harness.spec.name}: elastic NN membership is HopsFS-only")
-
-
 def _nn_churn_schedule(harness: Harness) -> FaultSchedule:
     """Continuous join/leave: grow, then rotate every original NN out."""
-    _hopsfs_only(harness)
     servers = harness.server_node_ids()
     schedule = FaultSchedule().add_namenode(40.0)
     schedule.decommission_namenode(90.0, servers[0])
@@ -181,7 +186,6 @@ def _nn_churn_schedule(harness: Harness) -> FaultSchedule:
 
 def _spot_preemption_storm_schedule(harness: Harness) -> FaultSchedule:
     """Spot kills take out every original NN, staggered, with 5ms warnings."""
-    _hopsfs_only(harness)
     schedule = FaultSchedule()
     t = 60.0
     for node in harness.server_node_ids():
@@ -223,12 +227,14 @@ SCENARIOS: dict[str, Scenario] = {
             "network-partition",
             "isolate one AZ at t=60ms; heal and recover losers at t=260ms",
             _partition_schedule,
+            min_azs=2,
         ),
         Scenario(
             "degraded-link",
             "add 5ms latency on one inter-AZ path between t=60ms and t=260ms",
             _degraded_link_schedule,
             drain_ms=200.0,
+            min_azs=2,
         ),
         Scenario(
             "gray-degraded-link",
@@ -237,6 +243,7 @@ SCENARIOS: dict[str, Scenario] = {
             _gray_degraded_link_schedule,
             drain_ms=300.0,
             robust=RobustConfig(),
+            min_azs=2,
         ),
         Scenario(
             "slow-az",
@@ -245,6 +252,7 @@ SCENARIOS: dict[str, Scenario] = {
             _slow_az_schedule,
             drain_ms=300.0,
             robust=RobustConfig(),
+            min_azs=2,
         ),
         Scenario(
             "overload-burst",
@@ -275,6 +283,7 @@ SCENARIOS: dict[str, Scenario] = {
             robust=RobustConfig(),
             async_commit=AsyncCommitConfig(linger_ms=2.0, max_batch_ops=24),
             elastic=_CHURN_ELASTIC,
+            stack="hopsfs",
         ),
         Scenario(
             "spot-preemption-storm",
@@ -286,6 +295,7 @@ SCENARIOS: dict[str, Scenario] = {
             drain_ms=400.0,
             robust=RobustConfig(),
             elastic=_STORM_ELASTIC,
+            stack="hopsfs",
         ),
     )
 }
@@ -391,9 +401,9 @@ def run_scenario(
     n_clients = clients if clients is not None else scenario.clients
     run_ms = load_ms if load_ms is not None else scenario.load_ms
 
-    harness = SETUPS[resolve_setup(setup)].build(
-        num_servers, seed=seed, tuning=CHAOS, **scenario.paths()
-    )
+    spec = SETUPS[resolve_setup(setup)]
+    scenario.require(spec)
+    harness = spec.build(num_servers, seed=seed, tuning=CHAOS, **scenario.paths())
     env = harness.env
     env.trace = []  # record every dispatched (when, priority, seq)
     if obs is not None:
@@ -477,7 +487,6 @@ def run_elastic_comparison(
     """
 
     def _no_faults(harness: Harness) -> FaultSchedule:
-        _hopsfs_only(harness)
         return FaultSchedule()
 
     legs = {
@@ -490,6 +499,7 @@ def run_elastic_comparison(
             clients=clients,
             robust=RobustConfig(),
             elastic=ElasticConfig(autoscale=False),
+            stack="hopsfs",
         ),
         "autoscaled": Scenario(
             "elastic-autoscaled",
@@ -506,6 +516,7 @@ def run_elastic_comparison(
                 max_nns_per_az=2,
                 scale_down_utilization=0.05,
             ),
+            stack="hopsfs",
         ),
     }
     out = {"setup": setup, "num_servers": num_servers, "seed": seed, "legs": {}}

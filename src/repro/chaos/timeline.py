@@ -62,24 +62,6 @@ class TimelineCollector(MetricsCollector):
                 bucket[1] += failed
         return merged
 
-    def availability_between(self, start_ms: float, end_ms: float):
-        """Aggregate availability over ``[start_ms, end_ms)``, or ``None``.
-
-        Sums ok/failed across the buckets overlapping the window — how
-        elastic tests assert clients stayed green *while* the NN pool was
-        churning, not just on the end-to-end average.  ``None`` when no
-        op completed in the window (total outage or idle).
-        """
-        first = int(start_ms // self.bucket_ms)
-        last = int(end_ms // self.bucket_ms)
-        ok = failed = 0
-        for index in range(first, last + 1):
-            bucket_ok, bucket_failed = self._buckets.get(index, (0, 0))
-            ok += bucket_ok
-            failed += bucket_failed
-        total = ok + failed
-        return (ok / total) if total else None
-
     def timeline(self) -> list[dict]:
         """Dense per-bucket rows: ``{"t_ms", "ok", "failed", "availability"}``.
 

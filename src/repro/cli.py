@@ -20,18 +20,25 @@ Every setup argument takes the paper's name or its slug (``repro list``).
 Scale knobs are the same as the benchmark suite's: REPRO_BENCH_FULL=1 for
 the paper's full server grid, REPRO_BENCH_SCALE for window scaling.
 
-``python -m repro perf`` runs the kernel performance harness (events/sec
-microbenchmark plus one timed Figure 5 point) and writes BENCH_kernel.json;
-see DESIGN.md's "Kernel performance" section.
+``python -m repro perf`` records the kernel microbench, the pinned
+events-per-op points and the recorded wins in BENCH_kernel.json; see
+DESIGN.md's "Kernel performance" section.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
+import os
 import sys
 
 from .errors import ReproError, UnsupportedError
 from .experiments import SETUPS, RunConfig, figures, resolve_setup, run_point, setup_slug
+from .experiments.scale import SMOKE_CONFIG, ScaleConfig, run_scale
+from .hopsfs.elastic import ElasticConfig
+from .hopsfs.groupcommit import AsyncCommitConfig
+from .hopsfs.listcache import ListingCacheConfig
 
 _TARGETS = [
     "table1",
@@ -48,6 +55,79 @@ _TARGETS = [
     "fig14",
     "fig_async",
 ]
+
+# (flag, dataclass field, help).  The flag's type and default are the
+# field's, so every default is written once: on its dataclass.
+_SCALE_FLAGS = (
+    ("--setup", "setup", "setup slug or paper name"),
+    ("--servers", "servers", "metadata servers per shard DES"),
+    ("--population", "population", "virtual clients"),
+    ("--rate", "rate_ops_per_ms", "total offered load, ops per simulated ms"),
+    ("--duration", "duration_ms", "measurement window, simulated ms"),
+    ("--warmup", "warmup_ms", "warm-up before the window, simulated ms"),
+    ("--seed", "seed", "run seed"),
+    ("--shards", "shards", "request-stream partitions (0: 4 per AZ); "
+                           "part of the determinism key"),
+    ("--workers", "workers", "worker processes (0: min(shards, CPUs)); "
+                             "never affects the merged artifact"),
+    ("--zipf-s", "zipf_s", "population skew exponent"),
+    ("--detail-every", "detail_every", "execute 1-in-K arrivals in full detail"),
+    ("--scenario", "scenario", "run a chaos scenario inside every shard"),
+)
+_ASYNC_FLAGS = (
+    ("--linger", "linger_ms", "async group-commit linger window in ms "
+                              "(needs --async-commit)"),
+    ("--batch-ops", "max_batch_ops", "async group-commit max ops per batch "
+                                     "(needs --async-commit)"),
+)
+_ELASTIC_FLAGS = (
+    ("--autoscale-min", "min_nns_per_az",
+     "elastic scenarios: min NNs per AZ the autoscaler keeps"),
+    ("--autoscale-max", "max_nns_per_az",
+     "elastic scenarios: max NNs per AZ the autoscaler adds"),
+    ("--autoscale-cooldown", "cooldown_ms",
+     "elastic scenarios: ms between scale actions"),
+    ("--membership-refresh", "membership_refresh_ms",
+     "elastic scenarios: client membership refresh period, ms"),
+)
+
+
+def _add_flags(parser, config_cls, table, override: bool = False) -> None:
+    """One flag per ``table`` row, typed and defaulted by ``config_cls``'s
+    field.  ``override``: an unset flag reads None — it edits a config that
+    already has a value (a scenario's) instead of building one."""
+    fields = {f.name: f for f in dataclasses.fields(config_cls)}
+    for flag, name, text in table:
+        default = fields[name].default
+        kind = str if default is None else type(default)
+        if override:
+            parser.add_argument(flag, dest=name, type=kind, default=None, help=text)
+        else:
+            parser.add_argument(flag, dest=name, type=kind, default=default,
+                                help=f"{text} (default {default})")
+
+
+def _flag_values(args, table) -> dict:
+    """``{field: value}`` of the ``table`` flags that were given a value."""
+    return {name: getattr(args, name) for _flag, name, _text in table
+            if getattr(args, name) is not None}
+
+
+def _path_configs(args) -> dict:
+    """The opt-in serving paths ``--async-commit`` / ``--listing-cache`` ask for."""
+    paths = {}
+    if getattr(args, "async_commit", False):
+        paths["async_commit"] = AsyncCommitConfig(**_flag_values(args, _ASYNC_FLAGS))
+    if args.listing_cache:
+        paths["listing_cache"] = ListingCacheConfig()
+    return paths
+
+
+def _write_json(path: str, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}")
 
 
 def _run_target(name: str) -> None:
@@ -83,39 +163,25 @@ def _cmd_point(args) -> int:
         from .obs import ObsContext
 
         obs = ObsContext()
-    async_commit = None
-    if args.async_commit:
-        from .hopsfs.groupcommit import AsyncCommitConfig
-
-        kwargs = {}
-        if args.linger is not None:
-            kwargs["linger_ms"] = args.linger
-        if args.batch_ops is not None:
-            kwargs["max_batch_ops"] = args.batch_ops
-        async_commit = AsyncCommitConfig(**kwargs)
-    listing_cache = None
-    if args.listing_cache:
-        from .hopsfs.listcache import ListingCacheConfig
-
-        listing_cache = ListingCacheConfig()
-    config = RunConfig(warmup_ms=args.warmup, window_ms=args.window,
-                       async_commit=async_commit,
-                       listing_cache=listing_cache)
+    paths = _path_configs(args)
+    config = RunConfig(warmup_ms=args.warmup, window_ms=args.window, **paths)
     point = run_point(args.setup, args.servers, config=config, obs=obs)
     print(f"setup:          {point.setup}")
     print(f"servers:        {point.servers}")
-    if async_commit is not None:
-        print(f"commit path:    async group commit "
-              f"(linger {async_commit.linger_ms}ms, "
-              f"max {async_commit.max_batch_ops} ops/batch)")
-    if listing_cache is not None:
+    if "async_commit" in paths:
+        commit = paths["async_commit"]
+        print(f"commit path:    async group commit (linger {commit.linger_ms}ms, "
+              f"max {commit.max_batch_ops} ops/batch)")
+    if "listing_cache" in paths:
+        cache = paths["listing_cache"]
         print(f"read path:      pre-materialized listing cache "
-              f"(ttl {listing_cache.ttl_ms}ms, "
-              f"hit cost {listing_cache.hit_cost_frac:.2f}x)")
+              f"(ttl {cache.ttl_ms}ms, hit cost {cache.hit_cost_frac:.2f}x)")
     print(f"throughput:     {point.throughput_ops_s:,.0f} ops/s")
     print(f"avg latency:    {point.avg_latency_ms:.2f} ms")
     print(f"p50/p90/p99:    {point.p50_ms:.2f} / {point.p90_ms:.2f} / {point.p99_ms:.2f} ms")
     print(f"completed:      {point.completed} ops ({point.failed} failed)")
+    for error, count in point.failed_by_error.items():
+        print(f"  failed with   {error}: {count}")
     r = point.resource
     print(f"storage CPU:    {r.storage_cpu_pct:.1f} %")
     print(f"server CPU:     {r.server_cpu_pct:.1f} %")
@@ -125,17 +191,14 @@ def _cmd_point(args) -> int:
         from .obs import write_chrome_trace, write_spans_jsonl
 
         if args.trace:
-            doc = chrome_trace(obs.tracer, metadata={"setup": point.setup,
-                                                     "servers": point.servers})
-            problems = validate_chrome_trace(doc)
+            metadata = {"setup": point.setup, "servers": point.servers}
+            problems = validate_chrome_trace(chrome_trace(obs.tracer, metadata))
             if problems:
                 print("trace validation FAILED:", file=sys.stderr)
                 for p in problems[:10]:
                     print(f"  - {p}", file=sys.stderr)
                 return 1
-            write_chrome_trace(obs.tracer, args.trace,
-                               metadata={"setup": point.setup,
-                                         "servers": point.servers})
+            write_chrome_trace(obs.tracer, args.trace, metadata=metadata)
             print(f"trace:          {args.trace} "
                   f"({len(obs.tracer.spans)} spans; load in ui.perfetto.dev)")
         if args.trace_jsonl:
@@ -174,94 +237,45 @@ def _cmd_report(args) -> int:
             entry["throughput_ops_s"] = point.throughput_ops_s
             doc[setup] = entry
     if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, doc)
     return 0
 
 
 def _cmd_perf(args) -> int:
-    # Imported lazily: the perf harness pulls in the whole experiment stack.
-    from .experiments.perf import format_microbench, run_perf
+    from .experiments.perf import HISTORY_FILE, append_history, format_microbench, run_perf
 
-    baseline = None
-    if args.baseline:
-        import json
-
-        try:
-            with open(args.baseline) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"python -m repro perf: cannot read --baseline {args.baseline}: {exc}")
-            return 2
-        baseline = data.get("pre_pr_baseline", data)
-    report = run_perf(out_path=args.out, baseline=baseline)
-    micro = report["microbench"]
-    fig5 = report["fig5_point"]
+    report = run_perf()
+    print(format_microbench(report["microbench"]))
+    for key in ("fig5_point", "cephfs_point"):
+        p = report[key]
+        print(f"{key + ':':<15}{p['events']:,} events, {p['events_per_op']:.3f} events/op "
+              f"({p['setup']} @ {p['servers']} servers, "
+              f"{p['throughput_ops_s']:,.0f} simulated ops/s)")
     point = report["scale_point"]
-    print(format_microbench(micro))
-    print(f"fig5 point:  {fig5['events_per_sec']:,} events/s "
-          f"({fig5['setup']} @ {fig5['servers']} servers, "
-          f"{fig5['throughput_ops_s']:,.0f} simulated ops/s, "
-          f"{fig5['events_per_op']:.3f} events/op)")
-    cephfs = report["cephfs_point"]
-    print(f"cephfs pt:   {cephfs['events_per_sec']:,} events/s "
-          f"({cephfs['setup']} @ {cephfs['servers']} servers, "
-          f"{cephfs['throughput_ops_s']:,.0f} simulated ops/s, "
-          f"{cephfs['events_per_op']:.3f} events/op, "
-          f"generator {cephfs['gen_us_per_op']:.2f} us/op)")
-    print(f"scale point: {point['aggregate_events_per_sec']:,} events/s projected "
+    print(f"scale point:   {point['aggregate_events_per_sec']:,} events/s projected "
           f"({point['population']:,} clients over {point['shards']} shards, "
           f"{point['offered_ops_per_s']:,.0f} offered ops/s, "
           f"{point['aggregate_speedup_vs_microbench']:.2f}x microbench)")
-    commit = report["async_point"]
-    print(f"async point: {commit['async']['throughput_ops_s']:,.0f} ops/s async vs "
-          f"{commit['sync']['throughput_ops_s']:,.0f} sync "
-          f"({commit['op']} on {commit['setup']}, "
-          f"{commit['async_speedup']:.2f}x throughput, "
-          f"{commit['async_latency_ratio']:.2f}x latency)")
-    listing = report["listing_point"]
-    print(f"listing pt:  {listing['on']['throughput_ops_s']:,.0f} ops/s cached vs "
-          f"{listing['off']['throughput_ops_s']:,.0f} transactional "
-          f"({listing['workload']} on {listing['setup']}, "
-          f"{listing['listing_speedup']:.2f}x throughput, "
-          f"{listing['listing_latency_ratio']:.2f}x latency)")
-    print(f"peak RSS:    {report['peak_rss_mb']:.1f} MB "
+    for name, base, test in (("async", "sync", "async"), ("listing", "off", "on")):
+        p = report[f"{name}_point"]
+        print(f"{name + ' point:':<15}{p[test]['throughput_ops_s']:,.0f} ops/s {test} vs "
+              f"{p[base]['throughput_ops_s']:,.0f} {base} on {p['setup']} "
+              f"({p[f'{name}_speedup']:.2f}x throughput, "
+              f"{p[f'{name}_latency_ratio']:.2f}x latency; failed ops {test} "
+              f"{p[test]['failed_by_error']}, {base} {p[base]['failed_by_error']})")
+    print(f"peak RSS:      {report['peak_rss_mb']:.1f} MB "
           f"(peak shard RSS {point['peak_shard_rss_mb']:.1f} MB)")
-    for key in ("microbench_speedup_vs_pre_pr", "fig5_speedup_vs_pre_pr"):
-        if key in report:
-            print(f"{key}: {report[key]:.2f}x")
     if args.out:
-        print(f"wrote {args.out} (and one line to the BENCH_history.jsonl beside it)")
+        _write_json(args.out, report)
+        append_history(report, os.path.join(os.path.dirname(args.out), HISTORY_FILE))
     return 0
 
 
 def _cmd_scale(args) -> int:
-    # Imported lazily: the scale runner pulls in the experiment stack.
-    from .experiments.scale import SMOKE_CONFIG, ScaleConfig, run_scale
-
     if args.smoke:
-        from dataclasses import replace
-
-        config = replace(SMOKE_CONFIG, setup=args.setup, workers=args.workers or 0)
+        config = dataclasses.replace(SMOKE_CONFIG, setup=args.setup, workers=args.workers)
     else:
-        config = ScaleConfig(
-            setup=args.setup,
-            servers=args.servers,
-            population=args.population,
-            rate_ops_per_ms=args.rate,
-            duration_ms=args.duration,
-            warmup_ms=args.warmup,
-            seed=args.seed,
-            shards=args.shards or 0,
-            workers=args.workers or 0,
-            zipf_s=args.zipf_s,
-            detail_every=args.detail_every,
-            scenario=args.scenario,
-        )
+        config = ScaleConfig(**_flag_values(args, _SCALE_FLAGS))
     try:
         artifact = run_scale(config)
     except ReproError as exc:
@@ -306,15 +320,8 @@ def _cmd_scale(args) -> int:
             print(f"    t={r['t_ms']:6.0f}ms ok={r['ok']:5d} failed={r['failed']:4d} "
                   f"avail={r['availability']:.3f}")
     if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(artifact, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    if "all_green" in merged and not merged["all_green"]:
-        return 1
-    return 0
+        _write_json(args.json, artifact)
+    return 0 if merged.get("all_green", True) else 1
 
 
 def _cmd_chaos(args) -> int:
@@ -328,11 +335,12 @@ def _cmd_chaos(args) -> int:
         print("no scenario given; see `python -m repro chaos list`", file=sys.stderr)
         return 2
     if args.scenario == "list":
-        print("scenarios:")
+        print("scenarios [what each needs of the setup]:")
         for scenario in SCENARIOS.values():
-            print(f"  {scenario.name:28s} {scenario.description}")
+            print(f"  {scenario.name:28s} {scenario.description} "
+                  f"[min_azs={scenario.min_azs}, stack={scenario.stack or 'any'}]")
         print("  elastic-compare              fixed-pool vs autoscaled "
-              "cost-normalized throughput (HopsFS setups)")
+              "cost-normalized throughput [min_azs=1, stack=hopsfs]")
         _print_setups()
         return 0
     if args.scenario == "elastic-compare":
@@ -344,19 +352,20 @@ def _cmd_chaos(args) -> int:
         )
         return 2
     scenario = SCENARIOS[args.scenario]
+    changes = _path_configs(args)
+    elastic = _flag_values(args, _ELASTIC_FLAGS)
     try:
-        scenario = _apply_elastic_overrides(scenario, args)
+        if elastic and scenario.elastic is None:
+            raise ReproError(
+                f"{scenario.name} is not an elastic scenario; autoscaler flags "
+                f"only apply to scenarios with runtime NN membership"
+            )
+        if elastic:
+            changes["elastic"] = dataclasses.replace(scenario.elastic, **elastic)
     except ReproError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if getattr(args, "listing_cache", False):
-        import dataclasses
-
-        from .hopsfs.listcache import ListingCacheConfig
-
-        scenario = dataclasses.replace(
-            scenario, listing_cache=ListingCacheConfig()
-        )
+    scenario = dataclasses.replace(scenario, **changes)
     obs = None
     if args.trace:
         from .obs import ObsContext
@@ -371,40 +380,11 @@ def _cmd_chaos(args) -> int:
         return 2
     print(result.render())
     if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(result.to_json(), fh, indent=2)
-        print(f"\nwrote {args.json}")
+        _write_json(args.json, result.to_json())
     if obs is not None:
         faults = [s for s in obs.tracer.spans if s.name == "chaos.fault"]
         print(f"traced: {len(obs.tracer.spans)} spans ({len(faults)} chaos.fault)")
     return 0 if result.all_green else 1
-
-
-def _apply_elastic_overrides(scenario, args):
-    """Rebuild a scenario with the CLI's autoscaler overrides applied."""
-    import dataclasses
-
-    overrides = {}
-    if getattr(args, "autoscale_min", None) is not None:
-        overrides["min_nns_per_az"] = args.autoscale_min
-    if getattr(args, "autoscale_max", None) is not None:
-        overrides["max_nns_per_az"] = args.autoscale_max
-    if getattr(args, "autoscale_cooldown", None) is not None:
-        overrides["cooldown_ms"] = args.autoscale_cooldown
-    if getattr(args, "membership_refresh", None) is not None:
-        overrides["membership_refresh_ms"] = args.membership_refresh
-    if not overrides:
-        return scenario
-    if scenario.elastic is None:
-        raise ReproError(
-            f"{scenario.name} is not an elastic scenario; autoscaler flags "
-            f"only apply to scenarios with runtime NN membership"
-        )
-    return dataclasses.replace(
-        scenario, elastic=dataclasses.replace(scenario.elastic, **overrides)
-    )
 
 
 def _chaos_elastic_compare(args) -> int:
@@ -434,11 +414,7 @@ def _chaos_elastic_compare(args) -> int:
     if gain is not None:
         print(f"  cost-normalized throughput gain: {gain:.2f}x")
     if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(out, fh, indent=2)
-        print(f"\nwrote {args.json}")
+        _write_json(args.json, out)
     return 0 if all(leg["all_green"] for leg in out["legs"].values()) else 1
 
 
@@ -452,10 +428,9 @@ def _cmd_monitor(args) -> int:
             print(f"  {scenario.name:28s} {scenario.description}")
         return 0
     if args.scenario == "all":
-        # Every scenario the setup supports: elastic NN membership is HopsFS-only.
-        hopsfs = SETUPS[args.setup].kind == "hopsfs"
+        spec = SETUPS[args.setup]
         names = ["baseline"] + sorted(
-            name for name, s in SCENARIOS.items() if hopsfs or s.elastic is None)
+            name for name, s in SCENARIOS.items() if s.unsupported_on(spec) is None)
     elif args.scenario == "baseline" or args.scenario in SCENARIOS:
         names = [args.scenario]
     else:
@@ -463,26 +438,23 @@ def _cmd_monitor(args) -> int:
               "see `python -m repro monitor list`", file=sys.stderr)
         return 2
 
-    results = []
-    for name in names:
-        results.append(run_monitor(
-            name, setup=args.setup, num_servers=args.servers, seed=args.seed,
-            interval_ms=args.interval, grace_ms=args.grace,
-        ))
+    try:
+        results = [
+            run_monitor(name, setup=args.setup, num_servers=args.servers, seed=args.seed,
+                        interval_ms=args.interval, grace_ms=args.grace)
+            for name in names
+        ]
+    except UnsupportedError as exc:
+        print(f"unsupported: {exc}", file=sys.stderr)
+        return 2
     if len(results) == 1:
         print(results[0].render())
     else:
         print()
         monitor_table(results, title=f"Detection scores - {args.setup}").print()
     if args.json:
-        import json
-
-        doc = {"setup": args.setup, "seed": args.seed,
-               "runs": [r.to_json() for r in results]}
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, {"setup": args.setup, "seed": args.seed,
+                                "runs": [r.to_json() for r in results]})
     if args.html:
         with open(args.html, "w") as fh:
             for r in results:
@@ -491,7 +463,16 @@ def _cmd_monitor(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-def main(argv=None) -> int:
+def _add_target_flags(parser) -> None:
+    """The deployment a ``chaos`` / ``monitor`` run is built on."""
+    parser.add_argument("--setup", default="hopsfs-cl-3-3",
+                        help="setup slug or paper name (default hopsfs-cl-3-3)")
+    parser.add_argument("--servers", type=int, default=3,
+                        help="metadata servers (default 3)")
+    parser.add_argument("--seed", type=int, default=99)
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -512,12 +493,7 @@ def main(argv=None) -> int:
                        help="opt HopsFS setups into the async group-commit "
                             "metadata path (early acks + fsync durability "
                             "horizon); no-op on CephFS")
-    point.add_argument("--linger", type=float, default=None, metavar="MS",
-                       help="async group-commit linger window in ms "
-                            "(default 1.0; needs --async-commit)")
-    point.add_argument("--batch-ops", type=int, default=None, metavar="N",
-                       help="async group-commit max ops per batch "
-                            "(default 16; needs --async-commit)")
+    _add_flags(point, AsyncCommitConfig, _ASYNC_FLAGS)
     point.add_argument("--listing-cache", action="store_true",
                        help="opt HopsFS setups into the pre-materialized "
                             "listing/attr cache (changelog-invalidated reads "
@@ -537,40 +513,16 @@ def main(argv=None) -> int:
                         help="write the per-setup phase breakdown as JSON")
     report.set_defaults(func=_cmd_report)
 
-    perf = sub.add_parser("perf", help="run the kernel perf harness")
+    perf = sub.add_parser("perf", help="record the kernel microbench, the pinned "
+                                       "events/op points and the recorded wins")
     perf.add_argument("--out", default="BENCH_kernel.json",
                       help="output JSON path (default BENCH_kernel.json)")
-    perf.add_argument("--baseline", default=None,
-                      help="existing BENCH_kernel.json whose pre_pr_baseline to carry over")
     perf.set_defaults(func=_cmd_perf)
 
     scale = sub.add_parser(
         "scale", help="sharded aggregated-arrival run over a huge client population"
     )
-    scale.add_argument("--setup", default="hopsfs-cl-3-3",
-                       help="setup slug or pretty name (default hopsfs-cl-3-3)")
-    scale.add_argument("--servers", type=int, default=3,
-                       help="metadata servers per shard DES (default 3)")
-    scale.add_argument("--population", type=int, default=1_000_000,
-                       help="virtual clients (default 1,000,000)")
-    scale.add_argument("--rate", type=float, default=2000.0,
-                       help="total offered load, ops per simulated ms (default 2000)")
-    scale.add_argument("--duration", type=float, default=200.0,
-                       help="measurement window, simulated ms (default 200)")
-    scale.add_argument("--warmup", type=float, default=20.0)
-    scale.add_argument("--seed", type=int, default=0)
-    scale.add_argument("--shards", type=int, default=None,
-                       help="request-stream partitions (default: 4 per AZ); "
-                            "part of the determinism key")
-    scale.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: min(shards, CPUs)); "
-                            "never affects the merged artifact")
-    scale.add_argument("--zipf-s", type=float, default=1.05,
-                       help="population skew exponent (default 1.05)")
-    scale.add_argument("--detail-every", type=int, default=64,
-                       help="execute 1-in-K arrivals in full detail (default 64)")
-    scale.add_argument("--scenario", default=None, metavar="NAME",
-                       help="run a chaos scenario inside every shard")
+    _add_flags(scale, ScaleConfig, _SCALE_FLAGS)
     scale.add_argument("--smoke", action="store_true",
                        help="run the canonical CI smoke config "
                             "(100k clients, 2 shards, golden-gated hash)")
@@ -585,23 +537,11 @@ def main(argv=None) -> int:
                        help="scenario name, or 'list'")
     chaos.add_argument("--scenario", dest="scenario_flag", default=None,
                        metavar="NAME", help="scenario name (flag form)")
-    chaos.add_argument("--setup", default="hopsfs-cl-3-3",
-                       help="setup slug or pretty name (default hopsfs-cl-3-3)")
-    chaos.add_argument("--servers", type=int, default=3,
-                       help="metadata servers (default 3)")
-    chaos.add_argument("--seed", type=int, default=99)
+    _add_target_flags(chaos)
     chaos.add_argument("--json", default=None, metavar="PATH",
                        help="write the full run result (timeline, trace, "
                             "verdicts) as JSON")
-    chaos.add_argument("--autoscale-min", type=int, default=None, metavar="N",
-                       help="elastic scenarios: min NNs per AZ the autoscaler keeps")
-    chaos.add_argument("--autoscale-max", type=int, default=None, metavar="N",
-                       help="elastic scenarios: max NNs per AZ the autoscaler adds")
-    chaos.add_argument("--autoscale-cooldown", type=float, default=None,
-                       metavar="MS", help="elastic scenarios: ms between scale actions")
-    chaos.add_argument("--membership-refresh", type=float, default=None,
-                       metavar="MS",
-                       help="elastic scenarios: client membership refresh period")
+    _add_flags(chaos, ElasticConfig, _ELASTIC_FLAGS, override=True)
     chaos.add_argument("--listing-cache", action="store_true",
                        help="run the scenario with the pre-materialized "
                             "listing cache on (the listing-consistency "
@@ -617,11 +557,7 @@ def main(argv=None) -> int:
     monitor.add_argument("scenario", nargs="?", default="all",
                          help="scenario name, 'baseline', 'all' (default), "
                               "or 'list'")
-    monitor.add_argument("--setup", default="hopsfs-cl-3-3",
-                         help="setup slug or pretty name (default hopsfs-cl-3-3)")
-    monitor.add_argument("--servers", type=int, default=3,
-                         help="metadata servers (default 3)")
-    monitor.add_argument("--seed", type=int, default=99)
+    _add_target_flags(monitor)
     monitor.add_argument("--interval", type=float, default=10.0,
                          help="time-series window width, ms (default 10)")
     monitor.add_argument("--grace", type=float, default=60.0,
@@ -636,7 +572,11 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="list targets and setups")
     for target in _TARGETS + ["all"]:
         sub.add_parser(target, help=f"regenerate {target}")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args, extra = parser.parse_known_args(argv)
     command = args.command
     if command is None:
@@ -648,7 +588,7 @@ def main(argv=None) -> int:
         return 0
     if not _resolve_setups(args):
         return 2
-    if command in ("point", "perf", "report", "chaos", "scale", "monitor"):
+    if hasattr(args, "func"):
         return args.func(args)
     targets = _TARGETS if command == "all" else [command] + [
         t for t in extra if t in _TARGETS

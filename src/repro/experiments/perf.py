@@ -1,31 +1,26 @@
-"""Kernel performance harness: events/sec, wall time and peak RSS.
+"""Kernel performance record: the microbench ceiling plus pinned design numbers.
 
-Two measurements, both deterministic in simulated behaviour (only the
-wall-clock numbers vary between machines):
+``python -m repro perf`` writes ``BENCH_kernel.json`` from:
 
 * :func:`kernel_microbench` — a pure-kernel events/sec microbenchmark that
   exercises the hot paths the figure runs lean on (``yield env.timeout``,
   Store handoffs, CorePool job completion callbacks, waits on
   already-processed events).  No domain code, so it isolates the DES
-  engine itself.
-* :func:`fig5_reference_point` — one fixed Figure 5 point
-  (``HopsFS-CL (3,3)`` at 6 namenodes), timing the full stack and
-  reporting the kernel's events/sec alongside the simulated throughput.
-* :func:`cephfs_point` — the CephFS baseline of the same figure (default
-  setup, 6 MDSs, Spotify mix) at ~4 events per op, where the per-op
-  envelope (generator, driver loop, client stub, collector) weighs most;
-  also times a bare ``next_op`` loop.
+  engine itself.  The only wall-clock rate kept here: CI fails when it
+  regresses more than 20% against the committed file.
+* :func:`fig5_reference_point` / :func:`cephfs_point` — the *simulated*
+  results of one fixed Figure 5 point (``HopsFS-CL (3,3)`` at 6 namenodes)
+  and of the CephFS baseline of the same figure: events, events per op,
+  throughput.  Exact per seed, so the gate is equality.  How fast the host
+  runs them is ``bench_e2e``'s job (``spotify_sat`` / ``cephfs_sat``, with
+  calibration and a gate), not this module's.
+* :func:`scale_point`, :func:`async_point`, :func:`listing_point` — the
+  sharded scale run and the two recorded wins.
 
-``python -m repro perf`` runs them and writes ``BENCH_kernel.json``; CI
-fails when the microbench regresses more than 20% against the committed
-file.  Each ``--out`` run also appends one line to ``BENCH_history.jsonl``
-beside it (:func:`append_history`), so the trajectory survives the
-overwrite.
-
-The harness honours ``REPRO_BENCH_SCALE`` the same way the benchmark suite
-does: the fig5 point's warmup/measurement windows scale with it (see
-:func:`repro.experiments.runner.bench_scale`), and the microbench horizon
-scales with it too, so a quick smoke run is ``REPRO_BENCH_SCALE=0.1``.
+Each recorded run also appends one line to ``BENCH_history.jsonl`` beside
+the output (:func:`append_history`), so the trajectory survives the
+overwrite.  ``REPRO_BENCH_SCALE`` scales the windows and the microbench
+horizon (see :func:`repro.experiments.runner.bench_scale`).
 """
 
 from __future__ import annotations
@@ -40,8 +35,7 @@ import time
 from typing import Optional
 
 from ..sim import CorePool, Environment, Store
-from ..workloads.namespace import generate_namespace
-from ..workloads.spotify import SpotifyWorkload
+from ..types import OpType
 from .runner import RunConfig, bench_scale, run_point
 
 __all__ = [
@@ -70,8 +64,6 @@ _FIG5_CONFIG = dict(warmup_ms=15.0, window_ms=15.0)
 # point's (~220k).
 CEPHFS_SETUP = "CephFS"
 _CEPHFS_CONFIG = dict(warmup_ms=100.0, window_ms=1000.0)
-_GEN_DRAWS = 50_000
-_GEN_REPEATS = 5
 
 HISTORY_FILE = "BENCH_history.jsonl"
 
@@ -204,56 +196,31 @@ def format_microbench(micro: dict) -> str:
 
 
 def _spotify_point(setup: str, config: dict) -> dict:
-    """Time one Spotify-mix point on ``setup`` end to end."""
-    start = time.perf_counter()
+    """The simulated results of one Spotify-mix point on ``setup``."""
     point = run_point(setup, REFERENCE_SERVERS, config=RunConfig(**config))
-    wall = time.perf_counter() - start
-    events = point.events
     return {
         "setup": setup,
         "servers": REFERENCE_SERVERS,
         "bench_scale": bench_scale(),
-        "events": events,
-        "wall_s": round(wall, 4),
-        "events_per_sec": round(events / wall) if wall > 0 else 0,
+        "events": point.events,
         "throughput_ops_s": round(point.throughput_ops_s, 3),
         "avg_latency_ms": round(point.avg_latency_ms, 6),
         "completed": point.completed,
         # Design metric, exact per seed: whole-run kernel events (set-up and
         # warm-up included) per op completed in the window.
-        "events_per_op": round(events / point.completed, 3) if point.completed else 0.0,
+        "events_per_op": round(point.events / point.completed, 3) if point.completed else 0.0,
     }
 
 
 def fig5_reference_point() -> dict:
-    """Time the fixed Figure 5 reference point end to end."""
+    """The fixed Figure 5 reference point."""
     return _spotify_point(REFERENCE_SETUP, _FIG5_CONFIG)
 
 
-def _generator_us_per_op() -> float:
-    """Median host cost of one ``SpotifyWorkload.next_op`` in a bare loop."""
-    namespace = generate_namespace(seed=0)
-    # 8 clients per MDS: CephHarness.preferred_clients_per_server.
-    clients = 8 * REFERENCE_SERVERS
-    costs = []
-    for _ in range(_GEN_REPEATS):
-        next_op = SpotifyWorkload(namespace, seed=0, tag=CEPHFS_SETUP).next_op
-        start = time.perf_counter()
-        for i in range(_GEN_DRAWS):
-            next_op(client_id=i % clients)
-        costs.append((time.perf_counter() - start) / _GEN_DRAWS * 1e6)
-    return statistics.median(costs)
-
-
 def cephfs_point() -> dict:
-    """Time the CephFS baseline point; add the generator's own cost.
-
-    Almost every op here is a kernel-cache hit (one timeout, no message),
-    so what the host pays per op is mostly the envelope around it.
-    """
-    record = _spotify_point(CEPHFS_SETUP, _CEPHFS_CONFIG)
-    record["gen_us_per_op"] = round(_generator_us_per_op(), 3)
-    return record
+    """The CephFS baseline point: almost every op is a kernel-cache hit
+    (one timeout, no message), ~4 events per op."""
+    return _spotify_point(CEPHFS_SETUP, _CEPHFS_CONFIG)
 
 
 # The recorded scale point: the paper's headline regime.  12 shards (4 per
@@ -308,40 +275,17 @@ def scale_point() -> dict:
     }
 
 
-def async_point() -> dict:
-    """Sync-vs-async group commit on the mutation-heavy microbenchmark.
-
-    Runs the mkdir single-op workload (the regime the async path is built
-    for: every op is a groupable metadata mutation) on the reference setup
-    twice — legacy synchronous commit vs the async group-commit path —
-    and records both, plus the throughput/latency ratios.  The Spotify mix
-    is ~90% reads so its aggregate delta is marginal; this point isolates
-    the commit path itself and is the one the CI perf gate watches.
-
-    Measured below NN-CPU saturation (24 closed-loop clients per server,
-    not the default 160): early acks cut the commit+complete chain out of
-    each client's loop, which only moves throughput/latency while that
-    chain is on the critical path.  At saturation the NN CPU is the
-    bottleneck for sync and async alike and the two converge — a true
-    statement about group commit, not a measurement artifact.
-    """
-    from ..hopsfs.groupcommit import AsyncCommitConfig
-    from ..types import OpType
-
+def _ab_point(name: str, base: str, test: str, path: dict, config: dict,
+              **point_kwargs) -> dict:
+    """One recorded win: the reference setup run twice, without (``base``)
+    and with (``test``) the serving path ``path``; both runs' simulated
+    results, what their failed ops were, and the ``name`` ratios."""
     results = {}
-    for mode, commit in (("sync", None), ("async", AsyncCommitConfig())):
-        config = RunConfig(
-            clients_per_server=24,
-            warmup_ms=15.0,
-            window_ms=15.0,
-            async_commit=commit,
-        )
+    for mode, paths in ((base, {}), (test, path)):
         point = run_point(
-            REFERENCE_SETUP,
-            REFERENCE_SERVERS,
-            workload="single",
-            op=OpType.MKDIR,
-            config=config,
+            REFERENCE_SETUP, REFERENCE_SERVERS,
+            config=RunConfig(warmup_ms=15.0, window_ms=15.0, **config, **paths),
+            **point_kwargs,
         )
         results[mode] = {
             "throughput_ops_s": round(point.throughput_ops_s, 3),
@@ -349,117 +293,78 @@ def async_point() -> dict:
             "p99_ms": round(point.p99_ms, 6),
             "completed": point.completed,
             "failed": point.failed,
+            "failed_by_error": point.failed_by_error,
         }
-    sync_tput = results["sync"]["throughput_ops_s"]
+    off, on = results[base], results[test]
     return {
         "setup": REFERENCE_SETUP,
         "servers": REFERENCE_SERVERS,
-        "op": "mkdir",
         "bench_scale": bench_scale(),
-        "sync": results["sync"],
-        "async": results["async"],
-        "async_speedup": round(
-            results["async"]["throughput_ops_s"] / sync_tput, 3
-        ) if sync_tput else 0.0,
-        "async_latency_ratio": round(
-            results["async"]["avg_latency_ms"] / results["sync"]["avg_latency_ms"], 3
-        ) if results["sync"]["avg_latency_ms"] else 0.0,
+        **results,
+        f"{name}_speedup": round(on["throughput_ops_s"] / off["throughput_ops_s"], 3)
+        if off["throughput_ops_s"] else 0.0,
+        f"{name}_latency_ratio": round(on["avg_latency_ms"] / off["avg_latency_ms"], 3)
+        if off["avg_latency_ms"] else 0.0,
     }
+
+
+def async_point() -> dict:
+    """Sync-vs-async group commit on the mutation-heavy microbenchmark.
+
+    The mkdir single-op workload is the regime the async path is built
+    for (every op is a groupable metadata mutation; the Spotify mix is
+    ~90% reads, so its aggregate delta is marginal).  Measured below
+    NN-CPU saturation (24 closed-loop clients per server, not the default
+    160): early acks cut the commit+complete chain out of each client's
+    loop, which only moves throughput/latency while that chain is on the
+    critical path.  At saturation the NN CPU is the bottleneck for sync
+    and async alike and the two converge — a true statement about group
+    commit, not a measurement artifact.
+    """
+    from ..hopsfs.groupcommit import AsyncCommitConfig
+
+    record = _ab_point(
+        "async", "sync", "async", {"async_commit": AsyncCommitConfig()},
+        {"clients_per_server": 24}, workload="single", op=OpType.MKDIR,
+    )
+    record["op"] = "mkdir"
+    return record
 
 
 def listing_point() -> dict:
     """Cache-off vs cache-on Spotify mix on the reference setup.
 
-    The Spotify mix is ~95% reads, almost all of which the
-    pre-materialized listing cache can serve from NN memory (the
-    preloaded namespace's files are all small, so even ``readFile``
-    skips NDB).  Runs the mix at the default closed-loop client count
-    (NN-CPU saturation — the regime where skipping transaction setup
-    frees handler cores) twice, legacy transactional reads vs the cache,
-    and records both plus the ratios.  The CI perf gate watches the
-    throughput speedup.
+    The mix is ~95% reads, almost all of which the pre-materialized
+    listing cache can serve from NN memory (the preloaded namespace's
+    files are all small, so even ``readFile`` skips NDB).  Runs at the
+    default closed-loop client count: NN-CPU saturation, the regime where
+    skipping transaction setup frees handler cores.
     """
     from ..hopsfs.listcache import ListingCacheConfig
 
-    results = {}
-    for mode, cache in (("off", None), ("on", ListingCacheConfig())):
-        config = RunConfig(
-            warmup_ms=15.0,
-            window_ms=15.0,
-            listing_cache=cache,
-        )
-        point = run_point(
-            REFERENCE_SETUP,
-            REFERENCE_SERVERS,
-            workload="spotify",
-            config=config,
-        )
-        results[mode] = {
-            "throughput_ops_s": round(point.throughput_ops_s, 3),
-            "avg_latency_ms": round(point.avg_latency_ms, 6),
-            "p99_ms": round(point.p99_ms, 6),
-            "completed": point.completed,
-            "failed": point.failed,
-        }
-    off_tput = results["off"]["throughput_ops_s"]
-    return {
-        "setup": REFERENCE_SETUP,
-        "servers": REFERENCE_SERVERS,
-        "workload": "spotify",
-        "bench_scale": bench_scale(),
-        "off": results["off"],
-        "on": results["on"],
-        "listing_speedup": round(
-            results["on"]["throughput_ops_s"] / off_tput, 3
-        ) if off_tput else 0.0,
-        "listing_latency_ratio": round(
-            results["on"]["avg_latency_ms"] / results["off"]["avg_latency_ms"], 3
-        ) if results["off"]["avg_latency_ms"] else 0.0,
-    }
-
-
-def run_perf(out_path: Optional[str] = None, baseline: Optional[dict] = None) -> dict:
-    """Run every measurement; optionally write ``out_path`` as JSON and
-    append its headline numbers to the ``BENCH_history.jsonl`` beside it.
-
-    ``baseline`` (the committed pre-PR numbers) is carried through verbatim
-    so the speedup history stays in the file.
-    """
-    micro = kernel_microbench()
-    fig5 = fig5_reference_point()
-    cephfs = cephfs_point()
-    point = scale_point()
-    commit = async_point()
-    listing = listing_point()
-    point["aggregate_speedup_vs_microbench"] = round(
-        point["aggregate_events_per_sec"] / micro["events_per_sec"], 2
+    record = _ab_point(
+        "listing", "off", "on", {"listing_cache": ListingCacheConfig()}, {},
+        workload="spotify",
     )
+    record["workload"] = "spotify"
+    return record
+
+
+def run_perf() -> dict:
+    """Run every measurement and return the ``BENCH_kernel.json`` record."""
     report = {
-        "microbench": micro,
-        "fig5_point": fig5,
-        "cephfs_point": cephfs,
-        "scale_point": point,
-        "async_point": commit,
-        "listing_point": listing,
+        "microbench": kernel_microbench(),
+        "fig5_point": fig5_reference_point(),
+        "cephfs_point": cephfs_point(),
+        "scale_point": scale_point(),
+        "async_point": async_point(),
+        "listing_point": listing_point(),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
     }
-    if baseline:
-        report["pre_pr_baseline"] = baseline
-        base_eps = baseline.get("microbench", {}).get("events_per_sec")
-        if base_eps:
-            report["microbench_speedup_vs_pre_pr"] = round(
-                micro["events_per_sec"] / base_eps, 2
-            )
-        base_fig5 = baseline.get("fig5_point", {}).get("events_per_sec")
-        if base_fig5:
-            report["fig5_speedup_vs_pre_pr"] = round(
-                fig5["events_per_sec"] / base_fig5, 2
-            )
-    if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        append_history(report, os.path.join(os.path.dirname(out_path), HISTORY_FILE))
+    report["scale_point"]["aggregate_speedup_vs_microbench"] = round(
+        report["scale_point"]["aggregate_events_per_sec"]
+        / report["microbench"]["events_per_sec"], 2
+    )
     return report
 
 
@@ -483,7 +388,7 @@ def _config_fingerprint() -> str:
         "microbench": [_TICKERS, _PINGPONG_PAIRS, _POOL_CLIENTS, _WAITER_CHAINS,
                        _HORIZON_MS, _MICROBENCH_REPEATS],
         "fig5": [REFERENCE_SETUP, REFERENCE_SERVERS, _FIG5_CONFIG],
-        "cephfs": [CEPHFS_SETUP, REFERENCE_SERVERS, _CEPHFS_CONFIG, _GEN_DRAWS, _GEN_REPEATS],
+        "cephfs": [CEPHFS_SETUP, REFERENCE_SERVERS, _CEPHFS_CONFIG],
         "scale": [SCALE_POINT_SHARDS, SCALE_POINT_POPULATION],
     }
     blob = json.dumps(config, sort_keys=True)
@@ -492,21 +397,15 @@ def _config_fingerprint() -> str:
 
 def append_history(report: dict, path: str) -> dict:
     """Append the headline numbers of ``report`` to the trajectory at ``path``."""
-    micro, fig5, cephfs, scale = (
-        report["microbench"], report["fig5_point"], report["cephfs_point"],
-        report["scale_point"],
-    )
+    micro, scale = report["microbench"], report["scale_point"]
     line = {
         "git": _git_revision(),
         "config": _config_fingerprint(),
         "recorded_unix_s": round(time.time()),
         "microbench_events_per_sec": micro["events_per_sec"],
         "microbench_events_per_sec_iqr": micro["events_per_sec_iqr"],
-        "fig5_events_per_sec": fig5["events_per_sec"],
-        "fig5_events_per_op": fig5["events_per_op"],
-        "cephfs_events_per_sec": cephfs["events_per_sec"],
-        "cephfs_events_per_op": cephfs["events_per_op"],
-        "cephfs_gen_us_per_op": cephfs["gen_us_per_op"],
+        "fig5_events_per_op": report["fig5_point"]["events_per_op"],
+        "cephfs_events_per_op": report["cephfs_point"]["events_per_op"],
         "scale_aggregate_events_per_sec": scale["aggregate_events_per_sec"],
         "scale_wall_events_per_sec": scale["wall_events_per_sec"],
         "peak_rss_mb": report["peak_rss_mb"],

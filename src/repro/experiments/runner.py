@@ -91,10 +91,9 @@ class PointResult:
     # Total kernel events dispatched during the run (the DES sequence
     # counter) — the numerator of the perf harness's events/sec.
     events: int = 0
+    # What the window's failed ops were: exception class name -> count.
+    failed_by_error: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
-
-    def percentiles_for(self, op: OpType, collector: MetricsCollector):
-        return collector.latency_percentiles(op=op)
 
 
 def run_point(
@@ -183,6 +182,7 @@ def run_point(
         p99_ms=pcts[99],
         completed=collector.completed,
         failed=collector.failed,
+        failed_by_error=dict(sorted(collector.failed_errors.items())),
         resource=resource,
         per_server_ops_s=collector.throughput_ops_per_sec() / max(1, num_servers),
         events=env._seq,

@@ -205,6 +205,7 @@ def run_shard(payload: dict) -> ShardResult:
                 f"(have: {', '.join(sorted(SCENARIOS))})"
             )
         scenario = SCENARIOS[config.scenario]
+        scenario.require(spec)
         harness = spec.build(config.servers, seed=config.seed, tuning=CHAOS,
                              **scenario.paths())
     else:

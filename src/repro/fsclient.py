@@ -1,0 +1,84 @@
+"""What the HopsFS and the CephFS client have in common.
+
+Both hand a driver the same surface: ``op(OpType, **kwargs)`` returns the
+generator that runs one metadata operation, and ``mkdir`` / ``stat`` /
+``rename`` ... are plain stubs over it.  A subclass supplies ``env``,
+``addr``, ``az`` and ``_request_loop(op, kwargs, span)``, the generator
+that talks to its metadata servers.
+"""
+
+from __future__ import annotations
+
+from .errors import FsError, HostUnreachableError, RpcTimeoutError
+from .types import OpType
+
+__all__ = ["FsClient"]
+
+
+class FsClient:
+    """The client surface: one op entry, one traced envelope, plain stubs."""
+
+    _span_name = "client.op"
+
+    def op(self, op: OpType, obs_parent=None, **kwargs):
+        """The generator that runs one metadata operation (``yield from`` it).
+
+        A plain function: untraced, it hands back the request loop's own
+        generator, so a resume crosses no wrapper frame.  ``obs_parent``
+        nests this op's span under an enclosing data-path span when tracing.
+        """
+        obs = self.env.obs
+        if obs is None:
+            return self._request_loop(op, kwargs, None)
+        return self._traced_op(obs, op, kwargs, obs_parent)
+
+    def _traced_op(self, obs, op: OpType, kwargs, parent):
+        span = obs.tracer.start(
+            self._span_name, parent=parent, op=op.value, host=str(self.addr), az=self.az,
+        )
+        ts = obs.timeseries
+        start_ms = self.env.now if ts is not None else 0.0
+        try:
+            result = yield from self._request_loop(op, kwargs, span)
+            span.tags["ok"] = True
+            if ts is not None:
+                now = self.env.now
+                ts.record_op(self.az, now - start_ms, True, now)
+            return result
+        except (FsError, RpcTimeoutError, HostUnreachableError) as exc:
+            # Terminal failures are tagged too, so trace breakdowns count them.
+            span.tags["ok"] = False
+            span.tags["error"] = type(exc).__name__
+            if ts is not None:
+                now = self.env.now
+                ts.record_op(self.az, now - start_ms, False, now)
+            raise
+        finally:
+            # A request loop that can fail over stored its count in
+            # ``last_op_failures`` as it exited, just now.
+            obs.tracer.finish(span, retries=getattr(self, "last_op_failures", 0))
+
+    # Stubs: each returns ``op``'s generator itself, so they add no frame.
+    def mkdir(self, path: str):
+        return self.op(OpType.MKDIR, path=path)
+
+    def read(self, path: str):
+        return self.op(OpType.READ_FILE, path=path)
+
+    def stat(self, path: str):
+        return self.op(OpType.STAT, path=path)
+
+    def exists(self, path: str):
+        return self.op(OpType.EXISTS, path=path)
+
+    def listdir(self, path: str):
+        return self.op(OpType.LIST_DIR, path=path)
+
+    def delete(self, path: str, recursive: bool = False):
+        return self.op(OpType.DELETE_FILE, path=path, recursive=recursive)
+
+    def rename(self, src: str, dst: str):
+        return self.op(OpType.RENAME, src=src, dst=dst)
+
+    def chmod(self, path: str, permission: int = 0o644):
+        return self.op(OpType.CHMOD, path=path, permission=permission)

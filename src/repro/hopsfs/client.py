@@ -30,7 +30,9 @@ from ..errors import (
     ServerBusyError,
     ServerDrainingError,
 )
+from ..fsclient import FsClient
 from ..net.network import Network
+from ..obs.metrics import count
 from ..sim import Environment
 from ..types import ANY_AZ, AzId, NodeAddress, OpType
 from .datanode import ReadBlockReq, WriteBlockReq
@@ -41,7 +43,7 @@ from .robust import CircuitBreaker, Deadline, RobustConfig
 __all__ = ["HopsFsClient"]
 
 
-class HopsFsClient:
+class HopsFsClient(FsClient):
     """A file-system client bound to one simulated host."""
 
     def __init__(
@@ -63,7 +65,8 @@ class HopsFsClient:
         self.network = network
         self.addr = addr
         self.namenode_addrs = list(namenode_addrs)
-        self.location_domain_id = location_domain_id
+        # ``az`` is what spans and time series file this client under.
+        self.az = self.location_domain_id = location_domain_id
         self.rng = rng
         self.request_bytes = request_bytes
         self.max_failovers = max_failovers
@@ -114,11 +117,6 @@ class HopsFsClient:
             return seq[0]
         return self.rng.choice(seq)
 
-    def _count(self, name: str) -> None:
-        obs = self.env.obs
-        if obs is not None:
-            obs.registry.counter(name).inc()
-
     def _breaker(self, nn: NodeAddress) -> CircuitBreaker:
         breaker = self._breakers.get(nn)
         if breaker is None:
@@ -135,7 +133,7 @@ class HopsFsClient:
     def _record_nn_failure(self, nn: NodeAddress) -> None:
         if self.robust is not None and nn is not None:
             if self._breaker(nn).record_failure(self.env.now):
-                self._count("client.breaker_trips")
+                count(self.env, "client.breaker_trips")
 
     def _membership_loop(self):
         env = self.env
@@ -192,7 +190,6 @@ class HopsFsClient:
                 continue
             except RpcTimeoutError:
                 self.timeouts += 1
-                self._count("client.timeouts")
                 self._record_nn_failure(nn)
         return None
 
@@ -226,7 +223,6 @@ class HopsFsClient:
         if self.current_nn is not None and self.current_nn not in current:
             self.current_nn = None
         self.membership_refreshes += 1
-        self._count("client.membership_refresh")
 
     def _pick_namenode(self, deadline: Optional[Deadline] = None):
         """Fetch the active-NN list from any live NN, then apply the policy.
@@ -249,7 +245,6 @@ class HopsFsClient:
             # too — count it so trace/metric breakdowns see these ops.
             self.failovers += 1
             self.bootstrap_exhaustions += 1
-            self._count("client.failovers")
             if deadline is not None:
                 # An empty view is exhausted without one probe: a failing
                 # op must cost simulated time, or a closed loop spins at
@@ -276,21 +271,6 @@ class HopsFsClient:
         return self.current_nn
 
     # ------------------------------------------------------------ operations
-    def op(self, op: OpType, **kwargs):
-        """The generator that runs one metadata operation, failing over
-        across NN deaths (``yield from`` it).
-
-        A plain function: untraced, it hands back the request loop's own
-        generator, so a resume crosses no wrapper frame.  ``obs_parent``
-        (popped before the request goes on the wire) nests this op's span
-        under an enclosing data-path span when tracing.
-        """
-        parent = kwargs.pop("obs_parent", None)
-        obs = self.env.obs
-        if obs is None:
-            return self._request_loop(op, kwargs, None)
-        return self._traced_op(obs, op, kwargs, parent)
-
     def _request_loop(self, op: OpType, kwargs, span):
         """The request loop this client was configured with.
 
@@ -303,34 +283,6 @@ class HopsFsClient:
             return self._robust_op(op, kwargs, span)
         return self._op_body(op, kwargs, span)
 
-    def _traced_op(self, obs, op: OpType, kwargs, parent):
-        span = obs.tracer.start(
-            "client.op", parent=parent, op=op.value,
-            host=str(self.addr), az=self.location_domain_id,
-        )
-        ts = obs.timeseries
-        start_ms = self.env.now if ts is not None else 0.0
-        try:
-            result = yield from self._request_loop(op, kwargs, span)
-            span.tags["ok"] = True
-            if ts is not None:
-                now = self.env.now
-                ts.record_op(self.location_domain_id, now - start_ms, True, now)
-            return result
-        except (FsError, RpcTimeoutError, HostUnreachableError) as exc:
-            # Terminal failures must be tagged too (NoNamenodeError and
-            # FsError exits previously finished with neither ok nor error,
-            # undercounting failures in trace breakdowns).
-            span.tags["ok"] = False
-            span.tags["error"] = type(exc).__name__
-            if ts is not None:
-                now = self.env.now
-                ts.record_op(self.location_domain_id, now - start_ms, False, now)
-            raise
-        finally:
-            # The loop stored its count as it exited, just now.
-            obs.tracer.finish(span, retries=self.last_op_failures)
-
     def _early_ack(self, ack: GroupAck):
         """Record the horizon an async-commit early ack rides; returns the
         plain result."""
@@ -341,7 +293,6 @@ class HopsFsClient:
 
     def _op_body(self, op: OpType, kwargs, span):
         """Legacy fail-stop request path (bit-identical to prior releases)."""
-        obs = self.env.obs
         failures = 0
         try:
             while True:
@@ -364,8 +315,6 @@ class HopsFsClient:
                     self.current_nn = None
                     self.failovers += 1
                     failures += 1
-                    if obs is not None:
-                        obs.registry.counter("client.failovers").inc()
                     if failures > self.max_failovers:
                         raise NoNamenodeError(f"{op}: no metadata server after retries")
         finally:
@@ -389,7 +338,7 @@ class HopsFsClient:
         try:
             while True:
                 if deadline.expired(env.now):
-                    self._count("client.deadline_exceeded")
+                    count(env, "client.deadline_exceeded")
                     raise DeadlineExceededError(
                         f"{op.value}: client deadline expired"
                     ) from last_error
@@ -408,7 +357,6 @@ class HopsFsClient:
                     # timeout as a failover trigger and route elsewhere.
                     last_error = exc
                     self.timeouts += 1
-                    self._count("client.timeouts")
                     self._record_nn_failure(self.current_nn)
                     self._fail_over()
                     failures += 1
@@ -423,7 +371,7 @@ class HopsFsClient:
                     # once (membership refresh would do it ~a period later)
                     # and go straight at a peer without backing off.
                     last_error = exc
-                    self._count("client.drain_redirects")
+                    count(env, "client.drain_redirects")
                     self._discard_namenode(self.current_nn)
                     attempt += 1
                     if attempt > robust.retry.max_retries:
@@ -437,7 +385,6 @@ class HopsFsClient:
                     # spread the retry over the other servers.
                     last_error = exc
                     self.busy_rejections += 1
-                    self._count("client.busy_rejections")
                     self.current_nn = None
                 attempt += 1
                 if attempt > robust.retry.max_retries:
@@ -457,13 +404,12 @@ class HopsFsClient:
     def _fail_over(self) -> None:
         self.current_nn = None
         self.failovers += 1
-        self._count("client.failovers")
 
     def _backoff(self, attempt: int, deadline: Deadline, last_error):
         delay = self.robust.retry.backoff_ms(attempt, self.retry_rng)
         if deadline.remaining(self.env.now) <= delay:
             # Sleeping past the deadline is doomed work; fail fast instead.
-            self._count("client.deadline_exceeded")
+            count(self.env, "client.deadline_exceeded")
             raise DeadlineExceededError(
                 "deadline would expire during retry backoff"
             ) from last_error
@@ -503,7 +449,6 @@ class HopsFsClient:
             result = yield primary
             return result
         self.hedges += 1
-        self._count("client.hedges")
         hedge = self.network.call(
             self.addr, alt_nn, "fs_op", (op, kwargs),
             size=self.request_bytes, parent_span=span,
@@ -516,7 +461,6 @@ class HopsFsClient:
         if hedge.triggered and hedge.ok:
             primary.defuse()
             self.hedge_wins += 1
-            self._count("client.hedge_wins")
             # The hedge answering first is evidence the primary is slow;
             # ride the faster server from here on.
             self.current_nn = alt_nn
@@ -536,15 +480,10 @@ class HopsFsClient:
             return None
         return self._choice(candidates)
 
-    # Convenience wrappers -----------------------------------------------------
-    def mkdir(self, path: str):
-        result = yield from self.op(OpType.MKDIR, path=path)
-        return result
-
+    # Beyond the shared stubs --------------------------------------------------
     def mkdirs(self, path: str):
         """Create a directory and any missing ancestors (mkdir -p)."""
-        result = yield from self.op(OpType.MKDIRS, path=path)
-        return result
+        return self.op(OpType.MKDIRS, path=path)
 
     def create(self, path: str, data: bytes = b"", replication: Optional[int] = None):
         """Create a file; large payloads stream through the block layer."""
@@ -598,7 +537,7 @@ class HopsFsClient:
             yield from self._write_pipeline(block, chunk, parent_span=span)
             return
         except FsError:
-            self._count("client.pipeline_retries")
+            count(self.env, "client.pipeline_retries")
             yield from self.op(
                 OpType.ABANDON_BLOCK, path=path, block_id=block.block_id,
                 client=str(self.addr), obs_parent=span,
@@ -619,10 +558,6 @@ class HopsFsClient:
             )
         except (HostUnreachableError, RpcTimeoutError) as exc:
             raise FsError(f"write pipeline failed: {exc}") from exc
-
-    def read(self, path: str):
-        result = yield from self.op(OpType.READ_FILE, path=path)
-        return result
 
     def read_data(self, path: str):
         """Read a file's *data*: inline bytes, or blocks from datanodes.
@@ -710,32 +645,5 @@ class HopsFsClient:
             self._pending_horizons.difference_update(horizons)
         return result
 
-    def stat(self, path: str):
-        result = yield from self.op(OpType.STAT, path=path)
-        return result
-
-    def exists(self, path: str):
-        result = yield from self.op(OpType.EXISTS, path=path)
-        return result
-
-    def listdir(self, path: str):
-        result = yield from self.op(OpType.LIST_DIR, path=path)
-        return result
-
-    def delete(self, path: str, recursive: bool = False):
-        result = yield from self.op(OpType.DELETE_FILE, path=path, recursive=recursive)
-        return result
-
-    def rename(self, src: str, dst: str):
-        result = yield from self.op(OpType.RENAME, src=src, dst=dst)
-        return result
-
-    def chmod(self, path: str, permission: int):
-        result = yield from self.op(OpType.CHMOD, path=path, permission=permission)
-        return result
-
     def set_replication(self, path: str, replication: int):
-        result = yield from self.op(
-            OpType.SET_REPLICATION, path=path, replication=replication
-        )
-        return result
+        return self.op(OpType.SET_REPLICATION, path=path, replication=replication)

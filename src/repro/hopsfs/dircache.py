@@ -1,4 +1,4 @@
-"""Namenode-side directory (path-component) cache.
+"""Namenode-side caches' storage, and the directory (path-component) cache.
 
 HopsFS namenodes cache the inodes of directory path components (FAST'17):
 the top of the hierarchy is read-mostly, and without the cache every
@@ -12,85 +12,75 @@ the operation's locked read fail, and the client retries).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from .metadata import InodeRow
 
-__all__ = ["DirCache"]
+__all__ = ["TtlLruMap", "DirCache"]
 
 
-class DirCache:
-    """Maps ``(parent_id, name)`` to a directory's :class:`InodeRow`."""
+class TtlLruMap(dict):
+    """A dict of ``key -> (stamp_ms, value)`` that knows its TTL and its cap.
 
-    def __init__(
-        self,
-        now: Callable[[], float],
-        ttl_ms: float = 5000.0,
-        max_entries: int = 100_000,
-        env=None,
-    ):
+    The one storage discipline of the dir cache and both listing-cache
+    tiers: a lookup drops the entry it finds older than ``ttl_ms``, and a
+    :meth:`store` at the cap evicts the oldest *insertion* — dict order, so
+    the victim is deterministic, and never the whole cache (which caused a
+    periodic miss storm on the root-component hot path).  :meth:`lookup`
+    counts ``hits`` / ``misses`` as plain ints (the obs registry reads them
+    through a gauge); :meth:`peek` does not.  ``len``, ``in``, ``pop``,
+    ``clear`` and ``update`` (with prebuilt entries) are the dict's own.
+    """
+
+    __slots__ = ("_now", "ttl_ms", "max_entries", "hits", "misses")
+
+    # The defaults are the dir cache's; the listing tiers pass their config's.
+    def __init__(self, now: Callable[[], float], ttl_ms: float = 5000.0,
+                 max_entries: int = 100_000):
         self._now = now
         self.ttl_ms = ttl_ms
         self.max_entries = max_entries
-        self._entries: dict[tuple[int, str], tuple[float, InodeRow]] = {}
-        # Plain ints stay the source of truth (tests compare them as ints);
-        # the obs registry mirrors them as mergeable Counters when tracing
-        # is attached to the env.
         self.hits = 0
         self.misses = 0
-        self._env = env
 
-    def _count(self, name: str) -> None:
-        env = self._env
-        if env is not None and env.obs is not None:
-            env.obs.registry.counter(name).inc()
+    def lookup(self, key):
+        entry = self.get(key)
+        if entry is not None:
+            if self._now() - entry[0] <= self.ttl_ms:
+                self.hits += 1
+                return entry[1]
+            del self[key]
+        self.misses += 1
+        return None
 
-    def get(self, parent_id: int, name: str) -> Optional[InodeRow]:
-        entry = self._entries.get((parent_id, name))
-        if entry is None:
-            self.misses += 1
-            self._count("nn.dircache.miss")
-            return None
-        cached_at, row = entry
-        if self._now() - cached_at > self.ttl_ms:
-            del self._entries[(parent_id, name)]
-            self.misses += 1
-            self._count("nn.dircache.miss")
-            return None
-        self.hits += 1
-        self._count("nn.dircache.hit")
-        return row
-
-    def peek(self, parent_id: int, name: str) -> Optional[InodeRow]:
-        """TTL-checked lookup that leaves the hit/miss counters untouched.
-
-        The listing cache consults intermediate directory components here
-        during its pre-pool peek; counting those probes would double-book
-        every cacheable read against the dir-cache hit rate.
-        """
-        entry = self._entries.get((parent_id, name))
+    def peek(self, key):
+        """:meth:`lookup` that leaves the hit/miss counters untouched (the
+        listing cache's pre-pool probes of the dir cache would otherwise
+        double-book every cacheable read against its hit rate)."""
+        entry = self.get(key)
         if entry is None:
             return None
-        cached_at, row = entry
-        if self._now() - cached_at > self.ttl_ms:
-            del self._entries[(parent_id, name)]
+        if self._now() - entry[0] > self.ttl_ms:
+            del self[key]
             return None
-        return row
+        return entry[1]
+
+    def store(self, key, value) -> None:
+        if self.pop(key, None) is None and len(self) >= self.max_entries:
+            del self[next(iter(self))]
+        self[key] = (self._now(), value)
+
+    def live(self, now: float) -> list:
+        """``(key, value)`` of the entries a lookup at ``now`` would serve."""
+        ttl = self.ttl_ms
+        return [(key, value) for key, (stamp, value) in self.items() if now - stamp <= ttl]
+
+
+class DirCache(TtlLruMap):
+    """Maps ``(parent_id, name)`` to a directory's :class:`InodeRow`."""
+
+    __slots__ = ()
 
     def put(self, row: InodeRow) -> None:
-        if not row.is_dir:
-            return
-        key = (row.parent_id, row.name)
-        # Bounded LRU: evict the oldest insertion instead of wiping the
-        # whole cache (which caused a deterministic periodic miss storm on
-        # the root-component hot path every time the cap was reached).
-        # Dict insertion order gives a deterministic eviction victim.
-        if self._entries.pop(key, None) is None and len(self._entries) >= self.max_entries:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = (self._now(), row)
-
-    def invalidate(self, parent_id: int, name: str) -> None:
-        self._entries.pop((parent_id, name), None)
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        if row.is_dir:
+            self.store((row.parent_id, row.name), row)

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import ConfigError
+from ..obs.metrics import count
 
 __all__ = [
     "ElasticConfig",
@@ -268,7 +269,7 @@ class Autoscaler:
                 if victim is not None:
                     self.scale_downs += 1
                     self.last_action_ms = env.now
-                    self._count("autoscale.down")
+                    count(env, "autoscale.down")
                     # Drain inline: the next sample naturally waits for the
                     # decommission to finish, which is cooldown in itself.
                     yield from self.fs.decommission_namenode(
@@ -278,7 +279,7 @@ class Autoscaler:
     def _scale_up(self, az: int, reason: str) -> None:
         self.scale_ups += 1
         self.last_action_ms = self.fs.env.now
-        self._count("autoscale.up")
+        count(self.fs.env, "autoscale.up")
         self.fs.add_namenode(az=az, reason=f"autoscale-{reason}")
 
     def _pick_scale_in_victim(self, serving, counts):
@@ -292,11 +293,6 @@ class Autoscaler:
         if not candidates:
             return None
         return max(candidates, key=lambda nn: (counts[nn.az], nn.nn_id))
-
-    def _count(self, name: str) -> None:
-        obs = self.fs.env.obs
-        if obs is not None:
-            obs.registry.counter(name).inc()
 
 
 def elastic_summary(deployment, completed_ops: int, now_ms: float) -> dict:

@@ -16,6 +16,7 @@ from ..errors import ConfigError
 from ..ndb import NdbCluster, NdbConfig
 from ..ndb.cluster import az_assignment_for
 from ..net import Network, build_us_west1
+from ..obs.metrics import count
 from ..sim import Environment, RngRegistry
 from ..types import ANY_AZ, AzId, NodeAddress, NodeKind
 from .blocks import PlacementPolicy
@@ -84,7 +85,7 @@ class HopsFsDeployment:
             az = next(self._client_az_cycle)
         index = next(self._client_ids)
         addr = NodeAddress(NodeKind.CLIENT, index)
-        self.topology.add_host(addr, az=az, cores=8)
+        self.network.topology.add_host(addr, az=az, cores=8)
         return HopsFsClient(
             env=self.env,
             network=self.network,
@@ -149,10 +150,6 @@ class HopsFsDeployment:
             yield self.env.timeout(1.0)
 
     # ----------------------------------------------------- elastic lifecycle
-    @property
-    def elastic(self) -> Optional[ElasticConfig]:
-        return self.config.elastic
-
     def serving_namenodes(self) -> list[Namenode]:
         """NNs currently admitting work (running and not draining)."""
         return [nn for nn in self.namenodes if nn.running and not nn.draining]
@@ -186,7 +183,7 @@ class HopsFsDeployment:
         )
         self.reconfig_log.append(event)
         event.completed_ms = self.env.now
-        self._count("elastic.add")
+        count(self.env, "elastic.add")
         self._watch_visibility(nn, event, joining=True)
         return nn
 
@@ -198,7 +195,7 @@ class HopsFsDeployment:
         constructor derives from the config) and provisioning record.
         """
         addr = NodeAddress(NodeKind.NAMENODE, index)
-        self.topology.add_host(addr, az=az, cores=self.config.nn_cores)
+        self.network.topology.add_host(addr, az=az, cores=self.config.nn_cores)
         nn = Namenode(
             self.env,
             self.network,
@@ -241,7 +238,7 @@ class HopsFsDeployment:
             decided_ms=env.now, detail=reason,
         )
         self.reconfig_log.append(event)
-        self._count("elastic.decommission")
+        count(self.env, "elastic.decommission")
         # Flag the retirement to the SLO engine *at decision time*: the
         # NN's per-server series goes quiet from here on, and the liveness
         # floor must know the silence is planned before it starts burning.
@@ -284,7 +281,7 @@ class HopsFsDeployment:
             decided_ms=env.now, detail=f"warning={warning_ms}ms",
         )
         self.reconfig_log.append(event)
-        self._count("elastic.preempt")
+        count(self.env, "elastic.preempt")
         drain = env.process(
             nn.drain(grace_ms=warning_ms, poll_ms=1.0),
             name=f"{nn.addr}:preempt-drain",
@@ -354,11 +351,6 @@ class HopsFsDeployment:
             obs.timeseries.inc(
                 f"component.retired.nn.handle.{nn.addr}", self.env.now
             )
-
-    def _count(self, name: str) -> None:
-        obs = self.env.obs
-        if obs is not None:
-            obs.registry.counter(name).inc()
 
 
 def build_hopsfs(

@@ -43,6 +43,7 @@ from typing import Callable, Optional
 
 from ..errors import InvalidPathError
 from ..ndb.schema import TOMBSTONE
+from .dircache import TtlLruMap
 from .metadata import INODES_TABLE, ROOT_INODE_ID, InodeRow
 from .pathlock import root_row, split_path
 
@@ -56,7 +57,7 @@ class ListingCacheConfig:
     # Worst-case staleness bound: entries older than this are never served
     # (covers changelog batches dropped while this NN was unreachable).
     ttl_ms: float = 100.0
-    # Bounded LRU caps (dict insertion order, deterministic eviction).
+    # Caps of the two tiers (TtlLruMap: oldest insertion evicted).
     max_attr_entries: int = 200_000
     max_listing_entries: int = 50_000
     # Handler-pool cost of a cache-served read, as a fraction of
@@ -87,7 +88,7 @@ def materialize_snapshot(rows, now: float) -> tuple[dict, dict]:
     listings = {}
     for dir_id, names in children.items():
         ordered = tuple(sorted(names))
-        listings[dir_id] = (now, ordered, frozenset(ordered))
+        listings[dir_id] = (now, (ordered, frozenset(ordered)))
     return attrs, listings
 
 
@@ -99,16 +100,13 @@ class ListingCache:
         config: ListingCacheConfig,
         now: Callable[[], float],
         bus,
-        env=None,
     ):
         self.config = config
-        self._now = now
         self.bus = bus
-        self._env = env
-        # (parent_id, name) -> (stamp_ms, InodeRow)
-        self._attrs: dict[tuple[int, str], tuple[float, InodeRow]] = {}
-        # dir inode id -> (stamp_ms, sorted-name tuple, name set)
-        self._listings: dict[int, tuple[float, tuple, frozenset]] = {}
+        # (parent_id, name) -> InodeRow
+        self._attrs = TtlLruMap(now, config.ttl_ms, config.max_attr_entries)
+        # dir inode id -> (sorted-name tuple, name set)
+        self._listings = TtlLruMap(now, config.ttl_ms, config.max_listing_entries)
         # Changelog gating state.
         self.epoch = bus.epoch
         self.applied_seq = bus.seq
@@ -119,7 +117,8 @@ class ListingCache:
         self._inval_seq = 0
         self._flush_stamp = 0
         self._dir_stamp: dict[int, int] = {}
-        # Plain-int counters (schedule-neutral; mirrored to obs when on).
+        # Plain-int counters (schedule-neutral; the obs registry reads the
+        # first four through gauges).
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -129,32 +128,7 @@ class ListingCache:
         self.batches_applied = 0
         self.stale_batches = 0
 
-    def _count(self, name: str) -> None:
-        env = self._env
-        if env is not None and env.obs is not None:
-            env.obs.registry.counter(name).inc()
-
     # ------------------------------------------------------------------ serve
-    def _attr_get(self, parent_id: int, name: str) -> Optional[InodeRow]:
-        entry = self._attrs.get((parent_id, name))
-        if entry is None:
-            return None
-        stamp, row = entry
-        if self._now() - stamp > self.config.ttl_ms:
-            del self._attrs[(parent_id, name)]
-            return None
-        return row
-
-    def _listing_get(self, dir_id: int) -> Optional[tuple]:
-        entry = self._listings.get(dir_id)
-        if entry is None:
-            return None
-        stamp, names, name_set = entry
-        if self._now() - stamp > self.config.ttl_ms:
-            del self._listings[dir_id]
-            return None
-        return entry
-
     def resolve(
         self, path: str, dir_cache=None, final_from_dir_cache: bool = False
     ) -> tuple[bool, Optional[InodeRow]]:
@@ -190,32 +164,30 @@ class ListingCache:
                 # Error path (file mid-path): serve transactionally so the
                 # client sees the exact legacy exception.
                 return False, None
-            nxt = self._attr_get(row.id, name)
+            nxt = self._attrs.peek((row.id, name))
             if nxt is None and dir_cache is not None and (
                 depth < last or final_from_dir_cache
             ):
-                nxt = dir_cache.peek(row.id, name)
+                nxt = dir_cache.peek((row.id, name))
             if nxt is None:
-                listing = self._listing_get(row.id)
-                if listing is not None and name not in listing[2]:
+                listing = self._listings.peek(row.id)
+                if listing is not None and name not in listing[1]:
                     return True, None  # materialized listing proves absence
                 return False, None
             row = nxt
         return True, row
 
     def listing(self, dir_id: int) -> Optional[list]:
-        entry = self._listing_get(dir_id)
+        entry = self._listings.peek(dir_id)
         if entry is None:
             return None
-        return list(entry[1])
+        return list(entry[0])
 
     def record_hit(self) -> None:
         self.hits += 1
-        self._count("nn.listcache.hit")
 
     def record_miss(self) -> None:
         self.misses += 1
-        self._count("nn.listcache.miss")
 
     # ------------------------------------------------------------------ fills
     def begin_fill(self) -> tuple[int, int]:
@@ -230,10 +202,7 @@ class ListingCache:
         if self._dir_stamp.get(row.parent_id, 0) > at:
             self.discarded_fills += 1  # directory invalidated since the read
             return
-        key = (row.parent_id, row.name)
-        if self._attrs.pop(key, None) is None and len(self._attrs) >= self.config.max_attr_entries:
-            self._attrs.pop(next(iter(self._attrs)))
-        self._attrs[key] = (self._now(), row)
+        self._attrs.store((row.parent_id, row.name), row)
         self.fills += 1
 
     def fill_listing(self, token: tuple[int, int], dir_id: int, names) -> None:
@@ -244,10 +213,8 @@ class ListingCache:
         if self._dir_stamp.get(dir_id, 0) > at:
             self.discarded_fills += 1
             return
-        if self._listings.pop(dir_id, None) is None and len(self._listings) >= self.config.max_listing_entries:
-            self._listings.pop(next(iter(self._listings)))
         ordered = tuple(sorted(names))
-        self._listings[dir_id] = (self._now(), ordered, frozenset(ordered))
+        self._listings.store(dir_id, (ordered, frozenset(ordered)))
         self.fills += 1
 
     def prewarm(self, attrs: dict, listings: dict) -> None:
@@ -292,7 +259,6 @@ class ListingCache:
         if value is not TOMBSTONE and isinstance(value, InodeRow) and value.is_dir:
             self._drop_dir(value.id)
         self.invalidations += 1
-        self._count("nn.listcache.invalidation")
 
     def invalidate_path(self, path: str) -> None:
         """Eager local invalidation (read-your-writes on the mutating NN).
@@ -356,7 +322,6 @@ class ListingCache:
         self._inval_seq += 1
         self._flush_stamp = self._inval_seq
         self.flushes += 1
-        self._count("nn.listcache.flush")
 
     def resync(self) -> None:
         """Re-align with the bus after this NN restarts.
@@ -372,21 +337,11 @@ class ListingCache:
     # ------------------------------------------------------------------ audit
     def live_attrs(self, now: float):
         """Non-expired attr entries — exactly what ``serve`` would trust."""
-        ttl = self.config.ttl_ms
-        return [
-            (pk, row)
-            for pk, (stamp, row) in self._attrs.items()
-            if now - stamp <= ttl
-        ]
+        return self._attrs.live(now)
 
     def live_listings(self, now: float):
         """Non-expired listing entries — exactly what ``serve`` would trust."""
-        ttl = self.config.ttl_ms
-        return [
-            (dir_id, names)
-            for dir_id, (stamp, names, _s) in self._listings.items()
-            if now - stamp <= ttl
-        ]
+        return [(dir_id, names) for dir_id, (names, _set) in self._listings.live(now)]
 
     def __len__(self) -> int:
         return len(self._attrs) + len(self._listings)

@@ -128,9 +128,6 @@ class RetryRow:
     op_seq: int
     result: object = None
 
-    @property
-    def pk(self) -> tuple[str, int]:
-        return (self.client_id, self.op_seq)
 
 
 def define_fs_schema(read_backup: bool, fully_replicated_leader: bool = False) -> Schema:

@@ -55,8 +55,9 @@ __all__ = ["Namenode"]
 class _FillRecorder:
     """Per-op dir-cache shim that records rows for a listing-cache fill.
 
-    ``get``/``put``/``invalidate`` delegate to the real dir cache, so the
-    listing-cache miss path resolves at exactly the legacy cost.  Only the
+    ``lookup``/``put`` delegate to the real dir cache, so the
+    listing-cache miss path resolves at exactly the legacy cost (the read
+    ops it wraps never invalidate, so there is no ``pop``).  Only the
     rows the transaction *freshly read* (those it ``put``) are recorded
     and imported into the listing cache — a row served from the dir cache
     may be up to its TTL stale, which is fine for transactional resolution
@@ -70,15 +71,12 @@ class _FillRecorder:
         self._dir_cache = dir_cache
         self.rows = []
 
-    def get(self, parent_id, name):
-        return self._dir_cache.get(parent_id, name)
+    def lookup(self, key):
+        return self._dir_cache.lookup(key)
 
     def put(self, row):
         self._dir_cache.put(row)
         self.rows.append(row)
-
-    def invalidate(self, parent_id, name):
-        self._dir_cache.invalidate(parent_id, name)
 
 
 class Namenode(Server):
@@ -137,7 +135,7 @@ class Namenode(Server):
         )
         # Path-component cache: serves resolution of the read-mostly top of
         # the hierarchy and the DAT partition-key hints (FAST'17).
-        self.dir_cache = DirCache(now=lambda: env.now, env=env)
+        self.dir_cache = DirCache(now=lambda: env.now)
         self.ctx = ops.FsContext(
             ids=ids,
             now=lambda: env.now,
@@ -180,7 +178,7 @@ class Namenode(Server):
         if config.listing_cache is not None:
             changelog = ndb_cluster.changelog
             self.listing_cache = ListingCache(
-                config.listing_cache, now=lambda: env.now, bus=changelog, env=env
+                config.listing_cache, now=lambda: env.now, bus=changelog
             )
             changelog.subscribe(addr)
         self._safemode_forced = False
@@ -266,19 +264,17 @@ class Namenode(Server):
                 # Membership queries stay served — peers still list us
                 # until the leader row is dropped.
                 self.ops_drain_rejected += 1
-                self._bounce(
-                    msg,
-                    "nn.drain_rejected",
-                    ServerDrainingError(f"{self.addr} draining; pick another NN"),
+                self.network.reply(
+                    msg, ServerDrainingError(f"{self.addr} draining; pick another NN"),
+                    ok=False,
                 )
             elif robust is not None and self._inflight >= robust.nn_max_inflight:
                 # Overloaded: answer fast instead of queueing work that
                 # cannot finish in time.
                 self.ops_shed += 1
-                self._bounce(
-                    msg,
-                    "nn.shed",
-                    ServerBusyError(f"{self.addr} overloaded; retry with backoff"),
+                self.network.reply(
+                    msg, ServerBusyError(f"{self.addr} overloaded; retry with backoff"),
+                    ok=False,
                 )
             else:
                 self._inflight += 1
@@ -298,12 +294,6 @@ class Namenode(Server):
                 self.listing_cache.apply(msg.payload)
         else:
             raise FsError(f"{self.addr}: unknown NN message {msg.kind!r}")
-
-    def _bounce(self, msg: Message, counter: str, exc) -> None:
-        """Refuse admission: the op never counted as in flight or failed."""
-        if self.env.obs is not None:
-            self.env.obs.registry.counter(counter).inc()
-        self.network.reply(msg, exc, ok=False)
 
     # --------------------------------------------------------------- fs ops
     def _fs_op(self, msg: Message):
@@ -651,7 +641,7 @@ class Namenode(Server):
             return None
         parent_id = 1
         for name in split_path(path)[:-1]:
-            row = self.dir_cache.get(parent_id, name)
+            row = self.dir_cache.lookup((parent_id, name))
             if row is None:
                 return None
             parent_id = row.id

@@ -86,7 +86,7 @@ def _cache_uncommitted(ctx: FsContext, txn: NdbTransaction, row: InodeRow) -> No
     """
     if ctx.dir_cache is not None and row.is_dir:
         ctx.dir_cache.put(row)
-        txn.on_abort(ctx.dir_cache.invalidate, row.parent_id, row.name)
+        txn.on_abort(ctx.dir_cache.pop, (row.parent_id, row.name), None)
 
 
 def _require_dir(row: InodeRow, path: str) -> None:
@@ -223,7 +223,7 @@ def exists(ctx: FsContext, txn: NdbTransaction, path: str):
     parent_id = 1
     row = None
     for depth, name in enumerate(components):
-        row = ctx.dir_cache.get(parent_id, name) if ctx.dir_cache is not None else None
+        row = ctx.dir_cache.lookup((parent_id, name)) if ctx.dir_cache is not None else None
         if row is None:
             row = yield from txn.read(INODES_TABLE, (parent_id, name), partition_key=parent_id)
             if row is not None and row.is_dir and ctx.dir_cache is not None:
@@ -257,7 +257,7 @@ def delete(ctx: FsContext, txn: NdbTransaction, path: str, recursive: bool = Fal
     if row is None:
         raise FileNotFoundFsError(f"{path} does not exist")
     if ctx.dir_cache is not None:
-        ctx.dir_cache.invalidate(parent.id, name)
+        ctx.dir_cache.pop((parent.id, name), None)
     removed = yield from _delete_tree(ctx, txn, row, recursive, path)
     return removed
 
@@ -319,7 +319,7 @@ def rename(ctx: FsContext, txn: NdbTransaction, src: str, dst: str):
     new_row = src_row.with_(parent_id=dst_parent.id, name=dst_name, mtime_ms=ctx.now())
     yield from txn.write(INODES_TABLE, dst_pk, new_row, partition_key=dst_parent.id)
     if ctx.dir_cache is not None:
-        ctx.dir_cache.invalidate(src_parent.id, src_name)
+        ctx.dir_cache.pop((src_parent.id, src_name), None)
         _cache_uncommitted(ctx, txn, new_row)
     return new_row.id
 

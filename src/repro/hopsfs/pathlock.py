@@ -72,7 +72,7 @@ def resolve_components(txn: NdbTransaction, components: list[str], cache=None):
             raise NotDirectoryError(
                 "/" + "/".join(components[:depth]) + " is not a directory"
             )
-        row = cache.get(parent.id, name) if cache is not None else None
+        row = cache.lookup((parent.id, name)) if cache is not None else None
         if row is None:
             row = yield from txn.read(
                 INODES_TABLE, (parent.id, name), partition_key=parent.id
@@ -100,7 +100,7 @@ def _walk(txn: NdbTransaction, components: list[str], count: int, cache, as_pare
             )
         parent_id = row.id
         name = components[depth]
-        row = cache.get(parent_id, name) if cache is not None else None
+        row = cache.lookup((parent_id, name)) if cache is not None else None
         if row is None:
             row = yield from txn.read(INODES_TABLE, (parent_id, name), parent_id)
             if row is None:

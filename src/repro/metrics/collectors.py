@@ -45,6 +45,12 @@ class MetricsCollector:
     # error-path analysis (how long did doomed ops burn?) is possible
     # without skewing the headline percentiles.
     failed_latencies_ms: list[float] = field(default_factory=list)
+    # What the window's failed ops were: ``OpResult.error`` (an exception
+    # class name) -> count; ``PointResult.failed_by_error`` reports it.  Not
+    # called that here because bench_e2e's TallyCollector keeps its own
+    # tally under that name and then delegates to ``record``; not in
+    # ``summary()`` because scale artifacts hash that (pinned goldens).
+    failed_errors: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     by_op: dict[OpType, int] = field(default_factory=lambda: defaultdict(int))
     latencies_by_op: dict[OpType, list[float]] = field(
         default_factory=lambda: defaultdict(list)
@@ -79,6 +85,7 @@ class MetricsCollector:
         if not result.ok:
             self.failed += 1
             self.failed_latencies_ms.append(latency)
+            self.failed_errors[result.error or "unclassified"] += 1
             return
         self.completed += 1
         op = result.op
@@ -110,9 +117,11 @@ class MetricsCollector:
         merged.failed_latencies_ms = sorted(
             self.failed_latencies_ms + other.failed_latencies_ms
         )
-        for source in (self.by_op, other.by_op):
-            for op, count in source.items():
+        for source in (self, other):
+            for op, count in source.by_op.items():
                 merged.by_op[op] += count
+            for error, count in source.failed_errors.items():
+                merged.failed_errors[error] += count
         for source in (self.latencies_by_op, other.latencies_by_op):
             for op, values in source.items():
                 merged.latencies_by_op[op].extend(values)

@@ -17,6 +17,7 @@ load per instrumentation point.  See DESIGN.md "Observability".
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 from .breakdown import (OpBreakdown, breakdown_table, phase_breakdown,
@@ -103,42 +104,57 @@ class ObsContext:
             self.env = None
 
 
+# Registry name -> attribute path, summed over one group of components.  The
+# components keep plain ints (tests and bench_e2e read them directly); the
+# registry reads the same ints, so each count exists once.
+_NAMENODE_SUMS = {
+    "nn.ops_served": "ops_served", "nn.ops_failed": "ops_failed",
+    "nn.ops_shed": "ops_shed", "nn.shed": "ops_shed",
+    "nn.drain_rejected": "ops_drain_rejected",
+    "nn.dircache.hit": "dir_cache.hits", "nn.dircache.miss": "dir_cache.misses",
+}
+_LISTCACHE_SUMS = {
+    "nn.listcache.hit": "listing_cache.hits", "nn.listcache.miss": "listing_cache.misses",
+    "nn.listcache.invalidation": "listing_cache.invalidations",
+    "nn.listcache.flush": "listing_cache.flushes",
+}
+_CLIENT_SUMS = {"client.membership_refresh": "membership_refreshes"} | {
+    f"client.{attr}": attr
+    for attr in ("failovers", "timeouts", "hedges", "hedge_wins", "busy_rejections")}
+_MDS_SUMS = {"mds.ops_served": "ops_served", "mds.journal_flushes": "journal_flushes"}
+
+
+def _sum_gauges(reg: MetricsRegistry, sums: dict, items) -> None:
+    for name, path in sums.items():
+        reg.gauge(name, lambda get=attrgetter(path): sum(map(get, items())))
+
+
 def register_deployment_metrics(obs: ObsContext, harness) -> None:
     """Register callable-backed gauges over a deployment's live counters.
 
-    The components keep their plain-int attributes (tests compare them
-    directly); the registry exposes them uniformly so ``snapshot()``
-    enumerates leader-election churn, re-replication work, lock timeouts,
-    drops, etc., without each report knowing component internals.
-    ``harness`` is a :class:`repro.experiments.setups.Harness`.
+    ``snapshot()`` then enumerates cache hit rates, client fail-overs,
+    re-replication work, lock timeouts, drops, etc., without each report
+    knowing component internals.  ``harness`` is a
+    :class:`repro.experiments.setups.Harness`.
     """
     reg = obs.registry
-    reg.gauge("net.dropped_messages", lambda n=harness.network: n.dropped_messages)
+    reg.gauge("net.dropped_messages", lambda: harness.network.dropped_messages)
     if harness.spec.kind == "hopsfs":
         deployment = harness.deployment
-        reg.gauge("nn.ops_served",
-                  lambda d=deployment: sum(nn.ops_served for nn in d.namenodes))
-        reg.gauge("nn.ops_failed",
-                  lambda d=deployment: sum(nn.ops_failed for nn in d.namenodes))
+        _sum_gauges(reg, _NAMENODE_SUMS, lambda: deployment.namenodes)
+        if deployment.config.listing_cache is not None:
+            _sum_gauges(reg, _LISTCACHE_SUMS, lambda: deployment.namenodes)
+        _sum_gauges(reg, _CLIENT_SUMS, lambda: harness.clients)
+        _sum_gauges(reg, {"ndb.lock.timeouts": "locks.timeouts_fired"},
+                    deployment.ndb.datanodes.values)
         reg.gauge("blocks.rereplications",
-                  lambda d=deployment: d.namenodes[0].block_manager.rereplications)
-        reg.gauge("ndb.active_transactions",
-                  lambda d=deployment: d.ndb.active_transactions)
-        reg.gauge("ndb.lock.timeouts",
-                  lambda d=deployment: sum(
-                      dn.locks.timeouts_fired for dn in d.ndb.datanodes.values()))
-        reg.gauge("nn.ops_shed",
-                  lambda d=deployment: sum(nn.ops_shed for nn in d.namenodes))
+                  lambda: deployment.namenodes[0].block_manager.rereplications)
+        reg.gauge("ndb.active_transactions", lambda: deployment.ndb.active_transactions)
         reg.gauge("nn.retry_cache.entries",
-                  lambda d=deployment: sum(
-                      len(nn.retry_cache) for nn in d.namenodes
-                      if nn.retry_cache is not None))
-        reg.gauge("net.late_replies",
-                  lambda d=deployment: d.network.late_replies)
+                  lambda: sum(len(nn.retry_cache) for nn in deployment.namenodes
+                              if nn.retry_cache is not None))
+        reg.gauge("net.late_replies", lambda: harness.network.late_replies)
     else:
         cluster = harness.cluster
-        reg.gauge("mds.ops_served",
-                  lambda c=cluster: sum(m.ops_served for m in c.mds_list))
-        reg.gauge("mds.journal_flushes",
-                  lambda c=cluster: sum(m.journal_flushes for m in c.mds_list))
-        reg.gauge("mds.failovers", lambda c=cluster: getattr(c, "failovers", 0))
+        _sum_gauges(reg, _MDS_SUMS, lambda: cluster.mds_list)
+        reg.gauge("mds.failovers", lambda: getattr(cluster, "failovers", 0))

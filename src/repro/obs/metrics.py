@@ -16,7 +16,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, Dict, List, Optional, Sequence
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_LATENCY_BUCKETS_MS"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "count",
+           "DEFAULT_LATENCY_BUCKETS_MS"]
 
 # Simulated-millisecond bucket upper bounds for latency-ish histograms.
 # Chosen to resolve the paper's range of interest: sub-ms NDB primitives up
@@ -194,6 +195,18 @@ class Histogram:
         }
 
 
+def count(env, name: str) -> None:
+    """Bump counter ``name`` in ``env``'s registry; a no-op when untraced.
+
+    For events nothing else counts.  Where a component already keeps a
+    plain int, the registry reads that through a callable gauge instead
+    (:func:`repro.obs.register_deployment_metrics`).
+    """
+    obs = env.obs
+    if obs is not None:
+        obs.registry.counter(name).inc()
+
+
 class MetricsRegistry:
     """Get-or-create home for all instruments in one run."""
 
@@ -227,16 +240,8 @@ class MetricsRegistry:
 
     # -- views -------------------------------------------------------------
     @property
-    def counters(self) -> List[Counter]:
-        return list(self._counters.values())
-
-    @property
     def gauges(self) -> List[Gauge]:
         return list(self._gauges.values())
-
-    @property
-    def histograms(self) -> List[Histogram]:
-        return list(self._histograms.values())
 
     def get(self, name: str):
         return (self._counters.get(name)

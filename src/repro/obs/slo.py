@@ -117,10 +117,6 @@ class Alert:
     windows: int = 0               # sealed windows spent in the alert
     detail: str = ""
 
-    @property
-    def active(self) -> bool:
-        return self.resolved_index is None
-
     def as_dict(self) -> dict:
         return {
             "slo": self.slo,

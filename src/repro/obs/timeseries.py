@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .metrics import DEFAULT_LATENCY_BUCKETS_MS
 
@@ -172,7 +172,6 @@ class TimeSeriesHub:
         # Live (unsealed) accumulators for the current window.
         self._live_ops: Dict[str, OpWindow] = {}
         self._live_counters: Dict[str, float] = {}
-        self._gauges: List[Tuple[str, Callable[[], float]]] = []
         self._listeners: List[Callable] = []
         # Cursor: index of the current (open) window.  Starts at window 0;
         # simulated time starts at 0 in every harness.
@@ -192,10 +191,6 @@ class TimeSeriesHub:
         activity); ``counters`` maps series name -> windowed sum.
         """
         self._listeners.append(listener)
-
-    def add_gauge(self, name: str, fn: Callable[[], float]) -> None:
-        """Sample ``fn()`` into series ``name`` at every window seal."""
-        self._gauges.append((name, fn))
 
     # -- series accessors --------------------------------------------------
     def _get_series(self, name: str, kind: str, tags: Optional[dict] = None) -> WindowedSeries:
@@ -273,8 +268,6 @@ class TimeSeriesHub:
         if self._registry is not None:
             for gauge in self._registry.gauges:
                 self._get_series(gauge.name, "gauge").append(index, float(gauge.value))
-        for name, fn in self._gauges:
-            self._get_series(name, "gauge").append(index, float(fn()))
         self.windows_sealed += 1
         if self._listeners:
             start_ms = index * self.interval_ms

@@ -26,10 +26,6 @@ class Namespace:
     # Zipf-ish popularity weights aligned with ``files`` (sum to ~1).
     file_weights: list[float] = field(default_factory=list)
 
-    @property
-    def all_dirs(self) -> list[str]:
-        return self.top_dirs + self.dirs
-
     def size(self) -> int:
         return len(self.top_dirs) + len(self.dirs) + len(self.files)
 
@@ -93,10 +89,9 @@ def install_hopsfs(deployment, namespace: Namespace, warm_caches: bool = True) -
     add(namespace.files, False)
     count = deployment.ndb.preload(INODES_TABLE, rows)
     if warm_caches:
-        dir_rows = [row for _pk, _parent_id, row in rows[:num_dirs]]
         for nn in deployment.namenodes:
-            for row in dir_rows:
-                nn.dir_cache.put(row)
+            for pk, _parent_id, row in rows[:num_dirs]:
+                nn.dir_cache.store(pk, row)  # pk is the cache's key
     return count
 
 

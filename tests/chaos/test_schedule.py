@@ -137,3 +137,62 @@ def test_describe_is_human_readable():
     assert "ndbd5" in FaultEvent(0, "crash_node", node="ndbd5").describe()
     assert "az3" in FaultEvent(0, "az_outage", az=3).describe()
     assert "+5.0ms" in FaultEvent(0, "degrade_link", az_pair=(1, 2), extra_ms=5.0).describe()
+
+
+# ------------------------------------------------- what a scenario needs, as data
+def _never_build(monkeypatch):
+    from repro.experiments.setups import SetupSpec
+
+    def build(self, *args, **kwargs):
+        raise AssertionError(f"{self.name} was built before the scenario was checked")
+
+    monkeypatch.setattr(SetupSpec, "build", build)
+
+
+@pytest.mark.parametrize("scenario,setup,reason", [
+    ("network-partition", "hopsfs-2-1", "spans one AZ; network-partition needs 2"),
+    ("slow-az", "hopsfs-3-1", "spans one AZ"),
+    ("nn-churn", "cephfs", "HopsFS-only"),
+    ("spot-preemption-storm", "cephfs-dirpinned", "HopsFS-only"),
+])
+def test_unsupported_cell_is_refused_before_anything_is_built(
+        scenario, setup, reason, monkeypatch):
+    from repro.chaos import run_scenario
+    from repro.errors import UnsupportedError
+
+    _never_build(monkeypatch)
+    with pytest.raises(UnsupportedError, match=reason):
+        run_scenario(scenario, setup=setup)
+
+
+def test_every_scenario_states_its_needs_and_the_matrix_follows():
+    from repro.chaos import SCENARIOS
+    from repro.experiments.setups import SETUPS
+
+    needs_two_azs = {"network-partition", "degraded-link", "gray-degraded-link", "slow-az"}
+    elastic = {"nn-churn", "spot-preemption-storm"}
+    for name, scenario in SCENARIOS.items():
+        assert scenario.min_azs == (2 if name in needs_two_azs else 1), name
+        assert scenario.stack == ("hopsfs" if name in elastic else None), name
+        assert (scenario.stack is not None) == (scenario.elastic is not None), name
+    refused = {(name, spec.name) for name, s in SCENARIOS.items()
+               for spec in SETUPS.values() if s.unsupported_on(spec) is not None}
+    one_az = [spec.name for spec in SETUPS.values() if len(spec.azs) == 1]
+    ceph = [spec.name for spec in SETUPS.values() if spec.kind != "hopsfs"]
+    assert refused == ({(n, s) for n in needs_two_azs for s in one_az}
+                       | {(n, s) for n in elastic for s in ceph})
+
+
+def test_scale_shard_and_monitor_inherit_the_check(monkeypatch, capsys):
+    from dataclasses import asdict
+
+    from repro.cli import main
+    from repro.errors import UnsupportedError
+    from repro.experiments.scale import ScaleConfig, run_shard
+
+    _never_build(monkeypatch)
+    config = ScaleConfig(setup="CephFS", shards=1, scenario="nn-churn")
+    with pytest.raises(UnsupportedError, match="HopsFS-only"):
+        run_shard({"config": asdict(config), "shard_id": 0})
+    assert main(["monitor", "nn-churn", "--setup", "cephfs"]) == 2
+    assert capsys.readouterr().err.startswith("unsupported: ")

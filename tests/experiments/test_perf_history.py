@@ -8,9 +8,8 @@ from repro.experiments.perf import HISTORY_FILE, append_history
 def _report(rate):
     return {
         "microbench": {"events_per_sec": rate, "events_per_sec_iqr": 10},
-        "fig5_point": {"events_per_sec": 150_000, "events_per_op": 82.742},
-        "cephfs_point": {"events_per_sec": 230_000, "events_per_op": 4.2,
-                         "gen_us_per_op": 1.5},
+        "fig5_point": {"events_per_op": 82.742},
+        "cephfs_point": {"events_per_op": 4.2},
         "scale_point": {"aggregate_events_per_sec": 2_500_000,
                         "wall_events_per_sec": 250_000},
         "peak_rss_mb": 85.0,
@@ -27,5 +26,8 @@ def test_history_appends_one_comparable_line_per_run(tmp_path):
     # Same harness sizes, same fingerprint: the two lines may be compared.
     assert first["config"] == second["config"] and len(first["config"]) == 16
     assert first["git"]  # a revision, or "unknown" outside a checkout
-    assert {"fig5_events_per_op", "cephfs_events_per_op", "cephfs_gen_us_per_op",
+    assert {"fig5_events_per_op", "cephfs_events_per_op",
             "scale_wall_events_per_sec", "peak_rss_mb"} <= set(first)
+    # Raw wall rates of the full-stack points are bench_e2e's to measure.
+    assert not {"fig5_events_per_sec", "cephfs_events_per_sec",
+                "cephfs_gen_us_per_op"} & set(first)

@@ -17,15 +17,15 @@ def test_dircache_put_get_invalidate():
     cache = DirCache(now=lambda: now[0], ttl_ms=100)
     row = _dir_row(1, "d")
     cache.put(row)
-    assert cache.get(1, "d") is row
-    cache.invalidate(1, "d")
-    assert cache.get(1, "d") is None
+    assert cache.lookup((1, "d")) is row
+    cache.pop((1, "d"), None)
+    assert cache.lookup((1, "d")) is None
 
 
 def test_dircache_only_caches_directories():
     cache = DirCache(now=lambda: 0.0)
     cache.put(InodeRow(id=5, parent_id=1, name="f", is_dir=False))
-    assert cache.get(1, "f") is None
+    assert cache.lookup((1, "f")) is None
     assert len(cache) == 0
 
 
@@ -34,9 +34,10 @@ def test_dircache_ttl_expiry():
     cache = DirCache(now=lambda: now[0], ttl_ms=100)
     cache.put(_dir_row(1, "d"))
     now[0] = 99
-    assert cache.get(1, "d") is not None
+    assert cache.lookup((1, "d")) is not None
     now[0] = 201
-    assert cache.get(1, "d") is None
+    assert cache.lookup((1, "d")) is None
+    assert len(cache) == 0  # the lookup that found it expired dropped it
 
 
 def test_dircache_eviction_on_overflow():
@@ -49,9 +50,10 @@ def test_dircache_eviction_on_overflow():
 def test_dircache_hit_miss_counters():
     cache = DirCache(now=lambda: 0.0)
     cache.put(_dir_row(1, "d"))
-    cache.get(1, "d")
-    cache.get(1, "ghost")
-    assert cache.hits == 1
+    cache.lookup((1, "d"))
+    cache.lookup((1, "ghost"))
+    assert cache.peek((1, "d")) is not None and cache.peek((1, "ghost")) is None
+    assert cache.hits == 1  # peek counts neither
     assert cache.misses == 1
 
 

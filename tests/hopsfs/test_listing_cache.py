@@ -323,26 +323,102 @@ def test_grouped_mutations_are_read_your_writes_through_the_cache():
     assert listing_consistency(fs).ok
 
 
-def test_cache_counters_reach_obs_registry():
-    from repro.obs import ObsContext
-
-    obs = ObsContext()
+def _created_through_a_read_through_b():
+    """``/d/f`` created through NN A; a client stuck to NN B, whose dir
+    cache has never seen ``/d``.  No ``install``, so nothing is pre-warmed:
+    the only way ``/d``'s row can reach B's listing cache is the fill
+    recorder importing what B's own transaction freshly read."""
     fs = make_fs(num_namenodes=2, listing_cache=ListingCacheConfig())
-    obs.attach(fs.env)
-    client = fs.client()
+    nn_a, nn_b = fs.namenodes
+    writer, reader = fs.client(), fs.client()
+
+    def setup():
+        yield from fs.await_election()
+        writer.current_nn = nn_a.addr
+        yield from writer.mkdir("/d")
+        yield from writer.create("/d/f", data=b"hello")
+        reader.current_nn = nn_b.addr
+
+    run(fs, setup())
+    assert (1, "d") in nn_a.dir_cache and (1, "d") not in nn_b.dir_cache
+    assert len(nn_b.listing_cache) == 0
+    return fs, reader, nn_b
+
+
+def test_cold_nn_imports_the_directory_row_it_freshly_read():
+    fs, reader, nn_b = _created_through_a_read_through_b()
+    cache = nn_b.listing_cache
+    f = run(fs, reader.stat("/d/f"))
+    assert nn_b.ops_served == 1 and (cache.hits, cache.misses) == (0, 1)
+    # The transaction read /d from NDB on its way to /d/f: into the dir
+    # cache *and*, through the recorder, into the listing cache as an attr
+    # entry (the op's result fills only /d/f itself).
+    d = nn_b.dir_cache.peek((1, "d"))
+    assert d is not None and d.id == f.parent_id
+    assert cache._attrs.peek((1, "d")) == d
+    assert cache._attrs.peek((d.id, "f")) == f and cache.fills == 2
+    stats = fs.ndb.read_stats
+    reads = stats.az_local_reads + stats.az_remote_reads
+    assert run(fs, reader.stat("/d/f")) == f  # served from NN memory
+    assert run(fs, reader.stat("/d")) == d  # the imported row is the result
+    assert (cache.hits, cache.misses) == (2, 1)
+    assert stats.az_local_reads + stats.az_remote_reads == reads
+    assert listing_consistency(fs).ok
+
+
+def test_invalidation_between_the_read_and_the_fill_discards_the_import(monkeypatch):
+    from repro.hopsfs.dircache import DirCache
+
+    fs, reader, nn_b = _created_through_a_read_through_b()
+    cache = nn_b.listing_cache
+    real_put = DirCache.put
+
+    def put_then_invalidate(self, row):
+        real_put(self, row)
+        if self is nn_b.dir_cache and row.name == "d":
+            # Some other NN's commit under "/" lands while B's transaction
+            # is still open: the root directory is stamped after B's token.
+            cache.apply(_batch(cache.applied_seq + 1,
+                               [(INODES_TABLE, (1, "other"), 1, TOMBSTONE)]))
+
+    monkeypatch.setattr(DirCache, "put", put_then_invalidate)
+    f = run(fs, reader.stat("/d/f"))
+    assert (1, "d") in nn_b.dir_cache  # transactional resolution keeps it
+    assert (1, "d") not in cache._attrs and cache.discarded_fills == 1
+    # /d's own children were not invalidated: the result row is imported.
+    assert cache._attrs.peek((f.parent_id, "f")) == f and cache.fills == 1
+    assert listing_consistency(fs).ok
+
+
+def test_cache_counters_reach_obs_registry():
+    """The registry reads the caches' own plain ints (one count, two views)."""
+    from repro.experiments.setups import CHAOS, SETUPS
+    from repro.obs import ObsContext, register_deployment_metrics
+
+    harness = SETUPS["HopsFS-CL (3,3)"].build(
+        2, tuning=CHAOS, listing_cache=ListingCacheConfig()
+    )
+    obs = ObsContext().attach(harness.env)
+    register_deployment_metrics(obs, harness)
+    (client,) = harness.make_clients(1)
 
     def flow():
-        yield from fs.await_election()
+        yield from harness.ready()
         yield from client.mkdir("/d")
         yield from client.listdir("/d")
         yield from client.listdir("/d")
 
-    run(fs, flow())
-    registry = fs.env.obs.registry
-    counters = dict(registry.snapshot().get("counters", {}))
-    assert counters.get("nn.listcache.hit", 0) >= 1
-    assert counters.get("nn.listcache.miss", 0) >= 1
-    assert counters.get("nn.listcache.invalidation", 0) >= 1
+    harness.env.run_process(flow(), until=60_000)
+    caches = [nn.listing_cache for nn in harness.deployment.namenodes]
+    gauges = obs.registry.snapshot()["gauges"]
+    for name, attr in (("hit", "hits"), ("miss", "misses"),
+                       ("invalidation", "invalidations"), ("flush", "flushes")):
+        assert gauges[f"nn.listcache.{name}"] == sum(getattr(c, attr) for c in caches)
+    assert gauges["nn.listcache.hit"] >= 1
+    assert gauges["nn.listcache.miss"] >= 1
+    assert gauges["nn.listcache.invalidation"] >= 1
+    assert gauges["nn.dircache.hit"] == sum(
+        nn.dir_cache.hits for nn in harness.deployment.namenodes)
 
 
 def test_restart_resyncs_with_the_bus():
@@ -405,7 +481,7 @@ def _prewarm_per_nn(cache, rows):
         or len(dir_ids) > cache.config.max_listing_entries
     ):
         return
-    now = cache._now()
+    now = cache._attrs._now()
     children = {dir_id: [] for dir_id in dir_ids}
     for row in rows:
         cache._attrs[(row.parent_id, row.name)] = (now, row)
@@ -413,7 +489,7 @@ def _prewarm_per_nn(cache, rows):
             children[row.parent_id].append(row.name)
     for dir_id, names in children.items():
         ordered = tuple(sorted(names))
-        cache._listings[dir_id] = (now, ordered, frozenset(ordered))
+        cache._listings[dir_id] = (now, (ordered, frozenset(ordered)))
     cache.fills += len(rows) + len(children)
 
 

@@ -56,3 +56,37 @@ def test_out_of_window_failures_ignored():
     assert c.retried == 0
     assert c.failed_latencies_ms == []
     assert c.avg_failed_latency_ms() == 0.0
+
+
+def _failed(error, end=5.0):
+    return OpResult(op=OpType.STAT, start_ms=0.0, end_ms=end, ok=False, error=error)
+
+
+def test_failed_ops_are_tallied_by_error_class_inside_the_window():
+    c = MetricsCollector()
+    c.record(_failed("FileNotFoundFsError"))  # warm-up: window not open
+    c.open_window(0.0)
+    c.record(_failed("FileNotFoundFsError"))
+    c.record(_failed("FileNotFoundFsError"))
+    c.record(_failed("NoNamenodeError"))
+    c.record(_failed(None))
+    c.record(_result(ok=True))
+    c.close_window(50.0)
+    c.record(_failed("NoNamenodeError", end=60.0))  # drain: window closed
+    assert dict(c.failed_errors) == {
+        "FileNotFoundFsError": 2, "NoNamenodeError": 1, "unclassified": 1}
+    assert sum(c.failed_errors.values()) == c.failed == 4
+    # Scale artifacts hash ``summary()`` (pinned goldens): the tally stays out.
+    assert "failed_by_error" not in c.summary()
+
+
+def test_error_tally_merges_key_wise():
+    a, b = MetricsCollector(), MetricsCollector()
+    for c in (a, b):
+        c.open_window(0.0)
+    a.record(_failed("FileNotFoundFsError"))
+    a.record(_failed("NoNamenodeError"))
+    b.record(_failed("FileNotFoundFsError"))
+    merged = a.merge(b)
+    assert dict(merged.failed_errors) == {"FileNotFoundFsError": 2, "NoNamenodeError": 1}
+    assert dict(b.merge(a).failed_errors) == dict(merged.failed_errors)

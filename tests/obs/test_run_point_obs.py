@@ -36,6 +36,30 @@ def test_deployment_gauges_registered(hopsfs_obs):
         assert name in snap["gauges"]
 
 
+def test_registry_reads_the_components_own_counters():
+    """One count per event: the plain int the component keeps (tests and
+    bench_e2e read it) is what ``snapshot()`` reports, under the metric name
+    the hand-mirrored counter had."""
+    obs = ObsContext()
+    point = run_point("HopsFS-CL (3,3)", 3, config=_CFG, obs=obs, keep_collector=True)
+    harness = point.extra["harness"]
+    namenodes, clients = harness.deployment.namenodes, harness.clients
+    snap = obs.registry.snapshot()
+    gauges = snap["gauges"]
+    assert gauges["nn.dircache.hit"] == sum(nn.dir_cache.hits for nn in namenodes) > 0
+    assert gauges["nn.dircache.miss"] == sum(nn.dir_cache.misses for nn in namenodes)
+    assert gauges["nn.shed"] == gauges["nn.ops_shed"] == sum(nn.ops_shed for nn in namenodes)
+    assert gauges["nn.drain_rejected"] == 0
+    for name, attr in (("failovers", "failovers"), ("timeouts", "timeouts"),
+                       ("hedges", "hedges"), ("hedge_wins", "hedge_wins"),
+                       ("busy_rejections", "busy_rejections"),
+                       ("membership_refresh", "membership_refreshes")):
+        assert gauges[f"client.{name}"] == sum(getattr(c, attr) for c in clients)
+    # Nothing is counted twice: none of these names is also a counter.
+    assert not set(gauges) & set(snap["counters"])
+    assert "nn.listcache.hit" not in gauges  # listing cache off: not registered
+
+
 def test_exported_trace_is_valid_and_has_breakdown(hopsfs_obs):
     _point, obs = hopsfs_obs
     doc = chrome_trace(obs.tracer)

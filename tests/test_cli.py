@@ -148,3 +148,58 @@ def test_chaos_runs_and_writes_json(tmp_path, capsys):
     assert doc["all_green"] is True
     assert doc["setup"] == "HopsFS-CL (3,3)"
     assert len(doc["fault_trace"]) == len(doc["schedule"]) == 2
+
+
+def _subparser(parser, command):
+    (action,) = [a for a in parser._actions if hasattr(a, "choices") and a.choices]
+    return action.choices[command]
+
+
+def test_generated_flags_take_type_and_default_from_their_dataclass():
+    from repro import cli
+    from repro.experiments.scale import ScaleConfig
+    from repro.hopsfs.groupcommit import AsyncCommitConfig
+
+    parser = cli.build_parser()
+    for argv, config, table in (
+        (["scale"], ScaleConfig(), cli._SCALE_FLAGS),
+        (["point", "cephfs"], AsyncCommitConfig(), cli._ASYNC_FLAGS),
+    ):
+        args = parser.parse_args(argv)
+        for flag, name, _help in table:
+            assert getattr(args, name) == getattr(config, name), flag
+    # chaos's elastic flags edit the scenario's config: unset leaves it alone.
+    args = parser.parse_args(["chaos", "nn-churn"])
+    assert all(getattr(args, name) is None for _f, name, _h in cli._ELASTIC_FLAGS)
+    args = parser.parse_args(
+        ["chaos", "nn-churn", "--autoscale-min", "2", "--autoscale-cooldown", "7"])
+    assert (args.min_nns_per_az, args.cooldown_ms) == (2, 7.0)
+    assert isinstance(args.cooldown_ms, float)
+
+
+def test_every_flag_of_the_pr22_cli_is_still_there():
+    from repro import cli
+
+    flags = {
+        "point": "--servers --warmup --window --trace --trace-jsonl --async-commit "
+                 "--linger --batch-ops --listing-cache",
+        "report": "--setups --servers --warmup --window --json",
+        "perf": "--out",
+        "scale": "--setup --servers --population --rate --duration --warmup --seed "
+                 "--shards --workers --zipf-s --detail-every --scenario --smoke --json",
+        "chaos": "--scenario --setup --servers --seed --json --autoscale-min "
+                 "--autoscale-max --autoscale-cooldown --membership-refresh "
+                 "--listing-cache --trace",
+        "monitor": "--setup --servers --seed --interval --grace --json --html",
+    }
+    parser = cli.build_parser()
+    for command, expected in flags.items():
+        have = {opt for action in _subparser(parser, command)._actions
+                for opt in action.option_strings} - {"-h", "--help"}
+        assert have == set(expected.split()), command
+
+
+def test_chaos_list_prints_what_each_scenario_needs(capsys):
+    assert main(["chaos", "list"]) == 0
+    out = capsys.readouterr().out
+    assert "[min_azs=2, stack=any]" in out and "[min_azs=1, stack=hopsfs]" in out

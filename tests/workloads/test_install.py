@@ -44,7 +44,7 @@ def _install_path_by_path(deployment, namespace):
 def _installed(deployment):
     return (
         [store_state(dn.store) for dn in deployment.ndb.datanodes.values()],
-        [list(nn.dir_cache._entries.items()) for nn in deployment.namenodes],
+        [list(nn.dir_cache.items()) for nn in deployment.namenodes],
         deployment.ids.next_inode_id(),
     )
 
