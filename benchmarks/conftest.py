@@ -1,28 +1,24 @@
 """Shared helpers for the figure/table benchmarks.
 
 Each benchmark regenerates one table or figure of the paper, prints the
-series, and persists it under ``benchmarks/results/<name>.txt``.
-Figures 5, 6, 8, 10-13 share one cached Spotify sweep (as in the paper's
-methodology), so the first of them pays the simulation cost and the rest
-reuse it.
+series and asserts the paper's qualitative claims on it.  The committed
+copies under ``benchmarks/results/<test name>.txt`` are pins
+(``benchmarks/pins.py``, one per test, produced by the function the test
+runs): ``python3 benchmarks/repin.py --check test_fig5`` compares,
+``python3 benchmarks/repin.py test_fig5`` rewrites — running a benchmark
+writes nothing.  Figures 5, 6, 8, 10-13 share one cached Spotify sweep (as
+in the paper's methodology), so the first of them pays the simulation cost
+and the rest reuse it.
 
 Scale knobs:
   REPRO_BENCH_FULL=1   -> the paper's full 1..60 metadata-server grid
   REPRO_BENCH_SCALE=x  -> multiply measurement windows
 """
 
-import pathlib
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-def run_and_print(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` once under pytest-benchmark; print and persist its table."""
-    result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-    rendered = result.render()
+def run_and_print(benchmark, fn):
+    """Run ``fn`` once under pytest-benchmark and print its table."""
+    result = benchmark.pedantic(fn, rounds=1, iterations=1)
     print()
-    print(rendered)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    name = benchmark.name.replace("/", "_")
-    (RESULTS_DIR / f"{name}.txt").write_text(rendered + "\n")
+    print(result.render())
     return result

@@ -1,46 +1,129 @@
 #!/usr/bin/env python3
-"""Schedule identity of two checkouts: same seed, same simulated run?
+"""Identity of two checkouts: same seed, same schedule — or at least the same result?
 
     python3 benchmarks/schedule_identity.py [--chaos] BASE_TREE [HEAD_TREE]
 
-Runs ``python3 bench_e2e/run.py --workload W --seed 0 --quick --trace 0``
-for every workload of ``BENCHMARK.json`` in both trees (HEAD_TREE defaults
-to the tree this file is in) and prints, side by side, the window digest
-and the ``completed`` / ``failed`` / ``failed_by_error`` counts from each
-run's ``#detail`` line.  Exits 1 on any difference.
+For every workload of ``BENCHMARK.json`` (HEAD_TREE defaults to the tree
+this file is in) each tree runs twice at ``--quick`` size, seed 0:
 
-A host-only change (everything a "bit-identical schedules" PR claims) must
-print four identical rows; a change that moves the model on purpose fails
-here and says so in its description.  ``--quick`` windows are for identity
-only: the host times of these runs are never compared with anything.
+* ``python3 bench_e2e/run.py --workload W --seed 0 --quick --trace 0`` gives
+  the **schedule digest** — the window's kernel event count and sorted
+  latencies, from the run's ``#detail`` line — with ``completed`` /
+  ``failed`` / ``failed_by_error``;
+* ``run_point`` on the same configuration (sizes read from the tree's
+  ``bench_e2e/workloads.py``) gives the **result digest**: the multiset of
+  the window's ``(op, start_ms, end_ms, ok)``, ``failed_by_error`` and the
+  traffic matrix.  It does not see how many kernel events the run took or in
+  which order same-instant entries were dispatched.
 
-``--chaos`` compares the fault-injection runs instead: for every scenario
-of ``repro.chaos.SCENARIOS`` on ``hopsfs-cl-3-3``, ``hopsfs-3-3`` and
-``cephfs``, plus the two ``--listing-cache`` runs of the CI chaos matrix,
-``python -m repro chaos SCENARIO --setup SLUG --json F`` in both trees
-(~1 s each) must give the same exit code, ``dispatch_hash``, ``completed``
-and ``failed``.  A scenario a setup does not support (elastic membership
-on CephFS) is a row too: exit 2 (``unsupported: <reason>`` on stderr), no
-artifact, on both sides — exit 1 is kept for a red invariant.
+The exit code says which level held on every row:
+
+    0  schedule-identical  (everything a "bit-identical schedules" PR claims)
+    3  result-identical only: some schedule digest moved, no result did — what
+       a change that removes or reorders same-instant kernel events must show
+    1  results differ: the model moved; say so, and re-pin
+       (``python3 benchmarks/repin.py``)
+
+``--quick`` windows are for identity only: the host times of these runs are
+never compared with anything.
+
+``--chaos`` compares the fault-injection runs instead: every cell of the
+``chaos_matrix`` pin (``benchmarks/pins.py``: all ``chaos.SCENARIOS`` on all
+nine setups, plus the two listing-cache runs), produced in process in both
+trees by this tree's ``pins.chaos_matrix``.  A cell's schedule digest is its
+``dispatch_hash``; its result is its verdict (``green`` / ``red`` /
+``unsupported:<reason>``), the red invariants, ``completed`` and ``failed``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-import os
 import pathlib
 import subprocess
 import sys
-import tempfile
 
 DETAIL_PREFIX = "#detail "
-FIELDS = ("digest", "completed", "failed", "failed_by_error")
-CHAOS_SETUPS = ("hopsfs-cl-3-3", "hopsfs-3-3", "cephfs")
-CHAOS_FIELDS = ("dispatch_hash", "completed", "failed")
-# The chaos-matrix CI job's two listing-cache runs.
-CHAOS_LISTING_CACHE = (("gray-degraded-link", "hopsfs-cl-3-3"),
-                       ("rolling-namenode-restarts", "hopsfs-cl-3-3"))
-_REPRO_ENV = {**os.environ, "PYTHONPATH": "src"}  # `python -m repro` from a tree's root
+_HERE = pathlib.Path(__file__).resolve().parent
+
+IDENTICAL, RESULT_IDENTICAL, DIFFERENT = 0, 3, 1
+MEANING = {
+    IDENTICAL: "schedule-identical: every schedule digest and every result equal",
+    RESULT_IDENTICAL: "result-identical only: schedule digests moved, no result did",
+    DIFFERENT: "results differ",
+}
+
+
+def classify(base: dict, head: dict) -> int:
+    """The identity level of one row: both digests equal, only the result
+    digest, or neither."""
+    if base == head:
+        return IDENTICAL
+    if base["result"] == head["result"]:
+        return RESULT_IDENTICAL
+    return DIFFERENT
+
+
+def weakest(levels) -> int:
+    """The exit code of a table: the weakest level any row reached."""
+    levels = set(levels)
+    if DIFFERENT in levels:
+        return DIFFERENT
+    return RESULT_IDENTICAL if RESULT_IDENTICAL in levels else IDENTICAL
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+# -- what runs inside a tree ----------------------------------------------------
+
+def _in_tree(tree: pathlib.Path, call: str):
+    """Evaluate ``call`` — an expression over this file (``schedule_identity``)
+    and ``pins`` — in a child process that imports ``repro`` and ``bench_e2e``
+    from ``tree``; the two modules themselves always come from this tree."""
+    code = ("import json, sys; sys.path[:0] = ['src', '.']; sys.path.append(sys.argv[1]); "
+            f"import pins, schedule_identity; print(json.dumps({call}))")
+    out = subprocess.run([sys.executable, "-c", code, str(_HERE)],
+                         cwd=tree, capture_output=True, text=True)
+    if out.returncode != 0:
+        sys.exit(f"{tree}: {call} exited {out.returncode}\n{out.stdout}{out.stderr}")
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def result_digest(workload: str) -> str:
+    """The result digest of one benchmark workload (runs in the child)."""
+    from bench_e2e.workloads import SERVERS, WORKLOADS
+    from repro.experiments import RunConfig, run_point
+    from repro.metrics.collectors import MetricsCollector
+
+    ops = []
+    record = MetricsCollector.record
+
+    def tapped(self, result):
+        if self._in_window(result.end_ms):
+            ops.append((result.op.name, repr(result.start_ms), repr(result.end_ms), result.ok))
+        record(self, result)
+
+    MetricsCollector.record = tapped
+    spec = WORKLOADS[workload]
+    point = run_point(
+        spec.setup, SERVERS,
+        workload="spotify" if spec.single_op is None else "single", op=spec.single_op,
+        config=RunConfig(clients_per_server=spec.clients_per_server,
+                         warmup_ms=spec.warmup(True), window_ms=spec.window(True),
+                         listing_cache=spec.cache_config()),
+        keep_collector=True,
+    )
+    collector = point.extra["collector"]
+    assert len(ops) == collector.completed + collector.failed
+    traffic = point.extra["harness"].network.traffic
+    return _digest({
+        "ops": sorted(ops),
+        "failed_by_error": point.failed_by_error,
+        "az_pair_bytes": sorted((list(pair), n) for pair, n in traffic.az_pair_bytes.items()),
+        "messages": traffic.messages,
+    })
 
 
 def _detail(tree: pathlib.Path, workload: str) -> dict:
@@ -54,55 +137,61 @@ def _detail(tree: pathlib.Path, workload: str) -> dict:
     lines = [line for line in out.stdout.splitlines() if line.startswith(DETAIL_PREFIX)]
     if not lines:
         sys.exit(f"{tree}: {workload} printed no {DETAIL_PREFIX.strip()} line")
-    detail = json.loads(lines[-1][len(DETAIL_PREFIX):])
-    return {field: detail[field] for field in FIELDS}
+    return json.loads(lines[-1][len(DETAIL_PREFIX):])
 
 
-def _chaos_run(tree: pathlib.Path, scenario: str, setup: str, flags: tuple) -> dict:
-    with tempfile.TemporaryDirectory() as tmp:
-        artifact = pathlib.Path(tmp) / "chaos.json"
-        out = subprocess.run(
-            [sys.executable, "-m", "repro", "chaos", scenario, "--setup", setup,
-             "--json", str(artifact), *flags],
-            cwd=tree, capture_output=True, text=True, env=_REPRO_ENV,
-        )
-        doc = json.loads(artifact.read_text()) if artifact.exists() else {}
-    return {"exit": out.returncode, **{field: doc.get(field) for field in CHAOS_FIELDS}}
+# -- the two tables -------------------------------------------------------------
+
+def _workload_row(tree: pathlib.Path, workload: str) -> dict:
+    detail = _detail(tree, workload)
+    return {
+        "schedule": detail["digest"],
+        "result": _in_tree(tree, f"schedule_identity.result_digest({workload!r})"),
+        "shown": f"{detail['completed']:>9} {detail['failed']:>6}  "
+                 f"{json.dumps(detail['failed_by_error'], sort_keys=True)}",
+    }
 
 
-def _chaos_scenarios(tree: pathlib.Path) -> list[str]:
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from repro.chaos import SCENARIOS; print('\\n'.join(SCENARIOS))"],
-        cwd=tree, capture_output=True, text=True, check=True, env=_REPRO_ENV,
-    )
-    return out.stdout.split()
+def _chaos_rows(tree: pathlib.Path) -> dict:
+    matrix = _in_tree(tree, "pins.chaos_matrix()")
+    cells = dict(matrix["cells"])
+    cells.update({f"{key} +lc": cell for key, cell in matrix["listing_cache_cells"].items()})
+    rows = {}
+    for key, cell in cells.items():
+        shown = {name: "-" if value is None else value for name, value in cell.items()}
+        rows[key] = {
+            "schedule": cell["dispatch_hash"],
+            "result": _digest([cell["verdict"], cell.get("red"), cell["completed"],
+                               cell["failed"]]),
+            "shown": f"{shown['completed']:>9} {shown['failed']:>6}  {cell['verdict']}"
+                     f"{' ' + ', '.join(cell['red']) if 'red' in cell else ''}",
+        }
+    return rows
 
 
-def _compare_chaos(base: pathlib.Path, head: pathlib.Path) -> int:
-    runs = [(scenario, setup, ()) for scenario in _chaos_scenarios(head)
-            for setup in CHAOS_SETUPS]
-    runs += [(scenario, setup, ("--listing-cache",))
-             for scenario, setup in CHAOS_LISTING_CACHE]
-    differing = []
-    print(f"{'scenario':<30} {'setup':<14} {'tree':<5} {'exit':>4} {'dispatch_hash':<17} "
-          f"{'completed':>9} {'failed':>6}")
-    for scenario, setup, flags in runs:
-        label = scenario + (" +lc" if flags else "")
-        rows = {"base": _chaos_run(base, scenario, setup, flags),
-                "head": _chaos_run(head, scenario, setup, flags)}
+_ABSENT = {"schedule": None, "result": "-",
+           "shown": f"{'-':>9} {'-':>6}  (no such cell in this tree)"}
+
+
+def _compare(rows_of, keys, header: tuple) -> int:
+    """Print ``rows_of(side, key)`` of both trees side by side; return the
+    weakest identity level over ``keys``."""
+    print(f"{header[0]:<44} {'tree':<5} {'schedule':<13} {'result':<13} "
+          f"{'completed':>9} {'failed':>6}  {header[1]}")
+    levels = {}
+    for key in keys:
+        rows = {side: rows_of(side, key) for side in ("base", "head")}
         for side, row in rows.items():
-            shown = {key: "-" if value is None else value for key, value in row.items()}
-            print(f"{label:<30} {setup:<14} {side:<5} {shown['exit']:>4} "
-                  f"{shown['dispatch_hash'][:16]:<17} {shown['completed']:>9} "
-                  f"{shown['failed']:>6}")
-        if rows["base"] != rows["head"]:
-            differing.append(f"{label} on {setup}")
-    if differing:
-        print(f"chaos runs DIFFER: {'; '.join(differing)}")
-        return 1
-    print(f"chaos runs identical on all {len(runs)} scenario x setup pairs")
-    return 0
+            print(f"{key:<44} {side:<5} {(row['schedule'] or '-')[:12]:<13} "
+                  f"{row['result'][:12]:<13} {row['shown']}")
+        levels[key] = classify(rows["base"], rows["head"])
+    for level in (RESULT_IDENTICAL, DIFFERENT):
+        moved = [key for key, reached in levels.items() if reached == level]
+        if moved:
+            print(f"{MEANING[level]}: {', '.join(moved)}")
+    code = weakest(levels.values())
+    print(f"exit {code} on {len(levels)} rows — {MEANING[code]}")
+    return code
 
 
 def main(argv: list[str]) -> int:
@@ -110,27 +199,18 @@ def main(argv: list[str]) -> int:
     argv = [arg for arg in argv if arg != "--chaos"]
     if not 1 <= len(argv) <= 2:
         sys.exit(__doc__)
-    base = pathlib.Path(argv[0]).resolve()
-    head = (pathlib.Path(argv[1]) if len(argv) == 2
-            else pathlib.Path(__file__).parent.parent).resolve()
+    trees = {
+        "base": pathlib.Path(argv[0]).resolve(),
+        "head": (pathlib.Path(argv[1]) if len(argv) == 2 else _HERE.parent).resolve(),
+    }
     if chaos:
-        return _compare_chaos(base, head)
-    with open(head / "BENCHMARK.json") as fh:
+        matrices = {side: _chaos_rows(tree) for side, tree in trees.items()}
+        return _compare(lambda side, key: matrices[side].get(key, _ABSENT),
+                        list(matrices["head"]), ("scenario/setup", "verdict"))
+    with open(trees["head"] / "BENCHMARK.json") as fh:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
-    differing = []
-    print(f"{'workload':<15} {'tree':<5} {'digest':<17} {'completed':>9} {'failed':>6}  failed_by_error")
-    for workload in workloads:
-        rows = {"base": _detail(base, workload), "head": _detail(head, workload)}
-        for side, row in rows.items():
-            print(f"{workload:<15} {side:<5} {row['digest'][:16]:<17} {row['completed']:>9} "
-                  f"{row['failed']:>6}  {json.dumps(row['failed_by_error'], sort_keys=True)}")
-        if rows["base"] != rows["head"]:
-            differing.append(workload)
-    if differing:
-        print(f"schedules DIFFER on: {', '.join(differing)}")
-        return 1
-    print(f"schedules identical on all {len(workloads)} workloads")
-    return 0
+    return _compare(lambda side, key: _workload_row(trees[side], key), workloads,
+                    ("workload", "failed_by_error"))
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ def _cross_az_bytes_per_op(spec_name_or_spec, servers=6):
     return total_mb * 1e6 / point.completed, point
 
 
-def _ablation_table():
+def ablation_table():
     table = Table(
         title="Ablation - cross-AZ bytes per op, 3-AZ deployments (6 NNs)",
         headers=["configuration", "cross-AZ B/op", "ops/s"],
@@ -41,13 +41,13 @@ def _ablation_table():
 
 
 def test_az_awareness_ablation(benchmark):
-    table = run_and_print(benchmark, _ablation_table)
+    table = run_and_print(benchmark, ablation_table)
     rows = {r[0]: r[1] for r in table.rows}
     # Full AZ awareness cuts cross-AZ bytes per op by an order of magnitude.
     assert rows["full CL"] < 0.3 * rows["vanilla"]
 
 
-def _replication_sweep():
+def replication_sweep():
     """Metadata replication factor sweep (the paper's R=2 vs R=3 axis)."""
     table = Table(
         title="Ablation - NDB replication factor vs mutation throughput (6 NNs)",
@@ -63,7 +63,7 @@ def _replication_sweep():
 
 
 def test_replication_factor_ablation(benchmark):
-    table = run_and_print(benchmark, _replication_sweep)
+    table = run_and_print(benchmark, replication_sweep)
     r2, r3 = table.rows[0][1], table.rows[1][1]
     # Longer commit chains cost mutation throughput (Fig. 7's R2->R3 drop).
     assert r3 < r2

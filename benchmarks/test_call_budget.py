@@ -1,8 +1,7 @@
-#!/usr/bin/env python3
 """Call-count budget: the regression gate that has no noise.
 
-    python -m pytest benchmarks/test_call_budget.py     # check
-    python3 benchmarks/test_call_budget.py --record     # rewrite the record
+    python -m pytest benchmarks/test_call_budget.py        # check
+    python3 benchmarks/repin.py [--check] call_budget      # the same, or re-pin
 
 ``python3 bench_e2e/run.py --workload W --seed 0 --quick --trace 1`` counts,
 per ``src/repro/<layer>/``, the function calls (Python and C) its profiled
@@ -11,10 +10,13 @@ per op.  For one seed and one interpreter version those repeat to the last
 digit, so unlike a host time they can be gated tightly:
 
 * a layer's ``calls_per_op`` may not rise more than 0.5 % above
-  ``benchmarks/results/call_budget.json`` (it may fall: re-record to bank
-  the saving);
+  ``benchmarks/results/call_budget.json`` (it may fall: re-pin to bank the
+  saving);
 * ``sim.events_per_op`` and ``net.messages_per_op`` must equal the record
   exactly — they move only when the simulated schedule moves.
+
+The file is the ``call_budget`` pin of ``benchmarks/pins.py``: its rule
+(:func:`benchmarks.pins.ceiling`) lives there, :func:`record` produces it.
 
 The counts include C calls, which CPython versions make differently: the
 record is for the 3.11 the CI jobs pin.  ``--quick`` windows are for
@@ -24,17 +26,15 @@ counting only; their host times are never compared with anything.
 from __future__ import annotations
 
 import json
-import pathlib
 import subprocess
 import sys
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-RECORD = ROOT / "benchmarks" / "results" / "call_budget.json"
+from .pins import PINS, ROOT
+
 EXACT = ("sim.events_per_op", "net.messages_per_op")
 CALLS_SUFFIX = ".calls_per_op"
-HEADROOM = 1.005
 
 
 def _workloads() -> list:
@@ -58,56 +58,29 @@ def measure(workload: str) -> dict:
     }
 
 
-def over_budget(live: dict, recorded: dict) -> list:
-    """Every way ``live`` breaks the ``recorded`` budget, as printable lines."""
-    problems = []
-    for name, budget in recorded.items():
-        value = live.get(name)
-        if value is None:
-            problems.append(f"{name}: not reported any more")
-        elif name in EXACT:
-            if value != budget:
-                problems.append(f"{name}: {value!r} != recorded {budget!r}")
-        elif value > budget * HEADROOM:
-            problems.append(
-                f"{name}: {value:.3f} > recorded {budget:.3f} (+{value / budget - 1:.2%})"
-            )
-    return problems
+def budget_file(command: str, measure) -> dict:
+    """A whole budget file: ``measure`` of every workload of ``BENCHMARK.json``."""
+    return {
+        "command": command,
+        "python": ".".join(map(str, sys.version_info[:2])),
+        "workloads": {workload: measure(workload) for workload in _workloads()},
+    }
+
+
+def record() -> dict:
+    return budget_file("python3 bench_e2e/run.py --workload W --seed 0 --quick --trace 1", measure)
+
+
+def check_budget(pin_name: str, workload: str, live: dict) -> None:
+    """Hold one workload's live counts to its share of the pinned file."""
+    pin = PINS[pin_name]
+    problems = pin.problems(pin.read()["workloads"][workload], live)
+    assert not problems, (
+        f"{workload} is over its budget (deliberate? "
+        f"python3 benchmarks/repin.py {pin_name}):\n  " + "\n  ".join(problems)
+    )
 
 
 @pytest.mark.parametrize("workload", _workloads())
 def test_call_budget(workload):
-    with open(RECORD) as fh:
-        recorded = json.load(fh)["workloads"][workload]
-    problems = over_budget(measure(workload), recorded)
-    assert not problems, (
-        f"{workload} is over its call budget "
-        f"(deliberate? python3 benchmarks/test_call_budget.py --record):\n  "
-        + "\n  ".join(problems)
-    )
-
-
-def test_a_raised_count_or_a_moved_event_count_is_caught():
-    recorded = {"ndb.calls_per_op": 100.0, "sim.events_per_op": 50.0}
-    assert not over_budget({"ndb.calls_per_op": 100.4, "sim.events_per_op": 50.0}, recorded)
-    assert not over_budget({"ndb.calls_per_op": 80.0, "sim.events_per_op": 50.0}, recorded)
-    assert over_budget({"ndb.calls_per_op": 100.6, "sim.events_per_op": 50.0}, recorded)
-    assert over_budget({"ndb.calls_per_op": 100.0, "sim.events_per_op": 49.9}, recorded)
-    assert over_budget({"sim.events_per_op": 50.0}, recorded)
-
-
-def main(argv: list) -> int:
-    if argv != ["--record"]:
-        sys.exit(__doc__)
-    record = {
-        "command": "python3 bench_e2e/run.py --workload W --seed 0 --quick --trace 1",
-        "python": ".".join(map(str, sys.version_info[:2])),
-        "workloads": {workload: measure(workload) for workload in _workloads()},
-    }
-    RECORD.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"recorded {RECORD.relative_to(ROOT)}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    check_budget("call_budget", workload, measure(workload))

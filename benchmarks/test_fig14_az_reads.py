@@ -5,8 +5,12 @@ from repro.experiments import figures
 from .conftest import run_and_print
 
 
+def fig14_table():
+    return figures.fig14(num_partitions_shown=12)
+
+
 def test_fig14(benchmark):
-    table = run_and_print(benchmark, lambda: figures.fig14(num_partitions_shown=12))
+    table = run_and_print(benchmark, fig14_table)
     enabled = [r for r in table.rows if r[0] == "ReadBackup Enabled"]
     disabled = [r for r in table.rows if r[0] == "ReadBackup Disabled"]
     assert enabled and disabled

@@ -1,6 +1,6 @@
 """Kernel speed gate: ``BENCH_kernel.json`` against the live tree.
 
-Three kinds of assertion:
+Two kinds of assertion here, a third next door:
 
 * The *live* kernel must not have regressed: re-measure the kernel
   microbench here and fail if its median events/sec falls more than 20%
@@ -8,34 +8,25 @@ Three kinds of assertion:
   IQR and per-pass rates are printed so a drift shows in the log before it
   trips).  It is the only wall-clock rate gated here — how fast the host
   runs a full stack is ``bench_e2e``'s to measure, calibrated and in pairs.
-* The *design metrics* of the fig5 point and of the CephFS point — event
-  count, ``events_per_op``, simulated throughput — are exact per seed and
-  must equal the committed values: a change that spends more kernel events
-  per op has to re-record them deliberately.
 * The two *recorded wins* (async group commit, listing cache) must still be
-  in the record, and the live simulated throughput of each must be within
-  20% of it.
+  in the record.
+* Every *simulated* number of the record — event counts, ``events_per_op``,
+  throughputs and latencies of the fig5, CephFS, scale, async and listing
+  points — is exact per seed and held by the ``BENCH_kernel`` pin:
+  ``python3 benchmarks/repin.py --check BENCH_kernel`` (the wall-clock
+  fields are re-recorded with the file and never compared).
 
 Run explicitly (``PYTHONPATH=src python -m pytest benchmarks/test_kernel_speed.py``);
 the tier-1 suite (testpaths=tests) does not include it.
 """
 
-import json
 import os
-import pathlib
 
 import pytest
 
-from repro.experiments.perf import (
-    async_point,
-    cephfs_point,
-    fig5_reference_point,
-    format_microbench,
-    kernel_microbench,
-    listing_point,
-)
+from repro.experiments.perf import format_microbench, kernel_microbench
 
-BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_kernel.json"
+from .pins import PINS
 
 # CI threshold: fail when live events/sec drop >20% below the committed
 # baseline (see .github/workflows/ci.yml).
@@ -43,10 +34,10 @@ REGRESSION_TOLERANCE = 0.8
 
 
 def _committed():
-    if not BENCH_PATH.exists():
-        pytest.skip("no committed BENCH_kernel.json (run `python -m repro perf`)")
-    with open(BENCH_PATH) as fh:
-        return json.load(fh)
+    report = PINS["BENCH_kernel"].read()
+    if report is None:
+        pytest.skip("no committed BENCH_kernel.json (python3 benchmarks/repin.py BENCH_kernel)")
+    return report
 
 
 def _require_scale_one():
@@ -62,38 +53,12 @@ def test_microbench_has_not_regressed():
     live = kernel_microbench(repeats=5)
     print(f"\n{format_microbench(live)}; committed median {committed:,}")
     assert live["events"] == report["microbench"]["events"], (
-        "microbench event count changed; re-record BENCH_kernel.json"
+        "microbench event count changed; re-pin BENCH_kernel"
     )
     assert live["events_per_sec"] >= REGRESSION_TOLERANCE * committed, (
         f"kernel microbench regressed: median {live['events_per_sec']:,} events/s "
         f"live vs {committed:,} committed"
     )
-
-
-def _check_spotify_point(name: str, measure) -> None:
-    """One live run of a recorded full-stack point: every simulated number
-    equals the committed record."""
-    report = _committed()
-    _require_scale_one()
-    assert name in report, f"BENCH_kernel.json has no {name}; re-record it"
-    committed = report[name]
-    live = measure()
-    assert live["events"] == committed["events"], (
-        f"{name} event count changed; re-record BENCH_kernel.json"
-    )
-    assert live["events_per_op"] == committed["events_per_op"], (
-        f"{name} events/op changed; re-record BENCH_kernel.json"
-    )
-    # Whatever else is recorded is simulated too, hence deterministic.
-    assert live == {key: committed[key] for key in live}
-
-
-def test_fig5_point_is_the_recorded_one():
-    _check_spotify_point("fig5_point", fig5_reference_point)
-
-
-def test_cephfs_point_is_the_recorded_one():
-    _check_spotify_point("cephfs_point", cephfs_point)
 
 
 def test_async_point_recorded_win():
@@ -102,29 +67,9 @@ def test_async_point_recorded_win():
     report = _committed()
     commit = report.get("async_point")
     assert commit is not None, (
-        "BENCH_kernel.json has no async_point; re-record with `python -m repro perf`"
+        "BENCH_kernel.json has no async_point; re-pin BENCH_kernel"
     )
     assert commit["async_speedup"] > 1.0 or commit["async_latency_ratio"] < 1.0, commit
-
-
-def test_async_point_has_not_regressed():
-    """The same 20% regression rule as the sync points, applied to the
-    async group-commit throughput point."""
-    report = _committed()
-    _require_scale_one()
-    if "async_point" not in report:
-        pytest.skip("no async_point recorded; re-record BENCH_kernel.json")
-    committed = report["async_point"]
-    live = async_point()
-    # Simulated throughput is deterministic; the tolerance covers deliberate
-    # re-records on slightly different commit policies, not wall-clock noise.
-    assert live["async"]["throughput_ops_s"] >= (
-        REGRESSION_TOLERANCE * committed["async"]["throughput_ops_s"]
-    ), (
-        f"async point regressed: {live['async']['throughput_ops_s']:,} ops/s live "
-        f"vs {committed['async']['throughput_ops_s']:,} committed"
-    )
-    assert live["async_speedup"] > 1.0, live
 
 
 def test_listing_point_recorded_win():
@@ -134,26 +79,6 @@ def test_listing_point_recorded_win():
     report = _committed()
     commit = report.get("listing_point")
     assert commit is not None, (
-        "BENCH_kernel.json has no listing_point; re-record with `python -m repro perf`"
+        "BENCH_kernel.json has no listing_point; re-pin BENCH_kernel"
     )
     assert commit["listing_speedup"] >= 1.3, commit
-
-
-def test_listing_point_has_not_regressed():
-    """The same 20% regression rule as the sync points, applied to the
-    cache-on Spotify-mix throughput point."""
-    report = _committed()
-    _require_scale_one()
-    if "listing_point" not in report:
-        pytest.skip("no listing_point recorded; re-record BENCH_kernel.json")
-    committed = report["listing_point"]
-    live = listing_point()
-    # Simulated throughput is deterministic; the tolerance covers deliberate
-    # re-records on slightly different cache policies, not wall-clock noise.
-    assert live["on"]["throughput_ops_s"] >= (
-        REGRESSION_TOLERANCE * committed["on"]["throughput_ops_s"]
-    ), (
-        f"listing point regressed: {live['on']['throughput_ops_s']:,} ops/s live "
-        f"vs {committed['on']['throughput_ops_s']:,} committed"
-    )
-    assert live["listing_speedup"] > 1.0, live

@@ -3,9 +3,11 @@
 Three kinds of assertion, mirroring ``test_kernel_speed.py``:
 
 * The *golden* smoke run (``SMOKE_CONFIG``: 100k clients, 2 shards) must
-  reproduce the committed merged dispatch hash and artifact hash exactly —
-  simulated behaviour is deterministic, so any drift is a model change that
-  needs a deliberate golden bump.
+  reproduce the committed merged dispatch hash, artifact hash, per-shard
+  hashes and merged counts exactly — simulated behaviour is deterministic,
+  so any drift is a model change that needs a deliberate re-pin
+  (``python3 benchmarks/repin.py scale_smoke_golden``; :func:`smoke_golden`
+  is that pin's producer).
 * The *recorded* scale point in ``BENCH_kernel.json`` must show the sharded
   engine at >= 2x the kernel microbench's events/sec on >= 4 shards, over a
   >= 1M virtual-client population.  Recorded back-to-back on one machine,
@@ -18,32 +20,40 @@ Run explicitly (``PYTHONPATH=src python -m pytest benchmarks/test_scale_speed.py
 the tier-1 suite (testpaths=tests) does not include it.
 """
 
-import json
-import pathlib
-
 import pytest
 
 from repro.experiments.perf import SCALE_POINT_SHARDS
 from repro.experiments.scale import SMOKE_CONFIG, run_scale
 
-BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_kernel.json"
-GOLDEN_PATH = pathlib.Path(__file__).parent / "results" / "scale_smoke_golden.json"
+from .pins import PINS
 
 REGRESSION_TOLERANCE = 0.8  # same 20% rule as the kernel-speed gate
 
 
 def _committed():
-    if not BENCH_PATH.exists():
-        pytest.skip("no committed BENCH_kernel.json (run `python -m repro perf`)")
-    with open(BENCH_PATH) as fh:
-        return json.load(fh)
+    report = PINS["BENCH_kernel"].read()
+    if report is None:
+        pytest.skip("no committed BENCH_kernel.json")
+    return report
 
 
-def _golden():
-    if not GOLDEN_PATH.exists():
-        pytest.skip("no committed scale smoke golden")
-    with open(GOLDEN_PATH) as fh:
-        return json.load(fh)
+def smoke_golden(artifact: dict = None) -> dict:
+    """The golden file's view of a ``SMOKE_CONFIG`` run: its hashes and
+    merged counts, none of its timing."""
+    artifact = artifact or run_scale(SMOKE_CONFIG)
+    merged = artifact["merged"]
+    return {
+        "note": "Golden hashes of the CI scale-smoke run (SMOKE_CONFIG in "
+                "repro.experiments.scale); the scale_smoke_golden pin of benchmarks/pins.py.",
+        "schema": artifact["schema"],
+        "config": artifact["config"],
+        "artifact_hash": artifact["artifact_hash"],
+        "merged_dispatch_hash": merged["dispatch_hash"],
+        "shard_dispatch_hashes": {
+            str(shard["shard_id"]): shard["dispatch_hash"] for shard in artifact["shards"]},
+        "merged_counts": {key: merged[key] for key in
+                          ("arrivals", "detailed", "events", "max_client_id", "shed")},
+    }
 
 
 @pytest.fixture(scope="module")
@@ -52,20 +62,13 @@ def smoke_artifact():
 
 
 def test_smoke_matches_golden_hashes(smoke_artifact):
-    golden = _golden()
-    assert smoke_artifact["merged"]["dispatch_hash"] == golden["merged_dispatch_hash"], (
-        "merged dispatch hash drifted from the committed golden; if the "
-        "simulation model changed deliberately, regenerate "
-        "benchmarks/results/scale_smoke_golden.json"
+    pin = PINS["scale_smoke_golden"]
+    problems = pin.problems(pin.read(), smoke_golden(smoke_artifact))
+    assert not problems, (
+        "the smoke run drifted from the committed golden; if the simulation "
+        "model changed deliberately, python3 benchmarks/repin.py scale_smoke_golden:\n  "
+        + "\n  ".join(problems)
     )
-    assert smoke_artifact["artifact_hash"] == golden["artifact_hash"]
-    for shard in smoke_artifact["shards"]:
-        assert (
-            shard["dispatch_hash"]
-            == golden["shard_dispatch_hashes"][str(shard["shard_id"])]
-        )
-    for key, value in golden["merged_counts"].items():
-        assert smoke_artifact["merged"][key] == value
 
 
 def test_recorded_scale_point_meets_acceptance():
@@ -73,7 +76,7 @@ def test_recorded_scale_point_meets_acceptance():
     report = _committed()
     point = report.get("scale_point")
     if point is None:
-        pytest.skip("BENCH_kernel.json has no scale_point (re-record)")
+        pytest.skip("BENCH_kernel.json has no scale_point (re-pin)")
     assert point["population"] >= 1_000_000
     assert point["shards"] >= 4
     assert point["shards"] == SCALE_POINT_SHARDS
@@ -89,7 +92,7 @@ def test_live_smoke_throughput_has_not_regressed(smoke_artifact):
     report = _committed()
     point = report.get("scale_point")
     if point is None:
-        pytest.skip("BENCH_kernel.json has no scale_point (re-record)")
+        pytest.skip("BENCH_kernel.json has no scale_point (re-pin)")
     committed_rate = point["aggregate_events_per_sec"] / point["shards"]
     # Best-of-N, like every wall-clock gate in this suite: the smoke windows
     # are short, so take the fastest shard over three behaviourally

@@ -1,8 +1,7 @@
-#!/usr/bin/env python3
 """Set-up call budget: what a deployment costs before its window opens.
 
     python -m pytest benchmarks/test_setup_budget.py        # check
-    python3 -m benchmarks.test_setup_budget --record        # rewrite the record
+    python3 benchmarks/repin.py [--check] setup_budget      # the same, or re-pin
 
 Every figure point, chaos cell, benchmark repetition and scale shard
 builds a deployment, installs the namespace, waits for it to be ready,
@@ -13,8 +12,9 @@ four ``BENCHMARK.json`` configurations at seed 0 — the sequence
 row.  For one interpreter version the counts repeat to the last digit, so
 unlike ``setup_s`` they can be gated tightly, by ``test_call_budget``'s
 rule: a phase's calls per row may not rise more than 0.5 % above
-``benchmarks/results/setup_budget.json`` (it may fall: re-record to bank
-the saving).
+``benchmarks/results/setup_budget.json`` (it may fall: re-pin to bank the
+saving).  The file is the ``setup_budget`` pin of ``benchmarks/pins.py``;
+:func:`record` produces it.
 
 The counts include C calls, which CPython versions make differently: the
 record is for the 3.11 the CI jobs pin.
@@ -30,9 +30,9 @@ import sys
 
 import pytest
 
-from .test_call_budget import ROOT, _workloads, over_budget
+from .pins import ROOT
+from .test_call_budget import _workloads, budget_file, check_budget
 
-RECORD = ROOT / "benchmarks" / "results" / "setup_budget.json"
 SEED = 0
 
 
@@ -44,7 +44,7 @@ def _counted(fn, *args, **kwargs):
 
 def count(name: str) -> dict:
     """Calls per installed row of each set-up phase of workload ``name``.
-    Runs in the child process (``--count``)."""
+    Runs in the child process of :func:`measure` (``--count``)."""
     sys.path.insert(0, str(ROOT / "src"))
     from bench_e2e.harness import NAMESPACE, make_generator
     from bench_e2e.workloads import SERVERS, WORKLOADS
@@ -87,33 +87,15 @@ def measure(workload: str) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def record() -> dict:
+    return budget_file(
+        "PYTHONHASHSEED=0 python3 -m benchmarks.test_setup_budget --count W  (seed 0)", measure)
+
+
 @pytest.mark.parametrize("workload", _workloads())
 def test_setup_budget(workload):
-    with open(RECORD) as fh:
-        recorded = json.load(fh)["workloads"][workload]
-    problems = over_budget(measure(workload), recorded)
-    assert not problems, (
-        f"{workload} is over its set-up budget "
-        f"(deliberate? python3 -m benchmarks.test_setup_budget --record):\n  "
-        + "\n  ".join(problems)
-    )
+    check_budget("setup_budget", workload, measure(workload))
 
 
-def main(argv: list) -> int:
-    if len(argv) == 2 and argv[0] == "--count":
-        print(json.dumps(count(argv[1])))
-        return 0
-    if argv != ["--record"]:
-        sys.exit(__doc__)
-    record = {
-        "command": "PYTHONHASHSEED=0 python3 -m benchmarks.test_setup_budget --count W  (seed 0)",
-        "python": ".".join(map(str, sys.version_info[:2])),
-        "workloads": {workload: measure(workload) for workload in _workloads()},
-    }
-    RECORD.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"recorded {RECORD.relative_to(ROOT)}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+if __name__ == "__main__":  # the child process of ``measure``: --count W
+    print(json.dumps(count(sys.argv[2])))

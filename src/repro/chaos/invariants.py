@@ -94,7 +94,15 @@ def namespace_integrity(fs) -> InvariantVerdict:
 
 
 def _in_flight_txids(cluster) -> set[int]:
-    """Transactions some running TC touched within the inactivity timeout."""
+    """Transactions some running TC touched within the inactivity timeout,
+    plus those a backup is still completing.
+
+    A backup keeps its prepared version and row lock from the commit point
+    until the TC's ``Complete`` arrives.  Without Read Backup the TC acks at
+    ``Committed`` (PAPER.md Fig. 2, message 10) and forgets the transaction
+    as it sends the ``Complete``s, so for one hop that state has no TC
+    record: in flight while the TC runs and the commit point is recent.
+    """
     now = cluster.env.now
     grace = cluster.config.inactive_timeout_ms
     live = set()
@@ -103,6 +111,10 @@ def _in_flight_txids(cluster) -> set[int]:
             continue
         for txid, txn in dn.txns.items():
             if not txn.finished and now - txn.last_active_ms <= grace:
+                live.add(txid)
+        for txid, tc_addr, decided_ms in dn.completing():
+            tc = cluster.datanodes.get(tc_addr)
+            if tc is not None and tc.running and now - decided_ms <= grace:
                 live.add(txid)
     return live
 

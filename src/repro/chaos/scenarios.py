@@ -19,7 +19,7 @@ from ..hopsfs.elastic import ElasticConfig, elastic_summary
 from ..hopsfs.groupcommit import AsyncCommitConfig
 from ..hopsfs.listcache import ListingCacheConfig
 from ..hopsfs.robust import RobustConfig
-from ..sim import dispatch_hash
+from ..sim import DispatchHash
 from ..workloads.driver import ClosedLoopDriver
 from ..workloads.namespace import generate_namespace
 from ..workloads.spotify import SpotifyWorkload
@@ -405,7 +405,7 @@ def run_scenario(
     scenario.require(spec)
     harness = spec.build(num_servers, seed=seed, tuning=CHAOS, **scenario.paths())
     env = harness.env
-    env.trace = []  # record every dispatched (when, priority, seq)
+    env.trace = DispatchHash()  # every dispatched (when, priority, seq), hashed as it goes
     if obs is not None:
         obs.attach(env)
         # Callable-backed gauges over live deployment counters; the
@@ -460,7 +460,7 @@ def run_scenario(
         completed=collector.completed,
         failed=collector.failed,
         events=env._seq,
-        dispatch_hash=dispatch_hash(env.trace),
+        dispatch_hash=env.trace.hexdigest(),
     )
     if scenario.elastic is not None and harness.spec.kind == "hopsfs":
         result.elastic = elastic_summary(harness.deployment, collector.completed, env.now)

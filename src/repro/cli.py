@@ -20,9 +20,9 @@ Every setup argument takes the paper's name or its slug (``repro list``).
 Scale knobs are the same as the benchmark suite's: REPRO_BENCH_FULL=1 for
 the paper's full server grid, REPRO_BENCH_SCALE for window scaling.
 
-``python -m repro perf`` records the kernel microbench, the pinned
-events-per-op points and the recorded wins in BENCH_kernel.json; see
-DESIGN.md's "Kernel performance" section.
+``python -m repro perf`` measures what BENCH_kernel.json pins — the kernel
+microbench, the events-per-op points and the recorded wins; the file itself
+is re-pinned by ``benchmarks/repin.py`` (DESIGN.md, "Kernel performance").
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from .errors import ReproError, UnsupportedError
@@ -242,7 +241,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    from .experiments.perf import HISTORY_FILE, append_history, format_microbench, run_perf
+    from .experiments.perf import format_microbench, run_perf
 
     report = run_perf()
     print(format_microbench(report["microbench"]))
@@ -267,7 +266,6 @@ def _cmd_perf(args) -> int:
           f"(peak shard RSS {point['peak_shard_rss_mb']:.1f} MB)")
     if args.out:
         _write_json(args.out, report)
-        append_history(report, os.path.join(os.path.dirname(args.out), HISTORY_FILE))
     return 0
 
 
@@ -513,10 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the per-setup phase breakdown as JSON")
     report.set_defaults(func=_cmd_report)
 
-    perf = sub.add_parser("perf", help="record the kernel microbench, the pinned "
+    perf = sub.add_parser("perf", help="measure the kernel microbench, the pinned "
                                        "events/op points and the recorded wins")
-    perf.add_argument("--out", default="BENCH_kernel.json",
-                      help="output JSON path (default BENCH_kernel.json)")
+    perf.add_argument("--out", default=None, help="also write the report as JSON")
     perf.set_defaults(func=_cmd_perf)
 
     scale = sub.add_parser(

@@ -1,6 +1,7 @@
 """Kernel performance record: the microbench ceiling plus pinned design numbers.
 
-``python -m repro perf`` writes ``BENCH_kernel.json`` from:
+:func:`run_perf` is the producer of the ``BENCH_kernel`` pin
+(``benchmarks/pins.py``; ``python -m repro perf`` prints the same record):
 
 * :func:`kernel_microbench` — a pure-kernel events/sec microbenchmark that
   exercises the hot paths the figure runs lean on (``yield env.timeout``,
@@ -17,10 +18,10 @@
 * :func:`scale_point`, :func:`async_point`, :func:`listing_point` — the
   sharded scale run and the two recorded wins.
 
-Each recorded run also appends one line to ``BENCH_history.jsonl`` beside
-the output (:func:`append_history`), so the trajectory survives the
-overwrite.  ``REPRO_BENCH_SCALE`` scales the windows and the microbench
-horizon (see :func:`repro.experiments.runner.bench_scale`).
+Every re-pin that writes ``BENCH_kernel.json`` also appends one line to the
+``BENCH_history.jsonl`` beside it (:func:`append_history`), so the trajectory
+survives the overwrite.  ``REPRO_BENCH_SCALE`` scales the windows and the
+microbench horizon (see :func:`repro.experiments.runner.bench_scale`).
 """
 
 from __future__ import annotations

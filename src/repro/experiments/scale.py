@@ -49,7 +49,7 @@ from typing import Optional
 from ..errors import ReproError
 from ..metrics.collectors import MetricsCollector
 from ..obs.metrics import Histogram
-from ..sim import RngRegistry, dispatch_hash
+from ..sim import DispatchHash, RngRegistry
 from ..workloads.arrivals import AggregatedArrivalEngine, ZipfPopulation
 from ..workloads.namespace import generate_namespace
 from ..workloads.spotify import SpotifyWorkload
@@ -211,7 +211,7 @@ def run_shard(payload: dict) -> ShardResult:
     else:
         harness = spec.build(config.servers, seed=config.seed)
     env = harness.env
-    env.trace = []  # per-shard dispatch trace -> dispatch hash
+    env.trace = DispatchHash()  # hashed as it goes: memory does not grow with events
 
     namespace = generate_namespace(
         num_top_dirs=config.namespace_top_dirs,
@@ -298,7 +298,7 @@ def run_shard(payload: dict) -> ShardResult:
         max_client_id=engine.max_client_id,
         events=events,
         window_ms=collector.window_ms,
-        dispatch_hash=dispatch_hash(env.trace),
+        dispatch_hash=env.trace.hexdigest(),
         collector=collector,
         histogram=histogram,
         verdicts=verdicts,

@@ -133,11 +133,11 @@ class NdbDatanode(Server):
         # on its send queue — the cluster take-over sweeps these txids so
         # their locks cannot leak (NDB's take-over protocol, LDM side).
         self._lock_tc: dict[int, NodeAddress] = {}
-        # Txids whose ChainCommit passed through this node as a backup:
-        # local evidence that the TC reached the commit point.  The
+        # Txids whose ChainCommit passed through this node as a backup, and
+        # when: local evidence that the TC reached the commit point.  The
         # take-over protocol rolls such transactions *forward* (their
         # client may already hold a success reply), everything else back.
-        self._commit_decided: dict[int, None] = {}
+        self._commit_decided: dict[int, float] = {}
         self.last_heartbeat_from: dict[NodeAddress, float] = {}
         self._rng = cluster.rng.stream(f"ndbd:{addr}")
         self._send_now_cb = self._send_now
@@ -488,7 +488,7 @@ class NdbDatanode(Server):
         else:
             # Backup hop: the pass-through is commit-point evidence the
             # take-over protocol consults if the TC dies before Complete.
-            self._commit_decided[cc.txid] = None
+            self._commit_decided[cc.txid] = self.env._now  # no property call per hop
             while len(self._commit_decided) > 65536:
                 del self._commit_decided[next(iter(self._commit_decided))]
             hop = cc.hop - 1
@@ -803,6 +803,13 @@ class NdbDatanode(Server):
     def has_commit_evidence(self, txid: int) -> bool:
         """Did a ChainCommit for ``txid`` pass through this backup?"""
         return txid in self._commit_decided
+
+    def completing(self):
+        """``(txid, tc, decided_ms)`` of every transaction past its commit
+        point here whose ``Complete`` this backup still waits for."""
+        for txid, decided_ms in self._commit_decided.items():
+            if txid in self._lock_tc:
+                yield txid, self._lock_tc[txid], decided_ms
 
     def take_over(self, txid: int, commit: bool) -> None:
         """Settle local state of a transaction whose TC died.

@@ -3,6 +3,7 @@
 from .kernel import (
     AllOf,
     AnyOf,
+    DispatchHash,
     Environment,
     Event,
     Interrupt,
@@ -28,4 +29,5 @@ __all__ = [
     "Store",
     "RngRegistry",
     "dispatch_hash",
+    "DispatchHash",
 ]

@@ -72,6 +72,7 @@ __all__ = [
     "PRIORITY_NORMAL",
     "SimulationError",
     "dispatch_hash",
+    "DispatchHash",
 ]
 
 PRIORITY_URGENT = 0
@@ -855,13 +856,31 @@ class Environment:
         return proc._value
 
 
-def dispatch_hash(trace: Iterable[Tuple[float, int, int]]) -> str:
-    """SHA-256 of a recorded ``Environment.trace``: the identity of a schedule.
+class DispatchHash:
+    """An ``Environment.trace`` that keeps the hash and drops the entries.
 
-    The line format is what every committed golden and artifact hash was
-    computed with; changing it re-pins all of them.
+    ``env.trace = DispatchHash()`` feeds every dispatched ``(time,
+    priority, seq)`` straight into the SHA-256 of :func:`dispatch_hash`, so
+    a long run's memory does not grow with its event count.
     """
-    h = hashlib.sha256()
-    for when, prio, seq in trace:
-        h.update(f"{when!r}:{prio}:{seq}\n".encode())
+
+    __slots__ = ("_sha",)
+
+    def __init__(self):
+        self._sha = hashlib.sha256()
+
+    def append(self, entry: Tuple[float, int, int]) -> None:
+        # The line format is what every committed golden and artifact hash
+        # was computed with; changing it re-pins all of them.
+        self._sha.update(f"{entry[0]!r}:{entry[1]}:{entry[2]}\n".encode())
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
+
+def dispatch_hash(trace: Iterable[Tuple[float, int, int]]) -> str:
+    """SHA-256 of a recorded ``Environment.trace``: the identity of a schedule."""
+    h = DispatchHash()
+    for entry in trace:
+        h.append(entry)
     return h.hexdigest()

@@ -7,16 +7,13 @@ goldens in ``golden/golden_setups.json`` were captured on the tree
 *before* the group-commit path landed, so any event, RNG draw, or
 ordering change the plumbing leaks into the default path fails here.
 
-To re-capture after an *intentional* schedule change, run
-
-    PYTHONPATH=src python tests/sim/test_async_golden_setups.py > \
-        tests/sim/golden/golden_setups.json
-
-and say why in the commit message.
+The file is the ``golden_setups`` pin of ``benchmarks/pins.py`` (producer:
+:func:`golden_setups`); after an *intentional* schedule change re-pin it
+with ``python3 benchmarks/repin.py golden_setups`` and say why in the
+commit message.
 """
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -70,16 +67,12 @@ def _mini_setup_trace(name):
     }
 
 
+def golden_setups():
+    """The whole golden file; needs ``REPRO_BENCH_SCALE=1`` like the tests."""
+    return {name: _mini_setup_trace(name) for name in sorted(SETUPS)}
+
+
 @pytest.mark.parametrize("name", sorted(SETUPS))
 def test_default_path_matches_pre_async_goldens(name):
     assert _mini_setup_trace(name) == _golden()[name]
 
-
-if __name__ == "__main__":
-    # Re-capture entry point (see module docstring).
-    import sys
-
-    os.environ["REPRO_BENCH_SCALE"] = "1.0"
-    golden = {name: _mini_setup_trace(name) for name in sorted(SETUPS)}
-    json.dump(golden, sys.stdout, indent=2, sort_keys=True)
-    print()

@@ -7,17 +7,14 @@ traces and read statistics — not just aggregate numbers.
 The ``test_golden_*`` tests go further: they compare against
 ``golden/golden_kernel.json``, captured on the pre-refactor kernel, so the
 fast-path kernel is provably schedule-identical to the naive one — same
-(time, priority, seq) dispatch trace, same fig5/fig14 numbers.  To
-re-capture the goldens after an *intentional* schedule change, run
-
-    PYTHONPATH=src python tests/sim/test_determinism.py > \
-        tests/sim/golden/golden_kernel.json
-
-and say why in the commit message.
+(time, priority, seq) dispatch trace, same fig5/fig14 numbers.  The file is
+the ``golden_kernel`` pin of ``benchmarks/pins.py`` (producer:
+:func:`golden_kernel`); after an *intentional* schedule change re-pin it
+with ``python3 benchmarks/repin.py golden_kernel`` and say why in the
+commit message.
 """
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -193,6 +190,16 @@ def _mini_fig14(read_backup=True):
     }
 
 
+def golden_kernel():
+    """The whole golden file; needs ``REPRO_BENCH_SCALE=1`` like the tests."""
+    return {
+        "traced_run": _traced_mini_run(5),
+        "fig5_point": _mini_fig5_point(),
+        "fig14_rb_on": _mini_fig14(True),
+        "fig14_rb_off": _mini_fig14(False),
+    }
+
+
 def _canon(obj):
     # The golden file round-trips tuples through JSON as lists.
     return json.loads(json.dumps(obj, sort_keys=True, default=repr))
@@ -210,18 +217,3 @@ def test_golden_fig14_matches_pre_refactor_kernel():
     golden = _golden()
     assert _canon(_mini_fig14(True)) == golden["fig14_rb_on"]
     assert _canon(_mini_fig14(False)) == golden["fig14_rb_off"]
-
-
-if __name__ == "__main__":
-    # Re-capture entry point (see module docstring).
-    import sys
-
-    os.environ["REPRO_BENCH_SCALE"] = "1.0"
-    golden = {
-        "traced_run": _traced_mini_run(5),
-        "fig5_point": _mini_fig5_point(),
-        "fig14_rb_on": _mini_fig14(True),
-        "fig14_rb_off": _mini_fig14(False),
-    }
-    json.dump(golden, sys.stdout, indent=2, sort_keys=True, default=repr)
-    print()
