@@ -24,8 +24,12 @@ The exit code says which level held on every row:
     1  results differ: the model moved; say so, and re-pin
        (``python3 benchmarks/repin.py``)
 
-``--quick`` windows are for identity only: the host times of these runs are
-never compared with anything.
+Under a row whose results differ, indented lines say how far they moved:
+base -> head for ``completed``, ``failed`` and the simulated throughput, mean
+and p99 latency of the ``--quick`` window, each delta also as a share of that
+metric's bound in ``BENCHMARK.json`` (read, never written).  ``--quick``
+windows are for identity only: the host times of these runs are never
+compared with anything.
 
 ``--chaos`` compares the fault-injection runs instead: every cell of the
 ``chaos_matrix`` pin (``benchmarks/pins.py``: all ``chaos.SCENARIOS`` on all
@@ -33,6 +37,8 @@ nine setups, plus the two listing-cache runs), produced in process in both
 trees by this tree's ``pins.chaos_matrix``.  A cell's schedule digest is its
 ``dispatch_hash``; its result is its verdict (``green`` / ``red`` /
 ``unsupported:<reason>``), the red invariants, ``completed`` and ``failed``.
+Under a differing cell: its verdict change, if any, and ``completed`` /
+``failed`` base -> head.
 """
 
 from __future__ import annotations
@@ -57,11 +63,9 @@ MEANING = {
 def classify(base: dict, head: dict) -> int:
     """The identity level of one row: both digests equal, only the result
     digest, or neither."""
-    if base == head:
-        return IDENTICAL
-    if base["result"] == head["result"]:
-        return RESULT_IDENTICAL
-    return DIFFERENT
+    if base["result"] != head["result"]:
+        return DIFFERENT
+    return IDENTICAL if base["schedule"] == head["schedule"] else RESULT_IDENTICAL
 
 
 def weakest(levels) -> int:
@@ -70,6 +74,43 @@ def weakest(levels) -> int:
     if DIFFERENT in levels:
         return DIFFERENT
     return RESULT_IDENTICAL if RESULT_IDENTICAL in levels else IDENTICAL
+
+
+def bounds_of(spec: dict) -> dict:
+    """``{metric: (bound, better)}`` of ``BENCHMARK.json``'s end-to-end metrics."""
+    return {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
+
+
+# What a differing row reports, in order.  ``completed`` / ``failed`` have no
+# bound of their own (``sim_success_share`` bounds their ratio).
+MOVED = ("verdict", "completed", "failed",
+         "sim_throughput_ops_s", "sim_mean_ms", "sim_p99_ms")
+
+
+def movement(base: dict, head: dict, bounds: dict) -> list:
+    """How far one differing row moved: ``base -> head`` for each number the
+    two rows carry, with its delta as a share of its bound where it has one."""
+    lines = []
+    for name in MOVED:
+        if name not in base or name not in head:
+            continue
+        old, new = base[name], head[name]
+        if not all(isinstance(value, (int, float)) for value in (old, new)):
+            if old != new:  # a verdict, or a count a cell did not run to
+                lines.append(f"{name}: {old} -> {new}")
+            continue
+        line = f"{name}: {old:.6g} -> {new:.6g}"
+        if old:
+            delta = (new - old) / old
+            line += f"  ({delta:+.2%}"
+            if name in bounds:
+                bound, better = bounds[name]
+                worse = delta > 0 if better == "lower" else delta < 0
+                line += f", {abs(delta) / bound:.0%} of its {bound:.0%} bound"
+                line += " worse" if worse else ""
+            line += ")"
+        lines.append(line)
+    return lines
 
 
 def _digest(doc) -> str:
@@ -126,7 +167,8 @@ def result_digest(workload: str) -> str:
     })
 
 
-def _detail(tree: pathlib.Path, workload: str) -> dict:
+def _detail(tree: pathlib.Path, workload: str) -> tuple:
+    """The run's ``#detail`` object and the metric values of its result line."""
     out = subprocess.run(
         ["python3", "bench_e2e/run.py", "--workload", workload,
          "--seed", "0", "--quick", "--trace", "0"],
@@ -134,21 +176,26 @@ def _detail(tree: pathlib.Path, workload: str) -> dict:
     )
     if out.returncode != 0:
         sys.exit(f"{tree}: {workload} exited {out.returncode}\n{out.stdout}{out.stderr}")
-    lines = [line for line in out.stdout.splitlines() if line.startswith(DETAIL_PREFIX)]
-    if not lines:
+    lines = out.stdout.splitlines()
+    details = [line for line in lines if line.startswith(DETAIL_PREFIX)]
+    if not details:
         sys.exit(f"{tree}: {workload} printed no {DETAIL_PREFIX.strip()} line")
-    return json.loads(lines[-1][len(DETAIL_PREFIX):])
+    metrics = json.loads(lines[-1])["metrics"]
+    return (json.loads(details[-1][len(DETAIL_PREFIX):]),
+            {name: metric["value"] for name, metric in metrics.items()})
 
 
 # -- the two tables -------------------------------------------------------------
 
 def _workload_row(tree: pathlib.Path, workload: str) -> dict:
-    detail = _detail(tree, workload)
+    detail, metrics = _detail(tree, workload)
     return {
         "schedule": detail["digest"],
         "result": _in_tree(tree, f"schedule_identity.result_digest({workload!r})"),
         "shown": f"{detail['completed']:>9} {detail['failed']:>6}  "
                  f"{json.dumps(detail['failed_by_error'], sort_keys=True)}",
+        "numbers": {"completed": detail["completed"], "failed": detail["failed"],
+                    **{name: metrics[name] for name in MOVED if name in metrics}},
     }
 
 
@@ -165,17 +212,19 @@ def _chaos_rows(tree: pathlib.Path) -> dict:
                                cell["failed"]]),
             "shown": f"{shown['completed']:>9} {shown['failed']:>6}  {cell['verdict']}"
                      f"{' ' + ', '.join(cell['red']) if 'red' in cell else ''}",
+            "numbers": {name: cell[name] for name in ("verdict", "completed", "failed")},
         }
     return rows
 
 
 _ABSENT = {"schedule": None, "result": "-",
-           "shown": f"{'-':>9} {'-':>6}  (no such cell in this tree)"}
+           "shown": f"{'-':>9} {'-':>6}  (no such cell in this tree)", "numbers": {}}
 
 
-def _compare(rows_of, keys, header: tuple) -> int:
-    """Print ``rows_of(side, key)`` of both trees side by side; return the
-    weakest identity level over ``keys``."""
+def _compare(rows_of, keys, header: tuple, bounds: dict) -> int:
+    """Print ``rows_of(side, key)`` of both trees side by side, and under a
+    row whose results differ how far they moved; return the weakest identity
+    level over ``keys``."""
     print(f"{header[0]:<44} {'tree':<5} {'schedule':<13} {'result':<13} "
           f"{'completed':>9} {'failed':>6}  {header[1]}")
     levels = {}
@@ -185,6 +234,9 @@ def _compare(rows_of, keys, header: tuple) -> int:
             print(f"{key:<44} {side:<5} {(row['schedule'] or '-')[:12]:<13} "
                   f"{row['result'][:12]:<13} {row['shown']}")
         levels[key] = classify(rows["base"], rows["head"])
+        if levels[key] == DIFFERENT:
+            for line in movement(rows["base"]["numbers"], rows["head"]["numbers"], bounds):
+                print(f"    {line}")
     for level in (RESULT_IDENTICAL, DIFFERENT):
         moved = [key for key, reached in levels.items() if reached == level]
         if moved:
@@ -203,14 +255,16 @@ def main(argv: list[str]) -> int:
         "base": pathlib.Path(argv[0]).resolve(),
         "head": (pathlib.Path(argv[1]) if len(argv) == 2 else _HERE.parent).resolve(),
     }
+    with open(trees["head"] / "BENCHMARK.json") as fh:
+        spec = json.load(fh)
+    bounds = bounds_of(spec)
     if chaos:
         matrices = {side: _chaos_rows(tree) for side, tree in trees.items()}
         return _compare(lambda side, key: matrices[side].get(key, _ABSENT),
-                        list(matrices["head"]), ("scenario/setup", "verdict"))
-    with open(trees["head"] / "BENCHMARK.json") as fh:
-        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+                        list(matrices["head"]), ("scenario/setup", "verdict"), bounds)
+    workloads = [w["name"] for w in spec["workloads"]]
     return _compare(lambda side, key: _workload_row(trees[side], key), workloads,
-                    ("workload", "failed_by_error"))
+                    ("workload", "failed_by_error"), bounds)
 
 
 if __name__ == "__main__":

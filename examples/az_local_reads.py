@@ -34,7 +34,6 @@ def run_mode(read_backup: bool) -> None:
     for i, az in enumerate((1, 2, 3), start=1):
         addr = NodeAddress(NodeKind.CLIENT, i)
         topology.add_host(addr, az=az)
-        network.register(addr)
         clients.append(cluster.api(addr))
 
     def scenario():

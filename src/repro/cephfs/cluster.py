@@ -189,7 +189,6 @@ def build_cephfs(
 
     mon_addr = NodeAddress(NodeKind.MON, 1)
     topology.add_host(mon_addr, az=azs[0], cores=4)
-    network.register(mon_addr)
 
     osds = []
     for i in range(config.num_osds):

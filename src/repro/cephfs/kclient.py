@@ -29,7 +29,7 @@ _READ_OPS = frozenset({OpType.READ_FILE, OpType.STAT})
 class CephClient(FsClient, Server):
     """A mounted CephFS client on one simulated host.
 
-    Its mailbox carries the MDSs' capability revocations.
+    The MDSs' capability revocations are delivered to it.
     """
 
     _span_name = "kclient.op"

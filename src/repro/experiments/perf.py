@@ -69,10 +69,10 @@ _CEPHFS_CONFIG = dict(warmup_ms=100.0, window_ms=1000.0)
 HISTORY_FILE = "BENCH_history.jsonl"
 
 # Microbench population: sized so one run takes O(seconds) at scale 1.
-# Weighted like a figure run: message handoffs (every simulated RPC is a
-# mailbox Store put/get) and CPU-pool completions (every handler charges a
-# CorePool) dominate; pure sleep loops (heartbeats, election timers) are a
-# minority of kernel traffic.
+# Weighted like a figure run: same-instant hand-offs between processes
+# (Store put/get, standing in for an RPC reply resuming its caller) and
+# CPU-pool completions (every handler charges a CorePool) dominate; pure
+# sleep loops (heartbeats, election timers) are a minority of kernel traffic.
 _TICKERS = 100
 _PINGPONG_PAIRS = 150
 _POOL_CLIENTS = 150
@@ -94,7 +94,7 @@ def _build_microbench(env: Environment) -> None:
     """Spawn the microbenchmark population on ``env``.
 
     The mix mirrors what a figure run does to the kernel: mostly timeout
-    waits, plus mailbox handoffs (Store), CPU-pool completion events, and
+    waits, plus hand-offs (Store), CPU-pool completion events, and
     re-waits on already-processed events (the wakeup fast path).
     """
 

@@ -99,7 +99,6 @@ class HopsFsClient(FsClient):
         # selection and membership refresh until they leave the advertised
         # view for good (the view still lists them while they drain).
         self._draining_nns: set[NodeAddress] = set()
-        network.register(addr)
         # Elastic serving tier (opt-in): periodically swap the static
         # bootstrap list for the leader-maintained membership view, so the
         # client tracks NNs joining and leaving the pool.  None (the

@@ -146,6 +146,7 @@ class Namenode(Server):
         self.ops_failed = 0
         self.ops_shed = 0
         self._inflight = 0
+        self._life = 0  # restarts so far: which process an admitted op belongs to
         self._fs_op_name = f"{addr}:fs_op"  # names the process spawned per op
         # Graceful decommission: a draining NN stops admitting new fs ops
         # (they bounce with ServerDrainingError) but finishes what it holds.
@@ -200,7 +201,15 @@ class Namenode(Server):
             self.committer.on_crash()
 
     def _on_restart(self) -> None:
-        """Stateless: nothing to recover but the cache's place in the stream."""
+        """Stateless: what the process held in memory died with it."""
+        # A directory renamed or deleted through a peer while this NN was
+        # down would otherwise still resolve through its pre-crash entry.
+        self.dir_cache.clear()
+        # So did the requests it had admitted: their NDB replies were dropped
+        # and their processes never finish.  Counting them would shed every
+        # request after the restart; _fs_op skips a dead life's decrement.
+        self._inflight = 0
+        self._life += 1
         if self.listing_cache is not None:
             # Changelog batches sent while this NN was down were dropped;
             # flush and re-align with the bus before serving anything.
@@ -300,6 +309,7 @@ class Namenode(Server):
         """Process body of one admitted request."""
         obs = self.env.obs
         span = None
+        life = self._life
         try:
             op, kwargs = msg.payload
             if obs is not None:
@@ -321,7 +331,8 @@ class Namenode(Server):
                         "nn.handle", str(self.addr), self.az,
                         now - span.start_ms, span.tags.get("ok", True) is not False, now,
                     )
-            self._inflight -= 1
+            if life == self._life:
+                self._inflight -= 1
 
     def _serve(self, msg: Message, op: OpType, kwargs, span):
         """The request lifecycle, once and in order.

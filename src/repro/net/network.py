@@ -2,19 +2,22 @@
 
 Messages between hosts are delayed by the Table I latency for the AZ pair
 (see :mod:`repro.net.topology`), accounted in a :class:`TrafficMatrix`, and
-dropped when the destination is down or partitioned away.  RPCs fail fast
-with :class:`HostUnreachableError` when their peer dies or is cut off —
-modelling the TCP connection reset a real client would observe.
+dropped when the destination is down or partitioned away.  A request is
+delivered by calling the handler its destination registered; one sent to an
+address with no handler (a client host, a server not yet started) is
+dropped.  RPCs fail fast with :class:`HostUnreachableError` when their peer
+dies or is cut off — modelling the TCP connection reset a real client would
+observe.
 """
 
 from __future__ import annotations
 
 import itertools
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from ..errors import HostUnreachableError, NetworkError, RpcTimeoutError
-from ..sim import Environment, Event, Store
+from ..sim import Environment, Event
 from ..types import AzId, NodeAddress
 from .topology import Topology
 from .traffic import TrafficMatrix
@@ -134,7 +137,7 @@ class Network:
         # scale, Section V-B1).  None disables the cap.
         self.az_link_bandwidth = az_link_bandwidth_bytes_per_ms
         self._fabric_drain_at = 0.0
-        self._mailboxes: dict[NodeAddress, Store] = {}
+        self._handlers: dict[NodeAddress, Callable[[Message], None]] = {}
         self._down: set[NodeAddress] = set()
         # Each partition entry is a pair of AZ-id frozensets that cannot talk.
         self._partitions: list[tuple[frozenset[AzId], frozenset[AzId]]] = []
@@ -159,33 +162,24 @@ class Network:
         self._deliver_cb = self._deliver
 
     # -- membership ---------------------------------------------------------
-    def register(self, address: NodeAddress) -> Store:
-        """Create (or return) the mailbox for ``address``."""
-        self.topology.host(address)  # validates placement
-        mailbox = self._mailboxes.get(address)
-        if mailbox is None:
-            mailbox = Store(self.env, name=f"mbox:{address}")
-            self._mailboxes[address] = mailbox
-        return mailbox
+    def register(self, address: NodeAddress, handler: Callable[[Message], None]) -> None:
+        """Deliver every request to ``address`` by calling ``handler(message)``.
 
-    def mailbox(self, address: NodeAddress) -> Store:
-        try:
-            return self._mailboxes[address]
-        except KeyError:
-            raise NetworkError(f"{address} has no mailbox (not registered)") from None
+        One handler per address: registering again replaces it.  The handler
+        runs inside the delivery, so it must not block — it spawns a process
+        or acts inline.
+        """
+        self.topology.host(address)  # validates placement
+        self._handlers[address] = handler
 
     def is_up(self, address: NodeAddress) -> bool:
         return address not in self._down
 
     def set_down(self, address: NodeAddress) -> None:
-        """Crash a host: lose its queued mail, fail RPCs awaiting it."""
+        """Crash a host: drop mail delivered to it, fail RPCs awaiting it."""
         if address in self._down:
             return
         self._down.add(address)
-        mailbox = self._mailboxes.get(address)
-        if mailbox is not None:
-            while len(mailbox):
-                mailbox.get()  # drain (messages are lost)
         self._fail_pending(lambda src, dst: dst == address)
 
     def set_up(self, address: NodeAddress) -> None:
@@ -342,13 +336,13 @@ class Network:
         if message.is_reply:
             self._complete_rpc(message)
             return
-        mailbox = self._mailboxes.get(dst)
-        if mailbox is None:
+        handler = self._handlers.get(dst)
+        if handler is None:
             self.dropped_messages += 1
             if message.rpc_id is not None:
                 self._fail_rpc(message.rpc_id)
             return
-        mailbox.put(message)
+        handler(message)
 
     # -- RPC --------------------------------------------------------------------
     def call(

@@ -1,19 +1,24 @@
-"""The one server runtime: a mailbox, a receive loop, named loops, a lifecycle.
+"""The one server runtime: a delivery handler, named loops, a lifecycle.
 
 Every daemon of the three layers (NDB datanodes and management nodes,
 namenodes, block datanodes) and of the CephFS baseline (MDS, OSD, kernel
 client) is a :class:`Server`.  The base enforces what used to be a per-class
-convention: across any crash/restart sequence a mailbox has exactly one
-consumer and each named background loop runs at most once.  Subclasses
-supply ``_on_message`` and the hooks; they never touch ``Store.get``,
+convention: across any crash/restart sequence an address has exactly one
+handler and each named background loop runs at most once.  Subclasses
+supply ``_on_message`` and the hooks; they never touch ``Network.register``,
 ``Process.is_alive`` or ``Network.set_down``/``set_up``.
 
-Crash model: ``shutdown`` takes the address off the network (queued mail
-is lost, RPCs awaiting it fail) and clears ``running``.  Nothing is
-interrupted — the receive loop keeps consuming (and dropping) and each
-background loop is written ``while self.running: ...`` so it exits at its
-next wake-up.  A ``restart`` that beats that wake-up therefore finds the
-old loop alive and must not start a second one: that is ``spawn_once``.
+Delivery is one call: ``start`` registers ``_on_message`` with the network,
+which calls it from the delivery of each request.  Before the first
+``start`` the address has no handler, so a request to it is dropped and its
+RPC fails.
+
+Crash model: ``shutdown`` takes the address off the network (mail delivered
+to it is dropped, RPCs awaiting it fail) and clears ``running``.  Nothing is
+interrupted — each background loop is written ``while self.running: ...``
+so it exits at its next wake-up.  A ``restart`` that beats that wake-up
+therefore finds the old loop alive and must not start a second one: that is
+``spawn_once``.
 """
 
 from __future__ import annotations
@@ -26,14 +31,13 @@ __all__ = ["Server"]
 
 
 class Server:
-    """One simulated daemon: an address, its mailbox and its processes."""
+    """One simulated daemon: an address, its handler and its processes."""
 
     def __init__(self, env: Environment, network: Network, addr: NodeAddress, az: AzId):
         self.env = env
         self.network = network
         self.addr = addr
         self.az = az
-        self.mailbox = network.register(addr)
         self.running = False
         self._loops: dict[str, Process] = {}
 
@@ -51,7 +55,7 @@ class Server:
         if self.running:
             return
         self.running = True
-        self.spawn_once("receive", self._receive)
+        self.network.register(self.addr, self._on_message)
         self._on_start()
 
     def shutdown(self) -> None:
@@ -69,15 +73,10 @@ class Server:
         self._on_restart()
         self.start()
 
-    def _receive(self):
-        while True:
-            msg = yield self.mailbox.get()
-            if self.running:
-                self._on_message(msg)
-
     # ----------------------------------------------------------------- hooks
     def _on_message(self, msg: Message) -> None:
-        """Handle one delivered message (spawn a handler process or act inline)."""
+        """Handle one delivered request without blocking: spawn a handler
+        process or act inline."""
         raise NotImplementedError
 
     def _on_start(self) -> None:

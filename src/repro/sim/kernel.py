@@ -30,7 +30,7 @@ Hot-path design (see DESIGN.md §4 "Kernel performance"):
   RPC round costs O(1) kernel events instead of O(messages).
 * Two queues, one order.  Entries scheduled *for the current instant at
   normal priority* (``succeed``/``fail``, process bootstraps and re-wakes,
-  CorePool done-events, Store hand-offs — most of a figure run's entries)
+  CorePool done-events — most of a figure run's entries)
   go to a FIFO ``deque``, everything else to the timer heap, and dispatch
   takes the smaller head of the two.  The deque holds the same ``(time,
   priority, seq, item)`` tuples and is a sorted run by construction (one

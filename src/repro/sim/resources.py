@@ -135,7 +135,7 @@ class CorePool:
 
 
 class Store:
-    """Unbounded FIFO message store (a mailbox between processes)."""
+    """Unbounded FIFO item store: a hand-off queue between processes."""
 
     def __init__(self, env: Environment, name: str = "store"):
         self.env = env
@@ -143,8 +143,8 @@ class Store:
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
 
-    # put()/get() hand-inline Event construction and succeed(): stores back
-    # every mailbox, so one message costs two of these calls.  Keep in sync
+    # put()/get() hand-inline Event construction and succeed(): one item
+    # handed over costs two of these calls.  Keep in sync
     # with kernel.Event / Environment.event; a hand-off is due now, so it
     # goes on the ready queue (env._ready) like any succeed().
     def put(

@@ -46,7 +46,7 @@ class NodeAddress(NamedTuple):
     ``kind``/``index`` make traces readable (``nn3``, ``ndbd1``); equality
     and hashing use the whole tuple so two layers can never collide.
 
-    A named tuple, not a dataclass: addresses key every mailbox, topology,
+    A named tuple, not a dataclass: addresses key every handler, topology,
     traffic and partition-map lookup (~120 hashes per simulated op), and a
     tuple of a str-hashed enum and an int hashes and compares in C.
     """

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import FileNotFoundFsError
 from repro.hopsfs import SMALL_FILE_MAX_BYTES, InodeRow
 from repro.hopsfs.dircache import DirCache
 
@@ -74,6 +75,36 @@ def test_nn_cache_serves_resolution(fs=None):
         return after - before
 
     assert run(fs, scenario()) >= 5
+
+
+def test_restarted_nn_forgets_its_pre_crash_dir_cache():
+    """A crash loses the NN's memory: a directory renamed through a peer while
+    it was down must not resolve through the entry cached before the crash."""
+    fs = make_fs(num_namenodes=2)
+    victim, peer = fs.namenodes
+    via_victim, via_peer = fs.client(), fs.client()
+    via_victim.namenode_addrs = [victim.addr]
+    via_peer.namenode_addrs = [peer.addr]
+
+    def before_crash():
+        yield from via_victim.mkdir("/a")
+        yield from via_victim.create("/a/f")
+        yield from via_victim.stat("/a/f")  # resolves "a" through the dir cache
+
+    run(fs, before_crash())
+    a_row = victim.dir_cache.peek((1, "a"))
+    assert a_row is not None
+    victim.shutdown()
+    run(fs, via_peer.rename("/a", "/b"))
+    victim.restart()
+    assert victim.dir_cache.peek((1, "a")) is None
+
+    def after_restart():
+        with pytest.raises(FileNotFoundFsError):
+            yield from via_victim.stat("/a/f")
+        return (yield from via_victim.stat("/b/f"))
+
+    assert run(fs, after_restart()).parent_id == a_row.id
 
 
 def test_small_file_exactly_at_threshold():

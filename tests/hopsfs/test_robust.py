@@ -8,6 +8,7 @@ from repro.errors import (
     FileAlreadyExistsError,
     FsError,
     NoNamenodeError,
+    ReproError,
     RpcTimeoutError,
     ServerBusyError,
 )
@@ -423,6 +424,37 @@ def test_inflight_gauge_returns_to_zero():
 
     assert run(fs, scenario())
     assert fs.namenodes[0]._inflight == 0
+
+
+def test_a_restarted_nn_forgets_the_requests_it_died_with():
+    """Requests admitted before a crash die with the process: their NDB
+    replies are dropped, so they never finish.  The restarted NN must not
+    count them against admission, or it sheds everything it is sent."""
+    fs = make_fs(num_namenodes=1, robust=RobustConfig(nn_max_inflight=2, hedge_delay_ms=None))
+    nn, env = fs.namenodes[0], fs.env
+    run(fs, fs.await_election())
+
+    def doomed(client, path):
+        try:
+            yield from client.mkdir(path)
+        except ReproError:
+            pass  # whatever the crash does to it, only the NN's count matters
+
+    for i in range(2):
+        env.process(doomed(fs.client(), f"/doomed{i}"), name=f"doomed{i}")
+    deadline = env.now + 50.0
+    while nn.inflight < 2 and env.now < deadline:
+        env.step()
+    assert nn.inflight == 2
+    env.run(until=env.now + 0.5)  # past the handler pool, waiting on NDB
+    nn.shutdown()
+    env.run(until=env.now + 5.0)
+    assert nn.inflight == 2  # the dead requests' processes never finish
+    nn.restart()
+    assert nn.inflight == 0
+    shed = nn.ops_shed
+    assert run(fs, fs.client().exists("/")) is True
+    assert nn.ops_shed == shed and nn.inflight == 0
 
 
 # -------------------------------------------------- satellite: bootstrap

@@ -62,7 +62,6 @@ def build_harness(
     )
     client_addr = NodeAddress(NodeKind.CLIENT, 1)
     topo.add_host(client_addr, az=client_az)
-    network.register(client_addr)
     cluster.start(heartbeats=heartbeats)
     return Harness(env, network, cluster, client_addr)
 

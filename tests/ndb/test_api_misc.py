@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import NdbError, NetworkError, TransactionAbortedError
+from repro.errors import ConfigError, NdbError, TransactionAbortedError
 from repro.ndb import run_transaction
 
 from .conftest import build_harness
@@ -75,13 +75,13 @@ def test_scan_empty_partition(harness):
     assert harness.run(scenario()) == []
 
 
-def test_network_mailbox_requires_registration():
+def test_network_handler_requires_placement():
     harness = build_harness()
     from repro.types import NodeAddress, NodeKind
 
     ghost = NodeAddress(NodeKind.CLIENT, 404)
-    with pytest.raises(NetworkError):
-        harness.network.mailbox(ghost)
+    with pytest.raises(ConfigError):
+        harness.network.register(ghost, print)
 
 
 def test_read_stats_accumulate_across_transactions(harness):

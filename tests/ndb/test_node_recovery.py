@@ -117,12 +117,15 @@ def _crash_then_restart(harness, victim, gap_ms, cycles=1):
     harness.run(scenario())
 
 
-def test_restart_cycles_leave_one_mailbox_consumer():
+def test_restart_cycles_leave_one_handler():
     harness = build_harness()
     victim = next(iter(harness.cluster.datanodes))
+    handlers = harness.network._handlers
+    addresses = set(handlers)
     _crash_then_restart(harness, victim, gap_ms=50.0, cycles=3)
     harness.env.run(until=harness.env.now + 1_000)
-    assert len(harness.cluster.datanodes[victim].mailbox._getters) == 1
+    assert set(handlers) == addresses
+    assert handlers[victim] == harness.cluster.datanodes[victim]._on_message
 
 
 def test_restart_inside_a_heartbeat_interval_keeps_one_heartbeat_per_interval():

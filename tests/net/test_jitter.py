@@ -6,6 +6,8 @@ from repro.net import Message, Network, build_us_west1
 from repro.sim import Environment
 from repro.types import NodeAddress, NodeKind
 
+from .conftest import inbox
+
 
 def _setup(jitter):
     env = Environment()
@@ -14,17 +16,16 @@ def _setup(jitter):
     a, b = NodeAddress(NodeKind.CLIENT, 1), NodeAddress(NodeKind.CLIENT, 2)
     topo.add_host(a, az=1)
     topo.add_host(b, az=2)
-    net.register(a)
-    net.register(b)
     return env, net, a, b
 
 
 def _arrival_times(env, net, a, b, count):
     times = []
+    served = inbox(net, b)
 
     def rx():
         for _ in range(count):
-            yield net.mailbox(b).get()
+            yield served.get()
             times.append(env.now)
 
     proc = env.process(rx())

@@ -16,6 +16,7 @@ from repro.sim import Environment
 from repro.types import NodeAddress, NodeKind
 
 from ..hopsfs.conftest import make_fs, run
+from .conftest import inbox
 
 
 def _world(obs=None):
@@ -28,13 +29,11 @@ def _world(obs=None):
     b = NodeAddress(NodeKind.CLIENT, 2)
     topo.add_host(a, az=1)
     topo.add_host(b, az=2)
-    net.register(a)
-    net.register(b)
-    return env, net, a, b
+    return env, net, a, b, inbox(net, b)
 
 
 def test_default_extra_is_shared_empty_and_read_only():
-    _env, _net, a, b = _world()
+    _env, _net, a, b, _served = _world()
     first, second = Message(a, b, "x"), Message(src=b, dst=a, kind="y")
     assert first.extra is second.extra is _NO_EXTRA
     assert first.extra.get("span_id") is None
@@ -47,14 +46,13 @@ def test_default_extra_is_shared_empty_and_read_only():
 def test_call_extra_is_copied_per_message():
     """The robust client hands one ``extra`` dict to the primary and the
     hedge; each request must carry its own copy."""
-    env, net, a, b = _world()
+    env, net, a, b, served = _world()
     shared = {"deadline_ms": 50.0}
     net.call(a, b, "ping", extra=shared)
     net.call(a, b, "ping", extra=shared)
     net.call(a, b, "ping")
     env.run(until=10.0)
-    mailbox = net.mailbox(b)
-    m1, m2, m3 = (mailbox.get().value for _ in range(3))
+    m1, m2, m3 = (served.get().value for _ in range(3))
     assert m1.extra == m2.extra == shared
     assert m1.extra is not m2.extra and m1.extra is not shared
     m1.extra["retry_id"] = ("c", 1)
@@ -63,14 +61,13 @@ def test_call_extra_is_copied_per_message():
 
 
 def test_traced_call_writes_only_its_own_message():
-    env, net, a, b = _world(obs=ObsContext())
+    env, net, a, b, served = _world(obs=ObsContext())
     shared = {"deadline_ms": 50.0}
     net.call(a, b, "ping", extra=shared)
     net.call(a, b, "ping")
     net.send(Message(a, b, "oneway"))
     env.run(until=10.0)
-    mailbox = net.mailbox(b)
-    traced_with_extra, traced, oneway = (mailbox.get().value for _ in range(3))
+    traced_with_extra, traced, oneway = (served.get().value for _ in range(3))
     assert set(traced_with_extra.extra) == {"deadline_ms", "span_id"}
     assert set(traced.extra) == {"span_id"}
     assert traced.extra["span_id"] != traced_with_extra.extra["span_id"]
@@ -79,7 +76,7 @@ def test_traced_call_writes_only_its_own_message():
 
 
 def test_deliver_resolves_the_route_of_a_message_that_skipped_send():
-    env, net, a, b = _world()
+    env, net, a, b, _served = _world()
     message = Message(a, b, "direct", size=100)
     assert message.route is None
     net._deliver(message)

@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.errors import NetworkError
+from repro.cephfs import build_cephfs
+from repro.errors import HostUnreachableError, NetworkError
 from repro.net import Message, Network, build_us_west1
 from repro.sim import Environment
 from repro.types import NodeAddress, NodeKind
+
+from ..hopsfs.conftest import make_fs, run
+from .conftest import inbox
 
 
 def _world():
@@ -16,8 +20,6 @@ def _world():
     b = NodeAddress(NodeKind.CLIENT, 2)
     topo.add_host(a, az=1)
     topo.add_host(b, az=2)
-    net.register(a)
-    net.register(b)
     return env, net, a, b
 
 
@@ -31,9 +33,10 @@ def test_reply_to_non_rpc_rejected():
 def test_duplicate_reply_ignored():
     """A second reply to the same rpc_id must not crash or re-trigger."""
     env, net, a, b = _world()
+    served = inbox(net, b)
 
     def server():
-        msg = yield net.mailbox(b).get()
+        msg = yield served.get()
         net.reply(msg, payload="first")
         net.reply(msg, payload="second")  # dup: dropped at completion
 
@@ -49,7 +52,7 @@ def test_duplicate_reply_ignored():
 def test_message_to_unregistered_host_fails_rpc():
     env, net, a, b = _world()
     ghost = NodeAddress(NodeKind.CLIENT, 99)
-    net.topology.add_host(ghost, az=3)  # host exists but never registered
+    net.topology.add_host(ghost, az=3)  # host exists but registered no handler
 
     def client():
         with pytest.raises(Exception):
@@ -60,8 +63,41 @@ def test_message_to_unregistered_host_fails_rpc():
     assert net.dropped_messages == 1
 
 
+def test_a_client_host_drops_requests_and_still_takes_replies():
+    """A HopsFS client serves nothing: a request to it is dropped, counted
+    and fails its RPC, while its own calls still get their replies."""
+    fs = make_fs(num_namenodes=1)
+    client, nn = fs.client(), fs.namenodes[0]
+    network = fs.network
+
+    def scenario():
+        yield from fs.await_election()
+        dropped = network.dropped_messages
+        with pytest.raises(HostUnreachableError):
+            yield network.call(nn.addr, client.addr, "probe")
+        assert network.dropped_messages == dropped + 1
+        yield from client.mkdir("/d")
+        return (yield from client.exists("/d"))
+
+    assert run(fs, scenario()) is True
+
+
+def test_the_ceph_mon_drops_requests():
+    ceph = build_cephfs(num_mds=1)
+    network, mds = ceph.network, ceph.mds_list[0]
+    mon = NodeAddress(NodeKind.MON, 1)
+
+    def scenario():
+        with pytest.raises(HostUnreachableError):
+            yield network.call(mds.addr, mon, "probe")
+        return network.dropped_messages
+
+    assert ceph.env.run_process(scenario()) == 1
+
+
 def test_send_sizes_accumulate_per_direction():
     env, net, a, b = _world()
+    inbox(net, b)
     for size in (100, 200, 300):
         net.send(Message(src=a, dst=b, kind="x", size=size))
     env.run()
@@ -74,12 +110,13 @@ def test_partition_does_not_affect_same_side_traffic():
     env, net, a, b = _world()
     c = NodeAddress(NodeKind.CLIENT, 3)
     net.topology.add_host(c, az=1)
-    net.register(c)
+    served = inbox(net, c)
+    inbox(net, b)
     net.partition_azs({1}, {2})
     got = []
 
     def receiver():
-        msg = yield net.mailbox(c).get()
+        msg = yield served.get()
         got.append(msg.kind)
 
     env.process(receiver())

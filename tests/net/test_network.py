@@ -7,6 +7,8 @@ from repro.net import Message, Network, build_us_west1
 from repro.sim import Environment
 from repro.types import NodeAddress, NodeKind
 
+from .conftest import inbox
+
 
 @pytest.fixture
 def net():
@@ -17,17 +19,17 @@ def net():
     for i, az in enumerate((1, 2, 3), start=1):
         addr = NodeAddress(NodeKind.NDB_DATANODE, i)
         topo.add_host(addr, az=az)
-        network.register(addr)
         hosts[i] = addr
-    return env, network, hosts
+    # Only hosts[2] serves: hosts[1] and hosts[3] send and take replies.
+    return env, network, hosts, inbox(network, hosts[2])
 
 
 def test_send_delivers_with_az_latency(net):
-    env, network, hosts = net
+    env, network, hosts, served = net
     received = []
 
     def receiver():
-        msg = yield network.mailbox(hosts[2]).get()
+        msg = yield served.get()
         received.append((env.now, msg.payload))
 
     env.process(receiver())
@@ -38,22 +40,21 @@ def test_send_delivers_with_az_latency(net):
 
 
 def test_intra_az_faster_than_cross_az(net):
-    env, network, hosts = net
+    env, network, hosts, served = net
     topo = network.topology
     same_az = NodeAddress(NodeKind.NAMENODE, 1)
     topo.add_host(same_az, az=1)
-    network.register(same_az)
     t_same = topo.latency(hosts[1], same_az)
     t_cross = topo.latency(hosts[1], hosts[2])
     assert t_same < t_cross
 
 
 def test_rpc_roundtrip(net):
-    env, network, hosts = net
+    env, network, hosts, served = net
 
     def server():
         while True:
-            msg = yield network.mailbox(hosts[2]).get()
+            msg = yield served.get()
             network.reply(msg, payload=msg.payload * 2)
 
     def client():
@@ -67,10 +68,10 @@ def test_rpc_roundtrip(net):
 
 
 def test_rpc_remote_error_propagates(net):
-    env, network, hosts = net
+    env, network, hosts, served = net
 
     def server():
-        msg = yield network.mailbox(hosts[2]).get()
+        msg = yield served.get()
         network.reply(msg, payload=ValueError("bad request"), ok=False)
 
     def client():
@@ -83,7 +84,7 @@ def test_rpc_remote_error_propagates(net):
 
 
 def test_rpc_to_down_host_fails(net):
-    env, network, hosts = net
+    env, network, hosts, served = net
     network.set_down(hosts[2])
 
     def client():
@@ -96,10 +97,10 @@ def test_rpc_to_down_host_fails(net):
 
 
 def test_host_death_fails_inflight_rpc(net):
-    env, network, hosts = net
+    env, network, hosts, served = net
 
     def server():
-        yield network.mailbox(hosts[2]).get()
+        yield served.get()
         # never replies; dies while client waits
 
     def killer():
@@ -117,7 +118,7 @@ def test_host_death_fails_inflight_rpc(net):
 
 
 def test_partition_blocks_messages_and_fails_rpcs(net):
-    env, network, hosts = net
+    env, network, hosts, served = net
 
     def client():
         with pytest.raises(HostUnreachableError):
@@ -131,18 +132,18 @@ def test_partition_blocks_messages_and_fails_rpcs(net):
 
 
 def test_partition_heal_restores_connectivity(net):
-    env, network, hosts = net
+    env, network, hosts, served = net
     network.partition_azs({2}, {3})
     network.heal_partitions()
     assert network.reachable(hosts[2], hosts[3])
 
 
 def test_traffic_accounting_by_az_pair(net):
-    env, network, hosts = net
+    env, network, hosts, served = net
 
     def server():
         while True:
-            msg = yield network.mailbox(hosts[2]).get()
+            msg = yield served.get()
             network.reply(msg, payload=None, size=1000)
 
     def client():
@@ -160,7 +161,7 @@ def test_traffic_accounting_by_az_pair(net):
 
 
 def test_traffic_snapshot_delta(net):
-    env, network, hosts = net
+    env, network, hosts, served = net
 
     def exchange():
         yield env.timeout(0)
@@ -181,7 +182,7 @@ def test_traffic_snapshot_delta(net):
 
 
 def test_messages_from_down_host_are_dropped(net):
-    env, network, hosts = net
+    env, network, hosts, served = net
     network.set_down(hosts[1])
     network.send(Message(src=hosts[1], dst=hosts[2], kind="x"))
     env.run()
@@ -190,13 +191,13 @@ def test_messages_from_down_host_are_dropped(net):
 
 
 def test_recovered_host_receives_again(net):
-    env, network, hosts = net
+    env, network, hosts, served = net
     network.set_down(hosts[2])
     network.set_up(hosts[2])
     got = []
 
     def receiver():
-        msg = yield network.mailbox(hosts[2]).get()
+        msg = yield served.get()
         got.append(msg.kind)
 
     env.process(receiver())

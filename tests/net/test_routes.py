@@ -14,6 +14,8 @@ from repro.net import Message, Network, TrafficMatrix, build_us_west1
 from repro.sim import Environment
 from repro.types import NodeAddress, NodeKind
 
+from .conftest import inbox
+
 
 def _addr(index):
     return NodeAddress(NodeKind.CLIENT, index)
@@ -110,9 +112,9 @@ def _run_network(jitter, bandwidth):
     arrivals = []
 
     def receiver(addr):
-        mailbox = net.register(addr)
+        served = inbox(net, addr)
         while True:
-            message = yield mailbox.get()
+            message = yield served.get()
             arrivals.append((env.now, message.payload))
 
     def join(addr, az, colocated_with=None):
@@ -206,7 +208,7 @@ def test_sender_down_leaves_no_traffic_entry():
     a, b = _addr(1), _addr(2)
     for addr in (a, b):
         topo.add_host(addr, az=1)
-        net.register(addr)
+    inbox(net, b)
     net.set_down(b)
     net.send(Message(src=a, dst=b, kind="x"))  # resolved, then dropped on delivery
     env.run()

@@ -6,6 +6,8 @@ from repro.net import Message, Network, TrafficMatrix, build_us_west1
 from repro.sim import Environment
 from repro.types import NodeAddress, NodeKind
 
+from .conftest import inbox
+
 
 def _world(az_link_bandwidth=None):
     env = Environment()
@@ -17,8 +19,6 @@ def _world(az_link_bandwidth=None):
     topo.add_host(a, az=1)
     topo.add_host(b, az=2)
     topo.add_host(c, az=1)
-    for addr in (a, b, c):
-        net.register(addr)
     return env, net, a, b, c
 
 
@@ -39,8 +39,10 @@ def test_fabric_cap_queues_cross_az_only():
     got = []
 
     def rx(addr, tag):
+        served = inbox(net, addr)
+
         def loop():
-            msg = yield net.mailbox(addr).get()
+            yield served.get()
             got.append((tag, env.now))
 
         return loop
@@ -58,10 +60,11 @@ def test_fabric_cap_queues_cross_az_only():
 def test_fabric_serializes_messages():
     env, net, a, b, c = _world(az_link_bandwidth=100)
     arrivals = []
+    served = inbox(net, b)
 
     def rx():
         while True:
-            yield net.mailbox(b).get()
+            yield served.get()
             arrivals.append(env.now)
 
     env.process(rx())
@@ -75,10 +78,11 @@ def test_fabric_serializes_messages():
 def test_no_cap_means_no_queueing():
     env, net, a, b, c = _world(az_link_bandwidth=None)
     arrivals = []
+    served = inbox(net, b)
 
     def rx():
         while True:
-            yield net.mailbox(b).get()
+            yield served.get()
             arrivals.append(env.now)
 
     env.process(rx())

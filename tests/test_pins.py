@@ -20,7 +20,9 @@ from benchmarks.schedule_identity import (
     DIFFERENT,
     IDENTICAL,
     RESULT_IDENTICAL,
+    bounds_of,
     classify,
+    movement,
     weakest,
 )
 
@@ -149,8 +151,9 @@ def test_wall_clock_fields_are_never_compared_and_never_a_reason_to_write(scratc
         path.write_text(json.dumps(noisy, indent=2, sort_keys=True) + "\n")
         said = []
         assert repin.run([pin], check=False, root=root, out=said.append) == ["BENCH_kernel"]
+        events = pin.doc["fig5_point"]["events"]
         assert [line.strip() for line in said[1:]] == [
-            "fig5_point.events: 219846 -> 219845  (-0.00%)"]
+            f"fig5_point.events: {events + 1} -> {events}  (-0.00%)"]
         assert path.read_bytes() == committed
         # The one write path keeps the trajectory: a history line per write.
         [line] = map(json.loads, history.read_text().splitlines())
@@ -232,3 +235,28 @@ def test_identity_levels_of_a_row_and_of_a_table():
     assert weakest([IDENTICAL, RESULT_IDENTICAL, IDENTICAL]) == 3
     assert weakest([RESULT_IDENTICAL, DIFFERENT]) == 1
     assert weakest([]) == 0
+
+
+def test_a_differing_row_says_how_far_it_moved_against_its_bounds():
+    bounds = bounds_of(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    assert bounds["sim_p99_ms"] == (0.25, "lower")
+    assert bounds["sim_throughput_ops_s"] == (0.05, "higher")
+    base = {"completed": 200, "failed": 4, "sim_throughput_ops_s": 1000.0,
+            "sim_mean_ms": 2.0, "sim_p99_ms": 8.0}
+    head = {"completed": 198, "failed": 4, "sim_throughput_ops_s": 990.0,
+            "sim_mean_ms": 1.9, "sim_p99_ms": 9.0}
+    assert movement(base, head, bounds) == [
+        "completed: 200 -> 198  (-1.00%)",
+        "failed: 4 -> 4  (+0.00%)",
+        "sim_throughput_ops_s: 1000 -> 990  (-1.00%, 20% of its 5% bound worse)",
+        "sim_mean_ms: 2 -> 1.9  (-5.00%, 83% of its 6% bound)",
+        "sim_p99_ms: 8 -> 9  (+12.50%, 50% of its 25% bound worse)",
+    ]
+    # Chaos cells: a verdict change, and counts a cell that did not run lacks.
+    green = {"verdict": "green", "completed": 10, "failed": 0}
+    assert movement(green, {**green, "verdict": "red", "failed": 2}, bounds) == [
+        "verdict: green -> red", "completed: 10 -> 10  (+0.00%)", "failed: 0 -> 2"]
+    unsupported = {"verdict": "unsupported:one AZ", "completed": None, "failed": None}
+    assert movement(unsupported, green, bounds) == [
+        "verdict: unsupported:one AZ -> green", "completed: None -> 10", "failed: None -> 0"]
+    assert movement({}, green, bounds) == []  # a cell one tree does not have
