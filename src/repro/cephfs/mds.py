@@ -85,7 +85,6 @@ class Mds(Server):
         self.ops_served = 0
         self.cache_grants = 0
         self._ids = iter(range(10_000_000 * (rank + 1), 10_000_000 * (rank + 2)))
-        self._op_name = f"{addr}:op"  # names the process spawned per op
 
     # ------------------------------------------------------------------ life
     def _on_start(self) -> None:
@@ -117,13 +116,13 @@ class Mds(Server):
     # ---------------------------------------------------------------- serving
     def _on_message(self, msg: Message) -> None:
         if msg.kind == "mds_op":
-            self.env.process(self._mds_op(msg), name=self._op_name)
+            self.env.spawn(self._mds_op(msg))
         else:
             raise FsError(f"{self.addr}: unknown MDS message {msg.kind!r}")
 
     def _mds_op(self, msg: Message):
         """The generator serving one request (plain function: the untraced
-        process runs the body directly, with no wrapper frame to resume)."""
+        task runs the body directly, with no wrapper frame to resume)."""
         op, kwargs, client = msg.payload
         obs = self.env.obs
         if obs is None:

@@ -13,7 +13,7 @@ from ..net.network import Message, Network
 from ..net.server import Server
 from ..sim import Environment
 from ..sim.resources import CorePool, Disk
-from ..types import AzId, NodeAddress, ProcessNames
+from ..types import AzId, NodeAddress
 
 __all__ = ["Osd"]
 
@@ -38,10 +38,9 @@ class Osd(Server):
         self.cpu = CorePool(env, 4, name=f"{addr}:cpu")
         self.disk = Disk(env, disk_bandwidth_bytes_per_ms, name=f"{addr}:disk")
         self.objects: dict[str, int] = {}
-        self._handler_names = ProcessNames(addr)
 
     def _on_message(self, msg: Message) -> None:
-        self.env.process(self._handle(msg), name=self._handler_names[msg.kind])
+        self.env.spawn(self._handle(msg))
 
     def _handle(self, msg: Message):
         obs = self.env.obs

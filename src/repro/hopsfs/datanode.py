@@ -13,7 +13,7 @@ from ..net.network import Message, Network
 from ..net.server import Server
 from ..sim import Environment
 from ..sim.resources import Disk
-from ..types import AzId, NodeAddress, ProcessNames
+from ..types import AzId, NodeAddress
 
 __all__ = ["BlockStoreDatanode", "WriteBlockReq", "ReadBlockReq", "CopyBlockReq"]
 
@@ -58,14 +58,13 @@ class BlockStoreDatanode(Server):
         self.disk = Disk(env, disk_bandwidth_bytes_per_ms, name=f"{addr}:disk")
         # block_id -> size; on disk, so a restart finds them again.
         self.blocks: dict[int, int] = {}
-        self._handler_names = ProcessNames(addr)
 
     def _on_start(self) -> None:
         self.spawn_once("dn-hb", self._heartbeat_loop)
 
     # -- processes -----------------------------------------------------------
     def _on_message(self, msg: Message) -> None:
-        self.env.process(self._handle(msg), name=self._handler_names[msg.kind])
+        self.env.spawn(self._handle(msg))
 
     def _handle(self, msg: Message):
         if msg.kind == "write_block":

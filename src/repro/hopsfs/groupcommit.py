@@ -577,10 +577,7 @@ class GroupCommitter:
         # Hand the batch to the flush pipeline and keep gathering.
         self._gather = None
         self._inflight.append(ctx)
-        env.process(
-            self._flush(ctx, env.now - batch.opened_ms, gen),
-            name=f"{nn.addr}:group-flush:{batch.batch_id}",
-        )
+        env.spawn(self._flush(ctx, env.now - batch.opened_ms, gen))
 
     # ------------------------------------------------------------- member
     def _member(self, ctx, gop, gen):

@@ -147,7 +147,6 @@ class Namenode(Server):
         self.ops_shed = 0
         self._inflight = 0
         self._life = 0  # restarts so far: which process an admitted op belongs to
-        self._fs_op_name = f"{addr}:fs_op"  # names the process spawned per op
         # Graceful decommission: a draining NN stops admitting new fs ops
         # (they bounce with ServerDrainingError) but finishes what it holds.
         # Rejections are counted separately from ops_shed so the autoscaler's
@@ -206,7 +205,7 @@ class Namenode(Server):
         # down would otherwise still resolve through its pre-crash entry.
         self.dir_cache.clear()
         # So did the requests it had admitted: their NDB replies were dropped
-        # and their processes never finish.  Counting them would shed every
+        # and their tasks never finish.  Counting them would shed every
         # request after the restart; _fs_op skips a dead life's decrement.
         self._inflight = 0
         self._life += 1
@@ -287,7 +286,7 @@ class Namenode(Server):
                 )
             else:
                 self._inflight += 1
-                self.env.process(self._fs_op(msg), name=self._fs_op_name)
+                self.env.spawn(self._fs_op(msg))
         elif msg.kind == "get_active_nns":
             self.network.reply(msg, list(self.election.active), size=256)
         elif msg.kind == "dn_heartbeat":
@@ -306,7 +305,7 @@ class Namenode(Server):
 
     # --------------------------------------------------------------- fs ops
     def _fs_op(self, msg: Message):
-        """Process body of one admitted request."""
+        """Task body of one admitted request."""
         obs = self.env.obs
         span = None
         life = self._life
@@ -668,9 +667,7 @@ class Namenode(Server):
             if not self.running or not self.is_leader:
                 continue
             for dead in self.block_manager.check_expired(deadline):
-                self.env.process(
-                    self._rereplicate_from(dead), name=f"{self.addr}:rereplicate"
-                )
+                self.env.spawn(self._rereplicate_from(dead))
 
     def _rereplicate_from(self, dead: NodeAddress):
         for block_id, survivors in self.block_manager.under_replicated_on(dead):

@@ -28,7 +28,7 @@ from ..errors import (
 from ..net.network import Message, Network
 from ..net.server import Server
 from ..sim import Environment, Event
-from ..types import AzId, NodeAddress, ProcessNames
+from ..types import AzId, NodeAddress
 from .locks import LockTable
 from .messages import (
     ChainCommit,
@@ -142,7 +142,8 @@ class NdbDatanode(Server):
         self._rng = cluster.rng.stream(f"ndbd:{addr}")
         self._send_now_cb = self._send_now
         self._reply_now_cb = self._reply_now
-        self._handler_names = ProcessNames(addr)
+        self._recv_cb = self._recv
+        self._received_cb = self._received
         # Partitions are pinned to LDM threads.  A node-group member holds
         # the partitions congruent to its group index, and is *primary* for
         # every R-th of those; dividing by groups*R decorrelates the thread
@@ -176,8 +177,15 @@ class NdbDatanode(Server):
         return pools[partition // self._ldm_stride % len(pools)]
 
     # --------------------------------------------------------------- dispatch
+    # A message runs to completion on the Table II threads: RECV is a
+    # callback chain (a same-instant slot, then the RECV job), and only the
+    # handler it leads to is a task.
     def _on_message(self, msg: Message) -> None:
-        self.env.process(self._handle(msg), name=self._handler_names[msg.kind])
+        self.env.call_soon(self._recv_cb, msg)
+
+    def _recv(self, msg: Message) -> None:
+        # A fresh job: its first waiter slot is free.
+        self.recv_pool.submit(self.costs.recv_msg)._cb1 = partial(self._received_cb, msg)
 
     # RPC-shaped message kinds that get a server-side span when tracing.
     # Chain/ack traffic is fire-and-forget and already visible through the
@@ -187,38 +195,47 @@ class NdbDatanode(Server):
         {"tc_read", "tc_scan", "tc_write", "tc_commit", "tc_abort", "ldm_read", "ldm_scan"}
     )
 
-    def _handle(self, msg: Message):
-        yield self.recv_pool.submit(self.costs.recv_msg)
-        if not self.running:
-            return
-        handler = self._HANDLERS.get(msg.kind)
+    def _received(self, msg: Message, _job: Event) -> None:
+        """RECV done: start the message's handler as a task."""
+        handler = self._HANDLERS.get(msg.kind) if self.running else None
         if handler is None:
-            raise NdbError(f"{self.addr}: unknown message kind {msg.kind!r}")
+            self.env.start(self._unhandled(msg))
+            return
         obs = self.env.obs
         if obs is not None and msg.kind in self._TRACED_KINDS:
-            span = obs.tracer.start(
-                f"ndb.{msg.kind}", parent=msg.extra.get("span_id"),
-                host=str(self.addr), az=self.az,
-            )
-            # Stashed so the handler can parent replica round-trips and
-            # lock waits under this server span.
-            msg.extra = {**msg.extra, "server_span": span}
-            try:
-                yield from handler(self, msg)
-            finally:
-                obs.tracer.finish(span)
+            self.env.start(self._traced(obs, handler, msg))
         else:
+            self.env.start(handler(self, msg))
+
+    def _unhandled(self, msg: Message):
+        """Task of a message no handler runs: dropped when the node went
+        down during RECV, a failed run when its kind is unknown."""
+        if self.running:
+            raise NdbError(f"{self.addr}: unknown message kind {msg.kind!r}")
+        yield from ()
+
+    def _traced(self, obs, handler, msg: Message):
+        span = obs.tracer.start(
+            f"ndb.{msg.kind}", parent=msg.extra.get("span_id"),
+            host=str(self.addr), az=self.az,
+        )
+        # Stashed so the handler can parent replica round-trips and
+        # lock waits under this server span.
+        msg.extra = {**msg.extra, "server_span": span}
+        try:
             yield from handler(self, msg)
+        finally:
+            obs.tracer.finish(span)
 
     # _send/_reply run once per outgoing message: the SEND-thread completion
     # carries its arguments in one ``partial`` over a method bound once per
     # node, not in a closure (a function, a cell tuple and a cell per
-    # captured name, all of which the collector would have to walk).
+    # captured name, all of which the collector would have to walk).  The
+    # job is fresh, so the partial goes straight into its first waiter slot.
     def _send(self, dst: NodeAddress, kind: str, payload: Any, size: int):
         """Charge the SEND thread, then put the message on the wire."""
-        done = self.send_pool.submit(self.costs.send_msg)
-        done.add_callback(
-            partial(self._send_now_cb, Message(self.addr, dst, kind, payload, size))
+        self.send_pool.submit(self.costs.send_msg)._cb1 = partial(
+            self._send_now_cb, Message(self.addr, dst, kind, payload, size)
         )
 
     def _send_now(self, message: Message, _done: Event) -> None:
@@ -226,8 +243,9 @@ class NdbDatanode(Server):
             self.network.send(message)
 
     def _reply(self, request: Message, payload: Any = None, ok: bool = True, size: int = 128):
-        done = self.send_pool.submit(self.costs.send_msg)
-        done.add_callback(partial(self._reply_now_cb, request, payload, ok, size))
+        self.send_pool.submit(self.costs.send_msg)._cb1 = partial(
+            self._reply_now_cb, request, payload, ok, size
+        )
 
     def _reply_now(self, request: Message, payload: Any, ok: bool, size: int, _done: Event) -> None:
         if self.running:
@@ -417,13 +435,13 @@ class NdbDatanode(Server):
         target = prepare.chain[prepare.hop]
         size = _CHAIN_OVERHEAD_BYTES + self.cluster.schema.table(prepare.table).row_bytes
         if target == self.addr:
-            self.env.process(self._chain_prepare_body(prepare))
+            self.env.spawn(self._chain_prepare_body(prepare))
         else:
             self._send(target, "chain_prepare", prepare, size)
 
     # ---------------------------------------------------------- LDM: chains
     # The three chain-hop handlers are plain functions returning the body
-    # generator: _handle's ``yield from`` drives the body directly.
+    # generator: the task runs the body itself, with no frame above it.
     def _chain_prepare(self, msg: Message):
         return self._chain_prepare_body(msg.payload)
 
@@ -497,7 +515,7 @@ class NdbDatanode(Server):
             )
             target = cc.chain[hop]
             if target == self.addr:
-                self.env.process(self._chain_commit_body(nxt))
+                self.env.spawn(self._chain_commit_body(nxt))
             else:
                 self._send(target, "chain_commit", nxt, size=128)
 
@@ -568,7 +586,7 @@ class NdbDatanode(Server):
             )
             target = op.chain[hop]
             if target == self.addr:
-                self.env.process(self._chain_commit_body(commit))
+                self.env.spawn(self._chain_commit_body(commit))
             else:
                 self._send(target, "chain_commit", commit, size=128)
         # Strict 2PL: the commit point has been reached, read locks go now.
@@ -603,7 +621,7 @@ class NdbDatanode(Server):
                     op.want_completed,
                 )
                 if backup == self.addr:
-                    self.env.process(self._complete_body(complete))
+                    self.env.spawn(self._complete_body(complete))
                 else:
                     self._send(backup, "complete", complete, size=128)
         if waiters:

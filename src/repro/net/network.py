@@ -166,8 +166,8 @@ class Network:
         """Deliver every request to ``address`` by calling ``handler(message)``.
 
         One handler per address: registering again replaces it.  The handler
-        runs inside the delivery, so it must not block — it spawns a process
-        or acts inline.
+        runs inside the delivery, so it must not block — it starts a task or
+        acts inline.
         """
         self.topology.host(address)  # validates placement
         self._handlers[address] = handler

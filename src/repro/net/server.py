@@ -75,8 +75,8 @@ class Server:
 
     # ----------------------------------------------------------------- hooks
     def _on_message(self, msg: Message) -> None:
-        """Handle one delivered request without blocking: spawn a handler
-        process or act inline."""
+        """Handle one delivered request without blocking: start a task or
+        act inline."""
         raise NotImplementedError
 
     def _on_start(self) -> None:

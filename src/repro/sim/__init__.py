@@ -9,6 +9,7 @@ from .kernel import (
     Interrupt,
     Process,
     SimulationError,
+    Task,
     Timeout,
     dispatch_hash,
 )
@@ -23,6 +24,7 @@ __all__ = [
     "Interrupt",
     "Process",
     "SimulationError",
+    "Task",
     "Timeout",
     "CorePool",
     "Disk",

@@ -37,6 +37,9 @@ Hot-path design (see DESIGN.md §4 "Kernel performance"):
   ``now``, one priority, increasing ``seq``), so the two-way merge *is*
   ``(time, priority, seq)`` order — with an O(1) append and popleft where
   the heap paid a sift to the root and a full sift back down.
+* A generator nobody waits on runs as a :class:`Task` (``Environment.start``
+  / ``spawn``): the process's resume routine without the Event half — no
+  name, no value, no waiters — whose end queues its entry only when traced.
 * ``Environment.run`` inlines the dispatch loop with all per-step attribute
   lookups hoisted into locals.
 * No reference cycle outlives a finished process: the cached
@@ -65,6 +68,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
+    "Task",
     "Interrupt",
     "AllOf",
     "AnyOf",
@@ -140,7 +144,8 @@ class _Deferred:
 
 
 class _Wakeup:
-    """Ready-queue entry re-delivering an already-processed event to a process.
+    """Ready-queue entry re-delivering an already-processed event to a process
+    (or a task: ``process`` is whichever generator driver waits).
 
     Replaces the fresh ``Event`` the naive implementation allocates when a
     process waits on something that already happened.  ``gen`` snapshots
@@ -405,6 +410,143 @@ def _without_kernel_frames(exc: BaseException) -> BaseException:
 _THIS_FILE = _without_kernel_frames.__code__.co_filename
 
 
+# The shared half of Process and Task: one resume routine, one retirement,
+# one non-event path.  Each class binds these as methods and supplies the
+# two end hooks, ``_finish(value)`` and ``_crash(exception)``; every end of
+# the generator goes through exactly one of them, and each hook retires
+# (the hot ``_finish`` hooks with ``_retire`` inlined).
+def _retire(self) -> None:
+    """Break driver -> bound method -> driver once the generator is done.
+
+    Nothing reads these slots afterwards: ``Process.interrupt`` /
+    ``_deliver_interrupt`` check ``_value`` first, and a finished driver
+    has no waiter registration or live ``_Wakeup`` left that could resume
+    it.
+    """
+    self._resume_cb = self._send = self._generator = None
+
+
+def _resume(self, trigger: Optional[Event]) -> None:
+    """Resume the generator with ``trigger``'s outcome (None = first step).
+
+    This is the hottest function in a figure run — wait registration is
+    inlined, and the yielded target is classified by reading its ``_cb1``
+    slot directly (only kernel events have one; anything else is the
+    non-event error path).  ``Process`` interrupts come through here too,
+    as a failed trigger.
+    """
+    self._waiting_on = None
+    try:
+        if trigger is None:  # first step
+            target = self._send(None)
+        elif trigger._ok:
+            target = self._send(trigger._value)
+        else:
+            trigger._defused = True
+            target = self._generator.throw(trigger._value)
+    except StopIteration as stop:
+        self._finish(stop.value)
+        return
+    except BaseException as exc:
+        self._crash(_without_kernel_frames(exc))
+        return
+    try:
+        cb1 = target._cb1
+    except AttributeError:
+        self._fail_non_event(target)
+        return
+    self._waiting_on = target
+    if cb1 is None:
+        target._cb1 = self._resume_cb
+    elif cb1 is _PROCESSED:
+        # Fast path: re-deliver the processed event through a light
+        # _Wakeup instead of allocating a fresh Event (one sequence
+        # number either way, so the event trace is unchanged).
+        env = self.env
+        wakeup = _Wakeup.__new__(_Wakeup)
+        wakeup.process = self
+        wakeup.source = target
+        wakeup.gen = self._wake_gen
+        env._seq += 1
+        env._ready.append((env._now, PRIORITY_NORMAL, env._seq, wakeup))
+    elif cb1 is _DEFERRED_MARK or cb1 is _WAKEUP_MARK:
+        # A schedule_at/schedule_after handle is not a waitable event.
+        self._waiting_on = None
+        self._fail_non_event(target)
+    else:
+        cbs = target._cbs
+        if cbs is None:
+            target._cbs = [self._resume_cb]
+        else:
+            cbs.append(self._resume_cb)
+
+
+def _fail_non_event(self, target: Any) -> None:
+    # Throw once so the generator can clean up, then end with the error.
+    # (The naive version threw *and* re-raised, leaving the generator
+    # mid-unwind with a corrupted frame.)
+    generator = self._generator
+    what = f"{type(self).__name__.lower()} {getattr(self, 'name', generator.__qualname__)!r}"
+    error = SimulationError(f"{what} yielded non-event {target!r}")
+    try:
+        generator.throw(error)
+    except StopIteration as stop:
+        self._finish(stop.value)
+    except BaseException as exc:
+        self._crash(_without_kernel_frames(exc))
+    else:
+        # The generator swallowed the error and yielded again: close it
+        # and end with the original error.
+        generator.close()
+        self._crash(error)
+
+
+def _ignore(_arg: Any) -> None:
+    pass
+
+
+# What a traced run dispatches for a task's end: a callback that does
+# nothing, exactly what the untraced run would have dispatched (see Task).
+_TASK_END = _Deferred(_ignore, None)
+
+
+class Task:
+    """A generator the kernel drives like a :class:`Process` that nobody waits on.
+
+    Same first step, same resume routine (``_Wakeup`` re-waits included),
+    and its end consumes one sequence number where a process's end does —
+    but a task is not an event: no value, no waiters, no name, no
+    interrupt.  :meth:`Environment.start` runs its first step in the
+    current dispatch; :meth:`Environment.spawn` queues that first step the
+    way a process bootstrap is queued.
+
+    *Sequence parity.*  The end of a process nobody waits on queues an
+    entry whose untraced dispatch runs nothing.  A task's end consumes that
+    entry's sequence number and queues it only under ``env.trace``, so
+    traced and untraced runs keep the schedule a process would have had.
+    A task that raises queues the failure, so the run fails at the very
+    dispatch an unwaited process's failure would have failed it.
+    """
+
+    __slots__ = ("env", "_generator", "_send", "_waiting_on", "_resume_cb")
+    _wake_gen = 0  # never interrupted: every _Wakeup it queues stays live
+
+    _retire = _retire
+    _resume = _resume
+    _fail_non_event = _fail_non_event
+
+    def _finish(self, _value: Any) -> None:
+        self._resume_cb = self._send = self._generator = None  # _retire, inlined
+        env = self.env
+        env._seq += 1
+        if env.trace is not None:
+            env._ready.append((env._now, PRIORITY_NORMAL, env._seq, _TASK_END))
+
+    def _crash(self, exception: BaseException) -> None:
+        self._retire()
+        Event(self.env).fail(exception)
+
+
 # Sentinel for a spawned-but-not-yet-started process's wait slot: lets
 # ``interrupt`` distinguish "hasn't run yet" (interruptible) from "currently
 # executing" (not interruptible).
@@ -417,6 +559,19 @@ class Process(Event):
 
     __slots__ = ("_generator", "_send", "name", "_waiting_on", "_wake_gen", "_resume_cb")
 
+    _retire = _retire
+    _resume = _resume
+    _fail_non_event = _fail_non_event
+
+    # End hooks: a process's end triggers the process itself.
+    def _finish(self, value: Any) -> None:
+        self._resume_cb = self._send = self._generator = None  # _retire, inlined
+        self.succeed(value)
+
+    def _crash(self, exception: BaseException) -> None:
+        self._retire()
+        self.fail(exception)
+
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         # send() is called once per resume; bind it once per process.  The
         # lookup doubles as the "is it a generator" check, before anything
@@ -427,7 +582,7 @@ class Process(Event):
             raise SimulationError(
                 f"process requires a generator, got {generator!r}"
             ) from None
-        # Inline Event.__init__: figure runs spawn a process per message.
+        # Inline Event.__init__: one Event half per process, nothing more.
         self.env = env
         self._cb1 = None
         self._cbs = None
@@ -474,124 +629,13 @@ class Process(Event):
         waited = self._waiting_on
         if isinstance(waited, Event) and waited._cb1 is not _PROCESSED:
             waited._remove_callback(self._resume_cb)
-        self._waiting_on = None
         self._wake_gen += 1  # invalidate any in-flight _Wakeup
-        try:
-            target = self._generator.throw(interrupt)
-        except StopIteration as stop:
-            self._retire()
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            self._retire()
-            self.fail(_without_kernel_frames(exc))
-            return
-        self._wait_on(target)
-
-    def _retire(self) -> None:
-        """Break Process -> bound method -> Process once the generator is done.
-
-        Called at every termination point.  Nothing reads these slots
-        afterwards: ``interrupt``/``_deliver_interrupt`` check ``_value``
-        first, and a finished process has no waiter registration or live
-        ``_Wakeup`` left that could resume it.
-        """
-        self._resume_cb = self._send = self._generator = None
-
-    def _resume(self, trigger: Optional[Event]) -> None:
-        """Resume the generator with ``trigger``'s outcome (None = bootstrap).
-
-        This is the hottest function in a figure run — wait registration is
-        inlined rather than delegated to :meth:`_wait_on`, and the yielded
-        target is classified by reading its ``_cb1`` slot directly (only
-        kernel events have one; anything else is the non-event error path).
-        """
-        self._waiting_on = None
-        try:
-            if trigger is None:  # bootstrap resume
-                target = self._send(None)
-            elif trigger._ok:
-                target = self._send(trigger._value)
-            else:
-                trigger._defused = True
-                target = self._generator.throw(trigger._value)
-        except StopIteration as stop:
-            self._retire()
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            self._retire()
-            self.fail(_without_kernel_frames(exc))
-            return
-        try:
-            cb1 = target._cb1
-        except AttributeError:
-            self._fail_non_event(target)
-            return
-        self._waiting_on = target
-        if cb1 is None:
-            target._cb1 = self._resume_cb
-        elif cb1 is _PROCESSED:
-            # Fast path: re-deliver the processed event through a light
-            # _Wakeup instead of allocating a fresh Event (one sequence
-            # number either way, so the event trace is unchanged).
-            env = self.env
-            wakeup = _Wakeup.__new__(_Wakeup)
-            wakeup.process = self
-            wakeup.source = target
-            wakeup.gen = self._wake_gen
-            env._seq += 1
-            env._ready.append((env._now, PRIORITY_NORMAL, env._seq, wakeup))
-        elif cb1 is _DEFERRED_MARK or cb1 is _WAKEUP_MARK:
-            # A schedule_at/schedule_after handle is not a waitable event.
-            self._waiting_on = None
-            self._fail_non_event(target)
-        else:
-            cbs = target._cbs
-            if cbs is None:
-                target._cbs = [self._resume_cb]
-            else:
-                cbs.append(self._resume_cb)
-
-    def _fail_non_event(self, target: Any) -> None:
-        # Throw once so the generator can clean up, then fail the process.
-        # (The naive version threw *and* re-raised, leaving the generator
-        # mid-unwind with a corrupted frame.)
-        error = SimulationError(f"process {self.name!r} yielded non-event {target!r}")
-        generator = self._generator
-        self._retire()
-        try:
-            generator.throw(error)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-        except BaseException as exc:
-            self.fail(_without_kernel_frames(exc))
-        else:
-            # The generator swallowed the error and yielded again: close it
-            # and fail the process with the original error.
-            generator.close()
-            self.fail(error)
-
-    def _wait_on(self, target: Any) -> None:
-        if not isinstance(target, Event):
-            self._fail_non_event(target)
-            return
-        self._waiting_on = target
-        cb1 = target._cb1
-        if cb1 is None:
-            target._cb1 = self._resume_cb
-        elif cb1 is _PROCESSED:
-            env = self.env
-            env._seq += 1
-            env._ready.append(
-                (env._now, PRIORITY_NORMAL, env._seq, _Wakeup(self, target, self._wake_gen))
-            )
-        else:
-            cbs = target._cbs
-            if cbs is None:
-                target._cbs = [self._resume_cb]
-            else:
-                cbs.append(self._resume_cb)
+        # The interrupt rides the shared resume as a failed trigger that was
+        # never scheduled (no sequence number).
+        thrown = Event(self.env)
+        thrown._ok = False
+        thrown._value = interrupt
+        self._resume(thrown)
 
 
 class Environment:
@@ -671,6 +715,36 @@ class Environment:
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
+
+    def start(self, generator: Generator, _new=Task.__new__, _cls=Task) -> None:
+        """Run ``generator`` as a :class:`Task`, its first step right now,
+        inside the current dispatch.  Consumes no sequence number to start."""
+        try:
+            send = generator.send
+        except AttributeError:
+            raise SimulationError(
+                f"task requires a generator, got {generator!r}"
+            ) from None
+        task = _new(_cls)
+        task.env = self
+        task._generator = generator
+        task._send = send
+        # Task -> bound method -> Task: broken by _retire at the task's end.
+        resume = task._resume_cb = task._resume
+        resume(None)
+
+    def call_soon(self, fn: Callable[[Any], None], arg: Any = None) -> None:
+        """Queue bare ``fn(arg)`` on the ready FIFO of the current instant —
+        the slot a process bootstrap would take.  One sequence number."""
+        entry = _Deferred.__new__(_Deferred)
+        entry.fn = fn
+        entry.arg = arg
+        self._seq += 1
+        self._ready.append((self._now, PRIORITY_NORMAL, self._seq, entry))
+
+    def spawn(self, generator: Generator) -> None:
+        """Run ``generator`` as a task from a bootstrap slot, like ``process``."""
+        self.call_soon(self.start, generator)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

@@ -11,7 +11,6 @@ __all__ = [
     "ANY_AZ",
     "NodeKind",
     "NodeAddress",
-    "ProcessNames",
     "OpType",
     "MUTATING_OPS",
     "OpResult",
@@ -56,25 +55,9 @@ class NodeAddress(NamedTuple):
 
     def __str__(self) -> str:
         # ``_value_``, not ``.value``: the public property is two
-        # Python-level descriptor calls, and every spawned handler process
-        # is named after its host.
+        # Python-level descriptor calls, and traced runs tag every span
+        # with its host.
         return f"{self.kind._value_}{self.index}"
-
-
-class ProcessNames(dict):
-    """``{kind: f"{addr}:{kind}"}``, filled on the first message of each kind.
-
-    A node that spawns one process per message names it from here instead
-    of paying an f-string and a ``NodeAddress.__str__`` per message.
-    """
-
-    def __init__(self, addr: NodeAddress):
-        super().__init__()
-        self._prefix = f"{addr}:"
-
-    def __missing__(self, kind: str) -> str:
-        name = self[kind] = self._prefix + kind
-        return name
 
 
 class OpType(str, enum.Enum):

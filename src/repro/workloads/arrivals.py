@@ -217,7 +217,7 @@ class AggregatedArrivalEngine:
                 stub_op, failures = stubs[self._next_stub]
                 self._next_stub = (self._next_stub + 1) % len(stubs)
                 self.inflight += 1
-                env.process(self._one_op(stub_op, failures, op, kwargs), name="scale-op")
+                env.spawn(self._one_op(stub_op, failures, op, kwargs))
 
     def _one_op(self, stub_op, failures, op, kwargs):
         env = self.env

@@ -119,7 +119,7 @@ class OpenLoopDriver:
             client_op, failures = stubs[index]
             self._next_client += 1
             op, kwargs = next_op(client_id=index)
-            env.process(self._one_op(client_op, failures, op, kwargs), name="open-loop-op")
+            env.spawn(self._one_op(client_op, failures, op, kwargs))
             yield env.timeout(gap)
 
     def _one_op(self, client_op, failures, op, kwargs):

@@ -1,19 +1,26 @@
 """The frame budget of the transaction path (DESIGN.md §4).
 
-Every resume of a parked process re-enters each generator frame on its
+Every resume of a parked task re-enters each generator frame on its
 ``yield from`` chain, so a frame that only delegates is paid on every
-wait.  These walk ``gi_yieldfrom`` from the process's own generator while
+wait.  These walk ``gi_yieldfrom`` from the task's own generator while
 it is parked and hold the three budgets: an NN op parked on the ``tc_read``
 of its path walk <= 7 frames, on ``tc_commit`` <= 4, and a datanode's
-chain-hop handler <= 2.
+chain-hop handler <= 1 (the body is the task).  A source scan keeps the
+per-message spawns tasks: no server's ``_on_message`` builds a process.
 """
 
+import importlib
+import inspect
+import pkgutil
+
+import repro
 from repro.hopsfs.namenode import Namenode
 from repro.ndb.datanode import NdbDatanode
+from repro.net.server import Server
 
 from .conftest import make_fs, run
 
-READ_BUDGET, COMMIT_BUDGET, CHAIN_HOP_BUDGET = 7, 4, 2
+READ_BUDGET, COMMIT_BUDGET, CHAIN_HOP_BUDGET = 7, 4, 1
 CHAIN_HOPS = {
     "chain_prepare": "_chain_prepare_body",
     "chain_commit": "_chain_commit_body",
@@ -100,8 +107,17 @@ def test_commit_parked_on_tc_commit(monkeypatch):
 
 def test_chain_hop_handlers(monkeypatch):
     fs, client, _fs_ops = _setup(monkeypatch)
-    handled = _capture(monkeypatch, NdbDatanode, "_handle",
-                       lambda msg: msg.kind in CHAIN_HOPS)
+    handled = []
+    for kind in CHAIN_HOPS:
+        # The RECV stage looks handlers up in this table per message.
+        original = NdbDatanode._HANDLERS[kind]
+
+        def spy(node, msg, _original=original):
+            generator = _original(node, msg)
+            handled.append((msg, generator))
+            return generator
+
+        monkeypatch.setitem(NdbDatanode._HANDLERS, kind, spy)
     deepest = {}
 
     def sample():
@@ -112,5 +128,22 @@ def test_chain_hop_handlers(monkeypatch):
 
     _drive(fs, client.mkdir("/d/sub"), sample)
     for kind, body in CHAIN_HOPS.items():
-        assert deepest.get(kind) == ["_handle", body], (kind, deepest.get(kind))
+        assert deepest.get(kind) == [body], (kind, deepest.get(kind))
         assert len(deepest[kind]) <= CHAIN_HOP_BUDGET
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_no_server_builds_a_process_per_message():
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith(".__main__"):  # that one runs the CLI
+            importlib.import_module(module.name)
+    servers = [cls for cls in _subclasses(Server) if "_on_message" in vars(cls)]
+    assert len(servers) >= 7, servers
+    for cls in servers:
+        source = inspect.getsource(cls._on_message)
+        assert "env.process(" not in source, f"{cls.__name__}._on_message: start a task"

@@ -1,11 +1,13 @@
-"""Cluster assembly, preload, configuration validation."""
+"""Cluster assembly, preload, configuration validation, datanode dispatch."""
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, NdbError
 from repro.ndb import NdbCluster, NdbConfig, Schema, ThreadConfig
 from repro.ndb.cluster import az_assignment_for
+from repro.ndb.messages import TcAbortReq
 from repro.net import Network, build_us_west1
+from repro.net.network import Message
 from repro.sim import Environment, RngRegistry
 
 from .conftest import store_state
@@ -157,3 +159,25 @@ def test_checkpoint_loop_writes_disk():
     for dn in cluster.datanodes.values():
         # 5 checkpoint intervals elapsed
         assert dn.disk.bytes_written >= 5 * cluster.config.checkpoint_bytes
+
+
+# ------------------------------------------------------------- dispatch
+def test_a_message_of_unknown_kind_fails_the_run_after_its_recv(harness):
+    env = harness.env
+    dn = next(iter(harness.cluster.datanodes.values()))
+    harness.network.send(Message(harness.client_addr, dn.addr, "bogus"))
+    with pytest.raises(NdbError, match="unknown message kind 'bogus'"):
+        env.run(until=env.now + 10)
+    assert dn.recv_pool.jobs_done == 1
+
+
+def test_a_message_whose_recv_ends_after_a_crash_starts_no_handler(harness):
+    env = harness.env
+    dn = next(iter(harness.cluster.datanodes.values()))
+    abort = Message(harness.client_addr, dn.addr, "tc_abort", TcAbortReq(1))
+    harness.network.send(abort)
+    while dn.recv_pool.in_service == 0:
+        env.step()
+    dn.shutdown("crash during RECV")
+    env.run(until=env.now + 10)
+    assert dn.recv_pool.jobs_done == 1 and dn.tc_pool.jobs_done == 0

@@ -1,4 +1,4 @@
-"""Finished processes must be freed by reference counting alone.
+"""Finished processes and tasks must be freed by reference counting alone.
 
 DESIGN.md §4: "no reference cycle may outlive a finished process".  Each
 test runs with the automatic collector off, then collects under
@@ -15,12 +15,12 @@ import pytest
 
 from repro.experiments.setups import SETUPS
 from repro.metrics.collectors import MetricsCollector
-from repro.sim import Environment, Interrupt, Process, SimulationError
+from repro.sim import Environment, Interrupt, Process, SimulationError, Task
 from repro.workloads.driver import ClosedLoopDriver
 from repro.workloads.namespace import generate_namespace
 from repro.workloads.spotify import SpotifyWorkload
 
-_KERNEL_GARBAGE = (Process, types.GeneratorType, types.MethodType,
+_KERNEL_GARBAGE = (Process, Task, types.GeneratorType, types.MethodType,
                    types.BuiltinMethodType)
 
 
@@ -86,6 +86,38 @@ def test_process_storm_leaves_no_cyclic_garbage():
         assert all(v.value == "woken" for v in victims)
         assert not bad.ok
         del env, victims, bad
+    assert not found
+
+
+def test_task_storm_leaves_no_cyclic_garbage():
+    with _cyclic_garbage() as found:
+        env = Environment()
+        done = []
+
+        def leaf(i):
+            yield env.timeout(i % 7)
+            return i
+
+        def task(i):
+            value = yield env.process(leaf(i))
+            timer = env.timeout(i % 3)
+            yield timer
+            yield timer  # processed: resumes through a _Wakeup
+            done.append(value)
+
+        def caught():
+            try:
+                yield env.process(leaf(-1))
+                raise ValueError("handled inside the task")
+            except ValueError:
+                done.append("caught")
+
+        for i in range(500):
+            (env.start if i % 2 else env.spawn)(task(i))
+        env.spawn(caught())
+        env.run()
+        assert sorted(done, key=str) == sorted([*range(500), "caught"], key=str)
+        del env
     assert not found
 
 

@@ -7,6 +7,12 @@ loop written out in this file.  A hypothesis-generated program must produce
 the same callback order and the same ``(time, priority, seq)`` trace on the
 oracle and on production ``run()``, sliced ``run(until=...)``, ``step()``
 loops and ``env.trace`` runs.
+
+Tasks are held to the process they replace: in the oracle a task is a
+``Process`` nobody waits on, so a task's end must consume the sequence
+number of that process's end entry (and queue the entry only when traced),
+and a raising task must fail the run at the dispatch the unwaited process's
+failure would have.
 """
 
 from heapq import heappop, heappush
@@ -15,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import CorePool, Environment, Interrupt, SimulationError, Store
+from repro.sim import CorePool, Environment, Interrupt, Process, SimulationError, Store
 from repro.sim.kernel import _PROCESSED, _Deferred, _Wakeup
 
 INF = float("inf")
@@ -64,6 +70,21 @@ class SingleHeapEnvironment(Environment):
                     raise item._value
         return self._now
 
+    # A task is a Process nobody waits on.  ``spawn`` is ``process``;
+    # ``start`` is a process whose bootstrap entry is never queued (nor its
+    # sequence number consumed) and whose first step runs in place.
+    def start(self, generator):
+        ready, self._ready = self._ready, []
+        process = Process(self, generator)
+        self._ready, self._seq = ready, self._seq - 1
+        process._resume(None)
+
+    def spawn(self, generator):
+        self.process(generator)
+
+    def call_soon(self, fn, arg=None):
+        self.schedule_after(0, fn, arg)
+
 
 # ------------------------------------------------------------- the programs
 class _Boom(Exception):
@@ -90,6 +111,15 @@ class _World:
         proc.defuse()  # a process nobody joins may fail without ending the run
         self.procs.append(proc)
         return proc
+
+    def task(self, ops):
+        """A body nobody can join or interrupt; its ``raise`` fails the run."""
+        pid = len(self.procs)
+        self.procs.append(None)
+        return self._body(pid, ops)
+
+    def _soon(self, tag):
+        self.log.append((self.env.now, "soon", tag))
 
     def _body(self, pid, ops):
         env, log = self.env, self.log
@@ -120,13 +150,22 @@ class _World:
                     got = yield self.pools[op[1]].submit(op[2])
                 elif kind == "spawn":
                     child = self.spawn(op[1])
+                elif kind == "start":
+                    env.start(self.task(op[1]))
+                elif kind == "spawn_task":
+                    env.spawn(self.task(op[1]))
+                elif kind == "call_soon":
+                    env.call_soon(self._soon, (pid, index))
                 elif kind == "join":
                     if child is not None:
                         got = yield child
                 elif kind == "interrupt":
                     target = self.procs[op[1] % len(self.procs)]
-                    if target.is_alive and target is not self.procs[pid]:
-                        target.interrupt((pid, index))
+                    if target is not None and target.is_alive:
+                        try:
+                            target.interrupt((pid, index))
+                        except SimulationError:  # itself, or a started task's parent
+                            got = "executing"
                 elif kind in ("any_of", "all_of"):
                     members = [self.events[op[1]], env.timeout(op[2], value=index)]
                     condition = getattr(env, kind)(members)
@@ -161,11 +200,16 @@ _LEAF_OPS = st.one_of(
     st.tuples(st.just("any_of"), _EVENT, _DELAYS),
     st.tuples(st.just("all_of"), _EVENT, _DELAYS),
     st.tuples(st.just("raise")),
+    st.tuples(st.just("call_soon")),
 )
 _OPS = st.recursive(
     st.lists(_LEAF_OPS, max_size=6),
     lambda children: st.lists(
-        st.one_of(_LEAF_OPS, st.tuples(st.just("spawn"), children)), max_size=6
+        st.one_of(
+            _LEAF_OPS,
+            st.tuples(st.sampled_from(["spawn", "start", "spawn_task"]), children),
+        ),
+        max_size=6,
     ),
     max_leaves=12,
 )
@@ -174,19 +218,32 @@ _CUTS = st.lists(st.sampled_from([0, 0, 0.5, 1, 1.5, 2, 3.5]), max_size=5).map(s
 
 
 # --------------------------------------------------------------- the drivers
-def _drive_run(env, cuts):
-    env.run()
+def _resuming(env, dispatch, failures):
+    """Call ``dispatch()`` until it returns; a task's raise ends the call
+    early, is logged with the instant it failed at, and the run resumes."""
+    while True:
+        try:
+            return dispatch()
+        except _Boom as boom:
+            failures.append((env.now, str(boom)))
 
 
-def _drive_sliced(env, cuts):
+def _drive_run(env, cuts, failures):
+    _resuming(env, env.run, failures)
+
+
+def _drive_sliced(env, cuts, failures):
     for until in cuts:  # sorted, with repeats: covers ``until == now``
-        env.run(until=until)
-    env.run()
+        _resuming(env, lambda: env.run(until=until), failures)
+    _resuming(env, env.run, failures)
 
 
-def _drive_step(env, cuts):
+def _drive_step(env, cuts, failures):
     while env.peek() != INF:
-        env.step()
+        try:
+            env.step()
+        except _Boom as boom:  # the step that raised did dispatch its entry
+            failures.append((env.now, str(boom)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -194,15 +251,18 @@ def _drive_step(env, cuts):
 def test_two_queue_dispatch_matches_the_single_heap_kernel(program, cuts):
     oracle = SingleHeapEnvironment()
     expected = _World(oracle, program)
-    oracle.run()
+    expected_failures = []
+    _resuming(oracle, oracle.run, expected_failures)
     for drive in (_drive_run, _drive_sliced, _drive_step):
         for traced in (False, True):
             env = Environment()
             if traced:
                 env.trace = []
             world = _World(env, program)
-            drive(env, cuts)
+            failures = []
+            drive(env, cuts, failures)
             assert world.log == expected.log, (drive.__name__, traced)
+            assert failures == expected_failures, (drive.__name__, traced)
             assert env._seq == oracle._seq
             assert not env._ready and not env._queue
             if traced:
@@ -287,3 +347,74 @@ def test_aborted_run_keeps_its_ready_entries():
     assert order == ["first"]
     assert env.run(until=10) == 10
     assert order == ["first", "third", "zero-delay timer", "later timer"]
+
+
+# ------------------------------------------------------------- tasks, unit
+@pytest.mark.parametrize("traced", [False, True])
+def test_a_raising_task_fails_the_run_where_an_unwaited_process_would(traced):
+    seen = []
+    for launch in ("process", "spawn", "start"):
+        env = Environment()
+        env.trace = [] if traced else None
+        order = []
+
+        def failing():
+            yield env.timeout(1)
+            env.event().succeed().add_callback(lambda _e: order.append("same instant"))
+            raise _Boom("late")
+
+        if launch == "start":  # no bootstrap slot: pay it the way spawn does
+            env.call_soon(lambda _arg: env.start(failing()))
+        else:
+            getattr(env, launch)(failing())
+        env.timeout(1).add_callback(lambda _e: order.append("other timer"))
+        env.timeout(2).add_callback(lambda _e: order.append("after"))
+        with pytest.raises(_Boom, match="late"):
+            env.run()
+        failed_at = (env.now, env._seq, order[:], traced and env.trace[:])
+        env.run()
+        seen.append((failed_at, order, env._seq, env.trace))
+    assert seen[0] == seen[1] == seen[2]
+    assert seen[0][0][2] == ["other timer", "same instant"]
+
+
+def test_a_task_waiting_on_a_processed_event_resumes_through_a_wakeup():
+    env = Environment()
+    done = env.event()
+    done.succeed("v")
+    env.step()  # ``done`` is processed
+    got = []
+
+    def task():
+        got.append((yield done))
+        got.append((yield done))
+
+    seq = env._seq
+    env.start(task())
+    assert got == [] and env._seq == seq + 1
+    assert isinstance(env._ready[-1][3], _Wakeup)
+    env.run()
+    assert got == ["v", "v"]
+
+
+def test_a_task_end_consumes_one_sequence_number_and_queues_only_when_traced():
+    env = Environment()
+
+    def quick():
+        yield from ()
+
+    seq = env._seq
+    env.start(quick())
+    assert env._seq == seq + 1
+    assert not env._ready and not env._queue
+
+    env.trace = []
+    env.start(quick())
+    assert env._seq == seq + 2 and len(env._ready) == 1
+    env.run()
+    assert env.trace == [(0.0, 1, seq + 2)]
+
+
+def test_start_rejects_a_non_generator():
+    with pytest.raises(SimulationError, match="requires a generator"):
+        Environment().start(42)
