@@ -53,7 +53,7 @@ class Scenario:
     seed_large_files: int = 3  # HopsFS: pre-fault block-layer payloads
     # Gray-failure scenarios opt the HopsFS request path into timeouts,
     # deadlines, hedging, the retry cache, and admission control; ``None``
-    # keeps the legacy fail-stop path (CephFS setups always ignore it).
+    # runs the fail-stop client (CephFS setups always ignore it).
     robust: Optional[RobustConfig] = None
     # Async group-commit scenarios opt HopsFS metadata mutations into the
     # early-ack batch path; crashes then race acks against batch commits

@@ -6,14 +6,15 @@ the leader-maintained membership list for servers sharing its
 ``locationDomainId`` and falls back to a random live server (Section
 IV-B3, ``locationDomainId`` 0 disables the affinity).
 
-With :class:`~repro.hopsfs.robust.RobustConfig` attached the request path
-is hardened against *gray* failures: every RPC carries a timeout and the
+One request loop serves every op.  :class:`~repro.hopsfs.robust.RobustConfig`
+only bounds it against *gray* failures: every RPC carries a timeout and the
 op's absolute deadline, timeouts trigger failover, retries back off with
 deterministic jitter under a retry budget, read-class ops hedge to a
 second NN after a configurable delay, mutations carry ``(client_id,
 op_seq)`` retry ids for exactly-once replay, and a per-NN circuit breaker
 routes around persistently slow servers.  Without it (the default) the
-legacy fail-stop path is bit-identical to earlier releases.
+same loop is the fail-stop client: no deadline, timeout, back-off,
+breaker, hedge or retry id, and at most ``max_failovers`` retries.
 """
 
 from __future__ import annotations
@@ -228,16 +229,15 @@ class HopsFsClient(FsClient):
 
         NNs behind an open circuit breaker are skipped — unless every
         breaker is open, in which case the client fails open and tries
-        them all rather than giving up without a single packet.
+        them all rather than giving up without a single packet.  Without
+        ``robust`` there are no breakers, so the filters keep everything.
         """
-        robust = self.robust
         bootstrap = list(self.namenode_addrs)
         if self.rng is not None:
             self.rng.shuffle(bootstrap)
-        if robust is not None:
-            closed = [nn for nn in bootstrap if not self._breaker_open(nn)]
-            if closed:
-                bootstrap = closed
+        closed = [nn for nn in bootstrap if not self._breaker_open(nn)]
+        if closed:
+            bootstrap = closed
         active = yield from self._probe_membership(bootstrap, deadline)
         if active is None:
             # Bootstrap exhausted every candidate: that is a failover event
@@ -257,10 +257,9 @@ class HopsFsClient(FsClient):
             undrained = [a for a in active if a[1] not in self._draining_nns]
             if undrained:
                 active = undrained
-        if robust is not None:
-            closed = [a for a in active if not self._breaker_open(a[1])]
-            if closed:
-                active = closed
+        closed = [a for a in active if not self._breaker_open(a[1])]
+        if closed:
+            active = closed
         if self.location_domain_id != ANY_AZ:
             local = [a for a in active if a[2] == self.location_domain_id]
             if local:
@@ -271,16 +270,99 @@ class HopsFsClient(FsClient):
 
     # ------------------------------------------------------------ operations
     def _request_loop(self, op: OpType, kwargs, span):
-        """The request loop this client was configured with.
+        """The one request loop: stick to an NN, fail over when it fails.
 
-        Either loop stores its own failure count in ``last_op_failures``
-        as it exits; whoever resumes next (driver, traced wrapper) reads it
-        before anything else can run, so ops overlapping on one stub each
-        see their own count.
+        ``robust`` only bounds it with a deadline, RPC timeouts, back-off,
+        breakers, hedged reads and a retry id; without it the budget is
+        ``max_failovers`` and a fail-over costs no simulated time.  The loop
+        stores its failure count in ``last_op_failures`` as it exits;
+        whoever resumes next (driver, traced wrapper) reads it before
+        anything else can run, so ops overlapping on one stub each see their
+        own count.  Caught errors are kept without their traceback and no
+        failed call's event sits in a local, so a finished op closes no
+        reference cycle (DESIGN §4 rule 1).
         """
-        if self.robust is not None:
-            return self._robust_op(op, kwargs, span)
-        return self._op_body(op, kwargs, span)
+        env = self.env
+        robust = self.robust
+        deadline = extra = None
+        hedged = False
+        if robust is None:
+            budget = self.max_failovers
+        else:
+            budget = robust.retry.max_retries
+            deadline = Deadline(env.now + robust.deadline_ms)
+            extra = {"deadline_ms": deadline.expires_ms}
+            if op.mutates:
+                # Exactly-once retried mutations: the NN-side RetryCache keys
+                # replays off this id (same id across every retry of this op).
+                extra["retry_id"] = (self.client_id, next(self._op_seq))
+            hedged = robust.hedge_delay_ms is not None and not op.mutates
+        attempt = failures = 0
+        last_error = None
+        try:
+            while True:
+                if deadline is not None and deadline.expired(env.now):
+                    count(env, "client.deadline_exceeded")
+                    raise DeadlineExceededError(
+                        f"{op.value}: client deadline expired"
+                    ) from last_error
+                if self.current_nn is None:
+                    yield from self._pick_namenode(deadline)
+                try:
+                    if hedged:
+                        result = yield from self._hedged(op, kwargs, span, deadline, extra)
+                    else:
+                        result = yield self.network.call(
+                            self.addr, self.current_nn, "fs_op", (op, kwargs),
+                            size=self.request_bytes, parent_span=span,
+                            timeout_ms=None if deadline is None else self._rpc_timeout_ms(deadline),
+                            extra=extra,
+                        )
+                    if self._breakers:  # none without ``robust``
+                        breaker = self._breakers.get(self.current_nn)
+                        if breaker is not None:
+                            breaker.record_success()
+                    if type(result) is GroupAck:
+                        result = self._early_ack(result)
+                    return result
+                except (RpcTimeoutError, HostUnreachableError) as exc:
+                    # The NN is dead, or (a timeout: gray failure) alive but
+                    # slow; either way route elsewhere.
+                    last_error = exc.with_traceback(None)
+                    if isinstance(exc, RpcTimeoutError):
+                        self.timeouts += 1
+                    self._record_nn_failure(self.current_nn)
+                    self.current_nn = None
+                    self.failovers += 1
+                    failures += 1
+                except ServerDrainingError as exc:
+                    # Operator-ordered drain, not overload: the server will
+                    # never take this op, so drop it from the local view at
+                    # once (membership refresh would do it ~a period later)
+                    # and go straight at a peer without backing off.
+                    last_error = exc.with_traceback(None)
+                    count(env, "client.drain_redirects")
+                    self._discard_namenode(self.current_nn)
+                except ServerBusyError as exc:
+                    # Shed by admission control: honor it with backoff and
+                    # spread the retry over the other servers.
+                    last_error = exc.with_traceback(None)
+                    self.busy_rejections += 1
+                    self.current_nn = None
+                attempt += 1
+                if attempt > budget:
+                    raise NoNamenodeError(
+                        f"{op.value}: retry budget exhausted ({budget} retries)"
+                    ) from last_error
+                if deadline is not None and type(last_error) is not ServerDrainingError:
+                    yield from self._backoff(attempt, deadline, last_error)
+        finally:
+            # Drivers read this into OpResult.retries for per-op breakdowns.
+            self.last_op_failures = failures
+            if deadline is not None and env.now - deadline.expires_ms > robust.op_timeout_ms:
+                # The deadline invariant's slack is one hop (one RPC
+                # timeout); anything beyond it is a contract violation.
+                self.deadline_overruns.append((op.value, deadline.expires_ms, env.now))
 
     def _early_ack(self, ack: GroupAck):
         """Record the horizon an async-commit early ack rides; returns the
@@ -289,120 +371,6 @@ class HopsFsClient(FsClient):
         if ack.horizon > self.durability_horizon:
             self.durability_horizon = ack.horizon
         return ack.result
-
-    def _op_body(self, op: OpType, kwargs, span):
-        """Legacy fail-stop request path (bit-identical to prior releases)."""
-        failures = 0
-        try:
-            while True:
-                if self.current_nn is None:
-                    yield from self._pick_namenode()
-                try:
-                    result = yield self.network.call(
-                        self.addr,
-                        self.current_nn,
-                        "fs_op",
-                        (op, kwargs),
-                        size=self.request_bytes,
-                        parent_span=span,
-                    )
-                    if type(result) is GroupAck:
-                        result = self._early_ack(result)
-                    return result
-                except HostUnreachableError:
-                    # Select a random surviving metadata server and retry.
-                    self.current_nn = None
-                    self.failovers += 1
-                    failures += 1
-                    if failures > self.max_failovers:
-                        raise NoNamenodeError(f"{op}: no metadata server after retries")
-        finally:
-            # Drivers read this into OpResult.retries for per-op breakdowns.
-            self.last_op_failures = failures
-
-    # ------------------------------------------------- robust request path
-    def _robust_op(self, op: OpType, kwargs, span):
-        """Deadline-bounded request loop: timeouts fail over, busy backs off."""
-        robust = self.robust
-        env = self.env
-        deadline = Deadline(env.now + robust.deadline_ms)
-        extra = {"deadline_ms": deadline.expires_ms}
-        if op.mutates:
-            # Exactly-once retried mutations: the NN-side RetryCache keys
-            # replays off this id (same id across every retry of this op).
-            extra["retry_id"] = (self.client_id, next(self._op_seq))
-        attempt = 0
-        failures = 0
-        last_error = None
-        try:
-            while True:
-                if deadline.expired(env.now):
-                    count(env, "client.deadline_exceeded")
-                    raise DeadlineExceededError(
-                        f"{op.value}: client deadline expired"
-                    ) from last_error
-                if self.current_nn is None:
-                    yield from self._pick_namenode(deadline=deadline)
-                try:
-                    result = yield from self._attempt(op, kwargs, span, deadline, extra)
-                    breaker = self._breakers.get(self.current_nn)
-                    if breaker is not None:
-                        breaker.record_success()
-                    if type(result) is GroupAck:
-                        result = self._early_ack(result)
-                    return result
-                except RpcTimeoutError as exc:
-                    # Gray failure: the NN may be alive but slow.  Treat the
-                    # timeout as a failover trigger and route elsewhere.
-                    last_error = exc
-                    self.timeouts += 1
-                    self._record_nn_failure(self.current_nn)
-                    self._fail_over()
-                    failures += 1
-                except HostUnreachableError as exc:
-                    last_error = exc
-                    self._record_nn_failure(self.current_nn)
-                    self._fail_over()
-                    failures += 1
-                except ServerDrainingError as exc:
-                    # Operator-ordered drain, not overload: the server will
-                    # never take this op, so drop it from the local view at
-                    # once (membership refresh would do it ~a period later)
-                    # and go straight at a peer without backing off.
-                    last_error = exc
-                    count(env, "client.drain_redirects")
-                    self._discard_namenode(self.current_nn)
-                    attempt += 1
-                    if attempt > robust.retry.max_retries:
-                        raise NoNamenodeError(
-                            f"{op.value}: retry budget exhausted "
-                            f"({robust.retry.max_retries} retries)"
-                        ) from last_error
-                    continue
-                except ServerBusyError as exc:
-                    # Shed by admission control: honor it with backoff and
-                    # spread the retry over the other servers.
-                    last_error = exc
-                    self.busy_rejections += 1
-                    self.current_nn = None
-                attempt += 1
-                if attempt > robust.retry.max_retries:
-                    raise NoNamenodeError(
-                        f"{op.value}: retry budget exhausted "
-                        f"({robust.retry.max_retries} retries)"
-                    ) from last_error
-                yield from self._backoff(attempt, deadline, last_error)
-        finally:
-            self.last_op_failures = failures
-            overrun = env.now - deadline.expires_ms
-            if overrun > robust.op_timeout_ms:
-                # The deadline invariant's slack is one hop (one RPC
-                # timeout); anything beyond it is a contract violation.
-                self.deadline_overruns.append((op.value, deadline.expires_ms, env.now))
-
-    def _fail_over(self) -> None:
-        self.current_nn = None
-        self.failovers += 1
 
     def _backoff(self, attempt: int, deadline: Deadline, last_error):
         delay = self.robust.retry.backoff_ms(attempt, self.retry_rng)
@@ -420,9 +388,15 @@ class HopsFsClient(FsClient):
             0.001, min(self.robust.op_timeout_ms, deadline.remaining(self.env.now))
         )
 
-    def _attempt(self, op: OpType, kwargs, span, deadline: Deadline, extra):
-        """One bounded attempt; read-class ops hedge to a second NN."""
-        robust = self.robust
+    def _hedged(self, op: OpType, kwargs, span, deadline: Deadline, extra):
+        """One hedged read: wait the hedge delay; if the primary has not
+        answered, fire the same request at a different NN and take the
+        first reply.  The loser's reply (or timeout) resolves through the
+        abandoned event — callback-suppressed and defused, never raised.
+
+        Both events leave the frame before an error does, so the error's
+        traceback closes no cycle through them.
+        """
         env = self.env
         primary_nn = self.current_nn
         primary = self.network.call(
@@ -430,44 +404,34 @@ class HopsFsClient(FsClient):
             size=self.request_bytes, parent_span=span,
             timeout_ms=self._rpc_timeout_ms(deadline), extra=extra,
         )
-        if op.mutates or robust.hedge_delay_ms is None:
-            result = yield primary
-            return result
-        # Hedged read: wait the hedge delay; if the primary has not
-        # answered, fire the same request at a different NN and take the
-        # first reply.  The loser's reply (or timeout) resolves through the
-        # abandoned event — callback-suppressed and defused, never raised.
-        hedge_timer = env.timeout(robust.hedge_delay_ms)
-        yield env.any_of([primary, hedge_timer])
-        if primary.triggered:
-            if primary.ok:
+        try:
+            yield env.any_of([primary, env.timeout(self.robust.hedge_delay_ms)])
+            if primary.triggered:
+                if primary.ok:
+                    return primary.value
+                raise primary.value
+            alt_nn = self._hedge_target(primary_nn)
+            if alt_nn is None:
+                return (yield primary)
+            self.hedges += 1
+            hedge = self.network.call(
+                self.addr, alt_nn, "fs_op", (op, kwargs),
+                size=self.request_bytes, parent_span=span,
+                timeout_ms=self._rpc_timeout_ms(deadline), extra=extra,
+            )
+            # Fails fast: resuming normally means one of the two succeeded.
+            yield env.any_of([primary, hedge])
+            if primary.triggered and primary.ok:
+                hedge.defuse()
                 return primary.value
-            raise primary.value
-        alt_nn = self._hedge_target(primary_nn)
-        if alt_nn is None:
-            result = yield primary
-            return result
-        self.hedges += 1
-        hedge = self.network.call(
-            self.addr, alt_nn, "fs_op", (op, kwargs),
-            size=self.request_bytes, parent_span=span,
-            timeout_ms=self._rpc_timeout_ms(deadline), extra=extra,
-        )
-        yield env.any_of([primary, hedge])
-        if primary.triggered and primary.ok:
-            hedge.defuse()
-            return primary.value
-        if hedge.triggered and hedge.ok:
             primary.defuse()
             self.hedge_wins += 1
             # The hedge answering first is evidence the primary is slow;
             # ride the faster server from here on.
             self.current_nn = alt_nn
             return hedge.value
-        # Both resolved in the same step, both failed: surface the primary's
-        # error (deterministic choice) and defuse the other.
-        hedge.defuse()
-        raise primary.value
+        finally:
+            primary = hedge = None
 
     def _hedge_target(self, primary_nn: NodeAddress) -> Optional[NodeAddress]:
         """A different, breaker-closed NN to hedge to (deterministic pick)."""

@@ -43,8 +43,9 @@ class HopsFsConfig:
     # their namespace and start hot.
     safemode_on_startup: bool = False
     # Gray-failure hardening (timeouts, deadlines, hedging, retry cache,
-    # admission control).  None = legacy fail-stop path, which the pinned
-    # golden schedules require; chaos targets opt in.
+    # admission control) over the client's one request loop.  None = that
+    # loop as the fail-stop client, which the pinned golden schedules run;
+    # chaos targets opt in.
     robust: Optional[RobustConfig] = None
     # Async group commit (batched flushes, early acks with a durability
     # horizon).  None = synchronous commit path, bit-identical to the

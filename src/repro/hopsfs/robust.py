@@ -17,9 +17,9 @@ slow instead of dead.  This module holds the client/server knobs that turn
   table, written in the same transaction as the mutation itself, so
   retried mutations are exactly-once even across NN crashes);
   :class:`Replay` marks a result read back from that durable row.
-- :class:`RobustConfig` — the opt-in bundle.  ``None`` (the default)
-  keeps the legacy fail-stop request path bit-identical, which is what
-  the golden-schedule determinism tests pin.
+- :class:`RobustConfig` — the opt-in bundle.  ``None`` (the default) runs
+  the client's one request loop with no deadline, timeout, back-off,
+  breaker, hedge or retry id: the fail-stop client.
 """
 
 from __future__ import annotations
@@ -161,10 +161,11 @@ class Replay:
 class RobustConfig:
     """Opt-in gray-failure hardening for the whole request path.
 
-    ``None`` in :class:`~repro.hopsfs.config.HopsFsConfig` (the default)
-    disables everything — no timers, no extra RNG draws, no admission
-    control — so default deployments replay their pinned golden schedules
-    bit-for-bit.  Chaos targets and dedicated tests turn it on.
+    It bounds the client's one request loop; it does not select a loop.
+    ``None`` in :class:`~repro.hopsfs.config.HopsFsConfig` (the default) is
+    the same loop with no deadline, RPC timeout, back-off, breaker, hedge
+    or retry id (so no timers and no extra RNG draws) and no NN admission
+    control.  Chaos targets and dedicated tests turn it on.
     """
 
     # Per-RPC timeout; also the "one hop" slack the deadline invariant

@@ -247,6 +247,12 @@ class NdbDatanode(Server):
             self._reply_now_cb, request, payload, ok, size
         )
 
+    def _abort_reply(self, request: Message, exc: Exception) -> None:
+        """Abort ``request``'s step with ``exc`` as the reason.  ``exc``
+        leaves without its traceback: the handler frame it names may hold
+        the failed event that carries it, a reference cycle."""
+        self._reply(request, TransactionAbortedError(str(exc.with_traceback(None))), ok=False)
+
     def _reply_now(self, request: Message, payload: Any, ok: bool, size: int, _done: Event) -> None:
         if self.running:
             self.network.reply(request, payload=payload, ok=ok, size=size)
@@ -330,7 +336,7 @@ class NdbDatanode(Server):
                 replicas = pmap.replicas(partition, table.fully_replicated)
                 node, role = replicas.primary, 0
         except NoDatanodesError as exc:
-            self._reply(msg, TransactionAbortedError(str(exc)), ok=False)
+            self._abort_reply(msg, exc)
             return
         ldm_req = LdmReadReq(
             req.txid, req.table, req.pk, req.partition_key, partition, req.lock,
@@ -354,7 +360,7 @@ class NdbDatanode(Server):
                 parent_span=server_span,
             )
         except (HostUnreachableError, NdbError) as exc:
-            self._reply(msg, TransactionAbortedError(str(exc)), ok=False)
+            self._abort_reply(msg, exc)
             return
         self._reply(msg, value, size=table.row_bytes)
 
@@ -377,7 +383,7 @@ class NdbDatanode(Server):
                 self._rng,
             )
         except NoDatanodesError as exc:
-            self._reply(msg, TransactionAbortedError(str(exc)), ok=False)
+            self._abort_reply(msg, exc)
             return
         ldm_req = LdmScanReq(
             req.txid, req.table, req.partition_key, partition, role, req.client_az
@@ -392,7 +398,7 @@ class NdbDatanode(Server):
                     parent_span=server_span,
                 )
             except (HostUnreachableError, NdbError) as exc:
-                self._reply(msg, TransactionAbortedError(str(exc)), ok=False)
+                self._abort_reply(msg, exc)
                 return
         self._reply(msg, rows, size=max(128, len(rows) * table.row_bytes))
 
@@ -409,7 +415,7 @@ class NdbDatanode(Server):
         try:
             replicas = pmap.replicas(partition, table.fully_replicated)
         except NoDatanodesError as exc:
-            self._reply(msg, TransactionAbortedError(str(exc)), ok=False)
+            self._abort_reply(msg, exc)
             return
         seq = txn.next_seq
         txn.next_seq = seq + 1
@@ -427,7 +433,7 @@ class NdbDatanode(Server):
         try:
             yield op.prepared
         except NdbError as exc:
-            self._reply(msg, TransactionAbortedError(str(exc)), ok=False)
+            self._abort_reply(msg, exc)
             return
         self._reply(msg, True)
 
@@ -596,7 +602,7 @@ class NdbDatanode(Server):
         except NdbError as exc:
             self._abort_cleanup(txn)
             self._drop_txn(req.txid)
-            self._reply(msg, TransactionAbortedError(str(exc)), ok=False)
+            self._abort_reply(msg, exc)
             return
         # Commit point reached: publish the transaction's row images on the
         # changelog so subscriber caches (listing cache) can invalidate.
@@ -629,7 +635,7 @@ class NdbDatanode(Server):
                 yield self.env.all_of(waiters)
             except NdbError as exc:
                 self._drop_txn(req.txid)
-                self._reply(msg, TransactionAbortedError(str(exc)), ok=False)
+                self._abort_reply(msg, exc)
                 return
         self._drop_txn(req.txid)
         self._reply(msg, True)

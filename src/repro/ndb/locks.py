@@ -57,7 +57,6 @@ class LockTable:
         # order depends on PYTHONHASHSEED; lock hand-off order must not).
         self._by_txn: dict[int, dict[Hashable, None]] = {}
         self.timeouts_fired = 0
-        self._expire_cb = self._expire
 
     # -- public API -----------------------------------------------------------
     def acquire(self, txid: int, key: Hashable, mode: LockMode, parent=None) -> Event:
@@ -102,7 +101,9 @@ class LockTable:
         else:
             row.queue.append(request)
         self._index(txid, key)
-        env.schedule_after(self.deadlock_timeout_ms, self._expire_cb, (request, key))
+        # Bound per wait, not cached on the table: a cached bound method is
+        # a cycle, and a restart replaces the table (DESIGN §4 rule 1).
+        env.schedule_after(self.deadlock_timeout_ms, self._expire, (request, key))
         return event
 
     def release(self, txid: int, key: Hashable) -> None:

@@ -34,22 +34,48 @@ def test_client_traffic_accounted():
     assert received > 0
 
 
-def test_failover_cap_respected():
+def _failing_mkdir(max_failovers, kill):
+    """mkdir after ``kill(fs, bound_nn)``; the fail-stop client must never
+    back off (a fail-over costs no simulated time of its own)."""
     fs = make_fs(num_namenodes=2)
     client = fs.client()
-    client.max_failovers = 1
+    client.max_failovers = max_failovers  # read per op, so settable now
+
+    def no_backoff(*_args):
+        raise AssertionError("a fail-stop client never backs off")
+
+    client._backoff = no_backoff
 
     def scenario():
         yield from fs.await_election()
         yield from client.exists("/")  # bind to an NN first
-        for nn in fs.namenodes:
-            nn.shutdown()
+        kill(fs, client.current_nn)
         with pytest.raises(NoNamenodeError):
             yield from client.mkdir("/nope")
-        return client.failovers
 
-    failovers = run(fs, scenario())
-    assert failovers >= 1
+    run(fs, scenario())
+    return client
+
+
+def test_failover_cap_respected():
+    # Every NN down: the fail-over finds none, bootstrap exhaustion ends it.
+    def kill_all(fs, _bound):
+        for nn in fs.namenodes:
+            nn.shutdown()
+
+    client = _failing_mkdir(1, kill_all)
+    assert (client.failovers, client.bootstrap_exhaustions) == (2, 1)
+    assert client.last_op_failures == 1
+
+
+def test_failover_budget_ends_the_op_before_discovery():
+    # A live peer exists, but a budget of zero fail-overs gives up first.
+    def kill_bound(fs, bound):
+        next(nn for nn in fs.namenodes if nn.addr == bound).shutdown()
+
+    client = _failing_mkdir(0, kill_bound)
+    assert (client.failovers, client.bootstrap_exhaustions) == (1, 0)
+    assert client.last_op_failures == 1 and client.current_nn is None
 
 
 def test_two_clients_interleave_without_interference():

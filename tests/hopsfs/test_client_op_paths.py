@@ -1,11 +1,11 @@
-"""``HopsFsClient.op``: one body per request loop, one traced wrapper.
+"""``HopsFsClient.op``: one request loop, one traced wrapper.
 
 ``op`` is a plain function.  Untraced it returns the request loop's own
-generator (no wrapper frame); traced it returns the wrapper around that
-same loop.  Either way the caller gets the same result at the same
-simulated instant, and reads its own op's failure count from
-``last_op_failures`` the moment its ``yield from`` returns — also when
-several ops are in flight on one stub.
+generator (no wrapper frame), with or without ``robust``; traced it
+returns the wrapper around that same loop.  Either way the caller gets the
+same result at the same simulated instant, and reads its own op's failure
+count from ``last_op_failures`` the moment its ``yield from`` returns —
+also when several ops are in flight on one stub.
 """
 
 import inspect
@@ -63,12 +63,38 @@ def test_untraced_op_is_the_request_loop_itself(robust):
     client = fs.client()
     gen = client.op(OpType.STAT, path="/")
     assert inspect.isgenerator(gen)
-    assert gen.gi_code.co_name == ("_robust_op" if robust else "_op_body")
+    assert gen.gi_code is type(client)._request_loop.__code__
     gen.close()
     ObsContext().attach(fs.env)
     traced = client.op(OpType.STAT, path="/")
     assert traced.gi_code.co_name == "_traced_op"
     traced.close()
+
+
+def test_parked_fail_stop_op_sits_in_one_client_frame():
+    """An untraced fail-stop op waiting on its ``fs_op`` reply is the loop's
+    own frame: nothing else is on its ``gi_yieldfrom`` chain."""
+    fs = make_fs()
+    client = fs.client()
+    parked = []
+
+    def driver():
+        yield from fs.await_election()
+        yield from client.exists("/")  # bound to an NN: no discovery below
+        gen = client.op(OpType.STAT, path="/")
+        rpc = next(gen)  # runs up to the fs_op RPC and parks there
+        chain = [gen]
+        while chain[-1].gi_yieldfrom is not None:
+            chain.append(chain[-1].gi_yieldfrom)
+        parked.append([g.gi_code.co_name for g in chain])
+        reply = yield rpc
+        try:
+            gen.send(reply)
+        except StopIteration as stop:
+            return stop.value
+
+    assert run(fs, driver()) is not None
+    assert parked == [["_request_loop"]]
 
 
 @pytest.mark.parametrize("robust", [False, True])

@@ -239,6 +239,26 @@ def test_client_redirects_off_draining_namenode_without_failing():
     assert target.addr not in client.namenode_addrs
 
 
+def test_fail_stop_client_redirects_off_draining_namenode():
+    """The one request loop redirects on a drain without ``robust`` too:
+    one redirect, no fail-over, no back-off."""
+    fs = elastic_fs()
+    client = fs.client()
+
+    def scenario():
+        yield from fs.await_election()
+        yield from client.mkdir("/before")
+        target = fs._resolve(client.current_nn)
+        target.draining = True
+        yield from client.mkdir("/after")
+        return target
+
+    target = run(fs, scenario())
+    assert client.current_nn != target.addr
+    assert target.addr in client._draining_nns
+    assert (client.failovers, client.last_op_failures) == (0, 0)
+
+
 # -------------------------------------------------------------- autoscaler
 def test_autoscaler_replaces_preempted_capacity():
     fs = elastic_fs(

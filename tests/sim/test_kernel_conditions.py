@@ -67,7 +67,6 @@ def test_conditions_reject_mixed_environments():
 
 def test_run_until_in_the_past_rejected():
     env = Environment()
-    env.run_process((env.timeout(10) for _ in range(1)).__iter__()) if False else None
 
     def advance():
         yield env.timeout(10)

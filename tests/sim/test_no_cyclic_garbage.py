@@ -3,7 +3,8 @@
 DESIGN.md §4: "no reference cycle may outlive a finished process".  Each
 test runs with the automatic collector off, then collects under
 ``DEBUG_SAVEALL`` so everything only the cyclic collector could free lands
-in ``gc.garbage``, and checks that no kernel object is among it.
+in ``gc.garbage``, and checks that no kernel object and no error the
+request path caught or raised is among it.
 """
 
 import gc
@@ -13,6 +14,8 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.chaos.scenarios import run_scenario
+from repro.errors import ReproError
 from repro.experiments.setups import SETUPS
 from repro.metrics.collectors import MetricsCollector
 from repro.sim import Environment, Interrupt, Process, SimulationError, Task
@@ -20,14 +23,14 @@ from repro.workloads.driver import ClosedLoopDriver
 from repro.workloads.namespace import generate_namespace
 from repro.workloads.spotify import SpotifyWorkload
 
-_KERNEL_GARBAGE = (Process, Task, types.GeneratorType, types.MethodType,
-                   types.BuiltinMethodType)
+_WATCHED_GARBAGE = (Process, Task, types.GeneratorType, types.MethodType,
+                    types.BuiltinMethodType, ReproError)
 
 
 @contextmanager
 def _cyclic_garbage():
     """Yields a Counter filled, on exit, with the type names of the kernel
-    objects that only the cyclic collector could reclaim."""
+    objects and errors that only the cyclic collector could reclaim."""
     found = Counter()
     was_enabled = gc.isenabled()
     gc.collect()
@@ -37,7 +40,7 @@ def _cyclic_garbage():
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
         found.update(type(o).__name__ for o in gc.garbage
-                     if isinstance(o, _KERNEL_GARBAGE))
+                     if isinstance(o, _WATCHED_GARBAGE))
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
@@ -140,6 +143,35 @@ def test_hopsfs_point_leaves_no_cyclic_garbage():
         collector.close_window(env.now)
         assert collector.completed > 50
     assert adapter is not None
+    assert not found
+
+
+def _clients_of(result):
+    clients = result.extra["harness"].clients  # keeps the deployment alive
+    return (sum(c.busy_rejections for c in clients), sum(c.timeouts for c in clients),
+            sum(c.failovers for c in clients))
+
+
+def test_robust_request_loop_leaves_no_cyclic_garbage():
+    """Shed, timed out and failed over: the loop keeps caught errors without
+    their traceback, and a hedged read holds no failed event as it raises."""
+    with _cyclic_garbage() as found:
+        result = run_scenario("overload-burst", setup="hopsfs-cl-3-3", load_ms=200.0)
+        busy, timeouts, failovers = _clients_of(result)
+        assert busy > 0 and timeouts > 0 and failovers > 0
+        assert result.extra["collector"].failed_errors["FileNotFoundFsError"] > 0
+    assert not found
+
+
+def test_fail_stop_request_loop_leaves_no_cyclic_garbage():
+    """An AZ outage under a fail-stop client: fail-overs, remote
+    ``FileNotFoundFsError`` replies, and NDB commits aborted by a dead
+    replica, whose TC handler keeps the failed events in its frame."""
+    with _cyclic_garbage() as found:
+        result = run_scenario("az-outage-under-load", setup="hopsfs-cl-3-3", clients=8)
+        busy, timeouts, failovers = _clients_of(result)
+        assert (busy, timeouts) == (0, 0) and failovers > 0
+        assert result.extra["collector"].failed_errors["FileNotFoundFsError"] > 0
     assert not found
 
 
