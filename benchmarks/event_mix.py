@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""What the kernel dispatches per simulated op, by kind of entry.
+
+    python3 benchmarks/event_mix.py --workload W [--seed S] [--tree DIR]
+
+Runs one ``bench_e2e`` repetition of workload ``W`` (full size, seed ``S``)
+with its measured window dispatched one ``step()`` at a time under
+``env.trace``, and sorts every dispatched entry into one of three kinds:
+
+* **deferred** — a bare ``fn(arg)`` callback (``_Deferred``), by ``fn``;
+* **waiter** — an event with a waiter, by its first waiter, or a
+  ``_Wakeup`` resuming a process or task (its bootstrap or a re-wait);
+* **no waiter** — an event nobody waits on, by its class.
+
+Tracing is schedule-neutral: every sequence number the untraced run
+consumes becomes one queued entry, network coalescing included.  So the
+entries per op sum to ``sim.events_per_op`` (the window's sequence numbers
+per completed op); the command prints both and exits 1 if they differ by
+more than 0.1 %.  ``--tree`` runs the simulator and ``bench_e2e`` of another
+checkout (a parent commit, for a before/after table).
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from collections import Counter
+from functools import partial
+from pathlib import Path
+
+TOLERANCE = 0.001
+
+
+def _name(fn) -> str:
+    if isinstance(fn, partial):
+        return f"partial({_name(fn.func)})"
+    owner = getattr(fn, "__self__", None)
+    if owner is not None and not isinstance(owner, type(sys)):
+        return f"{type(owner).__name__}.{fn.__name__}"
+    return getattr(fn, "__qualname__", type(fn).__name__)
+
+
+def _classify(item, deferred_mark, wakeup_mark) -> tuple:
+    """``(kind, what)`` of one queued entry, read before it is dispatched."""
+    cb1 = item._cb1
+    if cb1 is deferred_mark:
+        return "deferred", _name(item.fn)
+    if cb1 is wakeup_mark:
+        return "waiter", "_Wakeup " + ("bootstrap" if item.source is None else "re-wait")
+    if cb1 is None:
+        return "no waiter", type(item).__name__ + ("" if item._ok else " (failed)")
+    extra = f" +{len(item._cbs)}" if item._cbs else ""
+    return "waiter", f"{type(item).__name__} -> {_name(cb1)}{extra}"
+
+
+def traced_window(mix: Counter):
+    """A stand-in for ``bench_e2e.harness._run_window`` that dispatches the
+    window through ``step()`` under ``env.trace`` and tallies each entry
+    into ``mix``."""
+    from repro.sim.kernel import _DEFERRED_MARK, _WAKEUP_MARK, DispatchHash
+
+    def run_window(env, window_ms, spin, _profiler):
+        until = env.now + window_ms  # the horizon of the window's last slice
+        queue, ready = env._queue, env._ready
+        env.trace = DispatchHash()  # any sink: tracing is what makes it exact
+        while (ready or queue) and env.peek() <= until:
+            # The entry step() pops next: the smaller head of the two queues.
+            head = queue[0] if queue and (not ready or queue[0] < ready[0]) else ready[0]
+            mix[_classify(head[3], _DEFERRED_MARK, _WAKEUP_MARK)] += 1
+            env.step()
+        env._now = until
+        env.trace = None
+        return {"raw_s": 1.0, "raw_cpu_s": 1.0, "s": 1.0, "first_spin_s": spin.seconds()}
+
+    return run_window
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="checkout whose src/ and bench_e2e/ run (default: this one)")
+    args = parser.parse_args(argv)
+    if os.environ.get("PYTHONHASHSEED") != "0":  # as bench_e2e/run.py pins it
+        os.execve(sys.executable, [sys.executable] + sys.orig_argv[1:],
+                  {**os.environ, "PYTHONHASHSEED": "0"})
+    tree = args.tree.resolve()
+    sys.path[:0] = [str(tree / "src"), str(tree)]
+
+    import bench_e2e.harness as harness
+    from bench_e2e.calibration import Spin
+    from bench_e2e.workloads import WORKLOADS
+
+    mix = Counter()
+    harness._run_window = traced_window(mix)
+    rep = harness.run_repetition(WORKLOADS[args.workload], args.seed, Spin())
+    ops = rep["completed"]
+    seq_per_op = rep["layer_counters"]["sim.events_per_op"]
+    per_op = {key: n / ops for key, n in mix.items()}
+
+    print(f"workload {args.workload}  seed {args.seed}  window {rep['window_ms']:g} sim-ms  "
+          f"{ops} ops  {rep['failed']} failed")
+    print(f"{'entries/op':>10}  kind / what")
+    for kind in ("deferred", "waiter", "no waiter"):
+        rows = sorted(((n, what) for (k, what), n in per_op.items() if k == kind), reverse=True)
+        print(f"{sum(n for n, _ in rows):10.3f}  {kind}")
+        for n, what in rows:
+            print(f"{n:10.3f}      {what}")
+    total = sum(per_op.values())
+    gap = abs(total - seq_per_op) / seq_per_op
+    print(f"{total:10.3f}  dispatched entries per op")
+    print(f"{seq_per_op:10.3f}  sim.events_per_op (sequence numbers per op)  gap {gap:.4%}")
+    if gap > TOLERANCE:
+        print(f"the kinds do not sum to sim.events_per_op within {TOLERANCE:.1%}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

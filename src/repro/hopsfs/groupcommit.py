@@ -602,7 +602,9 @@ class GroupCommitter:
             # finishes the shared txn while this body is still reading.
             if self._gen != gen:
                 return
-            ctx.retry_exc = exc  # whole-batch retry in the flush; unacked
+            # Whole-batch retry in the flush; unacked.  Kept without its
+            # traceback: the frames it names hold this body, a cycle.
+            ctx.retry_exc = exc.with_traceback(None)
             return
         if self._gen != gen:
             return
@@ -652,7 +654,7 @@ class GroupCommitter:
                 except TransactionAbortedError as exc:
                     if self._gen != gen:
                         return
-                    retry_exc = exc
+                    retry_exc = exc.with_traceback(None)
                 else:
                     if self._gen != gen:
                         # Crash raced the commit and lost: the batch already
@@ -707,7 +709,7 @@ class GroupCommitter:
                 except NdbError as exc:
                     if self._gen != gen:
                         return
-                    retry_exc = exc
+                    retry_exc = exc.with_traceback(None)
                     kept.append(gop)
                     kept.extend(pending)
                     break

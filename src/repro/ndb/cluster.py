@@ -111,14 +111,17 @@ class NdbCluster:
             self._heartbeats_started = True
 
     def _checkpoint_loop(self, dn: NdbDatanode):
-        """Global checkpoint: periodic redo/checkpoint flush to disk."""
+        """Global checkpoint: periodic redo/checkpoint flush to disk.
+
+        Nothing waits on the flush, so the IO thread and the disk are
+        charged and only the interval timer is scheduled."""
         interval = self.config.global_checkpoint_interval_ms
         while dn.running:
             yield self.env.timeout(interval)
             if not dn.running:
                 return
-            dn.io_pool.submit(self.config.costs.send_msg)
-            dn.disk.write(self.config.checkpoint_bytes)
+            dn.io_pool.charge(self.config.costs.send_msg)
+            dn.disk.append(self.config.checkpoint_bytes)
 
     def is_operational(self) -> bool:
         return self.partition_map.cluster_viable() and any(

@@ -10,6 +10,8 @@ One :class:`NdbDatanode` hosts:
   client ACK waits for the Completed messages (message 14 instead of 10);
 * RECV/SEND/REP/IO/MAIN threads for message handling, replication (redo
   shipping) and disk I/O, matching the paper's CPU accounting (Fig. 11).
+  No protocol step waits on REP, IO or the redo/checkpoint disk, so their
+  work is charged (``CorePool.charge``, ``Disk.append``), never scheduled.
 """
 
 from __future__ import annotations
@@ -142,7 +144,6 @@ class NdbDatanode(Server):
         self._rng = cluster.rng.stream(f"ndbd:{addr}")
         self._send_now_cb = self._send_now
         self._reply_now_cb = self._reply_now
-        self._recv_cb = self._recv
         self._received_cb = self._received
         # Partitions are pinned to LDM threads.  A node-group member holds
         # the partitions congruent to its group index, and is *primary* for
@@ -177,13 +178,9 @@ class NdbDatanode(Server):
         return pools[partition // self._ldm_stride % len(pools)]
 
     # --------------------------------------------------------------- dispatch
-    # A message runs to completion on the Table II threads: RECV is a
-    # callback chain (a same-instant slot, then the RECV job), and only the
-    # handler it leads to is a task.
+    # A message runs to completion on the Table II threads: its delivery
+    # submits the RECV job, and only the handler that job leads to is a task.
     def _on_message(self, msg: Message) -> None:
-        self.env.call_soon(self._recv_cb, msg)
-
-    def _recv(self, msg: Message) -> None:
         # A fresh job: its first waiter slot is free.
         self.recv_pool.submit(self.costs.recv_msg)._cb1 = partial(self._received_cb, msg)
 
@@ -441,13 +438,14 @@ class NdbDatanode(Server):
         target = prepare.chain[prepare.hop]
         size = _CHAIN_OVERHEAD_BYTES + self.cluster.schema.table(prepare.table).row_bytes
         if target == self.addr:
-            self.env.spawn(self._chain_prepare_body(prepare))
+            self.env.start(self._chain_prepare_body(prepare))
         else:
             self._send(target, "chain_prepare", prepare, size)
 
     # ---------------------------------------------------------- LDM: chains
     # The three chain-hop handlers are plain functions returning the body
-    # generator: the task runs the body itself, with no frame above it.
+    # generator: the task runs the body itself, with no frame above it.  A
+    # hop to this node skips the wire and starts its body inline.
     def _chain_prepare(self, msg: Message):
         return self._chain_prepare_body(msg.payload)
 
@@ -521,7 +519,7 @@ class NdbDatanode(Server):
             )
             target = cc.chain[hop]
             if target == self.addr:
-                self.env.spawn(self._chain_commit_body(nxt))
+                self.env.start(self._chain_commit_body(nxt))
             else:
                 self._send(target, "chain_commit", nxt, size=128)
 
@@ -549,10 +547,12 @@ class NdbDatanode(Server):
             self._send(cm.tc, "completed", CompletedMsg(cm.txid, cm.seq), size=128)
 
     def _write_redo(self) -> None:
-        """Asynchronously append to the redo log (REP/IO threads + disk)."""
-        self.rep_pool.submit(self.costs.send_msg)
-        self.io_pool.submit(self.costs.send_msg)
-        self.disk.write(self.costs.redo_bytes_per_write)
+        """Append to the redo log: the REP/IO threads and the disk are
+        charged (Fig. 11 accounting).  Nothing waits on it, so no kernel
+        entry is scheduled."""
+        self.rep_pool.charge(self.costs.send_msg)
+        self.io_pool.charge(self.costs.send_msg)
+        self.disk.append(self.costs.redo_bytes_per_write)
 
     # ------------------------------------------------------------ TC: commit
     def _tc_commit(self, msg: Message):
@@ -592,7 +592,7 @@ class NdbDatanode(Server):
             )
             target = op.chain[hop]
             if target == self.addr:
-                self.env.spawn(self._chain_commit_body(commit))
+                self.env.start(self._chain_commit_body(commit))
             else:
                 self._send(target, "chain_commit", commit, size=128)
         # Strict 2PL: the commit point has been reached, read locks go now.
@@ -627,7 +627,7 @@ class NdbDatanode(Server):
                     op.want_completed,
                 )
                 if backup == self.addr:
-                    self.env.spawn(self._complete_body(complete))
+                    self.env.start(self._complete_body(complete))
                 else:
                     self._send(backup, "complete", complete, size=128)
         if waiters:

@@ -26,8 +26,10 @@ Hot-path design (see DESIGN.md §4 "Kernel performance"):
 * :meth:`Environment.schedule_at` / :meth:`Environment.schedule_after`
   schedule a bare ``fn(arg)`` callback through a :class:`_Deferred` heap
   entry — no Event, no value, no processed state.  The network and the
-  CPU/disk resources use it for message delivery and job completion, so an
-  RPC round costs O(1) kernel events instead of O(messages).
+  CPU/disk resources use it for message delivery and the completion of
+  jobs something waits on, so an RPC round costs O(1) kernel events instead
+  of O(messages).  Work nobody waits on is not scheduled at all: it is
+  charged (``CorePool.charge``, ``Disk.append``).
 * Two queues, one order.  Entries scheduled *for the current instant at
   normal priority* (``succeed``/``fail``, process bootstraps and re-wakes,
   CorePool done-events — most of a figure run's entries)

@@ -2,7 +2,10 @@
 
 These are deliberately lightweight (callback-driven, no generator per job)
 because the benchmark harness pushes hundreds of thousands of jobs through
-them per run.
+them per run.  Work something waits on is scheduled (``CorePool.submit``,
+``Disk.write``/``read`` return the event to wait on); bookkeeping nobody
+waits on is only accounted (``CorePool.charge``, ``Disk.append``), so it
+costs no kernel entry.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ class CorePool:
     """A pool of identical CPU cores with a shared FIFO run queue.
 
     ``submit(cost)`` returns an event that triggers once a core has executed
-    the job for ``cost`` milliseconds.  Busy time is accumulated for
-    utilization reporting (see :mod:`repro.metrics.utilization`).
+    the job for ``cost`` milliseconds.  ``charge(cost)`` only accounts such
+    a job, for pools whose work nothing waits on.  Busy time is accumulated
+    for utilization reporting (see :mod:`repro.metrics.utilization`).
     """
 
     def __init__(self, env: Environment, cores: int, name: str = "cpu"):
@@ -92,6 +96,19 @@ class CorePool:
         else:
             self._pending.append(done)
         return done
+
+    def charge(self, cost: float) -> None:
+        """Account a job costing ``cost`` ms of CPU that nothing waits on.
+
+        Busy time and ``jobs_done`` accrue now, and nothing is scheduled or
+        queued: no sequence number, no completion, no done-event.  Only for
+        a pool nobody waits on (the NDB REP and IO threads): such a pool's
+        jobs never hold a core that a waited ``submit`` could queue behind.
+        """
+        if cost < 0:
+            raise ValueError(f"negative CPU cost {cost}")
+        self.busy_time += cost
+        self.jobs_done += 1
 
     @property
     def queue_length(self) -> int:
@@ -196,8 +213,9 @@ class Store:
 class Disk:
     """A disk with a fixed sequential bandwidth and a FIFO queue.
 
-    Used for the NDB redo log / checkpoints, the Ceph MDS journal, and OSD
-    object writes.  Bandwidth is in bytes per millisecond.
+    Used for the NDB redo log / checkpoints (``append``: nothing waits on
+    them), the Ceph MDS journal, and OSD object writes.  Bandwidth is in
+    bytes per millisecond.
     """
 
     def __init__(self, env: Environment, bandwidth_bytes_per_ms: float, name: str = "disk"):
@@ -230,6 +248,21 @@ class Disk:
     def read(self, nbytes: int) -> Event:
         self.bytes_read += nbytes
         return self._transfer(nbytes)
+
+    def append(self, nbytes: int) -> None:
+        """Queue a write nothing waits on (redo log, checkpoint bytes).
+
+        It takes the bytes, busy time and queue position a ``write`` would,
+        so a waited transfer behind it completes when it would behind a
+        ``write``; no completion is scheduled.
+        """
+        self.bytes_written += nbytes
+        # _transfer's queueing arithmetic, inlined rather than shared so
+        # the waited transfers (Ceph journal, OSD) pay no extra call.
+        duration = nbytes / self.bandwidth
+        start = max(self.env.now, self._drain_at)
+        self._drain_at = start + duration
+        self.busy_time += duration
 
     def utilization(self, window: float, busy_at_window_start: float = 0.0) -> float:
         if window <= 0:

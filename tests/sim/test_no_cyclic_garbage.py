@@ -124,6 +124,36 @@ def test_task_storm_leaves_no_cyclic_garbage():
     assert not found
 
 
+def test_nested_starts_leave_no_cyclic_garbage():
+    """A task that starts another before its own first yield, as a local
+    NDB chain hop does from inside the handler that dispatches it."""
+    with _cyclic_garbage() as found:
+        env = Environment()
+        done = []
+
+        def failing():
+            yield env.timeout(1)
+            raise ValueError("handled by the hop")
+
+        def hop(i, depth):
+            if depth:
+                env.start(hop(i, depth - 1))
+            timer = env.timeout(i % 3)
+            yield timer
+            yield timer  # processed: resumes through a _Wakeup
+            try:
+                yield env.process(failing())
+            except ValueError:
+                done.append((i, depth))
+
+        for i in range(300):
+            (env.start if i % 2 else env.spawn)(hop(i, 3))
+        env.run()
+        assert len(done) == 1200
+        del env
+    assert not found
+
+
 def test_hopsfs_point_leaves_no_cyclic_garbage():
     # run_point's own sequence, unrolled so the deployment is still alive
     # (and so not itself garbage) when the collector looks.
@@ -172,6 +202,19 @@ def test_fail_stop_request_loop_leaves_no_cyclic_garbage():
         busy, timeouts, failovers = _clients_of(result)
         assert (busy, timeouts) == (0, 0) and failovers > 0
         assert result.extra["collector"].failed_errors["FileNotFoundFsError"] > 0
+    assert not found
+
+
+def test_group_commit_retries_leave_no_cyclic_errors():
+    """An NN crash under async commit aborts group-commit batches; the
+    committer keeps the abort for the batch retry without its traceback."""
+    with _cyclic_garbage() as found:
+        result = run_scenario("async-commit-crash", setup="hopsfs-cl-3-3")
+        namenodes = result.extra["harness"].deployment.namenodes
+        assert sum(nn.committer.batches_committed for nn in namenodes) > 0
+    # What is left is the group-commit gather's AnyOf callback cycle
+    # (ROADMAP item 8): bound methods only, no error, process or task.
+    found.pop("method", None)
     assert not found
 
 

@@ -214,6 +214,19 @@ _OPS = st.recursive(
     max_leaves=12,
 )
 _PROGRAMS = st.lists(_OPS, min_size=1, max_size=4)
+
+
+def _nested_start(inner, rest, parent_rest):
+    """A body whose first op starts a task that, before its own first
+    yield, starts another: a local chain hop started from its handler."""
+    return [("start", [("start", inner), *rest]), *parent_rest]
+
+
+_NESTED_PROGRAMS = st.builds(
+    lambda nested, others: [nested, *others],
+    st.builds(_nested_start, _OPS, _OPS, _OPS),
+    st.lists(_OPS, max_size=3),
+)
 _CUTS = st.lists(st.sampled_from([0, 0, 0.5, 1, 1.5, 2, 3.5]), max_size=5).map(sorted)
 
 
@@ -246,9 +259,7 @@ def _drive_step(env, cuts, failures):
             failures.append((env.now, str(boom)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(program=_PROGRAMS, cuts=_CUTS)
-def test_two_queue_dispatch_matches_the_single_heap_kernel(program, cuts):
+def _matches_the_oracle(program, cuts):
     oracle = SingleHeapEnvironment()
     expected = _World(oracle, program)
     expected_failures = []
@@ -267,6 +278,18 @@ def test_two_queue_dispatch_matches_the_single_heap_kernel(program, cuts):
             assert not env._ready and not env._queue
             if traced:
                 assert env.trace == oracle.trace, drive.__name__
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=_PROGRAMS, cuts=_CUTS)
+def test_two_queue_dispatch_matches_the_single_heap_kernel(program, cuts):
+    _matches_the_oracle(program, cuts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=_NESTED_PROGRAMS, cuts=_CUTS)
+def test_nested_starts_match_the_single_heap_kernel(program, cuts):
+    _matches_the_oracle(program, cuts)
 
 
 # ------------------------------------------------------------ the unit cases
@@ -376,6 +399,43 @@ def test_a_raising_task_fails_the_run_where_an_unwaited_process_would(traced):
         seen.append((failed_at, order, env._seq, env.trace))
     assert seen[0] == seen[1] == seen[2]
     assert seen[0][0][2] == ["other timer", "same instant"]
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_a_nested_start_that_raises_fails_the_run_at_its_queued_failure(traced):
+    """The started task's failure is queued, not raised into the task that
+    started it: that one runs on, and the run fails at the dispatch of the
+    failure, after the entries queued before it."""
+    seen = []
+    for env in (SingleHeapEnvironment(), Environment()):
+        if type(env) is Environment:
+            env.trace = [] if traced else None
+        order = []
+
+        def child():
+            order.append("child")
+            raise _Boom("nested")
+            yield  # a generator
+
+        def parent():
+            yield env.timeout(1)
+            env.event().succeed().add_callback(lambda _e: order.append("queued before"))
+            env.start(child())
+            order.append("parent continues")
+            yield env.timeout(1)
+            order.append("parent done")
+
+        env.spawn(parent())
+        env.timeout(1).add_callback(lambda _e: order.append("other timer"))
+        with pytest.raises(_Boom, match="nested"):
+            env.run()
+        failed_at = (env.now, env._seq, order[:])
+        env.run()
+        seen.append((failed_at, order, env._seq, traced and env.trace))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == (
+        1, 6, ["other timer", "child", "parent continues", "queued before"])
+    assert seen[0][1][-1] == "parent done"
 
 
 def test_a_task_waiting_on_a_processed_event_resumes_through_a_wakeup():

@@ -173,3 +173,54 @@ def test_disk_rejects_zero_bandwidth():
     env = Environment()
     with pytest.raises(ValueError):
         Disk(env, bandwidth_bytes_per_ms=0)
+
+
+# ------------------------------------------------ accounting nobody waits on
+def test_corepool_charge_accounts_the_job_and_schedules_nothing():
+    env = Environment()
+    pool = CorePool(env, cores=1)
+    seq = env._seq
+    pool.charge(2.5)
+    pool.charge(0.5)
+    assert pool.busy_time == 3.0 and pool.jobs_done == 2
+    assert env._seq == seq and not env._queue and not env._ready
+    # It holds no core: a waited job right after it is served at once.
+    assert pool.in_service == 0 and pool.queue_length == 0
+    with pytest.raises(ValueError):
+        pool.charge(-1)
+
+
+def _drain_times(first_is_append):
+    env = Environment()
+    disk = Disk(env, bandwidth_bytes_per_ms=100)
+    done = []
+
+    def writer():
+        yield env.timeout(1)
+        if first_is_append:
+            disk.append(300)
+        else:
+            disk.write(300)
+        yield disk.write(200)
+        done.append(env.now)
+
+    env.run_process(writer())
+    return disk, done
+
+
+def test_disk_append_accounts_exactly_what_write_would():
+    appended, appended_done = _drain_times(first_is_append=True)
+    written, written_done = _drain_times(first_is_append=False)
+    for attr in ("bytes_written", "busy_time", "_drain_at"):
+        assert getattr(appended, attr) == getattr(written, attr), attr
+    # The waited write queued behind the append completes as behind a write.
+    assert appended_done == written_done == [6]
+
+
+def test_disk_append_schedules_nothing():
+    env = Environment()
+    disk = Disk(env, bandwidth_bytes_per_ms=100)
+    seq = env._seq
+    disk.append(1000)
+    assert env._seq == seq and not env._queue and not env._ready
+    assert disk.bytes_written == 1000 and disk._drain_at == 10
