@@ -17,7 +17,6 @@ One :class:`NdbDatanode` hosts:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Hashable, Optional
 
 from ..errors import (
@@ -143,8 +142,6 @@ class NdbDatanode(Server):
         self.last_heartbeat_from: dict[NodeAddress, float] = {}
         self._rng = cluster.rng.stream(f"ndbd:{addr}")
         self._send_now_cb = self._send_now
-        self._reply_now_cb = self._reply_now
-        self._received_cb = self._received
         # Partitions are pinned to LDM threads.  A node-group member holds
         # the partitions congruent to its group index, and is *primary* for
         # every R-th of those; dividing by groups*R decorrelates the thread
@@ -179,10 +176,10 @@ class NdbDatanode(Server):
 
     # --------------------------------------------------------------- dispatch
     # A message runs to completion on the Table II threads: its delivery
-    # submits the RECV job, and only the handler that job leads to is a task.
+    # hands it to the RECV thread, and only the handler that job leads to
+    # is a task.  A thread hand-off is ``CorePool.call(cost, fn, arg)``.
     def _on_message(self, msg: Message) -> None:
-        # A fresh job: its first waiter slot is free.
-        self.recv_pool.submit(self.costs.recv_msg)._cb1 = partial(self._received_cb, msg)
+        self.recv_pool.call(self.costs.recv_msg, self._received, msg)
 
     # RPC-shaped message kinds that get a server-side span when tracing.
     # Chain/ack traffic is fire-and-forget and already visible through the
@@ -192,7 +189,7 @@ class NdbDatanode(Server):
         {"tc_read", "tc_scan", "tc_write", "tc_commit", "tc_abort", "ldm_read", "ldm_scan"}
     )
 
-    def _received(self, msg: Message, _job: Event) -> None:
+    def _received(self, msg: Message) -> None:
         """RECV done: start the message's handler as a task."""
         handler = self._HANDLERS.get(msg.kind) if self.running else None
         if handler is None:
@@ -224,24 +221,23 @@ class NdbDatanode(Server):
         finally:
             obs.tracer.finish(span)
 
-    # _send/_reply run once per outgoing message: the SEND-thread completion
-    # carries its arguments in one ``partial`` over a method bound once per
-    # node, not in a closure (a function, a cell tuple and a cell per
-    # captured name, all of which the collector would have to walk).  The
-    # job is fresh, so the partial goes straight into its first waiter slot.
+    # _send/_reply run once per outgoing message: the message is built now
+    # and handed to the SEND thread, which puts it on the wire through a
+    # method bound once per node.
     def _send(self, dst: NodeAddress, kind: str, payload: Any, size: int):
         """Charge the SEND thread, then put the message on the wire."""
-        self.send_pool.submit(self.costs.send_msg)._cb1 = partial(
-            self._send_now_cb, Message(self.addr, dst, kind, payload, size)
+        self.send_pool.call(
+            self.costs.send_msg, self._send_now_cb, Message(self.addr, dst, kind, payload, size)
         )
 
-    def _send_now(self, message: Message, _done: Event) -> None:
+    def _send_now(self, message: Message) -> None:
         if self.running:
             self.network.send(message)
 
     def _reply(self, request: Message, payload: Any = None, ok: bool = True, size: int = 128):
-        self.send_pool.submit(self.costs.send_msg)._cb1 = partial(
-            self._reply_now_cb, request, payload, ok, size
+        self.send_pool.call(
+            self.costs.send_msg, self._send_now_cb,
+            self.network.reply_message(request, payload, ok, size),
         )
 
     def _abort_reply(self, request: Message, exc: Exception) -> None:
@@ -249,10 +245,6 @@ class NdbDatanode(Server):
         leaves without its traceback: the handler frame it names may hold
         the failed event that carries it, a reference cycle."""
         self._reply(request, TransactionAbortedError(str(exc.with_traceback(None))), ok=False)
-
-    def _reply_now(self, request: Message, payload: Any, ok: bool, size: int, _done: Event) -> None:
-        if self.running:
-            self.network.reply(request, payload=payload, ok=ok, size=size)
 
     # ------------------------------------------------------------- TC helpers
     def _txn(self, txid: int, client_az: AzId) -> _TcTxn:

@@ -1,26 +1,30 @@
 """Message-passing network with AZ latencies, partitions and RPC.
 
 Messages between hosts are delayed by the Table I latency for the AZ pair
-(see :mod:`repro.net.topology`), accounted in a :class:`TrafficMatrix`, and
-dropped when the destination is down or partitioned away.  A request is
-delivered by calling the handler its destination registered; one sent to an
-address with no handler (a client host, a server not yet started) is
-dropped.  RPCs fail fast with :class:`HostUnreachableError` when their peer
-dies or is cut off — modelling the TCP connection reset a real client would
-observe.
+(see :mod:`repro.net.topology`) and dropped when the destination is down or
+partitioned away.  Each delivery is counted on its (src, dst) route, and
+``Network.traffic`` is a live :class:`~repro.net.traffic.TrafficMatrix` view
+over the routes.  A request is delivered by calling the handler its
+destination registered; one sent to an address with no handler (a client
+host, a server not yet started) is dropped.  A reply completes its RPC in
+the delivery itself.  RPCs fail fast with :class:`HostUnreachableError`
+when their peer dies or is cut off — modelling the TCP connection reset a
+real client would observe.
 """
 
 from __future__ import annotations
 
 import itertools
+from heapq import heappush
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from ..errors import HostUnreachableError, NetworkError, RpcTimeoutError
 from ..sim import Environment, Event
+from ..sim.kernel import PRIORITY_NORMAL, _PENDING, _Deferred  # hot paths inline kernel scheduling
 from ..types import AzId, NodeAddress
 from .topology import Topology
-from .traffic import TrafficMatrix
+from .traffic import RouteTraffic
 
 __all__ = ["Message", "Network", "DEFAULT_MESSAGE_BYTES"]
 
@@ -44,7 +48,7 @@ class Message:
 
     __slots__ = (
         "src", "dst", "kind", "payload", "size", "rpc_id", "is_reply", "ok",
-        "send_time", "extra", "route",
+        "extra", "route",
     )
 
     def __init__(
@@ -57,7 +61,6 @@ class Message:
         rpc_id: Optional[int] = None,
         is_reply: bool = False,
         ok: bool = True,
-        send_time: float = 0.0,
         extra: Mapping = _NO_EXTRA,
     ):
         self.src = src
@@ -68,7 +71,6 @@ class Message:
         self.rpc_id = rpc_id
         self.is_reply = is_reply
         self.ok = ok
-        self.send_time = send_time
         self.extra = extra
         self.route = None
 
@@ -80,38 +82,36 @@ class Message:
 
 
 class _Route:
-    """Everything ``send``/``_deliver`` need to know about one (src, dst).
+    """Everything ``send``/``_deliver`` need to know about one (src, dst),
+    and the pair's delivered traffic.
 
     Resolved once per pair from the two hosts' placement, which is fixed
     when a host is added (``Topology.add_host`` only ever adds hosts), so a
-    record never goes stale.  The ``NodeTraffic`` counters are bound at the
-    first *delivery*, not at resolution, so ``TrafficMatrix.node`` gains
-    its entries exactly when ``TrafficMatrix.record`` would create them.
+    record never goes stale.  ``bytes``/``messages`` count what
+    ``_deliver`` delivered on the pair; ``Network.traffic`` reads them.
     """
 
-    __slots__ = ("latency", "cross_az", "az_pair", "src_traffic", "dst_traffic")
+    __slots__ = ("src", "dst", "latency", "cross_az", "az_pair", "bytes", "messages")
 
-    def __init__(self, latency: float, src_az: AzId, dst_az: AzId):
+    def __init__(self, src: NodeAddress, dst: NodeAddress, latency: float,
+                 src_az: AzId, dst_az: AzId):
+        self.src = src
+        self.dst = dst
         self.latency = latency  # Table I base delay: no degradation, no jitter
         self.cross_az = src_az != dst_az
         self.az_pair = (src_az, dst_az)
-        self.src_traffic = None
-        self.dst_traffic = None
+        self.bytes = 0
+        self.messages = 0
 
 
 class _Rpc(Event):
     """Completion event of one RPC, carrying its own endpoints.
 
     One object per call in the pending table instead of an event plus a
-    ``(done, src, dst)`` tuple.
+    ``(done, src, dst)`` tuple.  Built by :meth:`Network.call`.
     """
 
     __slots__ = ("src", "dst")
-
-    def __init__(self, env: Environment, src: NodeAddress, dst: NodeAddress):
-        super().__init__(env)
-        self.src = src
-        self.dst = dst
 
 
 class Network:
@@ -127,7 +127,10 @@ class Network:
     ):
         self.env = env
         self.topology = topology
-        self.traffic = TrafficMatrix()
+        # Routes in the order of their first delivery: the traffic view's
+        # order, which is the order ``TrafficMatrix.record`` would keep.
+        self._delivered: list[_Route] = []
+        self.traffic = RouteTraffic(self._delivered)
         self.jitter_frac = jitter_frac
         self.rng = rng
         # Finite inter-AZ fabric capacity: every cross-AZ message queues on
@@ -243,22 +246,25 @@ class Network:
         return base
 
     def _route(self, src: NodeAddress, dst: NodeAddress) -> _Route:
-        try:
-            return self._routes[(src, dst)]
-        except KeyError:
+        """The pair's record, resolved and stored on first use."""
+        route = self._routes.get((src, dst))
+        if route is None:
             topology = self.topology
-            route = _Route(topology.latency(src, dst), topology.az_of(src), topology.az_of(dst))
-            self._routes[(src, dst)] = route
-            return route
+            route = self._routes[(src, dst)] = _Route(
+                src, dst, topology.latency(src, dst), topology.az_of(src), topology.az_of(dst))
+        return route
 
-    def _link_delay(self, size: int) -> float:
-        """Queueing delay of a cross-AZ message on the finite-bandwidth fabric."""
-        duration = size / self.az_link_bandwidth
-        start = max(self.env.now, self._fabric_drain_at)
-        self._fabric_drain_at = start + duration
-        return self._fabric_drain_at - self.env.now
-
-    def send(self, message: Message) -> None:
+    # send() hand-inlines the route hit, the fabric queue and the deferred
+    # delivery entry (Environment.schedule_at): it runs once per message.
+    # Keep in sync with kernel internals, as CorePool.submit does.
+    def send(
+        self,
+        message: Message,
+        _dnew=_Deferred.__new__,
+        _deferred=_Deferred,
+        _push=heappush,
+        _normal=PRIORITY_NORMAL,
+    ) -> None:
         """Fire-and-forget delivery after the AZ-pair latency.
 
         Consecutive sends resolving to the *same* delivery instant with no
@@ -277,18 +283,28 @@ class Network:
         on, and yields the same float either way.
         """
         env = self.env
-        message.send_time = now = env._now
+        now = env._now
         src = message.src
         if self._down and src in self._down:
             self.dropped_messages += 1
             return
-        route = message.route = self._route(src, message.dst)
+        dst = message.dst
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._route(src, dst)
+        message.route = route
         if self._degraded is None and not self.jitter_frac:
             delay = route.latency
         else:
             delay = self._latency(route)
         if route.cross_az and self.az_link_bandwidth is not None:
-            delay += self._link_delay(message.size)
+            # Queueing delay on the finite-bandwidth inter-AZ fabric.
+            duration = message.size / self.az_link_bandwidth
+            start = self._fabric_drain_at
+            if start < now:  # max(now, drain_at) without the call
+                start = now
+            self._fabric_drain_at = start + duration
+            delay += self._fabric_drain_at - now
         when = now + delay
         if when == self._batch_time and env._seq == self._batch_seq and env.trace is None:
             entry = self._batch_entry
@@ -301,7 +317,11 @@ class Network:
             env._seq += 1  # parity with one-entry-per-message scheduling
             self._batch_seq = env._seq
         else:
-            self._batch_entry = env.schedule_at(when, self._deliver_cb, message)
+            entry = self._batch_entry = _dnew(_deferred)
+            entry.fn = self._deliver_cb
+            entry.arg = message
+            env._seq += 1
+            _push(env._queue, (when, _normal, env._seq, entry))
             self._batch_time = when
             self._batch_seq = env._seq
             self._batch_is_list = False
@@ -311,7 +331,7 @@ class Network:
         for message in messages:
             deliver(message)
 
-    def _deliver(self, message: Message) -> None:
+    def _deliver(self, message: Message, _unset=_PENDING, _normal=PRIORITY_NORMAL) -> None:
         src = message.src
         dst = message.dst
         if (self._down or self._partitions) and not self.reachable(src, dst):
@@ -319,22 +339,35 @@ class Network:
             if message.rpc_id is not None and not message.is_reply:
                 self._fail_rpc(message.rpc_id)
             return
-        # Inline TrafficMatrix.record() on the pair's resolved counters.
+        # Count the delivery on its route; ``traffic`` reads the routes.
         route = message.route  # None if the message never went through send()
         if route is None:
             route = self._route(src, dst)
-        traffic = self.traffic
-        size = message.size
-        traffic.az_pair_bytes[route.az_pair] += size
-        src_traffic = route.src_traffic
-        if src_traffic is None:
-            src_traffic = route.src_traffic = traffic.node[src]
-            route.dst_traffic = traffic.node[dst]
-        src_traffic.sent += size
-        route.dst_traffic.received += size
-        traffic.messages += 1
+        route.bytes += message.size
+        if route.messages:
+            route.messages += 1
+        else:
+            route.messages = 1
+            self._delivered.append(route)
         if message.is_reply:
-            self._complete_rpc(message)
+            # Complete the caller's RPC here.  Success is done.succeed()
+            # inlined: the event is call()'s own and pending, so its value
+            # and one ready entry are all there is to it.
+            done = self._pending.pop(message.rpc_id, None)
+            if done is None:
+                # Caller gave up (timeout) / already failed: deterministic discard.
+                self.late_replies += 1
+            elif done._value is _unset:
+                if message.ok:
+                    done._value = message.payload
+                    env = self.env
+                    env._seq += 1
+                    env._ready.append((env._now, _normal, env._seq, done))
+                else:
+                    exc = message.payload
+                    if not isinstance(exc, BaseException):
+                        exc = NetworkError(f"remote error: {exc!r}")
+                    done.fail(exc)
             return
         handler = self._handlers.get(dst)
         if handler is None:
@@ -355,6 +388,9 @@ class Network:
         parent_span=None,
         timeout_ms: Optional[float] = None,
         extra: Optional[dict] = None,
+        _new=_Rpc.__new__,
+        _cls=_Rpc,
+        _unset=_PENDING,
     ) -> Event:
         """Send a request; the returned event triggers with the reply payload.
 
@@ -375,17 +411,28 @@ class Network:
         the request carries the span id in ``Message.extra`` so the remote
         handler can parent its own spans under this call.
         """
+        env = self.env
         rpc_id = next(self._rpc_ids)
-        done = self._pending[rpc_id] = _Rpc(self.env, src, dst)
+        # Hand-inlined Event construction, as Environment.event() does.
+        done = _new(_cls)
+        done.env = env
+        done._cb1 = None
+        done._cbs = None
+        done._value = _unset
+        done._ok = True
+        done._defused = False
+        done.src = src
+        done.dst = dst
+        self._pending[rpc_id] = done
         message = Message(src, dst, kind, payload, size, rpc_id)
         if extra:
             message.extra = dict(extra)
-        obs = self.env.obs
+        obs = env.obs
         if obs is not None:
             self._trace_call(obs, message, done, parent_span)
         self.send(message)
         if timeout_ms is not None:
-            self.env.schedule_after(timeout_ms, self._rpc_timeout, rpc_id)
+            env.schedule_after(timeout_ms, self._rpc_timeout, rpc_id)
         return done
 
     def _rpc_timeout(self, rpc_id: int) -> None:
@@ -431,6 +478,19 @@ class Network:
 
         done.add_callback(_finish)
 
+    @staticmethod
+    def reply_message(
+        request: Message,
+        payload: Any = None,
+        ok: bool = True,
+        size: int = DEFAULT_MESSAGE_BYTES,
+    ) -> Message:
+        """The reply to ``request``, addressed back to its caller, unsent."""
+        if request.rpc_id is None:
+            raise NetworkError(f"message {request.kind!r} is not an RPC request")
+        return Message(request.dst, request.src, request.kind, payload, size,
+                       request.rpc_id, True, ok)
+
     def reply(
         self,
         request: Message,
@@ -439,28 +499,7 @@ class Network:
         size: int = DEFAULT_MESSAGE_BYTES,
     ) -> None:
         """Send the reply for ``request`` back to its caller."""
-        if request.rpc_id is None:
-            raise NetworkError(f"message {request.kind!r} is not an RPC request")
-        self.send(
-            Message(request.dst, request.src, request.kind, payload, size,
-                    request.rpc_id, True, ok)
-        )
-
-    def _complete_rpc(self, reply: Message) -> None:
-        done = self._pending.pop(reply.rpc_id, None)
-        if done is None:
-            # Caller gave up (timeout) / already failed: deterministic discard.
-            self.late_replies += 1
-            return
-        if done.triggered:
-            return
-        if reply.ok:
-            done.succeed(reply.payload)
-        else:
-            exc = reply.payload
-            if not isinstance(exc, BaseException):
-                exc = NetworkError(f"remote error: {exc!r}")
-            done.fail(exc)
+        self.send(self.reply_message(request, payload, ok, size))
 
     def _fail_rpc(self, rpc_id: int) -> None:
         done = self._pending.pop(rpc_id, None)

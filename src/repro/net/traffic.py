@@ -3,7 +3,9 @@
 Figures 12 and 13 of the paper report average network read/write per
 metadata-storage node and per metadata server; Section V-E's argument for
 Read Backup is about minimizing cross-AZ bytes.  Every message the network
-delivers is accounted here.
+delivers is accounted: ``Network`` counts it on the message's route, and
+``Network.traffic`` is a :class:`RouteTraffic`, a live matrix over those
+routes.  Snapshots and deltas are standalone :class:`TrafficMatrix` records.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 from ..types import AzId, NodeAddress
 
-__all__ = ["TrafficMatrix", "NodeTraffic"]
+__all__ = ["TrafficMatrix", "NodeTraffic", "RouteTraffic"]
 
 
 @dataclass
@@ -24,7 +26,7 @@ class NodeTraffic:
     received: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class TrafficMatrix:
     """Aggregated byte counters for one simulation run."""
 
@@ -41,6 +43,13 @@ class TrafficMatrix:
         self.node[src].sent += nbytes
         self.node[dst].received += nbytes
         self.messages += 1
+
+    def __eq__(self, other: object) -> bool:
+        # By value, so a live view equals the standalone matrix it reads as.
+        if not isinstance(other, TrafficMatrix):
+            return NotImplemented
+        return (self.messages == other.messages and self.az_pair_bytes == other.az_pair_bytes
+                and self.node == other.node)
 
     # -- aggregate views ----------------------------------------------------
     @property
@@ -84,6 +93,39 @@ class TrafficMatrix:
                 delta.node[addr] = NodeTraffic(sent, received)
         delta.messages = self.messages - snap.messages
         return delta
+
+
+class RouteTraffic(TrafficMatrix):
+    """A read-only :class:`TrafficMatrix` over per-route counters.
+
+    ``routes`` is the network's list of routes in the order of their first
+    delivery; each carries ``src``, ``dst``, ``az_pair``, ``bytes`` and
+    ``messages``.  Every read builds the matrix from them afresh, with the
+    keys of ``node`` and ``az_pair_bytes`` in the order
+    :meth:`TrafficMatrix.record` would have created them.
+    """
+
+    def __init__(self, routes: list):
+        self._routes = routes
+
+    @property
+    def az_pair_bytes(self) -> dict[tuple[AzId, AzId], int]:
+        pairs = defaultdict(int)
+        for route in self._routes:
+            pairs[route.az_pair] += route.bytes
+        return pairs
+
+    @property
+    def node(self) -> dict[NodeAddress, NodeTraffic]:
+        node = defaultdict(NodeTraffic)
+        for route in self._routes:
+            node[route.src].sent += route.bytes
+            node[route.dst].received += route.bytes
+        return node
+
+    @property
+    def messages(self) -> int:
+        return sum(route.messages for route in self._routes)
 
 
 @dataclass

@@ -25,14 +25,16 @@ Hot-path design (see DESIGN.md §4 "Kernel performance"):
   per-process wake generation counter.
 * :meth:`Environment.schedule_at` / :meth:`Environment.schedule_after`
   schedule a bare ``fn(arg)`` callback through a :class:`_Deferred` heap
-  entry — no Event, no value, no processed state.  The network and the
-  CPU/disk resources use it for message delivery and the completion of
-  jobs something waits on, so an RPC round costs O(1) kernel events instead
-  of O(messages).  Work nobody waits on is not scheduled at all: it is
-  charged (``CorePool.charge``, ``Disk.append``).
+  entry — no Event, no value, no processed state.  Message delivery
+  (``Network.send`` pushes its entry inline), CPU job completion and disk
+  transfers use it, so an RPC round costs O(1) kernel events instead of
+  O(messages); a ``CorePool.call`` job is itself a ``_Deferred`` that runs
+  its callback from the ready queue when done (a thread hand-off).  Work
+  nobody waits on is not scheduled at all: it is charged
+  (``CorePool.charge``, ``Disk.append``).
 * Two queues, one order.  Entries scheduled *for the current instant at
   normal priority* (``succeed``/``fail``, process bootstraps and re-wakes,
-  CorePool done-events — most of a figure run's entries)
+  CorePool done-events and calls — most of a figure run's entries)
   go to a FIFO ``deque``, everything else to the timer heap, and dispatch
   takes the smaller head of the two.  The deque holds the same ``(time,
   priority, seq, item)`` tuples and is a sorted run by construction (one
@@ -133,8 +135,7 @@ class _Deferred:
     (message delivery, CPU job completion, lock expiry): no value, no
     waiter slots, no processed state, nothing to defuse.  ``fn``/``arg``
     are deliberately mutable so the network layer can coalesce several
-    same-instant deliveries into one heap entry (see
-    ``Network._schedule_delivery``).
+    same-instant deliveries into one heap entry (see ``Network.send``).
     """
 
     __slots__ = ("fn", "arg")
@@ -338,9 +339,28 @@ class _ConditionBase(Event):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-            return
-        self._pending_count -= 1
-        self._on_success(event)
+        else:
+            self._pending_count -= 1
+            self._on_success(event)
+            if self._value is _PENDING:
+                return
+        self._detach()
+
+    def _detach(self) -> None:
+        """Take the triggered condition's observer off the events still pending.
+
+        It would only ignore them, and an event that never fires would hold
+        condition -> ``events`` -> event -> observer -> condition as a
+        reference cycle.  An event left with no waiter is defused: the
+        stale observer used to absorb that event's later failure.
+        """
+        observe = self._observe
+        for event in self.events:
+            cb1 = event._cb1
+            if cb1 is not _PROCESSED and (cb1 == observe or observe in (event._cbs or ())):
+                event._remove_callback(observe)
+                if event._cb1 is None:
+                    event._defused = True
 
     def _collect(self) -> dict:
         # Processed events count, and so does an AnyOf sibling that fired in

@@ -2,17 +2,18 @@
 
 These are deliberately lightweight (callback-driven, no generator per job)
 because the benchmark harness pushes hundreds of thousands of jobs through
-them per run.  Work something waits on is scheduled (``CorePool.submit``,
-``Disk.write``/``read`` return the event to wait on); bookkeeping nobody
-waits on is only accounted (``CorePool.charge``, ``Disk.append``), so it
-costs no kernel entry.
+them per run.  Work something waits on is scheduled: ``CorePool.submit``
+and ``Disk.write``/``read`` return the event to wait on, and
+``CorePool.call`` runs a plain callback when its job is done (a thread
+hand-off).  Bookkeeping nobody waits on is only accounted
+(``CorePool.charge``, ``Disk.append``), so it costs no kernel entry.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Any, Deque
+from typing import Any, Callable, Deque
 
 from .kernel import PRIORITY_NORMAL, Environment, Event
 from .kernel import _PENDING, _Deferred  # hot paths inline kernel scheduling
@@ -34,13 +35,27 @@ class _Job(Event):
     __slots__ = ("cost",)
 
 
+class _Call(_Deferred):
+    """A CorePool job whose waiter is the callback ``fn(arg)``.
+
+    It is the queued job and, once done, the ready entry itself, where a
+    ``_Job`` is a done-event that resumes its waiter: the dispatch loop's
+    ``_Deferred`` branch calls ``fn(arg)``.  Same sequence number, same
+    queue position; no event, no waiter slot.
+    """
+
+    __slots__ = ("cost",)
+
+
 class CorePool:
     """A pool of identical CPU cores with a shared FIFO run queue.
 
     ``submit(cost)`` returns an event that triggers once a core has executed
-    the job for ``cost`` milliseconds.  ``charge(cost)`` only accounts such
-    a job, for pools whose work nothing waits on.  Busy time is accumulated
-    for utilization reporting (see :mod:`repro.metrics.utilization`).
+    the job for ``cost`` milliseconds; ``call(cost, fn, arg)`` runs
+    ``fn(arg)`` at that same dispatch instead.  ``charge(cost)`` only
+    accounts such a job, for pools whose work nothing waits on.  Busy time
+    is accumulated for utilization reporting (see
+    :mod:`repro.metrics.utilization`).
     """
 
     def __init__(self, env: Environment, cores: int, name: str = "cpu"):
@@ -52,7 +67,7 @@ class CorePool:
         self.busy_time = 0.0
         self.jobs_done = 0
         self._free = cores
-        self._pending: Deque[_Job] = deque()
+        self._pending: Deque[_Job | _Call] = deque()
         # One bound method for the pool's lifetime; completions are the
         # busiest deferred callback in a figure run.
         self._complete_cb = self._complete
@@ -97,6 +112,37 @@ class CorePool:
             self._pending.append(done)
         return done
 
+    def call(
+        self,
+        cost: float,
+        fn: Callable[[Any], None],
+        arg: Any,
+        _new=_Call.__new__,
+        _cls=_Call,
+        _dnew=_Deferred.__new__,
+        _deferred=_Deferred,
+        _push=heappush,
+        _normal=PRIORITY_NORMAL,
+    ) -> None:
+        """Enqueue a job costing ``cost`` ms of CPU; ``fn(arg)`` runs when
+        it is done, exactly where a ``submit`` waiter would resume."""
+        if cost < 0:
+            raise ValueError(f"negative CPU cost {cost}")
+        job = _new(_cls)
+        job.fn = fn
+        job.arg = arg
+        job.cost = cost
+        if self._free > 0:
+            self._free -= 1
+            entry = _dnew(_deferred)
+            entry.fn = self._complete_cb
+            entry.arg = job
+            env = self.env
+            env._seq += 1
+            _push(env._queue, (env._now + cost, _normal, env._seq, entry))
+        else:
+            self._pending.append(job)
+
     def charge(self, cost: float) -> None:
         """Account a job costing ``cost`` ms of CPU that nothing waits on.
 
@@ -120,7 +166,8 @@ class CorePool:
 
     def _complete(
         self,
-        done: _Job,
+        done: _Job | _Call,
+        _job=_Job,
         _dnew=_Deferred.__new__,
         _deferred=_Deferred,
         _push=heappush,
@@ -128,7 +175,9 @@ class CorePool:
     ) -> None:
         self.busy_time += done.cost
         self.jobs_done += 1
-        done._value = None  # inline done.succeed(): done is submit-private
+        if done.__class__ is _job:
+            done._value = None  # inline done.succeed(): done is submit-private
+        # else a _Call: queued as it is, it runs fn(arg) when dispatched.
         env = self.env
         env._seq += 1
         env._ready.append((env._now, _normal, env._seq, done))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 import repro.ndb
 from repro.ndb.messages import ReleaseLocksMsg
 from repro.net.network import Message
@@ -80,4 +81,17 @@ def test_nothing_submits_or_writes_to_the_bookkeeping_resources():
             for path in sorted(package.glob("*.py"))
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if scheduled.search(line)]
+    assert hits == []
+
+
+def test_thread_hand_offs_are_pool_calls():
+    """Outside the kernel nothing puts a waiter in an event's slot (building
+    an event with an empty one aside): a hand-off to a Table II thread is
+    ``CorePool.call(cost, fn, arg)``."""
+    waiter = re.compile(r"\._cb1 = (?!None\b)")
+    package = Path(repro.__file__).parent
+    hits = [f"{path.relative_to(package)}:{n}: {line.strip()}"
+            for path in sorted(package.rglob("*.py")) if path.parent.name != "sim"
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if waiter.search(line)]
     assert hits == []

@@ -1,9 +1,12 @@
 """Per-pair route records against the unresolved path.
 
-``Network`` resolves latency, AZ pair and traffic counters once per
-``(src, dst)``.  ``_Reference`` is the path it replaced: every message asks
-the topology and the fault state again.  A scripted sequence of sends and
-faults must give byte-for-byte the same deliveries and ``TrafficMatrix``.
+``Network`` resolves latency and AZ pair once per ``(src, dst)`` and
+counts what it delivers on that route; ``Network.traffic`` is a live view
+over the routes.  ``_Reference`` is the path it replaced: every message
+asks the topology and the fault state again and records into a
+``TrafficMatrix``.  A scripted sequence of sends and faults must give
+byte-for-byte the same deliveries, and the same matrix — values and key
+order — whenever it is read.
 """
 
 import random
@@ -67,6 +70,17 @@ class _Reference:
             return False
         self.traffic.record(src, src_az, dst, dst_az, size)
         return True
+
+
+# Instants at which both runs read their traffic mid-script (whole
+# milliseconds, like the faults, so no delivery ties with a read).
+_READS = (10.0, 25.0, 50.0)
+
+
+def _frozen(traffic):
+    """A traffic matrix as plain data, key order included."""
+    return (traffic.messages, list(traffic.az_pair_bytes.items()),
+            [(addr, t.sent, t.received) for addr, t in traffic.node.items()])
 
 
 def _script():
@@ -145,9 +159,17 @@ def _run_network(jitter, bandwidth):
             elif action == "add_host":
                 join(*args)
 
+    reads = []
+
+    def reader():
+        for when in _READS:
+            yield env.timeout(when - env.now)
+            reads.append(_frozen(net.traffic))
+
     env.process(driver())
+    env.process(reader())
     env.run(until=200.0)
-    return arrivals, net.traffic, net.dropped_messages
+    return arrivals, net.traffic, net.dropped_messages, reads
 
 
 def _run_reference(jitter, bandwidth):
@@ -158,7 +180,8 @@ def _run_reference(jitter, bandwidth):
     ref = _Reference(topo, jitter, random.Random(5), bandwidth)
     # (time, order, ...) — script steps and the deliveries they cause, merged.
     agenda = [(when, ident, action, args) for ident, (when, action, *args) in enumerate(steps)]
-    arrivals = []
+    agenda += [(when, -1, "read", ()) for when in _READS]
+    arrivals, reads = [], []
     while agenda:
         agenda.sort()
         when, ident, action, args = agenda.pop(0)
@@ -170,6 +193,8 @@ def _run_reference(jitter, bandwidth):
         elif action == "deliver":
             if ref.deliver(*args):
                 arrivals.append((when, ident))
+        elif action == "read":
+            reads.append(_frozen(ref.traffic))
         elif action == "down":
             ref.down.add(*args)
         elif action == "up":
@@ -186,21 +211,23 @@ def _run_reference(jitter, bandwidth):
         elif action == "add_host":
             addr, az, colocated_with = args
             topo.add_host(addr, az=az, colocated_with=colocated_with)
-    return arrivals, ref.traffic, ref.dropped
+    return arrivals, ref.traffic, ref.dropped, reads
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.2])
 @pytest.mark.parametrize("bandwidth", [None, 2000.0])
 def test_routes_match_the_unresolved_path(jitter, bandwidth):
-    arrivals, traffic, dropped = _run_network(jitter, bandwidth)
-    want_arrivals, want_traffic, want_dropped = _run_reference(jitter, bandwidth)
+    arrivals, traffic, dropped, reads = _run_network(jitter, bandwidth)
+    want_arrivals, want_traffic, want_dropped, want_reads = _run_reference(jitter, bandwidth)
     assert len(arrivals) > 150 and want_dropped > 10
     assert arrivals == want_arrivals  # same messages, same float instants
     assert dropped == want_dropped
     assert traffic == want_traffic
-    # ... and the counters came into being in the same order.
-    assert list(traffic.node) == list(want_traffic.node)
-    assert list(traffic.az_pair_bytes) == list(want_traffic.az_pair_bytes)
+    # ... and the counters came into being in the same order, read at the
+    # end and mid-run alike.
+    assert _frozen(traffic) == _frozen(want_traffic)
+    assert len(reads) == len(_READS) and reads == want_reads
+    assert 0 < reads[0][0] < reads[1][0] < reads[2][0] < traffic.messages
 
 
 def test_sender_down_leaves_no_traffic_entry():

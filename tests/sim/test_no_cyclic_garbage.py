@@ -207,15 +207,57 @@ def test_fail_stop_request_loop_leaves_no_cyclic_garbage():
 
 def test_group_commit_retries_leave_no_cyclic_errors():
     """An NN crash under async commit aborts group-commit batches; the
-    committer keeps the abort for the batch retry without its traceback."""
+    committer keeps the abort for the batch retry without its traceback,
+    and the gather's ``any_of([wake, timer])`` lets go of a ``wake`` that
+    never fires."""
     with _cyclic_garbage() as found:
         result = run_scenario("async-commit-crash", setup="hopsfs-cl-3-3")
         namenodes = result.extra["harness"].deployment.namenodes
         assert sum(nn.committer.batches_committed for nn in namenodes) > 0
-    # What is left is the group-commit gather's AnyOf callback cycle
-    # (ROADMAP item 8): bound methods only, no error, process or task.
-    found.pop("method", None)
     assert not found
+
+
+def test_namenode_churn_leaves_no_cyclic_garbage():
+    """Rolling add/decommission under async commit: drained committers
+    leave their gathers' never-fired wake events behind."""
+    with _cyclic_garbage() as found:
+        result = run_scenario("nn-churn", setup="hopsfs-cl-3-3")
+        deployment = result.extra["harness"].deployment
+        assert sum(nn.committer.batches_committed for nn in deployment.namenodes) > 0
+    assert not found
+
+
+def test_a_triggered_condition_lets_go_of_pending_events():
+    """The observer leaves every event still pending; one left with no
+    waiter is defused, so its later failure stays absorbed as before."""
+    env = Environment()
+    never, failing, shared = env.event(), env.event(), env.event()
+    waiter_log = []
+    shared.add_callback(waiter_log.append)
+    timer = env.timeout(1)
+    cond = env.any_of([never, failing, shared, timer])
+    env.run(until=2)
+    assert cond.triggered and cond.ok
+    for event in (never, failing):
+        assert event._cb1 is None and event._cbs is None and event._defused
+    assert shared._cb1 == waiter_log.append and shared._cbs == [] and not shared._defused
+    failing.fail(ValueError("nobody waits any more"))
+    shared.succeed("still delivered")
+    env.run()  # neither raises: the failure stays absorbed
+    assert waiter_log == [shared]
+
+    # All-of: a failed member triggers it; the others are let go of too.
+    env = Environment()
+    ok, bad, later = env.event(), env.event(), env.event()
+    cond = env.all_of([ok, bad, later])
+    cond.defuse()
+    ok.succeed()
+    bad.fail(KeyError("first failure wins"))
+    env.run()
+    assert not cond.ok and isinstance(cond.value, KeyError)
+    assert later._cb1 is None and later._defused
+    later.fail(KeyError("after the fact"))
+    env.run()
 
 
 def test_finished_process_still_behaves():

@@ -1,6 +1,10 @@
 """Unit tests for CorePool, Store, and Disk."""
 
+from functools import partial
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import CorePool, Disk, Environment, Store
 
@@ -224,3 +228,74 @@ def test_disk_append_schedules_nothing():
     disk.append(1000)
     assert env._seq == seq and not env._queue and not env._ready
     assert disk.bytes_written == 1000 and disk._drain_at == 10
+
+
+# ------------------------------------------------- a hand-off is a callback
+# One job of a program: (issued at, cost, how, follow-ups).  "call" jobs are
+# ``pool.call``; "process" jobs are a process waiting on ``pool.submit``.  A
+# finished job issues its follow-up (same cost and kind) from its own
+# callback, so completions and queueing interleave.
+_JOBS = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+              st.sampled_from(["call", "process"]), st.integers(0, 2)),
+    min_size=1, max_size=14,
+)
+
+
+def _run_jobs(cores, jobs, use_call, traced):
+    """The program on a fresh pool: ``call`` jobs as calls, or (reference)
+    as ``submit`` with a ``partial`` waiter.  Returns everything observable."""
+    env = Environment()
+    if traced:
+        env.trace = []
+    pool = CorePool(env, cores)
+    log = []
+
+    def finished(job):
+        ident, cost, how, left = job
+        log.append((env.now, ident, how))
+        if left:
+            issue((ident, cost, how, left - 1))
+
+    def waited(job, _event):
+        finished(job)
+
+    def waiting(job):
+        yield pool.submit(job[1])
+        finished(job)
+
+    def issue(job):
+        if job[2] == "process":
+            env.process(waiting(job))
+        elif use_call:
+            pool.call(job[1], finished, job)
+        else:
+            pool.submit(job[1]).add_callback(partial(waited, job))
+
+    for ident, (at, cost, how, left) in enumerate(jobs):
+        env.schedule_at(at, issue, (ident, cost, how, left))
+    env.run()
+    return log, env.trace, env._seq, pool.jobs_done, pool.busy_time, pool.queue_length
+
+
+@settings(max_examples=120, deadline=None)
+@given(cores=st.sampled_from([1, 3]), jobs=_JOBS)
+def test_call_is_submit_with_a_callback_waiter(cores, jobs):
+    for traced in (False, True):
+        got = _run_jobs(cores, jobs, use_call=True, traced=traced)
+        assert got == _run_jobs(cores, jobs, use_call=False, traced=traced)
+    assert got[0] == _run_jobs(cores, jobs, use_call=True, traced=False)[0]
+
+
+def test_call_queues_behind_busy_cores():
+    env = Environment()
+    pool = CorePool(env, cores=1)
+    done = []
+    for cost in (2, 3, 5):
+        pool.call(cost, done.append, cost)
+    assert pool.in_service == 1 and pool.queue_length == 2
+    env.run()
+    assert done == [2, 3, 5] and env.now == 10
+    assert pool.busy_time == 10 and pool.jobs_done == 3
+    with pytest.raises(ValueError):
+        pool.call(-1, done.append, None)
