@@ -142,8 +142,7 @@ class Mds(Server):
             if ts is not None:
                 now = self.env.now
                 ts.component_sample(
-                    "mds.handle", str(self.addr), self.az,
-                    now - span.start_ms, True, now,
+                    "mds.handle", str(self.addr), now - span.start_ms, True, now,
                 )
 
     def _mds_op_body(self, msg: Message, op: OpType, kwargs, client):

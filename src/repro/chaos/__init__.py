@@ -25,7 +25,6 @@ from .scenarios import (
     run_elastic_comparison,
     run_scenario,
 )
-from .timeline import TimelineCollector
 
 __all__ = [
     "ACTIONS",
@@ -37,7 +36,6 @@ __all__ = [
     "verify_hopsfs",
     "verify_cephfs",
     "verify_target",
-    "TimelineCollector",
     "SCENARIOS",
     "Scenario",
     "ChaosRunResult",

@@ -19,6 +19,8 @@ from ..hopsfs.elastic import ElasticConfig, elastic_summary
 from ..hopsfs.groupcommit import AsyncCommitConfig
 from ..hopsfs.listcache import ListingCacheConfig
 from ..hopsfs.robust import RobustConfig
+from ..metrics.collectors import MetricsCollector
+from ..obs.timeseries import TimeSeriesHub
 from ..sim import DispatchHash
 from ..workloads.driver import ClosedLoopDriver
 from ..workloads.namespace import generate_namespace
@@ -26,7 +28,6 @@ from ..workloads.spotify import SpotifyWorkload
 from .injector import FaultInjector
 from .invariants import InvariantVerdict, verify_target
 from .schedule import FaultSchedule
-from .timeline import TimelineCollector
 
 __all__ = [
     "Scenario",
@@ -49,7 +50,6 @@ class Scenario:
     load_ms: float = 420.0  # workload runs this long (sim ms)
     drain_ms: float = 400.0  # quiesce window after the workload stops
     clients: int = 12
-    bucket_ms: float = 20.0
     seed_large_files: int = 3  # HopsFS: pre-fault block-layer payloads
     # Gray-failure scenarios opt the HopsFS request path into timeouts,
     # deadlines, hedging, the retry cache, and admission control; ``None``
@@ -390,7 +390,9 @@ def run_scenario(
     ``clients`` / ``load_ms`` override the scenario defaults (tests use
     smaller values to keep the suite fast).  Pass an
     :class:`repro.obs.ObsContext` as ``obs`` to trace the run — tracing is
-    schedule-neutral, so the dispatch hash must not change.
+    schedule-neutral, so the dispatch hash must not change.  The driver
+    feeds every op to a :class:`TimeSeriesHub` (``obs.timeseries`` when the
+    caller set one); ``timeline`` is its availability view.
     """
     if isinstance(scenario, str):
         if scenario not in SCENARIOS:
@@ -408,8 +410,7 @@ def run_scenario(
     env.trace = DispatchHash()  # every dispatched (when, priority, seq), hashed as it goes
     if obs is not None:
         obs.attach(env)
-        # Callable-backed gauges over live deployment counters; the
-        # time-series hub (when present) samples them at window seals.
+        # Callable-backed gauges over live deployment counters.
         from ..obs import register_deployment_metrics
 
         register_deployment_metrics(obs, harness)
@@ -425,11 +426,14 @@ def run_scenario(
             f"but the load window is only {run_ms}ms"
         )
     injector = FaultInjector(harness, schedule)
-    collector = TimelineCollector(bucket_ms=scenario.bucket_ms)
+    hub = obs.timeseries if obs is not None else None
+    if hub is None:
+        hub = TimeSeriesHub()
+    collector = MetricsCollector()
     collector.open_window(0)
     client_list = harness.make_clients(n_clients)
     workload = SpotifyWorkload(namespace, seed=seed)
-    driver = ClosedLoopDriver(env, client_list, workload, collector)
+    driver = ClosedLoopDriver(env, client_list, workload, collector, hub=hub)
 
     def scenario_proc():
         yield from harness.ready()
@@ -446,8 +450,7 @@ def run_scenario(
 
     env.run_process(scenario_proc(), until=600_000)
     collector.close_window(env.now)
-    if obs is not None and obs.timeseries is not None:
-        obs.timeseries.finalize(env.now)
+    hub.finalize(env.now)
 
     result = ChaosRunResult(
         scenario=scenario.name,
@@ -455,7 +458,7 @@ def run_scenario(
         seed=seed,
         schedule=schedule.to_dicts(),
         fault_trace=list(injector.trace),
-        timeline=collector.timeline(),
+        timeline=hub.availability(),
         verdicts=verify_target(harness),
         completed=collector.completed,
         failed=collector.failed,

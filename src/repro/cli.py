@@ -439,7 +439,7 @@ def _cmd_monitor(args) -> int:
     try:
         results = [
             run_monitor(name, setup=args.setup, num_servers=args.servers, seed=args.seed,
-                        interval_ms=args.interval, grace_ms=args.grace)
+                        grace_ms=args.grace)
             for name in names
         ]
     except UnsupportedError as exc:
@@ -453,11 +453,6 @@ def _cmd_monitor(args) -> int:
     if args.json:
         _write_json(args.json, {"setup": args.setup, "seed": args.seed,
                                 "runs": [r.to_json() for r in results]})
-    if args.html:
-        with open(args.html, "w") as fh:
-            for r in results:
-                fh.write(r.render_html())
-        print(f"wrote {args.html}")
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -555,15 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="scenario name, 'baseline', 'all' (default), "
                               "or 'list'")
     _add_target_flags(monitor)
-    monitor.add_argument("--interval", type=float, default=10.0,
-                         help="time-series window width, ms (default 10)")
     monitor.add_argument("--grace", type=float, default=60.0,
                          help="post-heal grace for alert matching, ms (default 60)")
     monitor.add_argument("--json", default=None, metavar="PATH",
                          help="write detection scores, alerts, timeline and "
                               "phase breakdown as JSON")
-    monitor.add_argument("--html", default=None, metavar="PATH",
-                         help="write a self-contained HTML report")
     monitor.set_defaults(func=_cmd_monitor)
 
     sub.add_parser("list", help="list targets and setups")

@@ -13,9 +13,11 @@ the aggregate workload, and any shard can be replayed alone.
 Shards are executed by a pool of ``workers`` OS processes
 (``multiprocessing``), then folded in sorted shard order into one merged
 artifact: merged :class:`~repro.metrics.collectors.MetricsCollector`,
-merged latency :class:`~repro.obs.metrics.Histogram`, and a merged
-dispatch hash (SHA-256 over the per-shard dispatch hashes in shard
-order).  The determinism contract, gated by golden tests and CI:
+merged latency :class:`~repro.obs.metrics.Histogram`, a merged dispatch
+hash (SHA-256 over the per-shard dispatch hashes in shard order) and, for
+a ``scenario`` run, the availability view of the merged
+:class:`~repro.obs.timeseries.TimeSeriesHub`.  The determinism contract,
+gated by golden tests and CI:
 
 * same ``(seed, setup, population, shards, …)`` ⇒ a bit-identical merged
   artifact, run after run;
@@ -49,6 +51,7 @@ from typing import Optional
 from ..errors import ReproError
 from ..metrics.collectors import MetricsCollector
 from ..obs.metrics import Histogram
+from ..obs.timeseries import TimeSeriesHub
 from ..sim import DispatchHash, RngRegistry
 from ..workloads.arrivals import AggregatedArrivalEngine, ZipfPopulation
 from ..workloads.namespace import generate_namespace
@@ -131,6 +134,7 @@ class ShardResult:
     collector: MetricsCollector
     histogram: Histogram
     verdicts: Optional[list] = None  # (name, ok, detail) when a scenario ran
+    hub: Optional[TimeSeriesHub] = None  # every detailed op, when a scenario ran
     # -- timing (machine-dependent, never hashed) ---------------------------
     cpu_s: float = 0.0  # the measured window
     wall_s: float = 0.0  # the measured window
@@ -154,11 +158,9 @@ class ShardResult:
             "collector": self.collector.summary(),
             "histogram": self.histogram.as_dict(),
         }
-        # Scenario runs use a TimelineCollector; its per-bucket availability
-        # rows are deterministic simulation outputs, so they are hashed too.
-        timeline_fn = getattr(self.collector, "timeline", None)
-        if timeline_fn is not None:
-            out["timeline"] = timeline_fn()
+        # Scenario runs' availability rows are simulation outputs: hashed too.
+        if self.hub is not None:
+            out["timeline"] = self.hub.availability()
         if self.verdicts is not None:
             out["invariants"] = [
                 {"name": n, "ok": ok, "detail": detail}
@@ -227,14 +229,10 @@ def run_shard(payload: dict) -> ShardResult:
     # All shard randomness flows through the (seed, shard_id, name) streams.
     workload.rng = rng.stream("ops")
     population = ZipfPopulation(config.population, config.zipf_s, rng.stream("population"))
-    if scenario is not None:
-        # Detailed ops bucket into an availability timeline over the fault
-        # window; the per-shard timelines merge deterministically below.
-        from ..chaos.timeline import TimelineCollector
-
-        collector: MetricsCollector = TimelineCollector()
-    else:
-        collector = MetricsCollector()
+    collector = MetricsCollector()
+    # A scenario shard's detailed ops feed an availability timeline over
+    # the fault window; the shard hubs merge deterministically in run_scale.
+    hub = TimeSeriesHub() if scenario is not None else None
     engine = AggregatedArrivalEngine(
         env,
         harness.make_clients(config.stubs_per_shard, az=az),
@@ -246,6 +244,7 @@ def run_shard(payload: dict) -> ShardResult:
         detail_every=config.detail_every,
         max_inflight=config.max_inflight,
         az=az,
+        hub=hub,
     )
 
     if scenario is not None:
@@ -281,6 +280,7 @@ def run_shard(payload: dict) -> ShardResult:
         from ..chaos import verify_target
 
         verdicts = [(v.name, v.ok, v.detail) for v in verify_target(harness)]
+        hub.finalize(env.now)
     run_wall_s = time.perf_counter() - run_wall0
 
     histogram = Histogram("scale.latency_ms")
@@ -302,6 +302,7 @@ def run_shard(payload: dict) -> ShardResult:
         collector=collector,
         histogram=histogram,
         verdicts=verdicts,
+        hub=hub,
         cpu_s=cpu_s,
         wall_s=wall_s,
         build_wall_s=run_wall0 - build_wall0,
@@ -388,9 +389,10 @@ def run_scale(config: Optional[ScaleConfig] = None) -> dict:
     }
     if all_green is not None:
         merged["all_green"] = all_green
-        timeline_fn = getattr(merged_collector, "timeline", None)
-        if timeline_fn is not None:
-            merged["availability_timeline"] = timeline_fn()
+        merged_hub = results[0].hub
+        for shard in results[1:]:
+            merged_hub = merged_hub.merge(shard.hub)
+        merged["availability_timeline"] = merged_hub.availability()
 
     deterministic = {
         "schema": "repro-scale-v1",

@@ -36,22 +36,14 @@ class FsClient:
         span = obs.tracer.start(
             self._span_name, parent=parent, op=op.value, host=str(self.addr), az=self.az,
         )
-        ts = obs.timeseries
-        start_ms = self.env.now if ts is not None else 0.0
         try:
             result = yield from self._request_loop(op, kwargs, span)
             span.tags["ok"] = True
-            if ts is not None:
-                now = self.env.now
-                ts.record_op(self.az, now - start_ms, True, now)
             return result
         except (FsError, RpcTimeoutError, HostUnreachableError) as exc:
             # Terminal failures are tagged too, so trace breakdowns count them.
             span.tags["ok"] = False
             span.tags["error"] = type(exc).__name__
-            if ts is not None:
-                now = self.env.now
-                ts.record_op(self.az, now - start_ms, False, now)
             raise
         finally:
             # A request loop that can fail over stored its count in

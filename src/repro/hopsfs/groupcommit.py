@@ -251,10 +251,6 @@ class _RecordingTxn:
         self.txn = txn
         self.batch = batch
 
-    @property
-    def txid(self):
-        return self.txn.txid
-
     def read(self, table, pk, partition_key=None, lock=LockMode.NONE):
         return self.txn.read(table, pk, partition_key, lock)
 
@@ -774,8 +770,6 @@ class GroupCommitter:
             for gop in admitted:
                 if gop.ack_ms is not None:
                     lag.observe(now - gop.ack_ms)
-            if obs.timeseries is not None:
-                obs.timeseries.inc("nn.group_commit.committed", now)
         self._retire(ctx)
 
     def _abort_batch(self, ctx, exc) -> None:
@@ -789,6 +783,4 @@ class GroupCommitter:
                 obs.tracer.finish(ctx.span, outcome="aborted", ops=len(ctx.members))
                 ctx.span = None
             obs.registry.counter("nn.group_commit.aborts").inc()
-            if obs.timeseries is not None:
-                obs.timeseries.inc("nn.group_commit.aborted", self.env.now)
         self._retire(ctx)

@@ -327,7 +327,7 @@ class Namenode(Server):
                 if ts is not None:
                     now = self.env.now
                     ts.component_sample(
-                        "nn.handle", str(self.addr), self.az,
+                        "nn.handle", str(self.addr),
                         now - span.start_ms, span.tags.get("ok", True) is not False, now,
                     )
             if life == self._life:

@@ -1,7 +1,7 @@
 """Metrics: collection, utilization reports, and figure tables."""
 
 from .collectors import MetricsCollector, percentile
-from .report import Table, az_skew_note, comparison_line, format_value
+from .report import Table, az_skew_note, format_value
 from .utilization import AzUtilization, ResourceReport, per_az_utilization
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "percentile",
     "Table",
     "az_skew_note",
-    "comparison_line",
     "format_value",
     "AzUtilization",
     "ResourceReport",

@@ -41,10 +41,6 @@ class MetricsCollector:
     failed: int = 0
     retried: int = 0
     latencies_ms: list[float] = field(default_factory=list)
-    # Failed ops' latencies, kept apart from the success population so
-    # error-path analysis (how long did doomed ops burn?) is possible
-    # without skewing the headline percentiles.
-    failed_latencies_ms: list[float] = field(default_factory=list)
     # What the window's failed ops were: ``OpResult.error`` (an exception
     # class name) -> count; ``PointResult.failed_by_error`` reports it.  Not
     # called that here because bench_e2e's TallyCollector keeps its own
@@ -80,13 +76,12 @@ class MetricsCollector:
         end = self.window_end
         if end is not None and end_ms > end:
             return
-        latency = end_ms - result.start_ms
         self.retried += result.retries
         if not result.ok:
             self.failed += 1
-            self.failed_latencies_ms.append(latency)
             self.failed_errors[result.error or "unclassified"] += 1
             return
+        latency = end_ms - result.start_ms
         self.completed += 1
         op = result.op
         self.by_op[op] += 1
@@ -114,9 +109,6 @@ class MetricsCollector:
         merged.failed = self.failed + other.failed
         merged.retried = self.retried + other.retried
         merged.latencies_ms = sorted(self.latencies_ms + other.latencies_ms)
-        merged.failed_latencies_ms = sorted(
-            self.failed_latencies_ms + other.failed_latencies_ms
-        )
         for source in (self, other):
             for op, count in source.by_op.items():
                 merged.by_op[op] += count
@@ -168,12 +160,6 @@ class MetricsCollector:
         values = self.latencies_by_op.get(op, ()) if op is not None else self.latencies_ms
         values = sorted(values)
         return {p: percentile(values, p) for p in ps}
-
-    def avg_failed_latency_ms(self) -> float:
-        """Mean time burnt by ops that ultimately failed."""
-        if not self.failed_latencies_ms:
-            return 0.0
-        return sum(self.failed_latencies_ms) / len(self.failed_latencies_ms)
 
     def failure_rate(self) -> float:
         total = self.completed + self.failed

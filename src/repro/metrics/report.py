@@ -1,11 +1,11 @@
-"""Text tables for figures and paper-vs-measured comparisons."""
+"""Text tables for figures."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["Table", "format_value", "comparison_line", "az_skew_note"]
+__all__ = ["Table", "format_value", "az_skew_note"]
 
 
 def format_value(value) -> str:
@@ -78,11 +78,3 @@ def az_skew_note(setup: str, resource, tier: str = "storage") -> Optional[str]:
         + ", ".join(parts)
         + f"  (max/mean {skew:.2f}x)"
     )
-
-
-def comparison_line(
-    claim: str, paper_value: str, measured_value, ok: Optional[bool] = None
-) -> str:
-    """One line of EXPERIMENTS.md-style paper-vs-measured reporting."""
-    verdict = "" if ok is None else ("  [holds]" if ok else "  [DEVIATES]")
-    return f"{claim}: paper={paper_value}  measured={format_value(measured_value)}{verdict}"

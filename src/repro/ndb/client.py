@@ -238,16 +238,12 @@ def run_transaction(
             yield from txn.commit()
             if span is not None:
                 obs.tracer.finish(span, outcome="committed")
-                if obs.timeseries is not None:
-                    obs.timeseries.inc("ndb.txn.committed", env.now)
             return result
         except TransactionAbortedError as exc:
             yield from txn.abort()
             if span is not None:
                 obs.tracer.finish(span, outcome="aborted", retryable=exc.retryable)
                 obs.registry.counter("ndb.txn.aborts").inc()
-                if obs.timeseries is not None:
-                    obs.timeseries.inc("ndb.txn.aborted", env.now)
             if not exc.retryable or attempt >= max_retries:
                 raise
             attempt += 1

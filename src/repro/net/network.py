@@ -466,11 +466,6 @@ class Network:
         link = "cross_az" if src_az != dst_az else "intra_az"
         obs.registry.counter(f"net.rpc.{link}").inc()
         obs.registry.counter(f"net.rpc.{link}_bytes").inc(message.size)
-        ts = obs.timeseries
-        if ts is not None:
-            now = self.env.now
-            ts.inc(f"net.rpc.{link}", now)
-            ts.inc(f"net.rpc.{link}_bytes", now, message.size)
         tracer = obs.tracer
 
         def _finish(event, _tracer=tracer, _span=span):

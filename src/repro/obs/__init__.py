@@ -37,7 +37,7 @@ from .metrics import (
     MetricsRegistry,
 )
 from .slo import Alert, SloEngine, SloSpec, default_slos
-from .timeseries import OpWindow, TimeSeriesHub, WindowedSeries
+from .timeseries import OpWindow, TimeSeriesHub
 from .tracer import Span, Tracer
 
 # NOTE: repro.obs.detect (the chaos detector-scoring harness) is *not*
@@ -54,7 +54,6 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS_MS",
     "TimeSeriesHub",
-    "WindowedSeries",
     "OpWindow",
     "SloSpec",
     "SloEngine",
@@ -93,8 +92,6 @@ class ObsContext:
         """Bind to a simulation environment (sets ``env.obs``)."""
         self.env = env
         self.tracer._env = env
-        if self.timeseries is not None:
-            self.timeseries.bind(self)
         env.obs = self
         return self
 

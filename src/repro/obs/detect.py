@@ -21,8 +21,6 @@ re-exported from the ``repro.obs`` package — import it directly.
 
 from __future__ import annotations
 
-import html as _html
-import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -301,12 +299,10 @@ class MonitorResult:
     alerts: List[dict]
     thresholds: dict
     timeline: List[dict]          # windowed client.ops rows (t_ms, count, …)
-    availability: List[dict]      # TimelineCollector rows
     completed: int
     failed: int
     dispatch_hash: str
     all_green: bool               # invariant verdicts from the chaos run
-    interval_ms: float
     breakdown: dict = field(default_factory=dict)  # phase_breakdown_json rows
     extra: dict = field(default_factory=dict)
 
@@ -325,9 +321,8 @@ class MonitorResult:
             "score": self.score.as_dict(),
             "alerts": self.alerts,
             "thresholds": self.thresholds,
-            "interval_ms": self.interval_ms,
+            "interval_ms": TimeSeriesHub.INTERVAL_MS,
             "timeline": self.timeline,
-            "availability": self.availability,
             "completed": self.completed,
             "failed": self.failed,
             "dispatch_hash": self.dispatch_hash,
@@ -381,51 +376,6 @@ class MonitorResult:
             )
         return "\n".join(lines)
 
-    def render_html(self) -> str:
-        """Self-contained HTML report (no external assets)."""
-        rows = []
-        for window in self.score.windows:
-            status = "detected" if window.detected else "missed"
-            rows.append(
-                f"<tr class='{status}'><td>{window.fault_class}</td>"
-                f"<td>{window.start_ms:.1f}</td><td>{window.end_ms:.1f}</td>"
-                f"<td>{status}</td>"
-                f"<td>{window.detection_latency_ms if window.detection_latency_ms is not None else '—'}</td>"
-                f"<td>{_html.escape(', '.join(window.detected_by))}</td></tr>"
-            )
-        alert_rows = [
-            f"<tr><td>{a['slo']}</td><td>{a['fired_ms']:.1f}</td>"
-            f"<td>{a['resolved_ms'] if a['resolved_ms'] is not None else 'open'}</td>"
-            f"<td>{a['peak_burn']:.1f}x</td><td>{_html.escape(a['detail'])}</td></tr>"
-            for a in self.alerts
-        ]
-        return f"""<!doctype html>
-<html><head><meta charset="utf-8"><title>repro monitor — {_html.escape(self.scenario)}</title>
-<style>
-body {{ font: 14px/1.4 system-ui, sans-serif; margin: 2em; }}
-table {{ border-collapse: collapse; margin: 1em 0; }}
-td, th {{ border: 1px solid #ccc; padding: 4px 10px; text-align: left; }}
-tr.detected td {{ background: #e6f4e6; }}
-tr.missed td {{ background: #f8d7da; }}
-.green {{ color: #2a7a2a; }} .red {{ color: #b02a37; }}
-</style></head><body>
-<h1>repro monitor — {_html.escape(self.scenario)} on {_html.escape(self.setup)}</h1>
-<p class="{'green' if self.ok else 'red'}"><b>{'GREEN' if self.ok else 'RED'}</b>
-— recall {self.score.recall:.2f}, precision {self.score.precision:.2f},
-false-alert windows {self.score.false_alert_windows},
-ops {self.completed} completed / {self.failed} failed.</p>
-<h2>Fault windows</h2>
-<table><tr><th>class</th><th>start (ms)</th><th>end (ms)</th><th>status</th>
-<th>detection latency (ms)</th><th>detected by</th></tr>
-{''.join(rows) or '<tr><td colspan="6">none (fault-free run)</td></tr>'}</table>
-<h2>Alerts</h2>
-<table><tr><th>SLO</th><th>fired (ms)</th><th>resolved (ms)</th><th>peak burn</th><th>detail</th></tr>
-{''.join(alert_rows) or '<tr><td colspan="5">none fired</td></tr>'}</table>
-<h2>Thresholds</h2>
-<pre>{_html.escape(json.dumps(self.thresholds, indent=2))}</pre>
-</body></html>
-"""
-
 
 def monitor_slos(setup: str, num_servers: int = 3) -> List[SloSpec]:
     """The full detector bank for one setup.
@@ -452,7 +402,6 @@ def run_monitor(
     num_servers: int = 3,
     seed: int = 99,
     specs: Optional[List[SloSpec]] = None,
-    interval_ms: float = 10.0,
     clients: Optional[int] = None,
     load_ms: Optional[float] = None,
     grace_ms: float = DEFAULT_GRACE_MS,
@@ -477,7 +426,7 @@ def run_monitor(
 
     if obs is None:
         obs = ObsContext()
-    hub = TimeSeriesHub(interval_ms=interval_ms)
+    hub = TimeSeriesHub()
     obs.timeseries = hub
     if specs is None:
         specs = monitor_slos(setup, num_servers)
@@ -493,15 +442,12 @@ def run_monitor(
                             merge_gap_ms=grace_ms)
     score = score_alerts(windows, engine.alerts, grace_ms=grace_ms)
 
-    series = hub.series("client.ops")
-    timeline = []
-    if series is not None:
-        for row in series.as_dict(hub.interval_ms, hub.buckets)["rows"]:
-            timeline.append({
-                "t_ms": row["t_ms"], "count": row["count"],
-                "errors": row["errors"], "p99_ms": row["p99_ms"],
-                "availability": row["availability"],
-            })
+    timeline = [
+        {"t_ms": index * hub.INTERVAL_MS, "count": window.count, "errors": window.errors,
+         "p99_ms": window.quantile(0.99),
+         "availability": (window.count - window.errors) / window.count}
+        for index, window in hub.series.get("client.ops", {}).items()
+    ]
 
     monitor = MonitorResult(
         scenario=result.scenario,
@@ -511,17 +457,13 @@ def run_monitor(
         alerts=engine.alert_dicts(),
         thresholds=engine.thresholds(),
         timeline=timeline,
-        availability=result.timeline,
         completed=result.completed,
         failed=result.failed,
         dispatch_hash=result.dispatch_hash,
         all_green=result.all_green,
-        interval_ms=hub.interval_ms,
         breakdown=phase_breakdown_json(obs.tracer),
     )
     monitor.extra["chaos_result"] = result
-    monitor.extra["hub"] = hub
-    monitor.extra["engine"] = engine
     return monitor
 
 

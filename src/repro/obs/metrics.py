@@ -14,7 +14,7 @@ registry only exists when observability was explicitly attached.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "count",
            "DEFAULT_LATENCY_BUCKETS_MS"]
@@ -40,16 +40,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-    def merge(self, other: "Counter") -> "Counter":
-        """Return a new counter summing both sides.
-
-        Same shard-merge contract as :meth:`Histogram.merge`: associative
-        and commutative, so per-shard counters fold in any order.
-        """
-        merged = Counter(self.name, dict(self.tags))
-        merged.value = self.value + other.value
-        return merged
 
     def as_dict(self) -> dict:
         return {"type": "counter", "name": self.name, "value": self.value, "tags": self.tags}
@@ -82,19 +72,6 @@ class Gauge:
         if self.fn is not None:
             return self.fn()
         return self._value
-
-    def merge(self, other: "Gauge") -> "Gauge":
-        """Return a new value-backed gauge summing both sides' readings.
-
-        Gauges are instantaneous levels (inflight ops, queue depths), so
-        the cross-shard aggregate of one level is the sum.  The merged
-        gauge is value-backed: callable-backed gauges read live component
-        state, which does not exist on the merge side.  Associative and
-        commutative like the other instruments.
-        """
-        merged = Gauge(self.name, tags=dict(self.tags))
-        merged.set(self.value + other.value)
-        return merged
 
     def as_dict(self) -> dict:
         return {"type": "gauge", "name": self.name, "value": self.value, "tags": self.tags}
@@ -150,7 +127,7 @@ class Histogram:
                 f"cannot merge histograms with different buckets: "
                 f"{self.name!r} vs {other.name!r}"
             )
-        merged = Histogram(self.name, self.buckets, dict(self.tags))
+        merged = type(self)(self.name, self.buckets, dict(self.tags))
         merged.bucket_counts = [
             a + b for a, b in zip(self.bucket_counts, other.bucket_counts)
         ]
@@ -239,10 +216,6 @@ class MetricsRegistry:
         return h
 
     # -- views -------------------------------------------------------------
-    @property
-    def gauges(self) -> List[Gauge]:
-        return list(self._gauges.values())
-
     def get(self, name: str):
         return (self._counters.get(name)
                 or self._gauges.get(name)

@@ -22,7 +22,7 @@ error_budget``.  "Bad" per kind:
   ``drop_fraction`` × the calibrated baseline ops/window (weighted as
   one bad unit per window).  This is the detector for total silence: a
   closed-loop driver whose every request is stuck produces no errors at
-  all, only missing completions (see TimelineCollector's caveat).
+  all, only missing completions (see ``TimeSeriesHub.availability``).
 
 Calibration is in-band and per-run: the first ``calibration_windows``
 traffic-carrying windows (all pre-fault in every chaos scenario — the
@@ -167,7 +167,6 @@ class SloEngine:
     """Evaluates SLO specs against a hub's sealed windows."""
 
     def __init__(self, specs: List[SloSpec], hub, obs=None,
-                 horizon_ms: Optional[float] = None,
                  load_window_ms: Optional[float] = None):
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
@@ -177,12 +176,11 @@ class SloEngine:
         self.obs = obs
         #: Windows ending after the horizon are not evaluated: offered load
         #: stops at the scenario's load_ms, and the quiet drain phase would
-        #: otherwise read as a throughput outage.  ``horizon_ms`` pins it
-        #: absolutely; ``load_window_ms`` anchors it to the first window
-        #: that carries monitored traffic (scenario harnesses don't know
-        #: the absolute load start up front — election and seeding run
-        #: first).
-        self.horizon_ms = horizon_ms
+        #: otherwise read as a throughput outage.  ``load_window_ms``
+        #: anchors it to the first window that carries monitored traffic
+        #: (scenario harnesses don't know the absolute load start up front
+        #: — election and seeding run first).
+        self.horizon_ms: Optional[float] = None
         self.load_window_ms = load_window_ms
         self.alerts: List[Alert] = []
         self._states: Dict[str, _SpecState] = {s.name: _SpecState(s) for s in specs}
@@ -190,24 +188,21 @@ class SloEngine:
 
     # -- window evaluation -------------------------------------------------
     def _on_window(self, index: int, start_ms: float, end_ms: float,
-                   ops: dict, counters: dict) -> None:
+                   sealed: dict) -> None:
         if self.horizon_ms is None and self.load_window_ms is not None:
-            if any(
-                ops.get(s.series) is not None and ops[s.series].count > 0
-                for s in self.specs
-            ):
+            if any(s.series in sealed for s in self.specs):
                 self.horizon_ms = start_ms + self.load_window_ms
         if self.horizon_ms is not None and end_ms > self.horizon_ms:
             self._resolve_all(index, end_ms, reason="horizon")
             return
-        self._apply_retirements(index, end_ms, counters)
+        self._apply_retirements(index, end_ms, sealed)
         for state in self._states.values():
             if state.retired:
                 continue
-            self._eval(state, index, start_ms, end_ms, ops.get(state.spec.series))
+            self._eval(state, index, start_ms, end_ms, sealed.get(state.spec.series))
 
     def _apply_retirements(self, index: int, end_ms: float,
-                           counters: dict) -> None:
+                           sealed: dict) -> None:
         """Exempt legitimately retired components from their floors.
 
         A graceful decommission emits ``component.retired.<series>`` (a
@@ -219,7 +214,7 @@ class SloEngine:
         """
         prefix = "component.retired."
         retired_series = {name[len(prefix):]
-                          for name in counters if name.startswith(prefix)}
+                          for name in sealed if name.startswith(prefix)}
         if not retired_series:
             return
         for state in self._states.values():
@@ -245,8 +240,8 @@ class SloEngine:
             if count >= spec.min_ops:
                 state.calib_count += 1
                 state.calib_ops += count
-                state.calib_total_ms += window.total_ms
-                p99 = window.quantile(0.99, self.hub.buckets)
+                state.calib_total_ms += window.total
+                p99 = window.quantile(0.99)
                 if p99 > state.calib_p99:
                     state.calib_p99 = p99
                 if state.calib_count >= spec.calibration_windows:
@@ -271,7 +266,7 @@ class SloEngine:
         elif spec.kind == "latency_mean":
             if window is not None and count:
                 expected = state.baseline_mean_ms * count
-                bad, total, ops = max(0.0, window.total_ms - expected), expected, count
+                bad, total, ops = max(0.0, window.total - expected), expected, count
             else:
                 bad, total, ops = 0.0, 0.0, 0
         else:  # throughput
@@ -308,7 +303,7 @@ class SloEngine:
 
     def _count_above(self, window, threshold_ms: float) -> int:
         """Ops in the window with latency above ``threshold_ms`` (bucketed)."""
-        buckets = self.hub.buckets
+        buckets = window.buckets
         n = 0
         for i, c in enumerate(window.bucket_counts):
             if not c:
@@ -321,7 +316,7 @@ class SloEngine:
     # -- lifecycle ---------------------------------------------------------
     def finalize(self, now: float) -> None:
         """Resolve any still-active alerts at end of run."""
-        index = int(now // self.hub.interval_ms)
+        index = int(now // self.hub.INTERVAL_MS)
         self._resolve_all(index, now, reason="finalize")
 
     def _resolve_all(self, index: int, now_ms: float, reason: str) -> None:

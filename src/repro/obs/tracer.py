@@ -152,10 +152,6 @@ class Tracer:
             index.setdefault(span.parent_id, []).append(span)
         return index
 
-    def roots(self) -> List[Span]:
-        known = {s.span_id for s in self.spans}
-        return [s for s in self.spans if s.parent_id is None or s.parent_id not in known]
-
     def _now(self) -> float:
         env = self._env
         return env._now if env is not None else 0.0

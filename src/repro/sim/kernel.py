@@ -161,11 +161,6 @@ class _Wakeup:
     __slots__ = ("process", "source", "gen")
     _cb1 = _WAKEUP_MARK  # run-loop dispatch marker (class attribute)
 
-    def __init__(self, process: "Process", source: Optional["Event"], gen: int):
-        self.process = process
-        self.source = source
-        self.gen = gen
-
 
 class Event:
     """A one-shot occurrence that processes can wait on.
@@ -289,25 +284,15 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation."""
+    """An event that fires ``delay`` time units after creation.
+
+    Built only by :meth:`Environment.timeout`.
+    """
 
     __slots__ = ("delay",)
 
     # A timeout is triggered at creation (its value is set immediately).
     triggered = True  # type: ignore[assignment]
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        self.env = env
-        self._cb1 = None
-        self._cbs = None
-        self._value = value
-        self._ok = True
-        self._defused = False
-        self.delay = delay
-        env._seq += 1
-        heappush(env._queue, (env._now + delay, PRIORITY_NORMAL, env._seq, self))
 
 
 class _ConditionBase(Event):
@@ -700,7 +685,7 @@ class Environment:
     # event() and timeout() build their instances with ``__new__`` + direct
     # slot stores: a figure run creates one of these per message / CPU job,
     # and skipping ``type.__call__`` + ``__init__`` measurably shortens the
-    # hot path.  Direct construction (``Timeout(env, d)``) stays supported.
+    # hot path.
     def event(self) -> Event:
         event = Event.__new__(Event)
         event.env = self

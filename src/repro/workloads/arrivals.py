@@ -137,7 +137,9 @@ class AggregatedArrivalEngine:
     whose per-event work is a gap draw, a client-identity draw and
     bookkeeping.  Detailed ops run open-loop on a small pool of client
     stubs, capped at ``max_inflight`` so an overloaded deployment degrades
-    into shed detail samples instead of unbounded in-flight state.
+    into shed detail samples instead of unbounded in-flight state.  A
+    given ``hub`` (:class:`~repro.obs.timeseries.TimeSeriesHub`) sees every
+    detailed op, under its stub's AZ.
     """
 
     def __init__(
@@ -152,6 +154,7 @@ class AggregatedArrivalEngine:
         detail_every: int = 64,
         max_inflight: int = 64,
         az: Optional[int] = None,
+        hub=None,
     ):
         if rate_per_ms <= 0:
             raise ReproError("arrival rate must be positive")
@@ -169,6 +172,7 @@ class AggregatedArrivalEngine:
         self.detail_every = detail_every
         self.max_inflight = max_inflight
         self.az = az
+        self.hub = hub
         self.stopped = False
         # -- accounting (all deterministic under a fixed seed) -----------
         self.arrivals = 0
@@ -199,7 +203,7 @@ class AggregatedArrivalEngine:
         detail_every = self.detail_every
         distinct = self.distinct_clients.add
         next_op = self.workload.next_op
-        stubs = [(stub.op, failure_source(stub)) for stub in self.stubs]
+        stubs = [(stub, failure_source(stub)) for stub in self.stubs]
         # Hot loop: one kernel event per arrival; everything else is a few
         # C-implemented draws and integer bookkeeping.
         while not self.stopped:
@@ -214,17 +218,17 @@ class AggregatedArrivalEngine:
                     self.shed += 1
                     continue
                 op, kwargs = next_op(client_id=client_id)
-                stub_op, failures = stubs[self._next_stub]
+                stub, failures = stubs[self._next_stub]
                 self._next_stub = (self._next_stub + 1) % len(stubs)
                 self.inflight += 1
-                env.spawn(self._one_op(stub_op, failures, op, kwargs))
+                env.spawn(self._one_op(stub, failures, op, kwargs))
 
-    def _one_op(self, stub_op, failures, op, kwargs):
+    def _one_op(self, stub, failures, op, kwargs):
         env = self.env
         start = env.now
         ok, error = True, None
         try:
-            yield from stub_op(op, **kwargs)
+            yield from stub.op(op, **kwargs)
         except EXPECTED_ERRORS as exc:
             ok, error = False, type(exc).__name__
         finally:
@@ -233,3 +237,5 @@ class AggregatedArrivalEngine:
         self.collector.record(
             OpResult(op, start, env.now, ok, failures.last_op_failures, error)
         )
+        if self.hub is not None:
+            self.hub.record_op(stub.az, env.now - start, ok, env.now)

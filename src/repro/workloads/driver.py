@@ -33,7 +33,12 @@ def failure_source(client):
 
 
 class ClosedLoopDriver:
-    """Runs ``num_clients`` closed-loop clients against a deployment."""
+    """Runs ``num_clients`` closed-loop clients against a deployment.
+
+    Every finished op goes to ``collector``, and to ``hub`` (a
+    :class:`~repro.obs.timeseries.TimeSeriesHub`, under the client's AZ)
+    when one is given.
+    """
 
     def __init__(
         self,
@@ -41,11 +46,13 @@ class ClosedLoopDriver:
         clients,
         workload,
         collector: MetricsCollector,
+        hub=None,
     ):
         self.env = env
         self.clients = list(clients)
         self.workload = workload
         self.collector = collector
+        self.hub = hub
         self.stopped = False
         self._procs = []
 
@@ -66,6 +73,7 @@ class ClosedLoopDriver:
         record = self.collector.record
         client_op = client.op
         failures = failure_source(client)
+        hub = self.hub
         while not self.stopped:
             op, kwargs = next_op(client_id=index)
             start = env.now
@@ -75,6 +83,8 @@ class ClosedLoopDriver:
             except _EXPECTED_ERRORS as exc:
                 ok, error = False, type(exc).__name__
             record(OpResult(op, start, env.now, ok, failures.last_op_failures, error))
+            if hub is not None:
+                hub.record_op(client.az, env.now - start, ok, env.now)
 
 
 class OpenLoopDriver:

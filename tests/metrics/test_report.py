@@ -1,6 +1,6 @@
 """Tests for table rendering and utilization reports."""
 
-from repro.metrics import ResourceReport, Table, comparison_line, format_value
+from repro.metrics import ResourceReport, Table, format_value
 
 
 def test_format_value():
@@ -32,14 +32,6 @@ def test_table_column_access():
     table.add_row(1, 2)
     table.add_row(3, 4)
     assert table.column("b") == [2, 4]
-
-
-def test_comparison_line():
-    line = comparison_line("claim", "1.62M", 1_580_000.0, ok=True)
-    assert "paper=1.62M" in line
-    assert "[holds]" in line
-    line = comparison_line("claim", "x", 1.0, ok=False)
-    assert "[DEVIATES]" in line
 
 
 def test_resource_report_rows():

@@ -95,29 +95,3 @@ def test_registry_get_or_create_and_snapshot():
     assert snap["histograms"]["h"]["count"] == 1
     assert snap["histograms"]["h"]["bucket_counts"] == [1, 0]
 
-
-def test_counter_merge_commutative_associative():
-    a, b, c = Counter("rpcs"), Counter("rpcs"), Counter("rpcs")
-    a.inc(3)
-    b.inc(5)
-    c.inc(11)
-    assert a.merge(b).value == b.merge(a).value == 8
-    assert a.merge(b).merge(c).value == a.merge(b.merge(c)).value == 19
-    # merge never mutates its inputs
-    assert (a.value, b.value, c.value) == (3, 5, 11)
-
-
-def test_gauge_merge_sums_levels_and_detaches_callables():
-    a = Gauge("inflight")
-    a.set(4.0)
-    state = {"n": 9.0}
-    b = Gauge("inflight", fn=lambda: state["n"])
-    merged = a.merge(b)
-    assert merged.value == 13.0
-    # the merged gauge is value-backed: later live changes don't leak in
-    state["n"] = 100.0
-    assert merged.value == 13.0
-    assert b.merge(a).value == 104.0  # reads live value at merge time
-    ab, bc = a.merge(b), b.merge(a)
-    assert ab.merge(Gauge("inflight")).value == ab.value
-    assert bc.value == 104.0

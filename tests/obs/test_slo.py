@@ -17,7 +17,7 @@ from repro.obs.slo import (SloEngine, SloSpec, component_liveness_slos,
                            default_slos, per_az_slos)
 from repro.obs.timeseries import TimeSeriesHub
 
-INTERVAL = 10.0
+INTERVAL = TimeSeriesHub.INTERVAL_MS
 
 # Four windows of healthy traffic: enough to calibrate every default spec
 # (calibration_windows=4, min_ops<=4).
@@ -26,7 +26,7 @@ CALIBRATION = [[(0.5, True)] * 10 for _ in range(4)]
 
 def drive(specs, windows, offset=0, load_window_ms=None):
     """Feed ``windows`` (one ops list per window) through a fresh engine."""
-    hub = TimeSeriesHub(interval_ms=INTERVAL)
+    hub = TimeSeriesHub()
     engine = SloEngine(specs, hub, load_window_ms=load_window_ms)
     for i, ops in enumerate(windows):
         now = (i + offset) * INTERVAL + 0.5
@@ -53,7 +53,7 @@ def test_spec_rejects_unknown_kind_and_bad_windows():
 def test_engine_rejects_duplicate_names():
     specs = [SloSpec(name="a", kind="availability")] * 2
     with pytest.raises(ValueError):
-        SloEngine(specs, TimeSeriesHub(interval_ms=INTERVAL))
+        SloEngine(specs, TimeSeriesHub())
 
 
 # -- calibration gating ------------------------------------------------------

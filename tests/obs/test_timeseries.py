@@ -1,33 +1,39 @@
-"""Windowed time-series hub: rolling, sealing, listeners, shard merge.
+"""Windowed time-series hub: rolling, sealing, listeners, the availability view.
 
 The hub is record-driven (no kernel process), so these tests drive it
 directly with synthetic ``now`` values and check that windows seal at the
-right boundaries, listeners see every sealed window in order, and the
-shard-merge fold is commutative and associative like every other merge
-in the repo (Histogram, MetricsCollector, TimelineCollector).
+right boundaries, listeners see every sealed window in order, the shard
+merge is commutative and associative like every other merge in the repo
+(Histogram, MetricsCollector), and the availability view folds
+``client.ops`` into its rows.
 """
 
 import random
 
 import pytest
 
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, Gauge, MetricsRegistry
-from repro.obs.timeseries import OpWindow, TimeSeriesHub, WindowedSeries
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS
+from repro.obs.timeseries import OpWindow, TimeSeriesHub
 
 BUCKETS = DEFAULT_LATENCY_BUCKETS_MS
+
+
+def _window(*ops):
+    w = OpWindow()
+    for latency_ms, ok in ops:
+        w.observe(latency_ms)
+        w.errors += not ok
+    return w
 
 
 # -- OpWindow ----------------------------------------------------------------
 
 def test_op_window_observe_counts_errors_and_buckets():
-    w = OpWindow(len(BUCKETS))
-    w.observe(0.3, True, BUCKETS)
-    w.observe(7.0, False, BUCKETS)
-    w.observe(2.5, True, BUCKETS)   # boundary value lands in its own bucket (le)
+    w = _window((0.3, True), (7.0, False), (2.5, True))  # 2.5: its own bucket (le)
     assert w.count == 3
     assert w.errors == 1
-    assert w.total_ms == pytest.approx(9.8)
-    assert w.max_ms == 7.0
+    assert w.total == pytest.approx(9.8)
+    assert w.max == 7.0
     assert sum(w.bucket_counts) == 3
     assert w.bucket_counts[BUCKETS.index(0.5)] == 1   # 0.3 -> (0.25, 0.5]
     assert w.bucket_counts[BUCKETS.index(2.5)] == 1   # 2.5 -> (1.0, 2.5]
@@ -35,103 +41,73 @@ def test_op_window_observe_counts_errors_and_buckets():
 
 
 def test_op_window_quantile_is_bucket_upper_bound():
-    w = OpWindow(len(BUCKETS))
-    for _ in range(99):
-        w.observe(0.2, True, BUCKETS)
-    w.observe(40.0, True, BUCKETS)
-    assert w.quantile(0.5, BUCKETS) == 0.25
-    assert w.quantile(0.999, BUCKETS) == 50.0
-    assert OpWindow(len(BUCKETS)).quantile(0.99, BUCKETS) == 0.0
+    w = _window(*[(0.2, True)] * 99, (40.0, True))
+    assert w.quantile(0.5) == 0.25
+    assert w.quantile(0.999) == 50.0
+    assert OpWindow().quantile(0.99) == 0.0
 
 
 def test_op_window_overflow_quantile_reports_observed_max():
-    w = OpWindow(len(BUCKETS))
-    w.observe(9999.0, True, BUCKETS)  # beyond the last boundary
+    w = _window((9999.0, True))  # beyond the last boundary
     assert w.bucket_counts[-1] == 1
-    assert w.quantile(0.99, BUCKETS) == 9999.0
+    assert w.quantile(0.99) == 9999.0
 
 
-def test_op_window_merge_from_is_commutative():
+def test_op_window_merge_is_commutative():
     rng = random.Random(5)
 
     def sample():
-        w = OpWindow(len(BUCKETS))
-        for _ in range(50):
-            w.observe(rng.uniform(0.05, 200.0), rng.random() > 0.1, BUCKETS)
-        return w
+        return _window(*[(rng.uniform(0.05, 200.0), rng.random() > 0.1) for _ in range(50)])
 
     a, b = sample(), sample()
-    ab = OpWindow(len(BUCKETS))
-    ab.merge_from(a)
-    ab.merge_from(b)
-    ba = OpWindow(len(BUCKETS))
-    ba.merge_from(b)
-    ba.merge_from(a)
-    assert ab.as_dict() == ba.as_dict()
-    assert ab.count == a.count + b.count
-
-
-# -- WindowedSeries ----------------------------------------------------------
-
-def test_windowed_series_ring_buffer_bounds_memory():
-    series = WindowedSeries("client.ops", "counter", capacity=4)
-    for i in range(10):
-        series.append(i, float(i))
-    rows = list(series.rows)
-    assert len(rows) == 4
-    assert rows[0] == (6, 6.0)
-    assert rows[-1] == (9, 9.0)
-
-
-def test_windowed_series_as_dict_derives_p99_and_availability():
-    series = WindowedSeries("client.ops", "op", capacity=8)
-    w = OpWindow(len(BUCKETS))
-    w.observe(0.2, True, BUCKETS)
-    w.observe(0.2, False, BUCKETS)
-    series.append(3, w)
-    row = series.as_dict(10.0, BUCKETS)["rows"][0]
-    assert row["t_ms"] == 30.0
-    assert row["count"] == 2 and row["errors"] == 1
-    assert row["availability"] == 0.5
-    assert row["p99_ms"] == 0.25
+    ab, ba = a.merge(b), b.merge(a)
+    assert isinstance(ab, OpWindow)
+    assert (ab.as_dict(), ab.errors) == (ba.as_dict(), ba.errors)
+    assert (ab.count, ab.errors) == (a.count + b.count, a.errors + b.errors)
 
 
 # -- TimeSeriesHub: rolling and sealing --------------------------------------
 
+def _sealed(hub):
+    seen = []
+    hub.subscribe(lambda index, start, end, sealed: seen.append(index))
+    return seen
+
+
 def test_hub_seals_windows_behind_now():
-    hub = TimeSeriesHub(interval_ms=10.0)
+    hub = TimeSeriesHub()
+    seen = _sealed(hub)
     hub.record_op(1, 0.5, True, now=3.0)
     hub.record_op(1, 0.5, True, now=7.0)
-    assert hub.windows_sealed == 0          # window 0 still open
+    assert seen == []                       # window 0 still open
     hub.record_op(2, 1.0, False, now=25.0)  # crosses into window 2
-    assert hub.windows_sealed == 2          # windows 0 and 1 sealed
-    rows = dict(hub.series("client.ops").rows)
+    assert seen == [0, 1]                   # windows 0 and 1 sealed
+    rows = hub.series["client.ops"]
     assert rows[0].count == 2 and rows[0].errors == 0
     assert 1 not in rows                    # empty windows seal but hold no ops
     hub.finalize(25.0)
-    rows = dict(hub.series("client.ops").rows)
+    rows = hub.series["client.ops"]
     assert rows[2].count == 1 and rows[2].errors == 1
 
 
 def test_hub_per_az_and_component_series():
-    hub = TimeSeriesHub(interval_ms=10.0)
+    hub = TimeSeriesHub()
     hub.record_op(1, 0.5, True, now=1.0)
     hub.record_op(0, 0.5, True, now=2.0)    # ANY_AZ: aggregate only
-    hub.component_sample("nn.handle", "nn1", 1, 0.2, True, now=3.0)
+    hub.component_sample("nn.handle", "nn1", 0.2, True, now=3.0)
     hub.finalize(5.0)
-    assert hub.series_names() == [
-        "client.ops", "client.ops.az1", "nn.handle", "nn.handle.nn1"]
-    assert dict(hub.series("client.ops").rows)[0].count == 2
-    assert dict(hub.series("client.ops.az1").rows)[0].count == 1
-    assert dict(hub.series("nn.handle.nn1").rows)[0].count == 1
+    assert sorted(hub.series) == ["client.ops", "client.ops.az1", "nn.handle.nn1"]
+    assert hub.series["client.ops"][0].count == 2
+    assert hub.series["client.ops.az1"][0].count == 1
+    assert hub.series["nn.handle.nn1"][0].count == 1
 
 
 def test_hub_listener_sees_every_sealed_window_in_order():
-    hub = TimeSeriesHub(interval_ms=10.0)
+    hub = TimeSeriesHub()
     seen = []
-    hub.subscribe(lambda index, start, end, ops, counters:
+    hub.subscribe(lambda index, start, end, sealed:
                   seen.append((index, start, end,
-                               ops.get("client.ops").count if "client.ops" in ops else 0)))
+                               sealed["client.ops"].count if "client.ops" in sealed else 0)))
     hub.record_op(1, 0.5, True, now=5.0)
     hub.record_op(1, 0.5, True, now=45.0)
     assert [s[0] for s in seen] == [0, 1, 2, 3]   # empty windows included
@@ -139,83 +115,95 @@ def test_hub_listener_sees_every_sealed_window_in_order():
     assert seen[1][3] == 0
 
 
-def test_hub_windowed_counters_and_gauges():
-    registry = MetricsRegistry()
-    state = {"inflight": 2.0}
-    registry.gauge("client.inflight", fn=lambda: state["inflight"])
-    hub = TimeSeriesHub(interval_ms=10.0)
-    hub._registry = registry
-    hub.inc("ndb.txn.committed", now=1.0)
-    hub.inc("ndb.txn.committed", now=4.0, amount=2.0)
+def test_hub_windowed_counters():
+    hub = TimeSeriesHub()
+    hub.inc("component.retired.nn.handle.nn1", now=1.0)
+    hub.inc("component.retired.nn.handle.nn1", now=4.0, amount=2.0)
     hub.finalize(5.0)
-    state["inflight"] = 7.0
-    hub.inc("ndb.txn.committed", now=12.0)
+    hub.inc("component.retired.nn.handle.nn1", now=12.0)
     hub.finalize(15.0)
-    assert dict(hub.series("ndb.txn.committed").rows) == {0: 3.0, 1: 1.0}
-    assert dict(hub.series("client.inflight").rows) == {0: 2.0, 1: 7.0}
+    assert hub.series["component.retired.nn.handle.nn1"] == {0: 3.0, 1: 1.0}
 
 
 def test_hub_roll_bounds_pathological_idle_jump():
-    hub = TimeSeriesHub(interval_ms=10.0)
+    hub = TimeSeriesHub()
+    seen = _sealed(hub)
+    jump = hub.MAX_SEAL_PER_ROLL + 500
     hub.record_op(1, 0.5, True, now=1.0)
-    hub.roll(10.0 * (hub.MAX_SEAL_PER_ROLL + 500))
-    assert hub.windows_sealed == hub.MAX_SEAL_PER_ROLL
+    hub.roll(hub.INTERVAL_MS * jump)
+    assert len(seen) == hub.MAX_SEAL_PER_ROLL
+    # The open window seals under its own index, not under the first
+    # index of the bounded tail.
+    assert seen[0] == 0
+    assert hub.series["client.ops"] == {0: hub.series["client.ops"][0]}
+    assert hub.availability()[0]["t_ms"] == 0.0
     # cursor still lands on the target window: recording continues correctly
-    hub.record_op(1, 0.5, True, now=10.0 * (hub.MAX_SEAL_PER_ROLL + 500) + 1)
-    hub.finalize(10.0 * (hub.MAX_SEAL_PER_ROLL + 500) + 2)
-    assert dict(hub.series("client.ops").rows)[hub.MAX_SEAL_PER_ROLL + 500].count == 1
-
-
-def test_hub_rejects_bad_config():
-    with pytest.raises(ValueError):
-        TimeSeriesHub(interval_ms=0.0)
-    with pytest.raises(ValueError):
-        TimeSeriesHub(capacity=0)
+    hub.record_op(1, 0.5, True, now=hub.INTERVAL_MS * jump + 1)
+    hub.finalize(hub.INTERVAL_MS * jump + 2)
+    assert sorted(hub.series["client.ops"]) == [0, jump]
 
 
 # -- shard merge -------------------------------------------------------------
 
 def _shard_hub(seed: int) -> TimeSeriesHub:
     # Dyadic latencies (multiples of 0.25) keep float sums exact, so the
-    # associativity check can compare snapshots bitwise.  Real shard folds
-    # run in sorted shard order precisely because float addition is only
+    # associativity check can compare rows bitwise.  Real shard folds run
+    # in sorted shard order precisely because float addition is only
     # associative up to rounding.
     rng = random.Random(seed)
-    hub = TimeSeriesHub(interval_ms=10.0)
+    hub = TimeSeriesHub()
     now = 0.0
     for _ in range(80):
         now += rng.randrange(1, 12) * 0.25
         hub.record_op(rng.choice((1, 2, 3)), rng.randrange(1, 240) * 0.25,
                       rng.random() > 0.05, now)
         if rng.random() < 0.3:
-            hub.inc("net.rpc.sent", now, amount=rng.randrange(1, 4))
+            hub.inc("component.retired.nn.handle.nn1", now, amount=rng.randrange(1, 4))
     hub.finalize(now)
     return hub
 
 
+def _rows(hub):
+    return {name: {index: (value.as_dict(), value.errors) if isinstance(value, OpWindow)
+                   else value for index, value in rows.items()}
+            for name, rows in hub.series.items()}
+
+
 def test_hub_merge_commutative():
     a, b = _shard_hub(1), _shard_hub(2)
-    assert a.merge(b).snapshot() == b.merge(a).snapshot()
+    assert _rows(a.merge(b)) == _rows(b.merge(a))
 
 
 def test_hub_merge_associative():
     a, b, c = _shard_hub(1), _shard_hub(2), _shard_hub(3)
-    assert a.merge(b).merge(c).snapshot() == a.merge(b.merge(c)).snapshot()
+    assert _rows(a.merge(b).merge(c)) == _rows(a.merge(b.merge(c)))
 
 
 def test_hub_merge_adds_op_windows_index_wise():
     a, b = _shard_hub(1), _shard_hub(2)
     merged = a.merge(b)
-    rows_a = dict(a.series("client.ops").rows)
-    rows_b = dict(b.series("client.ops").rows)
-    rows_m = dict(merged.series("client.ops").rows)
-    assert set(rows_m) == set(rows_a) | set(rows_b)
+    rows_a, rows_b = a.series["client.ops"], b.series["client.ops"]
+    rows_m = merged.series["client.ops"]
+    assert list(rows_m) == sorted(set(rows_a) | set(rows_b))
     for index, window in rows_m.items():
         expected = (rows_a[index].count if index in rows_a else 0) + (
             rows_b[index].count if index in rows_b else 0)
         assert window.count == expected
 
 
-def test_hub_merge_rejects_mismatched_grids():
-    with pytest.raises(ValueError):
-        TimeSeriesHub(interval_ms=10.0).merge(TimeSeriesHub(interval_ms=20.0))
+# -- the availability view ---------------------------------------------------
+
+def test_availability_view_is_dense_rows_of_client_ops():
+    hub = TimeSeriesHub()
+    hub.record_op(1, 0.2, True, now=3.0)     # row 0 (t 0-20)
+    hub.record_op(1, 0.2, False, now=15.0)   # row 0, second window
+    hub.record_op(2, 0.2, True, now=61.0)    # row 3; rows 1-2 silent
+    hub.component_sample("nn.handle", "nn1", 0.2, True, now=62.0)  # not a client op
+    hub.finalize(62.0)
+    assert hub.availability() == [
+        {"t_ms": 0.0, "ok": 1, "failed": 1, "availability": 0.5},
+        {"t_ms": 20.0, "ok": 0, "failed": 0, "availability": None},
+        {"t_ms": 40.0, "ok": 0, "failed": 0, "availability": None},
+        {"t_ms": 60.0, "ok": 1, "failed": 0, "availability": 1.0},
+    ]
+    assert TimeSeriesHub().availability() == []

