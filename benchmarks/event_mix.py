@@ -16,7 +16,10 @@ Tracing is schedule-neutral: every sequence number the untraced run
 consumes becomes one queued entry, network coalescing included.  So the
 entries per op sum to ``sim.events_per_op`` (the window's sequence numbers
 per completed op); the command prints both and exits 1 if they differ by
-more than 0.1 %.  ``--tree`` runs the simulator and ``bench_e2e`` of another
+more than 0.1 %.  It also tallies the tasks the window starts
+(``Environment.start``, which ``spawn`` goes through) per op by the
+``__qualname__`` of their body, with the datanode's (``NdbDatanode.*``)
+summed.  ``--tree`` runs the simulator and ``bench_e2e`` of another
 checkout (a parent commit, for a before/after table).
 """
 
@@ -54,21 +57,31 @@ def _classify(item, deferred_mark, wakeup_mark) -> tuple:
     return "waiter", f"{type(item).__name__} -> {_name(cb1)}{extra}"
 
 
-def traced_window(mix: Counter):
+def traced_window(mix: Counter, tasks: Counter):
     """A stand-in for ``bench_e2e.harness._run_window`` that dispatches the
-    window through ``step()`` under ``env.trace`` and tallies each entry
-    into ``mix``."""
-    from repro.sim.kernel import _DEFERRED_MARK, _WAKEUP_MARK, DispatchHash
+    window through ``step()`` under ``env.trace``, tallies each entry into
+    ``mix`` and each task started into ``tasks``."""
+    from repro.sim.kernel import _DEFERRED_MARK, _WAKEUP_MARK, DispatchHash, Environment
+
+    real_start = Environment.start
+
+    def start(env, generator):
+        tasks[getattr(generator, "__qualname__", type(generator).__name__)] += 1
+        real_start(env, generator)
 
     def run_window(env, window_ms, spin, _profiler):
         until = env.now + window_ms  # the horizon of the window's last slice
         queue, ready = env._queue, env._ready
         env.trace = DispatchHash()  # any sink: tracing is what makes it exact
-        while (ready or queue) and env.peek() <= until:
-            # The entry step() pops next: the smaller head of the two queues.
-            head = queue[0] if queue and (not ready or queue[0] < ready[0]) else ready[0]
-            mix[_classify(head[3], _DEFERRED_MARK, _WAKEUP_MARK)] += 1
-            env.step()
+        Environment.start = start
+        try:
+            while (ready or queue) and env.peek() <= until:
+                # The entry step() pops next: the smaller head of the two queues.
+                head = queue[0] if queue and (not ready or queue[0] < ready[0]) else ready[0]
+                mix[_classify(head[3], _DEFERRED_MARK, _WAKEUP_MARK)] += 1
+                env.step()
+        finally:
+            Environment.start = real_start
         env._now = until
         env.trace = None
         return {"raw_s": 1.0, "raw_cpu_s": 1.0, "s": 1.0, "first_spin_s": spin.seconds()}
@@ -93,8 +106,8 @@ def main(argv=None) -> int:
     from bench_e2e.calibration import Spin
     from bench_e2e.workloads import WORKLOADS
 
-    mix = Counter()
-    harness._run_window = traced_window(mix)
+    mix, tasks = Counter(), Counter()
+    harness._run_window = traced_window(mix, tasks)
     rep = harness.run_repetition(WORKLOADS[args.workload], args.seed, Spin())
     ops = rep["completed"]
     seq_per_op = rep["layer_counters"]["sim.events_per_op"]
@@ -112,6 +125,12 @@ def main(argv=None) -> int:
     gap = abs(total - seq_per_op) / seq_per_op
     print(f"{total:10.3f}  dispatched entries per op")
     print(f"{seq_per_op:10.3f}  sim.events_per_op (sequence numbers per op)  gap {gap:.4%}")
+    print(f"{'tasks/op':>10}  body")
+    for what, n in sorted(tasks.items(), key=lambda item: (-item[1], item[0])):
+        print(f"{n / ops:10.3f}      {what}")
+    ndb = sum(n for what, n in tasks.items() if what.startswith("NdbDatanode."))
+    print(f"{sum(tasks.values()) / ops:10.3f}  tasks started per op, "
+          f"{ndb / ops:.3f} of them NdbDatanode.*")
     if gap > TOLERANCE:
         print(f"the kinds do not sum to sim.events_per_op within {TOLERANCE:.1%}")
         return 1

@@ -43,7 +43,6 @@ from .messages import (
     PrepareFailedMsg,
     PreparedMsg,
     ReleaseLocksMsg,
-    TcAbortReq,
     TcCommitReq,
     TcReadReq,
     TcScanReq,
@@ -57,6 +56,7 @@ from ..sim.resources import CorePool, Disk
 __all__ = ["NdbDatanode"]
 
 _CHAIN_OVERHEAD_BYTES = 96
+_NO_REPLY = object()  # ``_done``'s default: end the chain without a reply
 
 
 @dataclass(slots=True)
@@ -84,6 +84,9 @@ class _TcTxn:
     txid: int
     client_az: AzId
     ops: dict[int, _RowOp] = field(default_factory=dict)
+    # (table, pk) -> the op of its last write, in first-write order: a row
+    # written twice has one prepared version, committed once.
+    rows: dict[tuple, _RowOp] = field(default_factory=dict)
     # Nodes where LDM threads hold read locks on our behalf -> row keys.
     # Keys are stored as an insertion-ordered dict-of-None (not a set) so
     # that release order — and therefore message order — is deterministic
@@ -175,9 +178,12 @@ class NdbDatanode(Server):
         return pools[partition // self._ldm_stride % len(pools)]
 
     # --------------------------------------------------------------- dispatch
-    # A message runs to completion on the Table II threads: its delivery
-    # hands it to the RECV thread, and only the handler that job leads to
-    # is a task.  A thread hand-off is ``CorePool.call(cost, fn, arg)``.
+    # A message is a chain of Table II thread hand-offs, each a
+    # ``CorePool.call(cost, fn, arg)``: delivery -> RECV -> its handler's
+    # stages.  A task starts only where the chain waits on something that is
+    # not a thread (a lock grant, an RPC reply, a chain ack): a handler
+    # returns that task's generator, or None once its chain is queued.  A
+    # chain's last stage ends it where its task would have ended (``_done``).
     def _on_message(self, msg: Message) -> None:
         self.recv_pool.call(self.costs.recv_msg, self._received, msg)
 
@@ -190,36 +196,51 @@ class NdbDatanode(Server):
     )
 
     def _received(self, msg: Message) -> None:
-        """RECV done: start the message's handler as a task."""
-        handler = self._HANDLERS.get(msg.kind) if self.running else None
-        if handler is None:
-            self.env.start(self._unhandled(msg))
+        """RECV done: run the message's handler.  A node that went down
+        during RECV drops it; an unknown kind fails the run."""
+        env = self.env
+        if not self.running:
+            env.end_task()
             return
-        obs = self.env.obs
-        if obs is not None and msg.kind in self._TRACED_KINDS:
-            self.env.start(self._traced(obs, handler, msg))
-        else:
-            self.env.start(handler(self, msg))
-
-    def _unhandled(self, msg: Message):
-        """Task of a message no handler runs: dropped when the node went
-        down during RECV, a failed run when its kind is unknown."""
-        if self.running:
+        handler = self._HANDLERS.get(msg.kind)
+        if handler is None:
             raise NdbError(f"{self.addr}: unknown message kind {msg.kind!r}")
-        yield from ()
+        obs = env.obs
+        if obs is not None and msg.kind in self._TRACED_KINDS:
+            # Stashed so the handler can parent replica round-trips and
+            # lock waits under this server span; it ends with the message.
+            msg.extra = {**msg.extra, "server_span": obs.tracer.start(
+                f"ndb.{msg.kind}", parent=msg.extra.get("span_id"),
+                host=str(self.addr), az=self.az,
+            )}
+        body = handler(self, msg)
+        if body is not None:
+            env.start(body if obs is None else self._spanned(msg, body))
 
-    def _traced(self, obs, handler, msg: Message):
-        span = obs.tracer.start(
-            f"ndb.{msg.kind}", parent=msg.extra.get("span_id"),
-            host=str(self.addr), az=self.az,
-        )
-        # Stashed so the handler can parent replica round-trips and
-        # lock waits under this server span.
-        msg.extra = {**msg.extra, "server_span": span}
+    def _spanned(self, msg: Message, body):
+        """``body``, the task that ends ``msg``, as a traced run starts it
+        (``env.start(body if env.obs is None else self._spanned(msg, body))``):
+        a traced message's span ends with the task."""
         try:
-            yield from handler(self, msg)
+            yield from body
         finally:
-            obs.tracer.finish(span)
+            span = msg.extra.get("server_span")
+            if span is not None:
+                self.env.obs.tracer.finish(span)
+
+    def _done(self, msg: Message, payload: Any = _NO_REPLY, ok: bool = True, size: int = 128):
+        """End ``msg``'s callback chain where its task would have ended:
+        reply with ``payload`` (as ``_reply``, inlined: it is the common last
+        stage), close its server span, consume the task end."""
+        env = self.env
+        if payload is not _NO_REPLY:
+            self.send_pool.call(
+                self.costs.send_msg, self._send_now_cb,
+                self.network.reply_message(msg, payload, ok, size),
+            )
+        if env.obs is not None and "server_span" in msg.extra:
+            env.obs.tracer.finish(msg.extra["server_span"])
+        env.end_task()
 
     # _send/_reply run once per outgoing message: the message is built now
     # and handed to the SEND thread, which puts it on the wire through a
@@ -302,11 +323,15 @@ class NdbDatanode(Server):
             del self._lock_tc[next(iter(self._lock_tc))]
 
     # ------------------------------------------------------------- TC: reads
-    def _tc_read(self, msg: Message):
+    # A lock-free read or scan is TC -> LDM -> reply, all thread stages; the
+    # RPC to a remote LDM and a locked read's lock grant are waited in a task.
+    def _tc_read(self, msg: Message) -> None:
+        self.tc_pool.call(self.costs.tc_step, self._tc_read_tc, msg)
+
+    def _tc_read_tc(self, msg: Message) -> None:
         req: TcReadReq = msg.payload
-        yield self.tc_pool.submit(self.costs.tc_step)
         if self._reject_reaped(msg, req.txid):
-            return
+            return self._done(msg)
         table = self.cluster.schema.table(req.table)
         pmap = self.cluster.partition_map
         partition = pmap.partition_of(req.partition_key)
@@ -326,7 +351,7 @@ class NdbDatanode(Server):
                 node, role = replicas.primary, 0
         except NoDatanodesError as exc:
             self._abort_reply(msg, exc)
-            return
+            return self._done(msg)
         ldm_req = LdmReadReq(
             req.txid, req.table, req.pk, req.partition_key, partition, req.lock,
             role, req.client_az,
@@ -334,30 +359,37 @@ class NdbDatanode(Server):
         if req.lock is not LockMode.NONE:
             txn = self._txn(req.txid, req.client_az)  # refreshes last_active
             txn.read_locks.setdefault(node, {})[(req.table, req.pk)] = None
-        server_span = msg.extra.get("server_span") if self.env.obs is not None else None
-        if node == self.addr:
-            try:
-                value = yield from self._ldm_read_local(ldm_req, parent=server_span)
-            except NdbError as exc:
-                self._reply(msg, exc, ok=False)
-                return
-            self._reply(msg, value, size=table.row_bytes)
+        if node != self.addr:
+            body = self._forward(msg, node, "ldm_read", ldm_req, table.row_bytes)
+        elif req.lock is not LockMode.NONE:
+            body = self._read_locked(msg, ldm_req, self.addr)
+        else:
+            self._ldm_pool_for(partition).call(self.costs.ldm_read, self._read_row, (msg, ldm_req))
             return
+        env = self.env
+        env.start(body if env.obs is None else self._spanned(msg, body))
+
+    def _forward(self, msg: Message, node: NodeAddress, kind: str, ldm_req, row_bytes: int):
+        """A read or scan the TC hands to ``node``'s LDM: it waits on the RPC."""
+        server_span = msg.extra.get("server_span") if self.env.obs is not None else None
         try:
             value = yield self.network.call(
-                self.addr, node, "ldm_read", ldm_req, size=_CHAIN_OVERHEAD_BYTES,
+                self.addr, node, kind, ldm_req, size=_CHAIN_OVERHEAD_BYTES,
                 parent_span=server_span,
             )
         except (HostUnreachableError, NdbError) as exc:
             self._abort_reply(msg, exc)
             return
-        self._reply(msg, value, size=table.row_bytes)
+        size = max(128, len(value) * row_bytes) if kind == "ldm_scan" else row_bytes
+        self._reply(msg, value, size=size)
 
-    def _tc_scan(self, msg: Message):
+    def _tc_scan(self, msg: Message) -> None:
+        self.tc_pool.call(self.costs.tc_step, self._tc_scan_tc, msg)
+
+    def _tc_scan_tc(self, msg: Message) -> None:
         req: TcScanReq = msg.payload
-        yield self.tc_pool.submit(self.costs.tc_step)
         if self._reject_reaped(msg, req.txid):
-            return
+            return self._done(msg)
         table = self.cluster.schema.table(req.table)
         pmap = self.cluster.partition_map
         partition = pmap.partition_of(req.partition_key)
@@ -373,23 +405,15 @@ class NdbDatanode(Server):
             )
         except NoDatanodesError as exc:
             self._abort_reply(msg, exc)
-            return
+            return self._done(msg)
         ldm_req = LdmScanReq(
             req.txid, req.table, req.partition_key, partition, role, req.client_az
         )
-        server_span = msg.extra.get("server_span") if self.env.obs is not None else None
         if node == self.addr:
-            rows = yield from self._ldm_scan_local(ldm_req)
-        else:
-            try:
-                rows = yield self.network.call(
-                    self.addr, node, "ldm_scan", ldm_req, size=_CHAIN_OVERHEAD_BYTES,
-                    parent_span=server_span,
-                )
-            except (HostUnreachableError, NdbError) as exc:
-                self._abort_reply(msg, exc)
-                return
-        self._reply(msg, rows, size=max(128, len(rows) * table.row_bytes))
+            return self._ldm_scan(msg, ldm_req)
+        body = self._forward(msg, node, "ldm_scan", ldm_req, table.row_bytes)
+        env = self.env
+        env.start(body if env.obs is None else self._spanned(msg, body))
 
     # ------------------------------------------------------------ TC: writes
     def _tc_write(self, msg: Message):
@@ -409,7 +433,7 @@ class NdbDatanode(Server):
         seq = txn.next_seq
         txn.next_seq = seq + 1
         chain = replicas.chain
-        op = txn.ops[seq] = _RowOp(
+        op = txn.ops[seq] = txn.rows[(req.table, req.pk)] = _RowOp(
             seq, req.table, req.pk, req.partition_key, partition, req.value, chain,
             table.read_backup or table.fully_replicated, self.env.event(),
         )
@@ -435,9 +459,9 @@ class NdbDatanode(Server):
             self._send(target, "chain_prepare", prepare, size)
 
     # ---------------------------------------------------------- LDM: chains
-    # The three chain-hop handlers are plain functions returning the body
-    # generator: the task runs the body itself, with no frame above it.  A
-    # hop to this node skips the wire and starts its body inline.
+    # A prepare hop waits on its row lock: its handler returns the body
+    # generator, which the task runs with no frame above it.  A commit or
+    # complete hop is an LDM stage.  A hop to this node skips the wire.
     def _chain_prepare(self, msg: Message):
         return self._chain_prepare_body(msg.payload)
 
@@ -480,20 +504,22 @@ class NdbDatanode(Server):
             )
             self._send(cp.chain[hop], "chain_prepare", nxt, size)
 
-    def _chain_commit(self, msg: Message):
-        return self._chain_commit_body(msg.payload)
+    def _chain_commit(self, msg: Message) -> None:
+        self._commit_hop(msg.payload)
 
-    def _chain_commit_body(self, cc: ChainCommit):
+    def _commit_hop(self, cc: ChainCommit) -> None:
         if not self.running or cc.txid in self._reaped:
-            return
-        pool = self._ldm_pool_for(cc.partition)
-        yield pool.submit(self.costs.ldm_commit)
+            self.env.end_task()
+        else:
+            self._ldm_pool_for(cc.partition).call(self.costs.ldm_commit, self._commit_ldm, cc)
+
+    def _commit_ldm(self, cc: ChainCommit) -> None:
         if not self.running or cc.txid in self._reaped:
             # The take-over already settled this transaction (roll-forward
             # applied the prepared version, rollback dropped it): a late
             # ChainCommit must not re-apply or forward.
-            return
-        if cc.hop == 0:
+            pass
+        elif cc.hop == 0:
             # Primary: apply, release the row lock, report Committed.
             self.store.commit_prepared(cc.txid, cc.table, cc.pk)
             self.locks.release(cc.txid, (cc.table, cc.pk))
@@ -511,32 +537,36 @@ class NdbDatanode(Server):
             )
             target = cc.chain[hop]
             if target == self.addr:
-                self.env.start(self._chain_commit_body(nxt))
+                self._commit_hop(nxt)
             else:
                 self._send(target, "chain_commit", nxt, size=128)
+        self.env.end_task()
 
-    def _complete(self, msg: Message):
-        return self._complete_body(msg.payload)
+    def _complete(self, msg: Message) -> None:
+        self._complete_hop(msg.payload)
 
-    def _complete_body(self, cm: CompleteMsg):
-        if not self.running:
-            return
+    def _complete_hop(self, cm: CompleteMsg) -> None:
         # The Complete applies the prepared version on the backup replica and
         # frees transaction memory (Section II-B2).
-        yield self._ldm_pool_for(cm.partition).submit(self.costs.ldm_commit)
-        if not self.running:
-            return
-        try:
-            self.store.commit_prepared(cm.txid, cm.table, cm.pk)
-        except NdbError:
-            pass  # already applied (e.g. retried Complete)
-        self.locks.release(cm.txid, (cm.table, cm.pk))
-        if not self.locks.holds_any(cm.txid):
-            self._lock_tc.pop(cm.txid, None)
-            self._commit_decided.pop(cm.txid, None)
-        self._write_redo()
-        if cm.want_completed:
-            self._send(cm.tc, "completed", CompletedMsg(cm.txid, cm.seq), size=128)
+        if self.running:
+            self._ldm_pool_for(cm.partition).call(self.costs.ldm_commit, self._complete_ldm, cm)
+        else:
+            self.env.end_task()
+
+    def _complete_ldm(self, cm: CompleteMsg) -> None:
+        if self.running:
+            try:
+                self.store.commit_prepared(cm.txid, cm.table, cm.pk)
+            except NdbError:
+                pass  # already applied (e.g. retried Complete)
+            self.locks.release(cm.txid, (cm.table, cm.pk))
+            if not self.locks.holds_any(cm.txid):
+                self._lock_tc.pop(cm.txid, None)
+                self._commit_decided.pop(cm.txid, None)
+            self._write_redo()
+            if cm.want_completed:
+                self._send(cm.tc, "completed", CompletedMsg(cm.txid, cm.seq), size=128)
+        self.env.end_task()
 
     def _write_redo(self) -> None:
         """Append to the redo log: the REP/IO threads and the disk are
@@ -547,11 +577,15 @@ class NdbDatanode(Server):
         self.disk.append(self.costs.redo_bytes_per_write)
 
     # ------------------------------------------------------------ TC: commit
-    def _tc_commit(self, msg: Message):
+    def _tc_commit(self, msg: Message) -> None:
+        self.tc_pool.call(self.costs.tc_step, self._tc_commit_tc, msg)
+
+    def _tc_commit_tc(self, msg: Message) -> None:
+        """TC stage of a commit: a read-only one ends here, one with writes
+        starts its commit chains and waits on their acks in a task."""
         req: TcCommitReq = msg.payload
-        yield self.tc_pool.submit(self.costs.tc_step)
         if self._reject_reaped(msg, req.txid):
-            return
+            return self._done(msg)
         txn = self.txns.get(req.txid)
         if txn is not None:
             txn.last_active_ms = self.env.now
@@ -560,9 +594,8 @@ class NdbDatanode(Server):
             if txn is not None:
                 self._release_read_locks(txn)
                 self._drop_txn(req.txid)
-            self._reply(msg, True)
-            return
-        ops = list(txn.ops.values())
+            return self._done(msg, True)
+        ops = list(txn.rows.values())  # one per row, with its last value
         # A chain participant may have been declared failed since we
         # prepared; NDB aborts such transactions (the client retries).
         pmap = self.cluster.partition_map
@@ -570,12 +603,9 @@ class NdbDatanode(Server):
         if dead:
             self._abort_cleanup(txn)
             self._drop_txn(req.txid)
-            self._reply(
-                msg,
-                TransactionAbortedError(f"replica {dead[0]} failed before commit"),
-                ok=False,
+            return self._done(
+                msg, TransactionAbortedError(f"replica {dead[0]} failed before commit"), ok=False
             )
-            return
         for op in ops:
             op.committed = self.env.event()
             hop = len(op.chain) - 1
@@ -584,11 +614,16 @@ class NdbDatanode(Server):
             )
             target = op.chain[hop]
             if target == self.addr:
-                self.env.start(self._chain_commit_body(commit))
+                self._commit_hop(commit)
             else:
                 self._send(target, "chain_commit", commit, size=128)
         # Strict 2PL: the commit point has been reached, read locks go now.
         self._release_read_locks(txn)
+        body = self._tc_committing(msg, txn, ops)
+        self.env.start(body if self.env.obs is None else self._spanned(msg, body))
+
+    def _tc_committing(self, msg: Message, txn: _TcTxn, ops: list[_RowOp]):
+        req: TcCommitReq = msg.payload
         try:
             yield self.env.all_of([op.committed for op in ops])
         except NdbError as exc:
@@ -619,7 +654,7 @@ class NdbDatanode(Server):
                     op.want_completed,
                 )
                 if backup == self.addr:
-                    self.env.start(self._complete_body(complete))
+                    self._complete_hop(complete)
                 else:
                     self._send(backup, "complete", complete, size=128)
         if waiters:
@@ -632,19 +667,20 @@ class NdbDatanode(Server):
         self._drop_txn(req.txid)
         self._reply(msg, True)
 
-    def _tc_abort(self, msg: Message):
-        req: TcAbortReq = msg.payload
-        yield self.tc_pool.submit(self.costs.tc_step)
-        txn = self.txns.get(req.txid)
+    def _tc_abort(self, msg: Message) -> None:
+        self.tc_pool.call(self.costs.tc_step, self._tc_abort_tc, msg)
+
+    def _tc_abort_tc(self, msg: Message) -> None:
+        txn = self.txns.get(msg.payload.txid)
         if txn is not None:
             self._abort_cleanup(txn)
-            self._drop_txn(req.txid)
-        self._reply(msg, True)
+            self._drop_txn(txn.txid)
+        self._done(msg, True)
 
     def _release_read_locks(self, txn: _TcTxn) -> None:
         # Rows in the write set keep their X locks until the commit chain
         # applies them at the primary; only read-only locks go now.
-        written = {(op.table, op.pk) for op in txn.ops.values()}
+        written = txn.rows
         for node, held in txn.read_locks.items():
             keys = [k for k in held if k not in written]
             if not keys:
@@ -670,36 +706,28 @@ class NdbDatanode(Server):
         txn.read_locks.clear()
 
     # ------------------------------------------------------- TC: chain acks
-    def _on_prepared(self, msg: Message):
-        ack: PreparedMsg = msg.payload
-        yield self.tc_pool.submit(self.costs.tc_step)
-        op = self._op_for(ack.txid, ack.seq)
-        if op is not None and op.prepared is not None and not op.prepared.triggered:
-            op.prepared.succeed()
+    def _on_ack(self, msg: Message) -> None:
+        """``prepared``, ``prepare_failed``, ``committed`` or ``completed``:
+        the TC stage settles the event its op's task waits on."""
+        self.tc_pool.call(self.costs.tc_step, self._ack_tc, msg)
 
-    def _on_prepare_failed(self, msg: Message):
-        fail: PrepareFailedMsg = msg.payload
-        yield self.tc_pool.submit(self.costs.tc_step)
-        op = self._op_for(fail.txid, fail.seq)
-        if op is not None and op.prepared is not None and not op.prepared.triggered:
-            op.prepared.fail(TransactionAbortedError(fail.error))
-
-    def _on_committed(self, msg: Message):
-        ack: CommittedMsg = msg.payload
-        yield self.tc_pool.submit(self.costs.tc_step)
+    def _ack_tc(self, msg: Message) -> None:
+        ack = msg.payload
         op = self._op_for(ack.txid, ack.seq)
-        if op is not None and op.committed is not None and not op.committed.triggered:
-            op.committed.succeed()
-
-    def _on_completed(self, msg: Message):
-        ack: CompletedMsg = msg.payload
-        yield self.tc_pool.submit(self.costs.tc_step)
-        op = self._op_for(ack.txid, ack.seq)
-        if op is None or op.all_completed is None:
-            return
-        op.completed_pending -= 1
-        if op.completed_pending == 0 and not op.all_completed.triggered:
-            op.all_completed.succeed()
+        kind = msg.kind
+        if kind == "completed":
+            if op is not None and op.all_completed is not None:
+                op.completed_pending -= 1
+                if op.completed_pending == 0 and not op.all_completed.triggered:
+                    op.all_completed.succeed()
+        elif op is not None:
+            event = op.committed if kind == "committed" else op.prepared
+            if event is not None and not event.triggered:
+                if kind == "prepare_failed":
+                    event.fail(TransactionAbortedError(ack.error))
+                else:
+                    event.succeed()
+        self.env.end_task()
 
     def _op_for(self, txid: int, seq: int) -> Optional[_RowOp]:
         txn = self.txns.get(txid)
@@ -710,68 +738,66 @@ class NdbDatanode(Server):
     # ----------------------------------------------------------- LDM: reads
     def _ldm_read(self, msg: Message):
         req: LdmReadReq = msg.payload
-        try:
-            parent = msg.extra.get("server_span") if self.env.obs is not None else None
-            value = yield from self._ldm_read_local(req, parent=parent, tc=msg.src)
-        except NdbError as exc:
-            self._reply(msg, exc, ok=False)
-            return
-        size = self.cluster.schema.table(req.table).row_bytes
-        self._reply(msg, value, size=size)
-
-    def _ldm_read_local(self, req: LdmReadReq, parent=None, tc=None):
-        pool = self._ldm_pool_for(req.partition)
         if req.lock is not LockMode.NONE:
+            return self._read_locked(msg, req, msg.src)
+        self._ldm_pool_for(req.partition).call(self.costs.ldm_read, self._read_row, (msg, req))
+
+    def _read_row(self, job: tuple[Message, LdmReadReq]) -> None:
+        """LDM stage of a lock-free read: reply to ``msg`` with the row."""
+        msg, req = job
+        if not self.running:
+            return self._done(msg, NodeFailedError(f"{self.addr} shut down mid-read"), ok=False)
+        self.cluster.read_stats.record(
+            req.table, req.partition, req.role, self.addr, self.az == req.client_az)
+        size = self.cluster.schema.table(req.table).row_bytes
+        self._done(msg, self.store.read(req.table, req.pk), size=size)
+
+    def _read_locked(self, msg: Message, req: LdmReadReq, tc: NodeAddress):
+        """A locked read, for the TC ``tc``: it waits on the row lock."""
+        try:
             if req.txid in self._reaped:
                 raise TransactionAbortedError(f"txn {req.txid} already rolled back")
-            self._remember_lock_tc(req.txid, tc or self.addr)
+            self._remember_lock_tc(req.txid, tc)
             # Locked reads always run on the primary replica.
+            parent = msg.extra.get("server_span") if self.env.obs is not None else None
             yield self.locks.acquire(req.txid, (req.table, req.pk), req.lock, parent=parent)
             if req.txid in self._reaped:
                 # Rolled back while we queued for the lock: let go of it.
                 self.locks.release_all(req.txid)
                 raise TransactionAbortedError(f"txn {req.txid} already rolled back")
-        yield pool.submit(self.costs.ldm_read)
-        if not self.running:
-            raise NodeFailedError(f"{self.addr} shut down mid-read")
-        if req.lock is not LockMode.NONE:
-            value = self.store.read_for(req.txid, req.table, req.pk)
-        else:
-            value = self.store.read(req.table, req.pk)
+            yield self._ldm_pool_for(req.partition).submit(self.costs.ldm_read)
+            if not self.running:
+                raise NodeFailedError(f"{self.addr} shut down mid-read")
+        except NdbError as exc:
+            self._reply(msg, exc, ok=False)
+            return
+        value = self.store.read_for(req.txid, req.table, req.pk)
         self.cluster.read_stats.record(
-            req.table,
-            req.partition,
-            req.role,
-            self.addr,
-            same_az=(self.az == req.client_az),
-        )
-        return value
+            req.table, req.partition, req.role, self.addr, self.az == req.client_az)
+        self._reply(msg, value, size=self.cluster.schema.table(req.table).row_bytes)
 
-    def _ldm_scan(self, msg: Message):
-        req: LdmScanReq = msg.payload
-        rows = yield from self._ldm_scan_local(req)
-        size = max(128, len(rows) * self.cluster.schema.table(req.table).row_bytes)
-        self._reply(msg, rows, size=size)
-
-    def _ldm_scan_local(self, req: LdmScanReq):
-        pool = self._ldm_pool_for(req.partition)
+    def _ldm_scan(self, msg: Message, req: Optional[LdmScanReq] = None) -> None:
+        """LDM stage of a scan: of an ``ldm_scan`` message, or of the local
+        ``req`` a ``tc_scan`` message led to."""
+        if req is None:
+            req = msg.payload
         rows = self.store.scan(req.table, req.partition_key)
         cost = self.costs.ldm_scan_base + self.costs.ldm_scan_row * len(rows)
-        yield pool.submit(cost)
+        self._ldm_pool_for(req.partition).call(cost, self._scanned, (msg, req, rows))
+
+    def _scanned(self, job: tuple[Message, LdmScanReq, list]) -> None:
+        msg, req, rows = job
         if not self.running:
             raise NodeFailedError(f"{self.addr} shut down mid-scan")
         self.cluster.read_stats.record(
-            req.table,
-            req.partition,
-            req.role,
-            self.addr,
-            same_az=(self.az == req.client_az),
-        )
-        return rows
+            req.table, req.partition, req.role, self.addr, self.az == req.client_az)
+        row_bytes = self.cluster.schema.table(req.table).row_bytes
+        self._done(msg, rows, size=max(128, len(rows) * row_bytes))
 
-    def _release_locks_handler(self, msg: Message):
-        release: ReleaseLocksMsg = msg.payload
-        yield self._ldm_pool_for(0).submit(self.costs.ldm_commit)
+    def _release_locks_handler(self, msg: Message) -> None:
+        self._ldm_pool_for(0).call(self.costs.ldm_commit, self._release_locks, msg.payload)
+
+    def _release_locks(self, release: ReleaseLocksMsg) -> None:
         self._lock_tc.pop(release.txid, None)
         self._commit_decided.pop(release.txid, None)
         if release.keys is None:
@@ -781,12 +807,15 @@ class NdbDatanode(Server):
         else:
             for key in release.keys:
                 self.locks.release(release.txid, key)
+        self.env.end_task()
 
     # ------------------------------------------------------------- heartbeat
-    def _heartbeat(self, msg: Message):
-        hb: HeartbeatMsg = msg.payload
-        yield self.main_pool.submit(self.costs.recv_msg)
+    def _heartbeat(self, msg: Message) -> None:
+        self.main_pool.call(self.costs.recv_msg, self._heard, msg.payload)
+
+    def _heard(self, hb: HeartbeatMsg) -> None:
         self.last_heartbeat_from[hb.sender] = self.env.now
+        self.env.end_task()
 
     # --------------------------------------------------------------- failure
     def on_peer_failed(self, dead: NodeAddress) -> None:
@@ -862,9 +891,9 @@ class NdbDatanode(Server):
         "chain_commit": _chain_commit,
         "complete": _complete,
         "release_locks": _release_locks_handler,
-        "prepared": _on_prepared,
-        "prepare_failed": _on_prepare_failed,
-        "committed": _on_committed,
-        "completed": _on_completed,
+        "prepared": _on_ack,
+        "prepare_failed": _on_ack,
+        "committed": _on_ack,
+        "completed": _on_ack,
         "heartbeat": _heartbeat,
     }

@@ -43,7 +43,9 @@ Hot-path design (see DESIGN.md §4 "Kernel performance"):
   the heap paid a sift to the root and a full sift back down.
 * A generator nobody waits on runs as a :class:`Task` (``Environment.start``
   / ``spawn``): the process's resume routine without the Event half — no
-  name, no value, no waiters — whose end queues its entry only when traced.
+  name, no value, no waiters — whose end (``Environment.end_task``, also
+  called by a callback chain standing for a task) queues its entry only
+  when traced.
 * ``Environment.run`` inlines the dispatch loop with all per-step attribute
   lookups hoisted into locals.
 * No reference cycle outlives a finished process: the cached
@@ -528,9 +530,10 @@ class Task:
     way a process bootstrap is queued.
 
     *Sequence parity.*  The end of a process nobody waits on queues an
-    entry whose untraced dispatch runs nothing.  A task's end consumes that
-    entry's sequence number and queues it only under ``env.trace``, so
-    traced and untraced runs keep the schedule a process would have had.
+    entry whose untraced dispatch runs nothing.  A task's end
+    (:meth:`Environment.end_task`) consumes that entry's sequence number
+    and queues it only under ``env.trace``, so traced and untraced runs keep
+    the schedule a process would have had.
     A task that raises queues the failure, so the run fails at the very
     dispatch an unwaited process's failure would have failed it.
     """
@@ -544,10 +547,7 @@ class Task:
 
     def _finish(self, _value: Any) -> None:
         self._resume_cb = self._send = self._generator = None  # _retire, inlined
-        env = self.env
-        env._seq += 1
-        if env.trace is not None:
-            env._ready.append((env._now, PRIORITY_NORMAL, env._seq, _TASK_END))
+        self.env.end_task()
 
     def _crash(self, exception: BaseException) -> None:
         self._retire()
@@ -740,6 +740,15 @@ class Environment:
         resume = task._resume_cb = task._resume
         resume(None)
 
+    def end_task(self) -> None:
+        """End a task, or a callback chain that stands for one: consume the
+        sequence number an unwaited process's end takes, and queue its
+        do-nothing entry only under ``trace`` (see :class:`Task`).  A chain
+        calls it after its last scheduling action, where the task ended."""
+        self._seq += 1
+        if self.trace is not None:
+            self._ready.append((self._now, PRIORITY_NORMAL, self._seq, _TASK_END))
+
     def call_soon(self, fn: Callable[[Any], None], arg: Any = None) -> None:
         """Queue bare ``fn(arg)`` on the ready FIFO of the current instant —
         the slot a process bootstrap would take.  One sequence number."""
@@ -750,8 +759,14 @@ class Environment:
         self._ready.append((self._now, PRIORITY_NORMAL, self._seq, entry))
 
     def spawn(self, generator: Generator) -> None:
-        """Run ``generator`` as a task from a bootstrap slot, like ``process``."""
-        self.call_soon(self.start, generator)
+        """Run ``generator`` as a task from a bootstrap slot, like ``process``:
+        ``call_soon(start, generator)``, inlined (one call per spawned task
+        fewer, what a task's ``end_task`` call costs)."""
+        entry = _Deferred.__new__(_Deferred)
+        entry.fn = self.start
+        entry.arg = generator
+        self._seq += 1
+        self._ready.append((self._now, PRIORITY_NORMAL, self._seq, entry))
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

@@ -30,8 +30,11 @@ def _fail_next_commit(monkeypatch):
         if not armed[0] or txn is None or not any(
             op.table == INODES_TABLE for op in txn.ops.values()
         ):
-            yield from real_commit(self, msg)
-            return
+            return real_commit(self, msg)
+        return inject(self, msg)
+
+    def inject(self, msg):
+        txid = msg.payload.txid
         armed[0] = False
         yield self.tc_pool.submit(self.costs.tc_step)
         self._abort_cleanup(self.txns[txid])

@@ -1,19 +1,28 @@
 """The datanode schedules only what something waits on.
 
-A delivered message's RECV job is submitted in the delivery itself, and
-the redo/checkpoint bookkeeping no protocol step waits on (REP and IO
-threads, redo and checkpoint bytes) is charged without a kernel entry.
+A delivered message's RECV job is submitted in the delivery itself, the
+redo/checkpoint bookkeeping no protocol step waits on (REP and IO threads,
+redo and checkpoint bytes) is charged without a kernel entry, and a message
+is a chain of thread callbacks that starts a task only where it waits on a
+lock, an RPC reply or a chain ack.
 """
 
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import repro
 import repro.ndb
-from repro.ndb.messages import ReleaseLocksMsg
-from repro.net.network import Message
+from repro.ndb import LockMode
+from repro.ndb.datanode import NdbDatanode
+from repro.ndb.messages import PrepareFailedMsg, ReleaseLocksMsg
+from repro.net.network import Message, Network
+from repro.obs import ObsContext
+from repro.sim import Environment
+
+from .conftest import build_harness
 
 
 def _schedule(env):
@@ -95,3 +104,124 @@ def test_thread_hand_offs_are_pool_calls():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if waiter.search(line)]
     assert hits == []
+
+
+# ------------------------------------------- a message is a callback chain
+KEYS = [f"k{i}" for i in range(8)]
+
+
+def _exercise(harness):
+    """Writes, a commit with writes, lock-free reads and scans (local and
+    remote), a read-only commit, a locked read, an abort, heartbeats and an
+    ack for a transaction nobody knows."""
+    api = harness.api
+
+    def scenario():
+        txn = api.transaction(hint_table="t", hint_key="k0")
+        for key in KEYS:
+            yield from txn.write("t", key, key)
+        yield from txn.commit()
+        txn = api.transaction(hint_table="t", hint_key="k0")
+        for key in KEYS:
+            yield from txn.read("t", key)
+            yield from txn.scan("t", key)
+        yield from txn.commit()
+        txn = api.transaction(hint_table="t", hint_key="k0")
+        yield from txn.read("t", "k3", lock=LockMode.SHARED)
+        yield from txn.commit()
+        txn = api.transaction(hint_table="t", hint_key="k0")
+        yield from txn.write("t", "gone", 1)
+        yield from txn.abort()
+
+    harness.run(scenario())
+    dn = next(iter(harness.cluster.datanodes.values()))
+    harness.network.send(
+        Message(harness.client_addr, dn.addr, "prepare_failed", PrepareFailedMsg(999, 0, "x")))
+    harness.env.run(until=harness.env.now + 200)
+
+
+def _spy_handlers(monkeypatch):
+    """Record ``(msg, returned)`` for every message a handler runs."""
+    handled = []
+    for kind, handler in NdbDatanode._HANDLERS.items():
+        def spy(node, msg, _handler=handler):
+            body = _handler(node, msg)
+            handled.append((msg, body))
+            return body
+
+        monkeypatch.setitem(NdbDatanode._HANDLERS, kind, spy)
+    return handled
+
+
+def test_converted_kinds_start_no_task(monkeypatch):
+    started = Counter()
+    real_start = Environment.start
+
+    def start(env, generator):
+        started[generator.__qualname__] += 1
+        real_start(env, generator)
+
+    harness = build_harness(heartbeats=True)
+    handled = _spy_handlers(monkeypatch)
+    monkeypatch.setattr(Environment, "start", start)
+    _exercise(harness)
+    kinds = Counter(msg.kind for msg, _body in handled)
+    assert set(kinds) == set(NdbDatanode._HANDLERS), kinds  # every kind ran
+    locked = [msg for msg, _body in handled
+              if msg.kind in ("tc_read", "ldm_read") and msg.payload.lock is not LockMode.NONE]
+    assert len(locked) in (1, 2)  # the TC's, and the primary's when remote
+    for msg, body in handled:
+        waits = msg.kind in ("tc_write", "chain_prepare") or (
+            msg.kind == "ldm_read" and msg in locked)
+        assert (body is not None) == waits, msg.kind
+    replication = harness.cluster.config.replication
+    assert {name: n for name, n in started.items() if name.startswith("NdbDatanode.")} == {
+        "NdbDatanode._tc_write": kinds["tc_write"],
+        "NdbDatanode._chain_prepare_body": kinds["tc_write"] * replication,
+        "NdbDatanode._tc_committing": 1,
+        "NdbDatanode._forward": kinds["ldm_read"] + kinds["ldm_scan"],
+        "NdbDatanode._read_locked": 1,
+    }
+    # Both halves of the lock-free path ran: reads the TC served itself
+    # (no task at all) and reads it forwarded (one task, the RPC wait).
+    assert kinds["ldm_read"] + kinds["ldm_scan"] < 2 * len(KEYS)
+    assert kinds["ldm_read"] > 0 and kinds["ldm_scan"] > 0
+
+
+def test_a_traced_message_keeps_its_server_span(monkeypatch):
+    """Each traced kind's ``ndb.<kind>`` span is the child of its RPC span,
+    opens when its RECV job ends and closes with its reply, whether the
+    message ends as a callback chain or as a task."""
+    harness = build_harness()
+    obs = ObsContext()
+    obs.attach(harness.env)
+    received, replied = [], {}
+    real_received, real_reply = NdbDatanode._received, Network.reply_message
+
+    def spy_received(node, msg):
+        received.append((msg, node.env.now))
+        real_received(node, msg)
+
+    def spy_reply(request, *args):
+        replied[id(request)] = harness.env.now
+        return real_reply(request, *args)
+
+    monkeypatch.setattr(NdbDatanode, "_received", spy_received)
+    monkeypatch.setattr(Network, "reply_message", staticmethod(spy_reply))
+    _exercise(harness)
+    by_id = {span.span_id: span for span in obs.tracer.spans}
+    seen = Counter()
+    for msg, at in received:
+        if msg.kind not in NdbDatanode._TRACED_KINDS:
+            assert "server_span" not in msg.extra
+            continue
+        seen[msg.kind] += 1
+        span = msg.extra["server_span"]
+        assert span.name == f"ndb.{msg.kind}"
+        assert span.parent_id == msg.extra["span_id"]
+        assert by_id[span.parent_id].name == f"rpc.{msg.kind}"
+        assert (span.start_ms, span.end_ms) == (at, replied[id(msg)])
+        if msg.kind in ("ldm_read", "ldm_scan"):
+            # The forwarding TC's server span is the RPC's parent.
+            assert by_id[by_id[span.parent_id].parent_id].name in ("ndb.tc_read", "ndb.tc_scan")
+    assert set(seen) == NdbDatanode._TRACED_KINDS

@@ -296,3 +296,46 @@ def test_fully_replicated_row_on_every_datanode():
         return [dn.store.read("fr", "k") for dn in harness.cluster.datanodes.values()]
 
     assert harness.run(scenario()) == ["everywhere"] * 6
+
+
+def _replica_rows(harness, table, pk):
+    """``(found, value)`` of ``(table, pk)`` on every datanode storing it."""
+    cluster = harness.cluster
+    partition = cluster.partition_map.partition_of(pk)
+    chain = cluster.partition_map.replicas(partition, False).chain
+    return [cluster.datanodes[addr].store.lookup(table, pk) for addr in chain]
+
+
+@pytest.mark.parametrize("table", ["t", "plain"])
+@pytest.mark.parametrize("steps, expected", [
+    ((("write", 1), ("delete", None)), (False, None)),
+    ((("write", 1), ("write", 2)), (True, 2)),
+    ((("delete", None), ("write", 3), ("write", 4)), (True, 4)),
+])
+def test_a_key_written_twice_in_one_transaction_commits_its_last_value(
+        harness, table, steps, expected):
+    def scenario():
+        txn = harness.api.transaction()
+        yield from txn.write(table, "k", 0)
+        yield from txn.commit()
+        txn = harness.api.transaction()
+        for step, value in steps:
+            if step == "write":
+                yield from txn.write(table, "k", value)
+            else:
+                yield from txn.delete(table, "k")
+        yield from txn.write(table, "other", "x")
+        yield from txn.commit()
+        txn = harness.api.transaction()
+        seen = yield from txn.read(table, "k")
+        yield from txn.commit()
+        return seen
+
+    assert harness.run(scenario()) == expected[1]
+    harness.env.run(until=harness.env.now + 50)  # the Completes land everywhere
+    rows = _replica_rows(harness, table, "k")
+    assert len(rows) == harness.cluster.config.replication
+    assert rows == [expected] * len(rows)
+    assert _replica_rows(harness, table, "other") == [(True, "x")] * len(rows)
+    for dn in harness.cluster.datanodes.values():
+        assert dn.store.prepared_count() == 0 and not dn.locks._rows

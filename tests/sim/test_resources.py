@@ -299,3 +299,84 @@ def test_call_queues_behind_busy_cores():
     assert pool.busy_time == 10 and pool.jobs_done == 3
     with pytest.raises(ValueError):
         pool.call(-1, done.append, None)
+
+
+# ------------------------------------ a callback chain replays its task
+# One handler of a program: (issued at, its stages as (pool, cost), the
+# stage it returns early at).  As a task it waits on ``submit`` per stage;
+# as a chain each stage is a ``call`` whose callback issues the next, and
+# the chain ends with ``env.end_task()`` where the task ended.
+_HANDLERS = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.5, 1.0]),
+              st.lists(st.tuples(st.integers(0, 1), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+                       max_size=3),
+              st.integers(0, 3)),
+    min_size=1, max_size=8,
+)
+
+
+def _run_handlers(handlers, as_chain, traced):
+    """The program with every handler as a task or as a callback chain.
+    Returns everything observable."""
+    env = Environment()
+    if traced:
+        env.trace = []
+    pools = [CorePool(env, 1), CorePool(env, 2)]  # one core: jobs queue
+    log = []
+
+    def task(ident, stages, stop):
+        for index, (pool, cost) in enumerate(stages):
+            if index == stop:
+                break  # an early return
+            yield pools[pool].submit(cost)
+            log.append((env.now, ident, index))
+            env.event().succeed()  # a scheduling action after the wait
+        log.append((env.now, ident, "end"))
+
+    def stage(job):
+        ident, stages, stop, index = job
+        if index:
+            log.append((env.now, ident, index - 1))
+            env.event().succeed()
+        if index == len(stages) or index == stop:
+            log.append((env.now, ident, "end"))
+            env.end_task()
+            return
+        pool, cost = stages[index]
+        pools[pool].call(cost, stage, (ident, stages, stop, index + 1))
+
+    def issue(handler):
+        ident, stages, stop = handler
+        if as_chain:
+            stage((ident, stages, stop, 0))
+        else:
+            env.start(task(ident, stages, stop))
+
+    for ident, (at, stages, stop) in enumerate(handlers):
+        env.schedule_at(at, issue, (ident, stages, stop))
+    env.run()
+    return (log, env.trace, env._seq, [(p.jobs_done, p.busy_time) for p in pools])
+
+
+@settings(max_examples=120, deadline=None)
+@given(handlers=_HANDLERS)
+def test_a_callback_chain_ending_in_end_task_replays_its_task(handlers):
+    for traced in (False, True):
+        got = _run_handlers(handlers, as_chain=True, traced=traced)
+        assert got == _run_handlers(handlers, as_chain=False, traced=traced)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_chains_queued_behind_a_busy_core_end_where_their_tasks_do(traced):
+    # Three handlers at one instant on the one-core pool, one returning
+    # before its second stage, one with no stage at all.
+    handlers = [(0.0, [(0, 2.0), (0, 1.0)], 3), (0.0, [(0, 1.0), (0, 1.0)], 1),
+                (0.0, [], 0), (0.5, [(0, 0.5)], 3)]
+    chain = _run_handlers(handlers, as_chain=True, traced=traced)
+    assert chain == _run_handlers(handlers, as_chain=False, traced=traced)
+    log, trace, seq, pools = chain
+    assert [entry for entry in log if entry[2] == "end"] == [
+        (0.0, 2, "end"), (3.0, 1, "end"), (3.5, 3, "end"), (4.5, 0, "end")]
+    assert pools[0] == (4, 4.5)
+    if traced:
+        assert len(trace) == seq  # every end queued its entry
