@@ -4,8 +4,9 @@
     python3 benchmarks/event_mix.py --workload W [--seed S] [--tree DIR]
 
 Runs one ``bench_e2e`` repetition of workload ``W`` (full size, seed ``S``)
-with its measured window dispatched one ``step()`` at a time under
-``env.trace``, and sorts every dispatched entry into one of three kinds:
+with its measured window traced into a sink that sorts every dispatched
+entry, as ``run`` hands it over before its dispatch, into one of three
+kinds:
 
 * **deferred** — a bare ``fn(arg)`` callback (``_Deferred``), by ``fn``;
 * **waiter** — an event with a waiter, by its first waiter, or a
@@ -20,7 +21,8 @@ more than 0.1 %.  It also tallies the tasks the window starts
 (``Environment.start``, which ``spawn`` goes through) per op by the
 ``__qualname__`` of their body, with the datanode's (``NdbDatanode.*``)
 summed.  ``--tree`` runs the simulator and ``bench_e2e`` of another
-checkout (a parent commit, for a before/after table).
+checkout whose trace sink receives whole ``(time, priority, seq, item)``
+entries.
 """
 
 from __future__ import annotations
@@ -57,11 +59,22 @@ def _classify(item, deferred_mark, wakeup_mark) -> tuple:
     return "waiter", f"{type(item).__name__} -> {_name(cb1)}{extra}"
 
 
+class _MixSink:
+    """An ``env.trace`` sink that tallies each dispatched entry by kind."""
+
+    def __init__(self, mix: Counter, deferred_mark, wakeup_mark):
+        self.mix = mix
+        self.marks = (deferred_mark, wakeup_mark)
+
+    def append(self, entry) -> None:
+        self.mix[_classify(entry[3], *self.marks)] += 1
+
+
 def traced_window(mix: Counter, tasks: Counter):
-    """A stand-in for ``bench_e2e.harness._run_window`` that dispatches the
-    window through ``step()`` under ``env.trace``, tallies each entry into
-    ``mix`` and each task started into ``tasks``."""
-    from repro.sim.kernel import _DEFERRED_MARK, _WAKEUP_MARK, DispatchHash, Environment
+    """A stand-in for ``bench_e2e.harness._run_window`` that runs the window
+    in one ``run`` traced into a :class:`_MixSink` over ``mix`` and tallies
+    each task started into ``tasks``."""
+    from repro.sim.kernel import _DEFERRED_MARK, _WAKEUP_MARK, Environment
 
     real_start = Environment.start
 
@@ -70,19 +83,13 @@ def traced_window(mix: Counter, tasks: Counter):
         real_start(env, generator)
 
     def run_window(env, window_ms, spin, _profiler):
-        until = env.now + window_ms  # the horizon of the window's last slice
-        queue, ready = env._queue, env._ready
-        env.trace = DispatchHash()  # any sink: tracing is what makes it exact
+        # Tracing is what makes the tally exact (task ends, no coalescing).
+        env.trace = _MixSink(mix, _DEFERRED_MARK, _WAKEUP_MARK)
         Environment.start = start
         try:
-            while (ready or queue) and env.peek() <= until:
-                # The entry step() pops next: the smaller head of the two queues.
-                head = queue[0] if queue and (not ready or queue[0] < ready[0]) else ready[0]
-                mix[_classify(head[3], _DEFERRED_MARK, _WAKEUP_MARK)] += 1
-                env.step()
+            env.run(until=env.now + window_ms)  # the horizon of the window's last slice
         finally:
             Environment.start = real_start
-        env._now = until
         env.trace = None
         return {"raw_s": 1.0, "raw_cpu_s": 1.0, "s": 1.0, "first_spin_s": spin.seconds()}
 

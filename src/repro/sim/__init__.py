@@ -6,7 +6,6 @@ from .kernel import (
     DispatchHash,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Task,
@@ -21,7 +20,6 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Task",

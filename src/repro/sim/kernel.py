@@ -21,8 +21,8 @@ Hot-path design (see DESIGN.md §4 "Kernel performance"):
   ``_cbs`` (allocated lazily).
 * A process that yields an *already processed* event is re-armed with a
   lightweight :class:`_Wakeup` entry instead of a freshly allocated
-  ``Event``; staleness (interrupt delivered in between) is detected with a
-  per-process wake generation counter.
+  ``Event``.  Nothing but that entry can resume the process, so the run
+  loop dispatches it without a staleness check.
 * :meth:`Environment.schedule_at` / :meth:`Environment.schedule_after`
   schedule a bare ``fn(arg)`` callback through a :class:`_Deferred` heap
   entry — no Event, no value, no processed state.  Message delivery
@@ -46,8 +46,10 @@ Hot-path design (see DESIGN.md §4 "Kernel performance"):
   name, no value, no waiters — whose end (``Environment.end_task``, also
   called by a callback chain standing for a task) queues its entry only
   when traced.
-* ``Environment.run`` inlines the dispatch loop with all per-step attribute
-  lookups hoisted into locals.
+* ``Environment.run`` is the kernel's only dispatch loop, inlined with all
+  per-step attribute lookups hoisted into locals.  ``step`` and
+  ``run_process`` stop it with a marker entry; a traced run rebinds its two
+  pops to recorders, so the untraced loop tests nothing per event.
 * No reference cycle outlives a finished process: the cached
   ``_resume_cb`` bound method (Process -> method -> Process) and the
   generator are dropped at every termination point, and a failure's
@@ -75,17 +77,14 @@ __all__ = [
     "Timeout",
     "Process",
     "Task",
-    "Interrupt",
     "AllOf",
     "AnyOf",
-    "PRIORITY_URGENT",
     "PRIORITY_NORMAL",
     "SimulationError",
     "dispatch_hash",
     "DispatchHash",
 ]
 
-PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
 
 # Sentinel distinguishing "no value yet" from a legitimate ``None`` value.
@@ -102,13 +101,15 @@ _HORIZON_MARK = object()
 
 
 class _Horizon:
-    """Sentinel heap entry marking a run's ``until`` horizon.
+    """Heap entry that ends a run: the ``until`` horizon, or a stop marker.
 
-    Pushed once per ``run(until=...)`` call so the dispatch loop needs no
-    per-iteration peek at the queue head.  Sorts after every real entry at
-    the same time (priority 2 > PRIORITY_NORMAL, infinite sequence), and
-    consumes no sequence number.  A stale sentinel from an aborted earlier
-    run is recognised by identity and skipped.
+    ``run(until=...)`` pushes its own sentinel once, so the dispatch loop
+    needs no per-iteration peek at the queue head; it sorts after every
+    real entry at the same time (priority 2 > PRIORITY_NORMAL, infinite
+    sequence).  Any other ``_Horizon`` dispatched is a stop marker
+    (:data:`_STOP`): the run returns without moving the clock.  Neither
+    consumes a sequence number or reaches the trace, and a run that ends
+    early takes every marker off the heap (:func:`_drop_markers`).
     """
 
     __slots__ = ()
@@ -119,15 +120,16 @@ class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (e.g. yielding a non-event)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
+# The stop marker ``step`` and ``run_process`` push.  Its keys never equal
+# another entry's, so tuple comparison never reaches the marker itself.
+_STOP = _Horizon()
 
-    The ``cause`` attribute carries the value passed to ``interrupt``.
-    """
 
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
+def _drop_markers(queue: list) -> None:
+    """Take every horizon and stop marker off the heap, so that none left by
+    a run that ended early can cut a later run short."""
+    queue[:] = [entry for entry in queue if entry[3]._cb1 is not _HORIZON_MARK]
+    heapify(queue)
 
 
 class _Deferred:
@@ -153,14 +155,11 @@ class _Wakeup:
     (or a task: ``process`` is whichever generator driver waits).
 
     Replaces the fresh ``Event`` the naive implementation allocates when a
-    process waits on something that already happened.  ``gen`` snapshots
-    the process's wake generation; if the process was resumed some other
-    way in the meantime (an interrupt), the generation moved on and the
-    stale wakeup is dropped.  ``source is None`` marks the bootstrap resume
-    of a newly spawned process.
+    process waits on something that already happened.  ``source is None``
+    marks the bootstrap resume of a newly spawned process.
     """
 
-    __slots__ = ("process", "source", "gen")
+    __slots__ = ("process", "source")
     _cb1 = _WAKEUP_MARK  # run-loop dispatch marker (class attribute)
 
 
@@ -226,7 +225,7 @@ class Event:
                 cbs.append(callback)
 
     def _remove_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Best-effort removal (used when an interrupt preempts a wait)."""
+        """Best-effort removal (a triggered condition's observer)."""
         if self._cb1 == callback:
             cbs = self._cbs
             self._cb1 = cbs.pop(0) if cbs else None
@@ -239,7 +238,7 @@ class Event:
                     pass
 
     # -- triggering -------------------------------------------------------
-    def succeed(self, value: Any = None, priority: int = PRIORITY_NORMAL) -> "Event":
+    def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
@@ -247,13 +246,10 @@ class Event:
         self._value = value
         env = self.env
         env._seq += 1
-        if priority == PRIORITY_NORMAL:
-            env._ready.append((env._now, priority, env._seq, self))
-        else:
-            heappush(env._queue, (env._now, priority, env._seq, self))
+        env._ready.append((env._now, PRIORITY_NORMAL, env._seq, self))
         return self
 
-    def fail(self, exception: BaseException, priority: int = PRIORITY_NORMAL) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Trigger the event as failed; waiters see ``exception`` raised."""
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
@@ -270,10 +266,7 @@ class Event:
             self._defused = False
         env = self.env
         env._seq += 1
-        if priority == PRIORITY_NORMAL:
-            env._ready.append((env._now, priority, env._seq, self))
-        else:
-            heappush(env._queue, (env._now, priority, env._seq, self))
+        env._ready.append((env._now, PRIORITY_NORMAL, env._seq, self))
         return self
 
     def defuse(self) -> None:
@@ -427,10 +420,8 @@ _THIS_FILE = _without_kernel_frames.__code__.co_filename
 def _retire(self) -> None:
     """Break driver -> bound method -> driver once the generator is done.
 
-    Nothing reads these slots afterwards: ``Process.interrupt`` /
-    ``_deliver_interrupt`` check ``_value`` first, and a finished driver
-    has no waiter registration or live ``_Wakeup`` left that could resume
-    it.
+    Nothing reads these slots afterwards: a finished driver has no waiter
+    registration or queued ``_Wakeup`` left that could resume it.
     """
     self._resume_cb = self._send = self._generator = None
 
@@ -441,10 +432,8 @@ def _resume(self, trigger: Optional[Event]) -> None:
     This is the hottest function in a figure run — wait registration is
     inlined, and the yielded target is classified by reading its ``_cb1``
     slot directly (only kernel events have one; anything else is the
-    non-event error path).  ``Process`` interrupts come through here too,
-    as a failed trigger.
+    non-event error path).
     """
-    self._waiting_on = None
     try:
         if trigger is None:  # first step
             target = self._send(None)
@@ -464,7 +453,6 @@ def _resume(self, trigger: Optional[Event]) -> None:
     except AttributeError:
         self._fail_non_event(target)
         return
-    self._waiting_on = target
     if cb1 is None:
         target._cb1 = self._resume_cb
     elif cb1 is _PROCESSED:
@@ -475,12 +463,10 @@ def _resume(self, trigger: Optional[Event]) -> None:
         wakeup = _Wakeup.__new__(_Wakeup)
         wakeup.process = self
         wakeup.source = target
-        wakeup.gen = self._wake_gen
         env._seq += 1
         env._ready.append((env._now, PRIORITY_NORMAL, env._seq, wakeup))
     elif cb1 is _DEFERRED_MARK or cb1 is _WAKEUP_MARK:
         # A schedule_at/schedule_after handle is not a waitable event.
-        self._waiting_on = None
         self._fail_non_event(target)
     else:
         cbs = target._cbs
@@ -524,10 +510,10 @@ class Task:
 
     Same first step, same resume routine (``_Wakeup`` re-waits included),
     and its end consumes one sequence number where a process's end does —
-    but a task is not an event: no value, no waiters, no name, no
-    interrupt.  :meth:`Environment.start` runs its first step in the
-    current dispatch; :meth:`Environment.spawn` queues that first step the
-    way a process bootstrap is queued.
+    but a task is not an event: no value, no waiters, no name.
+    :meth:`Environment.start` runs its first step in the current dispatch;
+    :meth:`Environment.spawn` queues that first step the way a process
+    bootstrap is queued.
 
     *Sequence parity.*  The end of a process nobody waits on queues an
     entry whose untraced dispatch runs nothing.  A task's end
@@ -538,8 +524,7 @@ class Task:
     dispatch an unwaited process's failure would have failed it.
     """
 
-    __slots__ = ("env", "_generator", "_send", "_waiting_on", "_resume_cb")
-    _wake_gen = 0  # never interrupted: every _Wakeup it queues stays live
+    __slots__ = ("env", "_generator", "_send", "_resume_cb")
 
     _retire = _retire
     _resume = _resume
@@ -554,17 +539,11 @@ class Task:
         Event(self.env).fail(exception)
 
 
-# Sentinel for a spawned-but-not-yet-started process's wait slot: lets
-# ``interrupt`` distinguish "hasn't run yet" (interruptible) from "currently
-# executing" (not interruptible).
-_BOOTSTRAPPING = object()
-
-
 class Process(Event):
     """Wraps a generator; the process is itself an event other code can wait
     on, triggered with the generator's return value."""
 
-    __slots__ = ("_generator", "_send", "name", "_waiting_on", "_wake_gen", "_resume_cb")
+    __slots__ = ("_generator", "_send", "name", "_resume_cb")
 
     _retire = _retire
     _resume = _resume
@@ -598,8 +577,6 @@ class Process(Event):
         self._defused = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Any = _BOOTSTRAPPING
-        self._wake_gen = 0
         # One bound method for the lifetime of the process: registering a
         # wait costs a slot store, not a bound-method allocation.  It makes
         # Process -> bound method -> Process a reference cycle, which every
@@ -611,7 +588,6 @@ class Process(Event):
         wakeup = _Wakeup.__new__(_Wakeup)
         wakeup.process = self
         wakeup.source = None
-        wakeup.gen = 0
         env._seq += 1
         env._ready.append((env._now, PRIORITY_NORMAL, env._seq, wakeup))
 
@@ -619,48 +595,41 @@ class Process(Event):
     def is_alive(self) -> bool:
         return self._value is _PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._value is not _PENDING:
-            raise SimulationError(f"cannot interrupt finished process {self.name}")
-        if self._waiting_on is None:
-            raise SimulationError(f"cannot interrupt {self.name} during its own execution")
-        interrupt = Interrupt(cause)
-        poke = Event(self.env)
-        poke.succeed(priority=PRIORITY_URGENT)
-        poke._cb1 = lambda _trigger: self._deliver_interrupt(interrupt)
 
-    def _deliver_interrupt(self, interrupt: Interrupt) -> None:
-        if self._value is not _PENDING:
-            return  # process finished before the interrupt was delivered
-        waited = self._waiting_on
-        if isinstance(waited, Event) and waited._cb1 is not _PROCESSED:
-            waited._remove_callback(self._resume_cb)
-        self._wake_gen += 1  # invalidate any in-flight _Wakeup
-        # The interrupt rides the shared resume as a failed trigger that was
-        # never scheduled (no sequence number).
-        thrown = Event(self.env)
-        thrown._ok = False
-        thrown._value = interrupt
-        self._resume(thrown)
+class _RunProcess(Process):
+    """The process :meth:`Environment.run_process` drives: either end
+    pushes a stop marker that sorts before everything queued, so the run
+    stops right after the dispatch in which the process ended."""
+
+    __slots__ = ()
+
+    def _finish(self, value: Any) -> None:
+        Process._finish(self, value)
+        heappush(self.env._queue, (self.env._now, 0, 0, _STOP))
+
+    def _crash(self, exception: BaseException) -> None:
+        Process._crash(self, exception)
+        heappush(self.env._queue, (self.env._now, 0, 0, _STOP))
 
 
 class Environment:
     """The simulation clock and its two event queues.
 
     ``_queue`` is the timer heap; ``_ready`` is a FIFO of the entries
-    scheduled for the current instant at normal priority.  Both hold
+    scheduled for the current instant that are not timers.  Both hold
     ``(time, priority, seq, item)`` tuples and the ready queue is a sorted
     run by construction, so taking the smaller head of the two dispatches
     in exactly ``(time, priority, seq)`` order (DESIGN.md §4 "Kernel
     performance" has the argument).  Every ready entry's time equals
     ``now``: nothing later can be dispatched while one is queued.
 
-    ``trace``: set to a list to record ``(time, priority, seq)`` for every
-    dispatched entry (events, deferred callbacks and process wakeups
-    alike).  Tracing routes ``run`` through the un-inlined ``step`` path
-    and disables the network's same-instant delivery coalescing, so traces
-    are directly comparable across kernel generations.
+    ``trace``: a sink (a list, or :class:`DispatchHash`) whose ``append``
+    receives every dispatched ``(time, priority, seq, item)`` entry —
+    events, deferred callbacks and process wakeups alike — before its
+    dispatch.  ``run`` reads it once per call and then records through its
+    two pops; tracing also queues task ends and disables the network's
+    same-instant delivery coalescing, so traces are directly comparable
+    across kernel generations.
     """
 
     __slots__ = ("_now", "_queue", "_ready", "_seq", "trace", "obs")
@@ -809,59 +778,30 @@ class Environment:
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process the single next entry in ``(time, priority, seq)`` order."""
-        queue = self._queue
-        ready = self._ready
-        if ready:
-            entry = heappop(queue) if queue and queue[0] < ready[0] else ready.popleft()
-        elif queue:
-            entry = heappop(queue)
-        else:
+        """Dispatch the single next entry: ``run`` up to a stop marker keyed
+        right behind it (every other key is an integer sequence number)."""
+        queue, ready = self._queue, self._ready
+        if not (queue or ready):
             raise SimulationError("step() on an empty schedule")
-        self._now = entry[0]
-        if self.trace is not None:
-            self.trace.append((entry[0], entry[1], entry[2]))
-        item = entry[3]
-        cb1 = item._cb1
-        if cb1 is _DEFERRED_MARK:
-            item.fn(item.arg)
-            return
-        if cb1 is _WAKEUP_MARK:
-            process = item.process
-            if process._wake_gen == item.gen:
-                process._resume(item.source)
-            return
-        cbs = item._cbs
-        item._cb1 = _PROCESSED
-        item._cbs = None
-        if cb1 is not None:
-            cb1(item)
-            if cbs is not None:
-                for callback in cbs:
-                    callback(item)
-        elif not item._ok and not item._defused:
-            raise item._value
+        head = queue[0] if not ready or (queue and queue[0] < ready[0]) else ready[0]
+        heappush(queue, (head[0], head[1], head[2] + 0.5, _STOP))
+        self.run()
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run until nothing is scheduled or simulated time reaches ``until``.
+        """Run until nothing is scheduled, simulated time reaches ``until``
+        or a stop marker (``step``, ``run_process``) is dispatched.
 
-        Returns the simulation time at which the run stopped.
+        Returns the simulation time at which the run stopped.  This is the
+        kernel's only dispatch loop; under ``trace`` its two pops record.
         """
         if until is not None and until < self._now:
             raise SimulationError(f"run(until={until}) is in the past (now={self._now})")
         queue = self._queue
         ready = self._ready
-        if self.trace is not None:
-            # Tracing path: dispatch through step() so every entry is
-            # recorded; inlined loop below is the production path.
-            horizon = float("inf") if until is None else until
-            while (ready or queue) and self.peek() <= horizon:
-                self.step()
-            if until is not None:
-                self._now = until
-            return self._now
         pop = heappop
         popleft = ready.popleft
+        if self.trace is not None:
+            pop, popleft = _recording(self.trace.append, popleft)
         deferred_mark = _DEFERRED_MARK
         wakeup_mark = _WAKEUP_MARK
         horizon_mark = _HORIZON_MARK
@@ -877,8 +817,8 @@ class Environment:
             while True:
                 # Two-way merge of the sorted ready run with the heap.  A
                 # heap head that beats a ready entry is due at ``now`` too
-                # (urgent, or an earlier zero-delay timer), so only the
-                # heap-alone branch can advance the clock.
+                # (an earlier zero-delay timer, or a stop marker), so only
+                # the heap-alone branch can advance the clock.
                 if ready:
                     if queue and queue[0] < ready[0]:
                         item = pop(queue)[3]
@@ -894,15 +834,13 @@ class Environment:
                     item.fn(item.arg)
                     continue
                 if cb1 is wakeup_mark:
-                    process = item.process
-                    if process._wake_gen == item.gen:
-                        process._resume(item.source)
+                    item.process._resume(item.source)
                     continue
                 if cb1 is horizon_mark:
                     if item is sentinel:
                         sentinel = None
-                        break
-                    continue  # stale sentinel from an aborted earlier run
+                        self._now = until
+                    break  # else a stop marker: the clock stays where it is
                 item._cb1 = processed
                 cbs = item._cbs
                 if cb1 is not None:
@@ -915,20 +853,13 @@ class Environment:
                             callback(item)
                 elif not item._ok and not item._defused:
                     raise item._value
-        finally:
-            if sentinel is not None and queue:
-                # A callback raised before the horizon: drop the sentinel so
-                # it cannot cut a later run short.  list.remove() shifts the
-                # tail, so the heap order has to be rebuilt or a resumed run
-                # could dispatch out of time order.
-                try:
-                    queue.remove((until, 2, float("inf"), sentinel))
-                except ValueError:
-                    pass
-                else:
-                    heapify(queue)
-        if until is not None:
-            self._now = until
+        except BaseException:
+            # A callback raised: the entries queued behind it stay for a
+            # resumed run, the markers of this one go.
+            _drop_markers(queue)
+            raise
+        if sentinel is not None:  # a stop marker came before the horizon
+            _drop_markers(queue)
         return self._now
 
     def run_process(self, generator: Generator, until: Optional[float] = None) -> Any:
@@ -937,27 +868,44 @@ class Environment:
         Returns the process's return value.  Raises if the process failed or
         did not complete before ``until``.
         """
-        proc = self.process(generator)
-        queue = self._queue
-        ready = self._ready
-        while proc._value is _PENDING:
-            if not queue and not ready:
-                raise SimulationError("process deadlocked: event queue drained")
-            if until is not None and self.peek() > until:
+        proc = _RunProcess(self, generator)
+        self.run(until)
+        if proc._value is _PENDING:
+            if self._queue or self._ready:
                 raise SimulationError(f"process did not finish by t={until}")
-            self.step()
+            raise SimulationError("process deadlocked: event queue drained")
         if not proc._ok:
             proc._defused = True
             raise proc._value
         return proc._value
 
 
+def _recording(record: Callable[[tuple], None], popleft: Callable[[], tuple]) -> tuple:
+    """The two pops of a traced run: each hands the entry it takes to the
+    ``record`` sink before it is dispatched.  Markers, which only the heap
+    holds, are not recorded."""
+
+    def pop(queue: list) -> tuple:
+        entry = heappop(queue)
+        if entry[3]._cb1 is not _HORIZON_MARK:
+            record(entry)
+        return entry
+
+    def take() -> tuple:
+        entry = popleft()
+        record(entry)
+        return entry
+
+    return pop, take
+
+
 class DispatchHash:
     """An ``Environment.trace`` that keeps the hash and drops the entries.
 
-    ``env.trace = DispatchHash()`` feeds every dispatched ``(time,
-    priority, seq)`` straight into the SHA-256 of :func:`dispatch_hash`, so
-    a long run's memory does not grow with its event count.
+    ``env.trace = DispatchHash()`` feeds the ``(time, priority, seq)`` of
+    every dispatched entry straight into the SHA-256 of
+    :func:`dispatch_hash`, so a long run's memory does not grow with its
+    event count.
     """
 
     __slots__ = ("_sha",)
@@ -965,7 +913,7 @@ class DispatchHash:
     def __init__(self):
         self._sha = hashlib.sha256()
 
-    def append(self, entry: Tuple[float, int, int]) -> None:
+    def append(self, entry: tuple) -> None:
         # The line format is what every committed golden and artifact hash
         # was computed with; changing it re-pins all of them.
         self._sha.update(f"{entry[0]!r}:{entry[1]}:{entry[2]}\n".encode())
@@ -974,8 +922,9 @@ class DispatchHash:
         return self._sha.hexdigest()
 
 
-def dispatch_hash(trace: Iterable[Tuple[float, int, int]]) -> str:
-    """SHA-256 of a recorded ``Environment.trace``: the identity of a schedule."""
+def dispatch_hash(trace: Iterable[tuple]) -> str:
+    """SHA-256 of a recorded ``Environment.trace`` (its entries' ``(time,
+    priority, seq)``): the identity of a schedule."""
     h = DispatchHash()
     for entry in trace:
         h.append(entry)

@@ -54,8 +54,8 @@ class CorePool:
     the job for ``cost`` milliseconds; ``call(cost, fn, arg)`` runs
     ``fn(arg)`` at that same dispatch instead.  ``charge(cost)`` only
     accounts such a job, for pools whose work nothing waits on.  Busy time
-    is accumulated for utilization reporting (see
-    :mod:`repro.metrics.utilization`).
+    is accumulated in ``busy_time``; ``Harness.utilization_report``
+    (``repro.experiments.setups``) turns it into utilization over a window.
     """
 
     def __init__(self, env: Environment, cores: int, name: str = "cpu"):
@@ -193,12 +193,6 @@ class CorePool:
         else:
             self._free += 1
 
-    def utilization(self, window: float, busy_at_window_start: float = 0.0) -> float:
-        """Fraction of core-time busy over ``window`` ms."""
-        if window <= 0:
-            return 0.0
-        return (self.busy_time - busy_at_window_start) / (self.cores * window)
-
 
 class Store:
     """Unbounded FIFO item store: a hand-off queue between processes."""
@@ -312,8 +306,3 @@ class Disk:
         start = max(self.env.now, self._drain_at)
         self._drain_at = start + duration
         self.busy_time += duration
-
-    def utilization(self, window: float, busy_at_window_start: float = 0.0) -> float:
-        if window <= 0:
-            return 0.0
-        return min(1.0, (self.busy_time - busy_at_window_start) / window)

@@ -195,7 +195,7 @@ class _Side:
             "active_rows": table.active_rows,
             "timeouts": table.timeouts_fired,
             "log": self.log,
-            "trace": self.env.trace,
+            "trace": [entry[:3] for entry in self.env.trace],
             "seq": self.env._seq,
             "now": self.env.now,
         }

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Interrupt, SimulationError
+from repro.sim import AllOf, AnyOf, Environment, SimulationError
 
 
 def test_timeout_advances_clock():
@@ -131,59 +131,6 @@ def test_waiting_on_finished_process_resumes_immediately():
         return (env.now, result)
 
     assert env.run_process(parent()) == (10, "done")
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-    caught = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100)
-        except Interrupt as intr:
-            caught.append((env.now, intr.cause))
-
-    def interrupter(target):
-        yield env.timeout(5)
-        target.interrupt("wake-up")
-
-    target = env.process(sleeper())
-    env.process(interrupter(target))
-    env.run()
-    assert caught == [(5, "wake-up")]
-
-
-def test_interrupted_process_can_keep_running():
-    env = Environment()
-
-    def sleeper():
-        try:
-            yield env.timeout(100)
-        except Interrupt:
-            pass
-        yield env.timeout(7)
-        return env.now
-
-    def interrupter(target):
-        yield env.timeout(3)
-        target.interrupt()
-
-    target = env.process(sleeper())
-    env.process(interrupter(target))
-    env.run()
-    assert target.value == 10
-
-
-def test_interrupt_finished_process_is_error():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1)
-
-    proc = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
 
 
 def test_all_of_waits_for_all():

@@ -12,13 +12,11 @@ import types
 from collections import Counter
 from contextlib import contextmanager
 
-import pytest
-
 from repro.chaos.scenarios import run_scenario
 from repro.errors import ReproError
 from repro.experiments.setups import SETUPS
 from repro.metrics.collectors import MetricsCollector
-from repro.sim import Environment, Interrupt, Process, SimulationError, Task
+from repro.sim import Environment, Process, Task
 from repro.workloads.driver import ClosedLoopDriver
 from repro.workloads.namespace import generate_namespace
 from repro.workloads.spotify import SpotifyWorkload
@@ -69,26 +67,17 @@ def test_process_storm_leaves_no_cyclic_garbage():
                 pass
             done.append(value)
 
-        def sleeper():
-            try:
-                yield env.timeout(1000)
-            except Interrupt:
-                return "woken"
-
         def non_event():
             yield 42
 
-        victims = [env.process(sleeper()) for _ in range(50)]
         for i in range(500):
             env.process(parent(i))
         bad = env.process(non_event())
         bad.defuse()
-        env.schedule_after(3.0, lambda _arg: [v.interrupt() for v in victims])
         env.run()
         assert sorted(done) == list(range(500))
-        assert all(v.value == "woken" for v in victims)
         assert not bad.ok
-        del env, victims, bad
+        del env, bad
     assert not found
 
 
@@ -272,21 +261,6 @@ def test_finished_process_still_behaves():
     env.schedule_after(2.0, lambda _arg: late.append(proc.value))
     env.run()
     assert late == ["done"] and not proc.is_alive
-    with pytest.raises(SimulationError, match="finished"):
-        proc.interrupt()
-
-    # An interrupt queued in the same step the process finishes is dropped.
-    env = Environment()
-    proc = env.process(quick())
-
-    def racer():
-        yield env.timeout(1)
-        if proc.is_alive:
-            proc.interrupt("too late")
-
-    env.process(racer())
-    env.run()
-    assert proc.value == "done"
 
     # A finished process is still a waitable, already-processed event.
     def waiter():

@@ -6,7 +6,7 @@ the kernel it replaced: every entry on *one* heap, popped one at a time by a
 loop written out in this file.  A hypothesis-generated program must produce
 the same callback order and the same ``(time, priority, seq)`` trace on the
 oracle and on production ``run()``, sliced ``run(until=...)``, ``step()``
-loops and ``env.trace`` runs.
+loops, a ``run_process`` followed by ``run()``, and ``env.trace`` runs.
 
 Tasks are held to the process they replace: in the oracle a task is a
 ``Process`` nobody waits on, so a task's end must consume the sequence
@@ -21,10 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import CorePool, Environment, Interrupt, Process, SimulationError, Store
+from repro.sim import CorePool, Environment, Process, SimulationError, Store
 from repro.sim.kernel import _PROCESSED, _Deferred, _Wakeup
 
 INF = float("inf")
+
+
+def _keys(trace):
+    """A recorded trace's ``(time, priority, seq)`` keys, without the items."""
+    return trace and [entry[:3] for entry in trace]
 
 
 # --------------------------------------------------------------- the oracle
@@ -42,12 +47,16 @@ class _OntoHeap:
 
 
 class SingleHeapEnvironment(Environment):
-    """Reference kernel: one heap, one pop per dispatch, always traced."""
+    """Reference kernel: one heap, one pop per dispatch, always traced.
+
+    ``run_process``'s process is checked after every dispatch: any run
+    stops right after the dispatch in which it ended."""
 
     def __init__(self):
         super().__init__()
         self._ready = _OntoHeap(self._queue)
         self.trace = []
+        self._main = None
 
     def run(self, until=None):
         assert until is None
@@ -59,8 +68,7 @@ class SingleHeapEnvironment(Environment):
             if isinstance(item, _Deferred):
                 item.fn(item.arg)
             elif isinstance(item, _Wakeup):
-                if item.process._wake_gen == item.gen:
-                    item.process._resume(item.source)
+                item.process._resume(item.source)
             else:
                 callbacks = [] if item._cb1 is None else [item._cb1] + (item._cbs or [])
                 item._cb1, item._cbs = _PROCESSED, None
@@ -68,7 +76,16 @@ class SingleHeapEnvironment(Environment):
                     callback(item)
                 if not callbacks and not item._ok and not item._defused:
                     raise item._value
+            if self._main is not None and not self._main.is_alive:
+                self._main = None
+                break
         return self._now
+
+    def run_process(self, generator, until=None):
+        assert until is None
+        self._main = main = self.process(generator)
+        self.run()
+        return main.value
 
     # A task is a Process nobody waits on.  ``spawn`` is ``process``;
     # ``start`` is a process whose bootstrap entry is never queued (nor its
@@ -113,7 +130,7 @@ class _World:
         return proc
 
     def task(self, ops):
-        """A body nobody can join or interrupt; its ``raise`` fails the run."""
+        """A body nobody can join; its ``raise`` fails the run."""
         pid = len(self.procs)
         self.procs.append(None)
         return self._body(pid, ops)
@@ -159,22 +176,11 @@ class _World:
                 elif kind == "join":
                     if child is not None:
                         got = yield child
-                elif kind == "interrupt":
-                    target = self.procs[op[1] % len(self.procs)]
-                    if target is not None and target.is_alive:
-                        try:
-                            target.interrupt((pid, index))
-                        except SimulationError:  # itself, or a started task's parent
-                            got = "executing"
                 elif kind in ("any_of", "all_of"):
                     members = [self.events[op[1]], env.timeout(op[2], value=index)]
-                    condition = getattr(env, kind)(members)
-                    condition.defuse()  # its waiter may be interrupted away
-                    got = sorted((yield condition).values(), key=repr)
+                    got = sorted((yield getattr(env, kind)(members)).values(), key=repr)
                 elif kind == "raise":
                     raise _Boom(f"{pid}:{index}")
-            except Interrupt as interrupt:
-                got = ("interrupted", interrupt.cause)
             except _Boom as boom:
                 if kind == "raise":
                     log.append((env.now, pid, index, kind, "raised"))
@@ -196,7 +202,6 @@ _LEAF_OPS = st.one_of(
     st.tuples(st.just("get"), st.integers(0, 1)),
     st.tuples(st.just("job"), st.integers(0, 1), st.sampled_from([0, 0, 0.5, 1])),
     st.tuples(st.just("join")),
-    st.tuples(st.just("interrupt"), st.integers(0, 7)),
     st.tuples(st.just("any_of"), _EVENT, _DELAYS),
     st.tuples(st.just("all_of"), _EVENT, _DELAYS),
     st.tuples(st.just("raise")),
@@ -241,17 +246,17 @@ def _resuming(env, dispatch, failures):
             failures.append((env.now, str(boom)))
 
 
-def _drive_run(env, cuts, failures):
+def _drive_run(env, cuts, failures, world):
     _resuming(env, env.run, failures)
 
 
-def _drive_sliced(env, cuts, failures):
+def _drive_sliced(env, cuts, failures, world):
     for until in cuts:  # sorted, with repeats: covers ``until == now``
         _resuming(env, lambda: env.run(until=until), failures)
     _resuming(env, env.run, failures)
 
 
-def _drive_step(env, cuts, failures):
+def _drive_step(env, cuts, failures, world):
     while env.peek() != INF:
         try:
             env.step()
@@ -259,25 +264,44 @@ def _drive_step(env, cuts, failures):
             failures.append((env.now, str(boom)))
 
 
+def _drive_process(env, cuts, failures, world):
+    """``run_process`` of a process that ends at the last cut, then a new
+    same-instant entry, then ``run()``: the entry's sequence number says
+    where the run stopped."""
+
+    def main():
+        yield env.timeout(cuts[-1] if cuts else 0)
+        return env.now
+
+    try:
+        assert env.run_process(main()) == env.now
+    except _Boom as boom:  # a task raised first: any run still stops where main ends
+        failures.append((env.now, str(boom)))
+        _resuming(env, env.run, failures)
+    env.call_soon(world._soon, "after main")
+    _resuming(env, env.run, failures)
+
+
 def _matches_the_oracle(program, cuts):
-    oracle = SingleHeapEnvironment()
-    expected = _World(oracle, program)
-    expected_failures = []
-    _resuming(oracle, oracle.run, expected_failures)
-    for drive in (_drive_run, _drive_sliced, _drive_step):
+    for drive in (_drive_run, _drive_sliced, _drive_step, _drive_process):
+        # The oracle runs whole (no horizon, no step); run_process it has.
+        oracle = SingleHeapEnvironment()
+        expected = _World(oracle, program)
+        expected_failures = []
+        (drive if drive is _drive_process else _drive_run)(oracle, cuts, expected_failures, expected)
         for traced in (False, True):
             env = Environment()
             if traced:
                 env.trace = []
             world = _World(env, program)
             failures = []
-            drive(env, cuts, failures)
+            drive(env, cuts, failures, world)
             assert world.log == expected.log, (drive.__name__, traced)
             assert failures == expected_failures, (drive.__name__, traced)
             assert env._seq == oracle._seq
             assert not env._ready and not env._queue
             if traced:
-                assert env.trace == oracle.trace, drive.__name__
+                assert _keys(env.trace) == oracle.trace, drive.__name__
 
 
 @settings(max_examples=150, deadline=None)
@@ -305,15 +329,14 @@ def test_peek_sees_the_ready_queue():
     assert env.now == 5 and env.peek() == INF
 
 
-def test_urgent_and_earlier_zero_delay_entries_beat_ready_entries():
+def test_earlier_zero_delay_timers_beat_ready_entries():
     env = Environment()
     order = []
     env.timeout(0).add_callback(lambda _e: order.append("zero-delay timer"))
     env.event().succeed().add_callback(lambda _e: order.append("ready"))
     env.timeout(0).add_callback(lambda _e: order.append("later zero-delay timer"))
-    env.event().succeed(priority=0).add_callback(lambda _e: order.append("urgent"))
     env.run()
-    assert order == ["urgent", "zero-delay timer", "ready", "later zero-delay timer"]
+    assert order == ["zero-delay timer", "ready", "later zero-delay timer"]
 
 
 def test_run_process_finishes_on_ready_entries_alone():
@@ -394,9 +417,9 @@ def test_a_raising_task_fails_the_run_where_an_unwaited_process_would(traced):
         env.timeout(2).add_callback(lambda _e: order.append("after"))
         with pytest.raises(_Boom, match="late"):
             env.run()
-        failed_at = (env.now, env._seq, order[:], traced and env.trace[:])
+        failed_at = (env.now, env._seq, order[:], traced and _keys(env.trace))
         env.run()
-        seen.append((failed_at, order, env._seq, env.trace))
+        seen.append((failed_at, order, env._seq, _keys(env.trace)))
     assert seen[0] == seen[1] == seen[2]
     assert seen[0][0][2] == ["other timer", "same instant"]
 
@@ -431,7 +454,7 @@ def test_a_nested_start_that_raises_fails_the_run_at_its_queued_failure(traced):
             env.run()
         failed_at = (env.now, env._seq, order[:])
         env.run()
-        seen.append((failed_at, order, env._seq, traced and env.trace))
+        seen.append((failed_at, order, env._seq, traced and _keys(env.trace)))
     assert seen[0] == seen[1]
     assert seen[0][0] == (
         1, 6, ["other timer", "child", "parent continues", "queued before"])
@@ -472,7 +495,7 @@ def test_a_task_end_consumes_one_sequence_number_and_queues_only_when_traced():
     env.start(quick())
     assert env._seq == seq + 2 and len(env._ready) == 1
     env.run()
-    assert env.trace == [(0.0, 1, seq + 2)]
+    assert _keys(env.trace) == [(0.0, 1, seq + 2)]
 
 
 def test_start_rejects_a_non_generator():
