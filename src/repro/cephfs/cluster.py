@@ -101,24 +101,14 @@ class CephCluster:
 
     def preload(self, paths: Sequence[tuple[str, bool]]) -> int:
         """Install a namespace: (path, is_dir) pairs, parents first."""
-        mds_list = self.mds_list
-        dir_rank = self.partitioner.dir_rank
-        # directory -> the MDS serving what is inside it (``mds_for_dir``),
-        # resolved once per directory instead of once per entry.
-        owners: dict[str, Mds] = {}
-
-        def owner_of(dir_path: str) -> Mds:
-            mds = owners.get(dir_path)
-            if mds is None:
-                mds = owners[dir_path] = mds_list[dir_rank(dir_path) % len(mds_list)]
-            return mds
-
+        mds_list, n = self.mds_list, len(self.mds_list)
+        rank_of, dir_rank = self.partitioner.rank_of, self.partitioner.dir_rank
         count = 0
         for path, is_dir in paths:
-            mds = owner_of(path.rsplit("/", 1)[0] or "/")
+            mds = mds_list[rank_of(path) % n]
             mds.load(path, is_dir)
             if is_dir:
-                owner = owner_of(path)
+                owner = mds_list[dir_rank(path) % n]
                 if owner is not mds:
                     owner.load(path, is_dir)
             count += 1

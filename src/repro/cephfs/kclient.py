@@ -57,10 +57,8 @@ class CephClient(FsClient, Server):
             self.cache.pop(msg.payload, None)
 
     def _mds_for(self, path: str, op: Optional[OpType] = None) -> NodeAddress:
-        if op is OpType.LIST_DIR:
-            rank = self.partitioner.dir_rank(path)
-        else:
-            rank = self.partitioner.rank_of(path)
+        partitioner = self.partitioner
+        rank = partitioner.dir_rank(path) if op is OpType.LIST_DIR else partitioner.rank_of(path)
         return self.mds_addrs[rank % len(self.mds_addrs)]
 
     # -------------------------------------------------------------- operations

@@ -35,33 +35,19 @@ class SubtreePartitioner:
         self.pin_table: dict[str, int] = {}
         # rank -> takeover rank, installed when an MDS fails over.
         self.rank_overrides: dict[int, int] = {}
-
-    @staticmethod
-    def _components(path: str) -> list[str]:
-        return [c for c in path.split("/") if c]
+        # directory -> dir_rank(directory); cleared by pin() and
+        # install_override(), the only writers of the two tables above.
+        self._dir_ranks: dict[str, int] = {}
 
     def subtree_key_of_dir(self, dir_path: str) -> str:
         """The subtree a *directory* (and its direct children) belongs to."""
-        comps = self._components(dir_path)
-        if not comps:
-            return "/"
-        return "/" + "/".join(comps[:2])
+        return "/" + "/".join([c for c in dir_path.split("/") if c][:2])
 
     def pin(self, subtree_keys: Iterable[str]) -> None:
         """DirPinned: assign the given subtrees round-robin over all ranks."""
         for index, key in enumerate(sorted(set(subtree_keys))):
             self.pin_table[key] = index % self.num_ranks
-
-    def _rank_for_key(self, key: str) -> int:
-        if key == "/":
-            rank = 0  # rank 0 is authoritative for the root
-        else:
-            rank = None
-            if self.pinned:
-                rank = self.pin_table.get(key)
-            if rank is None:
-                rank = stable_hash(key) % self.num_ranks
-        return self._resolve_override(rank)
+        self._dir_ranks.clear()
 
     def _resolve_override(self, rank: int) -> int:
         seen = set()
@@ -72,15 +58,31 @@ class SubtreePartitioner:
 
     def install_override(self, dead_rank: int, takeover_rank: int) -> None:
         self.rank_overrides[dead_rank] = takeover_rank
+        self._dir_ranks.clear()
 
     def dir_rank(self, dir_path: str) -> int:
         """Rank serving operations *inside* ``dir_path`` (e.g. listdir)."""
-        return self._rank_for_key(self.subtree_key_of_dir(dir_path))
+        try:
+            return self._dir_ranks[dir_path]
+        except KeyError:
+            pass
+        key = self.subtree_key_of_dir(dir_path)
+        if key == "/":
+            rank = 0  # rank 0 is authoritative for the root
+        else:
+            rank = self.pin_table.get(key) if self.pinned else None
+            if rank is None:
+                rank = stable_hash(key) % self.num_ranks
+        rank = self._dir_ranks[dir_path] = self._resolve_override(rank)
+        return rank
 
     def rank_of(self, path: str) -> int:
         """Rank serving operations *on* ``path`` (its containing dir's rank)."""
         parent = path.rsplit("/", 1)[0] or "/"
-        return self.dir_rank(parent)
+        try:
+            return self._dir_ranks[parent]
+        except KeyError:
+            return self.dir_rank(parent)
 
     def authority_counts(self, paths) -> dict[int, int]:
         """How many of ``paths`` land on each rank (for balance tests)."""

@@ -528,7 +528,7 @@ class NdbDatanode(Server):
         else:
             # Backup hop: the pass-through is commit-point evidence the
             # take-over protocol consults if the TC dies before Complete.
-            self._commit_decided[cc.txid] = self.env._now  # no property call per hop
+            self._commit_decided[cc.txid] = self.env.now
             while len(self._commit_decided) > 65536:
                 del self._commit_decided[next(iter(self._commit_decided))]
             hop = cc.hop - 1

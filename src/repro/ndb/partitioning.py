@@ -74,11 +74,17 @@ class PartitionMap:
         ]
         self._down: set[NodeAddress] = set()
         # Memo caches: partition_of is a pure function of the key;
-        # replica sets and the live list only change when the down-set
-        # changes.
+        # replica sets, the live list and the placement decisions of
+        # ``tc_selection`` (``tc_routes``, ``read_routes``) only change when
+        # the down-set changes.
         self._partition_cache: dict = {}
         self._replica_cache: dict = {}
         self._live_cache: Optional[list[NodeAddress]] = None
+        self.tc_routes: dict = {}
+        self.read_routes: dict = {}
+        # One shared tuple per distinct decision: thousands of route keys
+        # map to a few dozen answers.
+        self.route_values: dict = {}
 
     # -- liveness -----------------------------------------------------------
     def mark_down(self, node: NodeAddress) -> None:
@@ -94,6 +100,9 @@ class PartitionMap:
     def _liveness_changed(self) -> None:
         self._replica_cache.clear()
         self._live_cache = None
+        self.tc_routes.clear()
+        self.read_routes.clear()
+        self.route_values.clear()
 
     def is_up(self, node: NodeAddress) -> bool:
         return node not in self._down

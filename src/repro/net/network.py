@@ -283,7 +283,7 @@ class Network:
         on, and yields the same float either way.
         """
         env = self.env
-        now = env._now
+        now = env.now
         src = message.src
         if self._down and src in self._down:
             self.dropped_messages += 1
@@ -362,7 +362,7 @@ class Network:
                     done._value = message.payload
                     env = self.env
                     env._seq += 1
-                    env._ready.append((env._now, _normal, env._seq, done))
+                    env._ready.append((env.now, _normal, env._seq, done))
                 else:
                     exc = message.payload
                     if not isinstance(exc, BaseException):

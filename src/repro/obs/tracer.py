@@ -154,4 +154,4 @@ class Tracer:
 
     def _now(self) -> float:
         env = self._env
-        return env._now if env is not None else 0.0
+        return env.now if env is not None else 0.0

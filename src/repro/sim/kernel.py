@@ -246,7 +246,7 @@ class Event:
         self._value = value
         env = self.env
         env._seq += 1
-        env._ready.append((env._now, PRIORITY_NORMAL, env._seq, self))
+        env._ready.append((env.now, PRIORITY_NORMAL, env._seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -266,7 +266,7 @@ class Event:
             self._defused = False
         env = self.env
         env._seq += 1
-        env._ready.append((env._now, PRIORITY_NORMAL, env._seq, self))
+        env._ready.append((env.now, PRIORITY_NORMAL, env._seq, self))
         return self
 
     def defuse(self) -> None:
@@ -464,7 +464,7 @@ def _resume(self, trigger: Optional[Event]) -> None:
         wakeup.process = self
         wakeup.source = target
         env._seq += 1
-        env._ready.append((env._now, PRIORITY_NORMAL, env._seq, wakeup))
+        env._ready.append((env.now, PRIORITY_NORMAL, env._seq, wakeup))
     elif cb1 is _DEFERRED_MARK or cb1 is _WAKEUP_MARK:
         # A schedule_at/schedule_after handle is not a waitable event.
         self._fail_non_event(target)
@@ -589,7 +589,7 @@ class Process(Event):
         wakeup.process = self
         wakeup.source = None
         env._seq += 1
-        env._ready.append((env._now, PRIORITY_NORMAL, env._seq, wakeup))
+        env._ready.append((env.now, PRIORITY_NORMAL, env._seq, wakeup))
 
     @property
     def is_alive(self) -> bool:
@@ -605,11 +605,11 @@ class _RunProcess(Process):
 
     def _finish(self, value: Any) -> None:
         Process._finish(self, value)
-        heappush(self.env._queue, (self.env._now, 0, 0, _STOP))
+        heappush(self.env._queue, (self.env.now, 0, 0, _STOP))
 
     def _crash(self, exception: BaseException) -> None:
         Process._crash(self, exception)
-        heappush(self.env._queue, (self.env._now, 0, 0, _STOP))
+        heappush(self.env._queue, (self.env.now, 0, 0, _STOP))
 
 
 class Environment:
@@ -632,10 +632,12 @@ class Environment:
     across kernel generations.
     """
 
-    __slots__ = ("_now", "_queue", "_ready", "_seq", "trace", "obs")
+    __slots__ = ("now", "_queue", "_ready", "_seq", "trace", "obs")
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = initial_time
+        # The current simulated time: a plain slot the run loop writes and
+        # every reader, hot path or not, reads as ``env.now``.
+        self.now = initial_time
         self._queue: List[tuple] = []
         self._ready: Deque[tuple] = deque()
         self._seq = 0
@@ -645,10 +647,6 @@ class Environment:
         # the kernel itself never reads it, so the dispatch loop is
         # untouched and untraced runs pay nothing.
         self.obs = None
-
-    @property
-    def now(self) -> float:
-        return self._now
 
     # -- factories --------------------------------------------------------
     # event() and timeout() build their instances with ``__new__`` + direct
@@ -686,7 +684,7 @@ class Environment:
         timeout._ok = True
         timeout.delay = delay
         self._seq += 1
-        _push(self._queue, (self._now + delay, _normal, self._seq, timeout))
+        _push(self._queue, (self.now + delay, _normal, self._seq, timeout))
         return timeout
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -716,7 +714,7 @@ class Environment:
         calls it after its last scheduling action, where the task ended."""
         self._seq += 1
         if self.trace is not None:
-            self._ready.append((self._now, PRIORITY_NORMAL, self._seq, _TASK_END))
+            self._ready.append((self.now, PRIORITY_NORMAL, self._seq, _TASK_END))
 
     def call_soon(self, fn: Callable[[Any], None], arg: Any = None) -> None:
         """Queue bare ``fn(arg)`` on the ready FIFO of the current instant —
@@ -725,7 +723,7 @@ class Environment:
         entry.fn = fn
         entry.arg = arg
         self._seq += 1
-        self._ready.append((self._now, PRIORITY_NORMAL, self._seq, entry))
+        self._ready.append((self.now, PRIORITY_NORMAL, self._seq, entry))
 
     def spawn(self, generator: Generator) -> None:
         """Run ``generator`` as a task from a bootstrap slot, like ``process``:
@@ -735,7 +733,7 @@ class Environment:
         entry.fn = self.start
         entry.arg = generator
         self._seq += 1
-        self._ready.append((self._now, PRIORITY_NORMAL, self._seq, entry))
+        self._ready.append((self.now, PRIORITY_NORMAL, self._seq, entry))
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -751,8 +749,8 @@ class Environment:
         until it fires (the network uses this to batch same-instant
         deliveries).  Costs one sequence number, like any scheduling.
         """
-        if time < self._now:
-            raise SimulationError(f"schedule_at({time}) is in the past (now={self._now})")
+        if time < self.now:
+            raise SimulationError(f"schedule_at({time}) is in the past (now={self.now})")
         entry = _Deferred.__new__(_Deferred)
         entry.fn = fn
         entry.arg = arg
@@ -768,7 +766,7 @@ class Environment:
         entry.fn = fn
         entry.arg = arg
         self._seq += 1
-        heappush(self._queue, (self._now + delay, PRIORITY_NORMAL, self._seq, entry))
+        heappush(self._queue, (self.now + delay, PRIORITY_NORMAL, self._seq, entry))
         return entry
 
     def peek(self) -> float:
@@ -794,8 +792,8 @@ class Environment:
         Returns the simulation time at which the run stopped.  This is the
         kernel's only dispatch loop; under ``trace`` its two pops record.
         """
-        if until is not None and until < self._now:
-            raise SimulationError(f"run(until={until}) is in the past (now={self._now})")
+        if until is not None and until < self.now:
+            raise SimulationError(f"run(until={until}) is in the past (now={self.now})")
         queue = self._queue
         ready = self._ready
         pop = heappop
@@ -826,7 +824,7 @@ class Environment:
                         item = popleft()[3]
                 elif queue:
                     when, _priority, _seq, item = pop(queue)
-                    self._now = when
+                    self.now = when
                 else:
                     break  # nothing scheduled: a run with no horizon ends here
                 cb1 = item._cb1
@@ -839,7 +837,7 @@ class Environment:
                 if cb1 is horizon_mark:
                     if item is sentinel:
                         sentinel = None
-                        self._now = until
+                        self.now = until
                     break  # else a stop marker: the clock stays where it is
                 item._cb1 = processed
                 cbs = item._cbs
@@ -860,7 +858,7 @@ class Environment:
             raise
         if sentinel is not None:  # a stop marker came before the horizon
             _drop_markers(queue)
-        return self._now
+        return self.now
 
     def run_process(self, generator: Generator, until: Optional[float] = None) -> Any:
         """Convenience: spawn ``generator`` and run until it finishes.

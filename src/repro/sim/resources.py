@@ -107,7 +107,7 @@ class CorePool:
             entry.fn = self._complete_cb
             entry.arg = done
             env._seq += 1
-            _push(env._queue, (env._now + cost, _normal, env._seq, entry))
+            _push(env._queue, (env.now + cost, _normal, env._seq, entry))
         else:
             self._pending.append(done)
         return done
@@ -139,7 +139,7 @@ class CorePool:
             entry.arg = job
             env = self.env
             env._seq += 1
-            _push(env._queue, (env._now + cost, _normal, env._seq, entry))
+            _push(env._queue, (env.now + cost, _normal, env._seq, entry))
         else:
             self._pending.append(job)
 
@@ -180,7 +180,7 @@ class CorePool:
         # else a _Call: queued as it is, it runs fn(arg) when dispatched.
         env = self.env
         env._seq += 1
-        env._ready.append((env._now, _normal, env._seq, done))
+        env._ready.append((env.now, _normal, env._seq, done))
         if self._pending:
             # The freed core immediately picks up the next queued job
             # (the +1/-1 on _free cancels out).
@@ -189,7 +189,7 @@ class CorePool:
             entry.fn = self._complete_cb
             entry.arg = next_done
             env._seq += 1
-            _push(env._queue, (env._now + next_done.cost, _normal, env._seq, entry))
+            _push(env._queue, (env.now + next_done.cost, _normal, env._seq, entry))
         else:
             self._free += 1
 
@@ -221,7 +221,7 @@ class Store:
                 getter._value = item
                 env = getter.env
                 env._seq += 1
-                env._ready.append((env._now, _normal, env._seq, getter))
+                env._ready.append((env.now, _normal, env._seq, getter))
                 return
         self._items.append(item)
 
@@ -243,7 +243,7 @@ class Store:
         if items:
             event._value = items.popleft()
             env._seq += 1
-            env._ready.append((env._now, _normal, env._seq, event))
+            env._ready.append((env.now, _normal, env._seq, event))
         else:
             event._value = _pending
             self._getters.append(event)

@@ -66,3 +66,51 @@ def test_override_chains_resolve():
     # cycles terminate rather than loop forever
     p.install_override(3, 1)
     assert p._resolve_override(1) in (1, 2, 3)
+
+
+def _reference_dir_rank(p, dir_path):
+    """The directory's rank recomputed from the pin and override tables."""
+    from repro.hashing import stable_hash
+
+    comps = [c for c in dir_path.split("/") if c]
+    if not comps:
+        rank = 0
+    else:
+        key = "/" + "/".join(comps[:2])
+        rank = p.pin_table.get(key) if p.pinned else None
+        if rank is None:
+            rank = stable_hash(key) % p.num_ranks
+    seen = set()
+    while rank in p.rank_overrides and rank not in seen:
+        seen.add(rank)
+        rank = p.rank_overrides[rank]
+    return rank
+
+
+def test_rank_memo_matches_uncached_reference():
+    """``dir_rank`` and ``rank_of`` give the rank recomputed from the
+    tables, across ``pin()`` and chained and cyclic overrides."""
+    from repro.cephfs import SubtreePartitioner
+
+    p = SubtreePartitioner(4, pinned=True)
+    dirs = ["/", "/a", "/b", "/a/x", "/a/y", "/b/x", "/c/d/e", "/c/d/e/f", "/z/w"]
+
+    def check():
+        for _pass in range(2):  # the second pass is served from the memo
+            for d in dirs:
+                assert p.dir_rank(d) == _reference_dir_rank(p, d)
+                assert p.rank_of(d + "/file") == _reference_dir_rank(p, d.rstrip("/") or "/")
+                parent = d.rsplit("/", 1)[0] or "/"
+                assert p.rank_of(d) == _reference_dir_rank(p, parent)
+
+    check()
+    p.pin(p.subtree_key_of_dir(d) for d in dirs)
+    check()
+    p.install_override(1, 2)
+    check()
+    p.install_override(2, 3)  # chained: 1 -> 2 -> 3
+    check()
+    p.install_override(3, 1)  # cyclic
+    check()
+    p.install_override(0, 2)  # the root's rank fails over too
+    check()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.errors import NoDatanodesError
 from repro.ndb import PartitionMap, TableDef, select_read_replica, select_tc
 from repro.net import build_us_west1
 from repro.types import NodeAddress, NodeKind
@@ -123,8 +124,8 @@ def test_read_replica_rb_random_without_awareness(world):
     assert len(azs) == 3  # spread over all replicas
 
 
-def _uncached_best(topo, caller, candidates, rng):
-    """The proximity choice recomputed from placement, bypassing every memo."""
+def _uncached_nearest(topo, caller, candidates):
+    """The best-proximity candidates recomputed from placement, no memo."""
 
     def rank(node):
         if topo._same_vm_uncached(caller, node):
@@ -132,42 +133,97 @@ def _uncached_best(topo, caller, candidates, rng):
         return 1 if topo.host(caller).az == topo.host(node).az else 2
 
     best_rank = min(rank(node) for node in candidates)
-    best = [node for node in candidates if rank(node) == best_rank]
+    return [node for node in candidates if rank(node) == best_rank]
+
+
+def _pick(best, rng):
     return best[0] if len(best) == 1 else rng.choice(best)
 
 
-def test_proximity_memo_matches_uncached_choice(world):
-    """The memoized equal-best set gives the uncached choice and draws from
-    the RNG exactly when the uncached code would, across liveness changes
-    and a host added at runtime."""
-    from repro.ndb.tc_selection import _best_by_proximity
+def _reference_tc(topo, pm, table, hint, caller, az_aware, rng):
+    """The four-case TC rule as written before the memo, from placement."""
+    live = [n for n in pm.datanodes if pm.is_up(n)]
+    if not live:
+        raise NoDatanodesError("no live NDB datanodes")
+    if not az_aware:
+        if table is not None and hint is not None:
+            return pm._replicas_uncached(pm.partition_of(hint), table.fully_replicated).primary
+        return rng.choice(live)
+    if table is not None and hint is not None:
+        replicas = pm._replicas_uncached(pm.partition_of(hint), table.fully_replicated)
+        candidates = [n for n in replicas.all if pm.is_up(n)]
+        if table.read_backup and candidates:
+            return _pick(_uncached_nearest(topo, caller, candidates), rng)
+        if table.fully_replicated:
+            return _pick(_uncached_nearest(topo, caller, live), rng)
+        if candidates:
+            same_az = [n for n in candidates if topo.host(n).az == topo.host(caller).az]
+            if same_az:
+                return _pick(same_az, rng)
+            return replicas.primary
+    return _pick(_uncached_nearest(topo, caller, live), rng)
 
+
+def _reference_read(topo, pm, table, partition, reader, az_aware, rng):
+    replicas = pm._replicas_uncached(partition, table.fully_replicated)
+    if not (table.read_backup or table.fully_replicated):
+        return replicas.primary, 0
+    if az_aware:
+        chosen = _pick(_uncached_nearest(topo, reader, replicas.all), rng)
+    else:
+        chosen = rng.choice(replicas.all)
+    return chosen, replicas.role_of(chosen)
+
+
+def _outcome(select, *args):
+    try:
+        return select(*args)
+    except NoDatanodesError:
+        return NoDatanodesError
+
+
+def test_selection_memo_matches_uncached_reference(world):
+    """``select_tc`` and ``select_read_replica`` give the uncached rule's
+    node and role and leave the RNG in the same state after every call, for
+    every caller, table kind, hint, ``az_aware`` and liveness change."""
     topo, pm, caller = world
     colocated = NodeAddress(NodeKind.NAMENODE, 2)
     topo.add_host(colocated, az=1, colocated_with=pm.datanodes[0])
-    callers = [caller, colocated]
+    callers = [caller, colocated, *pm.datanodes]
+    tables = [None, TableDef(name="plain"), TableDef(name="rb", read_backup=True),
+              TableDef(name="fr", fully_replicated=True)]
     memo_rng, plain_rng = random.Random(11), random.Random(11)
 
     def check():
-        for _pass in range(2):  # second pass is served from the memo
+        for _pass in range(2):  # the second pass is served from the memo
             for who in callers:
-                candidate_sets = [pm.live_datanodes()]
-                for partition in range(pm.num_partitions):
-                    candidate_sets.append(pm.replicas(partition).all)
-                    candidate_sets.append(list(pm.replicas(partition, True).all))
-                for candidates in candidate_sets:
-                    assert _best_by_proximity(topo, who, candidates, memo_rng) == (
-                        _uncached_best(topo, who, candidates, plain_rng)
-                    )
-        assert memo_rng.getstate() == plain_rng.getstate()
+                for az_aware in (True, False):
+                    for table in tables:
+                        for hint in (None, *range(0, 40, 3)):
+                            args = (topo, pm, table, hint, who, az_aware)
+                            assert _outcome(select_tc, *args, memo_rng) == (
+                                _outcome(_reference_tc, *args, plain_rng))
+                            assert memo_rng.getstate() == plain_rng.getstate()
+                        if table is None:
+                            continue
+                        for partition in range(pm.num_partitions):
+                            args = (topo, pm, table, partition, who, az_aware)
+                            assert _outcome(select_read_replica, *args, memo_rng) == (
+                                _outcome(_reference_read, *args, plain_rng))
+                            assert memo_rng.getstate() == plain_rng.getstate()
 
     check()
     pm.mark_down(pm.datanodes[2])  # the AZ-2 caller's local replicas shrink
     check()
-    pm.mark_down(pm.datanodes[0])  # the colocated caller loses its rank-0 node
+    pm.mark_down(pm.datanodes[0])  # group 0 keeps one replica: reads draw from one
     check()
-    pm.mark_up(pm.datanodes[2])
-    pm.mark_up(pm.datanodes[0])
+    for node in (pm.datanodes[1], pm.datanodes[3]):
+        pm.mark_down(node)
+    check()
+    pm.mark_down(pm.datanodes[4])  # group 0 is lost; one datanode is left live
+    check()
+    for node in pm.datanodes:
+        pm.mark_up(node)
     check()
     joiner = NodeAddress(NodeKind.NAMENODE, 3)  # an NN joining mid-run
     topo.add_host(joiner, az=3)

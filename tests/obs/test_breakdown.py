@@ -7,7 +7,7 @@ from repro.obs import Tracer, breakdown_table, phase_breakdown
 
 class _Clock:
     def __init__(self, now=0.0):
-        self._now = now
+        self.now = now
 
 
 def _build_trace():
@@ -16,16 +16,16 @@ def _build_trace():
     clock = t._env = _Clock(0.0)
     root = t.start("client.op", op="stat", retries=1)
     rpc = t.start("rpc.fs_op", parent=root, cross_az=True)
-    clock._now = 1.0
+    clock.now = 1.0
     nn = t.start("nn.handle", parent=rpc)
     t.record("ndb.lock.wait", 2.0, 4.0, parent=nn)
-    clock._now = 5.0
+    clock.now = 5.0
     t.finish(nn)
     t.finish(rpc)
     blk = t.start("rpc.read_block", parent=root, cross_az=False)
-    clock._now = 8.0
+    clock.now = 8.0
     t.finish(blk)
-    clock._now = 10.0
+    clock.now = 10.0
     t.finish(root)
     return t
 

@@ -14,21 +14,21 @@ from repro.obs import (
 
 class _Clock:
     def __init__(self, now=0.0):
-        self._now = now
+        self.now = now
 
 
 def _sample_tracer():
     t = Tracer()
     t._env = _Clock(0.0)
     root = t.start("client.op", op="stat", host="client-1")
-    t._env._now = 0.5
+    t._env.now = 0.5
     rpc = t.start("rpc.fs_op", parent=root, host="client-1", cross_az=True)
-    t._env._now = 1.0
+    t._env.now = 1.0
     nn = t.start("nn.handle", parent=rpc, host="nn-1", op="stat")
-    t._env._now = 3.0
+    t._env.now = 3.0
     t.finish(nn)
     t.finish(rpc, ok=True)
-    t._env._now = 3.5
+    t._env.now = 3.5
     t.finish(root)
     return t, root, rpc, nn
 
@@ -64,7 +64,7 @@ def test_unfinished_spans_are_excluded_and_not_referenced():
     t._env = _Clock(0.0)
     root = t.start("client.op", op="stat", host="c")  # never finished
     child = t.start("rpc.fs_op", parent=root, host="c")
-    t._env._now = 1.0
+    t._env.now = 1.0
     t.finish(child)
     doc = chrome_trace(t)
     xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]

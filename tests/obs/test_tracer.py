@@ -8,7 +8,7 @@ class _Clock:
     """Minimal stand-in for an Environment: just the clock the tracer reads."""
 
     def __init__(self, now=0.0):
-        self._now = now
+        self.now = now
 
 
 def _tracer(now=0.0):
@@ -44,7 +44,7 @@ def test_start_finish_uses_simulated_clock():
     assert span.start_ms == 10.0
     assert not span.finished
     assert span.duration_ms == 0.0
-    t._env._now = 12.5
+    t._env.now = 12.5
     t.finish(span, ok=True)
     assert span.end_ms == 12.5
     assert span.duration_ms == 2.5

@@ -63,7 +63,7 @@ class SingleHeapEnvironment(Environment):
         queue = self._queue
         while queue:
             when, priority, seq, item = heappop(queue)
-            self._now = when
+            self.now = when
             self.trace.append((when, priority, seq))
             if isinstance(item, _Deferred):
                 item.fn(item.arg)
@@ -79,7 +79,7 @@ class SingleHeapEnvironment(Environment):
             if self._main is not None and not self._main.is_alive:
                 self._main = None
                 break
-        return self._now
+        return self.now
 
     def run_process(self, generator, until=None):
         assert until is None
