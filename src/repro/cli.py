@@ -37,7 +37,7 @@ from .experiments import SETUPS, RunConfig, figures, resolve_setup, run_point, s
 from .experiments.scale import SMOKE_CONFIG, ScaleConfig, run_scale
 from .hopsfs.elastic import ElasticConfig
 from .hopsfs.groupcommit import AsyncCommitConfig
-from .hopsfs.listcache import ListingCacheConfig
+from .hopsfs.listcache import HIT_COST_FRAC, TTL_MS, ListingCacheConfig
 
 _TARGETS = [
     "table1",
@@ -172,9 +172,8 @@ def _cmd_point(args) -> int:
         print(f"commit path:    async group commit (linger {commit.linger_ms}ms, "
               f"max {commit.max_batch_ops} ops/batch)")
     if "listing_cache" in paths:
-        cache = paths["listing_cache"]
         print(f"read path:      pre-materialized listing cache "
-              f"(ttl {cache.ttl_ms}ms, hit cost {cache.hit_cost_frac:.2f}x)")
+              f"(ttl {TTL_MS}ms, hit cost {HIT_COST_FRAC:.2f}x)")
     print(f"throughput:     {point.throughput_ops_s:,.0f} ops/s")
     print(f"avg latency:    {point.avg_latency_ms:.2f} ms")
     print(f"p50/p90/p99:    {point.p50_ms:.2f} / {point.p90_ms:.2f} / {point.p99_ms:.2f} ms")
@@ -370,9 +369,8 @@ def _cmd_chaos(args) -> int:
 
         obs = ObsContext()
     try:
-        result = run_scenario(
-            scenario, setup=args.setup, num_servers=args.servers, seed=args.seed, obs=obs
-        )
+        result = run_scenario(scenario, setup=args.setup, seed=args.seed, obs=obs,
+                              **_servers(args))
     except UnsupportedError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 2
@@ -389,18 +387,13 @@ def _chaos_elastic_compare(args) -> int:
     """Fixed-pool vs autoscaled comparison artifact (``chaos elastic-compare``)."""
     from .chaos import run_elastic_comparison
 
-    # 6 NNs (2/AZ on 3-AZ setups) leaves the autoscaler real headroom to
-    # shed; the stock --servers default of 3 is already at the floor.
-    servers = args.servers if args.servers != 3 else 6
     try:
-        out = run_elastic_comparison(
-            setup=args.setup, num_servers=servers, seed=args.seed
-        )
+        out = run_elastic_comparison(setup=args.setup, seed=args.seed, **_servers(args))
     except ReproError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     print(f"elastic comparison on {out['setup']} "
-          f"({servers} NNs, seed {args.seed}):")
+          f"({out['num_servers']} NNs, seed {args.seed}):")
     for key, leg in out["legs"].items():
         el = leg["elastic"]
         print(f"  {key:<11} completed={leg['completed']:<6} "
@@ -438,8 +431,8 @@ def _cmd_monitor(args) -> int:
 
     try:
         results = [
-            run_monitor(name, setup=args.setup, num_servers=args.servers, seed=args.seed,
-                        grace_ms=args.grace)
+            run_monitor(name, setup=args.setup, seed=args.seed, grace_ms=args.grace,
+                        **_servers(args))
             for name in names
         ]
     except UnsupportedError as exc:
@@ -460,9 +453,15 @@ def _add_target_flags(parser) -> None:
     """The deployment a ``chaos`` / ``monitor`` run is built on."""
     parser.add_argument("--setup", default="hopsfs-cl-3-3",
                         help="setup slug or paper name (default hopsfs-cl-3-3)")
-    parser.add_argument("--servers", type=int, default=3,
-                        help="metadata servers (default 3)")
+    parser.add_argument("--servers", type=int, default=None,
+                        help="metadata servers (default: the run's own, 3; "
+                             "6 for chaos elastic-compare)")
     parser.add_argument("--seed", type=int, default=99)
+
+
+def _servers(args) -> dict:
+    """``num_servers`` if ``--servers`` was given; else the run's own default."""
+    return {} if args.servers is None else {"num_servers": args.servers}
 
 
 def build_parser() -> argparse.ArgumentParser:

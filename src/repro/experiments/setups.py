@@ -23,7 +23,7 @@ from typing import Optional
 
 from ..cephfs import CephConfig, build_cephfs
 from ..errors import ConfigError, ReproError
-from ..hopsfs import SMALL_FILE_MAX_BYTES, FsContext, HopsFsConfig, InodeRow, build_hopsfs
+from ..hopsfs import SMALL_FILE_MAX_BYTES, HopsFsConfig, InodeRow, build_hopsfs, ops
 from ..hopsfs.metadata import INODES_TABLE
 from ..metrics.utilization import ResourceReport, per_az_utilization
 from ..ndb import NdbConfig
@@ -295,7 +295,7 @@ class HopsFsHarness(Harness):
         block_datanodes = tuning.block_datanodes_per_az * len(spec.azs)
         if block_datanodes:
             # A one-AZ setup still needs one datanode per block replica.
-            block_datanodes = max(block_datanodes, FsContext.default_replication)
+            block_datanodes = max(block_datanodes, ops.DEFAULT_REPLICATION)
         self.deployment = build_hopsfs(
             num_namenodes=num_servers,
             azs=spec.azs,

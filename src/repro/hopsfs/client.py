@@ -53,8 +53,8 @@ class HopsFsClient(FsClient):
         network: Network,
         addr: NodeAddress,
         namenode_addrs,
+        rng,
         location_domain_id: AzId = ANY_AZ,
-        rng=None,
         request_bytes: int = 256,
         max_failovers: int = 4,
         robust: Optional[RobustConfig] = None,
@@ -112,18 +112,10 @@ class HopsFsClient(FsClient):
             )
 
     # ------------------------------------------------------- NN selection
-    def _choice(self, seq):
-        if self.rng is None:
-            return seq[0]
-        return self.rng.choice(seq)
-
     def _breaker(self, nn: NodeAddress) -> CircuitBreaker:
         breaker = self._breakers.get(nn)
         if breaker is None:
-            breaker = CircuitBreaker(
-                self.robust.breaker_threshold, self.robust.breaker_reset_ms
-            )
-            self._breakers[nn] = breaker
+            breaker = self._breakers[nn] = CircuitBreaker()
         return breaker
 
     def _breaker_open(self, nn: NodeAddress) -> bool:
@@ -233,8 +225,7 @@ class HopsFsClient(FsClient):
         ``robust`` there are no breakers, so the filters keep everything.
         """
         bootstrap = list(self.namenode_addrs)
-        if self.rng is not None:
-            self.rng.shuffle(bootstrap)
+        self.rng.shuffle(bootstrap)
         closed = [nn for nn in bootstrap if not self._breaker_open(nn)]
         if closed:
             bootstrap = closed
@@ -263,9 +254,9 @@ class HopsFsClient(FsClient):
         if self.location_domain_id != ANY_AZ:
             local = [a for a in active if a[2] == self.location_domain_id]
             if local:
-                self.current_nn = self._choice(local)[1]
+                self.current_nn = self.rng.choice(local)[1]
                 return self.current_nn
-        self.current_nn = self._choice(active)[1]
+        self.current_nn = self.rng.choice(active)[1]
         return self.current_nn
 
     # ------------------------------------------------------------ operations
@@ -441,7 +432,7 @@ class HopsFsClient(FsClient):
         ]
         if not candidates:
             return None
-        return self._choice(candidates)
+        return self.rng.choice(candidates)
 
     # Beyond the shared stubs --------------------------------------------------
     def mkdirs(self, path: str):
@@ -563,8 +554,7 @@ class HopsFsClient(FsClient):
                     locations = local
             # Try the preferred (AZ-local) replicas first, then the rest.
             ordered = list(locations)
-            if self.rng is not None:
-                self.rng.shuffle(ordered)
+            self.rng.shuffle(ordered)
             others = [dn for dn in block.locations if dn not in ordered]
             nbytes = None
             last_error = None

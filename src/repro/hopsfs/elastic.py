@@ -5,11 +5,11 @@ The paper's central architectural claim is that HopsFS namenodes are
 the serving tier can grow and shrink at runtime without data movement.
 This module supplies the pieces the static build path lacks:
 
-* :class:`ElasticConfig` — the opt-in knob block, mirroring
-  ``RobustConfig`` / ``AsyncCommitConfig``: ``HopsFsConfig.elastic is
-  None`` keeps the legacy fixed-pool path bit-identical to the pinned
-  golden schedules (no refresh loops, no autoscaler process, no extra
-  events).
+* :class:`ElasticConfig` — the opt-in switch and the values scenarios
+  and tests set (refresh and autoscale periods, utilization triggers,
+  pool bounds, drain grace): ``HopsFsConfig.elastic is None`` keeps the
+  legacy fixed-pool path bit-identical to the pinned golden schedules
+  (no refresh loops, no autoscaler process, no extra events).
 * :class:`ReconfigEvent` / :class:`ProvisionRecord` — the reconfiguration
   log and per-NN provisioned-interval accounting behind the artifact's
   two headline metrics: reconfiguration latency (decision →
@@ -60,9 +60,8 @@ class ElasticConfig:
     # the ``nn-churn`` scenario drives churn purely from its schedule.
     autoscale: bool = True
     autoscale_interval_ms: float = 50.0
-    # Scale-out triggers: admission-control sheds observed in one interval,
-    # or mean in-flight utilization in the hottest AZ.
-    scale_up_shed_threshold: int = 4
+    # Scale-out trigger besides Autoscaler.SCALE_UP_SHED_THRESHOLD: mean
+    # in-flight utilization in the hottest AZ.
     scale_up_utilization: float = 0.75
     # Scale-in trigger: every AZ's mean utilization below this floor.
     scale_down_utilization: float = 0.10
@@ -73,11 +72,10 @@ class ElasticConfig:
     # Graceful drain: stop admitting, wait this long for in-flight ops to
     # finish (they virtually always do — this is a hang bound, not a kill).
     drain_grace_ms: float = 50.0
-    drain_poll_ms: float = 1.0
     # Reconfiguration-latency watcher: poll the peers' membership views
-    # until the change is visible (or give up after the timeout).
+    # until the change is visible (or give up after
+    # HopsFsDeployment.VISIBILITY_TIMEOUT_MS).
     visibility_poll_ms: float = 5.0
-    visibility_timeout_ms: float = 5000.0
 
     def __post_init__(self) -> None:
         if self.membership_refresh_ms <= 0:
@@ -168,7 +166,7 @@ class Autoscaler:
       serving (running, non-draining) NNs gets a new one immediately.
       This is what restores capacity after a spot preemption.
     * **Admission pressure** — the windowed delta of ``nn.ops_shed``
-      across the pool; at/above ``scale_up_shed_threshold`` the hottest
+      across the pool; at/above ``SCALE_UP_SHED_THRESHOLD`` the hottest
       AZ scales out.
     * **Utilization** — per-AZ mean of in-flight ops over the admission
       cap (``robust.nn_max_inflight``, falling back to ``nn_cores``).
@@ -180,6 +178,9 @@ class Autoscaler:
     floor ignores the cooldown — restoring a dead AZ must not wait).  The
     loop reads counters and does arithmetic only: no RNG, fixed periods.
     """
+
+    # Admission-control sheds in one interval that trigger a scale-out.
+    SCALE_UP_SHED_THRESHOLD = 4
 
     def __init__(self, deployment, config: ElasticConfig):
         self.fs = deployment
@@ -254,7 +255,7 @@ class Autoscaler:
                 utilization, key=lambda az: (utilization[az], -az)
             )
             pressed = (
-                shed_delta >= cfg.scale_up_shed_threshold
+                shed_delta >= self.SCALE_UP_SHED_THRESHOLD
                 or utilization[hot_az] >= cfg.scale_up_utilization
             )
             if pressed and counts.get(hot_az, 0) < cfg.max_nns_per_az:

@@ -37,6 +37,9 @@ __all__ = ["HopsFsDeployment", "build_hopsfs"]
 class HopsFsDeployment:
     """A running HopsFS(-CL) cluster plus factories for clients."""
 
+    # The reconfiguration-latency watcher gives up after this long.
+    VISIBILITY_TIMEOUT_MS = 5000.0
+
     env: Environment
     network: Network
     ndb: NdbCluster
@@ -246,9 +249,7 @@ class HopsFsDeployment:
         lost_before = (
             self.group_ledger.lost_acks if self.group_ledger is not None else 0
         )
-        forced = yield from nn.drain(
-            grace_ms=cfg.drain_grace_ms, poll_ms=cfg.drain_poll_ms
-        )
+        forced = yield from nn.drain(grace_ms=cfg.drain_grace_ms)
         yield from nn.election.deregister()
         nn.shutdown()
         event.forced_shutdown = bool(forced)
@@ -319,7 +320,7 @@ class HopsFsDeployment:
         cfg = self.config.elastic or ElasticConfig()
 
         def watch():
-            deadline = self.env.now + cfg.visibility_timeout_ms
+            deadline = self.env.now + self.VISIBILITY_TIMEOUT_MS
             while self.env.now < deadline:
                 peers = [
                     p for p in self.namenodes
@@ -366,7 +367,6 @@ def build_hopsfs(
     ndb_config: Optional[NdbConfig] = None,
     election: bool = True,
     heartbeats: bool = False,
-    jitter_frac: float = 0.0,
     az_link_bandwidth_bytes_per_ms: Optional[float] = None,
     fully_replicated_leader: bool = False,
 ) -> HopsFsDeployment:
@@ -384,11 +384,7 @@ def build_hopsfs(
     rng = RngRegistry(seed=seed)
     topology = build_us_west1()
     network = Network(
-        env,
-        topology,
-        jitter_frac=jitter_frac,
-        rng=rng.stream("net") if jitter_frac else None,
-        az_link_bandwidth_bytes_per_ms=az_link_bandwidth_bytes_per_ms,
+        env, topology, az_link_bandwidth_bytes_per_ms=az_link_bandwidth_bytes_per_ms
     )
     config = hopsfs_config or HopsFsConfig()
     if ndb_config is None:

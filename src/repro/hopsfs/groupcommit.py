@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigError, FsError, NdbError, TransactionAbortedError
+from ..ndb.client import RetryPolicy
 from ..ndb.schema import TOMBSTONE, LockMode
 from ..types import OpType
 from .metadata import INODES_TABLE, SMALL_FILE_MAX_BYTES
@@ -118,6 +119,10 @@ def paths_conflict(a_paths, b_paths) -> bool:
     return False
 
 
+# A batch's commit retries: 8 retries backing off 2 -> 40 ms.
+_FLUSH_RETRY = RetryPolicy()
+
+
 @dataclass(frozen=True)
 class AsyncCommitConfig:
     """Opt-in group-commit policy (mirrors the ``robust`` pattern).
@@ -126,17 +131,14 @@ class AsyncCommitConfig:
     its first member; ``max_batch_ops`` flushes a full batch early.
     ``max_inflight_batches`` bounds the flush pipeline: the committer
     gathers (and acks) the next batch while up to that many earlier
-    batches are still committing.  The flush retry loop mirrors
-    :func:`repro.ndb.client.run_transaction`'s backoff, re-executing
-    every member body in a fresh transaction.
+    batches are still committing.  An aborted flush backs off by
+    ``_FLUSH_RETRY`` and re-executes every member body in a fresh
+    transaction.
     """
 
     linger_ms: float = 1.0
     max_batch_ops: int = 16
     max_inflight_batches: int = 4
-    max_flush_retries: int = 8
-    flush_backoff_base_ms: float = 2.0
-    flush_backoff_max_ms: float = 40.0
 
     def __post_init__(self) -> None:
         if self.linger_ms < 0:
@@ -145,10 +147,6 @@ class AsyncCommitConfig:
             raise ConfigError("group-commit batch needs at least one op")
         if self.max_inflight_batches < 1:
             raise ConfigError("group-commit pipeline needs at least one slot")
-        if self.max_flush_retries < 0:
-            raise ConfigError("flush retry budget cannot be negative")
-        if self.flush_backoff_base_ms <= 0 or self.flush_backoff_max_ms <= 0:
-            raise ConfigError("flush backoff bounds must be positive")
 
 
 class GroupAck:
@@ -619,7 +617,6 @@ class GroupCommitter:
     # -------------------------------------------------------------- flush
     def _flush(self, ctx, linger_actual, gen):
         env = self.env
-        cfg = self.config
         nn = self.nn
         batch = ctx.batch
         # Every member body must have prepared (or failed) before commit.
@@ -665,14 +662,10 @@ class GroupCommitter:
             if self._gen != gen:
                 return
             attempt += 1
-            if not getattr(retry_exc, "retryable", True) or attempt > cfg.max_flush_retries:
+            if not getattr(retry_exc, "retryable", True) or attempt > _FLUSH_RETRY.max_retries:
                 self._abort_batch(ctx, retry_exc)
                 return
-            backoff = min(
-                cfg.flush_backoff_max_ms,
-                cfg.flush_backoff_base_ms * (2 ** (attempt - 1)),
-            )
-            yield env.timeout(backoff * (0.5 + self._rng.random()))
+            yield env.timeout(_FLUSH_RETRY.backoff_ms(attempt, self._rng))
             if self._gen != gen:
                 return
             # Fresh transaction; every member body re-runs against it

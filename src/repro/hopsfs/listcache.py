@@ -30,10 +30,11 @@ served after its invalidation applies:
   read-then-invalidate-then-fill race.
 
 Staleness across NNs is bounded by changelog delivery latency in the
-common case and by ``ttl_ms`` in the worst case (dropped batches expire
+common case and by ``TTL_MS`` in the worst case (dropped batches expire
 out).  ``HopsFsConfig.listing_cache=None`` (the default) builds none of
 this: no subscriptions, no messages, no events — the legacy path stays
-bit-identical to the pinned golden schedules.
+bit-identical to the pinned golden schedules.  The cache has no knobs:
+its bounds and hit cost are the module constants below.
 """
 
 from __future__ import annotations
@@ -49,25 +50,21 @@ from .pathlock import root_row, split_path
 
 __all__ = ["ListingCacheConfig", "ListingCache", "materialize_snapshot"]
 
+# Worst-case staleness bound: entries older than this are never served
+# (covers changelog batches dropped while this NN was unreachable).
+TTL_MS = 100.0
+# Caps of the two tiers (TtlLruMap: oldest insertion evicted).
+MAX_ATTR_ENTRIES = 200_000
+MAX_LISTING_ENTRIES = 50_000
+# Handler-pool cost of a cache-served read, as a fraction of
+# ``op_cost_read_ms``: a hash lookup instead of transaction setup,
+# marshalling, and coordinator bookkeeping.
+HIT_COST_FRAC = 0.25
+
 
 @dataclass(frozen=True)
 class ListingCacheConfig:
-    """Opt-in knobs for the pre-materialized listing/attr cache."""
-
-    # Worst-case staleness bound: entries older than this are never served
-    # (covers changelog batches dropped while this NN was unreachable).
-    ttl_ms: float = 100.0
-    # Caps of the two tiers (TtlLruMap: oldest insertion evicted).
-    max_attr_entries: int = 200_000
-    max_listing_entries: int = 50_000
-    # Handler-pool cost of a cache-served read, as a fraction of
-    # ``op_cost_read_ms``: a hash lookup instead of transaction setup,
-    # marshalling, and coordinator bookkeeping.
-    hit_cost_frac: float = 0.25
-    # Out-of-order tolerance: how many sequence numbers may sit above a
-    # delivery hole before the hole is declared a *lost* batch (this NN
-    # missed an invalidation) and the cache flushes.
-    max_pending_batches: int = 64
+    """Turns the pre-materialized listing/attr cache on; it has no knobs."""
 
 
 def materialize_snapshot(rows, now: float) -> tuple[dict, dict]:
@@ -95,18 +92,17 @@ def materialize_snapshot(rows, now: float) -> tuple[dict, dict]:
 class ListingCache:
     """Per-NN pre-materialized listing/attr cache with changelog invalidation."""
 
-    def __init__(
-        self,
-        config: ListingCacheConfig,
-        now: Callable[[], float],
-        bus,
-    ):
-        self.config = config
+    # Out-of-order tolerance: how many sequence numbers may sit above a
+    # delivery hole before the hole is declared a *lost* batch (this NN
+    # missed an invalidation) and the cache flushes.
+    max_pending_batches = 64
+
+    def __init__(self, now: Callable[[], float], bus):
         self.bus = bus
         # (parent_id, name) -> InodeRow
-        self._attrs = TtlLruMap(now, config.ttl_ms, config.max_attr_entries)
+        self._attrs = TtlLruMap(now, TTL_MS, MAX_ATTR_ENTRIES)
         # dir inode id -> (sorted-name tuple, name set)
-        self._listings = TtlLruMap(now, config.ttl_ms, config.max_listing_entries)
+        self._listings = TtlLruMap(now, TTL_MS, MAX_LISTING_ENTRIES)
         # Changelog gating state.
         self.epoch = bus.epoch
         self.applied_seq = bus.seq
@@ -231,8 +227,8 @@ class ListingCache:
         prove absence.
         """
         if (
-            len(attrs) > self.config.max_attr_entries
-            or len(listings) > self.config.max_listing_entries
+            len(attrs) > self._attrs.max_entries
+            or len(listings) > self._listings.max_entries
         ):
             return
         self._attrs.update(attrs)
@@ -307,7 +303,7 @@ class ListingCache:
         while self.applied_seq + 1 in self._pending:
             self.applied_seq += 1
             self._pending.remove(self.applied_seq)
-        if len(self._pending) > self.config.max_pending_batches:
+        if len(self._pending) > self.max_pending_batches:
             # The hole below the pending window never filled: a batch was
             # lost while this NN was unreachable.  Anything cached before
             # the loss may be stale — flush and restart from the top.

@@ -37,7 +37,7 @@ from .datanode import CopyBlockReq
 from .dircache import DirCache
 from .groupcommit import GroupCommitter, groupable, op_paths
 from .leader import LeaderElectionService
-from .listcache import ListingCache
+from .listcache import HIT_COST_FRAC, ListingCache
 from .metadata import (
     BLOCKS_TABLE,
     INODES_TABLE,
@@ -117,8 +117,8 @@ class Namenode(Server):
         az: AzId,
         nn_id: int,
         ids: IdGenerator,
+        mutation_ledger: list,
         placement_policy: PlacementPolicy = PlacementPolicy.AZ_AWARE,
-        mutation_ledger: Optional[list] = None,
         group_ledger=None,
         election: bool = True,
     ):
@@ -156,13 +156,11 @@ class Namenode(Server):
         # Exactly-once replay state (robust mode only): in-memory LRU fast
         # path over the durable retry_cache NDB rows.
         self.retry_cache: Optional[RetryCache] = (
-            RetryCache(config.robust.nn_retry_cache_size)
-            if config.robust is not None
-            else None
+            RetryCache() if config.robust is not None else None
         )
         # One applied-mutation list shared by every NN of a deployment (the
-        # chaos exactly-once invariant audits it); private when standalone.
-        self.mutation_ledger: list = [] if mutation_ledger is None else mutation_ledger
+        # chaos exactly-once invariant audits it).
+        self.mutation_ledger = mutation_ledger
         # The opt-in paths below are wired here and nowhere else; each stays
         # None (no objects, no events) unless its config is set.
         # Async group commit: a per-NN committer over the deployment-wide
@@ -177,9 +175,7 @@ class Namenode(Server):
         self.listing_cache: Optional[ListingCache] = None
         if config.listing_cache is not None:
             changelog = ndb_cluster.changelog
-            self.listing_cache = ListingCache(
-                config.listing_cache, now=lambda: env.now, bus=changelog
-            )
+            self.listing_cache = ListingCache(now=lambda: env.now, bus=changelog)
             changelog.subscribe(addr)
         self._safemode_forced = False
         # False keeps a standalone NN out of the leader protocol.
@@ -352,7 +348,7 @@ class Namenode(Server):
             else:
                 # Served from NN memory: a hash lookup's worth of handler
                 # CPU instead of transaction setup and coordinator rounds.
-                cost *= cache.config.hit_cost_frac
+                cost *= HIT_COST_FRAC
                 if obs is not None:
                     serve_span = obs.tracer.start(
                         "nn.cache.serve", parent=span,

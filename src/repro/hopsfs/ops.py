@@ -45,6 +45,12 @@ __all__ = ["FsContext", "FileContent", "mkdir", "create_file", "read_file",
            "set_replication", "add_block", "complete_file", "mkdirs"]
 
 
+# Replication of a file created without one, and how long a create's
+# lease lasts.
+DEFAULT_REPLICATION = 3
+LEASE_DURATION_MS = 60_000.0
+
+
 @dataclass
 class FsContext:
     """Services an operation needs beyond the transaction itself."""
@@ -52,11 +58,9 @@ class FsContext:
     ids: IdGenerator
     now: Callable[[], float]
     # (client_hint, replication, exclude) -> tuple of DN addresses
-    place_block: Optional[Callable] = None
-    default_replication: int = 3
-    lease_duration_ms: float = 60_000.0
+    place_block: Callable
     # NN-side path-component cache (see repro.hopsfs.dircache).
-    dir_cache: Optional[object] = None
+    dir_cache: object
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,7 @@ def _cache_uncommitted(ctx: FsContext, txn: NdbTransaction, row: InodeRow) -> No
     ``stat``/``exists`` resolve directories from the cache without a read,
     so an attempt that is abandoned must take the entry back out.
     """
-    if ctx.dir_cache is not None and row.is_dir:
+    if row.is_dir:
         ctx.dir_cache.put(row)
         txn.on_abort(ctx.dir_cache.pop, (row.parent_id, row.name), None)
 
@@ -180,7 +184,7 @@ def create_file(
         name=name,
         is_dir=False,
         size=len(data) if small else 0,
-        replication=replication or ctx.default_replication,
+        replication=replication or DEFAULT_REPLICATION,
         mtime_ms=ctx.now(),
         small_data=data if small else None,
         under_construction=not small,
@@ -190,7 +194,7 @@ def create_file(
     )
     if not small:
         lease = LeaseRow(
-            inode_id=row.id, holder=client, expiry_ms=ctx.now() + ctx.lease_duration_ms
+            inode_id=row.id, holder=client, expiry_ms=ctx.now() + LEASE_DURATION_MS
         )
         yield from txn.write(LEASES_TABLE, row.id, lease)
     return row.id
@@ -223,10 +227,10 @@ def exists(ctx: FsContext, txn: NdbTransaction, path: str):
     parent_id = 1
     row = None
     for depth, name in enumerate(components):
-        row = ctx.dir_cache.lookup((parent_id, name)) if ctx.dir_cache is not None else None
+        row = ctx.dir_cache.lookup((parent_id, name))
         if row is None:
             row = yield from txn.read(INODES_TABLE, (parent_id, name), partition_key=parent_id)
-            if row is not None and row.is_dir and ctx.dir_cache is not None:
+            if row is not None and row.is_dir:
                 ctx.dir_cache.put(row)
         if row is None:
             return False
@@ -256,8 +260,7 @@ def delete(ctx: FsContext, txn: NdbTransaction, path: str, recursive: bool = Fal
     row = yield from _lock_slot(txn, parent.id, name)
     if row is None:
         raise FileNotFoundFsError(f"{path} does not exist")
-    if ctx.dir_cache is not None:
-        ctx.dir_cache.pop((parent.id, name), None)
+    ctx.dir_cache.pop((parent.id, name), None)
     removed = yield from _delete_tree(ctx, txn, row, recursive, path)
     return removed
 
@@ -318,9 +321,8 @@ def rename(ctx: FsContext, txn: NdbTransaction, src: str, dst: str):
     yield from txn.delete(INODES_TABLE, src_pk, partition_key=src_parent.id)
     new_row = src_row.with_(parent_id=dst_parent.id, name=dst_name, mtime_ms=ctx.now())
     yield from txn.write(INODES_TABLE, dst_pk, new_row, partition_key=dst_parent.id)
-    if ctx.dir_cache is not None:
-        ctx.dir_cache.pop((src_parent.id, src_name), None)
-        _cache_uncommitted(ctx, txn, new_row)
+    ctx.dir_cache.pop((src_parent.id, src_name), None)
+    _cache_uncommitted(ctx, txn, new_row)
     return new_row.id
 
 
@@ -364,8 +366,6 @@ def add_block(ctx: FsContext, txn: NdbTransaction, path: str, client: str = ""):
     lease = yield from txn.read(LEASES_TABLE, row.id, lock=LockMode.SHARED)
     if lease is None or (client and lease.holder != client):
         raise LeaseExpiredError(f"no valid lease on {path} for {client!r}")
-    if ctx.place_block is None:
-        raise FsError("no block storage layer configured")
     locations = ctx.place_block(client, row.replication, ())
     block = BlockRow(
         block_id=ctx.ids.next_block_id(),

@@ -51,7 +51,7 @@ def root_row() -> InodeRow:
     return _ROOT_ROW
 
 
-def resolve_components(txn: NdbTransaction, components: list[str], cache=None):
+def resolve_components(txn: NdbTransaction, components: list[str], cache):
     """Walk the inode chain at read-committed; yields from NDB reads.
 
     Directory components found in the NN's path-component ``cache`` are
@@ -72,12 +72,12 @@ def resolve_components(txn: NdbTransaction, components: list[str], cache=None):
             raise NotDirectoryError(
                 "/" + "/".join(components[:depth]) + " is not a directory"
             )
-        row = cache.lookup((parent.id, name)) if cache is not None else None
+        row = cache.lookup((parent.id, name))
         if row is None:
             row = yield from txn.read(
                 INODES_TABLE, (parent.id, name), partition_key=parent.id
             )
-            if row is not None and row.is_dir and cache is not None:
+            if row is not None and row.is_dir:
                 cache.put(row)
         rows.append(row)
         parent = row
@@ -100,14 +100,14 @@ def _walk(txn: NdbTransaction, components: list[str], count: int, cache, as_pare
             )
         parent_id = row.id
         name = components[depth]
-        row = cache.lookup((parent_id, name)) if cache is not None else None
+        row = cache.lookup((parent_id, name))
         if row is None:
             row = yield from txn.read(INODES_TABLE, (parent_id, name), parent_id)
             if row is None:
                 raise FileNotFoundFsError(
                     "/" + "/".join(components[: depth + 1]) + " does not exist"
                 )
-            if row.is_dir and cache is not None:
+            if row.is_dir:
                 cache.put(row)
     if not as_parent:
         return row
@@ -118,13 +118,13 @@ def _walk(txn: NdbTransaction, components: list[str], count: int, cache, as_pare
 
 # Plain functions returning the walk generator: an op parked on a
 # resolution read has one frame for it, not two (DESIGN.md §4).
-def resolve_inode(txn: NdbTransaction, path: str, cache=None):
+def resolve_inode(txn: NdbTransaction, path: str, cache):
     """Resolve ``path`` to its inode row; raises if any component missing."""
     components = split_path(path)
     return _walk(txn, components, len(components), cache, False)
 
 
-def resolve_parent(txn: NdbTransaction, path: str, cache=None):
+def resolve_parent(txn: NdbTransaction, path: str, cache):
     """Resolve the parent directory of ``path``.
 
     Returns ``(parent_row, basename)``; raises if the parent chain is

@@ -9,7 +9,8 @@ slow instead of dead.  This module holds the client/server knobs that turn
   ``Message.extra`` and is enforced at every hop (NN dequeue, NDB retry
   loop), so no hop starts work the op can no longer use.
 - :class:`RetryPolicy` — exponential backoff with deterministic jitter
-  drawn from a named RNG stream, plus a retry budget.
+  drawn from a named RNG stream, plus a retry budget (defined beside
+  :func:`repro.ndb.client.run_transaction`, the lowest layer that retries).
 - :class:`CircuitBreaker` — per-NN client-side breaker that routes around
   persistently slow or tripped metadata servers.
 - :class:`RetryCache` — the namenode's in-memory LRU over replayed
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigError
+from ..ndb.client import RetryPolicy
 
 __all__ = ["Deadline", "RetryPolicy", "CircuitBreaker", "RetryCache", "RobustConfig"]
 
@@ -46,28 +48,6 @@ class Deadline:
         return now >= self.expires_ms
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with jitter and a bounded retry budget."""
-
-    max_retries: int = 8
-    backoff_base_ms: float = 2.0
-    backoff_max_ms: float = 40.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigError("retry budget cannot be negative")
-        if self.backoff_base_ms <= 0 or self.backoff_max_ms <= 0:
-            raise ConfigError("backoff bounds must be positive")
-
-    def backoff_ms(self, attempt: int, rng=None) -> float:
-        """Delay before retry ``attempt`` (1-based); jitter in [0.5x, 1.5x)."""
-        base = min(self.backoff_max_ms, self.backoff_base_ms * (2 ** (attempt - 1)))
-        if rng is None:
-            return base
-        return base * (0.5 + rng.random())
-
-
 class CircuitBreaker:
     """Consecutive-failure breaker for one metadata server.
 
@@ -80,7 +60,7 @@ class CircuitBreaker:
 
     __slots__ = ("threshold", "reset_ms", "failures", "open_until", "trips")
 
-    def __init__(self, threshold: int, reset_ms: float):
+    def __init__(self, threshold: int = 3, reset_ms: float = 120.0):
         self.threshold = threshold
         self.reset_ms = reset_ms
         self.failures = 0
@@ -116,7 +96,7 @@ class RetryCache:
     when the client fails over after a post-commit crash.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise ConfigError("retry cache capacity must be positive")
         self.capacity = capacity
@@ -180,9 +160,6 @@ class RobustConfig:
     # Namenode admission control: in-flight fs_ops beyond this are shed
     # with a retryable ServerBusyError before touching the handler pool.
     nn_max_inflight: int = 96
-    nn_retry_cache_size: int = 4096
-    breaker_threshold: int = 3
-    breaker_reset_ms: float = 120.0
 
     def __post_init__(self) -> None:
         if self.op_timeout_ms <= 0:

@@ -11,9 +11,11 @@ providing backpressure to NDB (Section II-B2).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional
 
 from ..errors import (
+    ConfigError,
     DeadlineExceededError,
     HostUnreachableError,
     NdbError,
@@ -24,7 +26,7 @@ from .messages import TcAbortReq, TcCommitReq, TcReadReq, TcScanReq, TcWriteReq
 from .schema import TOMBSTONE, LockMode
 from .tc_selection import select_tc
 
-__all__ = ["NdbApi", "NdbTransaction", "run_transaction"]
+__all__ = ["NdbApi", "NdbTransaction", "RetryPolicy", "run_transaction"]
 
 
 class NdbApi:
@@ -190,22 +192,43 @@ class NdbTransaction:
         self.finished = True
 
 
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Exponential backoff with jitter and a bounded retry budget."""
+
+    max_retries: int = 8
+    backoff_base_ms: float = 2.0
+    backoff_max_ms: float = 40.0
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ConfigError("retry budget cannot be negative")
+        if self.backoff_base_ms <= 0 or self.backoff_max_ms <= 0:
+            raise ConfigError("backoff bounds must be positive")
+
+    def backoff_ms(self, attempt: int, rng=None) -> float:
+        """Delay before retry ``attempt`` (1-based); jitter in [0.5x, 1.5x)."""
+        base = min(self.backoff_max_ms, self.backoff_base_ms * (2 ** (attempt - 1)))
+        if rng is None:
+            return base
+        return base * (0.5 + rng.random())
+
+
 def run_transaction(
     api: NdbApi,
     body: Callable[[NdbTransaction], Any],
     hint_table: Optional[str] = None,
     hint_key: Optional[Hashable] = None,
-    max_retries: int = 12,
-    base_backoff_ms: float = 2.0,
-    max_backoff_ms: float = 200.0,
+    retry: RetryPolicy = RetryPolicy(max_retries=12, backoff_max_ms=200.0),
     parent_span=None,
     deadline: Optional[float] = None,
 ):
     """Run ``body(txn)`` (a generator function) with commit and retries.
 
     This is HopsFS's transaction retry mechanism: aborted transactions are
-    retried with exponential backoff, which provides backpressure to NDB.
-    Non-retryable errors (application errors) abort and propagate.
+    retried with ``retry``'s exponential backoff, which provides
+    backpressure to NDB.  Non-retryable errors (application errors) abort
+    and propagate.
 
     ``deadline`` (absolute sim ms) is the enclosing op's budget: expired
     before an attempt, or an attempt whose backoff would sleep past it,
@@ -244,14 +267,13 @@ def run_transaction(
             if span is not None:
                 obs.tracer.finish(span, outcome="aborted", retryable=exc.retryable)
                 obs.registry.counter("ndb.txn.aborts").inc()
-            if not exc.retryable or attempt >= max_retries:
+            if not exc.retryable or attempt >= retry.max_retries:
                 raise
             attempt += 1
-            backoff = min(max_backoff_ms, base_backoff_ms * (2 ** (attempt - 1)))
             # Streams are derived by name: fetching it only when a back-off
             # draws leaves every stream's draw order as it was.
             rng = api.cluster.rng.stream(f"txnretry:{api.addr}")
-            delay = backoff * (0.5 + rng.random())
+            delay = retry.backoff_ms(attempt, rng)
             if deadline is not None and env.now + delay >= deadline:
                 raise DeadlineExceededError(
                     "op deadline would expire during NDB retry backoff"

@@ -97,7 +97,7 @@ class _Route:
                  src_az: AzId, dst_az: AzId):
         self.src = src
         self.dst = dst
-        self.latency = latency  # Table I base delay: no degradation, no jitter
+        self.latency = latency  # Table I base delay: no degradation
         self.cross_az = src_az != dst_az
         self.az_pair = (src_az, dst_az)
         self.bytes = 0
@@ -121,8 +121,6 @@ class Network:
         self,
         env: Environment,
         topology: Topology,
-        jitter_frac: float = 0.0,
-        rng=None,
         az_link_bandwidth_bytes_per_ms: Optional[float] = None,
     ):
         self.env = env
@@ -131,8 +129,6 @@ class Network:
         # order, which is the order ``TrafficMatrix.record`` would keep.
         self._delivered: list[_Route] = []
         self.traffic = RouteTraffic(self._delivered)
-        self.jitter_frac = jitter_frac
-        self.rng = rng
         # Finite inter-AZ fabric capacity: every cross-AZ message queues on
         # the shared regional interconnect.  Intra-AZ traffic is uncapped —
         # the paper's Section III-C2 asymmetry (inter-AZ bandwidth is the
@@ -235,14 +231,12 @@ class Network:
 
     # -- messaging ------------------------------------------------------------
     def _latency(self, route: _Route) -> float:
-        """The route's base delay under link degradation and jitter."""
+        """The route's base delay under link degradation."""
         base = route.latency
         if self._degraded is not None:
             extra = self._degraded.get(route.az_pair)
             if extra:
                 base += extra
-        if self.jitter_frac and self.rng is not None:
-            base *= 1.0 + self.rng.uniform(-self.jitter_frac, self.jitter_frac)
         return base
 
     def _route(self, src: NodeAddress, dst: NodeAddress) -> _Route:
@@ -279,8 +273,8 @@ class Network:
         disabled outright so every delivery is individually recorded.
 
         The fault-free path reads the pair's :class:`_Route` and nothing
-        else; ``_latency`` runs only while a link is degraded or jitter is
-        on, and yields the same float either way.
+        else; ``_latency`` runs only while a link is degraded, and yields
+        the same float either way.
         """
         env = self.env
         now = env.now
@@ -293,7 +287,7 @@ class Network:
         if route is None:
             route = self._route(src, dst)
         message.route = route
-        if self._degraded is None and not self.jitter_frac:
+        if self._degraded is None:
             delay = route.latency
         else:
             delay = self._latency(route)

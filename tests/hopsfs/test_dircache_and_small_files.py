@@ -45,7 +45,9 @@ def test_dircache_eviction_on_overflow():
     cache = DirCache(now=lambda: 0.0, max_entries=4)
     for i in range(5):
         cache.put(_dir_row(1, f"d{i}", inode_id=i + 10))
-    assert len(cache) <= 4
+    # The oldest insertion goes; the newest stays.
+    assert len(cache) == 4
+    assert (1, "d0") not in cache and (1, "d4") in cache
 
 
 def test_dircache_hit_miss_counters():
@@ -58,14 +60,13 @@ def test_dircache_hit_miss_counters():
     assert cache.misses == 1
 
 
-def test_nn_cache_serves_resolution(fs=None):
+def test_nn_cache_serves_resolution():
     fs = make_fs()
     client = fs.client()
 
     def scenario():
         yield from client.mkdir("/hot")
         yield from client.create("/hot/f")
-        nn_cache = fs.namenodes[0].dir_cache if False else None
         # re-stat several times: ancestors resolve from the NN cache
         caches = [nn.dir_cache for nn in fs.namenodes]
         before = sum(c.hits for c in caches)

@@ -92,7 +92,7 @@ def test_added_namenode_is_wired_like_a_boot_time_one():
         assert nn.committer.ledger is fs.group_ledger
         assert nn.committer.config is fs.config.async_commit
         assert nn.listing_cache is not None
-        assert nn.listing_cache.config is fs.config.listing_cache
+        assert nn.listing_cache.bus is fs.ndb.changelog
         assert nn.addr in fs.ndb.changelog.subscribers
         assert nn.retry_cache is not None
     assert joiner.committer is not boot.committer

@@ -6,12 +6,15 @@ barrier, read-your-writes barriers for sync-path reads, per-member error
 isolation, pipelined flushes, and ack loss on an NN crash mid-linger.
 """
 
+import random
+
 import pytest
 
 from repro.chaos.invariants import durability_horizon
-from repro.errors import ConfigError, FileAlreadyExistsError, FsError
+from repro.errors import ConfigError, FileAlreadyExistsError, FsError, TransactionAbortedError
 from repro.hopsfs.groupcommit import AsyncCommitConfig, groupable, op_paths
 from repro.hopsfs.metadata import INODES_TABLE
+from repro.ndb.client import NdbTransaction, RetryPolicy
 from repro.ndb.schema import TOMBSTONE
 from repro.types import OpType
 
@@ -31,9 +34,6 @@ def make_async_fs(async_commit=FAST, num_namenodes=1, **kwargs):
         {"linger_ms": -0.1},
         {"max_batch_ops": 0},
         {"max_inflight_batches": 0},
-        {"max_flush_retries": -1},
-        {"flush_backoff_base_ms": 0.0},
-        {"flush_backoff_max_ms": -1.0},
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -210,6 +210,61 @@ def test_flushes_pipeline_across_batches():
     assert committer.batches_committed >= 2
     assert committer.ops_grouped == 24
     assert durability_horizon(fs).ok
+
+
+# ----------------------------------------------------------- flush retries
+def test_aborted_flush_backs_off_reruns_members_then_gives_up(monkeypatch):
+    """A batch whose commit keeps aborting (retryably) re-runs every member
+    in a fresh transaction after each ``RetryPolicy()`` back-off drawn from
+    the committer's stream; after the 8th retry it settles aborted and
+    every early ack it gave is lost."""
+    fs = make_async_fs(AsyncCommitConfig(linger_ms=500.0, max_batch_ops=3))
+    env = fs.env
+    nn = fs.namenodes[0]
+    committer = nn.committer
+    draws = random.Random()
+    draws.setstate(committer._rng.getstate())
+    opened, aborted, commits = {}, {}, []  # txid -> open / abort-done time
+    real_transaction = nn.api.transaction
+    real_commit, real_abort = NdbTransaction.commit, NdbTransaction.abort
+
+    def transaction(hint_table=None, hint_key=None):
+        txn = real_transaction(hint_table, hint_key)
+        if hint_table == INODES_TABLE:  # only batches: every op is grouped
+            opened[txn.txid] = env.now
+        return txn
+
+    def commit(txn):
+        if txn.txid not in opened:
+            return real_commit(txn)
+        commits.append((txn.txid, txn.write_count))
+        raise TransactionAbortedError("forced commit abort")
+
+    def abort(txn):
+        yield from real_abort(txn)
+        if txn.txid in opened:
+            aborted[txn.txid] = env.now
+
+    monkeypatch.setattr(nn.api, "transaction", transaction)
+    monkeypatch.setattr(NdbTransaction, "commit", commit)
+    monkeypatch.setattr(NdbTransaction, "abort", abort)
+    for i, client in enumerate(fs.client() for _ in range(3)):
+        env.process(client.mkdir(f"/d{i}"), name=f"mk{i}")
+    env.run(until=5_000)
+
+    txids = sorted(opened, key=opened.get)
+    assert len(txids) == 9  # the first attempt and 8 retries
+    assert [txid for txid, _ in commits] == txids
+    # Each fresh transaction carries every member's writes again.
+    assert commits[0][1] >= 3 and {writes for _, writes in commits} == {commits[0][1]}
+    policy = RetryPolicy()
+    for attempt, (failed, fresh) in enumerate(zip(txids, txids[1:]), 1):
+        backoff = opened[fresh] - aborted[failed]
+        assert backoff == pytest.approx(policy.backoff_ms(attempt, draws), abs=1e-9)
+    (batch,) = fs.group_ledger.batches.values()
+    assert batch.state == "aborted" and batch.acked_ops == 3
+    assert committer.batches_aborted == 1 and committer.batches_committed == 0
+    assert fs.group_ledger.lost_acks == 3
 
 
 # ------------------------------------------------------------ crash → lost

@@ -32,11 +32,19 @@ class _FakeBus:
     seq = 0
 
 
-def _cache(**kwargs):
+def _cache(ttl_ms=None, max_attr_entries=None, max_listing_entries=None,
+           max_pending_batches=None):
+    """A cache on a settable clock, with the bounds a test varies set on it."""
     clock = [0.0]
-    cache = ListingCache(
-        ListingCacheConfig(**kwargs), now=lambda: clock[0], bus=_FakeBus()
-    )
+    cache = ListingCache(now=lambda: clock[0], bus=_FakeBus())
+    for tier, cap in ((cache._attrs, max_attr_entries),
+                      (cache._listings, max_listing_entries)):
+        if ttl_ms is not None:
+            tier.ttl_ms = ttl_ms
+        if cap is not None:
+            tier.max_entries = cap
+    if max_pending_batches is not None:
+        cache.max_pending_batches = max_pending_batches
     return cache, clock
 
 
@@ -477,8 +485,8 @@ def _prewarm_per_nn(cache, rows):
     rows = [row for row in rows if row.id != ROOT_INODE_ID]
     dir_ids = {row.id for row in rows if row.is_dir} | {ROOT_INODE_ID}
     if (
-        len(rows) > cache.config.max_attr_entries
-        or len(dir_ids) > cache.config.max_listing_entries
+        len(rows) > cache._attrs.max_entries
+        or len(dir_ids) > cache._listings.max_entries
     ):
         return
     now = cache._attrs._now()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError, NdbError, TransactionAbortedError
 from repro.ndb import run_transaction
+from repro.ndb.client import RetryPolicy
 
 from .conftest import build_harness
 
@@ -58,7 +59,8 @@ def test_run_transaction_gives_up_after_max_retries():
         yield env.timeout(1)
         with pytest.raises(TransactionAbortedError):
             yield from run_transaction(
-                harness.api, body, hint_table="t", hint_key="hot", max_retries=2
+                harness.api, body, hint_table="t", hint_key="hot",
+                retry=RetryPolicy(max_retries=2),
             )
         return True
 

@@ -27,10 +27,8 @@ def _addr(index):
 class _Reference:
     """The network's delivery rules, re-derived per message from public API."""
 
-    def __init__(self, topology, jitter_frac, rng, bandwidth):
+    def __init__(self, topology, bandwidth):
         self.topology = topology
-        self.jitter_frac = jitter_frac
-        self.rng = rng
         self.bandwidth = bandwidth
         self.down = set()
         self.partitions = []
@@ -49,8 +47,6 @@ class _Reference:
         extra = self.degraded.get((topo.az_of(src), topo.az_of(dst)))
         if extra:
             delay += extra
-        if self.jitter_frac:
-            delay *= 1.0 + self.rng.uniform(-self.jitter_frac, self.jitter_frac)
         link = 0.0
         if self.bandwidth is not None and topo.az_of(src) != topo.az_of(dst):
             start = max(now, self.drain_at)
@@ -112,16 +108,15 @@ def _script():
     return sorted(steps, key=lambda step: step[0]), hosts
 
 
-def _build(jitter, bandwidth):
+def _build(bandwidth):
     env = Environment()
     topo = build_us_west1()
-    net = Network(env, topo, jitter_frac=jitter, rng=random.Random(5) if jitter else None,
-                  az_link_bandwidth_bytes_per_ms=bandwidth)
+    net = Network(env, topo, az_link_bandwidth_bytes_per_ms=bandwidth)
     return env, topo, net
 
 
-def _run_network(jitter, bandwidth):
-    env, topo, net = _build(jitter, bandwidth)
+def _run_network(bandwidth):
+    env, topo, net = _build(bandwidth)
     steps, hosts = _script()
     arrivals = []
 
@@ -172,12 +167,12 @@ def _run_network(jitter, bandwidth):
     return arrivals, net.traffic, net.dropped_messages, reads
 
 
-def _run_reference(jitter, bandwidth):
-    _env, topo, _net = _build(jitter, bandwidth)
+def _run_reference(bandwidth):
+    _env, topo, _net = _build(bandwidth)
     steps, hosts = _script()
     for index, addr in enumerate(hosts[:5]):
         topo.add_host(addr, az=1 + index % 3)
-    ref = _Reference(topo, jitter, random.Random(5), bandwidth)
+    ref = _Reference(topo, bandwidth)
     # (time, order, ...) — script steps and the deliveries they cause, merged.
     agenda = [(when, ident, action, args) for ident, (when, action, *args) in enumerate(steps)]
     agenda += [(when, -1, "read", ()) for when in _READS]
@@ -214,11 +209,10 @@ def _run_reference(jitter, bandwidth):
     return arrivals, ref.traffic, ref.dropped, reads
 
 
-@pytest.mark.parametrize("jitter", [0.0, 0.2])
 @pytest.mark.parametrize("bandwidth", [None, 2000.0])
-def test_routes_match_the_unresolved_path(jitter, bandwidth):
-    arrivals, traffic, dropped, reads = _run_network(jitter, bandwidth)
-    want_arrivals, want_traffic, want_dropped, want_reads = _run_reference(jitter, bandwidth)
+def test_routes_match_the_unresolved_path(bandwidth):
+    arrivals, traffic, dropped, reads = _run_network(bandwidth)
+    want_arrivals, want_traffic, want_dropped, want_reads = _run_reference(bandwidth)
     assert len(arrivals) > 150 and want_dropped > 10
     assert arrivals == want_arrivals  # same messages, same float instants
     assert dropped == want_dropped
@@ -231,7 +225,7 @@ def test_routes_match_the_unresolved_path(jitter, bandwidth):
 
 
 def test_sender_down_leaves_no_traffic_entry():
-    env, topo, net = _build(0.0, None)
+    env, topo, net = _build(None)
     a, b = _addr(1), _addr(2)
     for addr in (a, b):
         topo.add_host(addr, az=1)

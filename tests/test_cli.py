@@ -55,6 +55,30 @@ def test_unknown_setup_is_one_message_from_every_subcommand(capsys):
     assert "unknown setup 'NopeFS'" in message and "hopsfs-cl-3-3" in message
 
 
+@pytest.mark.parametrize("argv, servers", [
+    ([], 6),  # unset: the comparison's own default, what CI runs
+    (["--servers", "3"], 3),  # an explicit 3 is not the unset default
+    (["--servers", "4"], 4),
+])
+def test_elastic_compare_passes_the_servers_asked_for(monkeypatch, capsys, argv, servers):
+    import inspect
+
+    import repro.chaos
+
+    default = inspect.signature(
+        repro.chaos.run_elastic_comparison).parameters["num_servers"].default
+    seen = []
+
+    def fake(setup, seed, num_servers=default):
+        seen.append(num_servers)
+        return {"setup": setup, "num_servers": num_servers, "legs": {}}
+
+    monkeypatch.setattr(repro.chaos, "run_elastic_comparison", fake)
+    assert main(["chaos", "elastic-compare", *argv]) == 0
+    assert seen == [servers]
+    assert f"({servers} NNs, seed 99)" in capsys.readouterr().out
+
+
 def test_point_runs(capsys):
     code = main(
         ["point", "HopsFS (2,1)", "--servers", "1", "--warmup", "3", "--window", "5"]
