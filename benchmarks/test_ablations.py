@@ -1,10 +1,12 @@
 """Ablations: which AZ-awareness mechanism buys what.
 
-The paper bundles its mechanisms into HopsFS-CL; these benchmarks switch
-them on one at a time to attribute the win (DESIGN.md §5):
+The paper bundles its mechanisms into HopsFS-CL; ``ablation_table``
+attributes the win by comparing two 3-AZ, replication-3 deployments with
+6 NNs (DESIGN.md §5):
 
-* Read Backup only (AZ-local committed reads)
-* full AZ awareness (RB + TC selection + NN selection)
+* ``vanilla``: no AZ awareness (HopsFS (3,3));
+* ``full CL``: every mechanism on (Read Backup + TC selection + NN
+  selection, HopsFS-CL (3,3)),
 
 measured as cross-AZ bytes per completed operation — the currency of
 Section III (C2) and Section V-E.

@@ -42,7 +42,7 @@ def run_mode(read_backup: bool) -> None:
         for i in range(30):
             yield from txn.write("kv", f"k{i}", i)
         yield from txn.commit()
-        snap = network.traffic.snapshot()
+        snap = network.traffic
         for _round in range(10):
             for api in clients:
                 for i in range(30):

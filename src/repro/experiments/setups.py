@@ -25,7 +25,7 @@ from ..cephfs import CephConfig, build_cephfs
 from ..errors import ConfigError, ReproError
 from ..hopsfs import SMALL_FILE_MAX_BYTES, HopsFsConfig, InodeRow, build_hopsfs, ops
 from ..hopsfs.metadata import INODES_TABLE
-from ..metrics.utilization import ResourceReport, per_az_utilization
+from ..metrics.utilization import MB, ResourceReport, add_network_rates
 from ..ndb import NdbConfig
 from ..types import AzId, NodeAddress, NodeKind
 from ..workloads.namespace import Namespace, install_cephfs, install_hopsfs
@@ -43,8 +43,6 @@ __all__ = [
     "setup_slug",
     "resolve_setup",
 ]
-
-_MB = 1000.0  # bytes/ms -> MB/s divisor
 
 # Aggregate inter-AZ fabric capacity (bytes/ms, all cross-AZ traffic).
 # Inter-AZ bandwidth is the scarce resource of Section III (C2); this value
@@ -211,7 +209,7 @@ class Harness:
     def utilization_snapshot(self) -> dict:
         return {
             "t": self.env.now,
-            "traffic": self.network.traffic.snapshot(),
+            "traffic": self.network.traffic,
             "disk": self._disk_stats(),
             **self._busy_snapshot(),
         }
@@ -223,27 +221,12 @@ class Harness:
             return report
         storage, servers = self._cpu_report(report, snap, window)
         delta = self.network.traffic.delta_since(snap["traffic"])
-        report.storage_net_read_mb_s = _avg_mb_s(delta, storage, window, "received")
-        report.storage_net_write_mb_s = _avg_mb_s(delta, storage, window, "sent")
-        report.server_net_read_mb_s = _avg_mb_s(delta, servers, window, "received")
-        report.server_net_write_mb_s = _avg_mb_s(delta, servers, window, "sent")
-        disk_now = self._disk_stats()
+        add_network_rates(report, delta, storage, servers, self.network.topology.az_of)
         writes = sum(
             now_w - snap["disk"].get(addr, (0, 0))[1]
-            for addr, (_r, now_w) in disk_now.items()
+            for addr, (_r, now_w) in self._disk_stats().items()
         )
-        reads = sum(
-            now_r - snap["disk"].get(addr, (0, 0))[0]
-            for addr, (now_r, _w) in disk_now.items()
-        )
-        n = max(1, len(storage))
-        report.storage_disk_write_mb_s = writes / n / window / _MB
-        report.storage_disk_read_mb_s = reads / n / window / _MB
-        report.cross_az_mb = delta.cross_az_bytes / 1e6
-        report.intra_az_mb = delta.intra_az_bytes / 1e6
-        report.per_az = per_az_utilization(
-            delta, storage, servers, self.network.topology.az_of, window
-        )
+        report.storage_disk_write_mb_s = writes / max(1, len(storage)) / window / MB
         return report
 
     # -- fault surface -------------------------------------------------------
@@ -563,12 +546,3 @@ class CephHarness(Harness):
     def server_node_ids(self) -> list[str]:
         return [str(mds.addr) for mds in self.cluster.mds_list]
 
-
-def _avg_mb_s(delta, addrs, window_ms: float, direction: str) -> float:
-    total = 0
-    for addr in addrs:
-        node = delta.node.get(addr)
-        if node is not None:
-            total += getattr(node, direction)
-    n = max(1, len(addrs))
-    return total / n / window_ms / _MB

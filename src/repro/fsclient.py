@@ -19,6 +19,10 @@ class FsClient:
     """The client surface: one op entry, one traced envelope, plain stubs."""
 
     _span_name = "client.op"
+    # Fail-overs of the op that finished last on this stub; drivers read it
+    # into OpResult.retries the moment their ``yield from`` returns.  Only a
+    # client that can fail over (HopsFS) ever sets it.
+    last_op_failures = 0
 
     def op(self, op: OpType, obs_parent=None, **kwargs):
         """The generator that runs one metadata operation (``yield from`` it).
@@ -48,7 +52,7 @@ class FsClient:
         finally:
             # A request loop that can fail over stored its count in
             # ``last_op_failures`` as it exited, just now.
-            obs.tracer.finish(span, retries=getattr(self, "last_op_failures", 0))
+            obs.tracer.finish(span, retries=self.last_op_failures)
 
     # Stubs: each returns ``op``'s generator itself, so they add no frame.
     def mkdir(self, path: str):

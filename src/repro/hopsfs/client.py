@@ -83,9 +83,6 @@ class HopsFsClient(FsClient):
         self.hedge_wins = 0
         self.busy_rejections = 0
         self.bootstrap_exhaustions = 0
-        # Fail-overs of the op that finished last on this stub; drivers read
-        # it into OpResult.retries the moment their ``yield from`` returns.
-        self.last_op_failures = 0
         # (op, deadline_expires_ms, finished_ms) for ops that outlived their
         # deadline by more than the one-hop slack — the chaos deadline
         # invariant reads this.

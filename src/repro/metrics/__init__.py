@@ -2,7 +2,7 @@
 
 from .collectors import MetricsCollector, percentile
 from .report import Table, az_skew_note, format_value
-from .utilization import AzUtilization, ResourceReport, per_az_utilization
+from .utilization import AzUtilization, ResourceReport, add_network_rates
 
 __all__ = [
     "MetricsCollector",
@@ -12,5 +12,5 @@ __all__ = [
     "format_value",
     "AzUtilization",
     "ResourceReport",
-    "per_az_utilization",
+    "add_network_rates",
 ]

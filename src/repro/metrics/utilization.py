@@ -4,69 +4,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["ResourceReport", "AzUtilization", "per_az_utilization"]
+__all__ = ["ResourceReport", "AzUtilization", "add_network_rates"]
+
+MB = 1000.0  # bytes/ms -> MB/s divisor
 
 
 @dataclass
 class AzUtilization:
-    """Per-AZ network aggregation over one measurement window.
+    """One AZ's network rates over a measurement window.
 
-    Rates are per-node averages within the AZ (same convention as the
-    per-node fields of :class:`ResourceReport`), so AZ rows are directly
-    comparable regardless of how many nodes each AZ hosts.
+    Read + write MB/s per node of the AZ's storage and server tiers (the
+    same convention as the per-node fields of :class:`ResourceReport`), so
+    AZ rows are directly comparable however many nodes each AZ hosts.
     """
 
     az: int
-    storage_nodes: int = 0
-    server_nodes: int = 0
-    storage_net_read_mb_s: float = 0.0
-    storage_net_write_mb_s: float = 0.0
-    server_net_read_mb_s: float = 0.0
-    server_net_write_mb_s: float = 0.0
-
-    @property
-    def storage_net_mb_s(self) -> float:
-        return self.storage_net_read_mb_s + self.storage_net_write_mb_s
-
-    @property
-    def server_net_mb_s(self) -> float:
-        return self.server_net_read_mb_s + self.server_net_write_mb_s
-
-
-def per_az_utilization(delta, storage_addrs, server_addrs, az_of, window_ms: float):
-    """Aggregate a traffic delta into per-AZ, per-node-average rates.
-
-    ``delta`` is a :class:`repro.net.traffic.TrafficMatrix` delta;
-    ``az_of`` maps an address to its AZ.  Returns ``{az: AzUtilization}``
-    sorted by AZ id.
-    """
-    if window_ms <= 0:
-        return {}
-    mb = 1000.0  # bytes/ms -> MB/s, matching the per-node fields
-    sums: dict[int, list] = {}  # az -> [stor_recv, stor_sent, srv_recv, srv_sent, n_stor, n_srv]
-    for addrs, base in ((storage_addrs, 0), (server_addrs, 2)):
-        for addr in addrs:
-            az = az_of(addr)
-            acc = sums.setdefault(az, [0.0, 0.0, 0.0, 0.0, 0, 0])
-            acc[4 + base // 2] += 1
-            node = delta.node.get(addr)
-            if node is None:
-                continue
-            acc[base] += node.received
-            acc[base + 1] += node.sent
-    out = {}
-    for az in sorted(sums):
-        recv_s, sent_s, recv_m, sent_m, n_stor, n_srv = sums[az]
-        out[az] = AzUtilization(
-            az=az,
-            storage_nodes=n_stor,
-            server_nodes=n_srv,
-            storage_net_read_mb_s=recv_s / max(1, n_stor) / window_ms / mb,
-            storage_net_write_mb_s=sent_s / max(1, n_stor) / window_ms / mb,
-            server_net_read_mb_s=recv_m / max(1, n_srv) / window_ms / mb,
-            server_net_write_mb_s=sent_m / max(1, n_srv) / window_ms / mb,
-        )
-    return out
+    storage_net_mb_s: float = 0.0
+    server_net_mb_s: float = 0.0
 
 
 @dataclass
@@ -85,9 +39,7 @@ class ResourceReport:
     storage_net_write_mb_s: float = 0.0
     server_net_read_mb_s: float = 0.0
     server_net_write_mb_s: float = 0.0
-    storage_disk_read_mb_s: float = 0.0
     storage_disk_write_mb_s: float = 0.0
-    server_disk_write_mb_s: float = 0.0
     # HopsFS only: NDB per-thread-type CPU percent (Figure 11).
     ndb_thread_cpu_pct: dict[str, float] = field(default_factory=dict)
     cross_az_mb: float = 0.0
@@ -107,20 +59,42 @@ class ResourceReport:
             return 1.0
         return max(rates) / mean
 
-    def as_rows(self) -> list[tuple[str, float]]:
-        rows = [
-            ("storage CPU %", self.storage_cpu_pct),
-            ("server CPU %", self.server_cpu_pct),
-            ("storage net read MB/s", self.storage_net_read_mb_s),
-            ("storage net write MB/s", self.storage_net_write_mb_s),
-            ("server net read MB/s", self.server_net_read_mb_s),
-            ("server net write MB/s", self.server_net_write_mb_s),
-            ("storage disk read MB/s", self.storage_disk_read_mb_s),
-            ("storage disk write MB/s", self.storage_disk_write_mb_s),
-            ("cross-AZ MB", self.cross_az_mb),
-            ("intra-AZ MB", self.intra_az_mb),
-        ]
-        for az, util in sorted(self.per_az.items()):
-            rows.append((f"az{az} storage net MB/s", util.storage_net_mb_s))
-            rows.append((f"az{az} server net MB/s", util.server_net_mb_s))
-        return rows
+
+def _tier(delta, addrs, az_of, window_ms: float):
+    """One pass over a tier's nodes in a traffic delta: the tier's read and
+    write MB/s per node, and ``{az: read + write MB/s per node of the AZ}``.
+    Byte sums are ints, each divided ``/ nodes / window_ms / MB``."""
+    by_az: dict[int, list] = {}  # az -> [nodes, received, sent]
+    received = sent = 0
+    for addr in addrs:
+        acc = by_az.setdefault(az_of(addr), [0, 0, 0])
+        acc[0] += 1
+        node = delta.node.get(addr)
+        if node is not None:
+            acc[1] += node.received
+            acc[2] += node.sent
+            received += node.received
+            sent += node.sent
+    n = max(1, len(addrs))
+    rates = {az: r / k / window_ms / MB + s / k / window_ms / MB
+             for az, (k, r, s) in by_az.items()}
+    return received / n / window_ms / MB, sent / n / window_ms / MB, rates
+
+
+def add_network_rates(report: ResourceReport, delta, storage, servers, az_of) -> None:
+    """Fill ``report``'s network fields from ``delta``, the
+    :class:`~repro.net.traffic.TrafficMatrix` of its window (whose
+    ``window_ms`` must be positive): per-node rates of the ``storage`` and
+    ``servers`` tiers, the per-AZ rates (``az_of`` maps an address to its
+    AZ, sorted by AZ id) and the cross-/intra-AZ volume."""
+    window = report.window_ms
+    report.storage_net_read_mb_s, report.storage_net_write_mb_s, storage_az = _tier(
+        delta, storage, az_of, window)
+    report.server_net_read_mb_s, report.server_net_write_mb_s, server_az = _tier(
+        delta, servers, az_of, window)
+    report.per_az = {
+        az: AzUtilization(az, storage_az.get(az, 0.0), server_az.get(az, 0.0))
+        for az in sorted(storage_az.keys() | server_az.keys())
+    }
+    report.cross_az_mb = delta.cross_az_bytes / 1e6
+    report.intra_az_mb = delta.intra_az_bytes / 1e6

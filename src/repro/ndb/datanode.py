@@ -788,7 +788,7 @@ class NdbDatanode(Server):
     def _scanned(self, job: tuple[Message, LdmScanReq, list]) -> None:
         msg, req, rows = job
         if not self.running:
-            raise NodeFailedError(f"{self.addr} shut down mid-scan")
+            return self._done(msg, NodeFailedError(f"{self.addr} shut down mid-scan"), ok=False)
         self.cluster.read_stats.record(
             req.table, req.partition, req.role, self.addr, self.az == req.client_az)
         row_bytes = self.cluster.schema.table(req.table).row_bytes

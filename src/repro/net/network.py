@@ -3,13 +3,13 @@
 Messages between hosts are delayed by the Table I latency for the AZ pair
 (see :mod:`repro.net.topology`) and dropped when the destination is down or
 partitioned away.  Each delivery is counted on its (src, dst) route, and
-``Network.traffic`` is a live :class:`~repro.net.traffic.TrafficMatrix` view
-over the routes.  A request is delivered by calling the handler its
-destination registered; one sent to an address with no handler (a client
-host, a server not yet started) is dropped.  A reply completes its RPC in
-the delivery itself.  RPCs fail fast with :class:`HostUnreachableError`
-when their peer dies or is cut off — modelling the TCP connection reset a
-real client would observe.
+each read of ``Network.traffic`` sums the routes into a new
+:class:`~repro.net.traffic.TrafficMatrix`.  A request is delivered by
+calling the handler its destination registered; one sent to an address
+with no handler (a client host, a server not yet started) is dropped.  A
+reply completes its RPC in the delivery itself.  RPCs fail fast with
+:class:`HostUnreachableError` when their peer dies or is cut off —
+modelling the TCP connection reset a real client would observe.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from ..sim import Environment, Event
 from ..sim.kernel import PRIORITY_NORMAL, _PENDING, _Deferred  # hot paths inline kernel scheduling
 from ..types import AzId, NodeAddress
 from .topology import Topology
-from .traffic import RouteTraffic
+from .traffic import TrafficMatrix
 
 __all__ = ["Message", "Network", "DEFAULT_MESSAGE_BYTES"]
 
@@ -125,10 +125,9 @@ class Network:
     ):
         self.env = env
         self.topology = topology
-        # Routes in the order of their first delivery: the traffic view's
+        # Routes in the order of their first delivery: the traffic matrix's
         # order, which is the order ``TrafficMatrix.record`` would keep.
         self._delivered: list[_Route] = []
-        self.traffic = RouteTraffic(self._delivered)
         # Finite inter-AZ fabric capacity: every cross-AZ message queues on
         # the shared regional interconnect.  Intra-AZ traffic is uncapped —
         # the paper's Section III-C2 asymmetry (inter-AZ bandwidth is the
@@ -159,6 +158,11 @@ class Network:
         self._batch_is_list = False
         # One bound method for the network's lifetime, not one per message.
         self._deliver_cb = self._deliver
+
+    @property
+    def traffic(self) -> TrafficMatrix:
+        """What has been delivered so far, summed from the routes."""
+        return TrafficMatrix.of_routes(self._delivered)
 
     # -- membership ---------------------------------------------------------
     def register(self, address: NodeAddress, handler: Callable[[Message], None]) -> None:

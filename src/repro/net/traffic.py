@@ -4,8 +4,10 @@ Figures 12 and 13 of the paper report average network read/write per
 metadata-storage node and per metadata server; Section V-E's argument for
 Read Backup is about minimizing cross-AZ bytes.  Every message the network
 delivers is accounted: ``Network`` counts it on the message's route, and
-``Network.traffic`` is a :class:`RouteTraffic`, a live matrix over those
-routes.  Snapshots and deltas are standalone :class:`TrafficMatrix` records.
+each read of ``Network.traffic`` sums those routes into a new
+:class:`TrafficMatrix`, a plain value that later deliveries leave as it is.
+A measurement window keeps the one read at its start and takes the
+:meth:`~TrafficMatrix.delta_since` of the one at its end.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 from ..types import AzId, NodeAddress
 
-__all__ = ["TrafficMatrix", "NodeTraffic", "RouteTraffic"]
+__all__ = ["TrafficMatrix", "NodeTraffic"]
 
 
 @dataclass
@@ -26,7 +28,7 @@ class NodeTraffic:
     received: int = 0
 
 
-@dataclass(eq=False)
+@dataclass
 class TrafficMatrix:
     """Aggregated byte counters for one simulation run."""
 
@@ -44,12 +46,23 @@ class TrafficMatrix:
         self.node[dst].received += nbytes
         self.messages += 1
 
-    def __eq__(self, other: object) -> bool:
-        # By value, so a live view equals the standalone matrix it reads as.
-        if not isinstance(other, TrafficMatrix):
-            return NotImplemented
-        return (self.messages == other.messages and self.az_pair_bytes == other.az_pair_bytes
-                and self.node == other.node)
+    @classmethod
+    def of_routes(cls, routes) -> "TrafficMatrix":
+        """The matrix of per-route counters.
+
+        ``routes`` are in the order of their first delivery, each with
+        ``src``, ``dst``, ``az_pair``, ``bytes`` and ``messages``; the keys
+        of ``node`` and ``az_pair_bytes`` come out in the order
+        :meth:`record` would have created them.
+        """
+        matrix = cls()
+        pairs, node = matrix.az_pair_bytes, matrix.node
+        for route in routes:
+            pairs[route.az_pair] += route.bytes
+            node[route.src].sent += route.bytes
+            node[route.dst].received += route.bytes
+            matrix.messages += route.messages
+        return matrix
 
     # -- aggregate views ----------------------------------------------------
     @property
@@ -64,23 +77,8 @@ class TrafficMatrix:
     def intra_az_bytes(self) -> int:
         return sum(v for (a, b), v in self.az_pair_bytes.items() if a == b)
 
-    def cross_az_fraction(self) -> float:
-        total = self.total_bytes
-        return self.cross_az_bytes / total if total else 0.0
-
-    def node_bytes(self, address: NodeAddress) -> NodeTraffic:
-        return self.node[address]
-
-    def snapshot(self) -> "TrafficSnapshot":
-        """Freeze current counters (window start for utilization figures)."""
-        return TrafficSnapshot(
-            az_pair_bytes=dict(self.az_pair_bytes),
-            node={addr: NodeTraffic(t.sent, t.received) for addr, t in self.node.items()},
-            messages=self.messages,
-        )
-
-    def delta_since(self, snap: "TrafficSnapshot") -> "TrafficMatrix":
-        """Counters accumulated since ``snap`` was taken."""
+    def delta_since(self, snap: "TrafficMatrix") -> "TrafficMatrix":
+        """Counters accumulated since ``snap``, an earlier read, was taken."""
         delta = TrafficMatrix()
         for key, value in self.az_pair_bytes.items():
             diff = value - snap.az_pair_bytes.get(key, 0)
@@ -93,43 +91,3 @@ class TrafficMatrix:
                 delta.node[addr] = NodeTraffic(sent, received)
         delta.messages = self.messages - snap.messages
         return delta
-
-
-class RouteTraffic(TrafficMatrix):
-    """A read-only :class:`TrafficMatrix` over per-route counters.
-
-    ``routes`` is the network's list of routes in the order of their first
-    delivery; each carries ``src``, ``dst``, ``az_pair``, ``bytes`` and
-    ``messages``.  Every read builds the matrix from them afresh, with the
-    keys of ``node`` and ``az_pair_bytes`` in the order
-    :meth:`TrafficMatrix.record` would have created them.
-    """
-
-    def __init__(self, routes: list):
-        self._routes = routes
-
-    @property
-    def az_pair_bytes(self) -> dict[tuple[AzId, AzId], int]:
-        pairs = defaultdict(int)
-        for route in self._routes:
-            pairs[route.az_pair] += route.bytes
-        return pairs
-
-    @property
-    def node(self) -> dict[NodeAddress, NodeTraffic]:
-        node = defaultdict(NodeTraffic)
-        for route in self._routes:
-            node[route.src].sent += route.bytes
-            node[route.dst].received += route.bytes
-        return node
-
-    @property
-    def messages(self) -> int:
-        return sum(route.messages for route in self._routes)
-
-
-@dataclass
-class TrafficSnapshot:
-    az_pair_bytes: dict[tuple[AzId, AzId], int]
-    node: dict[NodeAddress, NodeTraffic]
-    messages: int

@@ -41,7 +41,7 @@ from typing import Optional
 from ..errors import ReproError
 from ..metrics.collectors import MetricsCollector
 from ..types import OpResult
-from .driver import EXPECTED_ERRORS, failure_source
+from .driver import EXPECTED_ERRORS
 
 __all__ = ["ZipfPopulation", "AggregatedArrivalEngine"]
 
@@ -203,7 +203,7 @@ class AggregatedArrivalEngine:
         detail_every = self.detail_every
         distinct = self.distinct_clients.add
         next_op = self.workload.next_op
-        stubs = [(stub, failure_source(stub)) for stub in self.stubs]
+        stubs = self.stubs
         # Hot loop: one kernel event per arrival; everything else is a few
         # C-implemented draws and integer bookkeeping.
         while not self.stopped:
@@ -218,12 +218,12 @@ class AggregatedArrivalEngine:
                     self.shed += 1
                     continue
                 op, kwargs = next_op(client_id=client_id)
-                stub, failures = stubs[self._next_stub]
+                stub = stubs[self._next_stub]
                 self._next_stub = (self._next_stub + 1) % len(stubs)
                 self.inflight += 1
-                env.spawn(self._one_op(stub, failures, op, kwargs))
+                env.spawn(self._one_op(stub, op, kwargs))
 
-    def _one_op(self, stub, failures, op, kwargs):
+    def _one_op(self, stub, op, kwargs):
         env = self.env
         start = env.now
         ok, error = True, None
@@ -235,7 +235,7 @@ class AggregatedArrivalEngine:
             self.inflight -= 1
         self.detailed += 1
         self.collector.record(
-            OpResult(op, start, env.now, ok, failures.last_op_failures, error)
+            OpResult(op, start, env.now, ok, stub.last_op_failures, error)
         )
         if self.hub is not None:
             self.hub.record_op(stub.az, env.now - start, ok, env.now)

@@ -17,19 +17,6 @@ __all__ = ["ClosedLoopDriver", "OpenLoopDriver", "EXPECTED_ERRORS"]
 # Error classes a driver treats as a failed op rather than a harness bug.
 # Shared with the aggregated-arrival engine (repro.workloads.arrivals).
 EXPECTED_ERRORS = (FsError, TransactionAbortedError, NoNamenodeError)
-_EXPECTED_ERRORS = EXPECTED_ERRORS  # backwards-compatible alias
-
-
-class _NoFailureCount:
-    last_op_failures = 0
-
-
-def failure_source(client):
-    """Where a driver reads an op's failure count from: the stub itself
-    when it keeps ``last_op_failures`` (HopsFS), a constant 0 otherwise
-    (CephFS).  Decided once per client, so the per-op read is one
-    attribute load."""
-    return client if hasattr(client, "last_op_failures") else _NoFailureCount
 
 
 class ClosedLoopDriver:
@@ -72,7 +59,6 @@ class ClosedLoopDriver:
         next_op = self.workload.next_op
         record = self.collector.record
         client_op = client.op
-        failures = failure_source(client)
         hub = self.hub
         while not self.stopped:
             op, kwargs = next_op(client_id=index)
@@ -80,9 +66,9 @@ class ClosedLoopDriver:
             ok, error = True, None
             try:
                 yield from client_op(op, **kwargs)
-            except _EXPECTED_ERRORS as exc:
+            except EXPECTED_ERRORS as exc:
                 ok, error = False, type(exc).__name__
-            record(OpResult(op, start, env.now, ok, failures.last_op_failures, error))
+            record(OpResult(op, start, env.now, ok, client.last_op_failures, error))
             if hub is not None:
                 hub.record_op(client.az, env.now - start, ok, env.now)
 
@@ -123,23 +109,23 @@ class OpenLoopDriver:
         env = self.env
         gap = 1.0 / self.rate_per_ms
         next_op = self.workload.next_op
-        stubs = [(client.op, failure_source(client)) for client in self.clients]
+        stubs = [(client.op, client) for client in self.clients]
         while not self.stopped:
             index = self._next_client % len(stubs)
-            client_op, failures = stubs[index]
+            client_op, client = stubs[index]
             self._next_client += 1
             op, kwargs = next_op(client_id=index)
-            env.spawn(self._one_op(client_op, failures, op, kwargs))
+            env.spawn(self._one_op(client_op, client, op, kwargs))
             yield env.timeout(gap)
 
-    def _one_op(self, client_op, failures, op, kwargs):
+    def _one_op(self, client_op, client, op, kwargs):
         env = self.env
         start = env.now
         ok, error = True, None
         try:
             yield from client_op(op, **kwargs)
-        except _EXPECTED_ERRORS as exc:
+        except EXPECTED_ERRORS as exc:
             ok, error = False, type(exc).__name__
         self.collector.record(
-            OpResult(op, start, env.now, ok, failures.last_op_failures, error)
+            OpResult(op, start, env.now, ok, client.last_op_failures, error)
         )

@@ -11,10 +11,10 @@ import pytest
 
 from repro.cephfs import build_cephfs
 from repro.errors import NoNamenodeError
+from repro.fsclient import FsClient
 from repro.net import Message
 from repro.obs import ObsContext
 from repro.types import OpType
-from repro.workloads.driver import failure_source
 
 
 def _run(traced):
@@ -87,11 +87,11 @@ def test_untraced_stubs_return_the_body_generator():
 
 
 def test_ceph_stub_has_no_failure_count():
-    """Drivers decide once per client where retries come from; a CephFS
-    stub keeps no ``last_op_failures``, so its ops record 0."""
+    """Drivers read every stub's ``last_op_failures``; a CephFS stub never
+    fails over, keeps no count of its own and reads the base's 0."""
     client = build_cephfs(num_mds=1).client()
-    assert not hasattr(client, "last_op_failures")
-    assert failure_source(client).last_op_failures == 0
+    assert "last_op_failures" not in vars(client)
+    assert client.last_op_failures == FsClient.last_op_failures == 0
 
 
 @pytest.mark.parametrize("op", [OpType.EXISTS, OpType.LIST_DIR])

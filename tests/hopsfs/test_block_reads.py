@@ -58,7 +58,7 @@ def test_az_aware_block_reads_stay_local():
         yield from fs.await_election()
         yield fs.env.timeout(60)
         yield from client.create("/big", data=b"x" * _SIZE)
-        snap = fs.network.traffic.snapshot()
+        snap = fs.network.traffic
         for _ in range(3):
             yield from client.read_data("/big")
         delta = fs.network.traffic.delta_since(snap)

@@ -26,7 +26,7 @@ def test_client_traffic_accounted():
 
     def scenario():
         yield from client.mkdir("/x")
-        traffic = fs.network.traffic.node_bytes(client.addr)
+        traffic = fs.network.traffic.node[client.addr]
         return traffic.sent, traffic.received
 
     sent, received = run(fs, scenario())

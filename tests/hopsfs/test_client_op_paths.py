@@ -16,7 +16,6 @@ from repro.hopsfs import RobustConfig
 from repro.metrics.collectors import MetricsCollector
 from repro.obs import ObsContext
 from repro.types import OpResult, OpType
-from repro.workloads.driver import failure_source
 
 from .conftest import make_fs, run
 
@@ -129,8 +128,6 @@ def test_overlapping_ops_on_one_stub_each_record_their_own_count(robust, traced)
     env = fs.env
     collector = MetricsCollector()
     collector.open_window(0.0)
-    failures = failure_source(client)
-    assert failures is client
     seen = {}
 
     def one_op(tag, path):
@@ -139,7 +136,7 @@ def test_overlapping_ops_on_one_stub_each_record_their_own_count(robust, traced)
         # What the drivers do, the moment the op returns.
         seen[tag] = (client.last_op_failures, start, env.now)
         collector.record(
-            OpResult(OpType.STAT, start, env.now, True, failures.last_op_failures)
+            OpResult(OpType.STAT, start, env.now, True, client.last_op_failures)
         )
 
     def scenario():

@@ -1,6 +1,6 @@
-"""Tests for table rendering and utilization reports."""
+"""Tests for table rendering."""
 
-from repro.metrics import ResourceReport, Table, format_value
+from repro.metrics import Table, format_value
 
 
 def test_format_value():
@@ -32,10 +32,3 @@ def test_table_column_access():
     table.add_row(1, 2)
     table.add_row(3, 4)
     assert table.column("b") == [2, 4]
-
-
-def test_resource_report_rows():
-    report = ResourceReport(window_ms=10, storage_cpu_pct=50.0)
-    rows = dict(report.as_rows())
-    assert rows["storage CPU %"] == 50.0
-    assert "cross-AZ MB" in rows

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import TransactionAbortedError
+from repro.errors import HostUnreachableError, TransactionAbortedError
 from repro.ndb import LockMode, run_transaction
+from repro.ndb.messages import LdmReadReq, LdmScanReq
 from repro.types import NodeAddress, NodeKind
 
 from .conftest import build_harness
@@ -290,3 +291,39 @@ def test_reaped_transaction_cannot_resurrect():
         yield from txn3.commit()
 
     harness.run(scenario())
+
+
+@pytest.mark.parametrize("kind", ["ldm_read", "ldm_scan"])
+def test_shutdown_while_an_ldm_job_holds_its_thread_fails_only_the_rpc(kind, monkeypatch):
+    """A datanode that goes down after RECV, while the read's or scan's LDM
+    job holds its thread, ends the message's chain when the job completes:
+    the caller's RPC fails with HostUnreachableError and the run goes on."""
+    harness = build_harness()
+    env = harness.env
+    dn = next(iter(harness.cluster.datanodes.values()))
+    ldm = dn._ldm_pool_for(0)
+    if kind == "ldm_read":
+        req = LdmReadReq(1, "t", "k", "k", 0, LockMode.NONE, 0, 1)
+    else:
+        req = LdmScanReq(1, "t", "k", 0, 0, 1)
+    received = dn._received
+    held = []
+
+    def received_then_crash(msg):
+        received(msg)  # RECV done: the handler handed the job to an LDM thread
+        if msg.kind == kind:
+            held.append((ldm.in_service, ldm.jobs_done))
+            harness.cluster.crash_datanode(dn.addr)
+
+    monkeypatch.setattr(dn, "_received", received_then_crash)
+
+    def caller():
+        try:
+            yield harness.network.call(harness.client_addr, dn.addr, kind, req)
+        except HostUnreachableError:
+            return "unreachable"
+        return "replied"
+
+    assert harness.run(caller()) == "unreachable"
+    env.run(until=env.now + 100)  # the job completes on a node that is down
+    assert held == [(1, 0)] and ldm.jobs_done == 1 and not dn.running

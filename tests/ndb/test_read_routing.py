@@ -107,7 +107,7 @@ def test_cross_az_traffic_lower_with_read_backup():
             read_backup=read_backup,
         )
         _populate(harness, n=20)
-        snap = harness.network.traffic.snapshot()
+        snap = harness.network.traffic
         _read_all(harness, "t", n=20, repeat=5)
         delta = harness.network.traffic.delta_since(snap)
         return delta.cross_az_bytes

@@ -81,12 +81,12 @@ def test_deliver_resolves_the_route_of_a_message_that_skipped_send():
     assert message.route is None
     net._deliver(message)
     assert net.traffic.messages == 1
-    assert net.traffic.node_bytes(b).received == 100
+    assert net.traffic.node[b].received == 100
     sent = Message(a, b, "sent", size=40)
     net.send(sent)
     assert sent.route is net._route(a, b)
     env.run(until=10.0)
-    assert net.traffic.node_bytes(b).received == 140
+    assert net.traffic.node[b].received == 140
 
 
 @pytest.mark.parametrize("traced", [False, True])

@@ -101,8 +101,8 @@ def test_send_sizes_accumulate_per_direction():
     for size in (100, 200, 300):
         net.send(Message(src=a, dst=b, kind="x", size=size))
     env.run()
-    assert net.traffic.node_bytes(a).sent == 600
-    assert net.traffic.node_bytes(b).received == 600
+    assert net.traffic.node[a].sent == 600
+    assert net.traffic.node[b].received == 600
     assert net.traffic.messages == 3
 
 

@@ -156,8 +156,8 @@ def test_traffic_accounting_by_az_pair(net):
     assert traffic.az_pair_bytes[(2, 1)] == 1000
     assert traffic.cross_az_bytes == 1500
     assert traffic.intra_az_bytes == 0
-    assert traffic.node_bytes(hosts[1]).sent == 500
-    assert traffic.node_bytes(hosts[1]).received == 1000
+    assert traffic.node[hosts[1]].sent == 500
+    assert traffic.node[hosts[1]].received == 1000
 
 
 def test_traffic_snapshot_delta(net):
@@ -169,7 +169,7 @@ def test_traffic_snapshot_delta(net):
         yield env.timeout(1)
 
     env.run_process(exchange())
-    snap = network.traffic.snapshot()
+    snap = network.traffic
 
     def second():
         network.send(Message(src=hosts[1], dst=hosts[2], kind="b", size=250))
@@ -179,6 +179,8 @@ def test_traffic_snapshot_delta(net):
     delta = network.traffic.delta_since(snap)
     assert delta.total_bytes == 250
     assert delta.messages == 1
+    # A read is a value: the later delivery left the window's start as it was.
+    assert (snap.total_bytes, snap.messages) == (100, 1)
 
 
 def test_messages_from_down_host_are_dropped(net):

@@ -1,12 +1,12 @@
 """Per-pair route records against the unresolved path.
 
 ``Network`` resolves latency and AZ pair once per ``(src, dst)`` and
-counts what it delivers on that route; ``Network.traffic`` is a live view
-over the routes.  ``_Reference`` is the path it replaced: every message
-asks the topology and the fault state again and records into a
-``TrafficMatrix``.  A scripted sequence of sends and faults must give
-byte-for-byte the same deliveries, and the same matrix — values and key
-order — whenever it is read.
+counts what it delivers on that route; each read of ``Network.traffic``
+sums the routes into a new ``TrafficMatrix``.  ``_Reference`` is the path
+it replaced: every message asks the topology and the fault state again and
+records into a ``TrafficMatrix``.  A scripted sequence of sends and faults
+must give byte-for-byte the same deliveries, and the same matrix — values
+and key order — whenever it is read.
 """
 
 import random
@@ -154,16 +154,21 @@ def _run_network(bandwidth):
             elif action == "add_host":
                 join(*args)
 
-    reads = []
+    reads, held = [], []
 
     def reader():
         for when in _READS:
             yield env.timeout(when - env.now)
-            reads.append(_frozen(net.traffic))
+            traffic = net.traffic
+            assert type(traffic) is TrafficMatrix
+            reads.append(_frozen(traffic))
+            held.append(traffic)
 
     env.process(driver())
     env.process(reader())
     env.run(until=200.0)
+    # Each read is a value: the deliveries after it left it as it was.
+    assert [_frozen(traffic) for traffic in held] == reads
     return arrivals, net.traffic, net.dropped_messages, reads
 
 

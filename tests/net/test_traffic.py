@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import Message, Network, TrafficMatrix, build_us_west1
+from repro.net import Message, Network, build_us_west1
 from repro.sim import Environment
 from repro.types import NodeAddress, NodeKind
 
@@ -20,17 +20,6 @@ def _world(az_link_bandwidth=None):
     topo.add_host(b, az=2)
     topo.add_host(c, az=1)
     return env, net, a, b, c
-
-
-def test_cross_az_fraction():
-    matrix = TrafficMatrix()
-    a = NodeAddress(NodeKind.CLIENT, 1)
-    b = NodeAddress(NodeKind.CLIENT, 2)
-    matrix.record(a, 1, b, 2, 300)
-    matrix.record(a, 1, a, 1, 100)
-    assert matrix.cross_az_bytes == 300
-    assert matrix.intra_az_bytes == 100
-    assert matrix.cross_az_fraction() == pytest.approx(0.75)
 
 
 def test_fabric_cap_queues_cross_az_only():

@@ -85,6 +85,8 @@ def test_single_op_workload_delete_needs_precreate():
 class _StubClient:
     """Completes every op after a fixed simulated delay."""
 
+    last_op_failures = 0  # what drivers read of every client (FsClient's)
+
     def __init__(self, env, delay):
         self.env = env
         self.delay = delay
