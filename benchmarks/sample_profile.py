@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Where the host time of a benchmark window goes, by stack sampling.
 
-    python3 benchmarks/sample_profile.py --workload W --seed S
+    python3 benchmarks/sample_profile.py --workload W --seed S [--setup]
 
 Runs ``REPETITIONS`` full-size ``bench_e2e`` repetitions of workload ``W``
 (seed ``S``) untraced, with a process-CPU-time interval timer
@@ -22,15 +22,24 @@ Unlike cProfile (``--trace 1``), sampling adds no cost per call, so it
 does not inflate call-heavy code.  It only reads stacks, so it cannot move
 the schedule: the printed window digest must equal the one
 ``bench_e2e/run.py --workload W --seed S`` reports.
+
+``--setup`` samples set-up instead: ``REPETITIONS`` times the build,
+install, ready and clients phases that ``bench_e2e`` times as ``setup_s``
+(the sequence ``benchmarks/test_setup_budget.py`` counts), with the timer
+on from the build to the warmed clients.  Every sample is kept; the same
+tables follow one more, by phase.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import gc
 import os
 import signal
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -50,6 +59,8 @@ class _Sampler:
         self.inclusive: Counter = Counter()
         self.self_layers: Counter = Counter()
         self.inclusive_layers: Counter = Counter()
+        self.phase = None  # set-up phase under way (``--setup``)
+        self.phases: Counter = Counter()
         self.kept = self.dropped = 0
 
     def __call__(self, _signum, frame) -> None:
@@ -69,21 +80,55 @@ class _Sampler:
         self.inclusive.update(codes)
         self.self_layers[self.layer(stack[0])] += 1
         self.inclusive_layers.update({self.layer(code) for code in codes})
+        self.phases[self.phase] += 1
+
+
+@contextlib.contextmanager
+def _timer_on(sampler: _Sampler):
+    previous = signal.signal(signal.SIGPROF, sampler)
+    signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0, 0)
+        signal.signal(signal.SIGPROF, previous)
 
 
 def sampled_window(sampler: _Sampler, run_window):
     """``bench_e2e.harness._run_window`` with the timer on around it."""
 
     def wrapped(*args):
-        previous = signal.signal(signal.SIGPROF, sampler)
-        signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
-        try:
+        with _timer_on(sampler):
             return run_window(*args)
-        finally:
-            signal.setitimer(signal.ITIMER_PROF, 0, 0)
-            signal.signal(signal.SIGPROF, previous)
 
     return wrapped
+
+
+def sampled_setup(sampler: _Sampler, workload, seed: int) -> tuple[int, float]:
+    """One repetition's set-up with the timer on; returns the namespace
+    rows installed and the CPU seconds it took."""
+    from bench_e2e.harness import NAMESPACE, make_generator
+    from bench_e2e.workloads import SERVERS
+    from repro.experiments.setups import SETUPS
+    from repro.workloads.namespace import generate_namespace
+
+    gc.collect()  # as run_repetition does: the last deployment is garbage
+    cpu = time.process_time()
+    with _timer_on(sampler):
+        sampler.phase = "build"
+        adapter = SETUPS[workload.setup].build(
+            SERVERS, seed=seed, listing_cache=workload.cache_config())
+        env = adapter.env
+        sampler.phase = "install"
+        namespace = generate_namespace(seed=seed, **NAMESPACE)
+        adapter.install(namespace)
+        sampler.phase = "ready"
+        env.run_process(adapter.ready(), until=env.now + 60_000)
+        sampler.phase = "clients"
+        generator = make_generator(workload, namespace, seed)
+        clients = adapter.make_clients(workload.clients_per_server * SERVERS)
+        adapter.warm_client_caches(clients, generator)
+    return namespace.size(), time.process_time() - cpu
 
 
 def _label(code, root: str) -> str:
@@ -102,6 +147,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--setup", action="store_true",
+                        help="sample the set-up phases instead of the window")
     args = parser.parse_args(argv)
     if os.environ.get("PYTHONHASHSEED") != "0":  # as bench_e2e/run.py pins it
         os.execve(sys.executable, [sys.executable] + sys.orig_argv[1:],
@@ -117,21 +164,31 @@ def main(argv=None) -> int:
 
     package = os.path.dirname(sys.modules["repro"].__file__)
     layer = functools.cache(lambda code: layer_of(code.co_filename, package))
-    sampler = _Sampler(Environment.run.__code__, layer)
-    harness._run_window = sampled_window(sampler, harness._run_window)
-    spin = Spin()
-    reps = [harness.run_repetition(WORKLOADS[args.workload], args.seed, spin)
-            for _ in range(REPETITIONS)]
-    digests = {rep["digest"] for rep in reps}
+    workload = WORKLOADS[args.workload]
+    if args.setup:
+        sampler = _Sampler(sampled_setup.__code__, layer)
+        setups = [sampled_setup(sampler, workload, args.seed) for _ in range(REPETITIONS)]
+        digests = {"-"}
+        cpu_s = sum(cpu for _rows, cpu in setups)
+        print(f"workload {args.workload}  seed {args.seed}  {REPETITIONS} set-ups of "
+              f"{setups[0][0]} namespace rows  {cpu_s / REPETITIONS * 1e3:.1f} ms CPU each")
+    else:
+        sampler = _Sampler(Environment.run.__code__, layer)
+        harness._run_window = sampled_window(sampler, harness._run_window)
+        spin = Spin()
+        reps = [harness.run_repetition(workload, args.seed, spin)
+                for _ in range(REPETITIONS)]
+        digests = {rep["digest"] for rep in reps}
+        cpu_s = sum(rep["window_raw_cpu_s"] for rep in reps)
+        print(f"workload {args.workload}  seed {args.seed}  {REPETITIONS} windows of "
+              f"{reps[0]['window_ms']:g} sim-ms  {reps[0]['completed']} ops  "
+              f"{reps[0]['failed']} failed  digest {' '.join(sorted(digests))}")
     kept = sampler.kept
-    print(f"workload {args.workload}  seed {args.seed}  {REPETITIONS} windows of "
-          f"{reps[0]['window_ms']:g} sim-ms  {reps[0]['completed']} ops  "
-          f"{reps[0]['failed']} failed  digest {' '.join(sorted(digests))}")
-    window_cpu_s = sum(rep["window_raw_cpu_s"] for rep in reps)
-    interval_ms = 1e3 * window_cpu_s / (kept + sampler.dropped)
-    print(f"{kept} samples in Environment.run, {sampler.dropped} outside it dropped; "
+    where = "in set-up" if args.setup else "in Environment.run"
+    interval_ms = 1e3 * cpu_s / (kept + sampler.dropped)
+    print(f"{kept} samples {where}, {sampler.dropped} outside it dropped; "
           f"timer set to {INTERVAL_S * 1e3:g} ms, one sample per {interval_ms:.2f} ms "
-          f"of window CPU")
+          f"of {'set-up' if args.setup else 'window'} CPU")
     if not kept:
         return 1
 
@@ -142,6 +199,8 @@ def main(argv=None) -> int:
     _table("inclusive, by function", sampler.inclusive, kept, labels, TOP)
     _table("self, by layer", sampler.self_layers, kept, str, TOP)
     _table("inclusive, by layer", sampler.inclusive_layers, kept, str, TOP)
+    if args.setup:
+        _table("by phase", sampler.phases, kept, str, TOP)
     return 0 if len(digests) == 1 else 1
 
 

@@ -100,19 +100,25 @@ class CephCluster:
         owner.shard.children.pop(path, None)
 
     def preload(self, paths: Sequence[tuple[str, bool]]) -> int:
-        """Install a namespace: (path, is_dir) pairs, parents first."""
+        """Install a namespace: (path, is_dir) pairs, parents first, the
+        root excluded.  Each inode lands on the rank serving its directory;
+        a directory whose own subtree another rank serves is mirrored there
+        as :meth:`mirror_dir` mirrors one made at run time."""
         mds_list, n = self.mds_list, len(self.mds_list)
-        rank_of, dir_rank = self.partitioner.rank_of, self.partitioner.dir_rank
-        count = 0
+        dir_rank = self.partitioner.dir_rank
+        last_parent = mds = None
         for path, is_dir in paths:
-            mds = mds_list[rank_of(path) % n]
-            mds.load(path, is_dir)
+            parent, _slash, name = path.rpartition("/")
+            parent = parent or "/"
+            if parent != last_parent:  # siblings come in runs
+                last_parent = parent
+                mds = mds_list[dir_rank(parent) % n]
+            inode = mds.load(path, parent, name, is_dir)
             if is_dir:
                 owner = mds_list[dir_rank(path) % n]
                 if owner is not mds:
-                    owner.load(path, is_dir)
-            count += 1
-        return count
+                    owner.shard.inodes.setdefault(path, inode)
+        return len(paths)
 
     # ----------------------------------------------------------- MDS failover
     def _failover_monitor(self):

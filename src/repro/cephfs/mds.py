@@ -15,8 +15,8 @@ The model captures what the paper's evaluation exercises:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from ..errors import (
     DirectoryNotEmptyError,
@@ -36,9 +36,9 @@ from .config import CephConfig
 __all__ = ["Mds", "MdsInode"]
 
 
-@dataclass(frozen=True)
-class MdsInode:
-    """Metadata snapshot returned to clients (and cached by them)."""
+class MdsInode(NamedTuple):
+    """Metadata snapshot returned to clients (and cached by them); an
+    immutable value like ``hopsfs.metadata``'s rows."""
 
     id: int
     path: str
@@ -48,7 +48,7 @@ class MdsInode:
     version: int = 1
 
     def with_(self, **changes) -> "MdsInode":
-        return replace(self, **changes)
+        return self._replace(**changes)
 
 
 @dataclass
@@ -103,15 +103,13 @@ class Mds(Server):
         self.journal_pending_bytes = 0
 
     # -------------------------------------------------------------- namespace
-    def load(self, path: str, is_dir: bool, size: int = 0) -> None:
-        """Preload one inode (namespace installation, no protocol)."""
-        inode = MdsInode(
-            id=next(self._ids), path=path, is_dir=is_dir, size=size, mtime_ms=0.0
-        )
+    def load(self, path: str, parent: str, name: str, is_dir: bool) -> MdsInode:
+        """Preload one inode (namespace installation, no protocol): ``path``
+        is ``name`` in directory ``parent``, which this rank serves."""
+        inode = MdsInode(next(self._ids), path, is_dir)
         self.shard.inodes[path] = inode
-        parent = path.rsplit("/", 1)[0] or "/"
-        if parent != path:
-            self.shard.children.setdefault(parent, set()).add(path.rsplit("/", 1)[1])
+        self.shard.children.setdefault(parent, set()).add(name)
+        return inode
 
     # ---------------------------------------------------------------- serving
     def _on_message(self, msg: Message) -> None:

@@ -149,7 +149,7 @@ class HopsFsDeployment:
         commit after the scan); after every live NN has completed two
         rounds the membership view and leader are consistent.
         """
-        while any(nn.running and nn.election.rounds < 2 for nn in self.namenodes):
+        while [nn for nn in self.namenodes if nn.running and nn.election.rounds < 2]:
             yield self.env.timeout(1.0)
 
     # ----------------------------------------------------- elastic lifecycle

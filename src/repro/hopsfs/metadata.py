@@ -10,8 +10,8 @@ resolution is a chain of primary-key reads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple, Optional
 
 from ..ndb.schema import Schema
 
@@ -40,9 +40,12 @@ LEASES_TABLE = "leases"
 LEADER_TABLE = "leader"
 RETRY_TABLE = "retry_cache"
 
+# Rows are immutable values, so they are ``typing.NamedTuple``s: a third of
+# a frozen dataclass's cost to build or less, with the same repr, the same
+# hash (a frozen dataclass hashes its field tuple) and field-wise equality.
 
-@dataclass(frozen=True)
-class InodeRow:
+
+class InodeRow(NamedTuple):
     """One row of the ``inodes`` table.
 
     pk = ``(parent_id, name)``; partition key = ``parent_id``.
@@ -67,11 +70,10 @@ class InodeRow:
         return (self.parent_id, self.name)
 
     def with_(self, **changes) -> "InodeRow":
-        return replace(self, **changes)
+        return self._replace(**changes)
 
 
-@dataclass(frozen=True)
-class BlockRow:
+class BlockRow(NamedTuple):
     """One row of the ``blocks`` table.
 
     pk = ``block_id``; partition key = ``inode_id`` so a file's blocks are
@@ -80,17 +82,16 @@ class BlockRow:
 
     block_id: int
     inode_id: int
-    index: int
+    index: int  # the field, not ``tuple.index``
     size: int = 0
     # Addresses of block-storage datanodes holding replicas.
     locations: tuple = ()
 
     def with_(self, **changes) -> "BlockRow":
-        return replace(self, **changes)
+        return self._replace(**changes)
 
 
-@dataclass(frozen=True)
-class LeaseRow:
+class LeaseRow(NamedTuple):
     """Writer lease for a file under construction; pk = inode_id."""
 
     inode_id: int
@@ -98,8 +99,7 @@ class LeaseRow:
     expiry_ms: float
 
 
-@dataclass(frozen=True)
-class LeaderRow:
+class LeaderRow(NamedTuple):
     """One metadata server's row in the leader-election table.
 
     The election protocol [28] stores a monotonically increasing counter per
@@ -114,8 +114,7 @@ class LeaderRow:
     address: object = None
 
 
-@dataclass(frozen=True)
-class RetryRow:
+class RetryRow(NamedTuple):
     """Recorded result of one retried-mutation id (HDFS RetryCache, but
     transactional: written in the same NDB transaction as the mutation, so
     an NN crash after commit cannot lose it).
@@ -167,6 +166,11 @@ class IdGenerator:
 
     def next_inode_id(self) -> int:
         return next(self._inode_ids)
+
+    def inode_ids(self) -> Iterator[int]:
+        """The ids :meth:`next_inode_id` hands out, as one iterator (bulk
+        installs draw from it without a call per id)."""
+        return self._inode_ids
 
     def next_block_id(self) -> int:
         return next(self._block_ids)

@@ -15,7 +15,7 @@ replicas of Read Backup tables (Section IV-A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..errors import (
     DirectoryNotEmptyError,
@@ -63,9 +63,9 @@ class FsContext:
     dir_cache: object
 
 
-@dataclass(frozen=True)
-class FileContent:
-    """Result of ``readFile``: inline data or block locations."""
+class FileContent(NamedTuple):
+    """Result of ``readFile``: inline data or block locations (a value,
+    like the rows it carries)."""
 
     inode: InodeRow
     small_data: Optional[bytes] = None

@@ -22,7 +22,7 @@ from .datanode import NdbDatanode
 from .failure import HeartbeatProtocol
 from .management import ManagementNode
 from .partitioning import PartitionMap
-from .schema import Schema
+from .schema import TOMBSTONE, Schema
 from .store import ReadStats, _Row
 
 __all__ = ["NdbCluster", "az_assignment_for"]
@@ -153,28 +153,47 @@ class NdbCluster:
         """Bulk-load committed rows, bypassing the commit protocol.
 
         ``rows`` yields ``(pk, partition_key, value)``.  Used to install the
-        benchmark namespace before measurements start.
+        benchmark namespace before measurements start.  The members of a
+        replica set store the same rows in the same order, so each set's
+        batch is built once, with one key and one row object per loaded
+        row, and every member takes it whole (:meth:`FragmentStore.load_new`);
+        a batch that deletes or repeats a key, or a member already holding
+        one of its keys, goes through ``load_many`` row by row instead.
         """
         fully_replicated = self.schema.table(table_name).fully_replicated
-        partition_map = self.partition_map
-        batches: dict[NodeAddress, list] = {}
-        # partition key -> the batches of its replicas
-        targets: dict[Hashable, list[list]] = {}
+        replicas_for_key = self.partition_map.replicas_for_key
+        # Replica set -> its batch: {key: _Row}, the (key, _Row) entries in
+        # order, and [((table, partition key), pks)].  The sets are disjoint
+        # (a node group's live members, or every live node for a fully
+        # replicated table), so a node's rows are its set's, in order.
+        batches: dict[frozenset, tuple[dict, list, list]] = {}
+        # partition key -> its set's rows and entries, and its pk list
+        targets: dict[Hashable, tuple[dict, list, list]] = {}
+        bulk = True  # no delete, no key twice
         count = 0
         for pk, partition_key, value in rows:
-            replica_batches = targets.get(partition_key)
-            if replica_batches is None:
-                replicas = partition_map.replicas_for_key(partition_key, fully_replicated)
-                replica_batches = targets[partition_key] = [
-                    batches.setdefault(node, []) for node in replicas.all
-                ]
-            # One key and one row for all replicas: rows are only ever replaced.
-            entry = ((table_name, pk), _Row(value, partition_key))
-            for batch in replica_batches:
-                batch.append(entry)
+            target = targets.get(partition_key)
+            if target is None:
+                nodes = frozenset(replicas_for_key(partition_key, fully_replicated).all)
+                batch = batches.get(nodes)
+                if batch is None:
+                    batch = batches[nodes] = ({}, [], [])
+                pks = []
+                batch[2].append(((table_name, partition_key), pks))
+                target = targets[partition_key] = (batch[0], batch[1], pks)
+            batch_rows, entries, pks = target
+            key = (table_name, pk)
+            if value is TOMBSTONE or key in batch_rows:
+                bulk = False
+            row = batch_rows[key] = _Row(value, partition_key)
+            entries.append((key, row))
+            pks.append(pk)
             count += 1
-        for node, batch in batches.items():
-            self.datanodes[node].store.load_many(batch)
+        for nodes, (batch_rows, entries, partitions) in batches.items():
+            for node in nodes:
+                store = self.datanodes[node].store
+                if not (bulk and store.load_new(batch_rows, partitions)):
+                    store.load_many(entries)
         return count
 
     # ---------------------------------------------------------------- failures
@@ -316,8 +335,6 @@ class NdbCluster:
                     row = donor_store._rows.get((table.name, pk))
                     if row is not None:
                         dn.store.load(table.name, pk, row.partition_key, value)
-            from .schema import TOMBSTONE
-
             for pk in local_rows:
                 if pk not in donor_rows:
                     row = dn.store._rows.get((table.name, pk))

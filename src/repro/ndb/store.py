@@ -20,14 +20,13 @@ from .schema import TOMBSTONE
 __all__ = ["FragmentStore", "ReadStats"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Row:
     """A committed version.  Writes replace it, nothing mutates it, so the
-    replicas a bulk load fills share one instance."""
+    replicas a bulk load fills share one instance.  Not frozen: a frozen
+    ``__init__`` sets each field through ``object.__setattr__``, which
+    doubles the cost of the one built per namespace row at set-up."""
 
-    # By hand: ``slots=True`` rebuilds the class, after which the frozen
-    # ``__setattr__`` of 3.11 answers an unknown name with a TypeError.
-    __slots__ = ("value", "partition_key")
     value: Any  # TOMBSTONE only inside a ``load_many`` batch (a delete)
     partition_key: Hashable
 
@@ -158,6 +157,25 @@ class FragmentStore:
                 index[(table, old.partition_key)].discard(pk)
             rows[key] = row
             index[(table, partition_key)].add(pk)
+
+    def load_new(self, rows: dict, partitions: list) -> bool:
+        """``load_many`` of a batch whose keys are all new to this store:
+        ``rows`` maps each ``(table, pk)`` to its row in load order (no
+        tombstone, no key twice), ``partitions`` pairs each ``(table,
+        partition_key)`` with its pks, both in the order rows first name
+        them.  One ``dict.update`` and one ``set`` build per partition leave
+        both orders as one-by-one loads would.  Returns False, storing
+        nothing, when a key is already here; the rows are shared, not copied."""
+        if not self._rows.keys().isdisjoint(rows):
+            return False
+        self._rows.update(rows)
+        index = self._index
+        for key, pks in partitions:
+            if key in index:
+                index[key].update(pks)
+            else:
+                index[key] = set(pks)
+        return True
 
     def _apply(self, table: str, pk: Hashable, partition_key: Hashable, value: Any) -> None:
         key = (table, pk)

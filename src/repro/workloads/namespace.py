@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..hopsfs.metadata import INODES_TABLE, InodeRow
+from ..hopsfs.metadata import INODES_TABLE, ROOT_INODE_ID, InodeRow
 
 __all__ = ["Namespace", "generate_namespace", "install_hopsfs", "install_cephfs"]
 
@@ -68,19 +68,20 @@ def install_hopsfs(deployment, namespace: Namespace, warm_caches: bool = True) -
     path-component cache: benchmarks measure steady state, where the
     read-mostly top of the hierarchy is long since cached (FAST'17).
     """
-    next_inode_id = deployment.ids.next_inode_id
-    dir_ids: dict[str, int] = {"/": 1}
+    inode_ids = deployment.ids.inode_ids()
+    dir_ids: dict[str, int] = {"": ROOT_INODE_ID}
     rows = []
+    new_row = tuple.__new__  # an InodeRow from all its fields, in order
 
     def add(paths, is_dir: bool) -> None:
-        small_data = None if is_dir else b""
-        for path in paths:
+        # Every field after (id, parent_id, name) is the same for the batch.
+        rest = InodeRow(0, 0, "", is_dir, small_data=None if is_dir else b"")[3:]
+        for path, inode_id in zip(paths, inode_ids):  # paths first: no id drawn past them
             parent_path, _slash, name = path.rpartition("/")
-            parent_id = dir_ids[parent_path or "/"]
-            inode_id = next_inode_id()
+            parent_id = dir_ids[parent_path]
             if is_dir:
                 dir_ids[path] = inode_id
-            row = InodeRow(inode_id, parent_id, name, is_dir, small_data=small_data)
+            row = new_row(InodeRow, (inode_id, parent_id, name) + rest)
             rows.append(((parent_id, name), parent_id, row))
 
     add(namespace.top_dirs, True)
@@ -89,9 +90,12 @@ def install_hopsfs(deployment, namespace: Namespace, warm_caches: bool = True) -
     add(namespace.files, False)
     count = deployment.ndb.preload(INODES_TABLE, rows)
     if warm_caches:
+        # DirCache.store of each directory row into a fresh, far-from-full
+        # cache: the same entries in the same order, stamped now.
+        now = deployment.env.now
+        entries = [(pk, (now, row)) for pk, _parent_id, row in rows[:num_dirs]]
         for nn in deployment.namenodes:
-            for pk, _parent_id, row in rows[:num_dirs]:
-                nn.dir_cache.store(pk, row)  # pk is the cache's key
+            nn.dir_cache.update(entries)
     return count
 
 

@@ -114,3 +114,40 @@ def test_rank_memo_matches_uncached_reference():
     check()
     p.install_override(0, 2)  # the root's rank fails over too
     check()
+
+
+def _dir_on_another_rank(ceph):
+    """``(parent, child)``: a directory whose own subtree is served by a
+    rank other than the one serving its entry in the parent."""
+    partitioner = ceph.partitioner
+    return next(
+        (f"/p{i}", f"/p{i}/d{j}") for i in range(8) for j in range(8)
+        if partitioner.dir_rank(f"/p{i}") != partitioner.dir_rank(f"/p{i}/d{j}")
+    )
+
+
+def test_preloaded_directory_is_mirrored_like_one_made_at_run_time():
+    ceph = build_cephfs(num_mds=2)
+    parent, child = _dir_on_another_rank(ceph)
+    ceph.preload([(parent, True), (child, True)])
+    entry_rank = ceph.mds_list[ceph.partitioner.rank_of(child)]
+    owner = ceph.mds_for_dir(child)
+    assert owner.shard.inodes[child] is entry_rank.shard.inodes[child]
+    assert parent not in owner.shard.children  # no entry in a listing it does not serve
+
+
+def test_failover_does_not_bring_back_a_deleted_preloaded_directory():
+    ceph = build_cephfs(num_mds=2, config=CephConfig(mds_failover_detect_ms=50.0))
+    parent, child = _dir_on_another_rank(ceph)
+    ceph.preload([(parent, True), (child, True)])
+    client = ceph.client()
+    owner = ceph.mds_for_dir(child)
+
+    def scenario():
+        yield from client.delete(child)
+        owner.shutdown()  # the parent's rank adopts what it held
+        yield ceph.env.timeout(2000)
+        listing = yield from client.listdir(parent)
+        return listing
+
+    assert run(ceph, scenario()) == []

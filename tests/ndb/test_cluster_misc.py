@@ -6,6 +6,7 @@ from repro.errors import ConfigError, NdbError
 from repro.ndb import NdbCluster, NdbConfig, Schema, ThreadConfig
 from repro.ndb.cluster import az_assignment_for
 from repro.ndb.messages import TcAbortReq
+from repro.ndb.schema import TOMBSTONE
 from repro.net import Network, build_us_west1
 from repro.net.network import Message
 from repro.sim import Environment, RngRegistry
@@ -81,14 +82,24 @@ def _preload_row_by_row(cluster, table_name, rows):
 
 
 def test_bulk_preload_fills_every_store_as_row_by_row_loads_did():
-    # Children of 40 directories, a pk that changes directory, a rewrite.
-    rows = [((i % 40, f"n{i}"), i % 40, i) for i in range(400)]
-    rows += [((3, "n3"), 7, "moved"), ((5, "n5"), 5, "rewritten")]
     bulk, reference = _cluster(num_datanodes=6, replication=3), _cluster(num_datanodes=6, replication=3)
-    assert bulk.preload("t", rows) == len(rows)
-    _preload_row_by_row(reference, "t", rows)
-    for addr, dn in bulk.datanodes.items():
-        assert store_state(dn.store) == store_state(reference.datanodes[addr].store)
+    probe = _cluster(num_datanodes=6, replication=3).partition_map
+    # A directory whose rows the same replicas hold as directory 2's.
+    twin = next(d for d in range(40, 80)
+                if set(probe.replicas_for_key(d).all) == set(probe.replicas_for_key(2).all))
+    # Children of 40 directories, pks that change directory (to another
+    # replica set, and within one), a rewrite.
+    rows = [((i % 40, f"n{i}"), i % 40, i) for i in range(400)]
+    rows += [((3, "n3"), 7, "moved"), ((2, "n2"), twin, "moved"), ((5, "n5"), 5, "rewritten")]
+    # New keys plus one row an earlier batch stored, moved.
+    more = [((i % 40, f"m{i}"), i % 40, i) for i in range(40)] + [((9, "n9"), 11, "again")]
+    # A delete of a row that is not there.
+    deletes = [((twin + 1, "absent"), twin + 1, TOMBSTONE)]
+    for batch in (rows, more, deletes):
+        assert bulk.preload("t", batch) == len(batch)
+        _preload_row_by_row(reference, "t", batch)
+        for addr, dn in bulk.datanodes.items():
+            assert store_state(dn.store) == store_state(reference.datanodes[addr].store)
     assert bulk.partition_map._partition_cache == reference.partition_map._partition_cache
     # One key and one row object per loaded row, whatever the replication.
     stores = [dn.store for dn in bulk.datanodes.values()]
