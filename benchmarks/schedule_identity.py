@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Identity of two checkouts: same seed, same schedule — or at least the same result?
 
-    python3 benchmarks/schedule_identity.py [--chaos] BASE_TREE [HEAD_TREE]
+    python3 benchmarks/schedule_identity.py [--chaos | --paths] BASE_TREE [HEAD_TREE]
 
 For every workload of ``BENCHMARK.json`` (HEAD_TREE defaults to the tree
 this file is in) each tree runs twice at ``--quick`` size, seed 0:
@@ -39,11 +39,22 @@ trees by this tree's ``pins.chaos_matrix``.  A cell's schedule digest is its
 ``unsupported:<reason>``), the red invariants, ``completed`` and ``failed``.
 Under a differing cell: its verdict change, if any, and ``completed`` /
 ``failed`` base -> head.
+
+``--paths`` compares the 16 combinations of the four opt-in serving paths
+(``robust``, ``async_commit``, ``elastic``, ``listing_cache``), produced in
+process in both trees by :func:`path_rows`: ``HopsFS-CL (3,3)`` with 3 NNs,
+seed 3, a 4 x 8 x 8 namespace, 24 closed-loop Spotify clients, a 60 ms
+window, then a stop and 400 ms of drain (``elastic`` without the autoscaler,
+membership refresh every 25 ms).  A row's schedule digest is the kernel's
+event count with the window's sorted latencies; its result is ``completed``,
+``failed`` and ``failed_by_error``.  Half of these combinations run in no
+pinned artifact.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import pathlib
 import subprocess
@@ -185,7 +196,70 @@ def _detail(tree: pathlib.Path, workload: str) -> tuple:
             {name: metric["value"] for name, metric in metrics.items()})
 
 
-# -- the two tables -------------------------------------------------------------
+# The ``--paths`` run (see the module docstring).
+PATH_NAMES = ("async_commit", "elastic", "listing_cache", "robust")
+PATH_SETUP, PATH_SERVERS, PATH_SEED, PATH_CLIENTS = "HopsFS-CL (3,3)", 3, 3, 24
+PATH_WINDOW_MS, PATH_DRAIN_MS = 60.0, 400.0
+
+
+def path_rows() -> dict:
+    """``{combination: row}`` of all 16 path combinations (runs in the child)."""
+    from repro.experiments.setups import SETUPS
+    from repro.hopsfs import AsyncCommitConfig, ElasticConfig, ListingCacheConfig, RobustConfig
+    from repro.metrics.collectors import MetricsCollector
+    from repro.workloads.driver import ClosedLoopDriver
+    from repro.workloads.namespace import generate_namespace
+    from repro.workloads.spotify import SpotifyWorkload
+
+    on = {
+        "async_commit": AsyncCommitConfig(),
+        "elastic": ElasticConfig(autoscale=False, membership_refresh_ms=25.0),
+        "listing_cache": ListingCacheConfig(),
+        "robust": RobustConfig(),
+    }
+    rows = {}
+    for n in range(len(PATH_NAMES) + 1):
+        for combo in itertools.combinations(PATH_NAMES, n):
+            harness = SETUPS[PATH_SETUP].build(
+                PATH_SERVERS, seed=PATH_SEED, **{name: on[name] for name in combo})
+            env = harness.env
+            namespace = generate_namespace(
+                num_top_dirs=4, dirs_per_top=8, files_per_dir=8, seed=PATH_SEED)
+            harness.install(namespace)
+            env.run_process(harness.ready(), until=env.now + 60_000)
+            collector = MetricsCollector()
+            collector.open_window(env.now)
+            driver = ClosedLoopDriver(env, harness.make_clients(PATH_CLIENTS),
+                                      SpotifyWorkload(namespace, seed=PATH_SEED), collector)
+            driver.start()
+            env.run(until=env.now + PATH_WINDOW_MS)
+            driver.stop()
+            env.run(until=env.now + PATH_DRAIN_MS)
+            collector.close_window(env.now)
+            rows["+".join(combo) or "none"] = {
+                "schedule": _digest([env._seq, sorted(collector.latencies_ms)]),
+                "completed": collector.completed,
+                "failed": collector.failed,
+                "failed_by_error": dict(sorted(collector.failed_errors.items())),
+            }
+    return rows
+
+
+def _path_rows(tree: pathlib.Path) -> dict:
+    rows = {}
+    for key, row in _in_tree(tree, "schedule_identity.path_rows()").items():
+        result = [row["completed"], row["failed"], row["failed_by_error"]]
+        rows[key] = {
+            "schedule": row["schedule"],
+            "result": _digest(result),
+            "shown": f"{row['completed']:>9} {row['failed']:>6}  "
+                     f"{json.dumps(row['failed_by_error'], sort_keys=True)}",
+            "numbers": {"completed": row["completed"], "failed": row["failed"]},
+        }
+    return rows
+
+
+# -- the tables -----------------------------------------------------------------
 
 def _workload_row(tree: pathlib.Path, workload: str) -> dict:
     detail, metrics = _detail(tree, workload)
@@ -248,8 +322,9 @@ def _compare(rows_of, keys, header: tuple, bounds: dict) -> int:
 
 def main(argv: list[str]) -> int:
     chaos = "--chaos" in argv
-    argv = [arg for arg in argv if arg != "--chaos"]
-    if not 1 <= len(argv) <= 2:
+    paths = "--paths" in argv
+    argv = [arg for arg in argv if arg not in ("--chaos", "--paths")]
+    if not 1 <= len(argv) <= 2 or chaos and paths:
         sys.exit(__doc__)
     trees = {
         "base": pathlib.Path(argv[0]).resolve(),
@@ -258,10 +333,12 @@ def main(argv: list[str]) -> int:
     with open(trees["head"] / "BENCHMARK.json") as fh:
         spec = json.load(fh)
     bounds = bounds_of(spec)
-    if chaos:
-        matrices = {side: _chaos_rows(tree) for side, tree in trees.items()}
-        return _compare(lambda side, key: matrices[side].get(key, _ABSENT),
-                        list(matrices["head"]), ("scenario/setup", "verdict"), bounds)
+    if chaos or paths:
+        produce = _chaos_rows if chaos else _path_rows
+        tables = {side: produce(tree) for side, tree in trees.items()}
+        header = ("scenario/setup", "verdict") if chaos else ("paths", "failed_by_error")
+        return _compare(lambda side, key: tables[side].get(key, _ABSENT),
+                        list(tables["head"]), header, bounds)
     workloads = [w["name"] for w in spec["workloads"]]
     return _compare(lambda side, key: _workload_row(trees[side], key), workloads,
                     ("workload", "failed_by_error"), bounds)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..hopsfs.robust import RobustBounds
+
 __all__ = [
     "InvariantVerdict",
     "replica_consistency",
@@ -228,11 +230,11 @@ def durability_horizon(fs) -> InvariantVerdict:
     restricted to the ``inodes`` and ``retry_cache`` tables (block/lease
     rows interleave with synchronous-path writes).  Rows the synchronous
     path may rewrite later (under-construction or block-bearing inodes)
-    are skipped.  Vacuously green without a group ledger (sync path).
+    are skipped.  Vacuously green on the synchronous commit path.
     """
-    ledger = getattr(fs, "group_ledger", None)
-    if ledger is None:
+    if fs.config.async_commit is None:
         return InvariantVerdict("durability-horizon", True, "n/a (sync commit path)")
+    ledger = fs.group_ledger
     from ..hopsfs.metadata import INODES_TABLE, RETRY_TABLE, InodeRow
     from ..ndb.schema import TOMBSTONE
 
@@ -443,17 +445,13 @@ def listing_consistency(fs) -> InvariantVerdict:
     invariant).  Every NN's *live* (non-expired) attr entry must equal the
     committed row, and every live listing must equal the committed
     directory's sorted children.  Entries past ``ttl_ms`` are exempt: the
-    cache never serves them.  Vacuously green when no NN carries a cache.
+    cache never serves them.  Vacuously green with the listing cache off.
     """
-    caches = [
-        (nn, nn.listing_cache)
-        for nn in fs.namenodes
-        if nn.listing_cache is not None
-    ]
-    if not caches:
+    if fs.config.listing_cache is None:
         return InvariantVerdict(
             "listing-consistency", True, "n/a (listing cache off)"
         )
+    caches = [(nn, nn.listing_cache) for nn in fs.namenodes]
     truth: dict = {}
     for dn in fs.ndb.datanodes.values():
         if not dn.running:
@@ -499,7 +497,7 @@ def deadline_compliance(harness) -> InvariantVerdict:
     the last armed timer fires at most one timeout after the deadline).
     ``n/a`` for deployments whose clients never opted in.
     """
-    robust = [c for c in harness.clients if getattr(c, "robust", None) is not None]
+    robust = [c for c in harness.clients if isinstance(getattr(c, "bounds", None), RobustBounds)]
     if not robust:
         return InvariantVerdict("deadline-compliance", True, "n/a (no robust clients)")
     overruns = [

@@ -40,7 +40,7 @@ from .metadata import (
 )
 from .namenode import Namenode
 from .ops import FileContent, FsContext
-from .robust import CircuitBreaker, Deadline, RetryCache, RetryPolicy, RobustConfig
+from .robust import CircuitBreaker, RetryCache, RetryPolicy, RobustConfig
 
 __all__ = [
     "BlockManager",
@@ -76,7 +76,6 @@ __all__ = [
     "FileContent",
     "FsContext",
     "CircuitBreaker",
-    "Deadline",
     "RetryCache",
     "RetryPolicy",
     "RobustConfig",

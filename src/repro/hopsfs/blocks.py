@@ -9,6 +9,7 @@ datanode heartbeats and triggers re-replication when one fails.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -87,7 +88,13 @@ class BlockManager:
         # block_id -> inode id (the blocks table partition key)
         self.block_inode: dict[int, int] = {}
         self.rereplications = 0
-        self._rng = namenode.rng
+
+    @functools.cached_property
+    def _rng(self):
+        """The placement stream, fetched at the first placement: streams
+        derive by name, so fetching it late moves no draw, and a namenode
+        that never places a block fetches none."""
+        return self.nn.ndb.rng.stream(f"nn:{self.nn.addr}")
 
     # -- heartbeats / block reports ----------------------------------------
     def on_heartbeat(self, address: NodeAddress, az: AzId, block_ids) -> None:

@@ -6,20 +6,18 @@ the leader-maintained membership list for servers sharing its
 ``locationDomainId`` and falls back to a random live server (Section
 IV-B3, ``locationDomainId`` 0 disables the affinity).
 
-One request loop serves every op.  :class:`~repro.hopsfs.robust.RobustConfig`
-only bounds it against *gray* failures: every RPC carries a timeout and the
-op's absolute deadline, timeouts trigger failover, retries back off with
-deterministic jitter under a retry budget, read-class ops hedge to a
-second NN after a configurable delay, mutations carry ``(client_id,
-op_seq)`` retry ids for exactly-once replay, and a per-NN circuit breaker
-routes around persistently slow servers.  Without it (the default) the
-same loop is the fail-stop client: no deadline, timeout, back-off,
-breaker, hedge or retry id, and at most ``max_failovers`` retries.
+One request loop serves every op, bounded by one part built from the
+config: :class:`~repro.hopsfs.robust.RobustBounds` with ``robust`` on
+(deadline, RPC timeouts, back-off, breakers, hedged reads, retry ids for
+exactly-once replay) or :class:`~repro.hopsfs.robust.FailStopBounds`
+without it — the fail-stop client, at most ``client_max_failovers``
+retries.  The elastic tier's part refreshes the server list from the
+leader-maintained view; a fixed pool's does nothing.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from typing import Optional
 
 from ..errors import (
@@ -34,18 +32,26 @@ from ..errors import (
 from ..fsclient import FsClient
 from ..net.network import Network
 from ..obs.metrics import count
-from ..sim import Environment
+from ..sim import Environment, RngRegistry
 from ..types import ANY_AZ, AzId, NodeAddress, OpType
+from .config import HopsFsConfig
 from .datanode import ReadBlockReq, WriteBlockReq
+from .elastic import membership_refresh
 from .groupcommit import GroupAck
 from .metadata import BLOCK_SIZE_BYTES, SMALL_FILE_MAX_BYTES
-from .robust import CircuitBreaker, Deadline, RobustConfig
+from .robust import request_bounds
 
 __all__ = ["HopsFsClient"]
 
 
 class HopsFsClient(FsClient):
-    """A file-system client bound to one simulated host."""
+    """A file-system client bound to one simulated host.
+
+    Its streams come from ``rngs`` by its address: ``client:<index>`` for
+    server selection and, with ``robust`` on, ``client:<index>:retry`` for
+    back-off jitter — its own, so enabling retries never perturbs the
+    selection draws (determinism contract).
+    """
 
     def __init__(
         self,
@@ -53,14 +59,9 @@ class HopsFsClient(FsClient):
         network: Network,
         addr: NodeAddress,
         namenode_addrs,
-        rng,
+        rngs: RngRegistry,
+        config: HopsFsConfig = HopsFsConfig(),
         location_domain_id: AzId = ANY_AZ,
-        request_bytes: int = 256,
-        max_failovers: int = 4,
-        robust: Optional[RobustConfig] = None,
-        client_id: Optional[str] = None,
-        retry_rng=None,
-        membership_refresh_ms: Optional[float] = None,
     ):
         self.env = env
         self.network = network
@@ -68,14 +69,9 @@ class HopsFsClient(FsClient):
         self.namenode_addrs = list(namenode_addrs)
         # ``az`` is what spans and time series file this client under.
         self.az = self.location_domain_id = location_domain_id
-        self.rng = rng
-        self.request_bytes = request_bytes
-        self.max_failovers = max_failovers
-        self.robust = robust
-        self.client_id = client_id if client_id is not None else str(addr)
-        # Jitter comes from its own named stream so enabling retries never
-        # perturbs the draws of the selection RNG (determinism contract).
-        self.retry_rng = retry_rng
+        self.rng = rngs.stream(f"client:{addr.index}")
+        self.request_bytes = config.client_request_bytes
+        self.bounds = request_bounds(config, env, addr, rngs)
         self.current_nn: Optional[NodeAddress] = None
         self.failovers = 0
         self.timeouts = 0
@@ -91,46 +87,17 @@ class HopsFsClient(FsClient):
         # client, and the horizons not yet confirmed by an fsync barrier.
         self.durability_horizon = 0
         self._pending_horizons: set[int] = set()
-        self._op_seq = itertools.count(1)
-        self._breakers: dict[NodeAddress, CircuitBreaker] = {}
         # Servers that bounced us with ServerDrainingError: skipped by
         # selection and membership refresh until they leave the advertised
         # view for good (the view still lists them while they drain).
         self._draining_nns: set[NodeAddress] = set()
-        # Elastic serving tier (opt-in): periodically swap the static
-        # bootstrap list for the leader-maintained membership view, so the
-        # client tracks NNs joining and leaving the pool.  None (the
-        # default) spawns nothing — legacy schedules are untouched.
-        self.membership_refresh_ms = membership_refresh_ms
         self.membership_refreshes = 0
-        if membership_refresh_ms is not None:
-            env.process(
-                self._membership_loop(), name=f"{addr}:membership"
-            )
+        # The elastic tier's client part: its refresh period (None on a
+        # fixed pool, which starts no loop).
+        self.membership_refresh_ms = membership_refresh(self, config.elastic)
 
     # ------------------------------------------------------- NN selection
-    def _breaker(self, nn: NodeAddress) -> CircuitBreaker:
-        breaker = self._breakers.get(nn)
-        if breaker is None:
-            breaker = self._breakers[nn] = CircuitBreaker()
-        return breaker
-
-    def _breaker_open(self, nn: NodeAddress) -> bool:
-        breaker = self._breakers.get(nn)
-        return breaker is not None and breaker.is_open(self.env.now)
-
-    def _record_nn_failure(self, nn: NodeAddress) -> None:
-        if self.robust is not None and nn is not None:
-            if self._breaker(nn).record_failure(self.env.now):
-                count(self.env, "client.breaker_trips")
-
-    def _membership_loop(self):
-        env = self.env
-        while True:
-            yield env.timeout(self.membership_refresh_ms)
-            yield from self._refresh_membership()
-
-    def _refresh_membership(self):
+    def refresh_membership(self):
         """Generator: one membership-refresh round against any live NN.
 
         On success the active view *replaces* the bootstrap list, and all
@@ -144,42 +111,32 @@ class HopsFsClient(FsClient):
         candidates += [nn for nn in self.namenode_addrs if nn not in candidates]
         # Breakers are consulted lazily, as each candidate comes up.
         active = yield from self._probe_membership(
-            nn for nn in candidates if not self._breaker_open(nn)
+            nn for nn in candidates if not self.bounds.is_open(nn)
         )
         if active:  # empty ⇒ election not converged: keep the old view
             self._apply_membership(active)
         # None ⇒ every candidate unreachable this round: retry next period.
 
-    def _probe_membership(self, candidates, deadline: Optional[Deadline] = None):
+    def _probe_membership(self, candidates, deadline: float = math.inf):
         """Generator: the active-NN view from the first candidate to answer.
 
-        Returns None when none did.  With a robust config every probe is
-        bounded by the RPC timeout (a degraded link must not hang server
-        discovery) and by what is left of the op's ``deadline``.
+        Returns None when none did.  Every probe is bounded as the bounds
+        part says (robust: by the RPC timeout and by what is left of the
+        op's ``deadline``).
         """
-        robust = self.robust
+        bounds = self.bounds
         for nn in candidates:
-            timeout_ms = None
-            if robust is not None:
-                timeout_ms = robust.op_timeout_ms
-                if deadline is not None:
-                    remaining = deadline.remaining(self.env.now)
-                    if remaining <= 0:
-                        raise DeadlineExceededError(
-                            "deadline expired during server discovery"
-                        )
-                    timeout_ms = min(timeout_ms, remaining)
             try:
                 active = yield self.network.call(
                     self.addr, nn, "get_active_nns", size=self.request_bytes,
-                    timeout_ms=timeout_ms,
+                    timeout_ms=bounds.probe_timeout_ms(deadline),
                 )
                 return active
             except HostUnreachableError:
                 continue
             except RpcTimeoutError:
                 self.timeouts += 1
-                self._record_nn_failure(nn)
+                bounds.failed(nn)
         return None
 
     def _discard_namenode(self, nn: Optional[NodeAddress]) -> None:
@@ -194,7 +151,7 @@ class HopsFsClient(FsClient):
             return
         self._draining_nns.add(nn)
         self.namenode_addrs = [a for a in self.namenode_addrs if a != nn]
-        self._breakers.pop(nn, None)
+        self.bounds.forget(nn)
         if self.current_nn == nn:
             self.current_nn = None
 
@@ -206,24 +163,23 @@ class HopsFsClient(FsClient):
         addrs = [a for a in view if a not in self._draining_nns]
         self.namenode_addrs = addrs
         current = set(addrs)
-        for nn in list(self._breakers):
-            if nn not in current:
-                del self._breakers[nn]
+        self.bounds.retain(current)
         if self.current_nn is not None and self.current_nn not in current:
             self.current_nn = None
         self.membership_refreshes += 1
 
-    def _pick_namenode(self, deadline: Optional[Deadline] = None):
+    def _pick_namenode(self, deadline: float):
         """Fetch the active-NN list from any live NN, then apply the policy.
 
         NNs behind an open circuit breaker are skipped — unless every
         breaker is open, in which case the client fails open and tries
-        them all rather than giving up without a single packet.  Without
-        ``robust`` there are no breakers, so the filters keep everything.
+        them all rather than giving up without a single packet.  The
+        fail-stop bounds keep no breakers, so the filters keep everything.
         """
+        bounds = self.bounds
         bootstrap = list(self.namenode_addrs)
         self.rng.shuffle(bootstrap)
-        closed = [nn for nn in bootstrap if not self._breaker_open(nn)]
+        closed = [nn for nn in bootstrap if not bounds.is_open(nn)]
         if closed:
             bootstrap = closed
         active = yield from self._probe_membership(bootstrap, deadline)
@@ -232,11 +188,10 @@ class HopsFsClient(FsClient):
             # too — count it so trace/metric breakdowns see these ops.
             self.failovers += 1
             self.bootstrap_exhaustions += 1
-            if deadline is not None:
-                # An empty view is exhausted without one probe: a failing
-                # op must cost simulated time, or a closed loop spins at
-                # one instant.
-                yield from self._backoff(1, deadline, None)
+            # With a deadline, an empty view is exhausted without one probe:
+            # a failing op must cost simulated time, or a closed loop spins
+            # at one instant.
+            yield from bounds.backoff(1, deadline, None)
             raise NoNamenodeError("no metadata server reachable")
         if not active:
             # Election has not yet converged; fall back to the static list.
@@ -245,7 +200,7 @@ class HopsFsClient(FsClient):
             undrained = [a for a in active if a[1] not in self._draining_nns]
             if undrained:
                 active = undrained
-        closed = [a for a in active if not self._breaker_open(a[1])]
+        closed = [a for a in active if not bounds.is_open(a[1])]
         if closed:
             active = closed
         if self.location_domain_id != ANY_AZ:
@@ -260,36 +215,25 @@ class HopsFsClient(FsClient):
     def _request_loop(self, op: OpType, kwargs, span):
         """The one request loop: stick to an NN, fail over when it fails.
 
-        ``robust`` only bounds it with a deadline, RPC timeouts, back-off,
-        breakers, hedged reads and a retry id; without it the budget is
-        ``max_failovers`` and a fail-over costs no simulated time.  The loop
-        stores its failure count in ``last_op_failures`` as it exits;
-        whoever resumes next (driver, traced wrapper) reads it before
-        anything else can run, so ops overlapping on one stub each see their
-        own count.  Caught errors are kept without their traceback and no
-        failed call's event sits in a local, so a finished op closes no
-        reference cycle (DESIGN §4 rule 1).
+        The bounds part sets the deadline, the RPC timeouts, the back-off,
+        the breakers, hedging and the retry id; the fail-stop bounds have
+        none of them, a budget of ``client_max_failovers`` and a fail-over
+        that costs no simulated time.  The loop stores its failure count in
+        ``last_op_failures`` as it exits; whoever resumes next (driver,
+        traced wrapper) reads it before anything else can run, so ops
+        overlapping on one stub each see their own count.  Caught errors
+        are kept without their traceback and no failed call's event sits
+        in a local, so a finished op closes no reference cycle (DESIGN §4
+        rule 1).
         """
         env = self.env
-        robust = self.robust
-        deadline = extra = None
-        hedged = False
-        if robust is None:
-            budget = self.max_failovers
-        else:
-            budget = robust.retry.max_retries
-            deadline = Deadline(env.now + robust.deadline_ms)
-            extra = {"deadline_ms": deadline.expires_ms}
-            if op.mutates:
-                # Exactly-once retried mutations: the NN-side RetryCache keys
-                # replays off this id (same id across every retry of this op).
-                extra["retry_id"] = (self.client_id, next(self._op_seq))
-            hedged = robust.hedge_delay_ms is not None and not op.mutates
+        bounds = self.bounds
+        deadline, extra, hedged = bounds.start(op)
         attempt = failures = 0
         last_error = None
         try:
             while True:
-                if deadline is not None and deadline.expired(env.now):
+                if env.now >= deadline:
                     count(env, "client.deadline_exceeded")
                     raise DeadlineExceededError(
                         f"{op.value}: client deadline expired"
@@ -303,13 +247,9 @@ class HopsFsClient(FsClient):
                         result = yield self.network.call(
                             self.addr, self.current_nn, "fs_op", (op, kwargs),
                             size=self.request_bytes, parent_span=span,
-                            timeout_ms=None if deadline is None else self._rpc_timeout_ms(deadline),
-                            extra=extra,
+                            timeout_ms=bounds.rpc_timeout_ms(deadline), extra=extra,
                         )
-                    if self._breakers:  # none without ``robust``
-                        breaker = self._breakers.get(self.current_nn)
-                        if breaker is not None:
-                            breaker.record_success()
+                    bounds.succeeded(self.current_nn)
                     if type(result) is GroupAck:
                         result = self._early_ack(result)
                     return result
@@ -319,7 +259,7 @@ class HopsFsClient(FsClient):
                     last_error = exc.with_traceback(None)
                     if isinstance(exc, RpcTimeoutError):
                         self.timeouts += 1
-                    self._record_nn_failure(self.current_nn)
+                    bounds.failed(self.current_nn)
                     self.current_nn = None
                     self.failovers += 1
                     failures += 1
@@ -338,19 +278,19 @@ class HopsFsClient(FsClient):
                     self.busy_rejections += 1
                     self.current_nn = None
                 attempt += 1
-                if attempt > budget:
+                if attempt > bounds.budget:
                     raise NoNamenodeError(
-                        f"{op.value}: retry budget exhausted ({budget} retries)"
+                        f"{op.value}: retry budget exhausted ({bounds.budget} retries)"
                     ) from last_error
-                if deadline is not None and type(last_error) is not ServerDrainingError:
-                    yield from self._backoff(attempt, deadline, last_error)
+                if type(last_error) is not ServerDrainingError:
+                    yield from bounds.backoff(attempt, deadline, last_error)
         finally:
             # Drivers read this into OpResult.retries for per-op breakdowns.
             self.last_op_failures = failures
-            if deadline is not None and env.now - deadline.expires_ms > robust.op_timeout_ms:
+            if env.now - deadline > bounds.op_timeout_ms:
                 # The deadline invariant's slack is one hop (one RPC
                 # timeout); anything beyond it is a contract violation.
-                self.deadline_overruns.append((op.value, deadline.expires_ms, env.now))
+                self.deadline_overruns.append((op.value, deadline, env.now))
 
     def _early_ack(self, ack: GroupAck):
         """Record the horizon an async-commit early ack rides; returns the
@@ -360,23 +300,7 @@ class HopsFsClient(FsClient):
             self.durability_horizon = ack.horizon
         return ack.result
 
-    def _backoff(self, attempt: int, deadline: Deadline, last_error):
-        delay = self.robust.retry.backoff_ms(attempt, self.retry_rng)
-        if deadline.remaining(self.env.now) <= delay:
-            # Sleeping past the deadline is doomed work; fail fast instead.
-            count(self.env, "client.deadline_exceeded")
-            raise DeadlineExceededError(
-                "deadline would expire during retry backoff"
-            ) from last_error
-        yield self.env.timeout(delay)
-
-    def _rpc_timeout_ms(self, deadline: Deadline) -> float:
-        """Per-call timeout, capped so no RPC outlives the op deadline."""
-        return max(
-            0.001, min(self.robust.op_timeout_ms, deadline.remaining(self.env.now))
-        )
-
-    def _hedged(self, op: OpType, kwargs, span, deadline: Deadline, extra):
+    def _hedged(self, op: OpType, kwargs, span, deadline: float, extra):
         """One hedged read: wait the hedge delay; if the primary has not
         answered, fire the same request at a different NN and take the
         first reply.  The loser's reply (or timeout) resolves through the
@@ -386,14 +310,15 @@ class HopsFsClient(FsClient):
         traceback closes no cycle through them.
         """
         env = self.env
+        bounds = self.bounds
         primary_nn = self.current_nn
         primary = self.network.call(
             self.addr, primary_nn, "fs_op", (op, kwargs),
             size=self.request_bytes, parent_span=span,
-            timeout_ms=self._rpc_timeout_ms(deadline), extra=extra,
+            timeout_ms=bounds.rpc_timeout_ms(deadline), extra=extra,
         )
         try:
-            yield env.any_of([primary, env.timeout(self.robust.hedge_delay_ms)])
+            yield env.any_of([primary, env.timeout(bounds.hedge_delay_ms)])
             if primary.triggered:
                 if primary.ok:
                     return primary.value
@@ -405,7 +330,7 @@ class HopsFsClient(FsClient):
             hedge = self.network.call(
                 self.addr, alt_nn, "fs_op", (op, kwargs),
                 size=self.request_bytes, parent_span=span,
-                timeout_ms=self._rpc_timeout_ms(deadline), extra=extra,
+                timeout_ms=bounds.rpc_timeout_ms(deadline), extra=extra,
             )
             # Fails fast: resuming normally means one of the two succeeded.
             yield env.any_of([primary, hedge])
@@ -425,7 +350,7 @@ class HopsFsClient(FsClient):
         """A different, breaker-closed NN to hedge to (deterministic pick)."""
         candidates = [
             nn for nn in self.namenode_addrs
-            if nn != primary_nn and not self._breaker_open(nn)
+            if nn != primary_nn and not self.bounds.is_open(nn)
         ]
         if not candidates:
             return None

@@ -42,22 +42,25 @@ class HopsFsConfig:
     # (HDFS-style startup safemode).  Off by default: benchmarks preload
     # their namespace and start hot.
     safemode_on_startup: bool = False
-    # Gray-failure hardening (timeouts, deadlines, hedging, retry cache,
-    # admission control) over the client's one request loop.  None = that
-    # loop as the fail-stop client, which the pinned golden schedules run;
-    # chaos targets opt in.
+    # The four opt-in serving paths: each field is the switch of one part
+    # the namenode, client and deployment build once (DESIGN §4 "Opt-in
+    # paths").  None builds the part's off value, which does nothing: the
+    # default runs the pinned golden schedules.
+    # Gray-failure hardening (timeouts, deadlines, hedging, retry ids,
+    # admission control) of the client's one request loop.  None = the
+    # fail-stop client; chaos targets opt in.
     robust: Optional[RobustConfig] = None
     # Async group commit (batched flushes, early acks with a durability
-    # horizon).  None = synchronous commit path, bit-identical to the
-    # pinned golden schedules; experiments and chaos targets opt in.
+    # horizon).  None = synchronous commit; experiments and chaos targets
+    # opt in.
     async_commit: Optional[AsyncCommitConfig] = None
     # Elastic serving tier (runtime add/decommission, client membership
-    # refresh, load-driven autoscaler).  None = fixed pool, bit-identical
-    # to the pinned golden schedules; the churn scenarios opt in.
+    # refresh, load-driven autoscaler).  None = a fixed pool; the churn
+    # scenarios opt in.
     elastic: Optional[ElasticConfig] = None
     # Pre-materialized listing/attr cache with NDB-changelog invalidation.
-    # None = every read pays the full transaction, bit-identical to the
-    # pinned golden schedules; listing experiments and chaos runs opt in.
+    # None = every read pays the full transaction; listing experiments and
+    # chaos runs opt in.
     listing_cache: Optional[ListingCacheConfig] = None
 
     def __post_init__(self) -> None:

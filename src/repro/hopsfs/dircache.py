@@ -12,8 +12,6 @@ the operation's locked read fail, and the client retries).
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .metadata import InodeRow
 
 __all__ = ["TtlLruMap", "DirCache"]
@@ -30,14 +28,15 @@ class TtlLruMap(dict):
     counts ``hits`` / ``misses`` as plain ints (the obs registry reads them
     through a gauge); :meth:`peek` does not.  ``len``, ``in``, ``pop``,
     ``clear`` and ``update`` (with prebuilt entries) are the dict's own.
+    Entries are stamped with ``clock.now`` (the simulation environment, or
+    anything else with a ``now``), read as an attribute: no call per lookup.
     """
 
-    __slots__ = ("_now", "ttl_ms", "max_entries", "hits", "misses")
+    __slots__ = ("_clock", "ttl_ms", "max_entries", "hits", "misses")
 
     # The defaults are the dir cache's; the listing tiers pass their config's.
-    def __init__(self, now: Callable[[], float], ttl_ms: float = 5000.0,
-                 max_entries: int = 100_000):
-        self._now = now
+    def __init__(self, clock, ttl_ms: float = 5000.0, max_entries: int = 100_000):
+        self._clock = clock
         self.ttl_ms = ttl_ms
         self.max_entries = max_entries
         self.hits = 0
@@ -46,7 +45,7 @@ class TtlLruMap(dict):
     def lookup(self, key):
         entry = self.get(key)
         if entry is not None:
-            if self._now() - entry[0] <= self.ttl_ms:
+            if self._clock.now - entry[0] <= self.ttl_ms:
                 self.hits += 1
                 return entry[1]
             del self[key]
@@ -60,7 +59,7 @@ class TtlLruMap(dict):
         entry = self.get(key)
         if entry is None:
             return None
-        if self._now() - entry[0] > self.ttl_ms:
+        if self._clock.now - entry[0] > self.ttl_ms:
             del self[key]
             return None
         return entry[1]
@@ -68,7 +67,7 @@ class TtlLruMap(dict):
     def store(self, key, value) -> None:
         if self.pop(key, None) is None and len(self) >= self.max_entries:
             del self[next(iter(self))]
-        self[key] = (self._now(), value)
+        self[key] = (self._clock.now, value)
 
     def live(self, now: float) -> list:
         """``(key, value)`` of the entries a lookup at ``now`` would serve."""

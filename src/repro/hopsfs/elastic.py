@@ -7,9 +7,13 @@ This module supplies the pieces the static build path lacks:
 
 * :class:`ElasticConfig` — the opt-in switch and the values scenarios
   and tests set (refresh and autoscale periods, utilization triggers,
-  pool bounds, drain grace): ``HopsFsConfig.elastic is None`` keeps the
-  legacy fixed-pool path bit-identical to the pinned golden schedules
-  (no refresh loops, no autoscaler process, no extra events).
+  pool bounds, drain grace).
+* :func:`membership_refresh`, :func:`start_autoscaler` and
+  :func:`lifecycle_config` — the path's parts, built once per client and
+  per deployment: each client's membership-refresh loop, the autoscaler,
+  and the values a drain uses.  Off (``HopsFsConfig.elastic`` None), no
+  loop or autoscaler starts (no events), so the fixed pool stays on the
+  pinned golden schedules, and a drain ordered by hand uses the defaults.
 * :class:`ReconfigEvent` / :class:`ProvisionRecord` — the reconfiguration
   log and per-NN provisioned-interval accounting behind the artifact's
   two headline metrics: reconfiguration latency (decision →
@@ -37,9 +41,13 @@ from typing import Optional
 
 from ..errors import ConfigError
 from ..obs.metrics import count
+from .robust import admission_cap
 
 __all__ = [
     "ElasticConfig",
+    "lifecycle_config",
+    "membership_refresh",
+    "start_autoscaler",
     "ProvisionRecord",
     "ReconfigEvent",
     "Autoscaler",
@@ -93,6 +101,42 @@ class ElasticConfig:
             raise ConfigError(
                 "need 0 <= scale_down_utilization < scale_up_utilization <= 1"
             )
+
+
+def membership_refresh(client, config: Optional[ElasticConfig]) -> Optional[float]:
+    """The elastic client part: start ``client``'s loop that swaps its
+    server list for the leader-maintained view every
+    ``membership_refresh_ms``; that period, or None (no loop) with the path
+    off."""
+    if config is None:
+        return None
+    period = config.membership_refresh_ms
+    client.env.process(_refresh_every(client, period), name=f"{client.addr}:membership")
+    return period
+
+
+def _refresh_every(client, period_ms: float):
+    env = client.env
+    while True:
+        yield env.timeout(period_ms)
+        yield from client.refresh_membership()
+
+
+def start_autoscaler(deployment, config: Optional[ElasticConfig]) -> Optional["Autoscaler"]:
+    """The elastic deployment part: its started autoscaler, or None (a fixed
+    pool, or ``autoscale`` off)."""
+    if config is None or not config.autoscale:
+        return None
+    scaler = Autoscaler(deployment, config)
+    scaler.start()
+    return scaler
+
+
+def lifecycle_config(config: Optional[ElasticConfig]) -> ElasticConfig:
+    """What a deployment's drains and visibility watches use: the tier's
+    values, or on a fixed pool (an NN decommissioned or preempted by hand)
+    the defaults."""
+    return ElasticConfig() if config is None else config
 
 
 @dataclass
@@ -169,7 +213,7 @@ class Autoscaler:
       across the pool; at/above ``SCALE_UP_SHED_THRESHOLD`` the hottest
       AZ scales out.
     * **Utilization** — per-AZ mean of in-flight ops over the admission
-      cap (``robust.nn_max_inflight``, falling back to ``nn_cores``).
+      cap (``robust.nn_max_inflight``, or ``nn_cores`` without one).
       Above ``scale_up_utilization`` scales the hottest AZ out; when every
       AZ sits below ``scale_down_utilization`` the most-populated AZ
       retires its highest-id non-leader NN via the graceful drain path.
@@ -190,6 +234,8 @@ class Autoscaler:
         self.last_action_ms: Optional[float] = None
         self._last_shed = 0
         self._proc = None
+        cfg = deployment.config
+        self._cap = max(1, admission_cap(cfg.robust, unbounded=cfg.nn_cores))
 
     def start(self) -> None:
         if self._proc is not None and self._proc.is_alive:
@@ -206,14 +252,8 @@ class Autoscaler:
     def _total_shed(self) -> int:
         return sum(nn.ops_shed for nn in self.fs.namenodes)
 
-    def _inflight_cap(self) -> int:
-        cfg = self.fs.config
-        if cfg.robust is not None:
-            return max(1, cfg.robust.nn_max_inflight)
-        return max(1, cfg.nn_cores)
-
     def _utilization_by_az(self, serving) -> dict:
-        cap = self._inflight_cap()
+        cap = self._cap
         by_az: dict = {}
         for nn in serving:
             by_az.setdefault(nn.az, []).append(nn.inflight / cap)

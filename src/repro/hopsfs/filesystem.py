@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from ..errors import ConfigError
@@ -23,7 +24,8 @@ from .blocks import PlacementPolicy
 from .client import HopsFsClient
 from .config import HopsFsConfig
 from .datanode import BlockStoreDatanode
-from .elastic import Autoscaler, ElasticConfig, ProvisionRecord, ReconfigEvent
+from .elastic import (Autoscaler, ElasticConfig, ProvisionRecord, ReconfigEvent,
+                      lifecycle_config, start_autoscaler)
 from .groupcommit import GroupCommitLedger
 from .listcache import materialize_snapshot
 from .metadata import IdGenerator, define_fs_schema
@@ -50,14 +52,17 @@ class HopsFsDeployment:
     az_aware: bool
     ids: IdGenerator
     rng: RngRegistry
+    # The shared batch ledger of the NNs' commit parts: horizons are
+    # deployment-global, and the durability-horizon invariant audits it.
+    # Empty on the synchronous path.
+    group_ledger: GroupCommitLedger
+    # The drain and visibility-watch values of the elastic tier (its
+    # defaults on a fixed pool).
+    elastic: ElasticConfig
     # One applied-mutation ledger shared by every NN (robust mode writes
     # it); the chaos exactly-once invariant audits it for duplicate ids.
     mutation_ledger: list = field(default_factory=list)
-    # Async group commit (config.async_commit set): the shared batch
-    # ledger the durability-horizon invariant audits.  None on the
-    # synchronous path.
-    group_ledger: Optional[GroupCommitLedger] = None
-    # Elastic serving tier (config.elastic set): the autoscaler process,
+    # The autoscaler process (None unless the elastic tier autoscales),
     # the reconfiguration log (ReconfigEvent rows the artifact reports),
     # per-NN provisioned intervals (NN·second cost accounting), and the
     # addresses legitimately removed from the pool — decommissioned
@@ -77,9 +82,6 @@ class HopsFsDeployment:
     def topology(self):
         return self.network.topology
 
-    def namenode_addrs(self) -> list[NodeAddress]:
-        return [nn.addr for nn in self.namenodes]
-
     def client(self, az: Optional[AzId] = None) -> HopsFsClient:
         """Create a client host; AZs rotate over the deployment's AZs."""
         if az is None:
@@ -90,27 +92,23 @@ class HopsFsDeployment:
         addr = NodeAddress(NodeKind.CLIENT, index)
         self.network.topology.add_host(addr, az=az, cores=8)
         return HopsFsClient(
-            env=self.env,
-            network=self.network,
-            addr=addr,
-            namenode_addrs=self.namenode_addrs(),
-            location_domain_id=az if self.az_aware else ANY_AZ,
-            rng=self.rng.stream(f"client:{index}"),
-            request_bytes=self.config.client_request_bytes,
-            max_failovers=self.config.client_max_failovers,
-            robust=self.config.robust,
-            client_id=str(addr),
-            retry_rng=(
-                self.rng.stream(f"client:{index}:retry")
-                if self.config.robust is not None
-                else None
-            ),
-            membership_refresh_ms=(
-                self.config.elastic.membership_refresh_ms
-                if self.config.elastic is not None
-                else None
-            ),
+            self.env, self.network, addr, map(attrgetter("addr"), self.namenodes), self.rng,
+            self.config, location_domain_id=az if self.az_aware else ANY_AZ,
         )
+
+    def committed_inodes(self) -> list:
+        """The committed ``inodes`` rows, in primary-key order.
+
+        One running member per node group is read: the groups hold disjoint
+        partitions, and the members of one hold the same rows.
+        """
+        rows: dict = {}
+        datanodes = self.ndb.datanodes
+        for group in self.ndb.partition_map.node_groups:
+            member = next((datanodes[a] for a in group if datanodes[a].running), None)
+            if member is not None:
+                rows.update(member.store.iter_rows("inodes"))
+        return [rows[pk] for pk in sorted(rows)]
 
     def prewarm_listing_caches(self) -> None:
         """Pre-materialize every NN's listing cache from committed NDB state.
@@ -118,23 +116,20 @@ class HopsFsDeployment:
         The paper's namenode bootstraps its cache with a snapshot when it
         subscribes to the changelog; the stream keeps it fresh from there.
         Call after the namespace is installed (experiment setup reaches
-        steady state long before the measurement window).  No-op with the
-        cache disabled.
+        steady state long before the measurement window).  The snapshot is
+        built once, by the first cache that takes it; a read front that is
+        switched off takes nothing.
         """
-        if self.config.listing_cache is None:
-            return
-        rows: dict = {}
-        for dn in self.ndb.datanodes.values():
-            if not dn.running:
-                continue
-            for pk, row in dn.store.iter_rows("inodes"):
-                rows.setdefault(pk, row)
-        attrs, listings = materialize_snapshot(
-            [rows[pk] for pk in sorted(rows)], self.env.now
-        )
+        built = []
+
+        def snapshot():
+            if not built:
+                built.append(materialize_snapshot(self.committed_inodes(), self.env.now))
+            return built[0]
+
         for nn in self.namenodes:
-            if nn.running and nn.listing_cache is not None:
-                nn.listing_cache.prewarm(attrs, listings)
+            if nn.running:
+                nn.listing_cache.prewarm(snapshot)
 
     def leader_namenode(self) -> Optional[Namenode]:
         for nn in self.namenodes:
@@ -194,8 +189,8 @@ class HopsFsDeployment:
         """The one place a namenode is built and wired into the deployment.
 
         Boot-time and runtime NNs get the same host registration, shared
-        ledgers (and thereby committer and listing cache, which the
-        constructor derives from the config) and provisioning record.
+        ledgers (which the commit part the constructor builds from the
+        config rides) and provisioning record.
         """
         addr = NodeAddress(NodeKind.NAMENODE, index)
         self.network.topology.add_host(addr, az=az, cores=self.config.nn_cores)
@@ -235,7 +230,6 @@ class HopsFsDeployment:
         if nn is None or not nn.running or nn.addr in self.decommissioned:
             return
         env = self.env
-        cfg = self.config.elastic or ElasticConfig()
         event = ReconfigEvent(
             "decommission", nn.nn_id, str(nn.addr), nn.az,
             decided_ms=env.now, detail=reason,
@@ -246,18 +240,12 @@ class HopsFsDeployment:
         # NN's per-server series goes quiet from here on, and the liveness
         # floor must know the silence is planned before it starts burning.
         self._mark_retired(nn)
-        lost_before = (
-            self.group_ledger.lost_acks if self.group_ledger is not None else 0
-        )
-        forced = yield from nn.drain(grace_ms=cfg.drain_grace_ms)
+        lost_before = self.group_ledger.lost_acks
+        forced = yield from nn.drain(grace_ms=self.elastic.drain_grace_ms)
         yield from nn.election.deregister()
         nn.shutdown()
         event.forced_shutdown = bool(forced)
-        event.lost_acks_during_drain = (
-            (self.group_ledger.lost_acks - lost_before)
-            if self.group_ledger is not None
-            else 0
-        )
+        event.lost_acks_during_drain = self.group_ledger.lost_acks - lost_before
         self.decommissioned.add(nn.addr)
         self._end_provision(nn)
         event.completed_ms = env.now
@@ -310,14 +298,14 @@ class HopsFsDeployment:
         for dn in self.block_datanodes:
             if nn.addr in dn.namenode_addrs:
                 dn.namenode_addrs.remove(nn.addr)
-        if nn.listing_cache is not None:
-            # Retired NNs stop receiving changelog fan-out (the bus would
-            # otherwise keep sending to a permanently-down address).
-            self.ndb.changelog.unsubscribe(nn.addr)
+        # Retired NNs stop receiving changelog fan-out (the bus would
+        # otherwise keep sending to a permanently-down address); a no-op
+        # for an NN that never subscribed.
+        self.ndb.changelog.unsubscribe(nn.addr)
 
     def _watch_visibility(self, nn, event: ReconfigEvent, joining: bool) -> None:
         """Poll peers' membership views until the change is client-visible."""
-        cfg = self.config.elastic or ElasticConfig()
+        poll_ms = self.elastic.visibility_poll_ms
 
         def watch():
             deadline = self.env.now + self.VISIBILITY_TIMEOUT_MS
@@ -342,7 +330,7 @@ class HopsFsDeployment:
                 elif not joining:
                     event.visible_ms = self.env.now
                     return
-                yield self.env.timeout(cfg.visibility_poll_ms)
+                yield self.env.timeout(poll_ms)
 
         self.env.process(watch(), name=f"{nn.addr}:reconfig-watch")
 
@@ -414,9 +402,8 @@ def build_hopsfs(
         rng=rng,
     )
 
-    # All NNs share one applied-mutation ledger (the deployment's) and,
-    # with async group commit, one batch ledger: horizons are
-    # deployment-global.
+    # All NNs share one applied-mutation ledger and one batch ledger (the
+    # deployment's).
     deployment = HopsFsDeployment(
         env=env,
         network=network,
@@ -428,9 +415,8 @@ def build_hopsfs(
         az_aware=az_aware,
         ids=IdGenerator(),
         rng=rng,
-        group_ledger=(
-            GroupCommitLedger(env) if config.async_commit is not None else None
-        ),
+        group_ledger=GroupCommitLedger(env),
+        elastic=lifecycle_config(config.elastic),
         _election_enabled=election,
     )
     for i in range(num_namenodes):
@@ -463,10 +449,6 @@ def build_hopsfs(
     for dn in block_datanodes:
         dn.start()
 
-    # Elastic serving tier (opt-in): the load-driven autoscaler process.
-    # With config.elastic None nothing here runs — the legacy fixed pool
-    # stays bit-identical to the pinned golden schedules.
-    if config.elastic is not None and config.elastic.autoscale:
-        deployment.autoscaler = Autoscaler(deployment, config.elastic)
-        deployment.autoscaler.start()
+    # The elastic tier's load-driven autoscaler (a fixed pool runs none).
+    deployment.autoscaler = start_autoscaler(deployment, config.elastic)
     return deployment

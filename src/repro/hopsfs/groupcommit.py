@@ -26,9 +26,11 @@ audits exactly that: committed batches' writes all survive, lost/aborted
 batches apply all-or-nothing, and every fsync-confirmed horizon is
 committed.
 
-``HopsFsConfig.async_commit=None`` (the default) keeps all of this
-dormant: no committer objects, no events, no RNG streams — the legacy
-path stays bit-identical to the pinned golden schedules.
+:func:`commit_part` builds each namenode's commit part once: a
+:class:`GroupCommitter`, or with ``HopsFsConfig.async_commit=None`` (the
+default) :data:`SYNC_COMMIT`, which answers the same calls and leaves every
+op to the namenode's own transaction — no events, no RNG streams, so the
+synchronous path stays on the pinned golden schedules.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from ..ndb.schema import TOMBSTONE, LockMode
 from ..types import OpType
 from .metadata import INODES_TABLE, SMALL_FILE_MAX_BYTES
 from .pathlock import split_path
-from .robust import Replay
+from .robust import Replay, do_nothing
 
 __all__ = [
     "GROUP_COMMIT_OPS",
@@ -53,6 +55,8 @@ __all__ = [
     "GroupBatch",
     "GroupCommitLedger",
     "GroupCommitter",
+    "SYNC_COMMIT",
+    "commit_part",
     "groupable",
     "op_paths",
     "paths_conflict",
@@ -236,6 +240,30 @@ class GroupCommitLedger:
         return state
 
 
+def commit_part(nn, config: Optional[AsyncCommitConfig], ledger: GroupCommitLedger):
+    """``nn``'s commit part for ``HopsFsConfig.async_commit``."""
+    return SYNC_COMMIT if config is None else GroupCommitter(nn, config, ledger)
+
+
+class _SyncCommit:
+    """The commit part with ``async_commit`` off: every op commits in its
+    own transaction before its reply, so nothing is ever batched, pending
+    or in doubt.  Answers the namenode's calls to :class:`GroupCommitter`."""
+
+    holds = on_crash = staticmethod(do_nothing)  # nothing pending, nothing to lose
+
+    def admit(self, msg, op, fn, kwargs, retry_id, deadline_ms):
+        """Generator: never takes the op, never waits."""
+        return False
+        yield  # a generator, as GroupCommitter.admit is
+
+    def drain_gracefully(self) -> tuple:
+        return ()
+
+
+SYNC_COMMIT = _SyncCommit()
+
+
 class _RecordingTxn:
     """NdbTransaction proxy that mirrors writes into the batch record.
 
@@ -360,16 +388,30 @@ class GroupCommitter:
         self.ops_grouped = 0
 
     # ------------------------------------------------------------- intake
-    def submit(self, msg, op, fn, kwargs, retry_id, deadline_ms) -> None:
-        """Enqueue one request; replies are the committer's job from here."""
-        self.queue.append(_GroupOp(msg, op, fn, kwargs, retry_id, deadline_ms))
-        self.ops_grouped += 1
-        if self._proc is None or not self._proc.is_alive:
-            self._proc = self.env.process(
-                self._drain(), name=f"{self.nn.addr}:group-commit"
-            )
-        else:
-            self._poke()
+    def admit(self, msg, op, fn, kwargs, retry_id, deadline_ms):
+        """Generator: take a groupable op (True: replies are the
+        committer's from here), or hold any other op until nothing pending
+        conflicts with it (False: the caller runs its transaction)."""
+        if groupable(op, kwargs):
+            self.queue.append(_GroupOp(msg, op, fn, kwargs, retry_id, deadline_ms))
+            self.ops_grouped += 1
+            if self._proc is None or not self._proc.is_alive:
+                self._proc = self.env.process(
+                    self._drain(), name=f"{self.nn.addr}:group-commit"
+                )
+            else:
+                self._poke()
+            return True
+        # Read-your-writes on this NN: a sync-path op (read, block op)
+        # prefix-related to a pending grouped mutation must not run at
+        # read-committed until that mutation's batch settles.
+        paths = op_paths(op, kwargs)
+        while self.has_conflict(paths):
+            # A reader is blocked on the open batch: cut the linger short so
+            # the barrier pays only the commit round, not the full linger.
+            self._poke(flush_now=True)
+            yield self._settled()
+        return False
 
     def _poke(self, flush_now: bool = False) -> None:
         """Wake the gathering drain loop, optionally cutting its linger short."""
@@ -408,18 +450,11 @@ class GroupCommitter:
             paths_conflict(paths, gop.paths) for gop in self.queue
         )
 
-    def await_clear(self, paths):
-        """Generator: wait until nothing pending conflicts with ``paths``.
-
-        Keeps read-your-writes on one NN: a sync-path op (read, block op)
-        on a path prefix-related to an un-settled grouped mutation must
-        not run at read-committed until that mutation's batch settles.
-        """
-        while self.has_conflict(paths):
-            # A reader is blocked on the open batch: cut the linger short so
-            # the barrier pays only the commit round, not the full linger.
-            self._poke(flush_now=True)
-            yield self._settled()
+    def holds(self, op, kwargs) -> bool:
+        """Whether a pending grouped op conflicts with ``op``: an early-acked
+        batch touching its path may not have committed (or invalidated a
+        cache) yet."""
+        return self.has_conflict(op_paths(op, kwargs))
 
     # ----------------------------------------------------- graceful drain
     def drain_gracefully(self):

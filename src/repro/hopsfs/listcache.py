@@ -31,24 +31,35 @@ served after its invalidation applies:
 
 Staleness across NNs is bounded by changelog delivery latency in the
 common case and by ``TTL_MS`` in the worst case (dropped batches expire
-out).  ``HopsFsConfig.listing_cache=None`` (the default) builds none of
-this: no subscriptions, no messages, no events — the legacy path stays
-bit-identical to the pinned golden schedules.  The cache has no knobs:
-its bounds and hit cost are the module constants below.
+out).  The cache is the namenode's *read front* (:meth:`ListingCache.lookup`
+before the handler pool, :meth:`~ListingCache.serve` after it,
+:meth:`~ListingCache.reader` / :meth:`~ListingCache.fill` around a
+transactional miss).  :func:`read_front` builds it once per namenode; with
+``HopsFsConfig.listing_cache=None`` (the default) it returns
+:data:`NO_LISTING_CACHE`, which never hits, never fills and subscribes to
+nothing — no messages, no events, so the default path stays on the pinned
+golden schedules.  The cache has no knobs: its bounds and hit cost are the
+module constants below.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..errors import InvalidPathError
 from ..ndb.schema import TOMBSTONE
+from ..types import OpType
 from .dircache import TtlLruMap
+from .groupcommit import SYNC_COMMIT, op_paths
 from .metadata import INODES_TABLE, ROOT_INODE_ID, InodeRow
+from .ops import FileContent
 from .pathlock import root_row, split_path
+from .robust import do_nothing
 
-__all__ = ["ListingCacheConfig", "ListingCache", "materialize_snapshot"]
+__all__ = ["ListingCacheConfig", "ListingCache", "NO_LISTING_CACHE", "materialize_snapshot",
+           "read_front"]
 
 # Worst-case staleness bound: entries older than this are never served
 # (covers changelog batches dropped while this NN was unreachable).
@@ -89,20 +100,72 @@ def materialize_snapshot(rows, now: float) -> tuple[dict, dict]:
     return attrs, listings
 
 
+def read_front(config: Optional[ListingCacheConfig], nn):
+    """``nn``'s read front for ``HopsFsConfig.listing_cache``: a listing
+    cache subscribed to the NDB changelog, or :data:`NO_LISTING_CACHE`."""
+    if config is None:
+        return NO_LISTING_CACHE
+    bus = nn.ndb.changelog
+    cache = ListingCache(nn.env, bus, dir_cache=nn.dir_cache, committer=nn.committer)
+    bus.subscribe(nn.addr)
+    return cache
+
+
+class _FillRecorder:
+    """Per-op dir-cache shim that records rows for a listing-cache fill.
+
+    ``lookup``/``put`` delegate to the real dir cache, so the
+    listing-cache miss path resolves at exactly the legacy cost (the read
+    ops it wraps never invalidate, so there is no ``pop``).  Only the
+    rows the transaction *freshly read* (those it ``put``) are recorded
+    and imported into the listing cache — a row served from the dir cache
+    may be up to its TTL stale, which is fine for transactional resolution
+    (row locks re-verify the target) but must never become a
+    changelog-audited listing-cache entry.  ``token`` is the fill token
+    taken as the read began.
+    """
+
+    __slots__ = ("_dir_cache", "rows", "token")
+
+    def __init__(self, dir_cache, token):
+        self._dir_cache = dir_cache
+        self.rows = []
+        self.token = token
+
+    def lookup(self, key):
+        return self._dir_cache.lookup(key)
+
+    def put(self, row):
+        self._dir_cache.put(row)
+        self.rows.append(row)
+
+
 class ListingCache:
-    """Per-NN pre-materialized listing/attr cache with changelog invalidation."""
+    """Per-NN pre-materialized listing/attr cache with changelog invalidation.
+
+    ``dir_cache`` and ``committer`` are the namenode's: the read front
+    resolves intermediate components through the one and defers to the
+    other's pending batches.
+    """
 
     # Out-of-order tolerance: how many sequence numbers may sit above a
     # delivery hole before the hole is declared a *lost* batch (this NN
     # missed an invalidation) and the cache flushes.
     max_pending_batches = 64
 
-    def __init__(self, now: Callable[[], float], bus):
+    # Reads it may serve from NN memory.  READ_FILE qualifies only for
+    # small (inlined) files — block reads still need the block rows and
+    # stay transactional.
+    ops = frozenset({OpType.STAT, OpType.EXISTS, OpType.LIST_DIR, OpType.READ_FILE})
+
+    def __init__(self, clock, bus, dir_cache=None, committer=SYNC_COMMIT):
         self.bus = bus
+        self.dir_cache = dir_cache
+        self.committer = committer
         # (parent_id, name) -> InodeRow
-        self._attrs = TtlLruMap(now, TTL_MS, MAX_ATTR_ENTRIES)
+        self._attrs = TtlLruMap(clock, TTL_MS, MAX_ATTR_ENTRIES)
         # dir inode id -> (sorted-name tuple, name set)
-        self._listings = TtlLruMap(now, TTL_MS, MAX_LISTING_ENTRIES)
+        self._listings = TtlLruMap(clock, TTL_MS, MAX_LISTING_ENTRIES)
         # Changelog gating state.
         self.epoch = bus.epoch
         self.applied_seq = bus.seq
@@ -124,9 +187,104 @@ class ListingCache:
         self.batches_applied = 0
         self.stale_batches = 0
 
+    # ------------------------------------------------------------ read front
+    def lookup(self, op: OpType, kwargs):
+        """The probe before the handler pool: ``(result,)`` when ``op`` can be
+        answered from memory now, else None (a miss, if ``op`` is one the
+        cache serves).  The tuple tells a cached ``None``/``False`` from a
+        miss."""
+        if op not in self.ops:
+            return None
+        hit = self._answer(op, kwargs)
+        if hit is None:
+            self.misses += 1
+        return hit
+
+    def serve(self, op: OpType, kwargs):
+        """Re-resolve a probed hit after the pool wait: an invalidation may
+        have landed meanwhile, and then the op goes transactional without
+        re-paying the pool."""
+        hit = self.lookup(op, kwargs)
+        if hit is not None:
+            self.hits += 1
+        return hit
+
+    def _answer(self, op: OpType, kwargs):
+        path = kwargs.get("path")
+        if path is None:
+            return None
+        # Async group commit: an early-acked batch touching this path may
+        # not have committed (and so not invalidated) yet.  Serving from
+        # cache here would break read-your-writes; fall through to the
+        # transactional path, which awaits the conflicting batch.
+        if self.committer.holds(op, kwargs):
+            return None
+        definitive, row = self.resolve(path, final_from_dir_cache=op is OpType.LIST_DIR)
+        if not definitive:
+            return None
+        if op is OpType.EXISTS:
+            return (row is not None,)
+        if row is None:
+            return None  # FileNotFound error paths stay transactional
+        if op is OpType.STAT:
+            return (row,)
+        if op is OpType.READ_FILE:
+            if row.is_dir or row.small_data is None:
+                return None  # large files read blocks transactionally
+            return (FileContent(inode=row, small_data=row.small_data),)
+        if not row.is_dir:
+            return None  # LIST_DIR: NotADirectory error path stays transactional
+        names = self.listing(row.id)
+        if names is None:
+            return None
+        return (names,)
+
+    def reader(self, op: OpType, ctx):
+        """``(ctx, fill)`` for ``op``'s transaction.  A read the cache serves
+        resolves with fresh transactional reads recorded for the fill, under
+        a fill token taken now, so an invalidation racing the read discards
+        the fill rather than vice versa."""
+        if op not in self.ops:
+            return ctx, None
+        fill = _FillRecorder(self.dir_cache, self.begin_fill())
+        return dataclasses.replace(ctx, dir_cache=fill), fill
+
+    def fill(self, op: OpType, kwargs, result, fill) -> None:
+        """Populate the cache from a transactional read's rows.
+
+        Only rows read (or the result produced) inside the transaction are
+        filled — never dir-cache contents, which may be seconds stale and
+        are not changelog-invalidated.  The fill's token discards fills
+        that raced an invalidation of the same directory.
+        """
+        if fill is None:
+            return
+        token = fill.token
+        for row in fill.rows:
+            if row.id != ROOT_INODE_ID:
+                self.fill_attr(token, row)
+        if op is OpType.STAT and result is not None:
+            if result.id != ROOT_INODE_ID:
+                self.fill_attr(token, result)
+        elif op is OpType.READ_FILE and result is not None:
+            if result.small_data is not None and result.inode.id != ROOT_INODE_ID:
+                self.fill_attr(token, result.inode)
+        elif op is OpType.LIST_DIR:
+            definitive, row = self.resolve(kwargs["path"], final_from_dir_cache=True)
+            if definitive and row is not None and row.is_dir:
+                self.fill_listing(token, row.id, result)
+
+    def invalidate(self, op: OpType, kwargs) -> None:
+        """Read-your-writes belt-and-braces for a mutation this NN applied:
+        the changelog invalidation is already in flight (published at the
+        TC commit point, before the reply), but drop our own entries
+        eagerly too."""
+        for components in op_paths(op, kwargs):
+            self.invalidate_path("/" + "/".join(components))
+
     # ------------------------------------------------------------------ serve
     def resolve(
-        self, path: str, dir_cache=None, final_from_dir_cache: bool = False
+        self, path: str, final_from_dir_cache: bool = False
     ) -> tuple[bool, Optional[InodeRow]]:
         """Resolve ``path`` purely from NN memory.
 
@@ -136,7 +294,7 @@ class ListingCache:
         decide (fall through to the transactional path).
 
         *Intermediate* directory components may be served from the NN's
-        legacy ``dir_cache`` when given — the transactional path resolves
+        legacy ``dir_cache`` when it has one — the transactional path resolves
         parents from exactly that cache (FAST'17 DAT hints), so trusting
         it here is observably equivalent to a miss.  The *final* component
         always comes from this cache's changelog-gated entries (or a
@@ -153,6 +311,7 @@ class ListingCache:
             components = split_path(path)
         except InvalidPathError:
             return False, None  # let the transactional path raise exactly
+        dir_cache = self.dir_cache
         row = root_row()
         last = len(components) - 1
         for depth, name in enumerate(components):
@@ -178,12 +337,6 @@ class ListingCache:
         if entry is None:
             return None
         return list(entry[0])
-
-    def record_hit(self) -> None:
-        self.hits += 1
-
-    def record_miss(self) -> None:
-        self.misses += 1
 
     # ------------------------------------------------------------------ fills
     def begin_fill(self) -> tuple[int, int]:
@@ -213,9 +366,10 @@ class ListingCache:
         self._listings.store(dir_id, (ordered, frozenset(ordered)))
         self.fills += 1
 
-    def prewarm(self, attrs: dict, listings: dict) -> None:
+    def prewarm(self, snapshot: Callable[[], tuple[dict, dict]]) -> None:
         """Take the entries :func:`materialize_snapshot` built from a
-        committed namespace snapshot (what the paper's NN reads when it
+        committed namespace snapshot; ``snapshot()`` returns them, built
+        once for every NN of a deployment (what the paper's NN reads when it
         subscribes to the changelog: a snapshot, which the stream then
         keeps fresh).  The entries are immutable and may be shared with
         other caches; the dicts they land in are this NN's own.  The
@@ -226,6 +380,7 @@ class ListingCache:
         it would not fit — a partial listing materialization could wrongly
         prove absence.
         """
+        attrs, listings = snapshot()
         if (
             len(attrs) > self._attrs.max_entries
             or len(listings) > self._listings.max_entries
@@ -341,3 +496,17 @@ class ListingCache:
 
     def __len__(self) -> int:
         return len(self._attrs) + len(self._listings)
+
+
+class _NoListingCache:
+    """The read front with ``listing_cache`` off: it never hits, never
+    fills and subscribes to nothing; its counters read 0."""
+
+    hits = misses = invalidations = 0
+    lookup = fill = invalidate = apply = resync = prewarm = staticmethod(do_nothing)
+
+    def reader(self, op, ctx) -> tuple:
+        return ctx, None
+
+
+NO_LISTING_CACHE = _NoListingCache()

@@ -9,7 +9,6 @@ re-replication (Section IV-C2).
 
 from __future__ import annotations
 
-import dataclasses
 from functools import partial
 from typing import Optional
 
@@ -35,52 +34,26 @@ from .blocks import BlockManager, PlacementPolicy
 from .config import HopsFsConfig
 from .datanode import CopyBlockReq
 from .dircache import DirCache
-from .groupcommit import GroupCommitter, groupable, op_paths
+from .groupcommit import commit_part
 from .leader import LeaderElectionService
-from .listcache import HIT_COST_FRAC, ListingCache
-from .metadata import (
-    BLOCKS_TABLE,
-    INODES_TABLE,
-    RETRY_TABLE,
-    ROOT_INODE_ID,
-    IdGenerator,
-    RetryRow,
-)
+from .listcache import HIT_COST_FRAC, read_front
+from .metadata import BLOCKS_TABLE, INODES_TABLE, RETRY_TABLE, IdGenerator, RetryRow
 from .pathlock import split_path
-from .robust import Replay, RetryCache
+from .robust import Replay, RetryCache, admission_cap
 
 __all__ = ["Namenode"]
 
 
-class _FillRecorder:
-    """Per-op dir-cache shim that records rows for a listing-cache fill.
-
-    ``lookup``/``put`` delegate to the real dir cache, so the
-    listing-cache miss path resolves at exactly the legacy cost (the read
-    ops it wraps never invalidate, so there is no ``pop``).  Only the
-    rows the transaction *freshly read* (those it ``put``) are recorded
-    and imported into the listing cache — a row served from the dir cache
-    may be up to its TTL stale, which is fine for transactional resolution
-    (row locks re-verify the target) but must never become a
-    changelog-audited listing-cache entry.
-    """
-
-    __slots__ = ("_dir_cache", "rows")
-
-    def __init__(self, dir_cache):
-        self._dir_cache = dir_cache
-        self.rows = []
-
-    def lookup(self, key):
-        return self._dir_cache.lookup(key)
-
-    def put(self, row):
-        self._dir_cache.put(row)
-        self.rows.append(row)
-
-
 class Namenode(Server):
-    """One metadata server process."""
+    """One metadata server process.
+
+    Its serving pipeline is built once, here, from the config: admission
+    (``max_inflight``), the exactly-once ``retry_cache``, the read front
+    (``listing_cache``) and the commit part (``committer``).  A path that
+    is off is a part that does nothing — an unbounded cap, a read front
+    that never hits, a commit part that leaves every op to its own
+    transaction — so ``_serve`` is one straight body.
+    """
 
     # OpType -> (ops function, path argument used for the partition hint)
     _OPS = {
@@ -99,13 +72,6 @@ class Namenode(Server):
         OpType.ABANDON_BLOCK: ops.abandon_block,
         OpType.COMPLETE_FILE: ops.complete_file,
     }
-
-    # Reads the pre-materialized listing cache may serve from NN memory.
-    # READ_FILE qualifies only for small (inlined) files — block reads
-    # still need the block rows and stay transactional.
-    _CACHE_OPS = frozenset(
-        {OpType.STAT, OpType.EXISTS, OpType.LIST_DIR, OpType.READ_FILE}
-    )
 
     def __init__(
         self,
@@ -128,14 +94,13 @@ class Namenode(Server):
         self.nn_id = nn_id
         self.handler_pool = CorePool(env, config.nn_cores, name=f"{addr}:handlers")
         self.api = ndb_cluster.api(addr)
-        self.rng = ndb_cluster.rng.stream(f"nn:{addr}")
         self.block_manager = BlockManager(self, placement_policy)
         self.election = LeaderElectionService(
             self, config.election_period_ms, config.election_missed_rounds
         )
         # Path-component cache: serves resolution of the read-mostly top of
         # the hierarchy and the DAT partition-key hints (FAST'17).
-        self.dir_cache = DirCache(now=lambda: env.now)
+        self.dir_cache = DirCache(env)
         self.ctx = ops.FsContext(
             ids=ids,
             now=lambda: env.now,
@@ -153,30 +118,22 @@ class Namenode(Server):
         # admission-pressure signal is not polluted by its own scale-downs.
         self.draining = False
         self.ops_drain_rejected = 0
-        # Exactly-once replay state (robust mode only): in-memory LRU fast
-        # path over the durable retry_cache NDB rows.
-        self.retry_cache: Optional[RetryCache] = (
-            RetryCache() if config.robust is not None else None
-        )
-        # One applied-mutation list shared by every NN of a deployment (the
-        # chaos exactly-once invariant audits it).
+        # The pipeline's parts (see the class docstring).
+        # Admission control: fs ops in flight beyond this are shed.
+        self.max_inflight = admission_cap(config.robust)
+        # Exactly-once replay: in-memory LRU fast path over the durable
+        # retry_cache NDB rows; only robust clients send the retry ids.
+        self.retry_cache = RetryCache()
+        # One applied-mutation list and one batch ledger shared by every NN
+        # of a deployment (the chaos exactly-once and durability-horizon
+        # invariants audit them).
         self.mutation_ledger = mutation_ledger
-        # The opt-in paths below are wired here and nowhere else; each stays
-        # None (no objects, no events) unless its config is set.
-        # Async group commit: a per-NN committer over the deployment-wide
-        # batch ledger.
-        self.committer: Optional[GroupCommitter] = (
-            GroupCommitter(self, config.async_commit, group_ledger)
-            if config.async_commit is not None
-            else None
-        )
-        # Pre-materialized listing/attr cache, invalidated by the NDB
-        # changelog this NN subscribes to.
-        self.listing_cache: Optional[ListingCache] = None
-        if config.listing_cache is not None:
-            changelog = ndb_cluster.changelog
-            self.listing_cache = ListingCache(now=lambda: env.now, bus=changelog)
-            changelog.subscribe(addr)
+        self.group_ledger = group_ledger
+        # Commit: synchronous, or a group committer over the batch ledger.
+        self.committer = commit_part(self, config.async_commit, group_ledger)
+        # Read front: the pre-materialized listing/attr cache, invalidated
+        # by the NDB changelog this NN subscribes to.
+        self.listing_cache = read_front(config.listing_cache, self)
         self._safemode_forced = False
         # False keeps a standalone NN out of the leader protocol.
         self._election_enabled = election
@@ -189,26 +146,27 @@ class Namenode(Server):
             self.spawn_once("dn-monitor", self._dn_monitor)
 
     def _on_shutdown(self) -> None:
-        if self.committer is not None:
-            # The open batch's flush may or may not have reached the TC;
-            # mark it lost and stop the drain process (its in-flight RPC
-            # reply can never be delivered to a down address).
-            self.committer.on_crash()
+        # An open group-commit batch's flush may or may not have reached the
+        # TC: it is marked lost and its drain process stopped (its in-flight
+        # RPC reply can never be delivered to a down address).
+        self.committer.on_crash()
 
     def _on_restart(self) -> None:
         """Stateless: what the process held in memory died with it."""
         # A directory renamed or deleted through a peer while this NN was
         # down would otherwise still resolve through its pre-crash entry.
         self.dir_cache.clear()
+        # So did the replay LRU: a retried mutation is answered from its
+        # durable retry_cache row from now on.
+        self.retry_cache = RetryCache()
         # So did the requests it had admitted: their NDB replies were dropped
         # and their tasks never finish.  Counting them would shed every
-        # request after the restart; _fs_op skips a dead life's decrement.
+        # request after the restart; _serve skips a dead life's decrement.
         self._inflight = 0
         self._life += 1
-        if self.listing_cache is not None:
-            # Changelog batches sent while this NN was down were dropped;
-            # flush and re-align with the bus before serving anything.
-            self.listing_cache.resync()
+        # Changelog batches sent while this NN was down were dropped; the
+        # read front flushes and re-aligns with the bus before serving.
+        self.listing_cache.resync()
 
     def drain(self, grace_ms: float = 50.0, poll_ms: float = 1.0):
         """Generator: stop admitting, finish in-flight work, flush batches.
@@ -226,11 +184,10 @@ class Namenode(Server):
         while self._inflight > 0 and env.now < deadline:
             yield env.timeout(poll_ms)
         forced = self._inflight > 0
-        if self.committer is not None:
-            # Unlike on_crash, every open group-commit batch settles as
-            # committed or aborted — never "lost" — so nothing this NN
-            # acked is left in doubt.
-            yield from self.committer.drain_gracefully()
+        # Unlike on_crash, every open group-commit batch settles as
+        # committed or aborted — never "lost" — so nothing this NN acked
+        # is left in doubt.
+        yield from self.committer.drain_gracefully()
         return forced
 
     @property
@@ -261,7 +218,6 @@ class Namenode(Server):
     def _on_message(self, msg: Message) -> None:
         if msg.kind == "fs_op":
             # Admission, before anything touches the handler pool.
-            robust = self.config.robust
             if self.draining:
                 # Graceful drain: bounce new work fast so robust clients
                 # fail over; ops already in flight run to completion.
@@ -272,7 +228,7 @@ class Namenode(Server):
                     msg, ServerDrainingError(f"{self.addr} draining; pick another NN"),
                     ok=False,
                 )
-            elif robust is not None and self._inflight >= robust.nn_max_inflight:
+            elif self._inflight >= self.max_inflight:
                 # Overloaded: answer fast instead of queueing work that
                 # cannot finish in time.
                 self.ops_shed += 1
@@ -282,7 +238,7 @@ class Namenode(Server):
                 )
             else:
                 self._inflight += 1
-                self.env.spawn(self._fs_op(msg))
+                self.env.spawn(self._serve(msg))
         elif msg.kind == "get_active_nns":
             self.network.reply(msg, list(self.election.active), size=256)
         elif msg.kind == "dn_heartbeat":
@@ -294,17 +250,24 @@ class Namenode(Server):
         elif msg.kind == "ndb_changelog":
             # One-way committed-mutation batch from an NDB TC; applied
             # inline (pure state mutation, no events scheduled).
-            if self.listing_cache is not None:
-                self.listing_cache.apply(msg.payload)
+            self.listing_cache.apply(msg.payload)
         else:
             raise FsError(f"{self.addr}: unknown NN message {msg.kind!r}")
 
     # --------------------------------------------------------------- fs ops
-    def _fs_op(self, msg: Message):
-        """Task body of one admitted request."""
-        obs = self.env.obs
-        span = None
+    def _serve(self, msg: Message):
+        """Task body of one admitted request: the pipeline, once and in order.
+
+        read-front probe -> pay pool -> deadline -> (read-front hit | fsync |
+        retry-cache replay | commit part | transaction) -> complete.  Every
+        part is called by name; one that is switched off answers without
+        effect.  Outcomes leave through ``_fail`` / ``_reply`` / ``_complete``.
+        """
+        env = self.env
+        obs = env.obs
+        span = serve_span = None
         life = self._life
+        front = self.listing_cache
         try:
             op, kwargs = msg.payload
             if obs is not None:
@@ -315,37 +278,9 @@ class Namenode(Server):
                     "nn.handle", parent=msg.extra.get("span_id"),
                     host=str(self.addr), az=self.az, op=op.value,
                 )
-            yield from self._serve(msg, op, kwargs, span)
-        finally:
-            if span is not None:
-                obs.tracer.finish(span)
-                ts = obs.timeseries
-                if ts is not None:
-                    now = self.env.now
-                    ts.component_sample(
-                        "nn.handle", str(self.addr),
-                        now - span.start_ms, span.tags.get("ok", True) is not False, now,
-                    )
-            if life == self._life:
-                self._inflight -= 1
-
-    def _serve(self, msg: Message, op: OpType, kwargs, span):
-        """The request lifecycle, once and in order.
-
-        pay pool -> deadline -> (cache hit | fsync | retry-cache replay |
-        group submit | transaction) -> complete.  Every opt-in path enters
-        at its own step and leaves through ``_fail`` / ``_complete``.
-        """
-        obs = self.env.obs
-        cache = self.listing_cache
-        cacheable = cache is not None and op in self._CACHE_OPS
-        cost = self.config.op_cost(op)
-        hit = serve_span = None
-        if cacheable:
-            hit = self._cache_lookup(op, kwargs)
-            if hit is None:
-                cache.record_miss()
-            else:
+            cost = self.config.op_cost(op)
+            hit = front.lookup(op, kwargs)
+            if hit is not None:
                 # Served from NN memory: a hash lookup's worth of handler
                 # CPU instead of transaction setup and coordinator rounds.
                 cost *= HIT_COST_FRAC
@@ -354,88 +289,72 @@ class Namenode(Server):
                         "nn.cache.serve", parent=span,
                         host=str(self.addr), az=self.az, op=op.value,
                     )
-        try:
-            yield self.handler_pool.submit(cost)
-            if not self.running:
-                return  # dropped, like any op caught mid-shutdown
-            deadline_ms = msg.extra.get("deadline_ms")
-            if deadline_ms is not None and self._deadline_expired(msg, op, deadline_ms):
-                return
-            if hit is not None:
-                # Re-resolve: an invalidation may have landed while this op
-                # queued on the pool.  If so, continue on the transactional
-                # path without re-paying the pool.
-                hit = self._cache_lookup(op, kwargs)
-                if hit is not None:
-                    cache.record_hit()
-                    self._reply(msg, hit[0])
+            try:
+                yield self.handler_pool.submit(cost)
+                if not self.running:
+                    return  # dropped, like any op caught mid-shutdown
+                deadline_ms = msg.extra.get("deadline_ms")
+                if deadline_ms is not None and self._deadline_expired(msg, op, deadline_ms):
                     return
-                cache.record_miss()
+                if hit is not None:
+                    hit = front.serve(op, kwargs)
+                    if hit is not None:
+                        self._reply(msg, hit[0])
+                        return
+            finally:
+                if serve_span is not None:
+                    obs.tracer.finish(serve_span)
+            if op is OpType.FSYNC:
+                yield from self._fsync(msg, kwargs)
+                return
+            fn = self._OPS.get(op)
+            if fn is None:
+                self._fail(msg, FsError(f"unsupported operation {op}"))
+                return
+            if op.mutates and self.in_safemode:
+                self._fail(
+                    msg, SafeModeError(f"{self.addr} is in safemode; {op.value} rejected")
+                )
+                return
+            retry_id = msg.extra.get("retry_id")
+            if retry_id is not None:
+                found, cached = self.retry_cache.lookup(tuple(retry_id))
+                if found:
+                    # This NN already applied the mutation; replay the
+                    # recorded result without touching NDB.
+                    self._complete(msg, op, kwargs, cached, retry_id, replayed=True)
+                    return
+            if (yield from self.committer.admit(msg, op, fn, kwargs, retry_id, deadline_ms)):
+                return  # grouped: the committer acks, flushes and replies
+            call_ctx, fill = front.reader(op, self.ctx)
+            try:
+                # A partial, not a closure: captured names would be cells
+                # that live from the moment the op queues on the handler pool.
+                result = yield from run_transaction(
+                    self.api, partial(self._txn_body, retry_id, fn, call_ctx, kwargs),
+                    hint_table=INODES_TABLE, hint_key=self._hint_for(kwargs),
+                    parent_span=span, deadline=deadline_ms,
+                )
+            except (FsError, NdbError) as exc:
+                self._fail(msg, exc)
+                return
+            replayed = type(result) is Replay
+            if replayed:
+                result = result.value
+            front.fill(op, kwargs, result, fill)
+            self._complete(msg, op, kwargs, result, retry_id, replayed)
         finally:
-            if serve_span is not None:
-                obs.tracer.finish(serve_span)
-        if op is OpType.FSYNC:
-            yield from self._fsync(msg, kwargs)
-            return
-        fn = self._OPS.get(op)
-        if fn is None:
-            self._fail(msg, FsError(f"unsupported operation {op}"))
-            return
-        if op.mutates and self.in_safemode:
-            self._fail(
-                msg, SafeModeError(f"{self.addr} is in safemode; {op.value} rejected")
-            )
-            return
-        retry_id = msg.extra.get("retry_id") if self.retry_cache is not None else None
-        if retry_id is not None:
-            found, cached = self.retry_cache.lookup(tuple(retry_id))
-            if found:
-                # This NN already applied the mutation; replay the recorded
-                # result without touching NDB.
-                self._complete(msg, op, kwargs, cached, retry_id, replayed=True)
-                return
-
-        committer = self.committer
-        if committer is not None:
-            if groupable(op, kwargs):
-                # Async path: the committer batches, early-acks and flushes,
-                # calling back into _txn_body and the outcome methods below.
-                committer.submit(msg, op, fn, kwargs, retry_id, deadline_ms)
-                return
-            # Read-your-writes on this NN: a sync-path op prefix-related to
-            # a pending grouped mutation must wait until that batch settles
-            # (its transaction reads at read-committed).
-            paths = op_paths(op, kwargs)
-            if committer.has_conflict(paths):
-                yield from committer.await_clear(paths)
-
-        # Listing-cache miss path: resolve with fresh transactional reads
-        # (recorded for the fill) and capture a fill token so an
-        # invalidation racing this read discards the fill, not vice versa.
-        recorder = fill_token = None
-        call_ctx = self.ctx
-        if cacheable:
-            recorder = _FillRecorder(self.dir_cache)
-            call_ctx = dataclasses.replace(self.ctx, dir_cache=recorder)
-            fill_token = cache.begin_fill()
-
-        try:
-            # A partial, not a closure: captured names would be cells that
-            # live from the moment the op queues on the handler pool.
-            result = yield from run_transaction(
-                self.api, partial(self._txn_body, retry_id, fn, call_ctx, kwargs),
-                hint_table=INODES_TABLE, hint_key=self._hint_for(kwargs),
-                parent_span=span, deadline=deadline_ms,
-            )
-        except (FsError, NdbError) as exc:
-            self._fail(msg, exc)
-            return
-        replayed = type(result) is Replay
-        if replayed:
-            result = result.value
-        if recorder is not None:
-            self._cache_fill(op, kwargs, result, fill_token, recorder.rows)
-        self._complete(msg, op, kwargs, result, retry_id, replayed)
+            if span is not None:
+                obs.tracer.finish(span)
+                ts = obs.timeseries
+                if ts is not None:
+                    now = env.now
+                    ts.component_sample(
+                        "nn.handle", str(self.addr),
+                        now - span.start_ms, span.tags.get("ok", True) is not False, now,
+                    )
+            if life == self._life:
+                self._inflight -= 1
 
     def _txn_body(self, retry_id, fn, call_ctx, kwargs, txn):
         """The generator for one (re)try of an op on ``txn``.
@@ -511,129 +430,47 @@ class Namenode(Server):
     def _complete(self, msg, op: OpType, kwargs, result, retry_id=None, replayed=False):
         """The one completion: exactly-once record, bookkeeping, reply.
 
+        A replayed ADD_BLOCK may be served by an NN that never saw the
+        original commit (the client failed over), so the block map is
+        updated on replays too — the operations are idempotent.
+
         A grouped op takes the two halves at its two moments instead —
         ``_reply`` at the early ack, ``_record_applied`` at the commit —
-        and skips ``_post_commit``: ADD_BLOCK never groups, and it needs
-        no eager listing-cache invalidation, because reads prefix-related
-        to an unsettled batch are held by ``has_conflict`` and the
-        changelog batch, published at the TC commit point, travels the
-        same TC->NN route ahead of the commit ack that settles the batch.
+        and skips the bookkeeping: ADD_BLOCK never groups, and it needs no
+        eager listing-cache invalidation, because reads prefix-related to
+        an unsettled batch are held by the commit part and the changelog
+        batch, published at the TC commit point, travels the same TC->NN
+        route ahead of the commit ack that settles the batch.
         """
         if retry_id is not None:
             self._record_applied(op, retry_id, result, replayed)
-        self._post_commit(op, result, kwargs)
+        if op is OpType.ADD_BLOCK and result is not None:
+            self.block_manager.record_new_block(result.block_id, result.locations)
+            self.block_manager.block_inode[result.block_id] = result.inode_id
+        if op.mutates:
+            self.listing_cache.invalidate(op, kwargs)
         self._reply(msg, result)
-
-    def _cache_lookup(self, op: OpType, kwargs):
-        """Try to answer ``op`` from the listing cache.
-
-        Returns a one-tuple ``(result,)`` on a servable hit (the tuple
-        distinguishes a cached ``None``/``False`` from a miss) or ``None``
-        when the transactional path must run.
-        """
-        cache = self.listing_cache
-        path = kwargs.get("path")
-        if path is None:
-            return None
-        committer = self.committer
-        if committer is not None:
-            # Async group commit: an early-acked batch touching this path
-            # may not have committed (and so not invalidated) yet.  Serving
-            # from cache here would break read-your-writes; fall through to
-            # the sync path, which awaits the conflicting batch.
-            if committer.has_conflict(op_paths(op, kwargs)):
-                return None
-        definitive, row = cache.resolve(
-            path,
-            dir_cache=self.dir_cache,
-            final_from_dir_cache=op is OpType.LIST_DIR,
-        )
-        if not definitive:
-            return None
-        if op is OpType.EXISTS:
-            return (row is not None,)
-        if row is None:
-            return None  # FileNotFound error paths stay transactional
-        if op is OpType.STAT:
-            return (row,)
-        if op is OpType.READ_FILE:
-            if row.is_dir or row.small_data is None:
-                return None  # large files read blocks transactionally
-            return (ops.FileContent(inode=row, small_data=row.small_data),)
-        if op is OpType.LIST_DIR:
-            if not row.is_dir:
-                return None  # NotADirectory error path stays transactional
-            names = cache.listing(row.id)
-            if names is None:
-                return None
-            return (names,)
-        return None
-
-    def _cache_fill(self, op: OpType, kwargs, result, token, rows) -> None:
-        """Populate the listing cache from a transactional read's rows.
-
-        Only rows read (or the result produced) inside the transaction are
-        filled — never dir-cache contents, which may be seconds stale and
-        are not changelog-invalidated.  ``token`` discards fills that raced
-        an invalidation of the same directory.
-        """
-        cache = self.listing_cache
-        if cache is None:
-            return
-        for row in rows:
-            if row.id != ROOT_INODE_ID:
-                cache.fill_attr(token, row)
-        if op is OpType.STAT and result is not None:
-            if result.id != ROOT_INODE_ID:
-                cache.fill_attr(token, result)
-        elif op is OpType.READ_FILE and result is not None:
-            if result.small_data is not None and result.inode.id != ROOT_INODE_ID:
-                cache.fill_attr(token, result.inode)
-        elif op is OpType.LIST_DIR:
-            definitive, row = cache.resolve(
-                kwargs["path"], dir_cache=self.dir_cache, final_from_dir_cache=True
-            )
-            if definitive and row is not None and row.is_dir:
-                cache.fill_listing(token, row.id, result)
 
     def _fsync(self, msg: Message, kwargs):
         """Durability barrier: wait until the caller's horizons settle.
 
         ``horizons`` is the list of group-batch ids the client's acked
-        mutations rode.  Success means every one of them committed; any
-        aborted or lost horizon fails the barrier, telling the caller its
-        early-acked data did not survive.
+        mutations rode (none on the synchronous path).  Success means every
+        one of them committed; any aborted or lost horizon fails the
+        barrier, telling the caller its early-acked data did not survive.
         """
         failed = []
-        if self.committer is not None:
-            ledger = self.committer.ledger
-            for horizon in kwargs.get("horizons") or ():
-                state = yield from ledger.wait(horizon)
-                if state == "committed":
-                    ledger.confirmed.add(horizon)
-                else:
-                    failed.append((horizon, state))
+        ledger = self.group_ledger
+        for horizon in kwargs.get("horizons") or ():
+            state = yield from ledger.wait(horizon)
+            if state == "committed":
+                ledger.confirmed.add(horizon)
+            else:
+                failed.append((horizon, state))
         if failed:
             self._fail(msg, FsError(f"durability horizon not committed: {failed}"))
         else:
             self._reply(msg, True)
-
-    def _post_commit(self, op: OpType, result, kwargs) -> None:
-        """In-memory bookkeeping a (possibly replayed) result implies.
-
-        A replayed ADD_BLOCK may be served by an NN that never saw the
-        original commit (the client failed over), so the block map is
-        updated on replays too — the operations are idempotent.
-        """
-        if op is OpType.ADD_BLOCK and result is not None:
-            self.block_manager.record_new_block(result.block_id, result.locations)
-            self.block_manager.block_inode[result.block_id] = result.inode_id
-        if op.mutates and self.listing_cache is not None:
-            # Read-your-writes belt-and-braces: the changelog invalidation
-            # is already in flight (published at the TC commit point, before
-            # this reply), but drop our own entries eagerly too.
-            for components in op_paths(op, kwargs):
-                self.listing_cache.invalidate_path("/" + "/".join(components))
 
     def _hint_for(self, kwargs) -> Optional[int]:
         """DAT hint: the target's parent directory id, from the dir cache.

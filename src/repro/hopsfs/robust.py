@@ -2,50 +2,48 @@
 
 The paper's availability story (Section V-D) assumes fail-stop nodes; a
 *gray* failure — a degraded link, an overloaded server — makes a request
-slow instead of dead.  This module holds the client/server knobs that turn
+slow instead of dead.  This module holds the client/server parts that turn
 "slow" back into a bounded, retryable event:
 
-- :class:`Deadline` — an absolute per-op budget that propagates in
-  ``Message.extra`` and is enforced at every hop (NN dequeue, NDB retry
-  loop), so no hop starts work the op can no longer use.
-- :class:`RetryPolicy` — exponential backoff with deterministic jitter
-  drawn from a named RNG stream, plus a retry budget (defined beside
-  :func:`repro.ndb.client.run_transaction`, the lowest layer that retries).
-- :class:`CircuitBreaker` — per-NN client-side breaker that routes around
-  persistently slow or tripped metadata servers.
+- :class:`RobustBounds` — a client's bounds: an absolute per-op deadline
+  that propagates in ``Message.extra`` and is enforced at every hop (NN
+  dequeue, NDB retry loop), RPC timeouts, back-off with deterministic
+  jitter from the client's own RNG stream under a retry budget
+  (:class:`RetryPolicy`, defined beside
+  :func:`repro.ndb.client.run_transaction`), per-NN circuit breakers
+  (:class:`CircuitBreaker`), hedged reads and ``(client_id, op_seq)`` retry
+  ids.  :class:`FailStopBounds` is the same part with ``robust`` off: the
+  fail-stop client, ``max_failovers`` retries and nothing else.
+- :func:`admission_cap` — how many fs ops a namenode admits before it sheds
+  (unbounded with ``robust`` off).
 - :class:`RetryCache` — the namenode's in-memory LRU over replayed
   mutation results (the durable copy lives in the ``retry_cache`` NDB
   table, written in the same transaction as the mutation itself, so
   retried mutations are exactly-once even across NN crashes);
-  :class:`Replay` marks a result read back from that durable row.
-- :class:`RobustConfig` — the opt-in bundle.  ``None`` (the default) runs
-  the client's one request loop with no deadline, timeout, back-off,
-  breaker, hedge or retry id: the fail-stop client.
+  :class:`Replay` marks a result read back from that durable row.  Every
+  namenode has one; only robust clients send the retry ids that reach it.
+- :class:`RobustConfig` — the opt-in bundle; :func:`request_bounds` builds
+  a client's bounds from it, once.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import itertools
+import math
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DeadlineExceededError
 from ..ndb.client import RetryPolicy
+from ..obs.metrics import count
 
-__all__ = ["Deadline", "RetryPolicy", "CircuitBreaker", "RetryCache", "RobustConfig"]
+__all__ = ["RetryPolicy", "CircuitBreaker", "RetryCache", "RobustConfig", "FailStopBounds",
+           "RobustBounds", "admission_cap", "do_nothing", "request_bounds"]
 
 
-@dataclass(frozen=True)
-class Deadline:
-    """Absolute per-operation deadline (sim ms)."""
-
-    expires_ms: float
-
-    def remaining(self, now: float) -> float:
-        return self.expires_ms - now
-
-    def expired(self, now: float) -> bool:
-        return now >= self.expires_ms
+def do_nothing(*_args) -> None:
+    """What a switched-off part answers to a call it has no work for."""
 
 
 class CircuitBreaker:
@@ -141,11 +139,12 @@ class Replay:
 class RobustConfig:
     """Opt-in gray-failure hardening for the whole request path.
 
-    It bounds the client's one request loop; it does not select a loop.
-    ``None`` in :class:`~repro.hopsfs.config.HopsFsConfig` (the default) is
-    the same loop with no deadline, RPC timeout, back-off, breaker, hedge
-    or retry id (so no timers and no extra RNG draws) and no NN admission
-    control.  Chaos targets and dedicated tests turn it on.
+    It bounds the client's one request loop (:class:`RobustBounds`) and
+    caps each namenode's admission; it does not select a loop.  ``None`` in
+    :class:`~repro.hopsfs.config.HopsFsConfig` (the default) builds
+    :class:`FailStopBounds` and an unbounded admission cap instead: no
+    timers, no extra RNG streams.  Chaos targets and dedicated tests turn
+    it on.
     """
 
     # Per-RPC timeout; also the "one hop" slack the deadline invariant
@@ -170,3 +169,127 @@ class RobustConfig:
             raise ConfigError("hedge delay must be positive (or None to disable)")
         if self.nn_max_inflight < 1:
             raise ConfigError("admission control needs room for at least one op")
+
+
+def admission_cap(config: Optional[RobustConfig], unbounded: float = math.inf) -> float:
+    """In-flight fs ops one namenode admits before it sheds: ``robust``'s
+    cap, or ``unbounded`` with it off."""
+    return unbounded if config is None else config.nn_max_inflight
+
+
+def request_bounds(config, env, addr, rngs):
+    """Client ``addr``'s bounds part, built once from its ``HopsFsConfig``.
+
+    Only robust bounds fetch a stream of their own from ``rngs`` (the
+    back-off jitter's ``client:<index>:retry``).
+    """
+    if config.robust is None:
+        bounds = FailStopBounds()
+        bounds.budget = config.client_max_failovers
+        return bounds
+    return RobustBounds(config.robust, env, str(addr), rngs.stream(f"client:{addr.index}:retry"))
+
+
+class FailStopBounds:
+    """The request loop's bounds with ``robust`` off: the fail-stop client.
+
+    At most ``budget`` retries (``client_max_failovers``), and nothing
+    else: the deadline is infinitely far, requests carry no metadata and no
+    RPC timeout, a fail-over costs no simulated time, no breaker is kept
+    and no read is hedged.  :func:`request_bounds` sets ``budget``: one is
+    built per client, without an ``__init__`` call (set-up is
+    call-budgeted, ``benchmarks/test_setup_budget.py``).
+    """
+
+    # No op overruns an infinite deadline by more than this.
+    op_timeout_ms = math.inf
+    # No RPC timeout (None), and no breaker to open, record, drop or keep.
+    rpc_timeout_ms = probe_timeout_ms = staticmethod(do_nothing)
+    is_open = succeeded = failed = forget = retain = staticmethod(do_nothing)
+
+    def start(self, op) -> tuple:
+        """``(deadline_ms, request metadata, hedged)`` of a new op."""
+        return math.inf, None, False
+
+    def backoff(self, attempt: int, deadline: float, last_error) -> tuple:
+        return ()  # a fail-over costs no simulated time
+
+
+class RobustBounds:
+    """One client's gray-failure bounds (``robust`` on).
+
+    Every op gets an absolute deadline and every RPC a timeout capped by
+    it; retries back off with jitter from the client's own stream (so
+    enabling them never perturbs its selection draws); mutations carry
+    ``(client_id, op_seq)`` retry ids; read-class ops hedge after
+    ``hedge_delay_ms``; a per-NN :class:`CircuitBreaker` trips on repeated
+    failures and is dropped with the NN from the client's view.
+    """
+
+    def __init__(self, config: RobustConfig, env, client_id: str, retry_rng):
+        self.config = config
+        self.env = env
+        self.client_id = client_id
+        self.retry_rng = retry_rng
+        self.budget = config.retry.max_retries
+        self.op_timeout_ms = config.op_timeout_ms
+        self.hedge_delay_ms = config.hedge_delay_ms
+        # Created on an NN's first failure; success and checks only look.
+        self.breakers: defaultdict = defaultdict(CircuitBreaker)
+        self._op_seq = itertools.count(1)
+
+    def start(self, op) -> tuple:
+        """``(deadline_ms, request metadata, hedged)`` of a new op."""
+        deadline = self.env.now + self.config.deadline_ms
+        extra = {"deadline_ms": deadline}
+        if op.mutates:
+            # Exactly-once retried mutations: the NN-side RetryCache keys
+            # replays off this id (same id across every retry of this op).
+            extra["retry_id"] = (self.client_id, next(self._op_seq))
+        return deadline, extra, self.hedge_delay_ms is not None and not op.mutates
+
+    def rpc_timeout_ms(self, deadline: float) -> float:
+        """Per-call timeout, capped so no RPC outlives the op deadline."""
+        return max(0.001, min(self.op_timeout_ms, deadline - self.env.now))
+
+    def probe_timeout_ms(self, deadline: float) -> float:
+        """A discovery probe's timeout: a degraded link must not hang server
+        discovery, nor may it outlive the op."""
+        remaining = deadline - self.env.now
+        if remaining <= 0:
+            raise DeadlineExceededError("deadline expired during server discovery")
+        return min(self.op_timeout_ms, remaining)
+
+    def backoff(self, attempt: int, deadline: float, last_error):
+        """Generator: sleep before retry ``attempt``, or fail fast if the
+        sleep would outlast the deadline (doomed work)."""
+        env = self.env
+        delay = self.config.retry.backoff_ms(attempt, self.retry_rng)
+        if deadline - env.now <= delay:
+            count(env, "client.deadline_exceeded")
+            raise DeadlineExceededError(
+                "deadline would expire during retry backoff"
+            ) from last_error
+        yield env.timeout(delay)
+
+    def is_open(self, nn) -> bool:
+        breaker = self.breakers.get(nn)
+        return breaker is not None and breaker.is_open(self.env.now)
+
+    def failed(self, nn) -> None:
+        if nn is not None and self.breakers[nn].record_failure(self.env.now):
+            count(self.env, "client.breaker_trips")
+
+    def succeeded(self, nn) -> None:
+        breaker = self.breakers.get(nn)
+        if breaker is not None:
+            breaker.record_success()
+
+    def forget(self, nn) -> None:
+        self.breakers.pop(nn, None)
+
+    def retain(self, addrs) -> None:
+        """Drop the breakers of NNs no longer in ``addrs`` (the client's view)."""
+        for nn in list(self.breakers):
+            if nn not in addrs:
+                del self.breakers[nn]

@@ -148,8 +148,7 @@ def register_deployment_metrics(obs: ObsContext, harness) -> None:
                   lambda: deployment.namenodes[0].block_manager.rereplications)
         reg.gauge("ndb.active_transactions", lambda: deployment.ndb.active_transactions)
         reg.gauge("nn.retry_cache.entries",
-                  lambda: sum(len(nn.retry_cache) for nn in deployment.namenodes
-                              if nn.retry_cache is not None))
+                  lambda: sum(len(nn.retry_cache) for nn in deployment.namenodes))
         reg.gauge("net.late_replies", lambda: harness.network.late_replies)
     else:
         cluster = harness.cluster

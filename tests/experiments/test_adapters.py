@@ -10,9 +10,12 @@ from repro.experiments.setups import BENCH, CHAOS, PATHS, SETUPS
 from repro.hopsfs import (
     AsyncCommitConfig,
     ElasticConfig,
+    GroupCommitter,
+    ListingCache,
     ListingCacheConfig,
     RobustConfig,
 )
+from repro.hopsfs.robust import RobustBounds
 from repro.workloads import generate_namespace
 
 _CFG = RunConfig(
@@ -150,10 +153,12 @@ def test_builder_wires_all_four_paths_under_both_tunings(tuning):
     dep = harness.deployment
     for name, value in paths.items():
         assert getattr(dep.config, name) is value
-    assert dep.group_ledger is not None
-    assert all(nn.retry_cache is not None for nn in dep.namenodes)
-    assert all(nn.listing_cache is not None for nn in dep.namenodes)
+    for nn in dep.namenodes:
+        assert nn.max_inflight == paths["robust"].nn_max_inflight
+        assert isinstance(nn.committer, GroupCommitter) and nn.committer.ledger is dep.group_ledger
+        assert isinstance(nn.listing_cache, ListingCache)
     (client,) = harness.make_clients(1)
+    assert isinstance(client.bounds, RobustBounds)
     assert client.membership_refresh_ms == paths["elastic"].membership_refresh_ms
     # CephFS has no such paths and ignores them, as it always has.
     assert SETUPS["CephFS"].build(1, tuning=_TUNINGS[tuning], **paths).cluster

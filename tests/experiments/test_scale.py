@@ -157,11 +157,12 @@ def test_scenario_shard_pins_its_stubs_to_the_shard_az(monkeypatch):
 def test_scenario_shard_forwards_every_path_of_the_scenario(monkeypatch):
     from repro.chaos import SCENARIOS
     from repro.experiments.setups import CHAOS, PATHS
+    from repro.hopsfs import GroupCommitter
 
     result, harness, kwargs = _scenario_shard(monkeypatch, "async-commit-crash")
     assert kwargs["tuning"] is CHAOS
     assert {name: kwargs[name] for name in PATHS} == SCENARIOS["async-commit-crash"].paths()
-    assert harness.deployment.group_ledger is not None
+    assert all(isinstance(nn.committer, GroupCommitter) for nn in harness.deployment.namenodes)
     horizon = next(v for v in result.verdicts if v[0] == "durability-horizon")
     assert "n/a" not in horizon[2], horizon
 

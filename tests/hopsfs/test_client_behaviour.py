@@ -39,12 +39,14 @@ def _failing_mkdir(max_failovers, kill):
     back off (a fail-over costs no simulated time of its own)."""
     fs = make_fs(num_namenodes=2)
     client = fs.client()
-    client.max_failovers = max_failovers  # read per op, so settable now
+    client.bounds.budget = max_failovers  # read per op, so settable now
+    backoff = client.bounds.backoff
 
-    def no_backoff(*_args):
-        raise AssertionError("a fail-stop client never backs off")
+    def no_backoff(*args):
+        assert not list(backoff(*args)), "a fail-stop client never backs off"
+        return ()
 
-    client._backoff = no_backoff
+    client.bounds.backoff = no_backoff
 
     def scenario():
         yield from fs.await_election()

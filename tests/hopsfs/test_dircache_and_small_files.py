@@ -1,5 +1,7 @@
 """Dir-cache behaviour and the small-files-in-NDB path."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import FileNotFoundFsError
@@ -14,8 +16,7 @@ def _dir_row(parent_id, name, inode_id=99):
 
 
 def test_dircache_put_get_invalidate():
-    now = [0.0]
-    cache = DirCache(now=lambda: now[0], ttl_ms=100)
+    cache = DirCache(SimpleNamespace(now=0.0), ttl_ms=100)
     row = _dir_row(1, "d")
     cache.put(row)
     assert cache.lookup((1, "d")) is row
@@ -24,25 +25,25 @@ def test_dircache_put_get_invalidate():
 
 
 def test_dircache_only_caches_directories():
-    cache = DirCache(now=lambda: 0.0)
+    cache = DirCache(SimpleNamespace(now=0.0))
     cache.put(InodeRow(id=5, parent_id=1, name="f", is_dir=False))
     assert cache.lookup((1, "f")) is None
     assert len(cache) == 0
 
 
 def test_dircache_ttl_expiry():
-    now = [0.0]
-    cache = DirCache(now=lambda: now[0], ttl_ms=100)
+    clock = SimpleNamespace(now=0.0)
+    cache = DirCache(clock, ttl_ms=100)
     cache.put(_dir_row(1, "d"))
-    now[0] = 99
+    clock.now = 99
     assert cache.lookup((1, "d")) is not None
-    now[0] = 201
+    clock.now = 201
     assert cache.lookup((1, "d")) is None
     assert len(cache) == 0  # the lookup that found it expired dropped it
 
 
 def test_dircache_eviction_on_overflow():
-    cache = DirCache(now=lambda: 0.0, max_entries=4)
+    cache = DirCache(SimpleNamespace(now=0.0), max_entries=4)
     for i in range(5):
         cache.put(_dir_row(1, f"d{i}", inode_id=i + 10))
     # The oldest insertion goes; the newest stays.
@@ -51,7 +52,7 @@ def test_dircache_eviction_on_overflow():
 
 
 def test_dircache_hit_miss_counters():
-    cache = DirCache(now=lambda: 0.0)
+    cache = DirCache(SimpleNamespace(now=0.0))
     cache.put(_dir_row(1, "d"))
     cache.lookup((1, "d"))
     cache.lookup((1, "ghost"))

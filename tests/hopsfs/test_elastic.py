@@ -206,7 +206,7 @@ def test_client_tracks_membership_and_prunes_breaker_state():
         victim = fs.namenodes[0]
         # Poison breaker state for the victim; the refresh after its
         # departure must drop it.
-        client._breaker(victim.addr)
+        client.bounds.breakers[victim.addr]
         yield from fs.decommission_namenode(victim, reason="test")
         yield fs.env.timeout(400)  # rounds + refreshes
         return joiner, victim
@@ -215,7 +215,7 @@ def test_client_tracks_membership_and_prunes_breaker_state():
     assert client.membership_refreshes > 0
     assert joiner.addr in client.namenode_addrs
     assert victim.addr not in client.namenode_addrs
-    assert victim.addr not in client._breakers
+    assert victim.addr not in client.bounds.breakers
     assert client.current_nn != victim.addr
 
 

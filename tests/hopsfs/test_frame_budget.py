@@ -81,7 +81,7 @@ def _setup(monkeypatch):
         yield from client.create("/d/f", data=b"x")
 
     run(fs, prepare())
-    fs_ops = _capture(monkeypatch, Namenode, "_fs_op", lambda msg: True)
+    fs_ops = _capture(monkeypatch, Namenode, "_serve", lambda msg: True)
     return fs, client, fs_ops
 
 
@@ -93,7 +93,7 @@ def test_read_file_parked_on_tc_read(monkeypatch):
     walks = [names for names in seen if "_walk" in names]
     assert walks, seen  # the file row is never dir-cached: the walk reads it
     deepest = max(walks, key=len)
-    assert deepest[0] == "_fs_op" and deepest[-2:] == ["_walk", "_call"]
+    assert deepest[0] == "_serve" and deepest[-2:] == ["_walk", "_call"]
     assert len(deepest) <= READ_BUDGET, deepest
 
 
@@ -104,7 +104,7 @@ def test_commit_parked_on_tc_commit(monkeypatch):
            lambda: seen.extend(_parked_call_chains(fs_ops, "tc_commit")))
     assert seen
     deepest = max(seen, key=len)
-    assert deepest[0] == "_fs_op" and deepest[-1] == "_call"
+    assert deepest[0] == "_serve" and deepest[-1] == "_call"
     assert len(deepest) <= COMMIT_BUDGET, deepest
 
 

@@ -82,9 +82,9 @@ def test_client_location_domain_zero_is_random():
         env=fs.env,
         network=fs.network,
         addr=addr,
-        namenode_addrs=fs.namenode_addrs(),
+        namenode_addrs=[nn.addr for nn in fs.namenodes],
+        rngs=fs.rng,
         location_domain_id=ANY_AZ,
-        rng=fs.rng.stream("t"),
     )
 
     def scenario():

@@ -12,17 +12,25 @@ Three layers of coverage:
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.chaos.invariants import listing_consistency, namespace_integrity
 from repro.errors import FsError
+from repro.experiments.setups import SETUPS
 from repro.hopsfs.groupcommit import AsyncCommitConfig
-from repro.hopsfs.listcache import ListingCache, ListingCacheConfig, materialize_snapshot
+from repro.hopsfs.listcache import (
+    NO_LISTING_CACHE,
+    ListingCache,
+    ListingCacheConfig,
+    materialize_snapshot,
+)
 from repro.hopsfs.metadata import INODES_TABLE, InodeRow
 from repro.hopsfs.snapshot import namespace_snapshot
 from repro.ndb.changelog import ChangelogBatch
 from repro.ndb.schema import TOMBSTONE
+from repro.workloads.namespace import generate_namespace
 
 from .conftest import make_fs, run
 
@@ -35,8 +43,8 @@ class _FakeBus:
 def _cache(ttl_ms=None, max_attr_entries=None, max_listing_entries=None,
            max_pending_batches=None):
     """A cache on a settable clock, with the bounds a test varies set on it."""
-    clock = [0.0]
-    cache = ListingCache(now=lambda: clock[0], bus=_FakeBus())
+    clock = SimpleNamespace(now=0.0)
+    cache = ListingCache(clock, bus=_FakeBus())
     for tier, cap in ((cache._attrs, max_attr_entries),
                       (cache._listings, max_listing_entries)):
         if ttl_ms is not None:
@@ -152,10 +160,10 @@ def test_ttl_expires_entries():
     cache.fill_attr(token, _row(2, 1, "d", is_dir=True))
     cache.fill_listing(token, 2, ["f"])
     assert cache.resolve("/d")[0] is True
-    clock[0] = 11.0
+    clock.now = 11.0
     assert cache.resolve("/d") == (False, None)
     assert cache.listing(2) is None
-    assert cache.live_attrs(clock[0]) == [] and cache.live_listings(clock[0]) == []
+    assert cache.live_attrs(clock.now) == [] and cache.live_listings(clock.now) == []
 
 
 def test_lru_bounds_evict_oldest():
@@ -470,10 +478,49 @@ def test_prewarm_materializes_snapshot_and_stays_stream_fresh():
     assert listing_consistency(fs).ok
 
 
+def _all_replica_inodes(fs):
+    """The snapshot's rows as prewarm used to read them: every running
+    datanode's store, first copy of each pk kept, in pk order."""
+    rows = {}
+    for dn in fs.ndb.datanodes.values():
+        if dn.running:
+            for pk, row in dn.store.iter_rows("inodes"):
+                rows.setdefault(pk, row)
+    return [rows[pk] for pk in sorted(rows)]
+
+
+def test_committed_inodes_reads_one_replica_per_node_group_as_all_replicas_did():
+    harness = SETUPS["HopsFS-CL (3,3)"].build(2, seed=5, listing_cache=ListingCacheConfig())
+    fs, env = harness.deployment, harness.env
+    harness.install(generate_namespace(num_top_dirs=2, dirs_per_top=3, files_per_dir=3, seed=5))
+    assert len(fs.committed_inodes()) > 20
+    assert fs.committed_inodes() == _all_replica_inodes(fs)
+    env.run_process(harness.ready(), until=env.now + 60_000)
+    (client,) = harness.make_clients(1)
+
+    def mutate(tag):
+        yield from client.mkdir(f"/new-{tag}")
+        yield from client.create(f"/new-{tag}/f", data=b"x")
+        yield from client.rename(f"/new-{tag}/f", f"/new-{tag}/g")
+        yield from client.delete(f"/new-{tag}/g")
+
+    env.run_process(mutate(0), until=env.now + 60_000)
+    assert fs.committed_inodes() == _all_replica_inodes(fs)
+    paths = {(row.parent_id, row.name) for row in fs.committed_inodes()}
+    new_dir = next(row for row in fs.committed_inodes() if row.name == "new-0")
+    assert (new_dir.id, "g") not in paths and (new_dir.id, "f") not in paths
+    victim = next(iter(fs.ndb.datanodes))
+    fs.ndb.crash_datanode(victim, detect_now=True)
+    assert fs.committed_inodes() == _all_replica_inodes(fs)
+    env.run_process(mutate(1), until=env.now + 60_000)
+    assert fs.committed_inodes() == _all_replica_inodes(fs)
+    assert any(row.name == "new-1" for row in fs.committed_inodes())
+
+
 def test_prewarm_refuses_oversized_snapshot():
     small, _clock = _cache(max_attr_entries=1)
     rows = [_row(2, 1, "d", is_dir=True), _row(3, 2, "f")]
-    small.prewarm(*materialize_snapshot(rows, now=0.0))
+    small.prewarm(lambda: materialize_snapshot(rows, now=0.0))
     # A partial materialization could wrongly prove absence; refuse instead.
     assert len(small) == 0
 
@@ -489,7 +536,7 @@ def _prewarm_per_nn(cache, rows):
         or len(dir_ids) > cache._listings.max_entries
     ):
         return
-    now = cache._attrs._now()
+    now = cache._attrs._clock.now
     children = {dir_id: [] for dir_id in dir_ids}
     for row in rows:
         cache._attrs[(row.parent_id, row.name)] = (now, row)
@@ -534,7 +581,7 @@ def test_shared_snapshot_fills_each_cache_as_its_own_prewarm_did(caps, fits):
     # An entry that is there already keeps its place in the LRU order.
     stale = (0.0, _row(99, 1, "d3", is_dir=True))
     reference, clock = _cache(**caps)
-    clock[0] = 7.5
+    clock.now = 7.5
     reference._attrs[(1, "d3")] = stale
     _prewarm_per_nn(reference, rows)
     assert len(reference) == (21 if fits else 1)
@@ -543,7 +590,7 @@ def test_shared_snapshot_fills_each_cache_as_its_own_prewarm_did(caps, fits):
     for _nn in range(6):
         cache, _clock = _cache(**caps)
         cache._attrs[(1, "d3")] = stale
-        cache.prewarm(attrs, listings)
+        cache.prewarm(lambda: (attrs, listings))
         assert _cache_state(cache) == _cache_state(reference)
 
 
@@ -552,7 +599,7 @@ def test_invalidation_on_one_cache_leaves_the_shared_snapshot_alone():
     attrs, listings = materialize_snapshot(rows, now=0.0)
     caches = [_cache()[0] for _ in range(6)]
     for cache in caches:
-        cache.prewarm(attrs, listings)
+        cache.prewarm(lambda: (attrs, listings))
     untouched = _cache_state(caches[1])
     first = caches[0]
     first.apply(_batch(1, [(INODES_TABLE, (2, "f0"), 2, TOMBSTONE)]))
@@ -585,7 +632,7 @@ def test_cache_off_publishes_nothing():
     # stronger bit-identical claim).
     assert fs.ndb.changelog.published == 0
     assert fs.ndb.changelog.seq == 0
-    assert all(nn.listing_cache is None for nn in fs.namenodes)
+    assert all(nn.listing_cache is NO_LISTING_CACHE for nn in fs.namenodes)
     assert listing_consistency(fs).detail == "n/a (listing cache off)"
 
 

@@ -326,8 +326,10 @@ def test_retried_create_replays_after_post_commit_crash(async_commit):
     # Applied exactly once: the shared ledger holds one entry for the id.
     applied = [rid for rid, op in fs.mutation_ledger if op == OpType.CREATE_FILE.value]
     assert len(applied) == len(set(applied)) == 1
-    # The surviving NN replayed from the durable row, not a re-execution.
-    assert fs.namenodes[1].retry_cache is not None
+    # The surviving NN replayed from the durable row, not a re-execution:
+    # its in-memory cache never held the id before and now does.
+    survivor = fs.namenodes[1].retry_cache
+    assert (survivor.hits, len(survivor)) == (0, 1)
 
 
 def test_legacy_retried_create_still_conflicts_without_robust():
@@ -355,7 +357,7 @@ def test_retry_cache_in_memory_fast_path_on_same_nn():
     def scenario():
         yield from fs.await_election()
         client.current_nn = nn.addr
-        retry_id = (client.client_id, 1)
+        retry_id = (str(client.addr), 1)
         # First delivery: committed and cached server-side.
         result = yield fs.network.call(
             client.addr, nn.addr, "fs_op",
@@ -375,6 +377,35 @@ def test_retry_cache_in_memory_fast_path_on_same_nn():
     assert result == replayed
     assert nn.retry_cache.hits == 1
     assert len(fs.mutation_ledger) == 1
+
+
+def test_restarted_namenode_replays_from_the_durable_row():
+    """The replay LRU dies with the process: after a restart the same
+    retry id is answered from its durable retry_cache row, not from
+    pre-crash memory, and the mutation is not applied again."""
+    fs = make_fs(num_namenodes=1, robust=RobustConfig(hedge_delay_ms=None))
+    client = fs.client()
+    nn = fs.namenodes[0]
+    retry_id = (str(client.addr), 1)
+
+    def mkdir_once():
+        return fs.network.call(
+            client.addr, nn.addr, "fs_op", (OpType.MKDIR, {"path": "/once"}),
+            size=64, extra={"retry_id": retry_id},
+        )
+
+    def scenario():
+        yield from fs.await_election()
+        acked = yield mkdir_once()
+        nn.shutdown()
+        nn.restart()
+        replayed = yield mkdir_once()
+        return acked, replayed
+
+    acked, replayed = run(fs, scenario())
+    assert replayed == acked
+    assert nn.retry_cache.hits == 0
+    assert fs.mutation_ledger == [(retry_id, OpType.MKDIR.value)]
 
 
 # -------------------------------------------------------- admission control
