@@ -46,10 +46,11 @@ def exact(key: str, pinned, live) -> Optional[str]:
 
 
 def ceiling(key: str, pinned, live) -> Optional[str]:
-    """Call counts may fall (re-pin to bank the saving) but not rise more
-    than 0.5 %; everything else in a budget file (events/op, messages/op)
-    moves only when the simulated schedule moves, so it is exact."""
-    if not key.endswith((".calls_per_op", ".calls_per_row")):
+    """Call and tracked-object counts may fall (re-pin to bank the saving)
+    but not rise more than 0.5 %; everything else in a budget file
+    (events/op, messages/op) moves only when the simulated schedule moves,
+    so it is exact."""
+    if not key.endswith((".calls_per_op", ".calls_per_row", ".tracked_per_row")):
         return exact(key, pinned, live)
     if live > pinned * HEADROOM:
         return f"{live:.3f} > pinned {pinned:.3f} ({live / pinned - 1:+.2%})"

@@ -9,11 +9,13 @@ makes its clients and warms their caches before it measures anything.
 This counts the function calls (Python and C) those phases make for the
 four ``BENCHMARK.json`` configurations at seed 0 — the sequence
 ``bench_e2e/harness.py`` times as ``setup_s`` — per installed namespace
-row.  For one interpreter version the counts repeat to the last digit, so
-unlike ``setup_s`` they can be gated tightly, by ``test_call_budget``'s
-rule: a phase's calls per row may not rise more than 0.5 % above
-``benchmarks/results/setup_budget.json`` (it may fall: re-pin to bank the
-saving).  The file is the ``setup_budget`` pin of ``benchmarks/pins.py``;
+row, and the GC-tracked objects the install leaves per row
+(``install.tracked_per_row``: what every later full collection walks, so a
+per-row wrapper object shows up here).  For one interpreter version the
+counts repeat to the last digit, so unlike ``setup_s`` they can be gated
+tightly, by ``test_call_budget``'s rule: a count per row may not rise more
+than 0.5 % above ``benchmarks/results/setup_budget.json`` (it may fall:
+re-pin to bank the saving).  The file is the ``setup_budget`` pin of ``benchmarks/pins.py``;
 :func:`record` produces it.
 
 The counts include C calls, which CPython versions make differently: the
@@ -23,6 +25,7 @@ record is for the 3.11 the CI jobs pin.
 from __future__ import annotations
 
 import cProfile
+import gc
 import json
 import os
 import subprocess
@@ -68,12 +71,19 @@ def count(name: str) -> dict:
         made = harness.make_clients(workload.clients_per_server * SERVERS)
         harness.warm_client_caches(made, generator)
 
+    gc.collect()
+    tracked = len(gc.get_objects())
     namespace, calls["install"] = _counted(install)
+    gc.collect()
+    tracked = len(gc.get_objects()) - tracked
     _, calls["ready"] = _counted(env.run_process, harness.ready(), until=env.now + 60_000)
     _, calls["clients"] = _counted(clients)
     calls["setup"] = sum(calls.values())
     rows = namespace.size()
-    return {f"{phase}.calls_per_row": n / rows for phase, n in calls.items()}
+    return {
+        **{f"{phase}.calls_per_row": n / rows for phase, n in calls.items()},
+        "install.tracked_per_row": tracked / rows,
+    }
 
 
 def measure(workload: str) -> dict:

@@ -266,6 +266,10 @@ def durability_horizon(fs) -> InvariantVerdict:
                 return True, True, value
         return any_up, False, None
 
+    def writes(batch):
+        """A batch's writes (its transaction's TcWriteReqs) as tuples."""
+        return [(w.table, w.pk, w.partition_key, w.value) for w in batch.writes]
+
     def volatile(value) -> bool:
         """Rows the synchronous path may rewrite after the batch settles."""
         return isinstance(value, InodeRow) and (
@@ -283,7 +287,7 @@ def durability_horizon(fs) -> InvariantVerdict:
     )
     last_writer: dict = {}
     for batch in by_settle:
-        for table, pk, partition_key, value in batch.writes:
+        for table, pk, partition_key, value in writes(batch):
             if table in audited_tables:
                 last_writer[(table, pk)] = (batch.batch_id, partition_key, value)
 
@@ -294,7 +298,7 @@ def durability_horizon(fs) -> InvariantVerdict:
     for batch in batches:
         if batch.state != "lost":
             continue
-        for table, pk, partition_key, value in batch.writes:
+        for table, pk, partition_key, value in writes(batch):
             if table in audited_tables:
                 lost_touched.add((table, pk))
 
@@ -318,7 +322,7 @@ def durability_horizon(fs) -> InvariantVerdict:
 
     for batch in batches:
         if batch.state == "aborted":
-            for table, pk, partition_key, value in batch.writes:
+            for table, pk, partition_key, value in writes(batch):
                 if (
                     table not in audited_tables
                     or value is TOMBSTONE
@@ -335,7 +339,7 @@ def durability_horizon(fs) -> InvariantVerdict:
         elif batch.state == "lost":
             applied = 0
             checked = 0
-            for table, pk, partition_key, value in batch.writes:
+            for table, pk, partition_key, value in writes(batch):
                 if (
                     table not in audited_tables
                     or (table, pk) in last_writer

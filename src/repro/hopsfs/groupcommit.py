@@ -42,7 +42,6 @@ from typing import Optional
 
 from ..errors import ConfigError, FsError, NdbError, TransactionAbortedError
 from ..ndb.client import RetryPolicy
-from ..ndb.schema import TOMBSTONE, LockMode
 from ..types import OpType
 from .metadata import INODES_TABLE, SMALL_FILE_MAX_BYTES
 from .pathlock import split_path
@@ -167,13 +166,13 @@ class GroupAck:
 
 
 class GroupBatch:
-    """One group-commit batch: its recorded writes and settle state."""
+    """One group-commit batch: its transaction's writes and settle state."""
 
     __slots__ = (
         "batch_id",
         "owner",
         "state",  # 'open' | 'committed' | 'aborted' | 'lost'
-        "writes",  # (table, pk, partition_key, value-or-TOMBSTONE), exec order
+        "writes",  # the current attempt's txn.writes (TcWriteReqs, in order)
         "ops",  # (op.value, retry_id-or-None) per member, for reports
         "acked_ops",
         "opened_ms",
@@ -184,7 +183,7 @@ class GroupBatch:
         self.batch_id = batch_id
         self.owner = owner
         self.state = "open"
-        self.writes: list = []
+        self.writes: list = []  # no transaction yet
         self.ops: list = []
         self.acked_ops = 0
         self.opened_ms: Optional[float] = None
@@ -264,42 +263,6 @@ class _SyncCommit:
 SYNC_COMMIT = _SyncCommit()
 
 
-class _RecordingTxn:
-    """NdbTransaction proxy that mirrors writes into the batch record.
-
-    The ledger needs the batch's effective write set to audit crash
-    outcomes; ops run unmodified against this proxy.
-    """
-
-    __slots__ = ("txn", "batch")
-
-    def __init__(self, txn, batch: GroupBatch):
-        self.txn = txn
-        self.batch = batch
-
-    def read(self, table, pk, partition_key=None, lock=LockMode.NONE):
-        return self.txn.read(table, pk, partition_key, lock)
-
-    def scan(self, table, partition_key):
-        return self.txn.scan(table, partition_key)
-
-    def write(self, table, pk, value, partition_key=None, size_hint=None):
-        self.batch.writes.append(
-            (table, pk, pk if partition_key is None else partition_key, value)
-        )
-        return self.txn.write(table, pk, value, partition_key, size_hint)
-
-    def delete(self, table, pk, partition_key=None):
-        self.batch.writes.append(
-            (table, pk, pk if partition_key is None else partition_key, TOMBSTONE)
-        )
-        return self.txn.delete(table, pk, partition_key)
-
-    def on_abort(self, fn, *args):
-        # On the shared transaction: rolling the batch back undoes every member.
-        self.txn.on_abort(fn, *args)
-
-
 class _GroupOp:
     """One queued request riding the group-commit path."""
 
@@ -334,12 +297,11 @@ class _GroupOp:
 class _BatchCtx:
     """Execution context of one batch: its txn, members, span, fate."""
 
-    __slots__ = ("batch", "txn", "rtxn", "members", "procs", "span", "retry_exc")
+    __slots__ = ("batch", "txn", "members", "procs", "span", "retry_exc")
 
-    def __init__(self, batch: GroupBatch, txn, rtxn, span):
+    def __init__(self, batch: GroupBatch, txn, span):
         self.batch = batch
         self.txn = txn
-        self.rtxn = rtxn
         self.members: list = []  # admitted _GroupOps still in the batch
         self.procs: list = []  # member body processes
         self.span = span
@@ -526,7 +488,7 @@ class GroupCommitter:
             if self._gen != gen:
                 return
         batch = self.ledger.open_batch(nn.addr)
-        ctx = _BatchCtx(batch, None, None, None)
+        ctx = _BatchCtx(batch, None, None)
         self._gather = ctx
         self._flush_now = False
         flush_deadline = env.now
@@ -563,6 +525,7 @@ class GroupCommitter:
                     ctx.txn = nn.api.transaction(
                         hint_table=INODES_TABLE, hint_key=nn._hint_for(cand.kwargs)
                     )
+                    batch.writes = ctx.txn.writes
                     batch.opened_ms = env.now
                     flush_deadline = env.now + cfg.linger_ms
                     if obs is not None:
@@ -573,7 +536,6 @@ class GroupCommitter:
                             batch=batch.batch_id,
                         )
                         ctx.txn.obs_span = ctx.span
-                    ctx.rtxn = _RecordingTxn(ctx.txn, batch)
                 ctx.members.append(cand)
                 ctx.procs.append(
                     env.process(
@@ -615,7 +577,7 @@ class GroupCommitter:
         nn = self.nn
         try:
             result = yield from nn._txn_body(
-                gop.retry_id, gop.fn, nn.ctx, gop.kwargs, ctx.rtxn
+                gop.retry_id, gop.fn, nn.ctx, gop.kwargs, ctx.txn
             )
         except FsError as exc:
             if self._gen != gen:
@@ -691,7 +653,7 @@ class GroupCommitter:
                         return
                     self.ledger.settle(batch, "committed")
                     self.batches_committed += 1
-                    self._finish_commit(ctx, linger_actual, txn.write_count)
+                    self._finish_commit(ctx, linger_actual)
                     return
             yield from txn.abort()
             if self._gen != gen:
@@ -705,14 +667,13 @@ class GroupCommitter:
                 return
             # Fresh transaction; every member body re-runs against it
             # (serially — the retry path is rare and correctness-critical).
-            batch.writes.clear()
             batch.ops.clear()
             txn = nn.api.transaction(
                 hint_table=INODES_TABLE, hint_key=nn._hint_for(admitted[0].kwargs)
             )
+            batch.writes = txn.writes
             if ctx.span is not None:
                 txn.obs_span = ctx.span
-            rtxn = _RecordingTxn(txn, batch)
             retry_exc = None
             kept = []
             pending = list(admitted)
@@ -720,7 +681,7 @@ class GroupCommitter:
                 gop = pending.pop(0)
                 try:
                     result = yield from nn._txn_body(
-                        gop.retry_id, gop.fn, nn.ctx, gop.kwargs, rtxn
+                        gop.retry_id, gop.fn, nn.ctx, gop.kwargs, txn
                     )
                 except FsError as exc:
                     if self._gen != gen:
@@ -771,7 +732,7 @@ class GroupCommitter:
         else:
             self.nn._fail(gop.msg, exc)
 
-    def _finish_commit(self, ctx, linger_actual, write_count) -> None:
+    def _finish_commit(self, ctx, linger_actual) -> None:
         nn = self.nn
         env = self.env
         now = env.now
@@ -786,7 +747,7 @@ class GroupCommitter:
             if ctx.span is not None:
                 obs.tracer.finish(
                     ctx.span, outcome="committed", ops=len(admitted),
-                    writes=write_count,
+                    writes=len(ctx.batch.writes),
                 )
                 ctx.span = None
             reg = obs.registry

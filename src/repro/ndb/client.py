@@ -63,24 +63,19 @@ class NdbTransaction:
     The operations are plain functions that *return* the :meth:`_call`
     generator (``yield from txn.read(...)``), so a caller parked on the TC
     round-trip has one frame below it, not two.  Their argument checks and
-    bookkeeping (``mutated``, ``write_count``) therefore run when the
-    operation is called, which every caller does in the same statement that
-    starts iterating it.
+    bookkeeping (``writes``) therefore run when the operation is called,
+    which every caller does in the same statement that starts iterating it.
     """
 
-    __slots__ = (
-        "api", "tc", "txid", "finished", "mutated", "write_count", "obs_span", "_undo",
-    )
+    __slots__ = ("api", "tc", "txid", "finished", "writes", "obs_span", "_undo")
 
     def __init__(self, api: NdbApi, tc: NodeAddress):
         self.api = api
         self.tc = tc
         self.txid = api.cluster.next_txid()
         self.finished = False
-        self.mutated = False
-        # Rows written/deleted so far: group-commit spans report it as the
-        # batch's redo-log size.
-        self.write_count = 0
+        # The write set: every TcWriteReq sent, deletes included, in order.
+        self.writes: list[TcWriteReq] = []
         # Set by run_transaction when tracing: the attempt span every RPC of
         # this transaction parents under.
         self.obs_span = None
@@ -155,16 +150,12 @@ class NdbTransaction:
         ``size_hint`` sizes the wire message — used for small files whose
         payload travels inside the metadata row (Section II-A3).
         """
-        self.mutated = True
-        self.write_count += 1
-        return self._call(
-            "tc_write",
-            TcWriteReq(
-                self.txid, table, pk, pk if partition_key is None else partition_key,
-                value, self.api.az,
-            ),
-            max(128, size_hint or 256),
+        req = TcWriteReq(
+            self.txid, table, pk, pk if partition_key is None else partition_key,
+            value, self.api.az,
         )
+        self.writes.append(req)
+        return self._call("tc_write", req, max(128, size_hint or 256))
 
     def delete(self, table: str, pk: Hashable, partition_key: Optional[Hashable] = None):
         return self.write(table, pk, TOMBSTONE, partition_key, 128)

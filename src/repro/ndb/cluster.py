@@ -23,7 +23,7 @@ from .failure import HeartbeatProtocol
 from .management import ManagementNode
 from .partitioning import PartitionMap
 from .schema import TOMBSTONE, Schema
-from .store import ReadStats, _Row
+from .store import ReadStats
 
 __all__ = ["NdbCluster", "az_assignment_for"]
 
@@ -155,17 +155,18 @@ class NdbCluster:
         ``rows`` yields ``(pk, partition_key, value)``.  Used to install the
         benchmark namespace before measurements start.  The members of a
         replica set store the same rows in the same order, so each set's
-        batch is built once, with one key and one row object per loaded
-        row, and every member takes it whole (:meth:`FragmentStore.load_new`);
+        batch is built once, one key per loaded row and the value itself,
+        and every member takes it whole (:meth:`FragmentStore.load_new`);
         a batch that deletes or repeats a key, or a member already holding
         one of its keys, goes through ``load_many`` row by row instead.
         """
         fully_replicated = self.schema.table(table_name).fully_replicated
         replicas_for_key = self.partition_map.replicas_for_key
-        # Replica set -> its batch: {key: _Row}, the (key, _Row) entries in
-        # order, and [((table, partition key), pks)].  The sets are disjoint
-        # (a node group's live members, or every live node for a fully
-        # replicated table), so a node's rows are its set's, in order.
+        # Replica set -> its batch: {key: value}, the (table, pk, partition
+        # key, value) entries in order, and [((table, partition key), pks)].
+        # The sets are disjoint (a node group's live members, or every live
+        # node for a fully replicated table), so a node's rows are its
+        # set's, in order.
         batches: dict[frozenset, tuple[dict, list, list]] = {}
         # partition key -> its set's rows and entries, and its pk list
         targets: dict[Hashable, tuple[dict, list, list]] = {}
@@ -185,8 +186,8 @@ class NdbCluster:
             key = (table_name, pk)
             if value is TOMBSTONE or key in batch_rows:
                 bulk = False
-            row = batch_rows[key] = _Row(value, partition_key)
-            entries.append((key, row))
+            batch_rows[key] = value
+            entries.append((table_name, pk, partition_key, value))
             pks.append(pk)
             count += 1
         for nodes, (batch_rows, entries, partitions) in batches.items():
@@ -264,43 +265,26 @@ class NdbCluster:
         """Node recovery: rejoin a failed datanode (generator).
 
         Mirrors NDB's node-recovery phases: the starting node comes back
-        up, copies its fragments from the live members of its node group
+        up, copies its fragments from a live member of its node group
         (time proportional to the data volume), and only then rejoins the
-        partition map so it can serve replicas again.
+        partition map so it can serve replicas again.  With no member of
+        the group up and running there is no live copy: the node restores
+        the fragments it held when it went down, as NDB's system restart
+        does from local disk.
         """
         dn = self.datanodes[addr]
         if dn.running:
             return
+        disk = dn.store
         dn.restart()
         dn.spawn_once("gcp", self._checkpoint_loop, dn)
         if self._heartbeats_started:
             self.heartbeats.watch(dn)
 
-        # Copy fragments from a live peer in each owned node group.
-        copied_rows = 0
-        group_index = next(
-            g for g, group in enumerate(self.partition_map.node_groups) if addr in group
-        )
-        donors = [
-            m
-            for m in self.partition_map.node_groups[group_index]
-            if m != addr and self.partition_map.is_up(m)
-        ]
-        if donors:
-            donor_store = self.datanodes[donors[0]].store
-            for table in self.schema.tables():
-                for pk, value in list(donor_store.iter_rows(table.name)):
-                    row = donor_store._rows.get((table.name, pk))
-                    if row is None:
-                        continue
-                    dn.store.load(table.name, pk, row.partition_key, value)
-                    copied_rows += 1
+        donor = self._donor(addr)
+        copied_rows = dn.store.level_with(disk if donor is None else donor.store)
         # Recovery time: fragment copy over the network (modelled in bulk).
-        copy_ms = copied_rows * self.config.costs.ldm_read
-        if copy_ms:
-            yield self.env.timeout(copy_ms)
-        else:
-            yield self.env.timeout(0)
+        yield self.env.timeout(copied_rows * self.config.costs.ldm_read)
         self.partition_map.mark_up(addr)
         # Transactions already in flight computed their replica chains while
         # this node was down; their commits land only on the old replicas.
@@ -309,6 +293,18 @@ class NdbCluster:
         self.env.process(self._reconcile(addr), name=f"{addr}:recovery-sync")
         return copied_rows
 
+    def _donor(self, addr: NodeAddress) -> Optional[NdbDatanode]:
+        """The member of ``addr``'s node group a recovery copies from: the
+        first other one that is up and running.  A crashed member not yet
+        declared failed is still up, and may have missed a commit."""
+        group = next(g for g in self.partition_map.node_groups if addr in g)
+        is_up = self.partition_map.is_up
+        return next(
+            (self.datanodes[m] for m in group
+             if m != addr and is_up(m) and self.datanodes[m].running),
+            None,
+        )
+
     def _reconcile(self, addr: NodeAddress):
         """Copy any rows that in-flight transactions changed during rejoin."""
         horizon = self.config.deadlock_timeout_ms + 10 * self.config.heartbeat_interval_ms
@@ -316,30 +312,9 @@ class NdbCluster:
         dn = self.datanodes[addr]
         if not dn.running or not self.partition_map.is_up(addr):
             return
-        group_index = next(
-            g for g, group in enumerate(self.partition_map.node_groups) if addr in group
-        )
-        donors = [
-            m
-            for m in self.partition_map.node_groups[group_index]
-            if m != addr and self.partition_map.is_up(m) and self.datanodes[m].running
-        ]
-        if not donors:
-            return
-        donor_store = self.datanodes[donors[0]].store
-        for table in self.schema.tables():
-            donor_rows = dict(donor_store.iter_rows(table.name))
-            local_rows = dict(dn.store.iter_rows(table.name))
-            for pk, value in donor_rows.items():
-                if local_rows.get(pk) != value:
-                    row = donor_store._rows.get((table.name, pk))
-                    if row is not None:
-                        dn.store.load(table.name, pk, row.partition_key, value)
-            for pk in local_rows:
-                if pk not in donor_rows:
-                    row = dn.store._rows.get((table.name, pk))
-                    if row is not None:
-                        dn.store.load(table.name, pk, row.partition_key, TOMBSTONE)
+        donor = self._donor(addr)
+        if donor is not None:
+            dn.store.level_with(donor.store)
 
     def shutdown_component(self, addrs: set[NodeAddress], reason: str) -> None:
         # Sorted so shutdown order is deterministic across processes (the

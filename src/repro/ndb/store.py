@@ -21,17 +21,6 @@ __all__ = ["FragmentStore", "ReadStats"]
 
 
 @dataclass(slots=True)
-class _Row:
-    """A committed version.  Writes replace it, nothing mutates it, so the
-    replicas a bulk load fills share one instance.  Not frozen: a frozen
-    ``__init__`` sets each field through ``object.__setattr__``, which
-    doubles the cost of the one built per namespace row at set-up."""
-
-    value: Any  # TOMBSTONE only inside a ``load_many`` batch (a delete)
-    partition_key: Hashable
-
-
-@dataclass(slots=True)
 class _Prepared:
     txid: int
     value: Any  # TOMBSTONE for deletes
@@ -39,10 +28,15 @@ class _Prepared:
 
 
 class FragmentStore:
-    """Committed rows + prepared (in-flight) versions on one datanode."""
+    """Committed rows + prepared (in-flight) versions on one datanode.
+
+    A committed row is its value, stored as given (the replicas a bulk load
+    fills share it), and its partition is recorded once: by the ``_index``
+    set that holds its pk.
+    """
 
     def __init__(self) -> None:
-        self._rows: dict[tuple[str, Hashable], _Row] = {}
+        self._rows: dict[tuple[str, Hashable], Any] = {}
         # (table, partition_key) -> set of pks, for partition-pruned scans.
         self._index: dict[tuple[str, Hashable], set[Hashable]] = defaultdict(set)
         self._prepared: dict[tuple[str, Hashable], _Prepared] = {}
@@ -53,8 +47,7 @@ class FragmentStore:
 
     # -- reads ------------------------------------------------------------
     def read(self, table: str, pk: Hashable) -> Optional[Any]:
-        row = self._rows.get((table, pk))
-        return row.value if row is not None else None
+        return self._rows.get((table, pk))
 
     def lookup(self, table: str, pk: Hashable) -> tuple[bool, Optional[Any]]:
         """Committed read distinguishing absent from present: (found, value).
@@ -63,25 +56,22 @@ class FragmentStore:
         writes (including deletes) landed; ``read`` alone cannot tell an
         absent row from one whose value is None.
         """
-        row = self._rows.get((table, pk))
-        if row is None:
-            return False, None
-        return True, row.value
+        key = (table, pk)
+        if key in self._rows:
+            return True, self._rows[key]
+        return False, None
 
     def read_for(self, txid: int, table: str, pk: Hashable) -> Optional[Any]:
         """Read seeing the transaction's own prepared (uncommitted) version."""
         prepared = self._prepared.get((table, pk))
         if prepared is not None and prepared.txid == txid:
             return None if prepared.value is TOMBSTONE else prepared.value
-        return self.read(table, pk)
+        return self._rows.get((table, pk))
 
     def scan(self, table: str, partition_key: Hashable) -> list[tuple[Hashable, Any]]:
         """All committed rows of ``table`` with the given partition key."""
-        result = []
-        for pk in self._index.get((table, partition_key), ()):
-            row = self._rows.get((table, pk))
-            if row is not None:
-                result.append((pk, row.value))
+        rows = self._rows
+        result = [(pk, rows[(table, pk)]) for pk in self._index.get((table, partition_key), ())]
         result.sort(key=lambda item: repr(item[0]))
         return result
 
@@ -135,37 +125,49 @@ class FragmentStore:
         for table, pk in tuple(self._prepared_by_txn.get(txid, ())):
             self.commit_prepared(txid, table, pk)
 
+    def _apply(self, table: str, pk: Hashable, partition_key: Hashable, value: Any) -> None:
+        """Store one committed version (a TOMBSTONE deletes): the one routine
+        behind commits, loads and node recovery."""
+        key = (table, pk)
+        rows = self._rows
+        if value is TOMBSTONE:
+            if key in rows:
+                del rows[key]
+                pks = self._index.get((table, partition_key))
+                if pks is None or pk not in pks:  # deleted under another partition key
+                    pks = self._partition_of(table, pk)
+                pks.remove(pk)
+            return
+        pks = self._index[(table, partition_key)]
+        if pk not in pks:
+            if key in rows:  # rewritten under another partition key
+                self._partition_of(table, pk).remove(pk)
+            pks.add(pk)
+        rows[key] = value
+
+    def _partition_of(self, table: str, pk: Hashable) -> set:
+        """The index set holding a stored ``pk``, found the slow way: for a
+        write that names another partition key than the row's."""
+        return next(s for (t, _p), s in self._index.items() if t == table and pk in s)
+
     # -- bulk load (preloading namespaces without the protocol) -----------------
     def load(self, table: str, pk: Hashable, partition_key: Hashable, value: Any) -> None:
-        self.load_many((((table, pk), _Row(value, partition_key)),))
+        self._apply(table, pk, partition_key, value)
 
-    def load_many(self, entries: Iterable[tuple[tuple[str, Hashable], _Row]]) -> None:
-        """Apply ``((table, pk), row)`` pairs in order, as ``_apply`` would
-        one by one; the keys and rows are stored as given, not copied."""
-        rows = self._rows
-        index = self._index
-        for key, row in entries:
-            table, pk = key
-            old = rows.get(key)
-            partition_key = row.partition_key
-            if row.value is TOMBSTONE:
-                if old is not None:
-                    del rows[key]
-                    index[(table, old.partition_key)].discard(pk)
-                continue
-            if old is not None and old.partition_key != partition_key:
-                index[(table, old.partition_key)].discard(pk)
-            rows[key] = row
-            index[(table, partition_key)].add(pk)
+    def load_many(self, entries: Iterable[tuple[str, Hashable, Hashable, Any]]) -> None:
+        """Apply ``(table, pk, partition_key, value)`` entries in order."""
+        apply = self._apply
+        for entry in entries:
+            apply(*entry)
 
     def load_new(self, rows: dict, partitions: list) -> bool:
         """``load_many`` of a batch whose keys are all new to this store:
-        ``rows`` maps each ``(table, pk)`` to its row in load order (no
+        ``rows`` maps each ``(table, pk)`` to its value in load order (no
         tombstone, no key twice), ``partitions`` pairs each ``(table,
         partition_key)`` with its pks, both in the order rows first name
         them.  One ``dict.update`` and one ``set`` build per partition leave
         both orders as one-by-one loads would.  Returns False, storing
-        nothing, when a key is already here; the rows are shared, not copied."""
+        nothing, when a key is already here; the values are shared, not copied."""
         if not self._rows.keys().isdisjoint(rows):
             return False
         self._rows.update(rows)
@@ -177,18 +179,27 @@ class FragmentStore:
                 index[key] = set(pks)
         return True
 
-    def _apply(self, table: str, pk: Hashable, partition_key: Hashable, value: Any) -> None:
-        key = (table, pk)
-        old = self._rows.get(key)
-        if value is TOMBSTONE:
-            if old is not None:
-                del self._rows[key]
-                self._index[(table, old.partition_key)].discard(pk)
-            return
-        if old is not None and old.partition_key != partition_key:
-            self._index[(table, old.partition_key)].discard(pk)
-        self._rows[key] = _Row(value, partition_key)
-        self._index[(table, partition_key)].add(pk)
+    def level_with(self, donor: "FragmentStore") -> int:
+        """Node recovery's copy: make the committed rows ``donor``'s.
+
+        Applies each donor row this store lacks or holds another value of,
+        in the donor's order, then deletes each row the donor lacks.
+        Returns the rows copied: all of them into a fresh store.
+        """
+        partition_of = {
+            (table, pk): partition_key
+            for (table, partition_key), pks in donor._index.items()
+            for pk in pks
+        }
+        rows = self._rows
+        copied = 0
+        for key, value in donor._rows.items():
+            if key not in rows or rows[key] != value:
+                self._apply(*key, partition_of[key], value)
+                copied += 1
+        for key in [key for key in rows if key not in donor._rows]:
+            self._apply(*key, None, TOMBSTONE)
+        return copied
 
     # -- introspection -------------------------------------------------------
     def row_count(self, table: Optional[str] = None) -> int:
@@ -205,9 +216,9 @@ class FragmentStore:
             yield key, prepared.txid
 
     def iter_rows(self, table: str) -> Iterator[tuple[Hashable, Any]]:
-        for (t, pk), row in self._rows.items():
+        for (t, pk), value in self._rows.items():
             if t == table:
-                yield pk, row.value
+                yield pk, value
 
 
 class ReadStats:

@@ -85,9 +85,7 @@ class OpType(str, enum.Enum):
     # caller's acked horizons settle.  Non-mutating (no namespace writes).
     FSYNC = "fsync"
 
-    @property
-    def mutates(self) -> bool:
-        return self in MUTATING_OPS
+    mutates: bool  # whether the op writes the namespace: set below, per member
 
 
 MUTATING_OPS = frozenset(
@@ -104,6 +102,9 @@ MUTATING_OPS = frozenset(
         OpType.SET_REPLICATION,
     }
 )
+for _op in OpType:
+    _op.mutates = _op in MUTATING_OPS
+del _op
 
 
 @dataclass(slots=True)

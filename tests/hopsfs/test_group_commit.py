@@ -187,8 +187,8 @@ def test_grouped_directory_delete_scans_and_records_its_tombstones():
     assert run(fs, scenario()) is False
     batch = fs.group_ledger.batches[client.durability_horizon]
     assert batch.state == "committed"
-    removed = {pk for table, pk, _part, value in batch.writes
-               if table == INODES_TABLE and value is TOMBSTONE}
+    removed = {w.pk for w in batch.writes
+               if w.table == INODES_TABLE and w.value is TOMBSTONE}
     assert {name for _parent, name in removed} == {"tree", "sub"}
     assert durability_horizon(fs).ok
 
@@ -237,7 +237,7 @@ def test_aborted_flush_backs_off_reruns_members_then_gives_up(monkeypatch):
     def commit(txn):
         if txn.txid not in opened:
             return real_commit(txn)
-        commits.append((txn.txid, txn.write_count))
+        commits.append((txn.txid, len(txn.writes)))
         raise TransactionAbortedError("forced commit abort")
 
     def abort(txn):

@@ -1,8 +1,8 @@
 """Every ``NdbTransaction`` op, where its callers observe it.
 
 The ops are plain functions returning the one ``_call`` generator; these
-pin what moved with that: results, ``finished``, ``mutated`` /
-``write_count``, the finished-transaction error, the unreachable-TC
+pin what moved with that: results, ``finished``, the ``writes`` each
+write or delete records, the finished-transaction error, the unreachable-TC
 translation, idempotent ``abort`` and the abort-time undo list.
 """
 
@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import NdbError, TransactionAbortedError
 from repro.ndb import LockMode, NdbTransaction
+from repro.ndb.schema import TOMBSTONE
 
 from .conftest import build_harness
 
@@ -58,16 +59,18 @@ def test_results(harness):
     assert harness.run(scenario()) == (None, 2)
 
 
-def test_mutated_and_write_count(harness):
+def test_writes_are_the_write_requests_sent(harness):
     def scenario():
         txn = harness.api.transaction()
         yield from txn.read("t", "k")
         yield from txn.scan("t", "k")
-        assert (txn.mutated, txn.write_count) == (False, 0)
-        yield from txn.write("t", "k", 2)
-        assert (txn.mutated, txn.write_count) == (True, 1)
+        assert txn.writes == []
+        yield from txn.write("t", "k", 2, partition_key="p")
         yield from txn.delete("t", "other")
-        assert (txn.mutated, txn.write_count) == (True, 2)
+        assert [(w.txid, w.table, w.pk, w.partition_key, w.value) for w in txn.writes] == [
+            (txn.txid, "t", "k", "p", 2),
+            (txn.txid, "t", "other", "other", TOMBSTONE),
+        ]
         yield from txn.commit()
 
     harness.run(scenario())

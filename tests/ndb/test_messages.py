@@ -13,7 +13,7 @@ from .conftest import build_harness
 
 PAYLOADS = [getattr(messages, name) for name in messages.__all__]
 RECORDS = [
-    datanode._RowOp, datanode._TcTxn, store._Row, store._Prepared,
+    datanode._RowOp, datanode._TcTxn, store._Prepared,
     locks._LockRequest, locks._RowLock,
 ]
 _NODES = tuple(NodeAddress(NodeKind.NDB_DATANODE, i) for i in range(1, 4))

@@ -39,6 +39,46 @@ def test_restart_copies_data_and_rejoins():
     assert victim_rows in ("while-down", None)
 
 
+def test_recovery_copies_from_a_running_member_not_a_crashed_one():
+    """A group member that crashed but is not yet declared failed is still
+    up in the partition map; its store may have missed a commit, so node
+    recovery copies from a member that is up and running."""
+    harness = build_harness(num_datanodes=6, replication=3, azs=(1, 2, 3))
+    cluster = harness.cluster
+    first, crashed, running = cluster.partition_map.node_groups[0]
+    assert first.index == 1  # one node group: ndbd1, ndbd3, ndbd5
+
+    def scenario():
+        cluster.crash_datanode(first, detect_now=True)
+        cluster.crash_datanode(crashed)  # not detected: still up
+        assert cluster.partition_map.is_up(crashed)
+        # A commit the crashed member missed.
+        cluster.datanodes[running].store.load("t", "marker", "p", "committed")
+        copied = yield from cluster.restart_datanode(first)
+        return copied, cluster.datanodes[first].store.read("t", "marker")
+
+    assert harness.run(scenario()) == (1, "committed")
+
+
+def test_recovery_with_the_whole_group_down_restores_its_own_fragments():
+    """No member of the group is running, so there is no live copy: the
+    restarted node restores what it held (NDB's system restart)."""
+    harness = build_harness()
+    cluster = harness.cluster
+    first, peer = cluster.partition_map.replicas_for_key("k").all
+
+    def scenario():
+        txn = harness.api.transaction(hint_table="t", hint_key="k")
+        yield from txn.write("t", "k", "durable")
+        yield from txn.commit()
+        cluster.crash_datanode(first)
+        cluster.crash_datanode(peer)
+        copied = yield from cluster.restart_datanode(first)
+        return copied, cluster.datanodes[first].store.read("t", "k")
+
+    assert harness.run(scenario()) == (1, "durable")
+
+
 def test_rejoined_node_serves_transactions():
     harness = build_harness()
     cluster = harness.cluster

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError, NdbError
 from repro.ndb import FragmentStore, ReadStats, Schema, TableDef
 from repro.ndb.schema import TOMBSTONE
-from repro.ndb.store import _Row
 from repro.types import NodeAddress, NodeKind
 
 from .conftest import store_state
@@ -194,7 +193,7 @@ def test_load_many_leaves_the_store_as_row_by_row_loads_and_commits_do(existing,
             store.load("t", pk, partition_key, value)
     for batch in batches:
         # The entries are shared between stores, as between replicas.
-        entries = [(("t", pk), _Row(value, partition_key)) for pk, partition_key, value in batch]
+        entries = [("t", pk, partition_key, value) for pk, partition_key, value in batch]
         bulk.load_many(entries)
         for pk, partition_key, value in batch:
             one_by_one.load("t", pk, partition_key, value)

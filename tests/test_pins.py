@@ -192,6 +192,8 @@ def test_ceiling_lets_a_call_count_fall_but_not_rise_and_pins_the_rest():
     assert ceiling("w.ndb.calls_per_op", 100.0, 80.0) is None
     assert "+0.60%" in ceiling("w.ndb.calls_per_op", 100.0, 100.6)
     assert ceiling("w.ready.calls_per_row", 10.0, 10.2)
+    assert ceiling("w.install.tracked_per_row", 1.2, 1.1) is None
+    assert ceiling("w.install.tracked_per_row", 1.2, 2.2)
     assert ceiling("w.sim.events_per_op", 50.0, 49.9)  # moves only with the schedule
     assert ceiling("w.sim.events_per_op", 50.0, 50.0) is None
     pin = dataclasses.replace(PINS["call_budget"])
