@@ -28,6 +28,7 @@ __all__ = [
     "drained_ack_integrity",
     "membership_convergence",
     "listing_consistency",
+    "installed_rows_survive",
     "deadline_compliance",
     "ceph_namespace_integrity",
     "ceph_subtrees_served",
@@ -78,19 +79,10 @@ def replica_consistency(fs) -> InvariantVerdict:
 
 
 def namespace_integrity(fs) -> InvariantVerdict:
-    """Every inode's parent exists (no orphans)."""
-    inodes = {}
-    for dn in fs.ndb.datanodes.values():
-        if not dn.running:
-            continue
-        for _pk, row in dn.store.iter_rows("inodes"):
-            inodes[row.id] = row
-    ids = {row.id for row in inodes.values()} | {1}
-    orphans = [
-        row
-        for row in inodes.values()
-        if row.parent_id != 0 and row.parent_id not in ids
-    ]
+    """Every committed inode's parent exists (no orphans)."""
+    inodes = fs.committed_inodes()
+    ids = {row.id for row in inodes} | {1}
+    orphans = [row for row in inodes if row.parent_id != 0 and row.parent_id not in ids]
     detail = "; ".join(f"inode {r.id} ({r.name!r}) parent {r.parent_id}" for r in orphans[:5])
     return InvariantVerdict("namespace-integrity", not orphans, detail)
 
@@ -444,11 +436,10 @@ def membership_convergence(fs) -> InvariantVerdict:
 def listing_consistency(fs) -> InvariantVerdict:
     """No live listing-cache entry diverges from committed NDB state.
 
-    Ground truth is rebuilt from the running NDB datanodes' fragment
-    stores (first fragment wins per pk — replica consistency is its own
-    invariant).  Every NN's *live* (non-expired) attr entry must equal the
-    committed row, and every live listing must equal the committed
-    directory's sorted children.  Entries past ``ttl_ms`` are exempt: the
+    Ground truth is the committed ``inodes`` rows (one running member per
+    node group — replica consistency is its own invariant).  Every NN's
+    *live* (non-expired) attr entry must equal the committed row, and every
+    live listing must equal the committed directory's sorted children.  Entries past ``ttl_ms`` are exempt: the
     cache never serves them.  Vacuously green with the listing cache off.
     """
     if fs.config.listing_cache is None:
@@ -456,12 +447,7 @@ def listing_consistency(fs) -> InvariantVerdict:
             "listing-consistency", True, "n/a (listing cache off)"
         )
     caches = [(nn, nn.listing_cache) for nn in fs.namenodes]
-    truth: dict = {}
-    for dn in fs.ndb.datanodes.values():
-        if not dn.running:
-            continue
-        for pk, row in dn.store.iter_rows("inodes"):
-            truth.setdefault(pk, row)
+    truth = {row.pk: row for row in fs.committed_inodes()}
     children: dict = {}
     for row in truth.values():
         children.setdefault(row.parent_id, set()).add(row.name)
@@ -491,6 +477,41 @@ def listing_consistency(fs) -> InvariantVerdict:
         else f"{audited} live entries audited across {len(caches)} NNs"
     )
     return InvariantVerdict("listing-consistency", not problems, detail)
+
+
+def installed_rows_survive(fs, namespace) -> InvariantVerdict:
+    """Every directory and file the harness installed is still committed.
+
+    The workloads delete and rename only files they created themselves, so
+    no run may lose a row the install loaded.  Each installed path is
+    resolved from the root against the committed ``inodes`` rows.  A row
+    whose node group has no running member is not auditable (as in
+    durability-horizon), nor is anything below it.  ``n/a`` when nothing
+    was installed.
+    """
+    if namespace is None:
+        return InvariantVerdict("installed-rows-survive", True, "n/a (nothing installed)")
+    rows = {row.pk: row for row in fs.committed_inodes()}
+    pm, datanodes = fs.ndb.partition_map, fs.ndb.datanodes
+    dir_ids = {"": 1}  # installed dir path -> inode id, None once unresolvable
+    missing, audited = [], 0
+    for paths, is_dir in ((namespace.top_dirs, True), (namespace.dirs, True),
+                          (namespace.files, False)):
+        for path in paths:  # parents first, as the install loads them
+            parent_path, _slash, name = path.rpartition("/")
+            parent_id = dir_ids[parent_path]
+            row = None if parent_id is None else rows.get((parent_id, name))
+            if is_dir:
+                dir_ids[path] = None if row is None else row.id
+            if parent_id is None:
+                continue
+            if row is None and any(datanodes[a].running
+                                   for a in pm.replicas_for_key(parent_id).all):
+                missing.append(path)
+            audited += 1
+    detail = (f"{len(missing)} installed paths missing: {', '.join(missing[:5])}"
+              if missing else f"{audited} installed paths audited")
+    return InvariantVerdict("installed-rows-survive", not missing, detail)
 
 
 def deadline_compliance(harness) -> InvariantVerdict:
@@ -574,6 +595,7 @@ def verify_target(harness) -> list[InvariantVerdict]:
     """Run the invariant catalogue matching a harness's stack."""
     if harness.spec.kind == "hopsfs":
         verdicts = verify_hopsfs(harness.deployment)
+        verdicts.append(installed_rows_survive(harness.deployment, harness.namespace))
     else:
         verdicts = verify_cephfs(harness.cluster)
     return verdicts + [deadline_compliance(harness)]

@@ -294,12 +294,16 @@ class HopsFsHarness(Harness):
         )
         super().__init__(spec, self.deployment)
         self._dir_ids = {"/": 1, "": 1}  # precreate()'s path -> inode id memo
+        # What install() loaded; the installed-rows-survive invariant
+        # audits that a run lost none of it.
+        self.namespace: Optional[Namespace] = None
 
     # -- runner surface ------------------------------------------------------
     def ready(self):
         yield from self.deployment.await_election()
 
     def install(self, namespace: Namespace) -> int:
+        self.namespace = namespace
         return install_hopsfs(self.deployment, namespace)
 
     def _client(self, az):

@@ -6,14 +6,13 @@ the serving tier can grow and shrink at runtime without data movement.
 This module supplies the pieces the static build path lacks:
 
 * :class:`ElasticConfig` — the opt-in switch and the values scenarios
-  and tests set (refresh and autoscale periods, utilization triggers,
-  pool bounds, drain grace).
-* :func:`membership_refresh`, :func:`start_autoscaler` and
-  :func:`lifecycle_config` — the path's parts, built once per client and
-  per deployment: each client's membership-refresh loop, the autoscaler,
-  and the values a drain uses.  Off (``HopsFsConfig.elastic`` None), no
-  loop or autoscaler starts (no events), so the fixed pool stays on the
-  pinned golden schedules, and a drain ordered by hand uses the defaults.
+  set (refresh and autoscale periods, the scale-in trigger, pool bounds,
+  cooldown).
+* :func:`membership_refresh` and :func:`start_autoscaler` — the path's
+  parts, built once per client and per deployment: each client's
+  membership-refresh loop and the autoscaler.  Off
+  (``HopsFsConfig.elastic`` None), no loop or autoscaler starts (no
+  events), so the fixed pool stays on the pinned golden schedules.
 * :class:`ReconfigEvent` / :class:`ProvisionRecord` — the reconfiguration
   log and per-NN provisioned-interval accounting behind the artifact's
   two headline metrics: reconfiguration latency (decision →
@@ -36,7 +35,7 @@ the config, the log records, and the autoscaler that drives them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigError
@@ -45,7 +44,6 @@ from .robust import admission_cap
 
 __all__ = [
     "ElasticConfig",
-    "lifecycle_config",
     "membership_refresh",
     "start_autoscaler",
     "ProvisionRecord",
@@ -68,22 +66,12 @@ class ElasticConfig:
     # the ``nn-churn`` scenario drives churn purely from its schedule.
     autoscale: bool = True
     autoscale_interval_ms: float = 50.0
-    # Scale-out trigger besides Autoscaler.SCALE_UP_SHED_THRESHOLD: mean
-    # in-flight utilization in the hottest AZ.
-    scale_up_utilization: float = 0.75
     # Scale-in trigger: every AZ's mean utilization below this floor.
     scale_down_utilization: float = 0.10
     min_nns_per_az: int = 1
     max_nns_per_az: int = 4
     # No two scaling decisions closer than this (per direction-agnostic).
     cooldown_ms: float = 120.0
-    # Graceful drain: stop admitting, wait this long for in-flight ops to
-    # finish (they virtually always do — this is a hang bound, not a kill).
-    drain_grace_ms: float = 50.0
-    # Reconfiguration-latency watcher: poll the peers' membership views
-    # until the change is visible (or give up after
-    # HopsFsDeployment.VISIBILITY_TIMEOUT_MS).
-    visibility_poll_ms: float = 5.0
 
     def __post_init__(self) -> None:
         if self.membership_refresh_ms <= 0:
@@ -94,12 +82,11 @@ class ElasticConfig:
             raise ConfigError("min_nns_per_az must be at least 1")
         if self.max_nns_per_az < self.min_nns_per_az:
             raise ConfigError("max_nns_per_az must be >= min_nns_per_az")
-        if self.drain_grace_ms < 0 or self.cooldown_ms < 0:
-            raise ConfigError("drain_grace_ms / cooldown_ms must be >= 0")
-        if not (0.0 <= self.scale_down_utilization
-                < self.scale_up_utilization <= 1.0):
+        if self.cooldown_ms < 0:
+            raise ConfigError("cooldown_ms must be >= 0")
+        if not 0.0 <= self.scale_down_utilization < Autoscaler.SCALE_UP_UTILIZATION:
             raise ConfigError(
-                "need 0 <= scale_down_utilization < scale_up_utilization <= 1"
+                "need 0 <= scale_down_utilization < Autoscaler.SCALE_UP_UTILIZATION"
             )
 
 
@@ -130,13 +117,6 @@ def start_autoscaler(deployment, config: Optional[ElasticConfig]) -> Optional["A
     scaler = Autoscaler(deployment, config)
     scaler.start()
     return scaler
-
-
-def lifecycle_config(config: Optional[ElasticConfig]) -> ElasticConfig:
-    """What a deployment's drains and visibility watches use: the tier's
-    values, or on a fixed pool (an NN decommissioned or preempted by hand)
-    the defaults."""
-    return ElasticConfig() if config is None else config
 
 
 @dataclass
@@ -214,7 +194,7 @@ class Autoscaler:
       AZ scales out.
     * **Utilization** — per-AZ mean of in-flight ops over the admission
       cap (``robust.nn_max_inflight``, or ``nn_cores`` without one).
-      Above ``scale_up_utilization`` scales the hottest AZ out; when every
+      At or above ``SCALE_UP_UTILIZATION`` scales the hottest AZ out; when every
       AZ sits below ``scale_down_utilization`` the most-populated AZ
       retires its highest-id non-leader NN via the graceful drain path.
 
@@ -225,6 +205,9 @@ class Autoscaler:
 
     # Admission-control sheds in one interval that trigger a scale-out.
     SCALE_UP_SHED_THRESHOLD = 4
+    # The other scale-out trigger: mean in-flight utilization in the
+    # hottest AZ.
+    SCALE_UP_UTILIZATION = 0.75
 
     def __init__(self, deployment, config: ElasticConfig):
         self.fs = deployment
@@ -296,7 +279,7 @@ class Autoscaler:
             )
             pressed = (
                 shed_delta >= self.SCALE_UP_SHED_THRESHOLD
-                or utilization[hot_az] >= cfg.scale_up_utilization
+                or utilization[hot_az] >= self.SCALE_UP_UTILIZATION
             )
             if pressed and counts.get(hot_az, 0) < cfg.max_nns_per_az:
                 self._scale_up(hot_az, reason="load")

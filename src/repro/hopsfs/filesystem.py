@@ -24,8 +24,7 @@ from .blocks import PlacementPolicy
 from .client import HopsFsClient
 from .config import HopsFsConfig
 from .datanode import BlockStoreDatanode
-from .elastic import (Autoscaler, ElasticConfig, ProvisionRecord, ReconfigEvent,
-                      lifecycle_config, start_autoscaler)
+from .elastic import Autoscaler, ProvisionRecord, ReconfigEvent, start_autoscaler
 from .groupcommit import GroupCommitLedger
 from .listcache import materialize_snapshot
 from .metadata import IdGenerator, define_fs_schema
@@ -39,7 +38,13 @@ __all__ = ["HopsFsDeployment", "build_hopsfs"]
 class HopsFsDeployment:
     """A running HopsFS(-CL) cluster plus factories for clients."""
 
-    # The reconfiguration-latency watcher gives up after this long.
+    # Graceful drain: stop admitting, wait this long for in-flight ops to
+    # finish (they virtually always do — this is a hang bound, not a kill).
+    DRAIN_GRACE_MS = 50.0
+    # The reconfiguration-latency watcher polls the peers' membership views
+    # this often until the change is visible, and gives up after
+    # VISIBILITY_TIMEOUT_MS.
+    VISIBILITY_POLL_MS = 5.0
     VISIBILITY_TIMEOUT_MS = 5000.0
 
     env: Environment
@@ -56,9 +61,6 @@ class HopsFsDeployment:
     # deployment-global, and the durability-horizon invariant audits it.
     # Empty on the synchronous path.
     group_ledger: GroupCommitLedger
-    # The drain and visibility-watch values of the elastic tier (its
-    # defaults on a fixed pool).
-    elastic: ElasticConfig
     # One applied-mutation ledger shared by every NN (robust mode writes
     # it); the chaos exactly-once invariant audits it for duplicate ids.
     mutation_ledger: list = field(default_factory=list)
@@ -241,7 +243,7 @@ class HopsFsDeployment:
         # floor must know the silence is planned before it starts burning.
         self._mark_retired(nn)
         lost_before = self.group_ledger.lost_acks
-        forced = yield from nn.drain(grace_ms=self.elastic.drain_grace_ms)
+        forced = yield from nn.drain(grace_ms=self.DRAIN_GRACE_MS)
         yield from nn.election.deregister()
         nn.shutdown()
         event.forced_shutdown = bool(forced)
@@ -305,7 +307,7 @@ class HopsFsDeployment:
 
     def _watch_visibility(self, nn, event: ReconfigEvent, joining: bool) -> None:
         """Poll peers' membership views until the change is client-visible."""
-        poll_ms = self.elastic.visibility_poll_ms
+        poll_ms = self.VISIBILITY_POLL_MS
 
         def watch():
             deadline = self.env.now + self.VISIBILITY_TIMEOUT_MS
@@ -346,8 +348,6 @@ def build_hopsfs(
     num_namenodes: int = 2,
     azs: Sequence[AzId] = (2,),
     az_aware: bool = False,
-    ndb_replication: int = 2,
-    num_ndb_datanodes: int = 12,
     num_block_datanodes: int = 0,
     env: Optional[Environment] = None,
     seed: int = 0,
@@ -376,11 +376,7 @@ def build_hopsfs(
     )
     config = hopsfs_config or HopsFsConfig()
     if ndb_config is None:
-        ndb_config = NdbConfig(
-            num_datanodes=num_ndb_datanodes,
-            replication=ndb_replication,
-            az_aware=az_aware,
-        )
+        ndb_config = NdbConfig(az_aware=az_aware)
     schema = define_fs_schema(
         read_backup=az_aware, fully_replicated_leader=fully_replicated_leader
     )
@@ -416,7 +412,6 @@ def build_hopsfs(
         ids=IdGenerator(),
         rng=rng,
         group_ledger=GroupCommitLedger(env),
-        elastic=lifecycle_config(config.elastic),
         _election_enabled=election,
     )
     for i in range(num_namenodes):

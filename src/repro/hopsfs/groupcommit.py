@@ -131,25 +131,19 @@ class AsyncCommitConfig:
     """Opt-in group-commit policy (mirrors the ``robust`` pattern).
 
     ``linger_ms`` bounds how long an open batch waits for more ops after
-    its first member; ``max_batch_ops`` flushes a full batch early.
-    ``max_inflight_batches`` bounds the flush pipeline: the committer
-    gathers (and acks) the next batch while up to that many earlier
-    batches are still committing.  An aborted flush backs off by
-    ``_FLUSH_RETRY`` and re-executes every member body in a fresh
-    transaction.
+    its first member; ``max_batch_ops`` flushes a full batch early.  An
+    aborted flush backs off by ``_FLUSH_RETRY`` and re-executes every
+    member body in a fresh transaction.
     """
 
     linger_ms: float = 1.0
     max_batch_ops: int = 16
-    max_inflight_batches: int = 4
 
     def __post_init__(self) -> None:
         if self.linger_ms < 0:
             raise ConfigError("group-commit linger cannot be negative")
         if self.max_batch_ops < 1:
             raise ConfigError("group-commit batch needs at least one op")
-        if self.max_inflight_batches < 1:
-            raise ConfigError("group-commit pipeline needs at least one slot")
 
 
 class GroupAck:
@@ -324,6 +318,8 @@ class GroupCommitter:
       to a still-unsettled batch are held back.
     """
 
+    max_inflight_batches = 4
+
     def __init__(self, nn, config: AsyncCommitConfig, ledger: GroupCommitLedger):
         self.nn = nn
         self.env = nn.env
@@ -483,7 +479,7 @@ class GroupCommitter:
         nn = self.nn
         obs = env.obs
         # Backpressure: bound the flush pipeline.
-        while len(self._inflight) >= cfg.max_inflight_batches:
+        while len(self._inflight) >= self.max_inflight_batches:
             yield self._settled()
             if self._gen != gen:
                 return

@@ -221,24 +221,11 @@ def stat(ctx: FsContext, txn: NdbTransaction, path: str):
 
 
 def exists(ctx: FsContext, txn: NdbTransaction, path: str):
-    components = split_path(path)
-    if not components:
-        return True
-    parent_id = 1
-    row = None
-    for depth, name in enumerate(components):
-        row = ctx.dir_cache.lookup((parent_id, name))
-        if row is None:
-            row = yield from txn.read(INODES_TABLE, (parent_id, name), partition_key=parent_id)
-            if row is not None and row.is_dir:
-                ctx.dir_cache.put(row)
-        if row is None:
-            return False
-        if not row.is_dir:
-            # A file mid-path means the full path cannot exist.
-            return depth == len(components) - 1
-        parent_id = row.id
-    return row is not None
+    try:
+        yield from resolve_inode(txn, path, ctx.dir_cache)
+    except (FileNotFoundFsError, NotDirectoryError):
+        return False
+    return True
 
 
 def list_dir(ctx: FsContext, txn: NdbTransaction, path: str):

@@ -22,8 +22,8 @@ slow instead of dead.  This module holds the client/server parts that turn
   retried mutations are exactly-once even across NN crashes);
   :class:`Replay` marks a result read back from that durable row.  Every
   namenode has one; only robust clients send the retry ids that reach it.
-- :class:`RobustConfig` — the opt-in bundle; :func:`request_bounds` builds
-  a client's bounds from it, once.
+- :class:`RobustConfig` — the opt-in switch and the namenodes' admission
+  cap; :func:`request_bounds` builds a client's bounds, once.
 """
 
 from __future__ import annotations
@@ -147,26 +147,11 @@ class RobustConfig:
     it on.
     """
 
-    # Per-RPC timeout; also the "one hop" slack the deadline invariant
-    # allows (the last armed timer may fire up to one timeout late).
-    op_timeout_ms: float = 40.0
-    # Total per-op budget, client-stamped, enforced at every hop.
-    deadline_ms: float = 240.0
-    retry: RetryPolicy = RetryPolicy()
-    # Read/stat-class ops fire a second request to a different NN after
-    # this delay and take the first reply.  None disables hedging.
-    hedge_delay_ms: Optional[float] = 15.0
     # Namenode admission control: in-flight fs_ops beyond this are shed
     # with a retryable ServerBusyError before touching the handler pool.
     nn_max_inflight: int = 96
 
     def __post_init__(self) -> None:
-        if self.op_timeout_ms <= 0:
-            raise ConfigError("op timeout must be positive")
-        if self.deadline_ms < self.op_timeout_ms:
-            raise ConfigError("deadline cannot be shorter than one RPC timeout")
-        if self.hedge_delay_ms is not None and self.hedge_delay_ms <= 0:
-            raise ConfigError("hedge delay must be positive (or None to disable)")
         if self.nn_max_inflight < 1:
             raise ConfigError("admission control needs room for at least one op")
 
@@ -187,7 +172,7 @@ def request_bounds(config, env, addr, rngs):
         bounds = FailStopBounds()
         bounds.budget = config.client_max_failovers
         return bounds
-    return RobustBounds(config.robust, env, str(addr), rngs.stream(f"client:{addr.index}:retry"))
+    return RobustBounds(env, str(addr), rngs.stream(f"client:{addr.index}:retry"))
 
 
 class FailStopBounds:
@@ -224,23 +209,37 @@ class RobustBounds:
     ``(client_id, op_seq)`` retry ids; read-class ops hedge after
     ``hedge_delay_ms``; a per-NN :class:`CircuitBreaker` trips on repeated
     failures and is dropped with the NN from the client's view.
+
+    The values are the class attributes below; a test that needs another
+    sets it on a client's built ``bounds``.
     """
 
-    def __init__(self, config: RobustConfig, env, client_id: str, retry_rng):
-        self.config = config
+    # Per-RPC timeout; also the "one hop" slack the deadline invariant
+    # allows (the last armed timer may fire up to one timeout late).
+    op_timeout_ms = 40.0
+    # Total per-op budget, client-stamped, enforced at every hop.
+    deadline_ms = 240.0
+    retry = RetryPolicy()
+    # Read/stat-class ops fire a second request to a different NN after
+    # this delay and take the first reply.  None disables hedging.
+    hedge_delay_ms: Optional[float] = 15.0
+
+    def __init__(self, env, client_id: str, retry_rng):
         self.env = env
         self.client_id = client_id
         self.retry_rng = retry_rng
-        self.budget = config.retry.max_retries
-        self.op_timeout_ms = config.op_timeout_ms
-        self.hedge_delay_ms = config.hedge_delay_ms
         # Created on an NN's first failure; success and checks only look.
         self.breakers: defaultdict = defaultdict(CircuitBreaker)
         self._op_seq = itertools.count(1)
 
+    @property
+    def budget(self) -> int:
+        """Retries an op may make (read only after a failed attempt)."""
+        return self.retry.max_retries
+
     def start(self, op) -> tuple:
         """``(deadline_ms, request metadata, hedged)`` of a new op."""
-        deadline = self.env.now + self.config.deadline_ms
+        deadline = self.env.now + self.deadline_ms
         extra = {"deadline_ms": deadline}
         if op.mutates:
             # Exactly-once retried mutations: the NN-side RetryCache keys
@@ -264,7 +263,7 @@ class RobustBounds:
         """Generator: sleep before retry ``attempt``, or fail fast if the
         sleep would outlast the deadline (doomed work)."""
         env = self.env
-        delay = self.config.retry.backoff_ms(attempt, self.retry_rng)
+        delay = self.retry.backoff_ms(attempt, self.retry_rng)
         if deadline - env.now <= delay:
             count(env, "client.deadline_exceeded")
             raise DeadlineExceededError(

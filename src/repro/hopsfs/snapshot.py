@@ -10,8 +10,6 @@ part of the contract, while everything a client can observe is.
 
 from __future__ import annotations
 
-from .metadata import INODES_TABLE
-
 __all__ = ["namespace_snapshot"]
 
 ROOT_ID = 1
@@ -20,22 +18,15 @@ ROOT_ID = 1
 def namespace_snapshot(fs) -> dict[str, tuple]:
     """Committed namespace shape: ``path -> (kind, size, perm, repl, data)``.
 
-    Reads committed rows straight from the running NDB fragment stores
-    (any running replica; replica consistency is audited by the chaos
-    invariant catalogue separately), rebuilds paths from parent links,
-    and drops inode ids on purpose.  Rows whose parent chain does not
-    reach the root are skipped — orphan detection belongs to the
+    Reads the committed rows (:meth:`HopsFsDeployment.committed_inodes`:
+    one running member per node group; replica consistency is audited by
+    the chaos invariant catalogue separately), rebuilds paths from parent
+    links, and drops inode ids on purpose.  Rows whose parent chain does
+    not reach the root are skipped — orphan detection belongs to the
     namespace-integrity invariant, not to the differential diff.
     """
-    rows: dict[tuple, object] = {}
-    for dn in fs.ndb.datanodes.values():
-        if not dn.running:
-            continue
-        for pk, value in dn.store.iter_rows(INODES_TABLE):
-            rows.setdefault(pk, value)
-
     children: dict[int, list] = {}
-    for row in rows.values():
+    for row in fs.committed_inodes():
         children.setdefault(row.parent_id, []).append(row)
 
     snapshot: dict[str, tuple] = {}

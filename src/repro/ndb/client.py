@@ -205,19 +205,22 @@ class RetryPolicy:
         return base * (0.5 + rng.random())
 
 
+# The retries of one metadata transaction: 12, backing off 2 -> 200 ms.
+TXN_RETRY = RetryPolicy(max_retries=12, backoff_max_ms=200.0)
+
+
 def run_transaction(
     api: NdbApi,
     body: Callable[[NdbTransaction], Any],
     hint_table: Optional[str] = None,
     hint_key: Optional[Hashable] = None,
-    retry: RetryPolicy = RetryPolicy(max_retries=12, backoff_max_ms=200.0),
     parent_span=None,
     deadline: Optional[float] = None,
 ):
     """Run ``body(txn)`` (a generator function) with commit and retries.
 
     This is HopsFS's transaction retry mechanism: aborted transactions are
-    retried with ``retry``'s exponential backoff, which provides
+    retried with :data:`TXN_RETRY`'s exponential backoff, which provides
     backpressure to NDB.  Non-retryable errors (application errors) abort
     and propagate.
 
@@ -258,13 +261,13 @@ def run_transaction(
             if span is not None:
                 obs.tracer.finish(span, outcome="aborted", retryable=exc.retryable)
                 obs.registry.counter("ndb.txn.aborts").inc()
-            if not exc.retryable or attempt >= retry.max_retries:
+            if not exc.retryable or attempt >= TXN_RETRY.max_retries:
                 raise
             attempt += 1
             # Streams are derived by name: fetching it only when a back-off
             # draws leaves every stream's draw order as it was.
             rng = api.cluster.rng.stream(f"txnretry:{api.addr}")
-            delay = retry.backoff_ms(attempt, rng)
+            delay = TXN_RETRY.backoff_ms(attempt, rng)
             if deadline is not None and env.now + delay >= deadline:
                 raise DeadlineExceededError(
                     "op deadline would expire during NDB retry backoff"

@@ -50,16 +50,14 @@ def _run_case(workload_seed, policy, crash_at, hold, victim_rank, crash_kind):
     fs = make_fs(
         num_namenodes=2,
         robust=RobustConfig(),
-        async_commit=AsyncCommitConfig(
-            linger_ms=linger_ms,
-            max_batch_ops=max_batch_ops,
-            max_inflight_batches=max_inflight,
-        ),
+        async_commit=AsyncCommitConfig(linger_ms=linger_ms, max_batch_ops=max_batch_ops),
         seed=workload_seed % 1000,
         # Fast reaping of transactions abandoned by the crash (the chaos
         # harness uses the same knob); the default 5s dwarfs the horizon.
         inactive_timeout_ms=120.0,
     )
+    for nn in fs.namenodes:
+        nn.committer.max_inflight_batches = max_inflight
     env = fs.env
     stop_ms = crash_at + hold + 30.0
     attempts = []

@@ -1,8 +1,10 @@
 """The invariant catalogue: green on health, red on planted corruption."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.chaos import verify_target
+from repro.chaos import run_scenario, verify_target
 from repro.chaos.invariants import (
     block_az_coverage,
     deadline_compliance,
@@ -13,7 +15,9 @@ from repro.chaos.invariants import (
 from repro.experiments.setups import CHAOS, SETUPS
 from repro.hopsfs.metadata import InodeRow
 from repro.hopsfs.robust import RobustConfig
+from repro.ndb.cluster import NdbCluster
 from repro.ndb.datanode import _TcTxn
+from repro.ndb.store import FragmentStore
 from repro.workloads import generate_namespace
 
 
@@ -48,6 +52,7 @@ def test_catalogue_green_on_healthy_cluster(ready_target):
         "drained-ack-integrity",
         "membership-convergence",
         "listing-consistency",
+        "installed-rows-survive",
         "deadline-compliance",
     ]
     assert all(v.ok for v in verdicts), [str(v) for v in verdicts]
@@ -142,3 +147,21 @@ def test_deadline_compliance_audits_robust_clients_only():
     clients[0].deadline_overruns.append(("mkdir", 100.0, 180.0))
     verdict = deadline_compliance(target)
     assert not verdict.ok and "80.0ms past its deadline" in verdict.detail
+
+
+def test_an_empty_restart_fails_installed_rows_survive(monkeypatch):
+    """A datanode with no running member of its node group to copy from
+    restores the fragments it held.  Restored empty instead, an AZ outage
+    on a one-AZ setup loses every installed row; only this invariant sees
+    it (the workload deletes and renames only what it created)."""
+    donor = NdbCluster._donor
+
+    def empty_when_alone(cluster, addr):
+        found = donor(cluster, addr)
+        return found if found is not None else SimpleNamespace(store=FragmentStore())
+
+    monkeypatch.setattr(NdbCluster, "_donor", empty_when_alone)
+    result = run_scenario("az-outage-under-load", setup="hopsfs-2-1")
+    verdict = next(v for v in result.verdicts if v.name == "installed-rows-survive")
+    assert not verdict.ok
+    assert "installed paths missing: /" in verdict.detail

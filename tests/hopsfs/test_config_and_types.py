@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.hashing import stable_hash
 from repro.hopsfs import HopsFsConfig, build_hopsfs
+from repro.ndb import NdbConfig
 from repro.types import MUTATING_OPS, NodeAddress, NodeKind, OpResult, OpType
 
 
@@ -82,8 +83,7 @@ def test_deployment_client_az_cycles():
         num_namenodes=1,
         azs=(1, 2, 3),
         az_aware=True,
-        num_ndb_datanodes=3,
-        ndb_replication=3,
+        ndb_config=NdbConfig(num_datanodes=3, replication=3, az_aware=True),
         election=False,
     )
     azs = [fs.topology.az_of(fs.client().addr) for _ in range(6)]
@@ -96,8 +96,7 @@ def test_mgmt_arbitrator_in_least_loaded_az():
         num_namenodes=1,
         azs=(2, 3),
         az_aware=True,
-        num_ndb_datanodes=4,
-        ndb_replication=2,
+        ndb_config=NdbConfig(num_datanodes=4, replication=2, az_aware=True),
         election=False,
     )
     arbitrator = fs.ndb.mgmt_nodes[0]

@@ -9,18 +9,16 @@ from repro.hopsfs.metadata import LEADER_TABLE
 from .conftest import make_fs, run
 
 # Fast refresh/poll knobs so tests settle within a few hundred sim ms.
-FAST = ElasticConfig(
-    membership_refresh_ms=20.0,
-    autoscale=False,
-    drain_grace_ms=30.0,
-    visibility_poll_ms=2.0,
-)
+FAST = ElasticConfig(membership_refresh_ms=20.0, autoscale=False)
 
 
 def elastic_fs(elastic=FAST, num_namenodes=3, **kwargs):
     kwargs.setdefault("azs", (1, 2, 3))
     kwargs.setdefault("az_aware", True)
-    return make_fs(num_namenodes=num_namenodes, elastic=elastic, **kwargs)
+    fs = make_fs(num_namenodes=num_namenodes, elastic=elastic, **kwargs)
+    fs.DRAIN_GRACE_MS = 30.0
+    fs.VISIBILITY_POLL_MS = 2.0
+    return fs
 
 
 # ------------------------------------------------------------------ config
@@ -32,7 +30,7 @@ def test_elastic_config_validation():
     with pytest.raises(ConfigError):
         ElasticConfig(min_nns_per_az=3, max_nns_per_az=2)
     with pytest.raises(ConfigError):
-        ElasticConfig(scale_down_utilization=0.8, scale_up_utilization=0.7)
+        ElasticConfig(scale_down_utilization=0.8)  # not below the scale-out trigger
 
 
 # ------------------------------------------------------------------- joins
@@ -268,7 +266,6 @@ def test_autoscaler_replaces_preempted_capacity():
             cooldown_ms=20.0,
             min_nns_per_az=1,
             max_nns_per_az=2,
-            visibility_poll_ms=2.0,
         ),
     )
 
@@ -297,7 +294,6 @@ def test_autoscaler_scales_down_idle_pool():
             min_nns_per_az=1,
             max_nns_per_az=2,
             scale_down_utilization=0.2,
-            visibility_poll_ms=2.0,
         ),
     )
 

@@ -33,7 +33,6 @@ def make_async_fs(async_commit=FAST, num_namenodes=1, **kwargs):
     [
         {"linger_ms": -0.1},
         {"max_batch_ops": 0},
-        {"max_inflight_batches": 0},
     ],
 )
 def test_config_validation_rejects(kwargs):

@@ -123,9 +123,11 @@ class StoreAgainstModel(RuleBasedStateMachine):
         fresh = model.rows.keys().isdisjoint(rows)
         assert store.load_new(rows, partitions) == fresh
         if fresh:
-            for (table, partition_key), pks in partitions:
-                for pk in pks:
-                    model.apply(table, pk, partition_key, rows[(table, pk)])
+            # One-by-one loads in the order ``rows`` names them.
+            partition_of = {(table, pk): partition_key
+                            for (table, partition_key), pks in partitions for pk in pks}
+            for (table, pk), value in rows.items():
+                model.apply(table, pk, partition_of[(table, pk)], value)
 
     @rule(side=_sides)
     def level_with(self, side):
