@@ -77,18 +77,26 @@ def traced_window(mix: Counter, tasks: Counter):
     from repro.sim.kernel import _DEFERRED_MARK, _WAKEUP_MARK, Environment
 
     real_start = Environment.start
+    window = []
 
     def start(env, generator):
-        tasks[getattr(generator, "__qualname__", type(generator).__name__)] += 1
+        if window:
+            tasks[getattr(generator, "__qualname__", type(generator).__name__)] += 1
         real_start(env, generator)
+
+    # Installed for the whole repetition, not just the window: a callback
+    # chain may hold a bound ``env.start`` from before the window (a
+    # namenode miss's handler-pool job does) and start its task inside it.
+    Environment.start = start
 
     def run_window(env, window_ms, spin, _profiler):
         # Tracing is what makes the tally exact (task ends, no coalescing).
         env.trace = _MixSink(mix, _DEFERRED_MARK, _WAKEUP_MARK)
-        Environment.start = start
+        window.append(True)
         try:
             env.run(until=env.now + window_ms)  # the horizon of the window's last slice
         finally:
+            window.clear()
             Environment.start = real_start
         env.trace = None
         return {"raw_s": 1.0, "raw_cpu_s": 1.0, "s": 1.0, "first_spin_s": spin.seconds()}

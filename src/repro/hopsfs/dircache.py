@@ -26,7 +26,7 @@ class TtlLruMap(dict):
     the victim is deterministic, and never the whole cache (which caused a
     periodic miss storm on the root-component hot path).  :meth:`lookup`
     counts ``hits`` / ``misses`` as plain ints (the obs registry reads them
-    through a gauge); :meth:`peek` does not.  ``len``, ``in``, ``pop``,
+    through a gauge); :meth:`entry` does not.  ``len``, ``in``, ``pop``,
     ``clear`` and ``update`` (with prebuilt entries) are the dict's own.
     Entries are stamped with ``clock.now`` (the simulation environment, or
     anything else with a ``now``), read as an attribute: no call per lookup.
@@ -52,17 +52,17 @@ class TtlLruMap(dict):
         self.misses += 1
         return None
 
-    def peek(self, key):
-        """:meth:`lookup` that leaves the hit/miss counters untouched (the
-        listing cache's pre-pool probes of the dir cache would otherwise
-        double-book every cacheable read against its hit rate)."""
+    def entry(self, key):
+        """The live ``(stamp, value)`` entry of ``key``, or None: :meth:`lookup`
+        without the hit/miss counters (the listing cache's pre-pool probes of
+        the dir cache would otherwise double-book every cacheable read
+        against its hit rate), returning the entry itself, whose identity
+        tells a probe whether the key was stored again since."""
         entry = self.get(key)
-        if entry is None:
-            return None
-        if self._clock.now - entry[0] > self.ttl_ms:
+        if entry is not None and self._clock.now - entry[0] > self.ttl_ms:
             del self[key]
             return None
-        return entry[1]
+        return entry
 
     def store(self, key, value) -> None:
         if self.pop(key, None) is None and len(self) >= self.max_entries:

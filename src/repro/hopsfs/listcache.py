@@ -32,7 +32,9 @@ served after its invalidation applies:
 Staleness across NNs is bounded by changelog delivery latency in the
 common case and by ``TTL_MS`` in the worst case (dropped batches expire
 out).  The cache is the namenode's *read front* (:meth:`ListingCache.lookup`
-before the handler pool, :meth:`~ListingCache.serve` after it,
+probes before the handler pool, :meth:`~ListingCache.serve` checks the
+probe after it and walks again only if a pending batch now holds the path or
+an entry the probe read moved or expired,
 :meth:`~ListingCache.reader` / :meth:`~ListingCache.fill` around a
 transactional miss).  :func:`read_front` builds it once per namenode; with
 ``HopsFsConfig.listing_cache=None`` (the default) it returns
@@ -159,6 +161,7 @@ class ListingCache:
     ops = frozenset({OpType.STAT, OpType.EXISTS, OpType.LIST_DIR, OpType.READ_FILE})
 
     def __init__(self, clock, bus, dir_cache=None, committer=SYNC_COMMIT):
+        self._clock = clock
         self.bus = bus
         self.dir_cache = dir_cache
         self.committer = committer
@@ -189,25 +192,42 @@ class ListingCache:
 
     # ------------------------------------------------------------ read front
     def lookup(self, op: OpType, kwargs):
-        """The probe before the handler pool: ``(result,)`` when ``op`` can be
-        answered from memory now, else None (a miss, if ``op`` is one the
-        cache serves).  The tuple tells a cached ``None``/``False`` from a
-        miss."""
+        """The probe before the handler pool: ``(result, witness)`` when
+        ``op`` can be answered from memory now, else None (a miss, if ``op``
+        is one the cache serves).  The witness holds one ``(map, key, entry
+        or None)`` per map read the walk made: what :meth:`serve` checks."""
         if op not in self.ops:
             return None
-        hit = self._answer(op, kwargs)
-        if hit is None:
+        probe = self._answer(op, kwargs)
+        if probe is None:
             self.misses += 1
-        return hit
+        return probe
 
-    def serve(self, op: OpType, kwargs):
-        """Re-resolve a probed hit after the pool wait: an invalidation may
-        have landed meanwhile, and then the op goes transactional without
-        re-paying the pool."""
-        hit = self.lookup(op, kwargs)
-        if hit is not None:
+    def serve(self, op: OpType, kwargs, probe):
+        """A probed hit after the pool wait, or None: an invalidation may have
+        landed meanwhile, and then the op goes transactional without
+        re-paying the pool.
+
+        The probe stands while no pending batch holds the path and every
+        map read it witnessed still finds the identical entry, unexpired by
+        its own map's TTL (``store`` builds a new entry each time, so a
+        refill, pop, flush or eviction breaks identity): a second walk would
+        read the same entries and give the same answer.  Otherwise it
+        walks again, counted as a fresh probe."""
+        if not self.committer.holds(op, kwargs):
+            now = self._clock.now
+            for tier, key, entry in probe[1]:
+                if tier.get(key) is not entry or (
+                    entry is not None and now - entry[0] > tier.ttl_ms
+                ):
+                    break
+            else:
+                self.hits += 1
+                return probe
+        probe = self.lookup(op, kwargs)
+        if probe is not None:
             self.hits += 1
-        return hit
+        return probe
 
     def _answer(self, op: OpType, kwargs):
         path = kwargs.get("path")
@@ -219,25 +239,28 @@ class ListingCache:
         # transactional path, which awaits the conflicting batch.
         if self.committer.holds(op, kwargs):
             return None
-        definitive, row = self.resolve(path, final_from_dir_cache=op is OpType.LIST_DIR)
+        seen = []
+        definitive, row = self.resolve(path, op is OpType.LIST_DIR, seen)
         if not definitive:
             return None
         if op is OpType.EXISTS:
-            return (row is not None,)
+            return (row is not None, seen)
         if row is None:
             return None  # FileNotFound error paths stay transactional
         if op is OpType.STAT:
-            return (row,)
+            return (row, seen)
         if op is OpType.READ_FILE:
             if row.is_dir or row.small_data is None:
                 return None  # large files read blocks transactionally
-            return (FileContent(inode=row, small_data=row.small_data),)
+            return (FileContent(inode=row, small_data=row.small_data), seen)
         if not row.is_dir:
             return None  # LIST_DIR: NotADirectory error path stays transactional
-        names = self.listing(row.id)
-        if names is None:
+        listings = self._listings
+        entry = listings.entry(row.id)
+        if entry is None:
             return None
-        return (names,)
+        seen.append((listings, row.id, entry))
+        return (list(entry[1][0]), seen)
 
     def reader(self, op: OpType, ctx):
         """``(ctx, fill)`` for ``op``'s transaction.  A read the cache serves
@@ -284,7 +307,7 @@ class ListingCache:
 
     # ------------------------------------------------------------------ serve
     def resolve(
-        self, path: str, final_from_dir_cache: bool = False
+        self, path: str, final_from_dir_cache: bool = False, seen: Optional[list] = None
     ) -> tuple[bool, Optional[InodeRow]]:
         """Resolve ``path`` purely from NN memory.
 
@@ -306,11 +329,17 @@ class ListingCache:
         whose served payload (the listing keyed by that id) stays
         changelog-gated.  Trusting the dir cache for the id mapping is the
         same trust the legacy path extends to every parent directory.
+
+        ``seen``, when given, gets one ``(map, key, entry or None)`` per map
+        read the walk makes: a probe's witness.
         """
+        if seen is None:
+            seen = []
         try:
             components = split_path(path)
         except InvalidPathError:
             return False, None  # let the transactional path raise exactly
+        attrs = self._attrs
         dir_cache = self.dir_cache
         row = root_row()
         last = len(components) - 1
@@ -319,24 +348,27 @@ class ListingCache:
                 # Error path (file mid-path): serve transactionally so the
                 # client sees the exact legacy exception.
                 return False, None
-            nxt = self._attrs.peek((row.id, name))
-            if nxt is None and dir_cache is not None and (
+            key = (row.id, name)
+            entry = attrs.entry(key)
+            seen.append((attrs, key, entry))
+            if entry is None and dir_cache is not None and (
                 depth < last or final_from_dir_cache
             ):
-                nxt = dir_cache.peek((row.id, name))
-            if nxt is None:
-                listing = self._listings.peek(row.id)
-                if listing is not None and name not in listing[1]:
+                entry = dir_cache.entry(key)
+                seen.append((dir_cache, key, entry))
+            if entry is None:
+                listings = self._listings
+                listing = listings.entry(row.id)
+                seen.append((listings, row.id, listing))
+                if listing is not None and name not in listing[1][1]:
                     return True, None  # materialized listing proves absence
                 return False, None
-            row = nxt
+            row = entry[1]
         return True, row
 
     def listing(self, dir_id: int) -> Optional[list]:
-        entry = self._listings.peek(dir_id)
-        if entry is None:
-            return None
-        return list(entry[0])
+        entry = self._listings.entry(dir_id)
+        return None if entry is None else list(entry[1][0])
 
     # ------------------------------------------------------------------ fills
     def begin_fill(self) -> tuple[int, int]:

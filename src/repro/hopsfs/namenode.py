@@ -52,7 +52,7 @@ class Namenode(Server):
     (``listing_cache``) and the commit part (``committer``).  A path that
     is off is a part that does nothing — an unbounded cap, a read front
     that never hits, a commit part that leaves every op to its own
-    transaction — so ``_serve`` is one straight body.
+    transaction — so a request is one straight pipeline.
     """
 
     # OpType -> (ops function, path argument used for the partition hint)
@@ -161,7 +161,7 @@ class Namenode(Server):
         self.retry_cache = RetryCache()
         # So did the requests it had admitted: their NDB replies were dropped
         # and their tasks never finish.  Counting them would shed every
-        # request after the restart; _serve skips a dead life's decrement.
+        # request after the restart; a dead life's decrement is skipped.
         self._inflight = 0
         self._life += 1
         # Changelog batches sent while this NN was down were dropped; the
@@ -238,7 +238,7 @@ class Namenode(Server):
                 )
             else:
                 self._inflight += 1
-                self.env.spawn(self._serve(msg))
+                self.env.call_soon(self._admitted, msg)
         elif msg.kind == "get_active_nns":
             self.network.reply(msg, list(self.election.active), size=256)
         elif msg.kind == "dn_heartbeat":
@@ -255,55 +255,84 @@ class Namenode(Server):
             raise FsError(f"{self.addr}: unknown NN message {msg.kind!r}")
 
     # --------------------------------------------------------------- fs ops
-    def _serve(self, msg: Message):
-        """Task body of one admitted request: the pipeline, once and in order.
+    # An admitted request is a callback chain until its first wait that is
+    # not the handler pool: ``_admitted`` probes the read front and pays the
+    # pool.  A miss's pool job starts the ``_serve`` task; a probed hit's
+    # runs ``_paid``, which ends the chain for a dropped, expired or
+    # memory-served hit (where its task would have ended) and starts
+    # ``_serve`` for a hit whose probe no longer stands.
+    def _admitted(self, msg: Message) -> None:
+        """Read-front probe, then the handler pool: the op's cost, or
+        ``HIT_COST_FRAC`` of it for a probed hit (a hash lookup's worth of
+        handler CPU instead of transaction setup and coordinator rounds)."""
+        obs = self.env.obs
+        span = None
+        op, kwargs = msg.payload
+        if obs is not None:
+            # Server span: covers handler-pool queueing through reply;
+            # parented under the client's rpc span via the span id the
+            # request carried.
+            span = obs.tracer.start(
+                "nn.handle", parent=msg.extra.get("span_id"),
+                host=str(self.addr), az=self.az, op=op.value,
+            )
+        cost = self.config.op_cost(op)
+        probe = self.listing_cache.lookup(op, kwargs)
+        if probe is None:
+            self.handler_pool.call(
+                cost, self.env.start, self._serve(msg, op, kwargs, span, self._life, False)
+            )
+            return
+        serve_span = None
+        if obs is not None:
+            serve_span = obs.tracer.start(
+                "nn.cache.serve", parent=span, host=str(self.addr), az=self.az, op=op.value,
+            )
+        self.handler_pool.call(
+            cost * HIT_COST_FRAC, self._paid, (msg, probe, self._life, span, serve_span)
+        )
 
-        read-front probe -> pay pool -> deadline -> (read-front hit | fsync |
-        retry-cache replay | commit part | transaction) -> complete.  Every
-        part is called by name; one that is switched off answers without
-        effect.  Outcomes leave through ``_fail`` / ``_reply`` / ``_complete``.
+    def _paid(self, arg) -> None:
+        """A probed hit's pool job is done: drop the op if this NN went down
+        meanwhile, fail it if its deadline passed, answer it if the probe
+        still stands; else run the rest of the pipeline as the ``_serve``
+        task."""
+        msg, probe, life, span, serve_span = arg
+        if serve_span is not None:
+            self.env.obs.tracer.finish(serve_span)
+        op, kwargs = msg.payload
+        deadline_ms = msg.extra.get("deadline_ms")
+        # Not running: dropped, like any op caught mid-shutdown.
+        if self.running and (
+            deadline_ms is None or not self._deadline_expired(msg, op, deadline_ms)
+        ):
+            probe = self.listing_cache.serve(op, kwargs, probe)
+            if probe is None:
+                self.env.start(self._serve(msg, op, kwargs, span, life, True))
+                return
+            self._reply(msg, probe[0])
+        if span is not None:
+            self._close(span)
+        if life == self._life:
+            self._inflight -= 1
+        self.env.end_task()
+
+    def _serve(self, msg: Message, op: OpType, kwargs, span, life, checked: bool):
+        """Task body of a paid request the read front does not answer: the
+        rest of the pipeline, once and in order.
+
+        (drop | deadline, unless ``_paid`` has ``checked`` them) -> fsync |
+        unsupported / safemode failure | retry-cache replay | commit part |
+        transaction -> complete.  Every part is called by name; one that is
+        switched off answers without effect.  Outcomes leave through
+        ``_fail`` / ``_reply`` / ``_complete``.
         """
-        env = self.env
-        obs = env.obs
-        span = serve_span = None
-        life = self._life
-        front = self.listing_cache
         try:
-            op, kwargs = msg.payload
-            if obs is not None:
-                # Server span: covers handler-pool queueing through reply;
-                # parented under the client's rpc span via the span id the
-                # request carried.
-                span = obs.tracer.start(
-                    "nn.handle", parent=msg.extra.get("span_id"),
-                    host=str(self.addr), az=self.az, op=op.value,
-                )
-            cost = self.config.op_cost(op)
-            hit = front.lookup(op, kwargs)
-            if hit is not None:
-                # Served from NN memory: a hash lookup's worth of handler
-                # CPU instead of transaction setup and coordinator rounds.
-                cost *= HIT_COST_FRAC
-                if obs is not None:
-                    serve_span = obs.tracer.start(
-                        "nn.cache.serve", parent=span,
-                        host=str(self.addr), az=self.az, op=op.value,
-                    )
-            try:
-                yield self.handler_pool.submit(cost)
-                if not self.running:
-                    return  # dropped, like any op caught mid-shutdown
-                deadline_ms = msg.extra.get("deadline_ms")
-                if deadline_ms is not None and self._deadline_expired(msg, op, deadline_ms):
-                    return
-                if hit is not None:
-                    hit = front.serve(op, kwargs)
-                    if hit is not None:
-                        self._reply(msg, hit[0])
-                        return
-            finally:
-                if serve_span is not None:
-                    obs.tracer.finish(serve_span)
+            deadline_ms = msg.extra.get("deadline_ms")
+            if not checked and (not self.running or (
+                deadline_ms is not None and self._deadline_expired(msg, op, deadline_ms)
+            )):
+                return  # dropped, like any op caught mid-shutdown, or failed
             if op is OpType.FSYNC:
                 yield from self._fsync(msg, kwargs)
                 return
@@ -326,6 +355,7 @@ class Namenode(Server):
                     return
             if (yield from self.committer.admit(msg, op, fn, kwargs, retry_id, deadline_ms)):
                 return  # grouped: the committer acks, flushes and replies
+            front = self.listing_cache
             call_ctx, fill = front.reader(op, self.ctx)
             try:
                 # A partial, not a closure: captured names would be cells
@@ -345,16 +375,23 @@ class Namenode(Server):
             self._complete(msg, op, kwargs, result, retry_id, replayed)
         finally:
             if span is not None:
-                obs.tracer.finish(span)
-                ts = obs.timeseries
-                if ts is not None:
-                    now = env.now
-                    ts.component_sample(
-                        "nn.handle", str(self.addr),
-                        now - span.start_ms, span.tags.get("ok", True) is not False, now,
-                    )
+                self._close(span)
+            # A restart since the op's admission has released its slot.
             if life == self._life:
                 self._inflight -= 1
+
+    def _close(self, span) -> None:
+        """Close a request's ``nn.handle`` span and sample the NN's latency
+        series."""
+        obs = self.env.obs
+        obs.tracer.finish(span)
+        ts = obs.timeseries
+        if ts is not None:
+            now = self.env.now
+            ts.component_sample(
+                "nn.handle", str(self.addr),
+                now - span.start_ms, span.tags.get("ok", True) is not False, now,
+            )
 
     def _txn_body(self, retry_id, fn, call_ctx, kwargs, txn):
         """The generator for one (re)try of an op on ``txn``.

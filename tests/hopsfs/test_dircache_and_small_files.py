@@ -56,8 +56,8 @@ def test_dircache_hit_miss_counters():
     cache.put(_dir_row(1, "d"))
     cache.lookup((1, "d"))
     cache.lookup((1, "ghost"))
-    assert cache.peek((1, "d")) is not None and cache.peek((1, "ghost")) is None
-    assert cache.hits == 1  # peek counts neither
+    assert cache.entry((1, "d")) is not None and cache.entry((1, "ghost")) is None
+    assert cache.hits == 1  # entry counts neither
     assert cache.misses == 1
 
 
@@ -94,12 +94,13 @@ def test_restarted_nn_forgets_its_pre_crash_dir_cache():
         yield from via_victim.stat("/a/f")  # resolves "a" through the dir cache
 
     run(fs, before_crash())
-    a_row = victim.dir_cache.peek((1, "a"))
-    assert a_row is not None
+    a_entry = victim.dir_cache.entry((1, "a"))
+    assert a_entry is not None
+    a_row = a_entry[1]
     victim.shutdown()
     run(fs, via_peer.rename("/a", "/b"))
     victim.restart()
-    assert victim.dir_cache.peek((1, "a")) is None
+    assert victim.dir_cache.entry((1, "a")) is None
 
     def after_restart():
         with pytest.raises(FileNotFoundFsError):

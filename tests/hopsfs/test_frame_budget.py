@@ -6,8 +6,10 @@ wait.  These walk ``gi_yieldfrom`` from the task's own generator while
 it is parked and hold the three budgets: an NN op parked on the ``tc_read``
 of its path walk <= 7 frames, on ``tc_commit`` <= 4, and a datanode's
 chain-prepare handler <= 1 (the body is the task); a chain-commit or
-complete hop holds none (a callback chain).  A source scan keeps the
-per-message spawns tasks: no server's ``_on_message`` builds a process.
+complete hop holds none (a callback chain), and neither does a read-front
+hit (the NN's request chain never starts its ``_serve`` task).  A source
+scan keeps the per-message spawns tasks: no server's ``_on_message`` builds
+a process.
 """
 
 import importlib
@@ -15,6 +17,7 @@ import inspect
 import pkgutil
 
 import repro
+from repro.hopsfs.listcache import ListingCacheConfig
 from repro.hopsfs.namenode import Namenode
 from repro.ndb.datanode import NdbDatanode
 from repro.net.server import Server
@@ -72,8 +75,8 @@ def _parked_call_chains(captured, kind):
                 yield [g.gi_code.co_name for g in frames]
 
 
-def _setup(monkeypatch):
-    fs = make_fs()
+def _setup(monkeypatch, **paths):
+    fs = make_fs(**paths)
     client = fs.client()
 
     def prepare():
@@ -106,6 +109,17 @@ def test_commit_parked_on_tc_commit(monkeypatch):
     deepest = max(seen, key=len)
     assert deepest[0] == "_serve" and deepest[-1] == "_call"
     assert len(deepest) <= COMMIT_BUDGET, deepest
+
+
+def test_read_front_hit_starts_no_task(monkeypatch):
+    fs, client, fs_ops = _setup(monkeypatch, listing_cache=ListingCacheConfig())
+    run(fs, client.stat("/d/f"))  # a miss: transactional, and it fills the cache
+    assert len(fs_ops) == 1
+    caches = [nn.listing_cache for nn in fs.namenodes]
+    hits = sum(cache.hits for cache in caches)
+    run(fs, client.stat("/d/f"))
+    assert sum(cache.hits for cache in caches) == hits + 1
+    assert len(fs_ops) == 1  # the hit ended as a callback chain: 0 frames
 
 
 def test_chain_hop_handlers(monkeypatch):

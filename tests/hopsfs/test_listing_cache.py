@@ -369,10 +369,10 @@ def test_cold_nn_imports_the_directory_row_it_freshly_read():
     # The transaction read /d from NDB on its way to /d/f: into the dir
     # cache *and*, through the recorder, into the listing cache as an attr
     # entry (the op's result fills only /d/f itself).
-    d = nn_b.dir_cache.peek((1, "d"))
-    assert d is not None and d.id == f.parent_id
-    assert cache._attrs.peek((1, "d")) == d
-    assert cache._attrs.peek((d.id, "f")) == f and cache.fills == 2
+    d = nn_b.dir_cache.entry((1, "d"))[1]
+    assert d.id == f.parent_id
+    assert cache._attrs.entry((1, "d"))[1] == d
+    assert cache._attrs.entry((d.id, "f"))[1] == f and cache.fills == 2
     stats = fs.ndb.read_stats
     reads = stats.az_local_reads + stats.az_remote_reads
     assert run(fs, reader.stat("/d/f")) == f  # served from NN memory
@@ -402,7 +402,7 @@ def test_invalidation_between_the_read_and_the_fill_discards_the_import(monkeypa
     assert (1, "d") in nn_b.dir_cache  # transactional resolution keeps it
     assert (1, "d") not in cache._attrs and cache.discarded_fills == 1
     # /d's own children were not invalidated: the result row is imported.
-    assert cache._attrs.peek((f.parent_id, "f")) == f and cache.fills == 1
+    assert cache._attrs.entry((f.parent_id, "f"))[1] == f and cache.fills == 1
     assert listing_consistency(fs).ok
 
 

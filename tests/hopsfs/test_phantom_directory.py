@@ -62,7 +62,7 @@ def _assert_absent(fs, client, path, name):
 
     run(fs, probe())
     assert _stored(fs, 1, name) == []
-    assert all(nn.dir_cache.peek((1, name)) is None for nn in fs.namenodes)
+    assert all(nn.dir_cache.entry((1, name)) is None for nn in fs.namenodes)
 
 
 def test_failed_mkdir_leaves_no_phantom(monkeypatch):

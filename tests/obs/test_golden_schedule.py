@@ -9,23 +9,28 @@ hashed schedules to be bit-identical — any instrumentation that consumes
 an RNG draw, schedules an event, or burns a sequence number fails here.
 """
 
+from collections import Counter
+
 from repro.hopsfs import HopsFsConfig, build_hopsfs
+from repro.hopsfs.listcache import ListingCache, ListingCacheConfig
 from repro.metrics.collectors import MetricsCollector
 from repro.ndb import NdbConfig
 from repro.obs import ObsContext
+from repro.obs.timeseries import TimeSeriesHub
 from repro.sim import dispatch_hash
 from repro.workloads import ClosedLoopDriver, SpotifyWorkload, generate_namespace
 from repro.workloads.namespace import install_hopsfs
 
 
-def _traced_run(with_obs: bool, seed: int = 5):
+def _traced_run(with_obs: bool, seed: int = 5, listing_cache=None):
     fs = build_hopsfs(
         num_namenodes=2,
         azs=(1, 2, 3),
         az_aware=True,
         ndb_config=NdbConfig(num_datanodes=6, replication=3, az_aware=True),
         hopsfs_config=HopsFsConfig(
-            election_period_ms=50.0, op_cost_read_ms=0.02, op_cost_mutation_ms=0.04
+            election_period_ms=50.0, op_cost_read_ms=0.02, op_cost_mutation_ms=0.04,
+            listing_cache=listing_cache,
         ),
         seed=seed,
     )
@@ -34,9 +39,13 @@ def _traced_run(with_obs: bool, seed: int = 5):
     obs = None
     if with_obs:
         obs = ObsContext()
+        if listing_cache is not None:
+            obs.timeseries = TimeSeriesHub()
         obs.attach(env)
     namespace = generate_namespace(num_top_dirs=2, dirs_per_top=4, files_per_dir=8, seed=seed)
     install_hopsfs(fs, namespace)
+    if listing_cache is not None:
+        fs.prewarm_listing_caches()
     clients = [fs.client() for _ in range(8)]
     collector = MetricsCollector()
     collector.open_window(0)
@@ -96,6 +105,41 @@ def test_traced_run_captures_cross_layer_chain():
         if parent is not None and parent.finished and span.name != "ndb.lock.wait":
             assert span.start_ms >= parent.start_ms
             assert span.end_ms <= parent.end_ms + 1e-9
+
+
+def test_traced_read_front_keeps_its_spans(monkeypatch):
+    """A read-front hit ends as a handler-pool callback chain, not a task, and
+    keeps its spans: one ``nn.handle`` per admitted op under its
+    ``rpc.fs_op``, one ``nn.cache.serve`` child per probed hit, and the
+    NN's ``nn.handle.<nn>`` latency series; tracing still moves nothing."""
+    served = Counter()
+    serve = ListingCache.serve
+
+    def counting_serve(cache, op, kwargs, probe):
+        served["probed hits"] += 1
+        return serve(cache, op, kwargs, probe)
+
+    monkeypatch.setattr(ListingCache, "serve", counting_serve)
+    base, _ = _traced_run(with_obs=False, listing_cache=ListingCacheConfig())
+    served.clear()
+    traced, obs = _traced_run(with_obs=True, listing_cache=ListingCacheConfig())
+    assert traced == base
+    spans = obs.tracer.spans
+    by_id = {s.span_id: s for s in spans}
+    children = Counter((s.parent_id, s.name) for s in spans)
+    calls = [s for s in spans if s.name == "rpc.fs_op"]
+    handles = [s for s in spans if s.name == "nn.handle"]
+    hits = [s for s in spans if s.name == "nn.cache.serve"]
+    assert calls and all(children[(s.span_id, "nn.handle")] == 1 for s in calls)
+    assert all(by_id[s.parent_id].name == "rpc.fs_op" for s in handles)
+    # A probed hit's span closes where its probe is checked.
+    assert sum(s.finished for s in hits) == served["probed hits"] > len(handles) // 2
+    assert all(by_id[s.parent_id].name == "nn.handle" for s in hits)
+    assert all(children[(s.span_id, "nn.cache.serve")] <= 1 for s in handles)
+    # Both close: all but the ops still in flight when the run stopped.
+    assert sum(not s.finished for s in handles) <= 8
+    assert all(s.finished for s in hits if by_id[s.parent_id].finished)
+    assert any(name.startswith("nn.handle.nn") for name in obs.timeseries.series)
 
 
 def test_traced_run_populates_registry():

@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from repro.chaos.scenarios import run_scenario
 from repro.errors import ReproError
 from repro.experiments.setups import SETUPS
+from repro.hopsfs.listcache import ListingCache, ListingCacheConfig
 from repro.metrics.collectors import MetricsCollector
 from repro.sim import Environment, Process, Task
 from repro.workloads.driver import ClosedLoopDriver
@@ -161,6 +162,40 @@ def test_hopsfs_point_leaves_no_cyclic_garbage():
         env.run(until=env.now + 15.0)
         collector.close_window(env.now)
         assert collector.completed > 50
+    assert adapter is not None
+    assert not found
+
+
+def test_listing_cache_point_leaves_no_cyclic_garbage(monkeypatch):
+    """Read-front hits end as handler-pool callback chains; misses, and hits
+    whose probe an invalidation broke during the pool wait, go on as tasks."""
+    outcomes = Counter()
+    serve = ListingCache.serve
+
+    def counting_serve(cache, op, kwargs, probe):
+        served = serve(cache, op, kwargs, probe)
+        outcomes["checked" if served is probe else "walked again"] += 1
+        return served
+
+    monkeypatch.setattr(ListingCache, "serve", counting_serve)
+    with _cyclic_garbage() as found:
+        adapter = SETUPS["HopsFS-CL (3,3)"].build(
+            2, seed=0, listing_cache=ListingCacheConfig())
+        env = adapter.env
+        namespace = generate_namespace(seed=0, num_top_dirs=2, dirs_per_top=4, files_per_dir=4)
+        adapter.install(namespace)
+        env.run_process(adapter.ready(), until=env.now + 60_000)
+        generator = SpotifyWorkload(namespace, seed=0)
+        clients = adapter.make_clients(64)
+        adapter.warm_client_caches(clients, generator)
+        collector = MetricsCollector()
+        ClosedLoopDriver(env, clients, generator, collector).start()
+        collector.open_window(env.now)
+        env.run(until=env.now + 15.0)
+        collector.close_window(env.now)
+        caches = [nn.listing_cache for nn in adapter.deployment.namenodes]
+        assert sum(cache.misses for cache in caches) > 0
+        assert outcomes["checked"] > 50 and outcomes["walked again"] > 0, outcomes
     assert adapter is not None
     assert not found
 
