@@ -53,7 +53,11 @@ class InvariantVerdict:
 
 # ---------------------------------------------------------------- HopsFS/NDB
 def replica_consistency(fs) -> InvariantVerdict:
-    """All live members of each NDB node group agree on committed rows."""
+    """All live members of each NDB node group agree on committed rows.
+
+    A mismatch names the first differing keys of the table, and for each
+    the member that lacks the row or that holds another value.
+    """
     pm = fs.ndb.partition_map
     mismatches = []
     for group in pm.node_groups:
@@ -68,10 +72,16 @@ def replica_consistency(fs) -> InvariantVerdict:
             for other in live[1:]:
                 other_rows = dict(other.store.iter_rows(table.name))
                 if ref_rows != other_rows:
-                    diff = set(ref_rows) ^ set(other_rows)
+                    differ = [
+                        f"{other.addr} lacks {k!r}" if k not in other_rows
+                        else f"{reference.addr} lacks {k!r}" if k not in ref_rows
+                        else f"{other.addr} holds another {k!r}"
+                        for k in sorted(ref_rows.keys() | other_rows.keys(), key=repr)
+                        if ref_rows.get(k) != other_rows.get(k)
+                    ]
                     mismatches.append(
                         f"{table.name}: {reference.addr} vs {other.addr} "
-                        f"({len(diff)} keys differ)"
+                        f"({len(differ)} keys differ: {', '.join(differ[:3])})"
                     )
     return InvariantVerdict(
         "replica-consistency", not mismatches, "; ".join(mismatches[:5])

@@ -45,7 +45,7 @@ from ..ndb.client import RetryPolicy
 from ..types import OpType
 from .metadata import INODES_TABLE, SMALL_FILE_MAX_BYTES
 from .pathlock import split_path
-from .robust import Replay, do_nothing
+from .robust import Replay
 
 __all__ = [
     "GROUP_COMMIT_OPS",
@@ -243,7 +243,11 @@ class _SyncCommit:
     own transaction before its reply, so nothing is ever batched, pending
     or in doubt.  Answers the namenode's calls to :class:`GroupCommitter`."""
 
-    holds = on_crash = staticmethod(do_nothing)  # nothing pending, nothing to lose
+    def holds(self, op, kwargs) -> bool:
+        return False  # nothing pending
+
+    def on_crash(self) -> None:
+        """Nothing to lose."""
 
     def admit(self, msg, op, fn, kwargs, retry_id, deadline_ms):
         """Generator: never takes the op, never waits."""

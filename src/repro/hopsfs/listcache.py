@@ -15,8 +15,12 @@ module gives each namenode a Tiger-Cache-style pre-materialized cache:
 Entries are filled from the transactional read path (miss → NDB → fill)
 and invalidated by the NDB changelog (``repro.ndb.changelog``): every
 committed inode mutation fans out row images which pop the affected attr
-and listing entries.  Three gates keep a stale entry from ever being
-served after its invalidation applies:
+and listing entries, and the namenode's dir-cache entry for the same
+``(parent_id, name)``.  On a namenode subscribed to the changelog, three
+gates keep a stale entry — of either cache — from being served after its
+invalidation applies.  A namenode without the read front subscribes to
+nothing: its dir cache still answers for up to its 5 s TTL after a peer
+renames or deletes a directory (ROADMAP item 15(b)).
 
 * **epoch** — a TC-failure take-over that rolls a transaction forward
   cannot itemize the rows it committed; the bus bumps its epoch and the
@@ -58,7 +62,6 @@ from .groupcommit import SYNC_COMMIT, op_paths
 from .metadata import INODES_TABLE, ROOT_INODE_ID, InodeRow
 from .ops import FileContent
 from .pathlock import root_row, split_path
-from .robust import do_nothing
 
 __all__ = ["ListingCacheConfig", "ListingCache", "NO_LISTING_CACHE", "materialize_snapshot",
            "read_front"]
@@ -108,7 +111,7 @@ def read_front(config: Optional[ListingCacheConfig], nn):
     if config is None:
         return NO_LISTING_CACHE
     bus = nn.ndb.changelog
-    cache = ListingCache(nn.env, bus, dir_cache=nn.dir_cache, committer=nn.committer)
+    cache = ListingCache(nn.env, bus, nn.dir_cache, committer=nn.committer)
     bus.subscribe(nn.addr)
     return cache
 
@@ -146,8 +149,9 @@ class ListingCache:
     """Per-NN pre-materialized listing/attr cache with changelog invalidation.
 
     ``dir_cache`` and ``committer`` are the namenode's: the read front
-    resolves intermediate components through the one and defers to the
-    other's pending batches.
+    resolves intermediate components through the one, which the changelog
+    gates as it gates the attr tier, and defers to the other's pending
+    batches.
     """
 
     # Out-of-order tolerance: how many sequence numbers may sit above a
@@ -160,7 +164,7 @@ class ListingCache:
     # stay transactional.
     ops = frozenset({OpType.STAT, OpType.EXISTS, OpType.LIST_DIR, OpType.READ_FILE})
 
-    def __init__(self, clock, bus, dir_cache=None, committer=SYNC_COMMIT):
+    def __init__(self, clock, bus, dir_cache, committer=SYNC_COMMIT):
         self._clock = clock
         self.bus = bus
         self.dir_cache = dir_cache
@@ -317,12 +321,15 @@ class ListingCache:
         decide (fall through to the transactional path).
 
         *Intermediate* directory components may be served from the NN's
-        legacy ``dir_cache`` when it has one — the transactional path resolves
-        parents from exactly that cache (FAST'17 DAT hints), so trusting
-        it here is observably equivalent to a miss.  The *final* component
-        always comes from this cache's changelog-gated entries (or a
-        materialized parent listing proving absence): that row is the
-        result, and the legacy path always reads it fresh.
+        ``dir_cache`` — the transactional path resolves parents from exactly
+        that cache (FAST'17 DAT hints), and the changelog this NN subscribes
+        to pops a dir-cache entry with the attr entry of the same key, so
+        trusting it here is observably equivalent to a miss once the
+        mutation's batch has applied.  (Without a subscription, the default
+        path's dir cache stays stale for up to its TTL: ROADMAP item 15(b).)
+        The *final* component always comes from this cache's changelog-gated
+        entries (or a materialized parent listing proving absence): that row
+        is the result, and the legacy path always reads it fresh.
 
         ``final_from_dir_cache=True`` relaxes that for callers that only
         need the final directory's *id*, not its attributes — LIST_DIR,
@@ -351,9 +358,7 @@ class ListingCache:
             key = (row.id, name)
             entry = attrs.entry(key)
             seen.append((attrs, key, entry))
-            if entry is None and dir_cache is not None and (
-                depth < last or final_from_dir_cache
-            ):
+            if entry is None and (depth < last or final_from_dir_cache):
                 entry = dir_cache.entry(key)
                 seen.append((dir_cache, key, entry))
             if entry is None:
@@ -436,6 +441,7 @@ class ListingCache:
         self._inval_seq += 1
         parent_id, _name = pk
         entry = self._attrs.pop(pk, None)
+        self.dir_cache.pop(pk, None)
         self._drop_dir(parent_id)
         if entry is not None and entry[1].is_dir:
             self._drop_dir(entry[1].id)
@@ -501,6 +507,7 @@ class ListingCache:
     def flush(self) -> None:
         self._attrs.clear()
         self._listings.clear()
+        self.dir_cache.clear()
         self._dir_stamp.clear()
         self._inval_seq += 1
         self._flush_stamp = self._inval_seq
@@ -532,13 +539,28 @@ class ListingCache:
 
 class _NoListingCache:
     """The read front with ``listing_cache`` off: it never hits, never
-    fills and subscribes to nothing; its counters read 0."""
+    fills and subscribes to nothing, so no changelog batch reaches it; its
+    counters read 0."""
 
     hits = misses = invalidations = 0
-    lookup = fill = invalidate = apply = resync = prewarm = staticmethod(do_nothing)
+
+    def lookup(self, op, kwargs) -> None:
+        """A miss, though nothing counts it."""
 
     def reader(self, op, ctx) -> tuple:
         return ctx, None
+
+    def fill(self, op, kwargs, result, fill) -> None:
+        """Nothing is kept."""
+
+    def invalidate(self, op, kwargs) -> None:
+        """Nothing to drop."""
+
+    def resync(self) -> None:
+        """Nothing to re-align."""
+
+    def prewarm(self, snapshot) -> None:
+        """Nothing to take."""
 
 
 NO_LISTING_CACHE = _NoListingCache()

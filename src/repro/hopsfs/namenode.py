@@ -477,7 +477,11 @@ class Namenode(Server):
         eager listing-cache invalidation, because reads prefix-related to
         an unsettled batch are held by the commit part and the changelog
         batch, published at the TC commit point, travels the same TC->NN
-        route ahead of the commit ack that settles the batch.
+        route ahead of the commit ack that settles the batch.  That last
+        step assumes per-link FIFO, which holds only while the link's
+        latency does not fall: after ``restore_links`` the ack can overtake
+        a changelog batch sent under degradation (DESIGN §4, ROADMAP
+        item 24).
         """
         if retry_id is not None:
             self._record_applied(op, retry_id, result, replayed)

@@ -38,7 +38,7 @@ from .metadata import (
     InodeRow,
     LeaseRow,
 )
-from .pathlock import resolve_components, resolve_inode, resolve_parent, split_path
+from .pathlock import resolve_inode, resolve_parent, split_path
 
 __all__ = ["FsContext", "FileContent", "mkdir", "create_file", "read_file",
            "stat", "exists", "list_dir", "delete", "rename", "chmod",
@@ -91,6 +91,26 @@ def _cache_uncommitted(ctx: FsContext, txn: NdbTransaction, row: InodeRow) -> No
     if row.is_dir:
         ctx.dir_cache.put(row)
         txn.on_abort(ctx.dir_cache.pop, (row.parent_id, row.name), None)
+
+
+class _Ancestors:
+    """The dir cache as one walk sees it, keeping the ``ids`` of the
+    directories the walk resolved: each was a cache hit or a row read and
+    put back."""
+
+    def __init__(self, cache):
+        self._cache = cache
+        self.ids = set()
+
+    def lookup(self, key):
+        row = self._cache.lookup(key)
+        if row is not None:
+            self.ids.add(row.id)
+        return row
+
+    def put(self, row: InodeRow) -> None:
+        self._cache.put(row)
+        self.ids.add(row.id)
 
 
 def _require_dir(row: InodeRow, path: str) -> None:
@@ -281,7 +301,8 @@ def rename(ctx: FsContext, txn: NdbTransaction, src: str, dst: str):
     inode id, which does not change.
     """
     src_parent, src_name = yield from resolve_parent(txn, src, ctx.dir_cache)
-    dst_parent, dst_name = yield from resolve_parent(txn, dst, ctx.dir_cache)
+    dst_ancestors = _Ancestors(ctx.dir_cache)
+    dst_parent, dst_name = yield from resolve_parent(txn, dst, dst_ancestors)
     src_pk = (src_parent.id, src_name)
     dst_pk = (dst_parent.id, dst_name)
     if src_pk == dst_pk:
@@ -295,16 +316,10 @@ def rename(ctx: FsContext, txn: NdbTransaction, src: str, dst: str):
         raise FileNotFoundFsError(f"{src} does not exist")
     if locked[dst_pk] is not None:
         raise FileAlreadyExistsError(f"{dst} already exists")
-    if src_row.is_dir:
-        # Refuse to move a directory under itself (would cut a cycle out
-        # of the namespace): check every ancestor of the destination.
-        dst_components = split_path(dst)[:-1]
-        ancestor_rows = yield from resolve_components(
-            txn, dst_components, ctx.dir_cache
-        )
-        for ancestor in ancestor_rows:
-            if ancestor is not None and ancestor.id == src_row.id:
-                raise InvalidPathError(f"cannot move {src} under itself")
+    if src_row.id in dst_ancestors.ids:
+        # Moving a directory under itself would cut a cycle out of the
+        # namespace.
+        raise InvalidPathError(f"cannot move {src} under itself")
     yield from txn.delete(INODES_TABLE, src_pk, partition_key=src_parent.id)
     new_row = src_row.with_(parent_id=dst_parent.id, name=dst_name, mtime_ms=ctx.now())
     yield from txn.write(INODES_TABLE, dst_pk, new_row, partition_key=dst_parent.id)

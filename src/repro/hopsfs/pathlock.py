@@ -8,8 +8,6 @@ and the read-committed resolution walk used by every operation.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..errors import FileNotFoundFsError, InvalidPathError, NotDirectoryError
 from ..ndb.client import NdbTransaction
 from .metadata import INODES_TABLE, ROOT_INODE_ID, InodeRow
@@ -17,7 +15,6 @@ from .metadata import INODES_TABLE, ROOT_INODE_ID, InodeRow
 __all__ = [
     "split_path",
     "normalize_path",
-    "resolve_components",
     "resolve_inode",
     "resolve_parent",
 ]
@@ -51,46 +48,15 @@ def root_row() -> InodeRow:
     return _ROOT_ROW
 
 
-def resolve_components(txn: NdbTransaction, components: list[str], cache):
-    """Walk the inode chain at read-committed; yields from NDB reads.
-
-    Directory components found in the NN's path-component ``cache`` are
-    used without a database read (HopsFS's top-of-hierarchy caching);
-    resolved directories are written back to the cache.
-
-    Returns a list of rows, one per component, with ``None`` from the first
-    missing component onward.  Raises :class:`NotDirectoryError` when an
-    intermediate component is a file.
-    """
-    rows: list[Optional[InodeRow]] = []
-    parent: Optional[InodeRow] = _ROOT_ROW
-    for depth, name in enumerate(components):
-        if parent is None:
-            rows.append(None)
-            continue
-        if not parent.is_dir:
-            raise NotDirectoryError(
-                "/" + "/".join(components[:depth]) + " is not a directory"
-            )
-        row = cache.lookup((parent.id, name))
-        if row is None:
-            row = yield from txn.read(
-                INODES_TABLE, (parent.id, name), partition_key=parent.id
-            )
-            if row is not None and row.is_dir:
-                cache.put(row)
-        rows.append(row)
-        parent = row
-    return rows
-
-
 def _walk(txn: NdbTransaction, components: list[str], count: int, cache, as_parent: bool):
     """Resolve the first ``count`` components; the walk behind both resolvers.
 
-    The cache calls and reads of :func:`resolve_components`, in the same
-    order, stopping at the first missing component (past which that walk
-    touches nothing either).  Returns the last row, or ``(row, basename)``
-    with the row checked to be a directory when ``as_parent``.
+    Directory components found in the NN's path-component ``cache`` are
+    used without a database read (HopsFS's top-of-hierarchy caching);
+    directories read are written back to it.  Raises at the first missing
+    component, or at a file where a directory is needed.  Returns the last
+    row, or ``(row, basename)`` with the row checked to be a directory when
+    ``as_parent``.
     """
     row = _ROOT_ROW
     for depth in range(count):

@@ -39,11 +39,7 @@ from ..ndb.client import RetryPolicy
 from ..obs.metrics import count
 
 __all__ = ["RetryPolicy", "CircuitBreaker", "RetryCache", "RobustConfig", "FailStopBounds",
-           "RobustBounds", "admission_cap", "do_nothing", "request_bounds"]
-
-
-def do_nothing(*_args) -> None:
-    """What a switched-off part answers to a call it has no work for."""
+           "RobustBounds", "admission_cap", "request_bounds"]
 
 
 class CircuitBreaker:
@@ -188,9 +184,22 @@ class FailStopBounds:
 
     # No op overruns an infinite deadline by more than this.
     op_timeout_ms = math.inf
-    # No RPC timeout (None), and no breaker to open, record, drop or keep.
-    rpc_timeout_ms = probe_timeout_ms = staticmethod(do_nothing)
-    is_open = succeeded = failed = forget = retain = staticmethod(do_nothing)
+
+    def rpc_timeout_ms(self, deadline: float) -> None:
+        """No RPC timeout."""
+
+    probe_timeout_ms = rpc_timeout_ms
+
+    def is_open(self, nn) -> bool:
+        return False  # no breaker to open
+
+    def failed(self, nn) -> None:
+        """No breaker to record an outcome on or to drop."""
+
+    succeeded = forget = failed
+
+    def retain(self, addrs) -> None:
+        """No breakers to keep."""
 
     def start(self, op) -> tuple:
         """``(deadline_ms, request metadata, hedged)`` of a new op."""

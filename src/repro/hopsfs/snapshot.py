@@ -1,11 +1,12 @@
-"""Namespace *shape* snapshots for differential testing.
+"""Namespace *shape* snapshots, for checking against a reference model.
 
-The async group-commit differential harness runs the same seeded workload
-through the legacy synchronous path and the async path and asserts the
-final namespaces are equivalent.  Equivalence is over the client-visible
-shape — paths and their attributes — not over inode ids: the two paths
-interleave handler execution differently, so id *allocation order* is not
-part of the contract, while everything a client can observe is.
+The path-combination matrix (``tests/hopsfs/test_path_matrix.py``) replays
+the same seeded scripts on every combination of the opt-in serving paths
+and asserts each final namespace equals the reference model's tree.
+Equality is over the client-visible shape — paths and their attributes —
+not over inode ids: the paths interleave handler execution differently,
+so id *allocation order* is not part of the contract, while everything a
+client can observe is.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def namespace_snapshot(fs) -> dict[str, tuple]:
     the chaos invariant catalogue separately), rebuilds paths from parent
     links, and drops inode ids on purpose.  Rows whose parent chain does
     not reach the root are skipped — orphan detection belongs to the
-    namespace-integrity invariant, not to the differential diff.
+    namespace-integrity invariant, not to the model comparison.
     """
     children: dict[int, list] = {}
     for row in fs.committed_inodes():

@@ -83,11 +83,18 @@ def test_diverging_replica_fails_replica_consistency(ready_target):
     try:
         verdict = replica_consistency(fs)
         assert not verdict.ok
-        assert "inodes" in verdict.detail
+        # The detail names the key and the member that lacks the row.
+        assert f"(1 keys differ: {group[1]} lacks {row.pk!r})" in verdict.detail
+        assert verdict.detail.startswith(f"inodes: {lone.addr} vs {group[1]}")
+        lone.store.load("inodes", row.pk, row.parent_id, row.with_(size=1))
+        for other in group[1:]:
+            fs.ndb.datanodes[other].store.load("inodes", row.pk, row.parent_id, row)
+        assert f"{group[1]} holds another {row.pk!r}" in replica_consistency(fs).detail
     finally:
         from repro.ndb.schema import TOMBSTONE
 
-        lone.store.load("inodes", row.pk, row.parent_id, TOMBSTONE)
+        for addr in group:
+            fs.ndb.datanodes[addr].store.load("inodes", row.pk, row.parent_id, TOMBSTONE)
     assert replica_consistency(fs).ok
 
 

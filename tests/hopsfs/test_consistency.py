@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import FileNotFoundFsError
+from repro.hopsfs import ListingCacheConfig
 
 from .conftest import make_fs, run
 
@@ -106,3 +107,35 @@ def test_delete_then_read_raises_everywhere():
         return True
 
     assert run(fs, scenario())
+
+
+@pytest.mark.parametrize("listing_cache", [
+    pytest.param(None, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 15(b): without the changelog, NN B's "
+        "dir cache resolves the renamed-away /a for its 5 s TTL")),
+    ListingCacheConfig(),
+], ids=["default", "listing_cache"])
+def test_a_directory_renamed_through_one_nn_is_gone_at_once_through_another(listing_cache):
+    """Atomic rename across namenodes: once ``rename /a /b`` is acked through
+    NN A, NN B no longer resolves ``/a/f``, though its caches held ``/a``."""
+    fs = make_fs(num_namenodes=2, listing_cache=listing_cache)
+    nn_a, nn_b = fs.namenodes
+    writer, reader = fs.client(), fs.client()
+    outcomes = []
+
+    def scenario():
+        yield from fs.await_election()
+        writer.current_nn, reader.current_nn = nn_a.addr, nn_b.addr
+        yield from writer.mkdir("/a")
+        yield from writer.create("/a/f", data=b"x")
+        yield from reader.stat("/a/f")  # NN B caches /a
+        yield from writer.rename("/a", "/b")
+        for wait_ms in (0.0, 50.0, 1000.0):
+            yield fs.env.timeout(wait_ms)
+            try:
+                outcomes.append((yield from reader.stat("/a/f")))
+            except FileNotFoundFsError as exc:
+                outcomes.append(type(exc))
+
+    run(fs, scenario())
+    assert outcomes == [FileNotFoundFsError] * 3

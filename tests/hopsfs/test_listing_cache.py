@@ -1,24 +1,23 @@
 """The pre-materialized listing/attr cache and its changelog invalidation.
 
-Three layers of coverage:
+Two layers of coverage:
 
 * unit tests over :class:`~repro.hopsfs.listcache.ListingCache` gating
   (fill tokens, epoch bumps, out-of-order batches, LRU bounds, TTL);
 * functional tests on a small deployment (hits actually serve, mutations
-  invalidate every NN's cache, read-your-writes, obs counters);
-* a differential harness: the same scripted workload with the cache on
-  vs off must be client-observably identical, and the listing-consistency
-  invariant must hold at the end of the cached run.
+  invalidate every NN's cache, read-your-writes, obs counters).
+
+The cached path's client-observable semantics are checked against the
+namespace reference model by ``test_path_matrix.py``.
 """
 
-import random
 from types import SimpleNamespace
 
 import pytest
 
-from repro.chaos.invariants import listing_consistency, namespace_integrity
-from repro.errors import FsError
+from repro.chaos.invariants import listing_consistency
 from repro.experiments.setups import SETUPS
+from repro.hopsfs.dircache import DirCache
 from repro.hopsfs.groupcommit import AsyncCommitConfig
 from repro.hopsfs.listcache import (
     NO_LISTING_CACHE,
@@ -27,7 +26,6 @@ from repro.hopsfs.listcache import (
     materialize_snapshot,
 )
 from repro.hopsfs.metadata import INODES_TABLE, InodeRow
-from repro.hopsfs.snapshot import namespace_snapshot
 from repro.ndb.changelog import ChangelogBatch
 from repro.ndb.schema import TOMBSTONE
 from repro.workloads.namespace import generate_namespace
@@ -44,7 +42,7 @@ def _cache(ttl_ms=None, max_attr_entries=None, max_listing_entries=None,
            max_pending_batches=None):
     """A cache on a settable clock, with the bounds a test varies set on it."""
     clock = SimpleNamespace(now=0.0)
-    cache = ListingCache(clock, bus=_FakeBus())
+    cache = ListingCache(clock, _FakeBus(), DirCache(clock))
     for tier, cap in ((cache._attrs, max_attr_entries),
                       (cache._listings, max_listing_entries)):
         if ttl_ms is not None:
@@ -383,8 +381,6 @@ def test_cold_nn_imports_the_directory_row_it_freshly_read():
 
 
 def test_invalidation_between_the_read_and_the_fill_discards_the_import(monkeypatch):
-    from repro.hopsfs.dircache import DirCache
-
     fs, reader, nn_b = _created_through_a_read_through_b()
     cache = nn_b.listing_cache
     real_put = DirCache.put
@@ -634,136 +630,3 @@ def test_cache_off_publishes_nothing():
     assert fs.ndb.changelog.seq == 0
     assert all(nn.listing_cache is NO_LISTING_CACHE for nn in fs.namenodes)
     assert listing_consistency(fs).detail == "n/a (listing cache off)"
-
-
-# ------------------------------------------------------------- differential
-NUM_CLIENTS = 4
-OPS_PER_CLIENT = 40
-SEED = 1337
-
-
-def build_scripts(seed: int):
-    """Per-client scripts over disjoint subtrees, read-heavy like Spotify."""
-    rng = random.Random(seed)
-    scripts = []
-    for i in range(NUM_CLIENTS):
-        root = f"/c{i}"
-        ops = [("mkdir", (root,))]
-        dirs = [root]
-        files = []
-        counter = 0
-        for _ in range(OPS_PER_CLIENT):
-            r = rng.random()
-            counter += 1
-            if r < 0.15 or not files:
-                d = rng.choice(dirs)
-                data = bytes([65 + counter % 26]) * rng.randrange(1, 64)
-                path = f"{d}/f{counter}"
-                ops.append(("create", (path, data)))
-                files.append(path)
-            elif r < 0.25:
-                d = rng.choice(dirs)
-                path = f"{d}/d{counter}"
-                ops.append(("mkdir", (path,)))
-                dirs.append(path)
-            elif r < 0.45:
-                ops.append(("read", (rng.choice(files),)))
-            elif r < 0.60:
-                ops.append(("stat", (rng.choice(files),)))
-            elif r < 0.75:
-                ops.append(("listdir", (rng.choice(dirs),)))
-            elif r < 0.83:
-                ops.append(("exists", (rng.choice(files),)))
-            elif r < 0.89:
-                src = files.pop(rng.randrange(len(files)))
-                dst = f"{rng.choice(dirs)}/r{counter}"
-                ops.append(("rename", (src, dst)))
-                files.append(dst)
-            elif r < 0.95:
-                victim = files.pop(rng.randrange(len(files)))
-                ops.append(("delete", (victim,)))
-            else:
-                kind = rng.randrange(2)
-                if kind == 0:
-                    ops.append(("read", (f"{root}/missing{counter}",)))
-                else:
-                    ops.append(("listdir", (f"{root}/nodir{counter}",)))
-        scripts.append(ops)
-    return scripts
-
-
-def _apply(client, name, args):
-    if name == "mkdir":
-        return client.mkdir(*args)
-    if name == "create":
-        return client.create(args[0], data=args[1])
-    if name == "read":
-        return client.read(*args)
-    if name == "stat":
-        return client.stat(*args)
-    if name == "listdir":
-        return client.listdir(*args)
-    if name == "exists":
-        return client.exists(*args)
-    if name == "rename":
-        return client.rename(*args)
-    if name == "delete":
-        return client.delete(*args)
-    raise AssertionError(f"unknown scripted op {name}")
-
-
-def _observe(name, result):
-    if name == "read":
-        return bytes(result.small_data) if result.is_small else result.inode.size
-    if name == "stat":
-        return (result.is_dir, result.size, result.permission)
-    if name == "listdir":
-        return tuple(sorted(getattr(row, "name", row) for row in result))
-    if name == "exists":
-        return bool(result)
-    return None
-
-
-def run_mode(listing_cache):
-    fs = make_fs(num_namenodes=2, listing_cache=listing_cache, seed=7)
-    scripts = build_scripts(SEED)
-    records = [[] for _ in scripts]
-    done = []
-
-    def client_proc(idx, client, script):
-        for name, args in script:
-            try:
-                result = yield from _apply(client, name, args)
-                records[idx].append((name, "ok", _observe(name, result)))
-            except FsError as exc:
-                records[idx].append((name, type(exc).__name__, None))
-        done.append(idx)
-
-    clients = [fs.client() for _ in scripts]
-    for idx, (client, script) in enumerate(zip(clients, scripts)):
-        fs.env.process(client_proc(idx, client, script), name=f"lc-client{idx}")
-    fs.env.run(until=20_000)
-    assert sorted(done) == list(range(NUM_CLIENTS)), "a scripted client stalled"
-    fs.env.run(until=fs.env.now + 100.0)
-    return records, namespace_snapshot(fs), fs
-
-
-def test_cached_run_is_client_observably_identical():
-    plain_records, plain_snap, _plain_fs = run_mode(None)
-    cached_records, cached_snap, cached_fs = run_mode(ListingCacheConfig())
-
-    for idx, (p_rec, c_rec) in enumerate(zip(plain_records, cached_records)):
-        assert c_rec == p_rec, f"client {idx} diverged: {c_rec} != {p_rec}"
-    assert cached_snap == plain_snap
-
-    # The cached run really served from memory (no silent fallthrough)...
-    hits = sum(nn.listing_cache.hits for nn in cached_fs.namenodes)
-    assert hits > 0
-    # ...and what remains live in every cache matches committed NDB state.
-    assert listing_consistency(cached_fs).ok
-    assert namespace_integrity(cached_fs).ok
-
-
-def test_scripts_are_deterministic():
-    assert build_scripts(SEED) == build_scripts(SEED)
-    assert build_scripts(SEED) != build_scripts(SEED + 1)

@@ -1,27 +1,18 @@
-"""Model-based test: the full stack vs a reference in-memory file system.
+"""Model-based test: the full stack vs the namespace reference model.
 
 Hypothesis generates random operation sequences; each is applied both to a
-real HopsFS-CL deployment (full NDB transaction machinery) and to a plain
-dict-based model.  Outcomes (success/error kind, listings, existence)
-must agree exactly.
+real HopsFS-CL deployment (full NDB transaction machinery) and to
+:class:`~tests.hopsfs.test_path_matrix.NamespaceModel`.  Outcomes (the
+observed payload of a success, or the error class) must agree exactly.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import (
-    DirectoryNotEmptyError,
-    FileAlreadyExistsError,
-    FileNotFoundFsError,
-    FsError,
-    InvalidPathError,
-    NotDirectoryError,
-)
-
 from .conftest import make_fs, run
+from .test_path_matrix import NamespaceModel, model_outcome, real_outcome
 
 _NAMES = ("a", "b", "c")
-_DEPTH = 2
 
 
 def _paths():
@@ -47,137 +38,6 @@ _op = st.one_of(
 )
 
 
-class _Model:
-    """Reference semantics: dict path -> 'dir' | 'file'."""
-
-    def __init__(self):
-        self.tree = {"/": "dir"}
-
-    def _parent(self, path):
-        return path.rsplit("/", 1)[0] or "/"
-
-    def _children(self, path):
-        prefix = path.rstrip("/") + "/"
-        return [
-            p for p in self.tree
-            if p != "/" and p.startswith(prefix) and "/" not in p[len(prefix):]
-        ]
-
-    def _require_parent_dir(self, path):
-        parent = self._parent(path)
-        if parent == "/":
-            return
-        if parent not in self.tree:
-            raise FileNotFoundFsError(parent)
-        if self.tree[parent] != "dir":
-            raise NotDirectoryError(parent)
-
-    def mkdir(self, path):
-        self._require_parent_dir(path)
-        if path in self.tree:
-            raise FileAlreadyExistsError(path)
-        self.tree[path] = "dir"
-
-    def create(self, path):
-        self.mkdir(path)  # same checks
-        self.tree[path] = "file"
-
-    def delete(self, path):
-        self._require_parent_dir(path)
-        if path not in self.tree:
-            raise FileNotFoundFsError(path)
-        if self.tree[path] == "dir" and self._children(path):
-            raise DirectoryNotEmptyError(path)
-        del self.tree[path]
-
-    def exists(self, path):
-        node = path
-        # walking through a file component yields False
-        parent = self._parent(path)
-        if parent != "/" and self.tree.get(parent) == "file":
-            return False
-        return path in self.tree
-
-    def listdir(self, path):
-        if path != "/":
-            parent = self._parent(path)
-            if parent != "/" and self.tree.get(parent) == "file":
-                raise NotDirectoryError(path)  # resolution crosses a file
-            if path not in self.tree:
-                raise FileNotFoundFsError(path)
-            if self.tree[path] != "dir":
-                raise NotDirectoryError(path)
-        return sorted(c.rsplit("/", 1)[1] for c in self._children(path))
-
-    def rename(self, src, dst):
-        # mirror the real operation's check order (repro.hopsfs.ops.rename)
-        self._require_parent_dir(src)
-        self._require_parent_dir(dst)
-        if src == dst:
-            raise InvalidPathError("onto itself")
-        if src not in self.tree:
-            raise FileNotFoundFsError(src)
-        if dst in self.tree:
-            raise FileAlreadyExistsError(dst)
-        if self.tree[src] == "dir" and dst.startswith(src + "/"):
-            raise InvalidPathError("cannot move under itself")
-        kind = self.tree.pop(src)
-        # children move implicitly (keyed by path prefix in the model)
-        moved = {}
-        prefix = src + "/"
-        for p in list(self.tree):
-            if p.startswith(prefix):
-                moved[dst + p[len(src):]] = self.tree.pop(p)
-        self.tree[dst] = kind
-        self.tree.update(moved)
-
-
-def _apply_model(model, step):
-    kind = step[0]
-    try:
-        if kind == "mkdir":
-            return ("ok", model.mkdir(step[1]))
-        if kind == "create":
-            return ("ok", model.create(step[1]))
-        if kind == "delete":
-            return ("ok", model.delete(step[1]))
-        if kind == "exists":
-            return ("ok", model.exists(step[1]))
-        if kind == "listdir":
-            return ("ok", model.listdir(step[1]))
-        if kind == "rename":
-            return ("ok", model.rename(step[1], step[2]))
-    except FsError as exc:
-        return ("err", type(exc).__name__)
-    raise AssertionError(kind)
-
-
-def _apply_real(client, step):
-    kind = step[0]
-    try:
-        if kind == "mkdir":
-            yield from client.mkdir(step[1])
-            return ("ok", None)
-        if kind == "create":
-            yield from client.create(step[1])
-            return ("ok", None)
-        if kind == "delete":
-            yield from client.delete(step[1])
-            return ("ok", None)
-        if kind == "exists":
-            result = yield from client.exists(step[1])
-            return ("ok", result)
-        if kind == "listdir":
-            result = yield from client.listdir(step[1])
-            return ("ok", result)
-        if kind == "rename":
-            yield from client.rename(step[1], step[2])
-            return ("ok", None)
-    except FsError as exc:
-        return ("err", type(exc).__name__)
-    raise AssertionError(kind)
-
-
 @given(st.lists(_op, max_size=14))
 @settings(
     max_examples=25,
@@ -187,22 +47,14 @@ def _apply_real(client, step):
 def test_fs_agrees_with_reference_model(steps):
     fs = make_fs(num_namenodes=1, num_ndb_datanodes=2, election=False)
     client = fs.client()
-    model = _Model()
+    model = NamespaceModel()
 
     def scenario():
         outcomes = []
-        for step in steps:
-            real = yield from _apply_real(client, step)
-            expected = _apply_model(model, step)
-            outcomes.append((step, real, expected))
+        for name, *args in steps:
+            real = yield from real_outcome(client, name, args)
+            outcomes.append((name, args, real, model_outcome(model, name, args)))
         return outcomes
 
-    outcomes = run(fs, scenario())
-    for step, real, expected in outcomes:
-        if step[0] in ("exists", "listdir"):
-            assert real == expected, f"{step}: real={real} expected={expected}"
-        else:
-            # mutations: success/error *kind* must match
-            assert real[0] == expected[0], f"{step}: real={real} expected={expected}"
-            if real[0] == "err":
-                assert real[1] == expected[1], f"{step}: {real} vs {expected}"
+    for name, args, real, expected in run(fs, scenario()):
+        assert real == expected, f"{name}{tuple(args)}: real={real} expected={expected}"
