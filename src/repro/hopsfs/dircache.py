@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .metadata import InodeRow
 
-__all__ = ["TtlLruMap", "DirCache"]
+__all__ = ["TtlLruMap", "DirCache", "WalkView"]
 
 
 class TtlLruMap(dict):
@@ -83,3 +83,30 @@ class DirCache(TtlLruMap):
     def put(self, row: InodeRow) -> None:
         if row.is_dir:
             self.store((row.parent_id, row.name), row)
+
+
+class WalkView:
+    """The dir cache as one walk sees it.
+
+    ``lookup`` and ``put`` delegate to the cache.  ``ids`` keeps the id of
+    every directory the walk passed (a hit, or a row read and put back);
+    ``rows`` keeps the rows it read fresh (those it ``put``).
+    """
+
+    __slots__ = ("_cache", "ids", "rows")
+
+    def __init__(self, cache):
+        self._cache = cache
+        self.ids = set()
+        self.rows = []
+
+    def lookup(self, key):
+        row = self._cache.lookup(key)
+        if row is not None:
+            self.ids.add(row.id)
+        return row
+
+    def put(self, row: InodeRow) -> None:
+        self._cache.put(row)
+        self.ids.add(row.id)
+        self.rows.append(row)

@@ -57,7 +57,7 @@ from typing import Callable, Optional
 from ..errors import InvalidPathError
 from ..ndb.schema import TOMBSTONE
 from ..types import OpType
-from .dircache import TtlLruMap
+from .dircache import TtlLruMap, WalkView
 from .groupcommit import SYNC_COMMIT, op_paths
 from .metadata import INODES_TABLE, ROOT_INODE_ID, InodeRow
 from .ops import FileContent
@@ -114,35 +114,6 @@ def read_front(config: Optional[ListingCacheConfig], nn):
     cache = ListingCache(nn.env, bus, nn.dir_cache, committer=nn.committer)
     bus.subscribe(nn.addr)
     return cache
-
-
-class _FillRecorder:
-    """Per-op dir-cache shim that records rows for a listing-cache fill.
-
-    ``lookup``/``put`` delegate to the real dir cache, so the
-    listing-cache miss path resolves at exactly the legacy cost (the read
-    ops it wraps never invalidate, so there is no ``pop``).  Only the
-    rows the transaction *freshly read* (those it ``put``) are recorded
-    and imported into the listing cache — a row served from the dir cache
-    may be up to its TTL stale, which is fine for transactional resolution
-    (row locks re-verify the target) but must never become a
-    changelog-audited listing-cache entry.  ``token`` is the fill token
-    taken as the read began.
-    """
-
-    __slots__ = ("_dir_cache", "rows", "token")
-
-    def __init__(self, dir_cache, token):
-        self._dir_cache = dir_cache
-        self.rows = []
-        self.token = token
-
-    def lookup(self, key):
-        return self._dir_cache.lookup(key)
-
-    def put(self, row):
-        self._dir_cache.put(row)
-        self.rows.append(row)
 
 
 class ListingCache:
@@ -268,26 +239,29 @@ class ListingCache:
 
     def reader(self, op: OpType, ctx):
         """``(ctx, fill)`` for ``op``'s transaction.  A read the cache serves
-        resolves with fresh transactional reads recorded for the fill, under
-        a fill token taken now, so an invalidation racing the read discards
+        resolves through a :class:`WalkView` of the dir cache, which records
+        the rows the transaction reads fresh; ``fill`` is that view and a
+        fill token taken now, so an invalidation racing the read discards
         the fill rather than vice versa."""
         if op not in self.ops:
             return ctx, None
-        fill = _FillRecorder(self.dir_cache, self.begin_fill())
-        return dataclasses.replace(ctx, dir_cache=fill), fill
+        view = WalkView(self.dir_cache)
+        return dataclasses.replace(ctx, dir_cache=view), (view, self.begin_fill())
 
     def fill(self, op: OpType, kwargs, result, fill) -> None:
         """Populate the cache from a transactional read's rows.
 
         Only rows read (or the result produced) inside the transaction are
-        filled — never dir-cache contents, which may be seconds stale and
-        are not changelog-invalidated.  The fill's token discards fills
-        that raced an invalidation of the same directory.
+        filled — never dir-cache hits: a hit may be up to its TTL stale,
+        which is fine for transactional resolution (row locks re-verify the
+        target) but must never become a changelog-gated entry.  The fill's
+        token discards fills that raced an invalidation of the same
+        directory.
         """
         if fill is None:
             return
-        token = fill.token
-        for row in fill.rows:
+        view, token = fill
+        for row in view.rows:
             if row.id != ROOT_INODE_ID:
                 self.fill_attr(token, row)
         if op is OpType.STAT and result is not None:

@@ -38,6 +38,7 @@ from .metadata import (
     InodeRow,
     LeaseRow,
 )
+from .dircache import WalkView
 from .pathlock import resolve_inode, resolve_parent, split_path
 
 __all__ = ["FsContext", "FileContent", "mkdir", "create_file", "read_file",
@@ -91,26 +92,6 @@ def _cache_uncommitted(ctx: FsContext, txn: NdbTransaction, row: InodeRow) -> No
     if row.is_dir:
         ctx.dir_cache.put(row)
         txn.on_abort(ctx.dir_cache.pop, (row.parent_id, row.name), None)
-
-
-class _Ancestors:
-    """The dir cache as one walk sees it, keeping the ``ids`` of the
-    directories the walk resolved: each was a cache hit or a row read and
-    put back."""
-
-    def __init__(self, cache):
-        self._cache = cache
-        self.ids = set()
-
-    def lookup(self, key):
-        row = self._cache.lookup(key)
-        if row is not None:
-            self.ids.add(row.id)
-        return row
-
-    def put(self, row: InodeRow) -> None:
-        self._cache.put(row)
-        self.ids.add(row.id)
 
 
 def _require_dir(row: InodeRow, path: str) -> None:
@@ -301,7 +282,7 @@ def rename(ctx: FsContext, txn: NdbTransaction, src: str, dst: str):
     inode id, which does not change.
     """
     src_parent, src_name = yield from resolve_parent(txn, src, ctx.dir_cache)
-    dst_ancestors = _Ancestors(ctx.dir_cache)
+    dst_ancestors = WalkView(ctx.dir_cache)
     dst_parent, dst_name = yield from resolve_parent(txn, dst, dst_ancestors)
     src_pk = (src_parent.id, src_name)
     dst_pk = (dst_parent.id, dst_name)

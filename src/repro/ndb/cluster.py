@@ -266,8 +266,9 @@ class NdbCluster:
 
         Mirrors NDB's node-recovery phases: the starting node comes back
         up, copies its fragments from a live member of its node group
-        (time proportional to the data volume), and only then rejoins the
-        partition map so it can serve replicas again.  With no member of
+        (time proportional to the data volume), levels with it once more
+        for the commits that landed during the copy, and only then rejoins
+        the partition map so it can serve replicas again.  With no member of
         the group up and running there is no live copy: the node restores
         the fragments it held when it went down, as NDB's system restart
         does from local disk.
@@ -285,6 +286,11 @@ class NdbCluster:
         copied_rows = dn.store.level_with(disk if donor is None else donor.store)
         # Recovery time: fragment copy over the network (modelled in bulk).
         yield self.env.timeout(copied_rows * self.config.costs.ldm_read)
+        # Commits of the copy window reached only the running members:
+        # level with one again before serving.
+        donor = self._donor(addr)
+        if donor is not None:
+            dn.store.level_with(donor.store)
         self.partition_map.mark_up(addr)
         # Transactions already in flight computed their replica chains while
         # this node was down; their commits land only on the old replicas.

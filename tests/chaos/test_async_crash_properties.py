@@ -13,8 +13,12 @@ acceptance floor for this harness.  ``derandomize=True`` pins the draw
 sequence; nothing here depends on the wall clock.
 """
 
+import gc
 import random
+import types
+from collections import Counter
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +28,7 @@ from repro.chaos.invariants import (
     namespace_integrity,
     no_stuck_state,
 )
+from repro.chaos.scenarios import run_scenario
 from repro.hopsfs import RobustConfig
 from repro.hopsfs.groupcommit import AsyncCommitConfig
 
@@ -145,3 +150,28 @@ def test_namenode_crash_mid_group_commit(workload_seed, policy, crash_at, hold, 
 @_settings
 def test_ndb_datanode_crash_mid_group_commit(workload_seed, policy, crash_at, hold, victim_rank):
     _run_case(workload_seed, policy, crash_at, hold, victim_rank, "ndb")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 8: a task parked on an NDB call whose reply went to "
+    "a crashed NN never resumes",
+)
+def test_a_crashed_namenodes_group_commit_tasks_do_not_stay_parked():
+    """``GroupCommitter.on_crash`` abandons its processes.  Those parked on
+    an NDB call whose reply went to the dead NN never resume, and neither do
+    the flushes waiting on them or the handlers parked in their own
+    ``run_transaction``.  At the end of ``async-commit-crash`` on ``HopsFS
+    (2,1)``, seed 99, none of them may be left."""
+    result = run_scenario("async-commit-crash", "HopsFS (2,1)", seed=99)
+    env = result.extra["harness"].env
+    parked = Counter(
+        obj.gi_code.co_qualname
+        for obj in gc.get_objects()
+        if isinstance(obj, types.GeneratorType)
+        and obj.gi_frame is not None
+        and obj.gi_code.co_qualname
+        in ("GroupCommitter._member", "GroupCommitter._flush", "Namenode._serve")
+        and obj.gi_frame.f_locals["self"].env is env
+    )
+    assert parked == Counter()

@@ -203,3 +203,38 @@ def test_restart_inside_a_checkpoint_interval_keeps_one_checkpoint_per_interval(
     before = disk.bytes_written
     harness.env.run(until=harness.env.now + 10 * config.global_checkpoint_interval_ms)
     assert disk.bytes_written - before == 10 * config.checkpoint_bytes
+
+
+def test_a_row_committed_during_the_recovery_copy_is_on_the_node_at_its_up_mark():
+    """ROADMAP item 19: a commit that lands while the restarting node copies
+    its fragments reaches only the running members; the node must hold it
+    when it is marked up and starts serving, not only after ``_reconcile``."""
+    harness = build_harness()
+    cluster = harness.cluster
+    env = harness.env
+    victim = cluster.partition_map.replicas_for_key("k").primary
+    # Enough rows that the copy window is several transactions long.
+    cluster.preload("t", ((f"bulk{i}", "k", i) for i in range(200)))
+    at_up_mark = {}
+    mark_up = cluster.partition_map.mark_up
+
+    def recording_mark_up(addr):
+        if addr == victim:
+            at_up_mark["k"] = cluster.datanodes[victim].store.read("t", "k")
+        mark_up(addr)
+
+    cluster.partition_map.mark_up = recording_mark_up
+
+    def body(txn):
+        yield from txn.write("t", "k", "during-copy")
+
+    def scenario():
+        cluster.crash_datanode(victim, detect_now=True)
+        recovery = env.process(cluster.restart_datanode(victim))
+        yield env.timeout(0.1)
+        yield from run_transaction(harness.api, body, hint_table="t", hint_key="k")
+        assert recovery.is_alive  # the commit landed inside the copy window
+        yield recovery
+
+    harness.run(scenario())
+    assert at_up_mark == {"k": "during-copy"}
