@@ -176,10 +176,12 @@ def _delta(old, new) -> str:
 # -- producers that have no test module of their own --------------------------
 
 CHAOS_SEED = 99
-# The two runs of the old chaos-matrix CI job that no cell of the matrix
-# covers: a gray fault and fail-stop NN restarts with the listing cache on.
+# The three listing-cache runs that no cell of the matrix covers: a gray
+# fault, fail-stop NN restarts, and a partition that drops changelog
+# batches to a live NN (each drop flushes it).
 CHAOS_LISTING_CACHE = (("gray-degraded-link", "hopsfs-cl-3-3"),
-                       ("rolling-namenode-restarts", "hopsfs-cl-3-3"))
+                       ("rolling-namenode-restarts", "hopsfs-cl-3-3"),
+                       ("network-partition", "hopsfs-cl-3-3"))
 
 
 def chaos_cell(scenario: str, setup: str, listing_cache: bool = False) -> dict:
@@ -225,7 +227,7 @@ def chaos_cell(scenario: str, setup: str, listing_cache: bool = False) -> dict:
 
 def chaos_matrix() -> dict:
     """Every ``chaos.SCENARIOS`` entry on every setup of the paper, in
-    process (~1 s a cell), plus the two listing-cache runs."""
+    process (~1 s a cell), plus the three listing-cache runs."""
     from repro.chaos import SCENARIOS
     from repro.experiments.setups import SETUPS, setup_slug
 

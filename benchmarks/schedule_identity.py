@@ -33,7 +33,7 @@ compared with anything.
 
 ``--chaos`` compares the fault-injection runs instead: every cell of the
 ``chaos_matrix`` pin (``benchmarks/pins.py``: all ``chaos.SCENARIOS`` on all
-nine setups, plus the two listing-cache runs), produced in process in both
+nine setups, plus the three listing-cache runs), produced in process in both
 trees by this tree's ``pins.chaos_matrix``.  A cell's schedule digest is its
 ``dispatch_hash``; its result is its verdict (``green`` / ``red`` /
 ``unsupported:<reason>``), the red invariants, ``completed`` and ``failed``.

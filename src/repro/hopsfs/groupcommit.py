@@ -619,9 +619,7 @@ class GroupCommitter:
         if type(result) is Replay:
             ctx.members.remove(gop)
             if gop.ack_ms is None:
-                nn._complete(
-                    gop.msg, gop.op, gop.kwargs, result.value, gop.retry_id, replayed=True
-                )
+                nn._complete(gop.msg, gop.op, result.value, gop.retry_id, replayed=True)
             else:
                 nn._record_applied(gop.op, gop.retry_id, result.value, True)
                 ctx.landed = True

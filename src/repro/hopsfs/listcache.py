@@ -13,33 +13,35 @@ module gives each namenode a Tiger-Cache-style pre-materialized cache:
   in O(1).
 
 Entries are filled from the transactional read path (miss → NDB → fill)
-and invalidated by the NDB changelog (``repro.ndb.changelog``): every
-committed inode mutation fans out row images which pop the affected attr
-and listing entries, and the namenode's dir-cache entry for the same
-``(parent_id, name)``.  On a namenode subscribed to the changelog, three
-gates keep a stale entry — of either cache — from being served after its
-invalidation applies.  A namenode without the read front subscribes to
-nothing: its dir cache still answers for up to its 5 s TTL after a peer
-renames or deletes a directory (ROADMAP item 15(b)).
+and invalidated only by the NDB changelog (``repro.ndb.changelog``):
+every committed inode mutation fans out row images which pop the affected
+attr and listing entries, and the namenode's dir-cache entry for the same
+``(parent_id, name)``.  On a namenode subscribed to the changelog, one
+invalidation path keeps a stale entry — of either cache — from being
+served after its invalidation applies.  A namenode without the read front
+subscribes to nothing: its dir cache still answers for up to its 5 s TTL
+after a peer renames or deletes a directory (ROADMAP item 15(b)).
 
-* **epoch** — a TC-failure take-over that rolls a transaction forward
-  cannot itemize the rows it committed; the bus bumps its epoch and the
-  cache flushes wholesale.
-* **sequence** — batches are globally sequence-stamped.  Invalidation
-  pops are order-independent, so out-of-order delivery applies
-  immediately; a *hole* that never fills (a batch dropped while this NN
-  was down or partitioned) overflows the pending window and flushes.
+* **batches** — :meth:`ListingCache.apply` pops a batch's records, or
+  flushes on a flush order (a TC-failure take-over that rolled a
+  transaction forward and cannot itemize its rows).  Pops are idempotent
+  and commute, so batches from different TCs may interleave.  The stream
+  is FIFO per TC -> NN route and the TC publishes before it replies, so
+  a mutation's batch reaches the mutating NN before the reply resumes its
+  op: read-your-writes on the synchronous and the grouped path alike.
+* **lost batches** — a batch the network drops on its way here (this NN
+  down, partitioned away) flushes the cache at once; a restart flushes
+  too.
 * **fill tokens** — a fill begun before an invalidation of the same
   directory (or before a flush) is discarded, not applied, closing the
   read-then-invalidate-then-fill race.
 
-Staleness across NNs is bounded by changelog delivery latency in the
-common case and by ``TTL_MS`` in the worst case (dropped batches expire
-out).  The cache is the namenode's *read front* (:meth:`ListingCache.lookup`
-probes before the handler pool, :meth:`~ListingCache.serve` checks the
-probe after it and walks again only if a pending batch now holds the path or
-an entry the probe read moved or expired,
-:meth:`~ListingCache.reader` / :meth:`~ListingCache.fill` around a
+Staleness across NNs is bounded by changelog delivery latency; ``TTL_MS``
+bounds any entry's age regardless.  The cache is the namenode's *read
+front* (:meth:`ListingCache.lookup` probes before the handler pool,
+:meth:`~ListingCache.serve` checks the probe after it and walks again only
+if a pending batch now holds the path or an entry the probe read moved or
+expired, :meth:`~ListingCache.reader` / :meth:`~ListingCache.fill` around a
 transactional miss).  :func:`read_front` builds it once per namenode; with
 ``HopsFsConfig.listing_cache=None`` (the default) it returns
 :data:`NO_LISTING_CACHE`, which never hits, never fills and subscribes to
@@ -58,7 +60,7 @@ from ..errors import InvalidPathError
 from ..ndb.schema import TOMBSTONE
 from ..types import OpType
 from .dircache import TtlLruMap, WalkView
-from .groupcommit import SYNC_COMMIT, op_paths
+from .groupcommit import SYNC_COMMIT
 from .metadata import INODES_TABLE, ROOT_INODE_ID, InodeRow
 from .ops import FileContent
 from .pathlock import root_row, split_path
@@ -66,8 +68,8 @@ from .pathlock import root_row, split_path
 __all__ = ["ListingCacheConfig", "ListingCache", "NO_LISTING_CACHE", "materialize_snapshot",
            "read_front"]
 
-# Worst-case staleness bound: entries older than this are never served
-# (covers changelog batches dropped while this NN was unreachable).
+# Age bound: entries older than this are never served, whatever the
+# changelog did (a dropped batch flushes the cache outright).
 TTL_MS = 100.0
 # Caps of the two tiers (TtlLruMap: oldest insertion evicted).
 MAX_ATTR_ENTRIES = 200_000
@@ -110,9 +112,8 @@ def read_front(config: Optional[ListingCacheConfig], nn):
     cache subscribed to the NDB changelog, or :data:`NO_LISTING_CACHE`."""
     if config is None:
         return NO_LISTING_CACHE
-    bus = nn.ndb.changelog
-    cache = ListingCache(nn.env, bus, nn.dir_cache, committer=nn.committer)
-    bus.subscribe(nn.addr)
+    cache = ListingCache(nn.env, nn.dir_cache, committer=nn.committer)
+    nn.ndb.changelog.subscribe(nn.addr, cache.flush)
     return cache
 
 
@@ -125,29 +126,19 @@ class ListingCache:
     batches.
     """
 
-    # Out-of-order tolerance: how many sequence numbers may sit above a
-    # delivery hole before the hole is declared a *lost* batch (this NN
-    # missed an invalidation) and the cache flushes.
-    max_pending_batches = 64
-
     # Reads it may serve from NN memory.  READ_FILE qualifies only for
     # small (inlined) files — block reads still need the block rows and
     # stay transactional.
     ops = frozenset({OpType.STAT, OpType.EXISTS, OpType.LIST_DIR, OpType.READ_FILE})
 
-    def __init__(self, clock, bus, dir_cache, committer=SYNC_COMMIT):
+    def __init__(self, clock, dir_cache, committer=SYNC_COMMIT):
         self._clock = clock
-        self.bus = bus
         self.dir_cache = dir_cache
         self.committer = committer
         # (parent_id, name) -> InodeRow
         self._attrs = TtlLruMap(clock, TTL_MS, MAX_ATTR_ENTRIES)
         # dir inode id -> (sorted-name tuple, name set)
         self._listings = TtlLruMap(clock, TTL_MS, MAX_LISTING_ENTRIES)
-        # Changelog gating state.
-        self.epoch = bus.epoch
-        self.applied_seq = bus.seq
-        self._pending: set[int] = set()
         # Fill-race gating: every invalidation event advances _inval_seq
         # and stamps the affected directory ids; a fill token older than a
         # directory's stamp (or than the last flush) is discarded.
@@ -163,7 +154,6 @@ class ListingCache:
         self.fills = 0
         self.discarded_fills = 0
         self.batches_applied = 0
-        self.stale_batches = 0
 
     # ------------------------------------------------------------ read front
     def lookup(self, op: OpType, kwargs):
@@ -275,14 +265,6 @@ class ListingCache:
             if definitive and row is not None and row.is_dir:
                 self.fill_listing(token, row.id, result)
 
-    def invalidate(self, op: OpType, kwargs) -> None:
-        """Read-your-writes belt-and-braces for a mutation this NN applied:
-        the changelog invalidation is already in flight (published at the
-        TC commit point, before the reply), but drop our own entries
-        eagerly too."""
-        for components in op_paths(op, kwargs):
-            self.invalidate_path("/" + "/".join(components))
-
     # ------------------------------------------------------------------ serve
     def resolve(
         self, path: str, final_from_dir_cache: bool = False, seen: Optional[list] = None
@@ -350,32 +332,28 @@ class ListingCache:
         return None if entry is None else list(entry[1][0])
 
     # ------------------------------------------------------------------ fills
-    def begin_fill(self) -> tuple[int, int]:
+    def begin_fill(self) -> int:
         """Token capturing the invalidation state before a transactional read."""
-        return (self.epoch, self._inval_seq)
+        return self._inval_seq
 
-    def fill_attr(self, token: tuple[int, int], row: InodeRow) -> None:
-        epoch, at = token
-        if epoch != self.epoch or at < self._flush_stamp:
+    def _admits(self, token: int, dir_id: int) -> bool:
+        """Whether a fill of ``dir_id``'s entries read at ``token`` may land
+        (not if a flush or an invalidation of the directory came since),
+        counted as a fill or a discard."""
+        if token < self._flush_stamp or self._dir_stamp.get(dir_id, 0) > token:
             self.discarded_fills += 1
-            return
-        if self._dir_stamp.get(row.parent_id, 0) > at:
-            self.discarded_fills += 1  # directory invalidated since the read
-            return
-        self._attrs.store((row.parent_id, row.name), row)
+            return False
         self.fills += 1
+        return True
 
-    def fill_listing(self, token: tuple[int, int], dir_id: int, names) -> None:
-        epoch, at = token
-        if epoch != self.epoch or at < self._flush_stamp:
-            self.discarded_fills += 1
-            return
-        if self._dir_stamp.get(dir_id, 0) > at:
-            self.discarded_fills += 1
-            return
-        ordered = tuple(sorted(names))
-        self._listings.store(dir_id, (ordered, frozenset(ordered)))
-        self.fills += 1
+    def fill_attr(self, token: int, row: InodeRow) -> None:
+        if self._admits(token, row.parent_id):
+            self._attrs.store((row.parent_id, row.name), row)
+
+    def fill_listing(self, token: int, dir_id: int, names) -> None:
+        if self._admits(token, dir_id):
+            ordered = tuple(sorted(names))
+            self._listings.store(dir_id, (ordered, frozenset(ordered)))
 
     def prewarm(self, snapshot: Callable[[], tuple[dict, dict]]) -> None:
         """Take the entries :func:`materialize_snapshot` built from a
@@ -402,12 +380,9 @@ class ListingCache:
         self.fills += len(attrs) + len(listings)
 
     # ------------------------------------------------------------ invalidation
-    def _stamp_dir(self, dir_id: int) -> None:
-        self._dir_stamp[dir_id] = self._inval_seq
-
     def _drop_dir(self, dir_id: int) -> None:
         self._listings.pop(dir_id, None)
-        self._stamp_dir(dir_id)
+        self._dir_stamp[dir_id] = self._inval_seq
 
     def _invalidate_record(self, table, pk, value) -> None:
         if table != INODES_TABLE:
@@ -423,62 +398,20 @@ class ListingCache:
             self._drop_dir(value.id)
         self.invalidations += 1
 
-    def invalidate_path(self, path: str) -> None:
-        """Eager local invalidation (read-your-writes on the mutating NN).
-
-        Called before the mutation's reply leaves this NN, so a client
-        that writes then reads through the same NN never sees its own
-        write shadowed by a stale entry.  The authoritative changelog
-        invalidation follows and is idempotent over this.
-        """
-        try:
-            components = split_path(path)
-        except InvalidPathError:
-            return
-        self._inval_seq += 1
-        parent_id = ROOT_INODE_ID
-        for name in components:
-            entry = self._attrs.pop((parent_id, name), None)
-            self._drop_dir(parent_id)
-            self.invalidations += 1
-            if entry is None:
-                return
-            row = entry[1]
-            if not row.is_dir:
-                return
-            parent_id = row.id
-        self._drop_dir(parent_id)  # the path named a cached directory
-
     # -------------------------------------------------------------- changelog
     def apply(self, batch) -> None:
-        """Apply one changelog batch (epoch/sequence-gated)."""
-        if batch.epoch > self.epoch:
-            self.epoch = batch.epoch
-            self.applied_seq = batch.seq
-            self._pending.clear()
+        """Apply one changelog batch: pop its records, or flush on a flush
+        order.  Pops are idempotent and commute, so arrival order across
+        TCs does not matter."""
+        if batch.flush:
             self.flush()
             return
-        if batch.epoch < self.epoch or batch.seq <= self.applied_seq or batch.seq in self._pending:
-            self.stale_batches += 1
-            return
-        # Invalidation pops are order-independent: apply immediately, then
-        # advance the contiguous high-water mark through the pending set.
         for table, pk, _partition_key, value in batch.records:
             self._invalidate_record(table, pk, value)
         self.batches_applied += 1
-        self._pending.add(batch.seq)
-        while self.applied_seq + 1 in self._pending:
-            self.applied_seq += 1
-            self._pending.remove(self.applied_seq)
-        if len(self._pending) > self.max_pending_batches:
-            # The hole below the pending window never filled: a batch was
-            # lost while this NN was unreachable.  Anything cached before
-            # the loss may be stale — flush and restart from the top.
-            self.applied_seq = max(self._pending)
-            self._pending.clear()
-            self.flush()
 
     def flush(self) -> None:
+        """Drop everything: a flush order, a lost batch or a restart."""
         self._attrs.clear()
         self._listings.clear()
         self.dir_cache.clear()
@@ -486,17 +419,6 @@ class ListingCache:
         self._inval_seq += 1
         self._flush_stamp = self._inval_seq
         self.flushes += 1
-
-    def resync(self) -> None:
-        """Re-align with the bus after this NN restarts.
-
-        Changelog batches sent while the NN was down were dropped by the
-        network; everything cached before the crash is untrustworthy.
-        """
-        self.epoch = self.bus.epoch
-        self.applied_seq = self.bus.seq
-        self._pending.clear()
-        self.flush()
 
     # ------------------------------------------------------------------ audit
     def live_attrs(self, now: float):
@@ -527,11 +449,8 @@ class _NoListingCache:
     def fill(self, op, kwargs, result, fill) -> None:
         """Nothing is kept."""
 
-    def invalidate(self, op, kwargs) -> None:
+    def flush(self) -> None:
         """Nothing to drop."""
-
-    def resync(self) -> None:
-        """Nothing to re-align."""
 
     def prewarm(self, snapshot) -> None:
         """Nothing to take."""

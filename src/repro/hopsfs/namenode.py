@@ -164,9 +164,9 @@ class Namenode(Server):
         # request after the restart; a dead life's decrement is skipped.
         self._inflight = 0
         self._life += 1
-        # Changelog batches sent while this NN was down were dropped; the
-        # read front flushes and re-aligns with the bus before serving.
-        self.listing_cache.resync()
+        # So did the read front: it flushes before serving (each changelog
+        # batch dropped while this NN was down flushed it too).
+        self.listing_cache.flush()
 
     def drain(self, grace_ms: float = 50.0, poll_ms: float = 1.0):
         """Generator: stop admitting, finish in-flight work, flush batches.
@@ -351,7 +351,7 @@ class Namenode(Server):
                 if found:
                     # This NN already applied the mutation; replay the
                     # recorded result without touching NDB.
-                    self._complete(msg, op, kwargs, cached, retry_id, replayed=True)
+                    self._complete(msg, op, cached, retry_id, replayed=True)
                     return
             if (yield from self.committer.admit(msg, op, fn, kwargs, retry_id, deadline_ms)):
                 return  # grouped: the committer acks, flushes and replies
@@ -372,7 +372,7 @@ class Namenode(Server):
             if replayed:
                 result = result.value
             front.fill(op, kwargs, result, fill)
-            self._complete(msg, op, kwargs, result, retry_id, replayed)
+            self._complete(msg, op, result, retry_id, replayed)
         finally:
             if span is not None:
                 self._close(span)
@@ -464,7 +464,7 @@ class Namenode(Server):
             # chaos exactly-once invariant checks ids never repeat.
             self.mutation_ledger.append((tuple(retry_id), op.value))
 
-    def _complete(self, msg, op: OpType, kwargs, result, retry_id=None, replayed=False):
+    def _complete(self, msg, op: OpType, result, retry_id=None, replayed=False):
         """The one completion: exactly-once record, bookkeeping, reply.
 
         A replayed ADD_BLOCK may be served by an NN that never saw the
@@ -473,23 +473,18 @@ class Namenode(Server):
 
         A grouped op takes the two halves at its two moments instead —
         ``_reply`` at the early ack, ``_record_applied`` at the commit —
-        and skips the bookkeeping: ADD_BLOCK never groups, and it needs no
-        eager listing-cache invalidation, because reads prefix-related to
-        an unsettled batch are held by the commit part and the changelog
-        batch, published at the TC commit point, travels the same TC->NN
-        route ahead of the commit ack that settles the batch.  That last
-        step assumes per-link FIFO, which holds only while the link's
-        latency does not fall: after ``restore_links`` the ack can overtake
-        a changelog batch sent under degradation (DESIGN §4, ROADMAP
-        item 24).
+        and skips the bookkeeping: ADD_BLOCK never groups.
+
+        The read front needs nothing here: a mutation's changelog batch,
+        published at the TC commit point, travels the per-route FIFO
+        TC -> NN route ahead of the commit reply, so it has applied before
+        the op resumes, or was dropped and flushed the cache (DESIGN §4).
         """
         if retry_id is not None:
             self._record_applied(op, retry_id, result, replayed)
         if op is OpType.ADD_BLOCK and result is not None:
             self.block_manager.record_new_block(result.block_id, result.locations)
             self.block_manager.block_inode[result.block_id] = result.inode_id
-        if op.mutates:
-            self.listing_cache.invalidate(op, kwargs)
         self._reply(msg, result)
 
     def _fsync(self, msg: Message, kwargs):

@@ -8,17 +8,22 @@ this changelog.  When a transaction coordinator reaches the commit point
 values for deletes — to the cluster's :class:`ChangelogBus`, which fans
 them out as one-way ``ndb_changelog`` messages to every subscribed NN.
 
-Delivery is fire-and-forget: messages to crashed or partitioned NNs are
-silently dropped by the network.  Correctness therefore rests on two
-gates carried in every batch:
+The stream is ordered and never loses a batch silently:
 
-* **sequence** — the bus stamps batches with a globally monotonically
-  increasing ``seq``.  A subscriber that sees a gap (it missed a batch)
-  flushes its cache rather than applying the batch over stale state.
-* **epoch** — TC failure take-over can roll a transaction *forward* on a
-  survivor without the TC-side op images, so its row mutations cannot be
-  itemized.  The take-over protocol bumps the bus epoch instead; any
-  batch carrying a new epoch makes subscribers flush wholesale.
+* **ordered** — delivery is FIFO per route (``Network.send``).  The TC
+  publishes before it replies to the commit, on the same TC -> NN route,
+  so the mutating NN applies a commit's batch before the reply resumes
+  the op.  Across routes batches may interleave; their pops are
+  idempotent and commute, so no sequence numbers are needed.
+* **lost batches flush** — a batch the network drops on delivery (the
+  subscriber down, partitioned away or not listening) calls that
+  subscriber's ``lost`` callback, its cache's ``flush``: it noticed its
+  stream broke and starts over empty.  A batch from a TC that is already down
+  is not sent at all; take-over's flush order covers it.
+* **flush order** — TC failure take-over can roll a transaction *forward*
+  on a survivor without the TC-side op images, so its row mutations
+  cannot be itemized.  The take-over publishes a batch with
+  ``flush=True`` instead, and every subscriber flushes wholesale.
 
 With zero subscribers (``HopsFsConfig.listing_cache=None`` — the
 default), ``publish`` is a pure no-op: no messages, no events, no state,
@@ -28,7 +33,7 @@ so every legacy schedule stays bit-identical to the pinned goldens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Callable, Sequence
 
 from ..net.network import Message
 from ..types import NodeAddress
@@ -44,14 +49,12 @@ _RECORD_BYTES = 64
 
 @dataclass(frozen=True)
 class ChangelogBatch:
-    """One committed transaction's row mutations, sequence- and epoch-stamped."""
+    """One committed transaction's row mutations, or a flush order."""
 
-    epoch: int
-    seq: int
     # (table, pk, partition_key, value) per committed row op; ``value`` is
-    # TOMBSTONE for deletes.  Rows of tables a subscriber does not cache
-    # still advance its applied sequence.
+    # TOMBSTONE for deletes.
     records: tuple
+    flush: bool = False
 
     @property
     def size(self) -> int:
@@ -63,50 +66,38 @@ class ChangelogBus:
 
     def __init__(self, network):
         self.network = network
-        self.epoch = 0
-        self.seq = 0
-        # Sorted for deterministic fan-out order (schedule determinism).
-        self._subscribers: list[NodeAddress] = []
-        self.published = 0  # batches published (counts epoch bumps too)
+        # addr -> lost callback; fanned out in address order (schedule
+        # determinism).
+        self._subscribers: dict[NodeAddress, Callable[[], None]] = {}
+        self.published = 0  # batches published (counts flush orders too)
+        network.on_lost[CHANGELOG_KIND] = self._lost
 
     @property
     def subscribers(self) -> tuple[NodeAddress, ...]:
         return tuple(self._subscribers)
 
-    def subscribe(self, addr: NodeAddress) -> None:
-        if addr not in self._subscribers:
-            self._subscribers.append(addr)
-            self._subscribers.sort()
+    def subscribe(self, addr: NodeAddress, lost: Callable[[], None]) -> None:
+        """Fan batches out to ``addr``; ``lost()`` runs when one is dropped."""
+        self._subscribers[addr] = lost
+        self._subscribers = dict(sorted(self._subscribers.items()))
 
     def unsubscribe(self, addr: NodeAddress) -> None:
-        if addr in self._subscribers:
-            self._subscribers.remove(addr)
+        self._subscribers.pop(addr, None)
 
     def publish(self, src: NodeAddress, records: Sequence[tuple]) -> None:
         """Fan out one committed transaction's row images from TC ``src``."""
-        if not self._subscribers or not records:
-            return
-        self.seq += 1
-        self.published += 1
-        batch = ChangelogBatch(epoch=self.epoch, seq=self.seq, records=tuple(records))
-        self._fan_out(src, batch)
+        if self._subscribers and records:
+            self._fan_out(src, ChangelogBatch(tuple(records)))
 
-    def bump_epoch(self, src: NodeAddress) -> None:
-        """Invalidate every subscriber cache wholesale (take-over roll-forward).
-
-        The surviving datanode that rolled the orphaned transaction forward
-        cannot itemize its row images, so subscribers must not trust any
-        cached entry from the old epoch.
-        """
-        self.epoch += 1
-        if not self._subscribers:
-            return
-        self.seq += 1
-        self.published += 1
-        batch = ChangelogBatch(epoch=self.epoch, seq=self.seq, records=())
-        self._fan_out(src, batch)
+    def publish_flush(self, src: NodeAddress) -> None:
+        """Order every subscriber cache to flush wholesale (take-over
+        roll-forward: the surviving datanode cannot itemize the orphaned
+        transaction's row images)."""
+        if self._subscribers:
+            self._fan_out(src, ChangelogBatch((), flush=True))
 
     def _fan_out(self, src: NodeAddress, batch: ChangelogBatch) -> None:
+        self.published += 1
         for addr in self._subscribers:
             self.network.send(
                 Message(
@@ -117,3 +108,8 @@ class ChangelogBus:
                     size=batch.size,
                 )
             )
+
+    def _lost(self, message: Message) -> None:
+        lost = self._subscribers.get(message.dst)
+        if lost is not None:
+            lost()

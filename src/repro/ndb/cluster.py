@@ -256,10 +256,10 @@ class NdbCluster:
                 dn.take_over(txid, commit)
             self.unregister_txn(txid)
         # A roll-forward commits rows without the dead TC's op images, so
-        # the changelog cannot itemize them; bump the epoch and subscriber
+        # the changelog cannot itemize them; a flush order makes subscriber
         # caches flush wholesale instead of trusting stale entries.
         if rolled_forward and survivors:
-            self.changelog.bump_epoch(survivors[0].addr)
+            self.changelog.publish_flush(survivors[0].addr)
 
     def restart_datanode(self, addr: NodeAddress):
         """Node recovery: rejoin a failed datanode (generator).

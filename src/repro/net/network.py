@@ -2,7 +2,11 @@
 
 Messages between hosts are delayed by the Table I latency for the AZ pair
 (see :mod:`repro.net.topology`) and dropped when the destination is down or
-partitioned away.  Each delivery is counted on its (src, dst) route, and
+partitioned away.  Delivery is FIFO per (src, dst) route: a message never
+arrives before one sent earlier on its route, whatever the link's latency
+did in between.  A one-way message dropped on delivery is reported to the
+``on_lost`` callback of its kind, if any (a subscriber noticing its stream
+broke).  Each delivery is counted on its (src, dst) route, and
 each read of ``Network.traffic`` sums the routes into a new
 :class:`~repro.net.traffic.TrafficMatrix`.  A request is delivered by
 calling the handler its destination registered; one sent to an address
@@ -89,9 +93,11 @@ class _Route:
     when a host is added (``Topology.add_host`` only ever adds hosts), so a
     record never goes stale.  ``bytes``/``messages`` count what
     ``_deliver`` delivered on the pair; ``Network.traffic`` reads them.
+    ``last`` is the latest arrival scheduled on the pair: the FIFO floor.
     """
 
-    __slots__ = ("src", "dst", "latency", "cross_az", "az_pair", "bytes", "messages")
+    __slots__ = ("src", "dst", "latency", "cross_az", "az_pair", "bytes", "messages",
+                 "last")
 
     def __init__(self, src: NodeAddress, dst: NodeAddress, latency: float,
                  src_az: AzId, dst_az: AzId):
@@ -102,6 +108,7 @@ class _Route:
         self.az_pair = (src_az, dst_az)
         self.bytes = 0
         self.messages = 0
+        self.last = 0.0
 
 
 class _Rpc(Event):
@@ -142,6 +149,9 @@ class Network:
         self._rpc_ids = itertools.count(1)
         self._pending: dict[int, _Rpc] = {}
         self.dropped_messages = 0
+        # kind -> callback(message) for a one-way message of that kind that
+        # is dropped on delivery.
+        self.on_lost: dict[str, Callable[[Message], None]] = {}
         # Replies that arrived after their RPC already timed out / failed.
         self.late_replies = 0
         # Fault injection: extra one-way latency per (src AZ, dst AZ) pair.
@@ -278,7 +288,10 @@ class Network:
 
         The fault-free path reads the pair's :class:`_Route` and nothing
         else; ``_latency`` runs only while a link is degraded, and yields
-        the same float either way.
+        the same float either way.  The arrival is never earlier than the
+        route's last one, so a link whose latency falls (``restore_links``,
+        a smaller ``degrade_link``) cannot let a message overtake one sent
+        before it; a tie keeps send order by sequence number.
         """
         env = self.env
         now = env.now
@@ -304,6 +317,9 @@ class Network:
             self._fabric_drain_at = start + duration
             delay += self._fabric_drain_at - now
         when = now + delay
+        if when < route.last:
+            when = route.last
+        route.last = when
         if when == self._batch_time and env._seq == self._batch_seq and env.trace is None:
             entry = self._batch_entry
             if self._batch_is_list:
@@ -333,9 +349,7 @@ class Network:
         src = message.src
         dst = message.dst
         if (self._down or self._partitions) and not self.reachable(src, dst):
-            self.dropped_messages += 1
-            if message.rpc_id is not None and not message.is_reply:
-                self._fail_rpc(message.rpc_id)
+            self._drop(message)
             return
         # Count the delivery on its route; ``traffic`` reads the routes.
         route = message.route  # None if the message never went through send()
@@ -369,11 +383,20 @@ class Network:
             return
         handler = self._handlers.get(dst)
         if handler is None:
-            self.dropped_messages += 1
-            if message.rpc_id is not None:
-                self._fail_rpc(message.rpc_id)
+            self._drop(message)
             return
         handler(message)
+
+    def _drop(self, message: Message) -> None:
+        """A message that cannot be delivered: a request fails its RPC, a
+        one-way message is reported to its kind's ``on_lost``."""
+        self.dropped_messages += 1
+        if message.rpc_id is None:
+            lost = self.on_lost.get(message.kind)
+            if lost is not None:
+                lost(message)
+        elif not message.is_reply:
+            self._fail_rpc(message.rpc_id)
 
     # -- RPC --------------------------------------------------------------------
     def call(

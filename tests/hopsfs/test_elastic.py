@@ -90,8 +90,9 @@ def test_added_namenode_is_wired_like_a_boot_time_one():
         assert nn.committer.ledger is fs.group_ledger
         assert nn.committer.config is fs.config.async_commit
         assert nn.listing_cache is not None
-        assert nn.listing_cache.bus is fs.ndb.changelog
-        assert nn.addr in fs.ndb.changelog.subscribers
+        assert nn.listing_cache.dir_cache is nn.dir_cache
+        # Subscribed, a lost batch flushing this NN's read front.
+        assert fs.ndb.changelog._subscribers[nn.addr] == nn.listing_cache.flush
         assert nn.retry_cache is not None
     assert joiner.committer is not boot.committer
     assert joiner.listing_cache is not boot.listing_cache

@@ -3,9 +3,10 @@
 Two layers of coverage:
 
 * unit tests over :class:`~repro.hopsfs.listcache.ListingCache` gating
-  (fill tokens, epoch bumps, out-of-order batches, LRU bounds, TTL);
+  (fill tokens, flush orders, out-of-order batches, LRU bounds, TTL);
 * functional tests on a small deployment (hits actually serve, mutations
-  invalidate every NN's cache, read-your-writes, obs counters).
+  invalidate every NN's cache, read-your-writes, a lost batch flushes its
+  subscriber, obs counters).
 
 The cached path's client-observable semantics are checked against the
 namespace reference model by ``test_path_matrix.py``.
@@ -17,6 +18,7 @@ import pytest
 
 from repro.chaos.invariants import listing_consistency
 from repro.experiments.setups import SETUPS
+from repro.hopsfs import RobustConfig
 from repro.hopsfs.dircache import DirCache
 from repro.hopsfs.groupcommit import AsyncCommitConfig
 from repro.hopsfs.listcache import (
@@ -26,31 +28,26 @@ from repro.hopsfs.listcache import (
     materialize_snapshot,
 )
 from repro.hopsfs.metadata import INODES_TABLE, InodeRow
-from repro.ndb.changelog import ChangelogBatch
+from repro.ndb.changelog import ChangelogBatch, ChangelogBus
 from repro.ndb.schema import TOMBSTONE
+from repro.net import Network, build_us_west1
+from repro.sim import Environment
+from repro.types import NodeAddress, NodeKind
 from repro.workloads.namespace import generate_namespace
 
 from .conftest import make_fs, run
 
 
-class _FakeBus:
-    epoch = 0
-    seq = 0
-
-
-def _cache(ttl_ms=None, max_attr_entries=None, max_listing_entries=None,
-           max_pending_batches=None):
+def _cache(ttl_ms=None, max_attr_entries=None, max_listing_entries=None):
     """A cache on a settable clock, with the bounds a test varies set on it."""
     clock = SimpleNamespace(now=0.0)
-    cache = ListingCache(clock, _FakeBus(), DirCache(clock))
+    cache = ListingCache(clock, DirCache(clock))
     for tier, cap in ((cache._attrs, max_attr_entries),
                       (cache._listings, max_listing_entries)):
         if ttl_ms is not None:
             tier.ttl_ms = ttl_ms
         if cap is not None:
             tier.max_entries = cap
-    if max_pending_batches is not None:
-        cache.max_pending_batches = max_pending_batches
     return cache, clock
 
 
@@ -58,8 +55,12 @@ def _row(inode_id, parent_id, name, is_dir=False):
     return InodeRow(id=inode_id, parent_id=parent_id, name=name, is_dir=is_dir)
 
 
-def _batch(seq, records, epoch=0):
-    return ChangelogBatch(epoch=epoch, seq=seq, records=tuple(records))
+def _batch(*records):
+    return ChangelogBatch(tuple(records))
+
+
+def _delete(parent_id, name):
+    return (INODES_TABLE, (parent_id, name), parent_id, TOMBSTONE)
 
 
 # ------------------------------------------------------------------ unit tests
@@ -83,7 +84,7 @@ def test_resolve_serves_filled_rows_and_listing_absence():
 def test_fill_race_discarded_after_invalidation():
     cache, _clock = _cache()
     token = cache.begin_fill()  # transactional read begins...
-    cache.apply(_batch(1, [(INODES_TABLE, (1, "d"), 1, TOMBSTONE)]))
+    cache.apply(_batch(_delete(1, "d")))
     cache.fill_attr(token, _row(2, 1, "d", is_dir=True))  # ...fill loses
     assert cache.discarded_fills == 1
     assert cache.resolve("/d") == (False, None)
@@ -108,48 +109,65 @@ def test_invalidation_pops_attr_and_both_listings():
     cache.fill_attr(token, d)
     cache.fill_listing(token, 1, ["d"])
     cache.fill_listing(token, 2, ["f"])
-    cache.apply(_batch(1, [(INODES_TABLE, (1, "d"), 1, TOMBSTONE)]))
+    cache.apply(_batch(_delete(1, "d")))
     assert cache.resolve("/d") == (False, None)
     assert cache.listing(1) is None  # parent listing changed
     assert cache.listing(2) is None  # the dir itself is gone
 
 
+def _popped_state(batches):
+    """What applying ``batches`` in this order leaves of a filled cache."""
+    cache, _clock = _cache()
+    token = cache.begin_fill()
+    for inode_id, name in ((2, "a"), (3, "b"), (4, "c")):
+        cache.fill_attr(token, _row(inode_id, 1, name))
+    for batch in batches:
+        cache.apply(batch)
+    assert cache.flushes == 0 and cache.batches_applied == len(batches)
+    return sorted(key for key, _entry in cache.live_attrs(0.0))
+
+
 def test_out_of_order_batches_apply_without_flush():
+    """Pops are idempotent and commute: batches from two TCs interleave in
+    either order, a batch applied twice pops nothing more, nothing flushes."""
+    first, second = _batch(_delete(1, "a")), _batch(_delete(1, "b"))
+    left = [(1, "c")]
+    assert _popped_state([first, second]) == left
+    assert _popped_state([second, first]) == left
+    assert _popped_state([second, first, second]) == left
+
+
+def test_flush_order_flushes_wholesale():
     cache, _clock = _cache()
     token = cache.begin_fill()
     cache.fill_attr(token, _row(2, 1, "a"))
-    cache.fill_attr(token, _row(3, 1, "b"))
-    # seq 2 lands before seq 1: both must apply, nothing flushes.
-    cache.apply(_batch(2, [(INODES_TABLE, (1, "a"), 1, TOMBSTONE)]))
-    assert cache.applied_seq == 0 and cache.flushes == 0
-    cache.apply(_batch(1, [(INODES_TABLE, (1, "b"), 1, TOMBSTONE)]))
-    assert cache.applied_seq == 2 and not cache._pending
-    assert cache.flushes == 0 and cache.batches_applied == 2
-    # Duplicates / stale batches are ignored.
-    cache.apply(_batch(1, [(INODES_TABLE, (1, "b"), 1, TOMBSTONE)]))
-    assert cache.stale_batches == 1
+    cache.dir_cache.put(_row(5, 1, "dir", is_dir=True))
+    cache.apply(ChangelogBatch((), flush=True))
+    assert cache.flushes == 1 and len(cache) == 0 and len(cache.dir_cache) == 0
+    assert cache.batches_applied == 0
+    # A fill read before the flush order is discarded.
+    cache.fill_attr(token, _row(2, 1, "a"))
+    assert cache.discarded_fills == 1 and len(cache) == 0
 
 
-def test_pending_overflow_flushes_lost_hole():
-    cache, _clock = _cache(max_pending_batches=3)
-    cache.fill_attr(cache.begin_fill(), _row(2, 1, "a"))
-    # seq 1 never arrives; 2..5 pile up past the window.
-    for seq in (2, 3, 4, 5):
-        cache.apply(_batch(seq, [(INODES_TABLE, (9, "x"), 9, TOMBSTONE)]))
-    assert cache.flushes == 1
-    assert cache.applied_seq == 5 and not cache._pending
-    assert len(cache) == 0
-
-
-def test_epoch_bump_flushes_wholesale():
-    cache, _clock = _cache()
-    cache.fill_attr(cache.begin_fill(), _row(2, 1, "a"))
-    cache.apply(_batch(7, [], epoch=1))
-    assert cache.epoch == 1 and cache.applied_seq == 7
-    assert cache.flushes == 1 and len(cache) == 0
-    # Old-epoch stragglers are ignored.
-    cache.apply(_batch(8, [(INODES_TABLE, (1, "a"), 1, TOMBSTONE)], epoch=0))
-    assert cache.stale_batches == 1
+def test_publish_flush_sends_one_flush_order_per_subscriber():
+    env = Environment()
+    topo = build_us_west1()
+    net = Network(env, topo)
+    tc, nn_a, nn_b = (NodeAddress(NodeKind.NAMENODE, i) for i in (1, 2, 3))
+    for addr in (tc, nn_a, nn_b):
+        topo.add_host(addr, az=1)
+    bus = ChangelogBus(net)
+    got = []
+    for addr in (nn_b, nn_a):
+        net.register(addr, lambda msg, addr=addr: got.append((addr, msg.payload)))
+        bus.subscribe(addr, lost=lambda: None)
+    assert bus.subscribers == (nn_a, nn_b)  # fan-out in address order
+    bus.publish_flush(tc)
+    bus.publish(tc, [])  # nothing committed: nothing sent
+    env.run()
+    flush = ChangelogBatch((), flush=True)
+    assert got == [(nn_a, flush), (nn_b, flush)] and bus.published == 1
 
 
 def test_ttl_expires_entries():
@@ -176,7 +194,7 @@ def test_lru_bounds_evict_oldest():
     assert (1, "c") in cache._attrs
 
 
-def test_eager_invalidate_path_walks_and_drops():
+def test_a_changelog_pop_discards_a_fill_begun_before_it():
     cache, _clock = _cache()
     token = cache.begin_fill()
     d = _row(2, 1, "d", is_dir=True)
@@ -184,12 +202,13 @@ def test_eager_invalidate_path_walks_and_drops():
     cache.fill_attr(token, d)
     cache.fill_attr(token, f)
     cache.fill_listing(token, 2, ["f"])
-    cache.invalidate_path("/d/f")
+    cache.apply(_batch(_delete(2, "f")))
     assert cache.resolve("/d/f") == (False, None)
     assert cache.listing(2) is None
-    # A fill begun before the eager invalidation is discarded.
+    # A fill begun before the pop is discarded: its directory moved since.
     cache.fill_attr(token, f)
     assert cache.discarded_fills == 1
+    assert cache.resolve("/d") == (True, d)  # /d's own entry was not touched
 
 
 # ------------------------------------------------------------ functional tests
@@ -337,6 +356,88 @@ def test_grouped_mutations_are_read_your_writes_through_the_cache():
     assert listing_consistency(fs).ok
 
 
+def _nn_alone_in_az3(**config):
+    """NDB and NN 1 in AZ 1; NN 2 added in AZ 3 with a client stuck to it,
+    so partitioning AZ 3 away cuts NN 2 off and nothing else it needs."""
+    fs = make_fs(num_namenodes=1, azs=(1,), listing_cache=ListingCacheConfig(), **config)
+    run(fs, fs.await_election())
+    far = fs.add_namenode(az=3)
+    client = fs.client(az=3)
+    client.current_nn = far.addr
+    return fs, far, client
+
+
+def test_a_batch_dropped_on_its_way_to_a_live_nn_flushes_it_at_once():
+    fs, far, reader = _nn_alone_in_az3()
+    writer = fs.client(az=1)
+    writer.current_nn = fs.namenodes[0].addr
+    cache = far.listing_cache
+    out = {}
+
+    def flow():
+        yield from writer.mkdir("/d")
+        yield from reader.listdir("/d")
+        out["hit"] = yield from reader.listdir("/d")
+        out["warm"] = (len(cache), cache.flushes, cache.hits)
+        fs.network.partition_azs({3}, {1, 2})
+        yield from writer.create("/d/f", data=b"x")
+        # The create's batch to the far NN was dropped on delivery, well
+        # before its reply reached the writer: the far NN is flushed now.
+        out["cut"] = (len(cache), cache.flushes)
+        fs.network.heal_partitions()
+        out["list"] = yield from reader.listdir("/d")
+
+    run(fs, flow())
+    size, flushes, hits = out["warm"]
+    assert out["hit"] == [] and hits >= 1 and size > 0
+    assert out["cut"][0] == 0 and out["cut"][1] > flushes
+    assert out["list"] == ["f"]
+    assert listing_consistency(fs).ok
+
+
+def test_a_replayed_grouped_write_whose_batch_was_lost_is_read_on_its_nn(monkeypatch):
+    """``async_commit`` + ``listing_cache``: the batch's commit lands, then
+    its commit reply and its changelog batch to the NN are both lost (AZ 3
+    is cut off right after the TC publishes).  The flush retry finds the
+    acked member's retry row and settles the batch committed; a read on the
+    same NN must then return the write, not the cached listing."""
+    fs, far, client = _nn_alone_in_az3(
+        robust=RobustConfig(), async_commit=AsyncCommitConfig(linger_ms=1.0, max_batch_ops=8)
+    )
+    network = fs.network
+    real_publish = ChangelogBus.publish
+    cut = []
+
+    def publish(bus, src, records):
+        real_publish(bus, src, records)
+        if not cut and any(table == INODES_TABLE and pk[1] == "g"
+                           for table, pk, _key, _value in records):
+            cut.append(fs.env.now)
+            network.partition_azs({3}, {1, 2})
+            fs.env.schedule_after(2.0, lambda _arg: network.heal_partitions(), None)
+
+    monkeypatch.setattr(ChangelogBus, "publish", publish)
+    out = {}
+
+    def flow():
+        yield from client.mkdir("/d")
+        yield from client.create("/d/f", data=b"x")
+        assert (yield from client.fsync()) is True
+        yield from client.listdir("/d")
+        yield from client.listdir("/d")  # filled, then a hit
+        yield from client.create("/d/g", data=b"y")
+        out["fsync"] = yield from client.fsync()
+        out["list"] = yield from client.listdir("/d")
+
+    run(fs, flow())
+    assert cut and out["fsync"] is True
+    batch = fs.group_ledger.batches[client.durability_horizon]
+    assert batch.state == "committed" and fs.group_ledger.lost_acks == 0
+    assert far.committer.batches_committed >= 3
+    assert out["list"] == ["f", "g"]
+    assert listing_consistency(fs).ok
+
+
 def _created_through_a_read_through_b():
     """``/d/f`` created through NN A; a client stuck to NN B, whose dir
     cache has never seen ``/d``.  No ``install``, so nothing is pre-warmed:
@@ -390,8 +491,7 @@ def test_invalidation_between_the_read_and_the_fill_discards_the_import(monkeypa
         if self is nn_b.dir_cache and row.name == "d":
             # Some other NN's commit under "/" lands while B's transaction
             # is still open: the root directory is stamped after B's token.
-            cache.apply(_batch(cache.applied_seq + 1,
-                               [(INODES_TABLE, (1, "other"), 1, TOMBSTONE)]))
+            cache.apply(_batch(_delete(1, "other")))
 
     monkeypatch.setattr(DirCache, "put", put_then_invalidate)
     f = run(fs, reader.stat("/d/f"))
@@ -433,23 +533,22 @@ def test_cache_counters_reach_obs_registry():
         nn.dir_cache.hits for nn in harness.deployment.namenodes)
 
 
-def test_restart_resyncs_with_the_bus():
+def test_restart_flushes_the_read_front():
     fs, client = _warm_fs()
     nn = fs.namenodes[0]
-    out = {}
 
     def flow():
         yield from client.listdir("/d")
         yield from client.listdir("/d")
+        assert len(nn.listing_cache) > 0
         nn.shutdown()
         yield fs.env.timeout(5.0)
         nn.restart()
-        out["epoch"] = nn.listing_cache.epoch
 
+    flushes = nn.listing_cache.flushes
     run(fs, flow())
     assert len(nn.listing_cache) == 0  # flushed on restart
-    assert nn.listing_cache.epoch == fs.ndb.changelog.epoch
-    assert nn.listing_cache.applied_seq == fs.ndb.changelog.seq
+    assert nn.listing_cache.flushes == flushes + 1
 
 
 def test_prewarm_materializes_snapshot_and_stays_stream_fresh():
@@ -598,8 +697,8 @@ def test_invalidation_on_one_cache_leaves_the_shared_snapshot_alone():
         cache.prewarm(lambda: (attrs, listings))
     untouched = _cache_state(caches[1])
     first = caches[0]
-    first.apply(_batch(1, [(INODES_TABLE, (2, "f0"), 2, TOMBSTONE)]))
-    first.invalidate_path("/d1/f1")
+    first.apply(_batch(_delete(2, "f0")))
+    first.apply(_batch(_delete(7, "f1")))
     first.fill_attr(first.begin_fill(), _row(50, 2, "new"))
     assert first.resolve("/d0/f0") == (False, None)
     assert (2, "f0") in attrs and 2 in listings  # the snapshot itself is intact
@@ -623,10 +722,9 @@ def test_cache_off_publishes_nothing():
         yield from client.listdir("/d")
 
     run(fs, flow())
-    # Zero subscribers: the bus never sequences or sends anything, so the
-    # legacy event schedule is untouched (the pinned goldens prove the
-    # stronger bit-identical claim).
+    # Zero subscribers: the bus never sends anything, so the legacy event
+    # schedule is untouched (the pinned goldens prove the stronger
+    # bit-identical claim).
     assert fs.ndb.changelog.published == 0
-    assert fs.ndb.changelog.seq == 0
     assert all(nn.listing_cache is NO_LISTING_CACHE for nn in fs.namenodes)
     assert listing_consistency(fs).detail == "n/a (listing cache off)"

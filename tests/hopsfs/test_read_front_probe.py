@@ -60,15 +60,10 @@ class _Committer:
         return self.held
 
 
-class _Bus:
-    epoch = 0
-    seq = 0
-
-
 def _build(attr_ttl, listing_ttl, dir_ttl, attr_cap):
     clock = SimpleNamespace(now=0.0)
     dir_cache = DirCache(clock, ttl_ms=dir_ttl)
-    cache = ListingCache(clock, _Bus(), dir_cache=dir_cache, committer=_Committer())
+    cache = ListingCache(clock, dir_cache=dir_cache, committer=_Committer())
     cache._attrs.ttl_ms = attr_ttl
     cache._attrs.max_entries = attr_cap
     cache._listings.ttl_ms = listing_ttl
@@ -93,10 +88,7 @@ def _apply(cache, clock, stale_token, step):
     elif kind == "apply":
         row, deleted = arg
         value = TOMBSTONE if deleted else row
-        cache.apply(ChangelogBatch(epoch=0, seq=cache.applied_seq + 1,
-                                   records=((INODES_TABLE, row.pk, row.parent_id, value),)))
-    elif kind == "invalidate_path":
-        cache.invalidate_path(arg)
+        cache.apply(ChangelogBatch(((INODES_TABLE, row.pk, row.parent_id, value),)))
     elif kind == "flush":
         cache.flush()
     elif kind == "dc_put":
@@ -115,7 +107,6 @@ _steps = st.one_of(
     st.tuples(st.just("fill_attr"), st.tuples(st.sampled_from(ROWS), st.booleans())),
     st.tuples(st.just("fill_listing"), st.tuples(st.sampled_from(sorted(LISTINGS)), st.booleans())),
     st.tuples(st.just("apply"), st.tuples(st.sampled_from(ROWS), st.booleans())),
-    st.tuples(st.just("invalidate_path"), st.sampled_from(PATHS)),
     st.tuples(st.just("flush"), st.none()),
     st.tuples(st.just("dc_put"), st.sampled_from(DIRS)),
     st.tuples(st.just("dc_pop"), st.sampled_from(DIRS)),

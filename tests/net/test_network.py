@@ -206,3 +206,63 @@ def test_recovered_host_receives_again(net):
     network.send(Message(src=hosts[1], dst=hosts[2], kind="hello"))
     env.run()
     assert got == ["hello"]
+
+
+def test_delivery_stays_fifo_per_route_after_restore_links(net):
+    """A message sent just after ``restore_links`` waits for the one sent on
+    its route under the degradation; another route is not held back."""
+    env, network, hosts, served = net
+    got = []
+
+    def receiver():
+        while True:
+            msg = yield served.get()
+            got.append((env.now, msg.payload))
+
+    def sender():
+        network.degrade_link(1, 2, 10.0)
+        network.send(Message(src=hosts[1], dst=hosts[2], kind="x", payload="slow"))
+        yield env.timeout(0.5)
+        network.restore_links()
+        network.send(Message(src=hosts[1], dst=hosts[2], kind="x", payload="after"))
+        network.send(Message(src=hosts[3], dst=hosts[2], kind="x", payload="other"))
+
+    env.process(receiver())
+    env.process(sender())
+    env.run()
+    assert [payload for _when, payload in got] == ["other", "slow", "after"]
+    assert got[1][0] == got[2][0] == pytest.approx(10.360)
+
+
+def test_one_way_message_dropped_on_delivery_reports_to_its_kind(net):
+    env, network, hosts, served = net
+    lost = []
+    network.on_lost["feed"] = lost.append
+    network.set_down(hosts[3])
+    network.send(Message(src=hosts[1], dst=hosts[3], kind="feed", payload="down"))
+    network.send(Message(src=hosts[1], dst=hosts[3], kind="other", payload="no callback"))
+    # hosts[1] registered no handler.
+    network.send(Message(src=hosts[2], dst=hosts[1], kind="feed", payload="no handler"))
+    env.run()
+    network.partition_azs({1}, {2})
+    network.send(Message(src=hosts[1], dst=hosts[2], kind="feed", payload="cut"))
+    env.run()
+    assert [msg.payload for msg in lost] == ["no handler", "down", "cut"]
+    assert network.dropped_messages == 4
+
+
+def test_lost_callback_ignores_rpcs_and_sends_from_a_down_host(net):
+    env, network, hosts, served = net
+    lost = []
+    network.on_lost["feed"] = lost.append
+
+    def client():
+        with pytest.raises(HostUnreachableError):
+            yield network.call(hosts[1], hosts[3], "feed")
+
+    network.set_down(hosts[3])
+    env.run_process(client())
+    network.set_down(hosts[1])
+    network.send(Message(src=hosts[1], dst=hosts[2], kind="feed"))
+    env.run()
+    assert lost == []

@@ -34,11 +34,13 @@ class _Reference:
         self.partitions = []
         self.degraded = {}
         self.drain_at = 0.0
+        self.last = {}  # (src, dst) -> latest arrival: per-route FIFO
         self.traffic = TrafficMatrix()
         self.dropped = 0
 
     def send(self, now, src, dst, size):
-        """Delivery time, or None when the sender is down."""
+        """Delivery time, or None when the sender is down.  Never before
+        the last delivery time on the same (src, dst) route."""
         if src in self.down:
             self.dropped += 1
             return None
@@ -52,7 +54,9 @@ class _Reference:
             start = max(now, self.drain_at)
             self.drain_at = start + size / self.bandwidth
             link = self.drain_at - now
-        return now + (delay + link)
+        due = max(now + (delay + link), self.last.get((src, dst), 0.0))
+        self.last[(src, dst)] = due
+        return due
 
     def deliver(self, src, dst, size):
         topo = self.topology
