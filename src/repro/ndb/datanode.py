@@ -17,10 +17,10 @@ One :class:`NdbDatanode` hosts:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Hashable, Optional
 
 from ..errors import (
-    HostUnreachableError,
     NdbError,
     NoDatanodesError,
     NodeFailedError,
@@ -178,12 +178,15 @@ class NdbDatanode(Server):
         return pools[partition // self._ldm_stride % len(pools)]
 
     # --------------------------------------------------------------- dispatch
-    # A message is a chain of Table II thread hand-offs, each a
-    # ``CorePool.call(cost, fn, arg)``: delivery -> RECV -> its handler's
-    # stages.  A task starts only where the chain waits on something that is
-    # not a thread (a lock grant, an RPC reply, a chain ack): a handler
-    # returns that task's generator, or None once its chain is queued.  A
-    # chain's last stage ends it where its task would have ended (``_done``).
+    # A message is a callback chain to its end: delivery -> RECV -> its
+    # handler's stages.  A hand-off to a Table II thread is a
+    # ``CorePool.call(cost, fn, arg)``; a wait on anything else (a lock
+    # grant, an RPC reply, a chain ack) is the next stage, a ``partial``
+    # registered with ``Event.add_callback``, which reads the settled
+    # event's ``_ok``/``_value`` (every failure such an event carries is an
+    # ``NdbError`` or a ``HostUnreachableError``).  The last stage ends the
+    # chain, consuming the task end it stands for: ``_done``, or
+    # ``env.end_task()`` for a chain that replies to nobody.
     def _on_message(self, msg: Message) -> None:
         self.recv_pool.call(self.costs.recv_msg, self._received, msg)
 
@@ -196,8 +199,9 @@ class NdbDatanode(Server):
     )
 
     def _received(self, msg: Message) -> None:
-        """RECV done: run the message's handler.  A node that went down
-        during RECV drops it; an unknown kind fails the run."""
+        """RECV done: run the message's handler, the chain's next stage.  A
+        node that went down during RECV drops it; an unknown kind fails the
+        run."""
         env = self.env
         if not self.running:
             env.end_task()
@@ -213,25 +217,12 @@ class NdbDatanode(Server):
                 f"ndb.{msg.kind}", parent=msg.extra.get("span_id"),
                 host=str(self.addr), az=self.az,
             )}
-        body = handler(self, msg)
-        if body is not None:
-            env.start(body if obs is None else self._spanned(msg, body))
-
-    def _spanned(self, msg: Message, body):
-        """``body``, the task that ends ``msg``, as a traced run starts it
-        (``env.start(body if env.obs is None else self._spanned(msg, body))``):
-        a traced message's span ends with the task."""
-        try:
-            yield from body
-        finally:
-            span = msg.extra.get("server_span")
-            if span is not None:
-                self.env.obs.tracer.finish(span)
+        handler(self, msg)
 
     def _done(self, msg: Message, payload: Any = _NO_REPLY, ok: bool = True, size: int = 128):
-        """End ``msg``'s callback chain where its task would have ended:
-        reply with ``payload`` (as ``_reply``, inlined: it is the common last
-        stage), close its server span, consume the task end."""
+        """End ``msg``'s callback chain: reply with ``payload`` (the SEND
+        thread puts the reply on the wire), close its server span, consume
+        the task end."""
         env = self.env
         if payload is not _NO_REPLY:
             self.send_pool.call(
@@ -242,7 +233,7 @@ class NdbDatanode(Server):
             env.obs.tracer.finish(msg.extra["server_span"])
         env.end_task()
 
-    # _send/_reply run once per outgoing message: the message is built now
+    # _send/_done run once per outgoing message: the message is built now
     # and handed to the SEND thread, which puts it on the wire through a
     # method bound once per node.
     def _send(self, dst: NodeAddress, kind: str, payload: Any, size: int):
@@ -255,17 +246,9 @@ class NdbDatanode(Server):
         if self.running:
             self.network.send(message)
 
-    def _reply(self, request: Message, payload: Any = None, ok: bool = True, size: int = 128):
-        self.send_pool.call(
-            self.costs.send_msg, self._send_now_cb,
-            self.network.reply_message(request, payload, ok, size),
-        )
-
-    def _abort_reply(self, request: Message, exc: Exception) -> None:
-        """Abort ``request``'s step with ``exc`` as the reason.  ``exc``
-        leaves without its traceback: the handler frame it names may hold
-        the failed event that carries it, a reference cycle."""
-        self._reply(request, TransactionAbortedError(str(exc.with_traceback(None))), ok=False)
+    def _abort(self, request: Message, exc: Exception) -> None:
+        """End ``request``'s chain with an abort giving ``exc`` as the reason."""
+        self._done(request, TransactionAbortedError(str(exc)), ok=False)
 
     # ------------------------------------------------------------- TC helpers
     def _txn(self, txid: int, client_az: AzId) -> _TcTxn:
@@ -306,13 +289,11 @@ class NdbDatanode(Server):
         self.cluster.unregister_txn(txid)
 
     def _reject_reaped(self, msg: Message, txid: int) -> bool:
-        """Fail an operation on a transaction the reaper rolled back."""
+        """End ``msg``'s chain with a failure if the reaper rolled ``txid`` back."""
         if txid not in self._reaped:
             return False
-        self._reply(
-            msg,
-            TransactionAbortedError(f"txn {txid} aborted by inactivity timeout"),
-            ok=False,
+        self._done(
+            msg, TransactionAbortedError(f"txn {txid} aborted by inactivity timeout"), ok=False
         )
         return True
 
@@ -323,15 +304,15 @@ class NdbDatanode(Server):
             del self._lock_tc[next(iter(self._lock_tc))]
 
     # ------------------------------------------------------------- TC: reads
-    # A lock-free read or scan is TC -> LDM -> reply, all thread stages; the
-    # RPC to a remote LDM and a locked read's lock grant are waited in a task.
+    # A lock-free read or scan is TC -> LDM -> reply, all thread stages; a
+    # remote LDM's RPC reply and a locked read's lock grant are waited stages.
     def _tc_read(self, msg: Message) -> None:
         self.tc_pool.call(self.costs.tc_step, self._tc_read_tc, msg)
 
     def _tc_read_tc(self, msg: Message) -> None:
         req: TcReadReq = msg.payload
         if self._reject_reaped(msg, req.txid):
-            return self._done(msg)
+            return
         table = self.cluster.schema.table(req.table)
         pmap = self.cluster.partition_map
         partition = pmap.partition_of(req.partition_key)
@@ -350,8 +331,7 @@ class NdbDatanode(Server):
                 replicas = pmap.replicas(partition, table.fully_replicated)
                 node, role = replicas.primary, 0
         except NoDatanodesError as exc:
-            self._abort_reply(msg, exc)
-            return self._done(msg)
+            return self._abort(msg, exc)
         ldm_req = LdmReadReq(
             req.txid, req.table, req.pk, req.partition_key, partition, req.lock,
             role, req.client_az,
@@ -360,28 +340,25 @@ class NdbDatanode(Server):
             txn = self._txn(req.txid, req.client_az)  # refreshes last_active
             txn.read_locks.setdefault(node, {})[(req.table, req.pk)] = None
         if node != self.addr:
-            body = self._forward(msg, node, "ldm_read", ldm_req, table.row_bytes)
+            self._forward(msg, node, "ldm_read", ldm_req, table.row_bytes)
         elif req.lock is not LockMode.NONE:
-            body = self._read_locked(msg, ldm_req, self.addr)
+            self._read_locked(msg, ldm_req, self.addr)
         else:
             self._ldm_pool_for(partition).call(self.costs.ldm_read, self._read_row, (msg, ldm_req))
-            return
-        env = self.env
-        env.start(body if env.obs is None else self._spanned(msg, body))
 
     def _forward(self, msg: Message, node: NodeAddress, kind: str, ldm_req, row_bytes: int):
-        """A read or scan the TC hands to ``node``'s LDM: it waits on the RPC."""
+        """A read or scan the TC hands to ``node``'s LDM: the chain goes on
+        at the RPC's reply."""
         server_span = msg.extra.get("server_span") if self.env.obs is not None else None
-        try:
-            value = yield self.network.call(
-                self.addr, node, kind, ldm_req, size=_CHAIN_OVERHEAD_BYTES,
-                parent_span=server_span,
-            )
-        except (HostUnreachableError, NdbError) as exc:
-            self._abort_reply(msg, exc)
-            return
-        size = max(128, len(value) * row_bytes) if kind == "ldm_scan" else row_bytes
-        self._reply(msg, value, size=size)
+        self.network.call(
+            self.addr, node, kind, ldm_req, size=_CHAIN_OVERHEAD_BYTES, parent_span=server_span,
+        ).add_callback(partial(self._forwarded, msg, kind == "ldm_scan", row_bytes))
+
+    def _forwarded(self, msg: Message, scan: bool, row_bytes: int, reply: Event) -> None:
+        value = reply._value
+        if not reply._ok:
+            return self._abort(msg, value)
+        self._done(msg, value, size=max(128, len(value) * row_bytes) if scan else row_bytes)
 
     def _tc_scan(self, msg: Message) -> None:
         self.tc_pool.call(self.costs.tc_step, self._tc_scan_tc, msg)
@@ -389,7 +366,7 @@ class NdbDatanode(Server):
     def _tc_scan_tc(self, msg: Message) -> None:
         req: TcScanReq = msg.payload
         if self._reject_reaped(msg, req.txid):
-            return self._done(msg)
+            return
         table = self.cluster.schema.table(req.table)
         pmap = self.cluster.partition_map
         partition = pmap.partition_of(req.partition_key)
@@ -404,21 +381,20 @@ class NdbDatanode(Server):
                 self._rng,
             )
         except NoDatanodesError as exc:
-            self._abort_reply(msg, exc)
-            return self._done(msg)
+            return self._abort(msg, exc)
         ldm_req = LdmScanReq(
             req.txid, req.table, req.partition_key, partition, role, req.client_az
         )
         if node == self.addr:
             return self._ldm_scan(msg, ldm_req)
-        body = self._forward(msg, node, "ldm_scan", ldm_req, table.row_bytes)
-        env = self.env
-        env.start(body if env.obs is None else self._spanned(msg, body))
+        self._forward(msg, node, "ldm_scan", ldm_req, table.row_bytes)
 
     # ------------------------------------------------------------ TC: writes
-    def _tc_write(self, msg: Message):
+    def _tc_write(self, msg: Message) -> None:
+        self.tc_pool.call(self.costs.tc_step, self._tc_write_tc, msg)
+
+    def _tc_write_tc(self, msg: Message) -> None:
         req: TcWriteReq = msg.payload
-        yield self.tc_pool.submit(self.costs.tc_step)
         if self._reject_reaped(msg, req.txid):
             return
         table = self.cluster.schema.table(req.table)
@@ -428,8 +404,7 @@ class NdbDatanode(Server):
         try:
             replicas = pmap.replicas(partition, table.fully_replicated)
         except NoDatanodesError as exc:
-            self._abort_reply(msg, exc)
-            return
+            return self._abort(msg, exc)
         seq = txn.next_seq
         txn.next_seq = seq + 1
         chain = replicas.chain
@@ -443,66 +418,68 @@ class NdbDatanode(Server):
                 req.value, chain, 0, self.addr,
             )
         )
-        try:
-            yield op.prepared
-        except NdbError as exc:
-            self._abort_reply(msg, exc)
-            return
-        self._reply(msg, True)
+        op.prepared.add_callback(partial(self._tc_write_prepared, msg))
+
+    def _tc_write_prepared(self, msg: Message, prepared: Event) -> None:
+        if prepared._ok:
+            self._done(msg, True)
+        else:
+            self._abort(msg, prepared._value)
 
     def _dispatch_chain_prepare(self, prepare: ChainPrepare) -> None:
         target = prepare.chain[prepare.hop]
         size = _CHAIN_OVERHEAD_BYTES + self.cluster.schema.table(prepare.table).row_bytes
         if target == self.addr:
-            self.env.start(self._chain_prepare_body(prepare))
+            self._prepare_hop(prepare)
         else:
             self._send(target, "chain_prepare", prepare, size)
 
     # ---------------------------------------------------------- LDM: chains
-    # A prepare hop waits on its row lock: its handler returns the body
-    # generator, which the task runs with no frame above it.  A commit or
-    # complete hop is an LDM stage.  A hop to this node skips the wire.
-    def _chain_prepare(self, msg: Message):
-        return self._chain_prepare_body(msg.payload)
+    # A prepare hop goes on at its row lock's grant, then is an LDM stage; a
+    # commit or complete hop is an LDM stage.  A hop to this node skips the
+    # wire.  None replies: each ends with ``env.end_task()``.
+    def _chain_prepare(self, msg: Message) -> None:
+        self._prepare_hop(msg.payload)
 
-    def _chain_prepare_body(self, cp: ChainPrepare):
-        if not self.running:
-            return
-        if cp.txid in self._reaped:
-            return  # TC died; the rollback already ran here
+    def _prepare_hop(self, cp: ChainPrepare) -> None:
+        if not self.running or cp.txid in self._reaped:
+            # Down, or the TC died and the rollback already ran here.
+            return self.env.end_task()
         self._remember_lock_tc(cp.txid, cp.tc)
-        pool = self._ldm_pool_for(cp.partition)
         # NDB locks the row on the primary replica first, then on the backup
         # replicas (Section II-B2) — the chain order guarantees exactly that.
         # Backup locks are released by the Complete message.
-        try:
-            yield self.locks.acquire(cp.txid, (cp.table, cp.pk), LockMode.EXCLUSIVE)
-        except NdbError as exc:
-            self._send(
-                cp.tc,
-                "prepare_failed",
-                PrepareFailedMsg(cp.txid, cp.seq, str(exc)),
-                size=128,
-            )
+        self.locks.acquire(cp.txid, (cp.table, cp.pk), LockMode.EXCLUSIVE).add_callback(
+            partial(self._prepare_locked, cp)
+        )
+
+    def _prepare_locked(self, cp: ChainPrepare, grant: Event) -> None:
+        if grant._ok:
+            self._ldm_pool_for(cp.partition).call(self.costs.ldm_prepare, self._prepare_ldm, cp)
             return
-        yield pool.submit(self.costs.ldm_prepare)
+        self._send(cp.tc, "prepare_failed", PrepareFailedMsg(cp.txid, cp.seq, str(grant._value)),
+                   size=128)
+        self.env.end_task()
+
+    def _prepare_ldm(self, cp: ChainPrepare) -> None:
         if not self.running:
-            return
-        if cp.txid in self._reaped:
+            pass
+        elif cp.txid in self._reaped:
             # Rolled back while we queued for the lock: let go of it.
             self.locks.release_all(cp.txid)
-            return
-        self.store.prepare(cp.txid, cp.table, cp.pk, cp.partition_key, cp.value)
-        size = _CHAIN_OVERHEAD_BYTES + self.cluster.schema.table(cp.table).row_bytes
-        if cp.hop == len(cp.chain) - 1:
-            self._send(cp.tc, "prepared", PreparedMsg(cp.txid, cp.seq), size=128)
         else:
-            hop = cp.hop + 1
-            nxt = ChainPrepare(
-                cp.txid, cp.seq, cp.table, cp.pk, cp.partition_key, cp.partition,
-                cp.value, cp.chain, hop, cp.tc,
-            )
-            self._send(cp.chain[hop], "chain_prepare", nxt, size)
+            self.store.prepare(cp.txid, cp.table, cp.pk, cp.partition_key, cp.value)
+            if cp.hop == len(cp.chain) - 1:
+                self._send(cp.tc, "prepared", PreparedMsg(cp.txid, cp.seq), size=128)
+            else:
+                hop = cp.hop + 1
+                nxt = ChainPrepare(
+                    cp.txid, cp.seq, cp.table, cp.pk, cp.partition_key, cp.partition,
+                    cp.value, cp.chain, hop, cp.tc,
+                )
+                size = _CHAIN_OVERHEAD_BYTES + self.cluster.schema.table(cp.table).row_bytes
+                self._send(cp.chain[hop], "chain_prepare", nxt, size)
+        self.env.end_task()
 
     def _chain_commit(self, msg: Message) -> None:
         self._commit_hop(msg.payload)
@@ -582,10 +559,10 @@ class NdbDatanode(Server):
 
     def _tc_commit_tc(self, msg: Message) -> None:
         """TC stage of a commit: a read-only one ends here, one with writes
-        starts its commit chains and waits on their acks in a task."""
+        starts its commit chains and goes on at their acks."""
         req: TcCommitReq = msg.payload
         if self._reject_reaped(msg, req.txid):
-            return self._done(msg)
+            return
         txn = self.txns.get(req.txid)
         if txn is not None:
             txn.last_active_ms = self.env.now
@@ -619,18 +596,16 @@ class NdbDatanode(Server):
                 self._send(target, "chain_commit", commit, size=128)
         # Strict 2PL: the commit point has been reached, read locks go now.
         self._release_read_locks(txn)
-        body = self._tc_committing(msg, txn, ops)
-        self.env.start(body if self.env.obs is None else self._spanned(msg, body))
+        self.env.all_of([op.committed for op in ops]).add_callback(
+            partial(self._tc_committed, msg, txn, ops)
+        )
 
-    def _tc_committing(self, msg: Message, txn: _TcTxn, ops: list[_RowOp]):
+    def _tc_committed(self, msg: Message, txn: _TcTxn, ops: list[_RowOp], committed: Event) -> None:
         req: TcCommitReq = msg.payload
-        try:
-            yield self.env.all_of([op.committed for op in ops])
-        except NdbError as exc:
+        if not committed._ok:
             self._abort_cleanup(txn)
             self._drop_txn(req.txid)
-            self._abort_reply(msg, exc)
-            return
+            return self._abort(msg, committed._value)
         # Commit point reached: publish the transaction's row images on the
         # changelog so subscriber caches (listing cache) can invalidate.
         # A pure no-op with zero subscribers (listing_cache=None).
@@ -658,14 +633,17 @@ class NdbDatanode(Server):
                 else:
                     self._send(backup, "complete", complete, size=128)
         if waiters:
-            try:
-                yield self.env.all_of(waiters)
-            except NdbError as exc:
-                self._drop_txn(req.txid)
-                self._abort_reply(msg, exc)
-                return
-        self._drop_txn(req.txid)
-        self._reply(msg, True)
+            self.env.all_of(waiters).add_callback(partial(self._tc_completed, msg))
+        else:
+            self._drop_txn(req.txid)
+            self._done(msg, True)
+
+    def _tc_completed(self, msg: Message, completed: Event) -> None:
+        self._drop_txn(msg.payload.txid)
+        if completed._ok:
+            self._done(msg, True)
+        else:
+            self._abort(msg, completed._value)
 
     def _tc_abort(self, msg: Message) -> None:
         self.tc_pool.call(self.costs.tc_step, self._tc_abort_tc, msg)
@@ -736,45 +714,47 @@ class NdbDatanode(Server):
         return txn.ops.get(seq)
 
     # ----------------------------------------------------------- LDM: reads
-    def _ldm_read(self, msg: Message):
+    def _ldm_read(self, msg: Message) -> None:
         req: LdmReadReq = msg.payload
         if req.lock is not LockMode.NONE:
             return self._read_locked(msg, req, msg.src)
         self._ldm_pool_for(req.partition).call(self.costs.ldm_read, self._read_row, (msg, req))
 
     def _read_row(self, job: tuple[Message, LdmReadReq]) -> None:
-        """LDM stage of a lock-free read: reply to ``msg`` with the row."""
+        """LDM stage of a read: reply to ``msg`` with the row, as a locked
+        read's transaction sees it."""
         msg, req = job
         if not self.running:
             return self._done(msg, NodeFailedError(f"{self.addr} shut down mid-read"), ok=False)
         self.cluster.read_stats.record(
             req.table, req.partition, req.role, self.addr, self.az == req.client_az)
-        size = self.cluster.schema.table(req.table).row_bytes
-        self._done(msg, self.store.read(req.table, req.pk), size=size)
+        store = self.store
+        value = (store.read(req.table, req.pk) if req.lock is LockMode.NONE
+                 else store.read_for(req.txid, req.table, req.pk))
+        self._done(msg, value, size=self.cluster.schema.table(req.table).row_bytes)
 
-    def _read_locked(self, msg: Message, req: LdmReadReq, tc: NodeAddress):
-        """A locked read, for the TC ``tc``: it waits on the row lock."""
-        try:
-            if req.txid in self._reaped:
-                raise TransactionAbortedError(f"txn {req.txid} already rolled back")
-            self._remember_lock_tc(req.txid, tc)
-            # Locked reads always run on the primary replica.
-            parent = msg.extra.get("server_span") if self.env.obs is not None else None
-            yield self.locks.acquire(req.txid, (req.table, req.pk), req.lock, parent=parent)
-            if req.txid in self._reaped:
-                # Rolled back while we queued for the lock: let go of it.
-                self.locks.release_all(req.txid)
-                raise TransactionAbortedError(f"txn {req.txid} already rolled back")
-            yield self._ldm_pool_for(req.partition).submit(self.costs.ldm_read)
-            if not self.running:
-                raise NodeFailedError(f"{self.addr} shut down mid-read")
-        except NdbError as exc:
-            self._reply(msg, exc, ok=False)
-            return
-        value = self.store.read_for(req.txid, req.table, req.pk)
-        self.cluster.read_stats.record(
-            req.table, req.partition, req.role, self.addr, self.az == req.client_az)
-        self._reply(msg, value, size=self.cluster.schema.table(req.table).row_bytes)
+    def _read_locked(self, msg: Message, req: LdmReadReq, tc: NodeAddress) -> None:
+        """A locked read, for the TC ``tc``: the chain goes on at the row
+        lock's grant."""
+        if req.txid in self._reaped:
+            return self._done(
+                msg, TransactionAbortedError(f"txn {req.txid} already rolled back"), ok=False)
+        self._remember_lock_tc(req.txid, tc)
+        # Locked reads always run on the primary replica.
+        parent = msg.extra.get("server_span") if self.env.obs is not None else None
+        self.locks.acquire(req.txid, (req.table, req.pk), req.lock, parent=parent).add_callback(
+            partial(self._read_granted, msg, req)
+        )
+
+    def _read_granted(self, msg: Message, req: LdmReadReq, grant: Event) -> None:
+        if not grant._ok:
+            return self._done(msg, grant._value, ok=False)
+        if req.txid in self._reaped:
+            # Rolled back while we queued for the lock: let go of it.
+            self.locks.release_all(req.txid)
+            return self._done(
+                msg, TransactionAbortedError(f"txn {req.txid} already rolled back"), ok=False)
+        self._ldm_pool_for(req.partition).call(self.costs.ldm_read, self._read_row, (msg, req))
 
     def _ldm_scan(self, msg: Message, req: Optional[LdmScanReq] = None) -> None:
         """LDM stage of a scan: of an ``ldm_scan`` message, or of the local

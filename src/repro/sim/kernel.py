@@ -29,7 +29,8 @@ Hot-path design (see DESIGN.md §4 "Kernel performance"):
   (``Network.send`` pushes its entry inline), CPU job completion and disk
   transfers use it, so an RPC round costs O(1) kernel events instead of
   O(messages); a ``CorePool.call`` job is itself a ``_Deferred`` that runs
-  its callback from the ready queue when done (a thread hand-off).  Work
+  its callback from the ready queue when done (a thread hand-off), or
+  inside its completion when nothing could be dispatched before it.  Work
   nobody waits on is not scheduled at all: it is charged
   (``CorePool.charge``, ``Disk.append``).
 * Two queues, one order.  Entries scheduled *for the current instant at

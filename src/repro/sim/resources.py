@@ -16,7 +16,7 @@ from heapq import heappush
 from typing import Any, Callable, Deque
 
 from .kernel import PRIORITY_NORMAL, Environment, Event
-from .kernel import _PENDING, _Deferred  # hot paths inline kernel scheduling
+from .kernel import _PENDING, _PROCESSED, _Deferred  # hot paths inline kernel scheduling
 
 __all__ = ["CorePool", "Store", "Disk"]
 
@@ -40,8 +40,9 @@ class _Call(_Deferred):
 
     It is the queued job and, once done, the ready entry itself, where a
     ``_Job`` is a done-event that resumes its waiter: the dispatch loop's
-    ``_Deferred`` branch calls ``fn(arg)``.  Same sequence number, same
-    queue position; no event, no waiter slot.
+    ``_Deferred`` branch calls ``fn(arg)`` (or the completion does, when
+    the entry is due next).  Same sequence number, same queue position; no
+    event, no waiter slot.
     """
 
     __slots__ = ("cost",)
@@ -73,10 +74,12 @@ class CorePool:
         self._complete_cb = self._complete
 
     # submit()/_complete() hand-inline Event construction, the completion
-    # deferred, and done.succeed(): every RPC handler charges a CPU pool
-    # per message.  Keep in sync with kernel internals: timed entries go
-    # on the heap (env._queue), the same-instant done-event on the ready
-    # queue (env._ready), as Event.succeed() would put it.
+    # deferred, done.succeed() and the dispatch of the finished job's entry:
+    # every RPC handler charges a CPU pool per message.  Keep in sync with
+    # kernel internals: timed entries go on the heap (env._queue), the
+    # same-instant done-event on the ready queue (env._ready), as
+    # Event.succeed() would put it, unless the completion runs it in place
+    # (see _complete).
     def submit(
         self,
         cost: float,
@@ -172,15 +175,27 @@ class CorePool:
         _deferred=_Deferred,
         _push=heappush,
         _normal=PRIORITY_NORMAL,
+        _processed=_PROCESSED,
     ) -> None:
+        """A job is done: account it, start the next queued job, and hand
+        the finished one's entry on.
+
+        The entry takes its sequence number here either way.  When it would
+        be the next one dispatched — the ready queue empty (its head would
+        sort first), nothing on the heap due at ``now`` (an earlier timer or
+        a stop marker or horizon there), ``env.trace`` off (a recorder must
+        see it) — the completion runs it in place, as the dispatch loop
+        would: the ``_Call``'s ``fn(arg)``, or the ``_Job``'s waiters.  The
+        callback runs in the dispatch where it would have, after the same
+        sequence numbers, so the schedule is the queued one without the
+        queue round trip.
+        """
         self.busy_time += done.cost
         self.jobs_done += 1
-        if done.__class__ is _job:
-            done._value = None  # inline done.succeed(): done is submit-private
-        # else a _Call: queued as it is, it runs fn(arg) when dispatched.
         env = self.env
         env._seq += 1
-        env._ready.append((env.now, _normal, env._seq, done))
+        seq = env._seq  # the finished job's ready entry, queued or run here
+        queue = env._queue
         if self._pending:
             # The freed core immediately picks up the next queued job
             # (the +1/-1 on _free cancels out).
@@ -189,9 +204,32 @@ class CorePool:
             entry.fn = self._complete_cb
             entry.arg = next_done
             env._seq += 1
-            _push(env._queue, (env.now + next_done.cost, _normal, env._seq, entry))
+            _push(queue, (env.now + next_done.cost, _normal, env._seq, entry))
         else:
             self._free += 1
+        is_job = done.__class__ is _job
+        if is_job:
+            done._value = None  # inline done.succeed(): done is submit-private
+        if env._ready or env.trace is not None or (queue and queue[0][0] <= env.now):
+            # Something may dispatch before the entry, or a recorder must
+            # see it: queue it (a _Call runs fn(arg) when dispatched).
+            env._ready.append((env.now, _normal, seq, done))
+        elif not is_job:
+            # The entry would be dispatched next: run it here, as the
+            # dispatch loop would have.
+            done.fn(done.arg)
+        else:
+            cb1 = done._cb1
+            done._cb1 = _processed
+            if cb1 is not None:
+                cbs = done._cbs
+                if cbs is None:
+                    cb1(done)
+                else:
+                    done._cbs = None
+                    cb1(done)
+                    for callback in cbs:
+                        callback(done)
 
 
 class Store:

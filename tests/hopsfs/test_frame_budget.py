@@ -5,9 +5,9 @@ Every resume of a parked task re-enters each generator frame on its
 wait.  These walk ``gi_yieldfrom`` from the task's own generator while
 it is parked and hold the three budgets: an NN op parked on the ``tc_read``
 of its path walk <= 7 frames, on ``tc_commit`` <= 4, and a datanode's
-chain-prepare handler <= 1 (the body is the task); a chain-commit or
-complete hop holds none (a callback chain), and neither does a read-front
-hit (the NN's request chain never starts its ``_serve`` task).  A source
+chain hops 0: a prepare, commit or complete hop is a callback chain, its
+row-lock wait a stage, and neither does a read-front hit hold a frame (the
+NN's request chain never starts its ``_serve`` task).  A source
 scan keeps the per-message spawns tasks: no server's ``_on_message`` builds
 a process.
 """
@@ -24,11 +24,11 @@ from repro.net.server import Server
 
 from .conftest import make_fs, run
 
-READ_BUDGET, COMMIT_BUDGET, CHAIN_HOP_BUDGET = 7, 4, 1
-# Frames each chain-hop handler leaves parked: a prepare waits on its row
-# lock in the body task, a commit or complete hop is thread callbacks only.
+READ_BUDGET, COMMIT_BUDGET, CHAIN_HOP_BUDGET = 7, 4, 0
+# Frames each chain-hop handler leaves parked: none, a prepare's row-lock
+# wait is a stage registered on the grant like its thread hand-offs.
 CHAIN_HOPS = {
-    "chain_prepare": ["_chain_prepare_body"],
+    "chain_prepare": [],
     "chain_commit": [],
     "complete": [],
 }
@@ -148,8 +148,8 @@ def test_chain_hop_handlers(monkeypatch):
         assert deepest.get(kind) == frames, (kind, deepest.get(kind))
         assert len(frames) <= CHAIN_HOP_BUDGET
     # A callback hop returns no generator at all.
-    assert {msg.kind for msg, generator in handled if generator is None} == {
-        "chain_commit", "complete"}
+    assert {msg.kind for msg, generator in handled if generator is None} == set(CHAIN_HOPS)
+    assert all(generator is None for _msg, generator in handled)
 
 
 def _subclasses(cls):

@@ -8,6 +8,8 @@ otherwise the NN keeps answering for a directory no NDB fragment holds,
 until the entry's TTL.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.errors import FileNotFoundFsError, TransactionAbortedError
@@ -34,12 +36,14 @@ def _fail_next_commit(monkeypatch):
         return inject(self, msg)
 
     def inject(self, msg):
-        txid = msg.payload.txid
         armed[0] = False
-        yield self.tc_pool.submit(self.costs.tc_step)
+        self.tc_pool.call(self.costs.tc_step, partial(abort, self), msg)
+
+    def abort(self, msg):
+        txid = msg.payload.txid
         self._abort_cleanup(self.txns[txid])
         self._drop_txn(txid)
-        self._reply(msg, TransactionAbortedError("injected", retryable=False), ok=False)
+        self._done(msg, TransactionAbortedError("injected", retryable=False), ok=False)
 
     monkeypatch.setattr(
         NdbDatanode, "_HANDLERS", {**NdbDatanode._HANDLERS, "tc_commit": tc_commit}

@@ -11,18 +11,22 @@ import gc
 import types
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
 
 from repro.chaos.scenarios import run_scenario
 from repro.errors import ReproError
 from repro.experiments.setups import SETUPS
 from repro.hopsfs.listcache import ListingCache, ListingCacheConfig
 from repro.metrics.collectors import MetricsCollector
-from repro.sim import Environment, Process, Task
+from repro.sim import Environment, Event, Task
+from repro.sim.kernel import _Deferred
 from repro.workloads.driver import ClosedLoopDriver
 from repro.workloads.namespace import generate_namespace
 from repro.workloads.spotify import SpotifyWorkload
 
-_WATCHED_GARBAGE = (Process, Task, types.GeneratorType, types.MethodType,
+# Kernel entries (``_Deferred`` covers a ``CorePool.call`` job) and events
+# (processes included), and the ``partial`` stages callback chains register.
+_WATCHED_GARBAGE = (Event, Task, _Deferred, partial, types.GeneratorType, types.MethodType,
                     types.BuiltinMethodType, ReproError)
 
 

@@ -7,6 +7,9 @@ loop written out in this file.  A hypothesis-generated program must produce
 the same callback order and the same ``(time, priority, seq)`` trace on the
 oracle and on production ``run()``, sliced ``run(until=...)``, ``step()``
 loops, a ``run_process`` followed by ``run()``, and ``env.trace`` runs.
+The oracle's pool completions always queue their job (it is traced), so a
+``submit`` or ``call`` job that production runs inside its completion is
+held to the queued order too.
 
 Tasks are held to the process they replace: in the oracle a task is a
 ``Process`` nobody waits on, so a task's end must consume the sequence
@@ -138,6 +141,11 @@ class _World:
     def _soon(self, tag):
         self.log.append((self.env.now, "soon", tag))
 
+    def _called(self, tag):
+        """A ``CorePool.call`` job's callback: logs, then schedules."""
+        self.log.append((self.env.now, "called", tag))
+        self.env.event().succeed()
+
     def _body(self, pid, ops):
         env, log = self.env, self.log
         child = None
@@ -165,6 +173,8 @@ class _World:
                     got = yield self.stores[op[1]].get()
                 elif kind == "job":
                     got = yield self.pools[op[1]].submit(op[2])
+                elif kind == "call":
+                    self.pools[op[1]].call(op[2], self._called, (pid, index))
                 elif kind == "spawn":
                     child = self.spawn(op[1])
                 elif kind == "start":
@@ -201,6 +211,7 @@ _LEAF_OPS = st.one_of(
     st.tuples(st.just("put"), st.integers(0, 1)),
     st.tuples(st.just("get"), st.integers(0, 1)),
     st.tuples(st.just("job"), st.integers(0, 1), st.sampled_from([0, 0, 0.5, 1])),
+    st.tuples(st.just("call"), st.integers(0, 1), st.sampled_from([0, 0, 0.5, 1])),
     st.tuples(st.just("join")),
     st.tuples(st.just("any_of"), _EVENT, _DELAYS),
     st.tuples(st.just("all_of"), _EVENT, _DELAYS),

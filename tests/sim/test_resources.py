@@ -303,12 +303,14 @@ def test_call_queues_behind_busy_cores():
 
 # ------------------------------------ a callback chain replays its task
 # One handler of a program: (issued at, its stages as (pool, cost), the
-# stage it returns early at).  As a task it waits on ``submit`` per stage;
-# as a chain each stage is a ``call`` whose callback issues the next, and
-# the chain ends with ``env.end_task()`` where the task ended.
+# stage it returns early at).  Pool 2 is no thread but a wait on an event
+# (a timer of that cost, as a lock grant or an RPC reply is).  As a task it
+# waits on ``submit`` (or the event) per stage; as a chain each stage is a
+# ``call`` (or a ``partial`` registered on the event) whose callback issues
+# the next, and the chain ends with ``env.end_task()`` where the task ended.
 _HANDLERS = st.lists(
     st.tuples(st.sampled_from([0.0, 0.5, 1.0]),
-              st.lists(st.tuples(st.integers(0, 1), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+              st.lists(st.tuples(st.integers(0, 2), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
                        max_size=3),
               st.integers(0, 3)),
     min_size=1, max_size=8,
@@ -328,7 +330,7 @@ def _run_handlers(handlers, as_chain, traced):
         for index, (pool, cost) in enumerate(stages):
             if index == stop:
                 break  # an early return
-            yield pools[pool].submit(cost)
+            yield env.timeout(cost) if pool == 2 else pools[pool].submit(cost)
             log.append((env.now, ident, index))
             env.event().succeed()  # a scheduling action after the wait
         log.append((env.now, ident, "end"))
@@ -343,7 +345,14 @@ def _run_handlers(handlers, as_chain, traced):
             env.end_task()
             return
         pool, cost = stages[index]
-        pools[pool].call(cost, stage, (ident, stages, stop, index + 1))
+        job = (ident, stages, stop, index + 1)
+        if pool == 2:
+            env.timeout(cost).add_callback(partial(waited, job))
+        else:
+            pools[pool].call(cost, stage, job)
+
+    def waited(job, _event):
+        stage(job)
 
     def issue(handler):
         ident, stages, stop = handler
