@@ -18,13 +18,17 @@ sibling's still-prepared rows.  Non-grouped ops (reads, block ops) that
 touch a path prefix-related to anything pending first wait for the
 conflicting batches to settle — preserving read-your-writes on one NN.
 
-Crash semantics: a namenode crash marks its open batch ``lost`` — the
-flush RPC may or may not have reached the transaction coordinator, so the
-batch either commits fully (NDB applies the whole transaction) or aborts
-fully (take-over cleanup).  The chaos ``durability_horizon`` invariant
-audits exactly that: committed batches' writes all survive, lost/aborted
-batches apply all-or-nothing, and every fsync-confirmed horizon is
-committed.
+Crash semantics: a namenode crash closes the committer's processes — the
+drain, every member and every flush (:meth:`GroupCommitter.tasks`) — with
+the namenode's own tasks, so none of them runs on after the crash or stays
+parked on a reply addressed to the dead process; their open transactions
+are left to the cluster's inactivity reaper.  ``on_crash`` then marks each
+unsettled batch ``lost``: the flush RPC may or may not have reached the
+transaction coordinator, so the batch either commits fully (NDB applies
+the whole transaction) or aborts fully (take-over cleanup).  The chaos
+``durability_horizon`` invariant audits exactly that: committed batches'
+writes all survive, lost/aborted batches apply all-or-nothing, and every
+fsync-confirmed horizon is committed.
 
 Retries: a flush whose commit aborts retryably backs off, opens a fresh
 transaction and re-runs the members still in the batch through the same
@@ -251,6 +255,9 @@ class _SyncCommit:
     def holds(self, op, kwargs) -> bool:
         return False  # nothing pending
 
+    def tasks(self) -> tuple:
+        return ()
+
     def on_crash(self) -> None:
         """Nothing to lose."""
 
@@ -296,13 +303,14 @@ class _GroupOp:
 class _BatchCtx:
     """Execution context of one batch: its txn, members, span, fate."""
 
-    __slots__ = ("batch", "txn", "members", "procs", "span", "retry_exc", "landed")
+    __slots__ = ("batch", "txn", "members", "procs", "flush", "span", "retry_exc", "landed")
 
     def __init__(self, batch: GroupBatch):
         self.batch = batch
         self.txn = None  # the current attempt's transaction
         self.members: list = []  # admitted _GroupOps still in the batch
         self.procs: list = []  # the current attempt's member processes
+        self.flush = None  # the flush process, once the batch is handed over
         self.span = None
         self.retry_exc = None  # set by a member that hit an NDB error
         self.landed = False  # set by an acked member's replay
@@ -345,12 +353,6 @@ class GroupCommitter:
         # Set by a barriered sync-path op: flush the open batch now rather
         # than waiting out the linger.
         self._flush_now = False
-        # Crash epoch: bumped by on_crash().  Processes from a stale
-        # generation abandon at their next resume point instead of touching
-        # shared state — their open NDB transactions are left for the
-        # cluster's inactivity reaper, exactly like a client that died
-        # mid-txn.
-        self._gen = 0
         self._rng = nn.ndb.rng.stream(f"groupcommit:{nn.addr}")
         self.batches_committed = 0
         self.batches_aborted = 0
@@ -374,8 +376,7 @@ class GroupCommitter:
         # Read-your-writes on this NN: a sync-path op (read, block op)
         # prefix-related to a pending grouped mutation must not run at
         # read-committed until that mutation's batch settles.
-        paths = op_paths(op, kwargs)
-        while self.has_conflict(paths):
+        while self.holds(op, kwargs):
             # A reader is blocked on the open batch: cut the linger short so
             # the barrier pays only the commit round, not the full linger.
             self._poke(flush_now=True)
@@ -401,6 +402,12 @@ class GroupCommitter:
             ev.succeed()
 
     # ------------------------------------------------- sync-path barrier
+    def _unsettled(self) -> list:
+        """The gathering batch, then the flushing ones."""
+        if self._gather is None:
+            return list(self._inflight)
+        return [self._gather, *self._inflight]
+
     @staticmethod
     def _conflict(paths, ctxs) -> bool:
         """Paths prefix-related to any member of the given batches?"""
@@ -408,22 +415,15 @@ class GroupCommitter:
             paths_conflict(paths, gop.paths) for ctx in ctxs for gop in ctx.members
         )
 
-    def has_conflict(self, paths) -> bool:
-        """Any pending (queued, gathering, or flushing) op conflicts?"""
-        if not paths:
-            return False
-        batches = self._inflight
-        if self._gather is not None:
-            batches = [self._gather, *batches]
-        return self._conflict(paths, batches) or any(
-            paths_conflict(paths, gop.paths) for gop in self.queue
-        )
-
     def holds(self, op, kwargs) -> bool:
-        """Whether a pending grouped op conflicts with ``op``: an early-acked
-        batch touching its path may not have committed (or invalidated a
-        cache) yet."""
-        return self.has_conflict(op_paths(op, kwargs))
+        """Whether a pending (queued, gathering or flushing) grouped op
+        conflicts with ``op``: an early-acked batch touching its path may
+        not have committed (or invalidated a cache) yet."""
+        paths = op_paths(op, kwargs)
+        return bool(paths) and (
+            self._conflict(paths, self._unsettled())
+            or any(paths_conflict(paths, gop.paths) for gop in self.queue)
+        )
 
     # ----------------------------------------------------- graceful drain
     def drain_gracefully(self):
@@ -445,40 +445,36 @@ class GroupCommitter:
     @property
     def pending_batches(self) -> int:
         """Batches not yet settled (gathering + flushing)."""
-        return len(self._inflight) + (1 if self._gather is not None else 0)
+        return len(self._unsettled())
 
     # ------------------------------------------------------------- crash
+    def tasks(self) -> list:
+        """Every process this committer runs, for the namenode to close when
+        it crashes: the drain, and each unsettled batch's members and flush
+        (None where there is none yet)."""
+        return [self._proc] + [
+            proc for ctx in self._unsettled() for proc in (*ctx.procs, ctx.flush)
+        ]
+
     def on_crash(self) -> None:
-        """The NN died: every un-settled batch's commit fate is ambiguous."""
-        doomed = list(self._inflight)
-        if self._gather is not None:
-            doomed.append(self._gather)
-        for ctx in doomed:
+        """The NN died and the namenode has closed :meth:`tasks`: every
+        unsettled batch's commit fate is ambiguous, so it settles as lost,
+        and the queue (requests never executed) is dropped."""
+        for ctx in self._unsettled():
             self.ledger.lost_acks += sum(gop.ack_ms is not None for gop in ctx.members)
             self._settle(ctx, "lost", "lost")
-        self._gather = None
+        self._gather = self._proc = self._wake = None
         # Queued, never-executed requests: the network layer already failed
         # their client RPCs when the address went down.
         self.queue.clear()
-        # Abandon (don't interrupt) in-flight processes: one may be parked
-        # on an RPC whose completion event would then fail with no observer
-        # and crash the kernel.  One that resumes sees the stale generation
-        # and returns silently.  One parked on an NDB call whose reply went
-        # to this dead address never resumes: it stays parked, and so do
-        # the flush waiting on it and the handler parked in its own
-        # ``run_transaction`` (ROADMAP item 8).
-        self._gen += 1
-        self._proc = None
-        self._wake = None
         self._notify_settled()
 
     # -------------------------------------------------------------- drain
     def _drain(self):
-        gen = self._gen
-        while self._gen == gen and self.queue:
-            yield from self._gather_batch(gen)
+        while self.queue:
+            yield from self._gather_batch()
 
-    def _gather_batch(self, gen):
+    def _gather_batch(self):
         env = self.env
         cfg = self.config
         nn = self.nn
@@ -486,8 +482,6 @@ class GroupCommitter:
         # Backpressure: bound the flush pipeline.
         while len(self._inflight) >= self.max_inflight_batches:
             yield self._settled()
-            if self._gen != gen:
-                return
         batch = self.ledger.open_batch(nn.addr)
         ctx = _BatchCtx(batch)
         self._gather = ctx
@@ -513,8 +507,6 @@ class GroupCommitter:
                 # the pipeline is empty (and fails validation in its body).
                 if ctx.txn is None and (held or (not cand.paths and self._inflight)):
                     yield self._settled()
-                    if self._gen != gen:
-                        return
                     continue
                 self.queue.popleft()
                 if cand.deadline_ms is not None and nn._deadline_expired(
@@ -534,7 +526,7 @@ class GroupCommitter:
                         )
                     self._open_txn(ctx, cand)
                 ctx.members.append(cand)
-                self._launch(ctx, cand, gen)
+                self._launch(ctx, cand)
                 if not cand.paths:
                     break  # solo batch
                 continue
@@ -552,14 +544,15 @@ class GroupCommitter:
             self._wake = wake
             timer = env.timeout(remaining)
             yield env.any_of([wake, timer])
-            if self._gen != gen:
-                return
             self._wake = None
 
         # Hand the batch to the flush pipeline and keep gathering.
         self._gather = None
         self._inflight.append(ctx)
-        env.spawn(self._flush(ctx, env.now - batch.opened_ms, gen))
+        ctx.flush = env.process(
+            self._flush(ctx, env.now - batch.opened_ms),
+            name=f"{nn.addr}:group-flush:{batch.batch_id}",
+        )
 
     def _open_txn(self, ctx, head) -> None:
         """Open the transaction of the batch's next attempt, its TC hinted
@@ -571,16 +564,16 @@ class GroupCommitter:
         ctx.txn.obs_span = ctx.span
         ctx.batch.writes = ctx.txn.writes
 
-    def _launch(self, ctx, gop, gen) -> None:
+    def _launch(self, ctx, gop) -> None:
         ctx.procs.append(
             self.env.process(
-                self._member(ctx, gop, gen),
+                self._member(ctx, gop),
                 name=f"{self.nn.addr}:group-op:{ctx.batch.batch_id}",
             )
         )
 
     # ------------------------------------------------------------- member
-    def _member(self, ctx, gop, gen):
+    def _member(self, ctx, gop):
         """One attempt of one member: the namenode's exactly-once
         ``_txn_body`` on the attempt's shared txn.  Every attempt of every
         member runs here, and each outcome has one rule:
@@ -601,20 +594,14 @@ class GroupCommitter:
                 gop.retry_id, gop.fn, nn.ctx, gop.kwargs, ctx.txn
             )
         except FsError as exc:
-            if self._gen != gen:
-                return  # crashed mid-body: on_crash settled the batch
             ctx.members.remove(gop)
             self._lose(gop, exc)
             self._notify_settled()
             return
         except NdbError as exc:
-            if self._gen != gen:
-                return
             # Kept without its traceback: the frames it names hold this
             # body, a cycle.
             ctx.retry_exc = exc.with_traceback(None)
-            return
-        if self._gen != gen:
             return
         if type(result) is Replay:
             ctx.members.remove(gop)
@@ -641,7 +628,7 @@ class GroupCommitter:
             self.ledger.lost_acks += 1
 
     # -------------------------------------------------------------- flush
-    def _flush(self, ctx, linger_actual, gen):
+    def _flush(self, ctx, linger_actual):
         env = self.env
         attempt = 0
         last_commit = None  # (writes, ops) of the last commit that aborted
@@ -650,8 +637,6 @@ class GroupCommitter:
             alive = [p for p in ctx.procs if p.is_alive]
             if alive:
                 yield env.all_of(alive)
-            if self._gen != gen:
-                return
             txn = ctx.txn
             if ctx.landed and last_commit is not None:
                 # An acked member replayed: the last commit that reported an
@@ -661,17 +646,12 @@ class GroupCommitter:
                 # re-runs are dropped.  (Without such a commit the retry row
                 # came from a client retry after a lost ack reply.)
                 yield from txn.abort()
-                if self._gen != gen:
-                    return
                 ctx.batch.writes, ctx.batch.ops = last_commit
-                self.batches_committed += 1
                 self._finish_commit(ctx, linger_actual)
                 return
             if not ctx.members:
                 # Every member failed validation or replayed: nothing to commit.
                 yield from txn.abort()
-                if self._gen != gen:
-                    return
                 self._settle(ctx, "aborted", "empty")
                 return
             exc = ctx.retry_exc
@@ -679,22 +659,12 @@ class GroupCommitter:
                 try:
                     yield from txn.commit()
                 except TransactionAbortedError as aborted:
-                    if self._gen != gen:
-                        return
                     exc = aborted.with_traceback(None)
                     last_commit = (txn.writes, ctx.batch.ops)
                 else:
-                    if self._gen != gen:
-                        # Crash raced the commit and lost: the batch already
-                        # settled as lost (the commit did land — "lost" means
-                        # ambiguous, and the all-or-nothing audit still holds).
-                        return
-                    self.batches_committed += 1
                     self._finish_commit(ctx, linger_actual)
                     return
             yield from txn.abort()
-            if self._gen != gen:
-                return
             attempt += 1
             if not getattr(exc, "retryable", True) or attempt > _FLUSH_RETRY.max_retries:
                 self.batches_aborted += 1
@@ -705,8 +675,6 @@ class GroupCommitter:
                 self._settle(ctx, "aborted", "aborted")
                 return
             yield env.timeout(_FLUSH_RETRY.backoff_ms(attempt, self._rng))
-            if self._gen != gen:
-                return
             # Fresh transaction; every remaining member re-runs through
             # _member, concurrently as on the first attempt (admission kept
             # their paths prefix-disjoint, so their locks cannot collide).
@@ -715,10 +683,11 @@ class GroupCommitter:
             ctx.procs = []
             self._open_txn(ctx, ctx.members[0])
             for gop in ctx.members:
-                self._launch(ctx, gop, gen)
+                self._launch(ctx, gop)
 
     # ---------------------------------------------------------- settling
     def _finish_commit(self, ctx, linger_actual) -> None:
+        self.batches_committed += 1
         now = self.env.now
         members = ctx.members
         for gop in members:

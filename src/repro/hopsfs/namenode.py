@@ -53,6 +53,14 @@ class Namenode(Server):
     is off is a part that does nothing — an unbounded cap, a read front
     that never hits, a commit part that leaves every op to its own
     transaction — so a request is one straight pipeline.
+
+    A life of the process (start to crash) keeps one table of the requests
+    it admitted: message -> its ``_serve`` task, or None while the request
+    is a callback chain (its handler-pool job queued, a probed hit being
+    answered).  Admission and the ``inflight`` signal read its size.  A
+    crash closes every task in it and in the commit part and starts a new
+    table; a request its life's table no longer holds is dropped where it
+    leaves the pool.
     """
 
     # OpType -> (ops function, path argument used for the partition hint)
@@ -110,8 +118,7 @@ class Namenode(Server):
         self.ops_served = 0
         self.ops_failed = 0
         self.ops_shed = 0
-        self._inflight = 0
-        self._life = 0  # restarts so far: which process an admitted op belongs to
+        self._requests: dict = {}  # this life's admitted requests (see above)
         # Graceful decommission: a draining NN stops admitting new fs ops
         # (they bounce with ServerDrainingError) but finishes what it holds.
         # Rejections are counted separately from ops_shed so the autoscaler's
@@ -146,9 +153,15 @@ class Namenode(Server):
             self.spawn_once("dn-monitor", self._dn_monitor)
 
     def _on_shutdown(self) -> None:
-        # An open group-commit batch's flush may or may not have reached the
-        # TC: it is marked lost and its drain process stopped (its in-flight
-        # RPC reply can never be delivered to a down address).
+        """The process died, and its in-flight work with it: every task of
+        this life is closed here (an open NDB transaction is left to the
+        cluster's inactivity reaper), a request still queued on the pool
+        is dropped when its job ends, and the commit part settles its
+        unsettled batches as lost."""
+        requests, self._requests = self._requests, {}
+        for task in (*requests.values(), *self.committer.tasks()):
+            if task is not None:
+                task.close()
         self.committer.on_crash()
 
     def _on_restart(self) -> None:
@@ -159,11 +172,6 @@ class Namenode(Server):
         # So did the replay LRU: a retried mutation is answered from its
         # durable retry_cache row from now on.
         self.retry_cache = RetryCache()
-        # So did the requests it had admitted: their NDB replies were dropped
-        # and their tasks never finish.  Counting them would shed every
-        # request after the restart; a dead life's decrement is skipped.
-        self._inflight = 0
-        self._life += 1
         # So did the read front: it flushes before serving (each changelog
         # batch dropped while this NN was down flushed it too).
         self.listing_cache.flush()
@@ -181,9 +189,9 @@ class Namenode(Server):
         env = self.env
         self.draining = True
         deadline = env.now + grace_ms
-        while self._inflight > 0 and env.now < deadline:
+        while self._requests and env.now < deadline:
             yield env.timeout(poll_ms)
-        forced = self._inflight > 0
+        forced = bool(self._requests)
         # Unlike on_crash, every open group-commit batch settles as
         # committed or aborted — never "lost" — so nothing this NN acked
         # is left in doubt.
@@ -193,7 +201,7 @@ class Namenode(Server):
     @property
     def inflight(self) -> int:
         """Currently executing fs ops (admission + autoscaler signal)."""
-        return self._inflight
+        return len(self._requests)
 
     @property
     def is_leader(self) -> bool:
@@ -228,7 +236,7 @@ class Namenode(Server):
                     msg, ServerDrainingError(f"{self.addr} draining; pick another NN"),
                     ok=False,
                 )
-            elif self._inflight >= self.max_inflight:
+            elif len(self._requests) >= self.max_inflight:
                 # Overloaded: answer fast instead of queueing work that
                 # cannot finish in time.
                 self.ops_shed += 1
@@ -237,7 +245,7 @@ class Namenode(Server):
                     ok=False,
                 )
             else:
-                self._inflight += 1
+                self._requests[msg] = None
                 self.env.call_soon(self._admitted, msg)
         elif msg.kind == "get_active_nns":
             self.network.reply(msg, list(self.election.active), size=256)
@@ -260,7 +268,8 @@ class Namenode(Server):
     # pool.  A miss's pool job starts the ``_serve`` task; a probed hit's
     # runs ``_paid``, which ends the chain for a dropped, expired or
     # memory-served hit (where its task would have ended) and starts
-    # ``_serve`` for a hit whose probe no longer stands.
+    # ``_serve`` for a hit whose probe no longer stands.  Either files the
+    # started task under the request in its life's table (``_start_serve``).
     def _admitted(self, msg: Message) -> None:
         """Read-front probe, then the handler pool: the op's cost, or
         ``HIT_COST_FRAC`` of it for a probed hit (a hash lookup's worth of
@@ -276,11 +285,14 @@ class Namenode(Server):
                 "nn.handle", parent=msg.extra.get("span_id"),
                 host=str(self.addr), az=self.az, op=op.value,
             )
-        cost = self.config.op_cost(op)
+        # ``config.op_cost(op)``, inlined: per-request calls are pinned
+        # (``call_budget``), and admission's table size takes one.
+        cfg = self.config
+        cost = cfg.op_cost_mutation_ms if op.mutates else cfg.op_cost_read_ms
         probe = self.listing_cache.lookup(op, kwargs)
         if probe is None:
             self.handler_pool.call(
-                cost, self.env.start, self._serve(msg, op, kwargs, span, self._life, False)
+                cost, self._start_serve, (msg, self._serve(msg, op, kwargs, span, False))
             )
             return
         serve_span = None
@@ -289,35 +301,43 @@ class Namenode(Server):
                 "nn.cache.serve", parent=span, host=str(self.addr), az=self.az, op=op.value,
             )
         self.handler_pool.call(
-            cost * HIT_COST_FRAC, self._paid, (msg, probe, self._life, span, serve_span)
+            cost * HIT_COST_FRAC, self._paid, (msg, probe, span, serve_span)
         )
 
+    def _start_serve(self, arg) -> None:
+        """Start a request's ``_serve`` task and, while it has not ended,
+        file it under the request."""
+        msg, body = arg
+        task = self.env.start(body)
+        requests = self._requests
+        if msg in requests:
+            requests[msg] = task
+
     def _paid(self, arg) -> None:
-        """A probed hit's pool job is done: drop the op if this NN went down
+        """A probed hit's pool job is done: drop the op if its life ended
         meanwhile, fail it if its deadline passed, answer it if the probe
         still stands; else run the rest of the pipeline as the ``_serve``
         task."""
-        msg, probe, life, span, serve_span = arg
+        msg, probe, span, serve_span = arg
         if serve_span is not None:
             self.env.obs.tracer.finish(serve_span)
         op, kwargs = msg.payload
         deadline_ms = msg.extra.get("deadline_ms")
-        # Not running: dropped, like any op caught mid-shutdown.
-        if self.running and (
-            deadline_ms is None or not self._deadline_expired(msg, op, deadline_ms)
-        ):
-            probe = self.listing_cache.serve(op, kwargs, probe)
-            if probe is None:
-                self.env.start(self._serve(msg, op, kwargs, span, life, True))
-                return
-            self._reply(msg, probe[0])
+        requests = self._requests
+        # Not in this life's table: dropped, like any op caught by a crash.
+        if msg in requests:
+            if deadline_ms is None or not self._deadline_expired(msg, op, deadline_ms):
+                probe = self.listing_cache.serve(op, kwargs, probe)
+                if probe is None:
+                    self._start_serve((msg, self._serve(msg, op, kwargs, span, True)))
+                    return
+                self._reply(msg, probe[0])
+            del requests[msg]
         if span is not None:
             self._close(span)
-        if life == self._life:
-            self._inflight -= 1
         self.env.end_task()
 
-    def _serve(self, msg: Message, op: OpType, kwargs, span, life, checked: bool):
+    def _serve(self, msg: Message, op: OpType, kwargs, span, checked: bool):
         """Task body of a paid request the read front does not answer: the
         rest of the pipeline, once and in order.
 
@@ -329,15 +349,16 @@ class Namenode(Server):
         """
         try:
             deadline_ms = msg.extra.get("deadline_ms")
-            if not checked and (not self.running or (
+            if not checked and (msg not in self._requests or (
                 deadline_ms is not None and self._deadline_expired(msg, op, deadline_ms)
             )):
-                return  # dropped, like any op caught mid-shutdown, or failed
+                return  # dropped, like any op caught by a crash, or failed
             if op is OpType.FSYNC:
                 yield from self._fsync(msg, kwargs)
                 return
-            fn = self._OPS.get(op)
-            if fn is None:
+            try:
+                fn = self._OPS[op]
+            except KeyError:
                 self._fail(msg, FsError(f"unsupported operation {op}"))
                 return
             if op.mutates and self.in_safemode:
@@ -376,9 +397,9 @@ class Namenode(Server):
         finally:
             if span is not None:
                 self._close(span)
-            # A restart since the op's admission has released its slot.
-            if life == self._life:
-                self._inflight -= 1
+            requests = self._requests
+            if msg in requests:  # else its life's table is gone
+                del requests[msg]
 
     def _close(self, span) -> None:
         """Close a request's ``nn.handle`` span and sample the NN's latency

@@ -14,11 +14,14 @@ which calls it from the delivery of each request.  Before the first
 RPC fails.
 
 Crash model: ``shutdown`` takes the address off the network (mail delivered
-to it is dropped, RPCs awaiting it fail) and clears ``running``.  Nothing is
-interrupted — each background loop is written ``while self.running: ...``
-so it exits at its next wake-up.  A ``restart`` that beats that wake-up
+to it is dropped, RPCs awaiting it fail) and clears ``running``.  Background
+loops are not interrupted — each is written ``while self.running: ...`` so
+it exits at its next wake-up.  A ``restart`` that beats that wake-up
 therefore finds the old loop alive and must not start a second one: that is
-``spawn_once``.
+``spawn_once``.  In-flight request work is the subclass's to end in
+``_on_shutdown``: a namenode closes (``Task.close`` / ``Process.close``)
+every task of the life that crashed, so none of it runs on after the crash
+or parks forever on a reply addressed to the dead process.
 """
 
 from __future__ import annotations

@@ -47,6 +47,9 @@ Hot-path design (see DESIGN.md §4 "Kernel performance"):
   name, no value, no waiters — whose end (``Environment.end_task``, also
   called by a callback chain standing for a task) queues its entry only
   when traced.
+* A task or process can be closed (``close``): its generator ends at once,
+  ``finally`` blocks included, and its next wake-up, success or failure,
+  ends the driver as a generator returning there would.
 * ``Environment.run`` is the kernel's only dispatch loop, inlined with all
   per-step attribute lookups hoisted into locals.  ``step`` and
   ``run_process`` stop it with a marker entry; a traced run rebinds its two
@@ -477,6 +480,42 @@ def _resume(self, trigger: Optional[Event]) -> None:
             cbs.append(self._resume_cb)
 
 
+class _Closed:
+    """What a closed driver resumes in place of its generator: any wake-up,
+    success or failure, is a return there (``StopIteration``)."""
+
+    __slots__ = ()
+
+    def send(self, _value: Any) -> None:
+        raise StopIteration
+
+    throw = send
+
+
+_CLOSED = _Closed()
+
+
+def _close(self) -> None:
+    """End the generator now: ``generator.close()`` runs its ``finally``
+    blocks, once, here (they must not yield).  The driver stays where it
+    waits: its next wake-up, success or failure, ends it as a generator
+    returning there would, with the same sequence number, and one that
+    never comes leaves nothing to run.  A finished or closed driver is left
+    as it is.
+
+    A driver closed from inside its own step (a server that crashes under
+    the request it is serving) runs that step to its end: a generator that
+    returns ends as usual, one that yields is closed by reference counting
+    as the kernel lets go of it, and its wait ends the driver as above."""
+    generator = self._generator
+    if generator is not None and generator is not _CLOSED:
+        self._generator, self._send = _CLOSED, _CLOSED.send
+        if not generator.gi_running:  # else its running step registers its wait
+            # The waited event holds the resume callback; the driver need not.
+            self._resume_cb = None
+            generator.close()
+
+
 def _fail_non_event(self, target: Any) -> None:
     # Throw once so the generator can clean up, then end with the error.
     # (The naive version threw *and* re-raised, leaving the generator
@@ -530,6 +569,7 @@ class Task:
     _retire = _retire
     _resume = _resume
     _fail_non_event = _fail_non_event
+    close = _close
 
     def _finish(self, _value: Any) -> None:
         self._resume_cb = self._send = self._generator = None  # _retire, inlined
@@ -549,6 +589,7 @@ class Process(Event):
     _retire = _retire
     _resume = _resume
     _fail_non_event = _fail_non_event
+    close = _close
 
     # End hooks: a process's end triggers the process itself.
     def _finish(self, value: Any) -> None:
@@ -691,9 +732,10 @@ class Environment:
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 
-    def start(self, generator: Generator, _new=Task.__new__, _cls=Task) -> None:
+    def start(self, generator: Generator, _new=Task.__new__, _cls=Task) -> Task:
         """Run ``generator`` as a :class:`Task`, its first step right now,
-        inside the current dispatch.  Consumes no sequence number to start."""
+        inside the current dispatch; returns the task.  Consumes no sequence
+        number to start."""
         try:
             send = generator.send
         except AttributeError:
@@ -707,6 +749,7 @@ class Environment:
         # Task -> bound method -> Task: broken by _retire at the task's end.
         resume = task._resume_cb = task._resume
         resume(None)
+        return task
 
     def end_task(self) -> None:
         """End a task, or a callback chain that stands for one: consume the

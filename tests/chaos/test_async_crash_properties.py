@@ -152,18 +152,18 @@ def test_ndb_datanode_crash_mid_group_commit(workload_seed, policy, crash_at, ho
     _run_case(workload_seed, policy, crash_at, hold, victim_rank, "ndb")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 8: a task parked on an NDB call whose reply went to "
-    "a crashed NN never resumes",
+@pytest.mark.parametrize(
+    "scenario", ["async-commit-crash", "rolling-namenode-restarts", "overload-burst"]
 )
-def test_a_crashed_namenodes_group_commit_tasks_do_not_stay_parked():
-    """``GroupCommitter.on_crash`` abandons its processes.  Those parked on
-    an NDB call whose reply went to the dead NN never resume, and neither do
-    the flushes waiting on them or the handlers parked in their own
-    ``run_transaction``.  At the end of ``async-commit-crash`` on ``HopsFS
-    (2,1)``, seed 99, none of them may be left."""
-    result = run_scenario("async-commit-crash", "HopsFS (2,1)", seed=99)
+def test_a_crashed_namenodes_group_commit_tasks_do_not_stay_parked(scenario):
+    """A namenode crash closes the tasks of its life: the requests it
+    admitted (``_serve``, an ``_fsync`` inside one) and the group
+    committer's drain, members and flushes.  Before, one parked on an NDB
+    call whose reply went to the dead NN never resumed, nor did what waited
+    on it.  At the end of each NN-crash cell on ``HopsFS (2,1)``, seed 99,
+    none of them may be left parked."""
+    result = run_scenario(scenario, "HopsFS (2,1)", seed=99, clients=16)
+    assert result.all_green
     env = result.extra["harness"].env
     parked = Counter(
         obj.gi_code.co_qualname
@@ -171,7 +171,8 @@ def test_a_crashed_namenodes_group_commit_tasks_do_not_stay_parked():
         if isinstance(obj, types.GeneratorType)
         and obj.gi_frame is not None
         and obj.gi_code.co_qualname
-        in ("GroupCommitter._member", "GroupCommitter._flush", "Namenode._serve")
+        in ("GroupCommitter._member", "GroupCommitter._flush", "GroupCommitter._drain",
+            "Namenode._serve", "Namenode._fsync")
         and obj.gi_frame.f_locals["self"].env is env
     )
     assert parked == Counter()

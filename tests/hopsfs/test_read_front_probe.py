@@ -8,7 +8,9 @@ witness checked after it.
 * The namenode's callback chain end to end: an invalidation landing while
   the probed op waits for the pool sends it transactional without a second
   pool job; a hit whose deadline passes in the queue fails, one caught by a
-  shutdown is dropped, and neither leaves an admission slot behind.
+  shutdown is dropped, and neither leaves an admission slot behind.  Nor
+  does a miss or a probed hit whose pool job ends after the NN restarted:
+  the request belonged to the life the crash ended.
 """
 
 import copy
@@ -265,4 +267,56 @@ def test_a_hit_caught_by_a_shutdown_is_dropped():
     assert nn_a.handler_pool.jobs_done == jobs + 1  # the op's job ran ...
     assert (cache.hits, cache.misses, nn_a.ops_served, nn_a.ops_failed) == counts
     assert isinstance(reply.value, HostUnreachableError)  # ... and nobody was answered
+    assert nn_a.inflight == 0
+
+
+def _served_after_a_restart(monkeypatch, op, path, extra=None):
+    """Queue a bare ``op`` on ``path`` behind NN A's saturated pool, crash A
+    and restart it 1 ms later, before the job ends.  Returns what the run
+    did: the fs-op transactions A opened (hinted by the inodes table; the
+    leader election's are not), A's counters and the shared ledger before
+    and after, and the reply."""
+    fs, nn_a, reader, _writer = _cached_file()
+    opened = []
+    real_transaction = nn_a.api.transaction
+
+    def transaction(hint_table=None, hint_key=None):
+        if hint_table == INODES_TABLE:
+            opened.append(hint_key)
+        return real_transaction(hint_table, hint_key)
+
+    monkeypatch.setattr(nn_a.api, "transaction", transaction)
+    before = (nn_a.ops_served, nn_a.ops_failed, list(fs.mutation_ledger))
+    jobs = nn_a.handler_pool.jobs_done + _saturate(nn_a, 20.0)
+    reply = fs.network.call(fs.client().addr, nn_a.addr, "fs_op", (op, {"path": path}),
+                            extra=extra)
+    reply.defuse()
+    fs.env.run(until=fs.env.now + 1.0)
+    assert nn_a.inflight == 1 and nn_a.handler_pool.queue_length == 1
+    nn_a.shutdown()
+    fs.env.run(until=fs.env.now + 1.0)
+    nn_a.restart()
+    fs.env.run(until=fs.env.now + 40.0)
+    assert nn_a.handler_pool.jobs_done == jobs + 1  # the op's job ran, on the new life
+    after = (nn_a.ops_served, nn_a.ops_failed, list(fs.mutation_ledger))
+    return fs, nn_a, reader, opened, before, after, reply
+
+
+def test_a_miss_admitted_before_a_restart_is_dropped(monkeypatch):
+    fs, nn_a, reader, opened, before, after, reply = _served_after_a_restart(
+        monkeypatch, OpType.MKDIR, "/d/z", extra={"retry_id": (777, 1)})
+    assert opened == []  # no NDB transaction ran
+    assert after == before  # nothing served, failed or applied
+    assert isinstance(reply.value, HostUnreachableError)
+    assert nn_a.inflight == 0
+    with pytest.raises(FileNotFoundFsError):
+        run(fs, reader.stat("/d/z"))  # never created
+
+
+def test_a_probed_hit_admitted_before_a_restart_is_dropped(monkeypatch):
+    fs, nn_a, reader, opened, before, after, reply = _served_after_a_restart(
+        monkeypatch, OpType.STAT, "/d/f")
+    assert opened == []
+    assert after == before
+    assert isinstance(reply.value, HostUnreachableError)
     assert nn_a.inflight == 0

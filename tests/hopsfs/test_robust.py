@@ -452,13 +452,14 @@ def test_inflight_gauge_returns_to_zero():
         return True
 
     assert run(fs, scenario())
-    assert fs.namenodes[0]._inflight == 0
+    assert fs.namenodes[0].inflight == 0
 
 
 def test_a_restarted_nn_forgets_the_requests_it_died_with():
-    """Requests admitted before a crash die with the process: their NDB
-    replies are dropped, so they never finish.  The restarted NN must not
-    count them against admission, or it sheds everything it is sent."""
+    """Requests admitted before a crash die with the process: the crash
+    closes their tasks (their NDB replies would be dropped) and the life's
+    table with them.  The restarted NN must not count them against
+    admission, or it sheds everything it is sent."""
     fs = make_fs(num_namenodes=1, robust=RobustConfig(nn_max_inflight=2))
     nn, env = fs.namenodes[0], fs.env
     run(fs, fs.await_election())
@@ -478,8 +479,8 @@ def test_a_restarted_nn_forgets_the_requests_it_died_with():
     assert nn.inflight == 2
     env.run(until=env.now + 0.5)  # past the handler pool, waiting on NDB
     nn.shutdown()
+    assert nn.inflight == 0  # the crash closed the dead requests' tasks
     env.run(until=env.now + 5.0)
-    assert nn.inflight == 2  # the dead requests' processes never finish
     nn.restart()
     assert nn.inflight == 0
     shed = nn.ops_shed

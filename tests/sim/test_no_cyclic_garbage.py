@@ -16,6 +16,7 @@ from functools import partial
 from repro.chaos.scenarios import run_scenario
 from repro.errors import ReproError
 from repro.experiments.setups import SETUPS
+from repro.hopsfs.namenode import Namenode
 from repro.hopsfs.listcache import ListingCache, ListingCacheConfig
 from repro.metrics.collectors import MetricsCollector
 from repro.sim import Environment, Event, Task
@@ -242,6 +243,28 @@ def test_group_commit_retries_leave_no_cyclic_errors():
         result = run_scenario("async-commit-crash", setup="hopsfs-cl-3-3")
         namenodes = result.extra["harness"].deployment.namenodes
         assert sum(nn.committer.batches_committed for nn in namenodes) > 0
+    assert not found
+
+
+def test_a_crashed_namenodes_closed_tasks_leave_no_cyclic_garbage(monkeypatch):
+    """An NN crash closes the tasks of its life: its requests' ``_serve``
+    tasks and the group committer's drain, members and flushes.  A closed
+    driver still registered on an event (an NDB reply that will never
+    come) holds neither its generator nor a bound method of itself, so
+    nothing it leaves is a cycle."""
+    closed = Counter()
+    on_shutdown = Namenode._on_shutdown
+
+    def counting(nn):
+        closed["requests"] += sum(task is not None for task in nn._requests.values())
+        closed["committer"] += len(list(nn.committer.tasks()))
+        on_shutdown(nn)
+
+    monkeypatch.setattr(Namenode, "_on_shutdown", counting)
+    with _cyclic_garbage() as found:
+        result = run_scenario("async-commit-crash", setup="HopsFS (2,1)", clients=16)
+        assert result.all_green
+        assert closed["requests"] > 0 and closed["committer"] > 0, closed
     assert not found
 
 
