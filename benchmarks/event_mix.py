@@ -17,10 +17,11 @@ Tracing is schedule-neutral: every sequence number the untraced run
 consumes becomes one queued entry, network coalescing included.  So the
 entries per op sum to ``sim.events_per_op`` (the window's sequence numbers
 per completed op); the command prints both and exits 1 if they differ by
-more than 0.1 %.  It also tallies the tasks the window starts
-(``Environment.start``, which ``spawn`` goes through) per op by the
-``__qualname__`` of their body, with the datanode's (``NdbDatanode.*``)
-summed.  ``--tree`` runs the simulator and ``bench_e2e`` of another
+more than 0.1 %.  It also tallies the tasks the window starts per op by
+the ``__qualname__`` of their body, with the datanode's (``NdbDatanode.*``)
+summed: each ``Environment.start`` call, and each ``_Wakeup`` bootstrap of
+a ``spawn``-ed task (a tree whose ``spawn`` goes through ``start`` has
+only the former).  ``--tree`` runs the simulator and ``bench_e2e`` of another
 checkout whose trace sink receives whole ``(time, priority, seq, item)``
 entries.
 """
@@ -59,21 +60,32 @@ def _classify(item, deferred_mark, wakeup_mark) -> tuple:
     return "waiter", f"{type(item).__name__} -> {_name(cb1)}{extra}"
 
 
-class _MixSink:
-    """An ``env.trace`` sink that tallies each dispatched entry by kind."""
+def _body(generator) -> str:
+    return getattr(generator, "__qualname__", type(generator).__name__)
 
-    def __init__(self, mix: Counter, deferred_mark, wakeup_mark):
+
+class _MixSink:
+    """An ``env.trace`` sink that tallies each dispatched entry by kind, and
+    each spawned task's first step by body."""
+
+    def __init__(self, mix: Counter, tasks: Counter, deferred_mark, wakeup_mark, task_cls):
         self.mix = mix
+        self.tasks = tasks
         self.marks = (deferred_mark, wakeup_mark)
+        self.task_cls = task_cls
 
     def append(self, entry) -> None:
-        self.mix[_classify(entry[3], *self.marks)] += 1
+        item = entry[3]
+        self.mix[_classify(item, *self.marks)] += 1
+        if item._cb1 is self.marks[1] and item.source is None and type(item.process) is self.task_cls:
+            self.tasks[_body(item.process._generator)] += 1
 
 
 def traced_window(mix: Counter, tasks: Counter):
     """A stand-in for ``bench_e2e.harness._run_window`` that runs the window
     in one ``run`` traced into a :class:`_MixSink` over ``mix`` and tallies
     each task started into ``tasks``."""
+    from repro.sim import kernel
     from repro.sim.kernel import _DEFERRED_MARK, _WAKEUP_MARK, Environment
 
     real_start = Environment.start
@@ -81,8 +93,8 @@ def traced_window(mix: Counter, tasks: Counter):
 
     def start(env, generator):
         if window:
-            tasks[getattr(generator, "__qualname__", type(generator).__name__)] += 1
-        real_start(env, generator)
+            tasks[_body(generator)] += 1
+        return real_start(env, generator)
 
     # Installed for the whole repetition, not just the window: a callback
     # chain may hold a bound ``env.start`` from before the window (a
@@ -91,7 +103,7 @@ def traced_window(mix: Counter, tasks: Counter):
 
     def run_window(env, window_ms, spin, _profiler):
         # Tracing is what makes the tally exact (task ends, no coalescing).
-        env.trace = _MixSink(mix, _DEFERRED_MARK, _WAKEUP_MARK)
+        env.trace = _MixSink(mix, tasks, _DEFERRED_MARK, _WAKEUP_MARK, getattr(kernel, "Task", None))
         window.append(True)
         try:
             env.run(until=env.now + window_ms)  # the horizon of the window's last slice

@@ -88,7 +88,7 @@ class Mds(Server):
 
     # ------------------------------------------------------------------ life
     def _on_start(self) -> None:
-        self.spawn_once("journal", self._journal_loop)
+        self.spawn_loop("journal", self._journal_loop)
 
     def _on_restart(self) -> None:
         """Rejoin as an empty standby after a crash.
@@ -114,7 +114,7 @@ class Mds(Server):
     # ---------------------------------------------------------------- serving
     def _on_message(self, msg: Message) -> None:
         if msg.kind == "mds_op":
-            self.env.spawn(self._mds_op(msg))
+            self._requests[msg] = self.env.spawn(self._mds_op(msg))
         else:
             raise FsError(f"{self.addr}: unknown MDS message {msg.kind!r}")
 
@@ -144,29 +144,32 @@ class Mds(Server):
                 )
 
     def _mds_op_body(self, msg: Message, op: OpType, kwargs, client):
-        # Everything contends on the single MDS thread; journaled namespace
-        # mutations are substantially heavier than lookups.
-        cost = self.config.mds_mutation_cost_ms if op.mutates else self.config.mds_op_cost_ms
-        yield self.cpu.submit(cost)
-        if not self.running:
-            return
         try:
-            result, mutated_path = self._execute(op, kwargs)
-        except FsError as exc:
-            self.network.reply(msg, exc, ok=False)
-            return
-        self.ops_served += 1
-        if mutated_path is not None:
-            self.journal_pending_bytes += self.config.journal_entry_bytes
-            yield from self._revoke_capabilities(mutated_path, except_client=client)
-            parent = mutated_path.rsplit("/", 1)[0] or "/"
-            yield from self._revoke_capabilities(parent, except_client=client)
-        if op in (OpType.READ_FILE, OpType.STAT, OpType.EXISTS, OpType.LIST_DIR) and self.config.kclient_cache:
-            # Grant a capability so the kernel client may cache the inode.
-            yield self.cpu.submit(self.config.mds_cap_track_cost_ms)
-            self.capabilities.setdefault(kwargs["path"], set()).add(client)
-            self.cache_grants += 1
-        self.network.reply(msg, result, size=self.config.client_response_bytes)
+            # Everything contends on the single MDS thread; journaled
+            # namespace mutations are substantially heavier than lookups.
+            cost = self.config.mds_mutation_cost_ms if op.mutates else self.config.mds_op_cost_ms
+            yield self.cpu.submit(cost)
+            try:
+                result, mutated_path = self._execute(op, kwargs)
+            except FsError as exc:
+                self.network.reply(msg, exc, ok=False)
+                return
+            self.ops_served += 1
+            if mutated_path is not None:
+                self.journal_pending_bytes += self.config.journal_entry_bytes
+                yield from self._revoke_capabilities(mutated_path, except_client=client)
+                parent = mutated_path.rsplit("/", 1)[0] or "/"
+                yield from self._revoke_capabilities(parent, except_client=client)
+            if op in (OpType.READ_FILE, OpType.STAT, OpType.EXISTS, OpType.LIST_DIR) and self.config.kclient_cache:
+                # Grant a capability so the kernel client may cache the inode.
+                yield self.cpu.submit(self.config.mds_cap_track_cost_ms)
+                self.capabilities.setdefault(kwargs["path"], set()).add(client)
+                self.cache_grants += 1
+            self.network.reply(msg, result, size=self.config.client_response_bytes)
+        finally:
+            requests = self._requests
+            if msg in requests:  # else its life's table is gone
+                del requests[msg]
 
     def _revoke_capabilities(self, path: str, except_client) -> None:
         holders = self.capabilities.pop(path, set())
@@ -292,10 +295,8 @@ class Mds(Server):
     def _journal_loop(self):
         """Flush the journal to replicated OSD objects periodically."""
         seq = 0
-        while self.running:
+        while True:
             yield self.env.timeout(self.config.journal_flush_interval_ms)
-            if not self.running:
-                return
             if self.journal_pending_bytes == 0:
                 continue
             nbytes = self.journal_pending_bytes

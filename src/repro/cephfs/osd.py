@@ -40,40 +40,34 @@ class Osd(Server):
         self.objects: dict[str, int] = {}
 
     def _on_message(self, msg: Message) -> None:
-        self.env.spawn(self._handle(msg))
+        self._requests[msg] = self.env.spawn(self._handle(msg))
 
     def _handle(self, msg: Message):
         obs = self.env.obs
-        if obs is None:
-            yield from self._handle_body(msg)
-            return
-        span = obs.tracer.start(
+        span = None if obs is None else obs.tracer.start(
             f"osd.{msg.kind}", parent=msg.extra.get("span_id"),
             host=str(self.addr), az=self.az,
         )
         try:
-            yield from self._handle_body(msg)
-        finally:
-            obs.tracer.finish(span)
-
-    def _handle_body(self, msg: Message):
-        yield self.cpu.submit(self.cpu_cost_ms)
-        if not self.running:
-            return
-        if msg.kind == "osd_write":
-            name, nbytes = msg.payload
-            yield self.disk.write(nbytes)
-            if self.running:
+            yield self.cpu.submit(self.cpu_cost_ms)
+            if msg.kind == "osd_write":
+                name, nbytes = msg.payload
+                yield self.disk.write(nbytes)
                 self.objects[name] = self.objects.get(name, 0) + nbytes
                 self.network.reply(msg, True, size=64)
-        elif msg.kind == "osd_read":
-            name = msg.payload
-            nbytes = self.objects.get(name)
-            if nbytes is None:
-                self.network.reply(msg, FsError(f"no object {name}"), ok=False)
-                return
-            yield self.disk.read(nbytes)
-            if self.running:
+            elif msg.kind == "osd_read":
+                name = msg.payload
+                nbytes = self.objects.get(name)
+                if nbytes is None:
+                    self.network.reply(msg, FsError(f"no object {name}"), ok=False)
+                    return
+                yield self.disk.read(nbytes)
                 self.network.reply(msg, nbytes, size=max(64, nbytes))
-        else:
-            raise FsError(f"{self.addr}: unknown OSD message {msg.kind!r}")
+            else:
+                raise FsError(f"{self.addr}: unknown OSD message {msg.kind!r}")
+        finally:
+            if span is not None:
+                obs.tracer.finish(span)
+            requests = self._requests
+            if msg in requests:  # else its life's table is gone
+                del requests[msg]

@@ -60,24 +60,29 @@ class BlockStoreDatanode(Server):
         self.blocks: dict[int, int] = {}
 
     def _on_start(self) -> None:
-        self.spawn_once("dn-hb", self._heartbeat_loop)
+        self.spawn_loop("dn-hb", self._heartbeat_loop)
 
     # -- processes -----------------------------------------------------------
     def _on_message(self, msg: Message) -> None:
-        self.env.spawn(self._handle(msg))
+        self._requests[msg] = self.env.spawn(self._handle(msg))
 
     def _handle(self, msg: Message):
-        if msg.kind == "write_block":
-            yield from self._write_block(msg)
-        elif msg.kind == "read_block":
-            yield from self._read_block(msg)
-        elif msg.kind == "copy_block":
-            yield from self._copy_block(msg)
-        else:
-            raise FsError(f"{self.addr}: unknown DN message {msg.kind!r}")
+        try:
+            if msg.kind == "write_block":
+                yield from self._write_block(msg)
+            elif msg.kind == "read_block":
+                yield from self._read_block(msg)
+            elif msg.kind == "copy_block":
+                yield from self._copy_block(msg)
+            else:
+                raise FsError(f"{self.addr}: unknown DN message {msg.kind!r}")
+        finally:
+            requests = self._requests
+            if msg in requests:  # else its life's table is gone
+                del requests[msg]
 
     def _heartbeat_loop(self):
-        while self.running:
+        while True:
             for nn in self.namenode_addrs:
                 self.network.send(
                     Message(
@@ -94,8 +99,6 @@ class BlockStoreDatanode(Server):
     def _write_block(self, msg: Message):
         req: WriteBlockReq = msg.payload
         yield self.disk.write(req.nbytes)
-        if not self.running:
-            return
         self.blocks[req.block_id] = req.nbytes
         if req.hop + 1 < len(req.pipeline):
             nxt = WriteBlockReq(
@@ -124,8 +127,7 @@ class BlockStoreDatanode(Server):
             self.network.reply(msg, FsError(f"block {req.block_id} not here"), ok=False)
             return
         yield self.disk.read(size)
-        if self.running:
-            self.network.reply(msg, size, size=size)
+        self.network.reply(msg, size, size=size)
 
     def _copy_block(self, msg: Message):
         req: CopyBlockReq = msg.payload
@@ -142,5 +144,4 @@ class BlockStoreDatanode(Server):
         except HostUnreachableError as exc:
             self.network.reply(msg, FsError(f"copy failed: {exc}"), ok=False)
             return
-        if self.running:
-            self.network.reply(msg, True, size=64)
+        self.network.reply(msg, True, size=64)

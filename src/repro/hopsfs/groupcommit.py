@@ -18,13 +18,13 @@ sibling's still-prepared rows.  Non-grouped ops (reads, block ops) that
 touch a path prefix-related to anything pending first wait for the
 conflicting batches to settle — preserving read-your-writes on one NN.
 
-Crash semantics: a namenode crash closes the committer's processes — the
-drain, every member and every flush (:meth:`GroupCommitter.tasks`) — with
-the namenode's own tasks, so none of them runs on after the crash or stays
-parked on a reply addressed to the dead process; their open transactions
-are left to the cluster's inactivity reaper.  ``on_crash`` then marks each
-unsettled batch ``lost``: the flush RPC may or may not have reached the
-transaction coordinator, so the batch either commits fully (NDB applies
+Crash semantics: the committer files its drain and each unsettled batch
+(its members and its flush) with the namenode's loops, so a crash closes
+them with the rest of the namenode's life: none of them runs on after the
+crash or stays parked on a reply addressed to the dead process; their open
+transactions are left to the cluster's inactivity reaper.  ``on_crash``
+then marks each unsettled batch ``lost``: the flush RPC may or may not
+have reached the transaction coordinator, so the batch either commits fully (NDB applies
 the whole transaction) or aborts fully (take-over cleanup).  The chaos
 ``durability_horizon`` invariant audits exactly that: committed batches'
 writes all survive, lost/aborted batches apply all-or-nothing, and every
@@ -255,9 +255,6 @@ class _SyncCommit:
     def holds(self, op, kwargs) -> bool:
         return False  # nothing pending
 
-    def tasks(self) -> tuple:
-        return ()
-
     def on_crash(self) -> None:
         """Nothing to lose."""
 
@@ -315,6 +312,12 @@ class _BatchCtx:
         self.retry_exc = None  # set by a member that hit an NDB error
         self.landed = False  # set by an acked member's replay
 
+    def close(self) -> None:
+        """The namenode crashed: end the batch's processes."""
+        for proc in (*self.procs, self.flush):
+            if proc is not None:
+                proc.close()
+
 
 class GroupCommitter:
     """Per-namenode batching engine for the async metadata path.
@@ -367,9 +370,7 @@ class GroupCommitter:
             self.queue.append(_GroupOp(msg, op, fn, kwargs, retry_id, deadline_ms))
             self.ops_grouped += 1
             if self._proc is None or not self._proc.is_alive:
-                self._proc = self.env.process(
-                    self._drain(), name=f"{self.nn.addr}:group-commit"
-                )
+                self._proc = self.nn.spawn_loop("group-commit", self._drain)
             else:
                 self._poke()
             return True
@@ -448,17 +449,9 @@ class GroupCommitter:
         return len(self._unsettled())
 
     # ------------------------------------------------------------- crash
-    def tasks(self) -> list:
-        """Every process this committer runs, for the namenode to close when
-        it crashes: the drain, and each unsettled batch's members and flush
-        (None where there is none yet)."""
-        return [self._proc] + [
-            proc for ctx in self._unsettled() for proc in (*ctx.procs, ctx.flush)
-        ]
-
     def on_crash(self) -> None:
-        """The NN died and the namenode has closed :meth:`tasks`: every
-        unsettled batch's commit fate is ambiguous, so it settles as lost,
+        """The NN died and its crash has closed the drain and every unsettled
+        batch: each batch's commit fate is ambiguous, so it settles as lost,
         and the queue (requests never executed) is dropped."""
         for ctx in self._unsettled():
             self.ledger.lost_acks += sum(gop.ack_ms is not None for gop in ctx.members)
@@ -483,7 +476,7 @@ class GroupCommitter:
         while len(self._inflight) >= self.max_inflight_batches:
             yield self._settled()
         batch = self.ledger.open_batch(nn.addr)
-        ctx = _BatchCtx(batch)
+        ctx = nn._loops[batch] = _BatchCtx(batch)  # until it settles
         self._gather = ctx
         self._flush_now = False
         flush_deadline = env.now
@@ -709,6 +702,7 @@ class GroupCommitter:
         """Settle ``ctx``'s batch as ``state``, close its span with
         ``outcome``, drop it from the flush pipeline and wake waiters."""
         self.ledger.settle(ctx.batch, state)
+        self.nn._loops.pop(ctx.batch, None)
         if ctx.span is not None:
             self.env.obs.tracer.finish(
                 ctx.span, outcome=outcome, ops=len(ctx.members),

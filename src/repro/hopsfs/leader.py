@@ -47,7 +47,7 @@ class LeaderElectionService:
 
     def start(self) -> None:
         self.retired = False
-        self._loop_proc = self.nn.spawn_once("election", self._loop)
+        self._loop_proc = self.nn.spawn_loop("election", self._loop)
 
     def deregister(self):
         """Leave the election: stop the loop, then delete our leader row.
@@ -82,7 +82,7 @@ class LeaderElectionService:
 
     def _loop(self):
         env = self.nn.env
-        while self.nn.running and not self.retired:
+        while not self.retired:
             try:
                 yield from self._round()
             except (NdbError, TransactionAbortedError):

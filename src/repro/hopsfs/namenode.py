@@ -54,9 +54,9 @@ class Namenode(Server):
     that never hits, a commit part that leaves every op to its own
     transaction — so a request is one straight pipeline.
 
-    A life of the process (start to crash) keeps one table of the requests
-    it admitted: message -> its ``_serve`` task, or None while the request
-    is a callback chain (its handler-pool job queued, a probed hit being
+    A life's request table (``Server._requests``) holds the requests it
+    admitted: message -> its ``_serve`` task, or None while the request is
+    a callback chain (its handler-pool job queued, a probed hit being
     answered).  Admission and the ``inflight`` signal read its size.  A
     crash closes every task in it and in the commit part and starts a new
     table; a request its life's table no longer holds is dropped where it
@@ -118,7 +118,6 @@ class Namenode(Server):
         self.ops_served = 0
         self.ops_failed = 0
         self.ops_shed = 0
-        self._requests: dict = {}  # this life's admitted requests (see above)
         # Graceful decommission: a draining NN stops admitting new fs ops
         # (they bounce with ServerDrainingError) but finishes what it holds.
         # Rejections are counted separately from ops_shed so the autoscaler's
@@ -150,18 +149,14 @@ class Namenode(Server):
         self.draining = False
         if self._election_enabled:
             self.election.start()
-            self.spawn_once("dn-monitor", self._dn_monitor)
+            self.spawn_loop("dn-monitor", self._dn_monitor)
 
     def _on_shutdown(self) -> None:
-        """The process died, and its in-flight work with it: every task of
-        this life is closed here (an open NDB transaction is left to the
-        cluster's inactivity reaper), a request still queued on the pool
-        is dropped when its job ends, and the commit part settles its
-        unsettled batches as lost."""
-        requests, self._requests = self._requests, {}
-        for task in (*requests.values(), *self.committer.tasks()):
-            if task is not None:
-                task.close()
+        """The process died, and its in-flight work with it: the base has
+        closed this life's tasks and loops, the commit part's drain and
+        batches included (an open NDB transaction is left to the cluster's
+        inactivity reaper; a request still queued on the pool is dropped
+        when its job ends).  The unsettled batches settle as lost."""
         self.committer.on_crash()
 
     def _on_restart(self) -> None:
@@ -552,12 +547,13 @@ class Namenode(Server):
         """Leader-only: declare silent DNs dead and restore replication."""
         interval = self.config.dn_heartbeat_interval_ms
         deadline = interval * self.config.dn_missed_heartbeats
-        while self.running:
+        while True:
             yield self.env.timeout(interval)
-            if not self.running or not self.is_leader:
+            if not self.is_leader:
                 continue
             for dead in self.block_manager.check_expired(deadline):
-                self.env.spawn(self._rereplicate_from(dead))
+                # Filed with the loops: it ends with this life.
+                self._loops[f"rereplicate:{dead}"] = self.env.spawn(self._rereplicate_from(dead))
 
     def _rereplicate_from(self, dead: NodeAddress):
         for block_id, survivors in self.block_manager.under_replicated_on(dead):

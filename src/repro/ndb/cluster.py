@@ -103,25 +103,11 @@ class NdbCluster:
         self.started = True
         for dn in self.datanodes.values():
             dn.start()
-            dn.spawn_once("gcp", self._checkpoint_loop, dn)
         for mgmt in self.mgmt_nodes:
             mgmt.start()
         if heartbeats:
             self.heartbeats.watch(*self.datanodes.values())
             self._heartbeats_started = True
-
-    def _checkpoint_loop(self, dn: NdbDatanode):
-        """Global checkpoint: periodic redo/checkpoint flush to disk.
-
-        Nothing waits on the flush, so the IO thread and the disk are
-        charged and only the interval timer is scheduled."""
-        interval = self.config.global_checkpoint_interval_ms
-        while dn.running:
-            yield self.env.timeout(interval)
-            if not dn.running:
-                return
-            dn.io_pool.charge(self.config.costs.send_msg)
-            dn.disk.append(self.config.checkpoint_bytes)
 
     def is_operational(self) -> bool:
         return self.partition_map.cluster_viable() and any(
@@ -278,7 +264,6 @@ class NdbCluster:
             return
         disk = dn.store
         dn.restart()
-        dn.spawn_once("gcp", self._checkpoint_loop, dn)
         if self._heartbeats_started:
             self.heartbeats.watch(dn)
 

@@ -153,7 +153,8 @@ class NdbDatanode(Server):
 
     # ------------------------------------------------------------------ setup
     def _on_start(self) -> None:
-        self.spawn_once("txn-reaper", self._inactivity_reaper)
+        self.spawn_loop("txn-reaper", self._inactivity_reaper)
+        self.spawn_loop("gcp", self._checkpoint_loop)
 
     def shutdown(self, reason: str) -> None:
         """Stop serving; used for both crashes and arbitration losses."""
@@ -268,10 +269,8 @@ class NdbDatanode(Server):
         """
         timeout = self.cluster.config.inactive_timeout_ms
         interval = max(1.0, timeout / 2)
-        while self.running:
+        while True:
             yield self.env.timeout(interval)
-            if not self.running:
-                return
             now = self.env.now
             for txid, txn in list(self.txns.items()):
                 if txn.finished or now - txn.last_active_ms <= timeout:
@@ -281,6 +280,17 @@ class NdbDatanode(Server):
                 self._drop_txn(txid)
             while len(self._reaped) > 65536:
                 del self._reaped[next(iter(self._reaped))]
+
+    def _checkpoint_loop(self):
+        """Global checkpoint: periodic redo/checkpoint flush to disk.
+
+        Nothing waits on the flush, so the IO thread and the disk are
+        charged and only the interval timer is scheduled."""
+        config = self.cluster.config
+        while True:
+            yield self.env.timeout(config.global_checkpoint_interval_ms)
+            self.io_pool.charge(self.costs.send_msg)
+            self.disk.append(config.checkpoint_bytes)
 
     def _drop_txn(self, txid: int) -> None:
         txn = self.txns.pop(txid, None)
@@ -778,15 +788,20 @@ class NdbDatanode(Server):
         self._ldm_pool_for(0).call(self.costs.ldm_commit, self._release_locks, msg.payload)
 
     def _release_locks(self, release: ReleaseLocksMsg) -> None:
-        self._lock_tc.pop(release.txid, None)
-        self._commit_decided.pop(release.txid, None)
+        txid = release.txid
         if release.keys is None:
             # Abort path: roll back prepared rows and drop every lock.
-            self.store.abort_all(release.txid)
-            self.locks.release_all(release.txid)
+            self.store.abort_all(txid)
+            self.locks.release_all(txid)
         else:
             for key in release.keys:
-                self.locks.release(release.txid, key)
+                self.locks.release(txid, key)
+        # The take-over evidence goes only with the last of the transaction
+        # here: a read lock released at the commit point leaves a prepared
+        # row behind, whose commit the take-over must roll forward.
+        if not self.locks.holds_any(txid):
+            self._lock_tc.pop(txid, None)
+            self._commit_decided.pop(txid, None)
         self.env.end_task()
 
     # ------------------------------------------------------------- heartbeat

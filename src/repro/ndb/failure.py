@@ -36,8 +36,8 @@ class HeartbeatProtocol:
     def watch(self, *datanodes) -> None:
         """Put ``datanodes`` in the ring: each heartbeats and checks its predecessor."""
         for datanode in datanodes:
-            datanode.spawn_once("hb-send", self._sender, datanode)
-            datanode.spawn_once("hb-check", self._checker, datanode)
+            datanode.spawn_loop("hb-send", self._sender, datanode)
+            datanode.spawn_loop("hb-check", self._checker, datanode)
 
     # -- ring topology ---------------------------------------------------------
     def _ring(self) -> list[NodeAddress]:
@@ -65,7 +65,7 @@ class HeartbeatProtocol:
     # -- processes -----------------------------------------------------------
     def _sender(self, datanode):
         interval = self.config.heartbeat_interval_ms
-        while datanode.running:
+        while True:
             successor = self._successor(datanode.addr)
             if successor is not None:
                 self.network.send(
@@ -83,10 +83,8 @@ class HeartbeatProtocol:
         interval = self.config.heartbeat_interval_ms
         deadline = interval * self.config.heartbeat_misses_for_failure
         watch_since: dict[NodeAddress, float] = {}
-        while datanode.running:
+        while True:
             yield self.env.timeout(interval)
-            if not datanode.running:
-                return
             predecessor = self._predecessor(datanode.addr)
             if predecessor is None:
                 continue

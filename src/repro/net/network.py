@@ -13,7 +13,8 @@ calling the handler its destination registered; one sent to an address
 with no handler (a client host, a server not yet started) is dropped.  A
 reply completes its RPC in the delivery itself.  RPCs fail fast with
 :class:`HostUnreachableError` when their peer dies or is cut off —
-modelling the TCP connection reset a real client would observe.
+modelling the TCP connection reset a real client would observe.  An RPC
+whose caller dies is dropped: nothing is left to hear its reply.
 """
 
 from __future__ import annotations
@@ -189,10 +190,21 @@ class Network:
         return address not in self._down
 
     def set_down(self, address: NodeAddress) -> None:
-        """Crash a host: drop mail delivered to it, fail RPCs awaiting it."""
+        """Crash a host: drop mail delivered to it, fail RPCs awaiting it.
+
+        The RPCs it issued die with it: they leave the pending table
+        without firing, so no reply, even one that arrives after a restart,
+        resumes work of the life that issued them."""
         if address in self._down:
             return
         self._down.add(address)
+        pending = self._pending
+        for rpc_id in [rpc_id for rpc_id, rpc in pending.items() if rpc.src == address]:
+            # Its waiters go with it: a condition observing an event that
+            # never fires would be a reference cycle.
+            rpc = pending.pop(rpc_id)
+            rpc._cb1 = None
+            rpc._cbs = None
         self._fail_pending(lambda src, dst: dst == address)
 
     def set_up(self, address: NodeAddress) -> None:
@@ -444,7 +456,8 @@ class Network:
         done._defused = False
         done.src = src
         done.dst = dst
-        self._pending[rpc_id] = done
+        if src not in self._down:  # else it died with its caller (set_down)
+            self._pending[rpc_id] = done
         message = Message(src, dst, kind, payload, size, rpc_id)
         if extra:
             message.extra = dict(extra)

@@ -4,7 +4,7 @@ Every daemon of the three layers (NDB datanodes and management nodes,
 namenodes, block datanodes) and of the CephFS baseline (MDS, OSD, kernel
 client) is a :class:`Server`.  The base enforces what used to be a per-class
 convention: across any crash/restart sequence an address has exactly one
-handler and each named background loop runs at most once.  Subclasses
+handler and each named background loop runs once per life.  Subclasses
 supply ``_on_message`` and the hooks; they never touch ``Network.register``,
 ``Process.is_alive`` or ``Network.set_down``/``set_up``.
 
@@ -13,15 +13,20 @@ which calls it from the delivery of each request.  Before the first
 ``start`` the address has no handler, so a request to it is dropped and its
 RPC fails.
 
-Crash model: ``shutdown`` takes the address off the network (mail delivered
-to it is dropped, RPCs awaiting it fail) and clears ``running``.  Background
-loops are not interrupted — each is written ``while self.running: ...`` so
-it exits at its next wake-up.  A ``restart`` that beats that wake-up
-therefore finds the old loop alive and must not start a second one: that is
-``spawn_once``.  In-flight request work is the subclass's to end in
-``_on_shutdown``: a namenode closes (``Task.close`` / ``Process.close``)
-every task of the life that crashed, so none of it runs on after the crash
-or parks forever on a reply addressed to the dead process.
+Crash model (crash-stop): a life of the process runs from ``start`` to
+``shutdown``, and a crash ends everything the life started.  Each life
+keeps two tables: ``_requests``, request message -> the task serving it
+(None while the request is a callback chain), and ``_loops``, key -> its
+background work (``spawn_loop``'s named loops, and whatever else with a
+``close`` a subclass files there).  ``shutdown`` takes the address off the
+network, which drops the RPCs this host issued (no reply can reach them)
+and fails those awaiting it, and then closes (``Task.close`` /
+``Process.close``) everything in both tables: none of it runs on, and a
+closed task still waiting ends at its wake-up as if its generator
+returned there.  A ``finally`` in a request task or loop must therefore
+not yield.  A ``restart`` starts every loop afresh.  A request task
+removes itself from its life's table when it ends; one whose life's table
+is gone removes nothing.
 """
 
 from __future__ import annotations
@@ -42,15 +47,12 @@ class Server:
         self.addr = addr
         self.az = az
         self.running = False
-        self._loops: dict[str, Process] = {}
+        self._requests: dict = {}  # this life's requests (see above)
+        self._loops: dict = {}  # this life's background work (see above)
 
-    def spawn_once(self, name: str, gen_fn, *args) -> Process:
-        """Run ``gen_fn(*args)`` as ``<addr>:<name>`` unless that loop is alive."""
-        proc = self._loops.get(name)
-        if proc is None or not proc.is_alive:
-            proc = self._loops[name] = self.env.process(
-                gen_fn(*args), name=f"{self.addr}:{name}"
-            )
+    def spawn_loop(self, name: str, gen_fn, *args) -> Process:
+        """Run ``gen_fn(*args)`` as ``<addr>:<name>`` until this life ends."""
+        proc = self._loops[name] = self.env.process(gen_fn(*args), name=f"{self.addr}:{name}")
         return proc
 
     # ------------------------------------------------------------------ life
@@ -62,11 +64,17 @@ class Server:
         self._on_start()
 
     def shutdown(self) -> None:
-        """Crash-stop: volatile state is the subclass's to drop or keep."""
+        """Crash-stop: the life's tasks and loops end here; volatile state
+        is the subclass's to drop or keep."""
         if not self.running:
             return
         self.running = False
         self.network.set_down(self.addr)
+        requests, self._requests = self._requests, {}
+        loops, self._loops = self._loops, {}
+        for task in (*requests.values(), *loops.values()):
+            if task is not None:
+                task.close()
         self._on_shutdown()
 
     def restart(self) -> None:
@@ -78,12 +86,12 @@ class Server:
 
     # ----------------------------------------------------------------- hooks
     def _on_message(self, msg: Message) -> None:
-        """Handle one delivered request without blocking: start a task or
-        act inline."""
+        """Handle one delivered request without blocking: start a task (filed
+        in ``_requests``) or act inline."""
         raise NotImplementedError
 
     def _on_start(self) -> None:
-        """Spawn this server's background loops (``spawn_once``), in order."""
+        """Spawn this server's background loops (``spawn_loop``), in order."""
 
     def _on_shutdown(self) -> None:
         """Settle what a crash leaves behind outside this process."""

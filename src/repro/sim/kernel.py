@@ -50,6 +50,7 @@ Hot-path design (see DESIGN.md §4 "Kernel performance"):
 * A task or process can be closed (``close``): its generator ends at once,
   ``finally`` blocks included, and its next wake-up, success or failure,
   ends the driver as a generator returning there would.
+  A closed process lets go of its waiters.
 * ``Environment.run`` is the kernel's only dispatch loop, inlined with all
   per-step attribute lookups hoisted into locals.  ``step`` and
   ``run_process`` stop it with a marker entry; a traced run rebinds its two
@@ -503,6 +504,12 @@ def _close(self) -> None:
     never comes leaves nothing to run.  A finished or closed driver is left
     as it is.
 
+    A closed process lets go of whoever waits on it: what waits on closed
+    work is closed work too (a crashed server's), and a condition left
+    observing a process whose wake-up never comes would hold condition ->
+    ``events`` -> process -> observer -> condition as a reference cycle.
+    Its end, if it comes, triggers the process with nobody to resume.
+
     A driver closed from inside its own step (a server that crashes under
     the request it is serving) runs that step to its end: a generator that
     returns ends as usual, one that yields is closed by reference counting
@@ -510,6 +517,8 @@ def _close(self) -> None:
     generator = self._generator
     if generator is not None and generator is not _CLOSED:
         self._generator, self._send = _CLOSED, _CLOSED.send
+        if isinstance(self, Event):  # a process: its waiters go
+            self._cb1 = self._cbs = None
         if not generator.gi_running:  # else its running step registers its wait
             # The waited event holds the resume callback; the driver need not.
             self._resume_cb = None
@@ -553,7 +562,8 @@ class Task:
     but a task is not an event: no value, no waiters, no name.
     :meth:`Environment.start` runs its first step in the current dispatch;
     :meth:`Environment.spawn` queues that first step the way a process
-    bootstrap is queued.
+    bootstrap is queued.  Both return the task, which its owner may
+    :meth:`close`.
 
     *Sequence parity.*  The end of a process nobody waits on queues an
     entry whose untraced dispatch runs nothing.  A task's end
@@ -570,6 +580,16 @@ class Task:
     _resume = _resume
     _fail_non_event = _fail_non_event
     close = _close
+
+    def __init__(self, env: "Environment", generator: Generator):
+        try:
+            self._send = generator.send
+        except AttributeError:
+            raise SimulationError(f"task requires a generator, got {generator!r}") from None
+        self.env = env
+        self._generator = generator
+        # Task -> bound method -> Task: broken by _retire at the task's end.
+        self._resume_cb = self._resume
 
     def _finish(self, _value: Any) -> None:
         self._resume_cb = self._send = self._generator = None  # _retire, inlined
@@ -732,23 +752,12 @@ class Environment:
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 
-    def start(self, generator: Generator, _new=Task.__new__, _cls=Task) -> Task:
+    def start(self, generator: Generator) -> Task:
         """Run ``generator`` as a :class:`Task`, its first step right now,
         inside the current dispatch; returns the task.  Consumes no sequence
         number to start."""
-        try:
-            send = generator.send
-        except AttributeError:
-            raise SimulationError(
-                f"task requires a generator, got {generator!r}"
-            ) from None
-        task = _new(_cls)
-        task.env = self
-        task._generator = generator
-        task._send = send
-        # Task -> bound method -> Task: broken by _retire at the task's end.
-        resume = task._resume_cb = task._resume
-        resume(None)
+        task = Task(self, generator)
+        task._resume_cb(None)
         return task
 
     def end_task(self) -> None:
@@ -769,15 +778,16 @@ class Environment:
         self._seq += 1
         self._ready.append((self.now, PRIORITY_NORMAL, self._seq, entry))
 
-    def spawn(self, generator: Generator) -> None:
-        """Run ``generator`` as a task from a bootstrap slot, like ``process``:
-        ``call_soon(start, generator)``, inlined (one call per spawned task
-        fewer, what a task's ``end_task`` call costs)."""
-        entry = _Deferred.__new__(_Deferred)
-        entry.fn = self.start
-        entry.arg = generator
+    def spawn(self, generator: Generator) -> Task:
+        """Run ``generator`` as a :class:`Task` whose first step takes a
+        bootstrap slot, as a process's does; returns the task."""
+        task = Task(self, generator)
+        wakeup = _Wakeup.__new__(_Wakeup)
+        wakeup.process = task
+        wakeup.source = None
         self._seq += 1
-        self._ready.append((self.now, PRIORITY_NORMAL, self._seq, entry))
+        self._ready.append((self.now, PRIORITY_NORMAL, self._seq, wakeup))
+        return task
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

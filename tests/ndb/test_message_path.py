@@ -50,7 +50,7 @@ def test_a_checkpoint_tick_schedules_only_its_next_interval(harness):
     env = harness.env
     cluster = harness.cluster
     dn = _datanode(harness)
-    loop = cluster._checkpoint_loop(dn)
+    loop = dn._checkpoint_loop()
     next(loop)  # parked on its first interval timer
     seq, queue, ready = _schedule(env)
     io_busy, written = dn.io_pool.busy_time, dn.disk.bytes_written

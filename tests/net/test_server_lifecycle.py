@@ -1,7 +1,9 @@
 """The `Server` lifecycle contract, once, for every daemon class.
 
 Across any crash/restart sequence an address has exactly one handler and
-each named background loop runs exactly once; mail sent to a down server is
+each named background loop runs once per life (a crash closes it, the
+restart starts it afresh; a closed loop counts as ended even while its
+last wake-up is still queued); mail sent to a down server is
 dropped, counted and fails its RPC; the first mail after a restart is
 handled once; `start()` / `restart()` on a running server do nothing.  A
 server that was built but never started has no handler: its mail is
@@ -26,6 +28,7 @@ from repro.ndb.management import ManagementNode
 from repro.net import Network, build_us_west1
 from repro.net.server import Server
 from repro.sim import Environment
+from repro.sim.kernel import _CLOSED
 from repro.types import NodeAddress, NodeKind
 
 # class -> (setup, where the harness keeps its instances)
@@ -126,9 +129,10 @@ def test_lifecycle_contract(cls, spawned):
 
     assert handled == ["first-0", "first-1", "first-2"]
     assert "receive" not in server._loops
-    for name in server._loops:
-        live = [p for p in spawned if p.name == f"{server.addr}:{name}" and p.is_alive]
-        assert len(live) == 1, (name, len(live))
+    for name, loop in server._loops.items():
+        same = [p for p in spawned if p.name == f"{server.addr}:{name}"]
+        running = [p for p in same if p.is_alive and p._generator is not _CLOSED]
+        assert running == [loop] and same[-1] is loop, (name, len(running))
 
 
 class _Echo(Server):

@@ -14,7 +14,7 @@ import pytest
 from repro.errors import HostUnreachableError
 from repro.sim import DispatchHash, Environment
 
-LAUNCHES = ["start", "process"]
+LAUNCHES = ["start", "spawn", "process"]
 FATES = ["succeeds", "fails", "never"]
 
 
@@ -87,6 +87,14 @@ def test_closing_twice_or_after_the_end_does_nothing(how):
 
 
 def test_a_process_closed_before_its_first_step_never_runs():
+    _closed_before_its_first_step("process")
+
+
+def test_a_spawned_task_closed_before_its_first_step_never_runs():
+    _closed_before_its_first_step("spawn")
+
+
+def _closed_before_its_first_step(how):
     def run(closed):
         env = Environment()
         env.trace = DispatchHash()
@@ -100,7 +108,7 @@ def test_a_process_closed_before_its_first_step_never_runs():
             return
             yield  # a generator that returns at its first step
 
-        driver = env.process(body() if closed else twin())
+        driver = _launch(env, how, body() if closed else twin())
         if closed:
             driver.close()
         env.run()
@@ -146,3 +154,24 @@ def test_a_driver_closed_inside_its_own_step_finishes_that_step(how):
     # The twin of the closed run returns at its wake-up at t=2: the same
     # sequence numbers, since resuming into the finally schedules nothing.
     assert closed_hash == _hash
+
+
+def test_a_closed_process_lets_go_of_its_waiters():
+    """What waits on closed work is closed work too: a condition over a
+    closed process whose wake-up never comes is let go of, so the two hold
+    no reference cycle; the process still ends at a wake-up that comes."""
+    env = Environment()
+    never, later = env.event(), env.event()
+
+    def body():
+        yield later
+
+    proc = env.process(body())
+    cond = env.all_of([proc, never])
+    env.run()
+    assert proc._cb1 == cond._observe
+    proc.close()
+    assert proc._cb1 is None and proc._cbs is None
+    later.succeed()
+    env.run()
+    assert not proc.is_alive and not cond.triggered

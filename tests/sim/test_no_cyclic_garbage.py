@@ -16,11 +16,13 @@ from functools import partial
 from repro.chaos.scenarios import run_scenario
 from repro.errors import ReproError
 from repro.experiments.setups import SETUPS
+from repro.hopsfs.groupcommit import _BatchCtx
 from repro.hopsfs.namenode import Namenode
 from repro.hopsfs.listcache import ListingCache, ListingCacheConfig
 from repro.metrics.collectors import MetricsCollector
-from repro.sim import Environment, Event, Task
-from repro.sim.kernel import _Deferred
+from repro.net.server import Server
+from repro.sim import Environment, Event, Process, Task
+from repro.sim.kernel import _CLOSED, _Deferred
 from repro.workloads.driver import ClosedLoopDriver
 from repro.workloads.namespace import generate_namespace
 from repro.workloads.spotify import SpotifyWorkload
@@ -248,23 +250,26 @@ def test_group_commit_retries_leave_no_cyclic_errors():
 
 def test_a_crashed_namenodes_closed_tasks_leave_no_cyclic_garbage(monkeypatch):
     """An NN crash closes the tasks of its life: its requests' ``_serve``
-    tasks and the group committer's drain, members and flushes.  A closed
-    driver still registered on an event (an NDB reply that will never
-    come) holds neither its generator nor a bound method of itself, so
-    nothing it leaves is a cycle."""
+    tasks and the group committer's drain, members and flushes, and the
+    network drops the RPCs they issued.  So nothing keeps a closed task or
+    process reachable: reference counting frees each one (the closed
+    group-commit members and the flush's condition over them included),
+    and none is left behind as a cycle either."""
     closed = Counter()
-    on_shutdown = Namenode._on_shutdown
 
     def counting(nn):
         closed["requests"] += sum(task is not None for task in nn._requests.values())
-        closed["committer"] += len(list(nn.committer.tasks()))
-        on_shutdown(nn)
+        closed["batches"] += sum(isinstance(work, _BatchCtx) for work in nn._loops.values())
+        Server.shutdown(nn)
 
-    monkeypatch.setattr(Namenode, "_on_shutdown", counting)
+    monkeypatch.setattr(Namenode, "shutdown", counting)
     with _cyclic_garbage() as found:
         result = run_scenario("async-commit-crash", setup="HopsFS (2,1)", clients=16)
         assert result.all_green
-        assert closed["requests"] > 0 and closed["committer"] > 0, closed
+        assert closed["requests"] > 0 and closed["batches"] > 0, closed
+        left = [o for o in gc.get_objects()
+                if isinstance(o, (Task, Process)) and o._generator is _CLOSED]
+        assert not left, [getattr(o, "name", "task") for o in left]
     assert not found
 
 
