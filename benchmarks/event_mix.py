@@ -2,6 +2,7 @@
 """What the kernel dispatches per simulated op, by kind of entry.
 
     python3 benchmarks/event_mix.py --workload W [--seed S] [--tree DIR]
+                                    [--allow-task BODY ...]
 
 Runs one ``bench_e2e`` repetition of workload ``W`` (full size, seed ``S``)
 with its measured window traced into a sink that sorts every dispatched
@@ -23,7 +24,9 @@ summed: each ``Environment.start`` call, and each ``_Wakeup`` bootstrap of
 a ``spawn``-ed task (a tree whose ``spawn`` goes through ``start`` has
 only the former).  ``--tree`` runs the simulator and ``bench_e2e`` of another
 checkout whose trace sink receives whole ``(time, priority, seq, item)``
-entries.
+entries.  With ``--allow-task BODY`` (repeatable) it also exits 1 if the
+window starts a task whose body is not one of those listed, so a request
+path that falls back to a task fails the run.
 """
 
 from __future__ import annotations
@@ -122,6 +125,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/ and bench_e2e/ run (default: this one)")
+    parser.add_argument("--allow-task", action="append", metavar="BODY",
+                        help="a task body the window may start (repeatable): any other fails")
     args = parser.parse_args(argv)
     if os.environ.get("PYTHONHASHSEED") != "0":  # as bench_e2e/run.py pins it
         os.execve(sys.executable, [sys.executable] + sys.orig_argv[1:],
@@ -158,10 +163,16 @@ def main(argv=None) -> int:
     ndb = sum(n for what, n in tasks.items() if what.startswith("NdbDatanode."))
     print(f"{sum(tasks.values()) / ops:10.3f}  tasks started per op, "
           f"{ndb / ops:.3f} of them NdbDatanode.*")
+    status = 0
     if gap > TOLERANCE:
         print(f"the kinds do not sum to sim.events_per_op within {TOLERANCE:.1%}")
-        return 1
-    return 0
+        status = 1
+    if args.allow_task is not None:
+        unlisted = sorted(set(tasks) - set(args.allow_task))
+        if unlisted:
+            print(f"the window starts tasks not allowed: {', '.join(unlisted)}")
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

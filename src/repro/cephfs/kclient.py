@@ -120,4 +120,4 @@ class CephClient(FsClient, Server):
     _request_loop = _op_body
 
     def create(self, path: str, data: bytes = b""):
-        return self.op(OpType.CREATE_FILE, path=path, data=data)
+        return self.run(OpType.CREATE_FILE, {"path": path, "data": data})

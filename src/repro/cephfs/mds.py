@@ -35,6 +35,9 @@ from .config import CephConfig
 
 __all__ = ["Mds", "MdsInode"]
 
+# Read ops whose reply grants the client a capability on the inode.
+_GRANTING = frozenset({OpType.READ_FILE, OpType.STAT, OpType.EXISTS, OpType.LIST_DIR})
+
 
 class MdsInode(NamedTuple):
     """Metadata snapshot returned to clients (and cached by them); an
@@ -113,75 +116,103 @@ class Mds(Server):
 
     # ---------------------------------------------------------------- serving
     def _on_message(self, msg: Message) -> None:
-        if msg.kind == "mds_op":
-            self._requests[msg] = self.env.spawn(self._mds_op(msg))
-        else:
+        if msg.kind != "mds_op":
             raise FsError(f"{self.addr}: unknown MDS message {msg.kind!r}")
+        self._requests[msg] = None
+        self.env.call_soon(self._begin, msg)
 
-    def _mds_op(self, msg: Message):
-        """The generator serving one request (plain function: the untraced
-        task runs the body directly, with no wrapper frame to resume)."""
-        op, kwargs, client = msg.payload
+    # A request is a callback chain to its end.  ``_begin`` opens its span
+    # and queues the op on the core; the job's completion runs ``_run``.
+    # Each capability revoke and the capability grant is one more core job
+    # whose completion runs the next stage (``_revoked``, ``_granted``),
+    # where a task waiting on that job would resume.  ``_end`` ends the
+    # chain where the task would end.  A stage whose request its life's
+    # table no longer holds (a crash dropped it) does nothing but end it.
+    def _begin(self, msg: Message) -> None:
+        if msg not in self._requests:
+            return self._end(msg, None, False)
+        op = msg.payload[0]
         obs = self.env.obs
-        if obs is None:
-            return self._mds_op_body(msg, op, kwargs, client)
-        return self._traced_mds_op(obs, msg, op, kwargs, client)
+        span = None if obs is None else obs.tracer.start(
+            "mds.handle", parent=msg.extra.get("span_id"), host=str(self.addr), az=self.az,
+            op=op.value, rank=self.rank)
+        # Everything contends on the single MDS thread; journaled
+        # namespace mutations are substantially heavier than lookups.
+        cfg = self.config
+        cost = cfg.mds_mutation_cost_ms if op.mutates else cfg.mds_op_cost_ms
+        self.cpu.call(cost, self._run, (msg, span))
 
-    def _traced_mds_op(self, obs, msg: Message, op: OpType, kwargs, client):
-        span = obs.tracer.start(
-            "mds.handle", parent=msg.extra.get("span_id"),
-            host=str(self.addr), az=self.az, op=op.value, rank=self.rank,
-        )
+    def _run(self, arg) -> None:
+        msg, span = arg
+        if msg not in self._requests:
+            return self._end(msg, span, False)
+        op, kwargs, _client = msg.payload
         try:
-            yield from self._mds_op_body(msg, op, kwargs, client)
-        finally:
-            obs.tracer.finish(span)
-            ts = obs.timeseries
-            if ts is not None:
-                now = self.env.now
-                ts.component_sample(
-                    "mds.handle", str(self.addr), now - span.start_ms, True, now,
-                )
-
-    def _mds_op_body(self, msg: Message, op: OpType, kwargs, client):
-        try:
-            # Everything contends on the single MDS thread; journaled
-            # namespace mutations are substantially heavier than lookups.
-            cost = self.config.mds_mutation_cost_ms if op.mutates else self.config.mds_op_cost_ms
-            yield self.cpu.submit(cost)
-            try:
-                result, mutated_path = self._execute(op, kwargs)
-            except FsError as exc:
-                self.network.reply(msg, exc, ok=False)
-                return
-            self.ops_served += 1
-            if mutated_path is not None:
-                self.journal_pending_bytes += self.config.journal_entry_bytes
-                yield from self._revoke_capabilities(mutated_path, except_client=client)
-                parent = mutated_path.rsplit("/", 1)[0] or "/"
-                yield from self._revoke_capabilities(parent, except_client=client)
-            if op in (OpType.READ_FILE, OpType.STAT, OpType.EXISTS, OpType.LIST_DIR) and self.config.kclient_cache:
-                # Grant a capability so the kernel client may cache the inode.
-                yield self.cpu.submit(self.config.mds_cap_track_cost_ms)
-                self.capabilities.setdefault(kwargs["path"], set()).add(client)
-                self.cache_grants += 1
+            result, mutated_path = self._execute(op, kwargs)
+        except FsError as exc:
+            self.network.reply(msg, exc, ok=False)
+            return self._end(msg, span, False)
+        self.ops_served += 1
+        if mutated_path is not None:
+            self.journal_pending_bytes += self.config.journal_entry_bytes
+            parent = mutated_path.rsplit("/", 1)[0] or "/"
+            self._revoke(msg, span, result, (mutated_path, parent))
+        elif op in _GRANTING and self.config.kclient_cache:
+            # Grant a capability so the kernel client may cache the inode.
+            self.cpu.call(self.config.mds_cap_track_cost_ms, self._granted, (msg, span, result))
+        else:
             self.network.reply(msg, result, size=self.config.client_response_bytes)
-        finally:
-            requests = self._requests
-            if msg in requests:  # else its life's table is gone
-                del requests[msg]
+            self._end(msg, span)
 
-    def _revoke_capabilities(self, path: str, except_client) -> None:
-        holders = self.capabilities.pop(path, set())
-        holders.discard(except_client)
-        if not holders:
-            return
-        yield self.cpu.submit(self.config.mds_cap_revoke_cost_ms * len(holders))
+    def _revoke(self, msg: Message, span, result, paths: tuple) -> None:
+        """Revoke every other holder's capability on each of ``paths`` in
+        turn (the core pays per holder, then ``_revoked`` notifies them),
+        then reply."""
+        capabilities, client = self.capabilities, msg.payload[2]
+        for index, path in enumerate(paths):
+            holders = capabilities.pop(path, set())
+            holders.discard(client)
+            if holders:
+                cost = self.config.mds_cap_revoke_cost_ms * len(holders)
+                rest = paths[index + 1:]
+                return self.cpu.call(cost, self._revoked, (msg, span, result, path, holders, rest))
+        self.network.reply(msg, result, size=self.config.client_response_bytes)
+        self._end(msg, span)
+
+    def _revoked(self, arg) -> None:
+        msg, span, result, path, holders, rest = arg
+        if msg not in self._requests:
+            return self._end(msg, span, False)
         # Sorted: revoke-message order must not depend on set iteration order.
         for holder in sorted(holders):
-            self.network.send(
-                Message(src=self.addr, dst=holder, kind="cap_revoke", payload=path, size=96)
-            )
+            self.network.send(Message(self.addr, holder, "cap_revoke", path, 96))
+        self._revoke(msg, span, result, rest)
+
+    def _granted(self, arg) -> None:
+        msg, span, result = arg
+        if msg not in self._requests:
+            return self._end(msg, span, False)
+        _op, kwargs, client = msg.payload
+        self.capabilities.setdefault(kwargs["path"], set()).add(client)
+        self.cache_grants += 1
+        self.network.reply(msg, result, size=self.config.client_response_bytes)
+        self._end(msg, span)
+
+    def _end(self, msg: Message, span, ok: bool = True) -> None:
+        """End ``msg``'s chain: out of its life's table, its span closed and
+        its latency sampled with the outcome (a dropped request failed),
+        then the task end."""
+        requests = self._requests
+        if msg in requests:
+            del requests[msg]
+        if span is not None:
+            obs = self.env.obs
+            obs.tracer.finish(span, ok=ok)
+            if obs.timeseries is not None:
+                now = self.env.now
+                obs.timeseries.component_sample(
+                    "mds.handle", str(self.addr), now - span.start_ms, ok, now)
+        self.env.end_task()
 
     # ------------------------------------------------------------- operations
     def _execute(self, op: OpType, kwargs) -> tuple[object, Optional[str]]:

@@ -1,10 +1,12 @@
 """What the HopsFS and the CephFS client have in common.
 
-Both hand a driver the same surface: ``op(OpType, **kwargs)`` returns the
-generator that runs one metadata operation, and ``mkdir`` / ``stat`` /
-``rename`` ... are plain stubs over it.  A subclass supplies ``env``,
-``addr``, ``az`` and ``_request_loop(op, kwargs, span)``, the generator
-that talks to its metadata servers.
+Both hand a driver the same surface: ``run(OpType, kwargs)`` returns the
+generator that runs one metadata operation, with the caller's ``kwargs``
+dict handed to the request loop as it is (drivers pass the workload's
+dict), and ``op(OpType, **kwargs)``, ``mkdir`` / ``stat`` / ``rename`` ...
+are plain stubs over it.  A subclass supplies ``env``, ``addr``, ``az``
+and ``_request_loop(op, kwargs, span)``, the generator that talks to its
+metadata servers.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ class FsClient:
     # client that can fail over (HopsFS) ever sets it.
     last_op_failures = 0
 
-    def op(self, op: OpType, obs_parent=None, **kwargs):
+    def run(self, op: OpType, kwargs: dict, obs_parent=None):
         """The generator that runs one metadata operation (``yield from`` it).
 
         A plain function: untraced, it hands back the request loop's own
-        generator, so a resume crosses no wrapper frame.  ``obs_parent``
-        nests this op's span under an enclosing data-path span when tracing.
+        generator, so a resume crosses no wrapper frame.  ``kwargs`` is the
+        op's arguments, not copied.  ``obs_parent`` nests this op's span
+        under an enclosing data-path span when tracing.
         """
         obs = self.env.obs
         if obs is None:
@@ -54,27 +57,30 @@ class FsClient:
             # ``last_op_failures`` as it exited, just now.
             obs.tracer.finish(span, retries=self.last_op_failures)
 
-    # Stubs: each returns ``op``'s generator itself, so they add no frame.
+    # Stubs: each returns ``run``'s generator itself, so they add no frame.
+    def op(self, op: OpType, obs_parent=None, **kwargs):
+        return self.run(op, kwargs, obs_parent)
+
     def mkdir(self, path: str):
-        return self.op(OpType.MKDIR, path=path)
+        return self.run(OpType.MKDIR, {"path": path})
 
     def read(self, path: str):
-        return self.op(OpType.READ_FILE, path=path)
+        return self.run(OpType.READ_FILE, {"path": path})
 
     def stat(self, path: str):
-        return self.op(OpType.STAT, path=path)
+        return self.run(OpType.STAT, {"path": path})
 
     def exists(self, path: str):
-        return self.op(OpType.EXISTS, path=path)
+        return self.run(OpType.EXISTS, {"path": path})
 
     def listdir(self, path: str):
-        return self.op(OpType.LIST_DIR, path=path)
+        return self.run(OpType.LIST_DIR, {"path": path})
 
     def delete(self, path: str, recursive: bool = False):
-        return self.op(OpType.DELETE_FILE, path=path, recursive=recursive)
+        return self.run(OpType.DELETE_FILE, {"path": path, "recursive": recursive})
 
     def rename(self, src: str, dst: str):
-        return self.op(OpType.RENAME, src=src, dst=dst)
+        return self.run(OpType.RENAME, {"src": src, "dst": dst})
 
     def chmod(self, path: str, permission: int = 0o644):
-        return self.op(OpType.CHMOD, path=path, permission=permission)
+        return self.run(OpType.CHMOD, {"path": path, "permission": permission})

@@ -321,7 +321,7 @@ class Namenode(Server):
         requests = self._requests
         # Not in this life's table: dropped, like any op caught by a crash.
         if msg in requests:
-            if deadline_ms is None or not self._deadline_expired(msg, op, deadline_ms):
+            if deadline_ms is None or not self._deadline_expired(msg, op, deadline_ms, span):
                 probe = self.listing_cache.serve(op, kwargs, probe)
                 if probe is None:
                     self._start_serve((msg, self._serve(msg, op, kwargs, span, True)))
@@ -345,20 +345,20 @@ class Namenode(Server):
         try:
             deadline_ms = msg.extra.get("deadline_ms")
             if not checked and (msg not in self._requests or (
-                deadline_ms is not None and self._deadline_expired(msg, op, deadline_ms)
+                deadline_ms is not None and self._deadline_expired(msg, op, deadline_ms, span)
             )):
                 return  # dropped, like any op caught by a crash, or failed
             if op is OpType.FSYNC:
-                yield from self._fsync(msg, kwargs)
+                yield from self._fsync(msg, kwargs, span)
                 return
             try:
                 fn = self._OPS[op]
             except KeyError:
-                self._fail(msg, FsError(f"unsupported operation {op}"))
+                self._fail(msg, FsError(f"unsupported operation {op}"), span)
                 return
             if op.mutates and self.in_safemode:
                 self._fail(
-                    msg, SafeModeError(f"{self.addr} is in safemode; {op.value} rejected")
+                    msg, SafeModeError(f"{self.addr} is in safemode; {op.value} rejected"), span
                 )
                 return
             retry_id = msg.extra.get("retry_id")
@@ -382,7 +382,7 @@ class Namenode(Server):
                     parent_span=span, deadline=deadline_ms,
                 )
             except (FsError, NdbError) as exc:
-                self._fail(msg, exc)
+                self._fail(msg, exc, span)
                 return
             replayed = type(result) is Replay
             if replayed:
@@ -444,7 +444,7 @@ class Namenode(Server):
         return result
 
     # ------------------------------------------------------------- outcomes
-    def _deadline_expired(self, msg: Message, op: OpType, deadline_ms) -> bool:
+    def _deadline_expired(self, msg: Message, op: OpType, deadline_ms, span=None) -> bool:
         """Fail ``msg`` if its client has stopped waiting; True when it has.
 
         Finishing the op would be doomed work that only adds load while
@@ -457,12 +457,16 @@ class Namenode(Server):
         if remaining > 0:
             return False
         self._fail(
-            msg, DeadlineExceededError(f"{op.value} deadline expired at {self.addr}")
+            msg, DeadlineExceededError(f"{op.value} deadline expired at {self.addr}"), span
         )
         return True
 
-    def _fail(self, msg: Message, exc) -> None:
+    def _fail(self, msg: Message, exc, span=None) -> None:
+        """Answer ``msg`` with ``exc``; its ``nn.handle`` span, if given,
+        is marked failed, so ``_close`` samples an error."""
         self.ops_failed += 1
+        if span is not None:
+            span.tags["ok"] = False
         self.network.reply(msg, exc, ok=False)
 
     def _reply(self, msg: Message, result) -> None:
@@ -503,7 +507,7 @@ class Namenode(Server):
             self.block_manager.block_inode[result.block_id] = result.inode_id
         self._reply(msg, result)
 
-    def _fsync(self, msg: Message, kwargs):
+    def _fsync(self, msg: Message, kwargs, span):
         """Durability barrier: wait until the caller's horizons settle.
 
         ``horizons`` is the list of group-batch ids the client's acked
@@ -520,7 +524,7 @@ class Namenode(Server):
             else:
                 failed.append((horizon, state))
         if failed:
-            self._fail(msg, FsError(f"durability horizon not committed: {failed}"))
+            self._fail(msg, FsError(f"durability horizon not committed: {failed}"), span)
         else:
             self._reply(msg, True)
 

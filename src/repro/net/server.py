@@ -26,7 +26,10 @@ closed task still waiting ends at its wake-up as if its generator
 returned there.  A ``finally`` in a request task or loop must therefore
 not yield.  A ``restart`` starts every loop afresh.  A request task
 removes itself from its life's table when it ends; one whose life's table
-is gone removes nothing.
+is gone removes nothing.  A callback chain (every MDS and OSD request, a
+namenode's until its ``_serve`` task) has nothing to close: each stage
+runs where such a task would resume and first ends a request its life's
+table no longer holds, as the closed task would have ended there.
 """
 
 from __future__ import annotations

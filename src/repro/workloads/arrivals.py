@@ -228,7 +228,7 @@ class AggregatedArrivalEngine:
         start = env.now
         ok, error = True, None
         try:
-            yield from stub.op(op, **kwargs)
+            yield from stub.run(op, kwargs)
         except EXPECTED_ERRORS as exc:
             ok, error = False, type(exc).__name__
         finally:

@@ -58,14 +58,14 @@ class ClosedLoopDriver:
         env = self.env
         next_op = self.workload.next_op
         record = self.collector.record
-        client_op = client.op
+        client_run = client.run
         hub = self.hub
         while not self.stopped:
             op, kwargs = next_op(client_id=index)
             start = env.now
             ok, error = True, None
             try:
-                yield from client_op(op, **kwargs)
+                yield from client_run(op, kwargs)
             except EXPECTED_ERRORS as exc:
                 ok, error = False, type(exc).__name__
             record(OpResult(op, start, env.now, ok, client.last_op_failures, error))
@@ -109,21 +109,21 @@ class OpenLoopDriver:
         env = self.env
         gap = 1.0 / self.rate_per_ms
         next_op = self.workload.next_op
-        stubs = [(client.op, client) for client in self.clients]
+        stubs = [(client.run, client) for client in self.clients]
         while not self.stopped:
             index = self._next_client % len(stubs)
-            client_op, client = stubs[index]
+            client_run, client = stubs[index]
             self._next_client += 1
             op, kwargs = next_op(client_id=index)
-            env.spawn(self._one_op(client_op, client, op, kwargs))
+            env.spawn(self._one_op(client_run, client, op, kwargs))
             yield env.timeout(gap)
 
-    def _one_op(self, client_op, client, op, kwargs):
+    def _one_op(self, client_run, client, op, kwargs):
         env = self.env
         start = env.now
         ok, error = True, None
         try:
-            yield from client_op(op, **kwargs)
+            yield from client_run(op, kwargs)
         except EXPECTED_ERRORS as exc:
             ok, error = False, type(exc).__name__
         self.collector.record(

@@ -1,8 +1,10 @@
-"""``CephClient.op`` / ``Mds._mds_op``: one body, one traced wrapper.
+"""``CephClient.op``: one body, one traced wrapper; the MDS: one chain.
 
-Both are plain functions that return the body generator when tracing is
-off and the wrapper around the same body when it is on, so a traced and an
-untraced run must agree on every result, counter and simulated instant.
+The client's entry is a plain function that returns the body generator
+when tracing is off and the wrapper around the same body when it is on;
+the MDS serves a request as one callback chain either way.  So a traced
+and an untraced run must agree on every result, counter and simulated
+instant.
 """
 
 import inspect
@@ -12,7 +14,6 @@ import pytest
 from repro.cephfs import build_cephfs
 from repro.errors import NoNamenodeError
 from repro.fsclient import FsClient
-from repro.net import Message
 from repro.obs import ObsContext
 from repro.types import OpType
 
@@ -73,17 +74,13 @@ def test_traced_and_untraced_ops_agree():
 def test_untraced_stubs_return_the_body_generator():
     ceph = build_cephfs(num_mds=2)
     client = ceph.client()
-    mds = ceph.mds_list[0]
-    request = Message(client.addr, mds.addr, "mds_op",
-                      (OpType.STAT, {"path": "/"}, client.addr), rpc_id=1)
-    op, handler = client.op(OpType.STAT, path="/"), mds._mds_op(request)
-    assert inspect.isgenerator(op) and inspect.isgenerator(handler)
-    assert (op.gi_code.co_name, handler.gi_code.co_name) == ("_op_body", "_mds_op_body")
-    op.close(), handler.close()
+    for stub in (client.op(OpType.STAT, path="/"), client.run(OpType.STAT, {"path": "/"})):
+        assert inspect.isgenerator(stub) and stub.gi_code.co_name == "_op_body"
+        stub.close()
     ObsContext().attach(ceph.env)
-    op, handler = client.op(OpType.STAT, path="/"), mds._mds_op(request)
-    assert (op.gi_code.co_name, handler.gi_code.co_name) == ("_traced_op", "_traced_mds_op")
-    op.close(), handler.close()
+    op = client.op(OpType.STAT, path="/")
+    assert op.gi_code.co_name == "_traced_op"
+    op.close()
 
 
 def test_ceph_stub_has_no_failure_count():

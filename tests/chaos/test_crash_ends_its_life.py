@@ -7,10 +7,17 @@ RPCs it has in flight.  When the cell is over, each of them must be
 finished or closed, and each RPC gone from the network's pending table:
 nothing of a dead life runs on, stays parked or is left for a reply to
 resume.  No RPC may be pending for a caller that is down.  (These metadata
-workloads barely load the OSDs and block datanodes: their request tasks
-are held to the same rule by the restart regressions of their own tests.)
+workloads barely load the block datanodes: their request tasks are held to
+the same rule by the restart regressions of their own tests.)
+
+The MDS and the OSD file no task: a request is a callback chain whose
+stages run where a task would resume, on the new life too.  So the check
+also watches every MDS / OSD stage run for a request of an ended life: it
+may only end the chain (one ``end_task``), never send a message or queue
+CPU or disk work.  The CephFS cell must run some.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -22,8 +29,10 @@ from repro.hopsfs.datanode import BlockStoreDatanode
 from repro.hopsfs.groupcommit import _BatchCtx
 from repro.hopsfs.namenode import Namenode
 from repro.ndb.datanode import NdbDatanode
+from repro.net.network import Message, Network
 from repro.net.server import Server
-from repro.sim.kernel import _CLOSED
+from repro.sim.kernel import _CLOSED, Environment
+from repro.sim.resources import CorePool, Disk
 
 # (scenario, setup, clients) -> the server kinds the cell crashes
 CELLS = {
@@ -53,13 +62,56 @@ def _processes(work) -> list:
     return [work]
 
 
+# The callback-chain stages of a request, by server kind.
+_STAGES = {Mds: ("_begin", "_run", "_revoked", "_granted"),
+           Osd: ("_begin", "_paid", "_written")}
+# What a stage may do for a request of an ended life: end the chain, once.
+_ACTIONS = ((Environment, "end_task"), (Network, "send"), (CorePool, "call"),
+            (Disk, "_transfer"))
+
+
+def _watch_dead_stages(monkeypatch, dead: set) -> Counter:
+    """Wrap the MDS and OSD stages: count those run for a request in
+    ``dead`` (``ran``) and those of them that did anything but end the
+    chain once (``acted``)."""
+    tally = Counter()
+    running = []  # the actions of each dead-life stage on the stack
+
+    for cls, name in _ACTIONS:
+        def action(*args, _real=getattr(cls, name), _name=name, **kwargs):
+            if running:
+                running[-1][_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, action)
+    for cls, names in _STAGES.items():
+        for name in names:
+            def stage(self, first, *rest, _real=getattr(cls, name)):
+                msg = first if isinstance(first, Message) else first[0]
+                if msg not in dead:
+                    return _real(self, first, *rest)
+                running.append(Counter())
+                try:
+                    _real(self, first, *rest)
+                finally:
+                    actions = running.pop()
+                tally["ran"] += 1
+                tally["acted"] += actions != Counter(end_task=1)
+
+            monkeypatch.setattr(cls, name, stage)
+    return tally
+
+
 @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: f"{cell[0]}/{cell[1]}")
 def test_every_crash_ends_its_lifes_tasks_loops_and_rpcs(cell, monkeypatch):
     lives = []
+    dead = set()  # the requests of every ended life
+    stages = _watch_dead_stages(monkeypatch, dead)
     shutdown = Server.shutdown
 
     def recording(server):
         if server.running:
+            dead.update(server._requests)
             pending = server.network._pending
             lives.append(_Life(
                 server,
@@ -83,3 +135,6 @@ def test_every_crash_ends_its_lifes_tasks_loops_and_rpcs(cell, monkeypatch):
         assert all(_ended(loop) for loop in life.loops), name
         assert not set(life.rpc_ids) & set(network._pending), name
     assert [rpc for rpc in network._pending.values() if not network.is_up(rpc.src)] == []
+    if CELLS[cell] & set(_STAGES):
+        assert stages["ran"] > 0
+    assert stages["acted"] == 0

@@ -5,7 +5,8 @@ directly with synthetic ``now`` values and check that windows seal at the
 right boundaries, listeners see every sealed window in order, the shard
 merge is commutative and associative like every other merge in the repo
 (Histogram, MetricsCollector), and the availability view folds
-``client.ops`` into its rows.
+``client.ops`` into its rows.  The last test runs a chaos scenario: a
+namenode's handler series counts each reply it failed as an error.
 """
 
 import random
@@ -207,3 +208,22 @@ def test_availability_view_is_dense_rows_of_client_ops():
         {"t_ms": 60.0, "ok": 1, "failed": 0, "availability": 1.0},
     ]
     assert TimeSeriesHub().availability() == []
+
+
+# -- server handler series ---------------------------------------------------
+
+def test_nn_handle_series_count_every_failed_reply():
+    """Each op a namenode fails (``_fail``) is an error sample of its
+    ``nn.handle.<nn>`` series: overload-burst's deadline failures too."""
+    from repro.chaos.scenarios import run_scenario
+    from repro.obs import ObsContext
+
+    obs = ObsContext(timeseries=TimeSeriesHub())
+    result = run_scenario("overload-burst", setup="hopsfs-cl-3-3", clients=32, obs=obs)
+    harness = result.extra["harness"]
+    obs.timeseries.finalize(harness.env.now)
+    windows = [window for name, rows in obs.timeseries.series.items()
+               if name.startswith("nn.handle.") for window in rows.values()]
+    failed = sum(nn.ops_failed for nn in harness.deployment.namenodes)
+    assert failed > 0
+    assert sum(window.errors for window in windows) == failed

@@ -100,7 +100,7 @@ class _FakeStub:
         self.ops = 0
         self.last_op_failures = 0
 
-    def op(self, op, **kwargs):
+    def run(self, op, kwargs):
         yield self.env.timeout(self.service_ms)
         self.ops += 1
         if self.fail_with is not None:

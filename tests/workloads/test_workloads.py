@@ -92,7 +92,7 @@ class _StubClient:
         self.delay = delay
         self.ops = 0
 
-    def op(self, op, **kwargs):
+    def run(self, op, kwargs):
         self.ops += 1
         yield self.env.timeout(self.delay)
         return True
